@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,11 @@ def _parse_list(text):
     return [float(v) for v in str(text).split(",") if v.strip()]
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse a flat dotted key-value config; errors cite line and key."""
+def parse_config(path, mode=None) -> ExperimentConfig:
+    """Parse a flat dotted key-value config; errors cite line and key.
+
+    ``mode``, when given, replaces the file's ``run.mode``.
+    """
     model_items, family, run = {}, {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -83,6 +87,8 @@ def parse_config(path) -> ExperimentConfig:
                     raise ValueError(f"unknown config section for key: {key}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if mode is not None:
+        run["mode"] = mode
     params = params_from_config(model_items) if model_items else ModelParams()
     return ExperimentConfig(params, family, run)
 
@@ -336,10 +342,16 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def run(config_path, threads: int = 1, seed=None, out_dir=None) -> int:
-    """Execute one configured run; returns a process exit status."""
+def run(config_path, threads: int = 1, seed=None, out_dir=None,
+        mode=None) -> int:
+    """Execute one configured run; returns a process exit status.
+
+    ``mode`` replaces the config's ``run.mode``. A run whose mode raises
+    still writes ``summary.txt``, ending in the traceback, and a manifest
+    with status "failed", and returns 1.
+    """
     try:
-        config = parse_config(config_path)
+        config = parse_config(config_path, mode)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -353,11 +365,14 @@ def run(config_path, threads: int = 1, seed=None, out_dir=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     lines = [f"mode: {mode}", f"seed: {master_seed}", f"threads: {threads}"]
+    status = "ok"
     try:
         outputs = _MODE_RUNNERS[mode](config, out_dir, master_seed, lines)
-    except Exception as exc:
-        print(f"{mode} failed: {exc}", file=sys.stderr)
-        return 1
+    except Exception:
+        trace = traceback.format_exc().rstrip("\n")
+        print(f"{mode} failed:\n{trace}", file=sys.stderr)
+        lines += [f"{mode} failed:", trace]
+        status, outputs = "failed", []
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:
@@ -366,6 +381,7 @@ def run(config_path, threads: int = 1, seed=None, out_dir=None) -> int:
 
     manifest = {
         "mode": mode,
+        "status": status,
         "seed": master_seed,
         "threads": threads,
         "config": {k: str(v) for k, v in config.echo().items()},
@@ -374,6 +390,8 @@ def run(config_path, threads: int = 1, seed=None, out_dir=None) -> int:
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
+    if status != "ok":
+        return 1
     print("\n".join(lines))
     return 0
 
@@ -390,24 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # the positional mode overrides whatever the config file says
-    try:
-        config = parse_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if config.run.get("mode") != args.mode:
-        import tempfile
-        items = config.echo()
-        items["run.mode"] = args.mode
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".cfg", delete=False) as fh:
-            for key, value in items.items():
-                fh.write(f"{key} = {value}\n")
-            tmp_path = fh.name
-        status = run(tmp_path, args.threads, args.seed, args.out)
-        os.unlink(tmp_path)
-        return status
-    return run(args.config, args.threads, args.seed, args.out)
+    return run(args.config, args.threads, args.seed, args.out, args.mode)
 
 
 if __name__ == "__main__":

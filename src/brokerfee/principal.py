@@ -312,21 +312,17 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
         return (evaluation.j_p if evaluation.participation
                 else INFEASIBLE_OBJECTIVE)
 
+    # polynomial families have no constant term, so the binding constant
+    # cannot anchor them; they start from the screening points
+    anchored = family.kind != "linear_polynomial"
     seed_error = None
     try:
-        try:
-            anchor = feasibility_seed(params, family, settings, seed=seed)
-            theta0 = np.full(family.dimension, 0.0)
-            theta0[0] = anchor.value
-            if family.kind == "constant":
-                evaluate(theta0, "seed")
-            elif family.kind == "linear_polynomial":
-                # polynomial families have no constant term; screen from zero
-                theta0 = None
-            else:
+        if anchored:
+            try:
+                anchor = feasibility_seed(params, family, settings, seed=seed)
                 evaluate(np.full(family.dimension, anchor.value), "seed")
-        except ValueError as exc:
-            seed_error = exc
+            except ValueError as exc:
+                seed_error = exc
 
         n_screen = max(min(budget // 3, budget - len(sequence) - 1), 0)
         points = _latin_hypercube(n_screen, family.dimension, seed)
@@ -348,10 +344,13 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
         pass
 
     if sequence.best_index is None:
-        hint = f" (feasibility_seed: {seed_error})" if seed_error else ""
-        raise RuntimeError(
-            "no feasible contract found within budget; consider the "
-            "feasibility_seed constant as a starting point" + hint)
+        message = "no feasible contract found within budget"
+        if anchored:
+            message += ("; consider the feasibility_seed constant as a "
+                        "starting point")
+        if seed_error:
+            message += f" (feasibility_seed: {seed_error})"
+        raise RuntimeError(message)
     return sequence.incumbent, sequence
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brokerfee import simulate
+from brokerfee import agent, simulate
 from brokerfee.agent import (AgentUtilitySpec, CflError, HjbSettings,
                              UnsupportedContractError, best_response,
                              estimate_agent_value, solve_hjb, zeta_integral)
@@ -132,3 +132,131 @@ def test_value_grid_csv(tmp_path, zero_fee_solution):
     grid.to_csv(fn)
     header = fn.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["t", "w", "z"]
+
+
+# --- the sweep against a plain per-term explicit step -------------------
+
+def _upwind_advection(v, speed, dx, axis):
+    """speed * dV/dx with the difference chosen by the sign of speed."""
+    d = np.diff(v, axis=axis) / dx
+    first = np.take(d, [0], axis=axis)
+    last = np.take(d, [-1], axis=axis)
+    fwd = np.concatenate([d, last], axis=axis)
+    bwd = np.concatenate([first, d], axis=axis)
+    return np.maximum(speed, 0.0) * fwd + np.minimum(speed, 0.0) * bwd
+
+
+def _second_diff(v, dx, axis):
+    """Central second difference, zero at the boundary slices."""
+    out = np.zeros_like(v)
+    inner = [slice(None)] * v.ndim
+    inner[axis] = slice(1, -1)
+    d = np.diff(v, n=2, axis=axis) / dx**2
+    out[tuple(inner)] = d
+    return out
+
+
+def _reference_rate(v, params, dz):
+    vz = np.gradient(v, dz, axis=-1)
+    return np.clip(vz / (2 * params.phi_a), params.rate_lower,
+                   params.rate_upper)
+
+
+def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
+    """One backward step of the scheme on (n_w, n_z), or (n_p, n_w, n_z)
+    for a price-dependent fee, one numpy expression per term."""
+    dw = w_nodes[1] - w_nodes[0]
+    dz = z_nodes[1] - z_nodes[0]
+    w = w_nodes[:, None]
+    pi = _reference_rate(v, params, dz)
+    rhs = (w * z_nodes[None, :]
+           + _upwind_advection(v, pi, dz, axis=-1)
+           - params.phi_a * pi**2
+           + 0.5 * params.epsilon**2 * _second_diff(v, dz, axis=-1)
+           + 0.5 * _second_diff(v, dw, axis=-2))
+    if p_nodes is not None:
+        dp = p_nodes[1] - p_nodes[0]
+        rhs = rhs + (_upwind_advection(v, w[None], dp, axis=0)
+                     + 0.5 * params.sigma**2 * _second_diff(v, dp, axis=0))
+    return v + dt * rhs
+
+
+BOUNDED = ModelParams(rate_lower=-1.0, rate_upper=1.0)
+SWEEP_DT = 0.004  # below the CFL bound of both small grids
+
+
+def _table_fee():
+    # constant in p, so the solve takes a single p plane; curved in z, so
+    # the upwind differences on either side of a node differ
+    nodes = np.linspace(-4.0, 4.0, 9)
+    values = 0.05 * nodes[None, :]**2 + 0 * nodes[:, None]
+    return LipschitzTable(nodes, nodes, values, gamma=1.0, holder_const=1.0,
+                          cap=1.0)
+
+
+SWEEP_CASES = {
+    "2d": (_table_fee(), HjbSettings(n_w=41, n_z=41, dt=SWEEP_DT)),
+    # xi = 0.5 P Z + 0.05 P Z^2 + 0.05 P^2 Z^2: V_z takes both signs and
+    # passes the rate bounds, and V is curved in z and p
+    "3d": (LinearPolynomial(np.array([[0.5, 0.05], [0.0, 0.05]]), cap=1.0),
+           HjbSettings(n_p=9, n_w=21, n_z=21, dt=SWEEP_DT)),
+}
+
+
+# slabs of 1, 2, 4 (9 = 4 + 4 + 1 leaves a short last slab) and 9 p planes
+@pytest.mark.parametrize("case, planes", [("2d", 1), ("3d", 1), ("3d", 2),
+                                          ("3d", 4), ("3d", 9)])
+def test_sweep_matches_reference_step(case, planes, monkeypatch):
+    fee, settings = SWEEP_CASES[case]
+    monkeypatch.setattr(agent, "_SLAB_CELLS",
+                        planes * settings.n_w * settings.n_z)
+    policy, grid = solve_hjb(fee, BOUNDED, settings)
+
+    n_t = int(np.ceil(BOUNDED.horizon / SWEEP_DT))
+    dt = BOUNDED.horizon / n_t
+    saved = dict(zip(np.rint(grid.t_nodes / dt).astype(int),
+                     zip(grid.values, policy.table)))
+    assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
+    v = grid.values[-1].copy()
+    for k in range(n_t, -1, -1):
+        if k < n_t:
+            v = _reference_step(v, dt, BOUNDED, grid.w_nodes, grid.z_nodes,
+                                grid.p_nodes)
+        if k in saved:
+            values, rates = saved[k]
+            scale = np.max(np.abs(v))
+            assert np.max(np.abs(values - v)) <= 1e-12 * scale
+            ref_rates = _reference_rate(v, BOUNDED, grid.z_nodes[1]
+                                        - grid.z_nodes[0])
+            if grid.p_nodes is not None:
+                ref_rates = ref_rates[len(grid.p_nodes) // 2]
+            assert np.max(np.abs(rates - ref_rates)) <= 1e-12
+    # the clamp binds and the rate takes both signs somewhere on the grid
+    assert policy.table.min() == -1.0 and policy.table.max() == 1.0
+
+
+def test_price_dependent_terminal_slice_is_the_fee():
+    fee, settings = SWEEP_CASES["3d"]
+    _, grid = solve_hjb(fee, BOUNDED, settings)
+    pp, zz = np.meshgrid(grid.p_nodes, grid.z_nodes, indexing="ij")
+    expected = -fee.terminal_payoff(pp, zz)[:, None, :]
+    assert grid.values.shape[1:] == (9, 21, 21)
+    assert np.array_equal(grid.values[-1],
+                          np.broadcast_to(expected, (9, 21, 21)))
+
+
+def test_zero_polynomial_keeps_p_planes_identical():
+    # the w and z axes of FAST: a 21 x 21 grid is 6 % off the closed form
+    fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
+    _, grid = solve_hjb(fee, WIDE, HjbSettings(n_p=9, n_w=101, n_z=101))
+    assert grid.p_nodes is not None
+    assert np.all(grid.values == grid.values[:, :1])
+    assert grid.value_at_origin == pytest.approx(1.0 / 24.0, rel=0.01)
+
+
+def test_sweep_is_bit_reproducible():
+    fee, settings = SWEEP_CASES["3d"]
+    first = solve_hjb(fee, BOUNDED, settings)
+    second = solve_hjb(fee, BOUNDED, settings)
+    assert first[1].values.tobytes() == second[1].values.tobytes()
+    assert first[0].table.tobytes() == second[0].table.tobytes()

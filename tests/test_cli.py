@@ -80,6 +80,7 @@ def test_mode_writes_manifest(tmp_path, mode, capsys):
     assert cli.run(cfg) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == mode
+    assert manifest["status"] == "ok"
     assert manifest["seed"] == 7
     # every declared output exists and its hash is recorded
     for name, digest in manifest["outputs"].items():
@@ -134,3 +135,37 @@ def test_main_entry_point(tmp_path, capsys):
     cfg, out = write_config(tmp_path, "report")
     assert cli.main(["report", "--config", str(cfg)]) == 0
     assert "mode: report" in capsys.readouterr().out
+
+
+def test_positional_mode_needs_no_run_mode(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, "report")
+    cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                             if not line.startswith("run.mode")))
+    assert cli.main(["report", "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == "report"
+    assert manifest["config"]["run.mode"] == "report"
+
+
+def test_positional_mode_overrides_config(tmp_path):
+    cfg, _ = write_config(tmp_path, "simulate")
+    out = tmp_path / "override"
+    assert cli.main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "report.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["mode"] == "report"
+
+
+def test_failed_mode_keeps_traceback(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, "oracle")
+    cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 9"))
+    assert cli.run(cfg) == 1
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "depth must lie in 1..4" in err
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("mode: oracle")
+    assert "Traceback (most recent call last)" in summary
+    assert "build_tree" in summary and "depth must lie in 1..4" in summary
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert set(manifest["outputs"]) == {"summary.txt"}

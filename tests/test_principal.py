@@ -89,6 +89,21 @@ def test_optimize_budget_one():
     assert seq.records[0]["participation"]
 
 
+def test_polynomial_family_skips_feasibility_solve(monkeypatch):
+    # the binding constant cannot anchor a family without a constant term
+    def unexpected(*args, **kwargs):
+        raise AssertionError("feasibility_seed called")
+
+    monkeypatch.setattr(principal, "feasibility_seed", unexpected)
+    family = principal.ContractFamily("linear_polynomial", cap=1.0)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    _, seq = principal.optimize(family, params, budget=2,
+                                settings=HjbSettings(n_p=9, n_w=21, n_z=21),
+                                mc_count=500, seed=3)
+    assert [r["stage"] for r in seq.records] == ["refine", "refine"]
+    assert seq.records[0]["coefficients"].tolist() == [0.0]
+
+
 def test_best_trace_monotone():
     family = principal.ContractFamily("constant", cap=1.0)
     _, seq = principal.optimize(family, WIDE, budget=15, settings=FAST,
