@@ -10,7 +10,7 @@ trees with brute-force convex oracles.
 """
 
 from .model import (ModelParams, DiscretizedPath, FeedbackPolicy,
-                    ConstraintSpec, PathWeight, validate_params)
+                    ConstraintSpec, validate_params)
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .agent import best_response, solve_hjb, estimate_agent_value
 from .principal import (ContractFamily, optimize, principal_objective,

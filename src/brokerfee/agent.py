@@ -22,21 +22,21 @@ Fees outside the Markovian classes are handled by projected coordinate
 ascent over a coarse policy table with common random numbers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .contracts import (Constant, LinearPolynomial, LipschitzTable,
                         evaluate_on_batch)
-from .model import DiscretizedPath, FeedbackPolicy, ModelParams
+from .model import FeedbackPolicy, ModelParams, locate, zeta_integral
 from .rng import split_seed
 from . import simulate
 
 __all__ = [
     "HjbSettings", "ValueGrid", "AgentUtilitySpec", "BestResponse",
     "CflError", "UnsupportedContractError",
-    "zeta_integral", "solve_hjb", "estimate_agent_value", "best_response",
+    "solve_hjb", "estimate_agent_value", "best_response",
 ]
 
 
@@ -125,28 +125,10 @@ def policy_to_csv(policy: FeedbackPolicy, filename) -> None:
 
 
 def _interp_axis(nodes, values, x, axis):
-    idx = int(np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                      0, len(nodes) - 2))
-    frac = np.clip((x - nodes[idx]) / (nodes[idx + 1] - nodes[idx]), 0.0, 1.0)
+    idx, frac = locate(nodes, x)
     lo = np.take(values, idx, axis=axis)
     hi = np.take(values, idx + 1, axis=axis)
     return (1 - frac) * lo + frac * hi
-
-
-def zeta_integral(path: DiscretizedPath, params: ModelParams) -> float:
-    """Left-point quadrature of (eps^2 phi_a / sigma^2) W^2 + Z W over the
-    grid; the state-only part of the agent's reweighted utility."""
-    dt = path.times[1] - path.times[0]
-    coef = params.epsilon**2 * params.phi_a / params.sigma**2
-    integrand = coef * path.w[:-1] ** 2 + path.z[:-1] * path.w[:-1]
-    return float(np.sum(integrand) * dt)
-
-
-def _zeta_batch(batch, params: ModelParams) -> np.ndarray:
-    dt = batch.times[1] - batch.times[0]
-    coef = params.epsilon**2 * params.phi_a / params.sigma**2
-    w_left = batch.w[:, :-1]
-    return np.sum(coef * w_left**2 + batch.z[:, :-1] * w_left, axis=1) * dt
 
 
 @dataclass(frozen=True)
@@ -176,8 +158,9 @@ class AgentUtilitySpec:
         """Per-path M-weighted utility on a reference batch with weights."""
         if not batch.has_weights:
             raise ValueError("batch carries no weights")
+        dt = batch.times[1] - batch.times[0]
         xi = evaluate_on_batch(self.contract, batch)
-        zeta = _zeta_batch(batch, self.params)
+        zeta = zeta_integral(batch.z, batch.w, dt, self.params)
         lam = 2 * self.params.epsilon**2 * self.params.phi_a
         return batch.m * (-xi - lam * batch.log_m + zeta)
 

@@ -15,13 +15,13 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import agent, contracts, oracle, principal, simulate
-from .model import (FeedbackPolicy, ModelParams, params_from_config,
-                    params_to_config)
+from .model import (ConstraintSpec, FeedbackPolicy, ModelParams,
+                    params_from_config, params_to_config)
 from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -271,7 +271,6 @@ def _mode_verify(config, out_dir, seed, lines):
                    f"gap = {report.gap:.2e}, "
                    f"3se = {3 * report.combined_se:.2e}"))
 
-    from .model import ConstraintSpec
     spec = ConstraintSpec.from_params(params)
     worst = -np.inf
     for eta in simulate.eta_family(params.horizon):
@@ -342,8 +341,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def run(config_path, threads: int = 1, seed=None, out_dir=None,
-        mode=None) -> int:
+def run(config_path, seed=None, out_dir=None, mode=None) -> int:
     """Execute one configured run; returns a process exit status.
 
     ``mode`` replaces the config's ``run.mode``. A run whose mode raises
@@ -357,14 +355,13 @@ def run(config_path, threads: int = 1, seed=None, out_dir=None,
         return 2
     mode = config.run["mode"]
     if seed is not None:
-        from dataclasses import replace
         config = ExperimentConfig(replace(config.params, seed=int(seed)),
                                   config.family, config.run)
     master_seed = config.params.seed
     out_dir = out_dir or config.run.get("out", "results")
     os.makedirs(out_dir, exist_ok=True)
 
-    lines = [f"mode: {mode}", f"seed: {master_seed}", f"threads: {threads}"]
+    lines = [f"mode: {mode}", f"seed: {master_seed}"]
     status = "ok"
     try:
         outputs = _MODE_RUNNERS[mode](config, out_dir, master_seed, lines)
@@ -383,7 +380,6 @@ def run(config_path, threads: int = 1, seed=None, out_dir=None,
         "mode": mode,
         "status": status,
         "seed": master_seed,
-        "threads": threads,
         "config": {k: str(v) for k, v in config.echo().items()},
         "outputs": {name: _sha256(os.path.join(out_dir, name))
                     for name in sorted(outputs)},
@@ -402,13 +398,12 @@ def main(argv=None) -> int:
         description="Brokerage-fee contract solver and verification suite")
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     # the positional mode overrides whatever the config file says
-    return run(args.config, args.threads, args.seed, args.out, args.mode)
+    return run(args.config, args.seed, args.out, args.mode)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ the parameter space, which is what drives existence of an optimizer.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeedbackPolicy, ModelParams
+from .model import FeedbackPolicy, ModelParams, locate
 from .rng import split_seed
 from . import simulate
 
@@ -136,14 +136,6 @@ class LipschitzTable:
         """Bilinear table lookup at coordinate samples (vectorized)."""
         p_s = np.asarray(p_s, dtype=float)
         z_s = np.asarray(z_s, dtype=float)
-
-        def locate(nodes, x):
-            idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                          0, len(nodes) - 2)
-            frac = np.clip((x - nodes[idx]) / (nodes[idx + 1] - nodes[idx]),
-                           0.0, 1.0)
-            return idx, frac
-
         ip, fp = locate(self.p_nodes, p_s)
         iz, fz = locate(self.z_nodes, z_s)
         out = ((1 - fp) * (1 - fz) * self.values[ip, iz]

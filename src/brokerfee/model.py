@@ -7,9 +7,13 @@ the client controls the drift of Z through a trading rate pi in [L, U],
 while the drift of P is pinned to W and W itself is driftless. The linear
 constraint system (A, b) encodes exactly that structure: six rows whose
 residuals b + A*nu are nonpositive precisely for admissible drifts.
+
+Each piece of the model that several layers evaluate is defined here once:
+the constraint rows (:meth:`ConstraintSpec.rows`), grid lookup
+(:func:`locate`) and the state-only running utility (:func:`zeta_integral`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +22,10 @@ __all__ = [
     "DiscretizedPath",
     "FeedbackPolicy",
     "ConstraintSpec",
-    "PathWeight",
+    "ROW_NAMES",
+    "locate",
+    "zeta_integral",
     "validate_params",
-    "constraint_rows",
     "params_to_config",
     "params_from_config",
 ]
@@ -126,22 +131,6 @@ class DiscretizedPath:
                 raise ValueError("paths must start at the origin")
 
 
-@dataclass(frozen=True)
-class PathWeight:
-    """Girsanov weight of one path: log-density, density, entropy pieces."""
-
-    log_m: float
-    m: float
-    int_pi_sq: float  # accumulated integral of pi^2 dt
-    int_w_sq: float   # accumulated integral of W^2 dt
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("density must be strictly positive")
-        if abs(np.log(self.m) - self.log_m) > 1e-12 * max(1.0, abs(self.log_m)):
-            raise ValueError("m and log_m are inconsistent")
-
-
 class FeedbackPolicy:
     """Trading-rate rule pi(t, w, z) stored on a regular grid.
 
@@ -177,22 +166,14 @@ class FeedbackPolicy:
         tt, ww, zz = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")
         return cls(t_nodes, w_nodes, z_nodes, fn(tt, ww, zz), bounds)
 
-    @staticmethod
-    def _locate(nodes, x):
-        idx = np.searchsorted(nodes, x, side="right") - 1
-        idx = np.clip(idx, 0, len(nodes) - 2)
-        width = nodes[idx + 1] - nodes[idx]
-        frac = np.clip((x - nodes[idx]) / width, 0.0, 1.0)
-        return idx, frac
-
     def __call__(self, t, w, z):
         """Vectorized rate lookup; broadcasts over w and z."""
         t = np.asarray(t, dtype=float)
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
-        it, ft = self._locate(self.t_nodes, t)
-        iw, fw = self._locate(self.w_nodes, w)
-        iz, fz = self._locate(self.z_nodes, z)
+        it, ft = locate(self.t_nodes, t)
+        iw, fw = locate(self.w_nodes, w)
+        iz, fz = locate(self.z_nodes, z)
         out = np.zeros(np.broadcast_shapes(t.shape, w.shape, z.shape))
         for dt_, wt_ in ((0, 1 - ft), (1, ft)):
             for dw_, ww_ in ((0, 1 - fw), (1, fw)):
@@ -201,64 +182,60 @@ class FeedbackPolicy:
         return np.clip(out, self.bounds[0], self.bounds[1])
 
 
+ROW_NAMES = ("drift_p_upper", "drift_p_lower", "drift_w_upper",
+             "drift_w_lower", "rate_upper", "rate_lower")
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """The six-row linear constraint system of the brokerage model.
+    """The six-row linear constraint system b dt + A dX of the model.
 
-    Residual rows, evaluated at drift nu = (nu_p, nu_z, nu_w):
+    With b = (-W, W, 0, 0, -U, L) and dX = (dP, dZ, dW) the rows are
 
-        1:  nu_p - W      2:  W - nu_p      (price drift pinned to W)
-        3:  nu_w          4: -nu_w          (signal is driftless)
-        5:  nu_z - U      6:  L - nu_z      (rate bounds)
+        1: -W dt + dP     2:  W dt - dP     (price drift pinned to W)
+        3:  dW            4: -dW            (signal is driftless)
+        5: -U dt + dZ     6:  L dt - dZ     (rate bounds)
 
-    Admissibility of a rate pi means all rows are <= 0 at nu = (W, pi, 0).
+    named by :data:`ROW_NAMES`. With dt = 1 and a drift nu = (nu_p, nu_z,
+    nu_w) in place of dX they are the residuals b + A nu; admissibility of
+    a rate pi means all six are <= 0 at nu = (W, pi, 0).
     """
 
     rate_lower: float
     rate_upper: float
-    a_matrix: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        a = np.array([
-            [1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-            [0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0],
-        ])
-        object.__setattr__(self, "a_matrix", a)
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "ConstraintSpec":
         return cls(params.rate_lower, params.rate_upper)
 
-    def b_vector(self, w):
-        """State-dependent vector b = (-W, W, 0, 0, -U, L); broadcasts."""
-        w = np.asarray(w, dtype=float)
-        out = np.zeros(w.shape + (6,))
-        out[..., 0] = -w
-        out[..., 1] = w
-        out[..., 4] = -self.rate_upper
-        out[..., 5] = self.rate_lower
-        return out
-
-    def residuals(self, w, rate):
-        """b + A*nu at nu = (W, pi, 0); shape (..., 6), broadcasts."""
-        w = np.asarray(w, dtype=float)
-        rate = np.asarray(rate, dtype=float)
-        shape = np.broadcast_shapes(w.shape, rate.shape)
-        out = np.zeros(shape + (6,))
-        out[..., 4] = rate - self.rate_upper
-        out[..., 5] = self.rate_lower - rate
-        return out
+    def rows(self, dp, dz, dw, w, dt) -> tuple:
+        """The six rows of b dt + A dX; broadcasts over array arguments."""
+        return (dp - w * dt, w * dt - dp,
+                dw, -dw,
+                dz - self.rate_upper * dt, self.rate_lower * dt - dz)
 
 
-def constraint_rows(state, rate, spec: ConstraintSpec) -> np.ndarray:
-    """Six constraint residuals b + A*nu for one state sample.
+def locate(nodes, x):
+    """Cell index and fraction of ``x`` on the sorted grid ``nodes``.
 
-    ``state`` is a (P, Z, W) triple; only W enters (and cancels in rows
-    1-2 by construction). All residuals <= 0 iff rate in [L, U].
+    Returns (idx, frac) with nodes[idx] <= x <= nodes[idx + 1] inside the
+    grid. Beyond an edge the edge cell is used and frac is clipped to 0 or
+    1, so linear interpolation extrapolates by a constant. Vectorized.
     """
-    _, _, w = state
-    return spec.residuals(np.asarray(w), np.asarray(rate))
+    idx = np.searchsorted(nodes, x, side="right") - 1
+    idx = np.clip(idx, 0, len(nodes) - 2)
+    width = nodes[idx + 1] - nodes[idx]
+    frac = np.clip((x - nodes[idx]) / width, 0.0, 1.0)
+    return idx, frac
+
+
+def zeta_integral(z, w, dt, params: ModelParams):
+    """Left-point quadrature of (eps^2 phi_a / sigma^2) W^2 + Z W dt over
+    the last axis: the state-only part of the agent's reweighted utility.
+
+    ``z`` and ``w`` hold path samples on a uniform grid of step ``dt``
+    along their last axis; leading axes are batch axes.
+    """
+    coef = params.epsilon**2 * params.phi_a / params.sigma**2
+    w_left = w[..., :-1]
+    return np.sum(coef * w_left**2 + z[..., :-1] * w_left, axis=-1) * dt

@@ -11,8 +11,7 @@ it never trusts the continuous solvers, only convex duality on the tree.
 """
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.optimize import linprog, minimize as sp_minimize
 from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
-from .model import ModelParams
+from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
 from .rng import uniforms
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
     "build_tree", "node_constraint_set", "atom_utility_from_contract",
     "solve_strong_discrete", "solve_relaxed_discrete",
     "verify_collapse", "extract_strong_control",
-    "default_density_grid", "save_instance", "load_instance",
+    "default_density_grid",
 ]
 
 MAX_ATOMS = 100_000
@@ -111,10 +110,7 @@ def atom_utility_from_contract(tree: ScenarioTree, contract,
     times = np.linspace(0.0, tree.depth * tree.dt, tree.depth + 1)
     p, z, w = tree.paths[:, :, 0], tree.paths[:, :, 1], tree.paths[:, :, 2]
     xi = contract.evaluate_batch(times, p, z)
-    coef = params.epsilon**2 * params.phi_a / params.sigma**2
-    zeta = np.sum(coef * w[:, :-1] ** 2 + z[:, :-1] * w[:, :-1],
-                  axis=1) * tree.dt
-    return -xi + zeta
+    return -xi + zeta_integral(z, w, tree.dt, params)
 
 
 @dataclass(frozen=True)
@@ -137,38 +133,28 @@ class DiscreteConstraintSet:
         return self.forms @ (probs * cond_mean)
 
 
-_ROW_NAMES = ("drift_p_upper", "drift_p_lower", "drift_w_upper",
-              "drift_w_lower", "rate_upper", "rate_lower")
-
-
 def node_constraint_set(tree: ScenarioTree, rate_lower: float,
-                        rate_upper: float, rows=range(6)
-                        ) -> DiscreteConstraintSet:
-    """One constraint per (tree node, selected row): eta = indicator of the
-    node, window = the node's own step. These etas are the natural finite
-    test family on a tree; feasibility with all six rows pins the tilted
-    drift of P to W, keeps W driftless, and bounds the Z drift to [L, U].
+                        rate_upper: float) -> DiscreteConstraintSet:
+    """One constraint per (tree node, row): eta = indicator of the node,
+    window = the node's own step. These etas are the natural finite test
+    family on a tree; feasibility with all six rows pins the tilted drift
+    of P to W, keeps W driftless, and bounds the Z drift to [L, U].
     """
     if tree.channels != 3:
         raise ValueError("constraint rows require a 3-channel tree")
+    spec = ConstraintSpec(rate_lower, rate_upper)
     forms, labels, s_steps = [], [], []
     inc = tree.combos[tree.choices]           # (n_atoms, depth, channels)
     for d in range(tree.depth):
-        w_node = tree.paths[:, d, 2]
-        dp_, dz_, dw_ = inc[:, d, 0], inc[:, d, 1], inc[:, d, 2]
-        dt = tree.dt
-        row_values = (
-            dp_ - w_node * dt, w_node * dt - dp_,
-            dw_, -dw_,
-            dz_ - rate_upper * dt, rate_lower * dt - dz_,
-        )
+        row_values = spec.rows(inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
+                               tree.paths[:, d, 2], tree.dt)
         for prefix in range(tree.n_combos**d):
             sl = tree.node_slice(d, prefix)
-            for r in rows:
+            for name, values in zip(ROW_NAMES, row_values):
                 form = np.zeros(tree.n_atoms)
-                form[sl] = row_values[r][sl]
+                form[sl] = values[sl]
                 forms.append(form)
-                labels.append(f"d{d}/node{prefix}/{_ROW_NAMES[r]}")
+                labels.append(f"d{d}/node{prefix}/{name}")
                 s_steps.append(d)
     return DiscreteConstraintSet(np.array(forms), tuple(labels),
                                  np.array(s_steps, dtype=int))
@@ -486,6 +472,7 @@ def extract_strong_control(tree: ScenarioTree,
     recovers the conditional-mean density exactly. The report evaluates
     the six constraint rows at every node and records the worst violation.
     """
+    spec = ConstraintSpec(rate_lower, rate_upper)
     cond_mean = control.conditional_mean()
     tilted = tree.probs * cond_mean
     inc = tree.combos[tree.choices]
@@ -510,56 +497,9 @@ def extract_strong_control(tree: ScenarioTree,
                 reconstructed[child] *= trans * n_combos
             drift /= tree.dt
             drifts[(d, prefix)] = drift
-            w_node = float(tree.paths[sl.start, d, 2])
-            residuals = (drift[0] - w_node, w_node - drift[0],
-                         drift[2], -drift[2],
-                         drift[1] - rate_upper, rate_lower - drift[1])
+            # the rows at dt = 1 with the drift in place of dX are b + A nu
+            residuals = spec.rows(drift[0], drift[1], drift[2],
+                                  float(tree.paths[sl.start, d, 2]), 1.0)
             max_violation = max(max_violation, max(residuals))
     recon_err = float(np.max(np.abs(reconstructed - cond_mean)))
     return ExtractionReport(drifts, float(max_violation), recon_err)
-
-
-# ---------------------------------------------------------------------------
-# Regression-fixture serialization: atom table + constraint list + solution.
-
-def save_instance(filename, tree: ScenarioTree, u, lam,
-                  constraints: Optional[DiscreteConstraintSet] = None,
-                  solution: Optional[StrongSolution] = None) -> None:
-    record = {
-        "tree": {"depth": tree.depth, "branching": tree.branching,
-                 "channels": tree.channels, "dt": tree.dt,
-                 "scales": list(tree.scales)},
-        "u": np.asarray(u).tolist(),
-        "lam": lam,
-        "constraints": None if constraints is None else {
-            "forms": constraints.forms.tolist(),
-            "labels": list(constraints.labels),
-            "s_steps": constraints.s_steps.tolist()},
-        "solution": None if solution is None else {
-            "value": solution.value,
-            "density": solution.density.tolist(),
-            "kkt_residual": solution.kkt_residual},
-    }
-    with open(filename, "w") as fh:
-        json.dump(record, fh)
-
-
-def load_instance(filename) -> dict:
-    with open(filename) as fh:
-        record = json.load(fh)
-    horizon = record["tree"]["dt"] * record["tree"]["depth"]
-    sigma, eps = record["tree"]["scales"][0], 0.5
-    if record["tree"]["channels"] >= 2:
-        eps = record["tree"]["scales"][1]
-    params = ModelParams(sigma=sigma, epsilon=eps, horizon=horizon)
-    tree = build_tree(record["tree"]["depth"], record["tree"]["branching"],
-                      params, record["tree"]["channels"])
-    out = {"tree": tree, "u": np.array(record["u"]), "lam": record["lam"]}
-    if record["constraints"] is not None:
-        out["constraints"] = DiscreteConstraintSet(
-            np.array(record["constraints"]["forms"]),
-            tuple(record["constraints"]["labels"]),
-            np.array(record["constraints"]["s_steps"], dtype=int))
-    if record["solution"] is not None:
-        out["solution"] = record["solution"]
-    return out

@@ -14,14 +14,14 @@ for, and convergence diagnostics are read off its incumbent trail.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import simulate
-from .agent import HjbSettings, best_response, estimate_agent_value
+from .agent import HjbSettings, best_response
 from .contracts import (Constant, LinearPolynomial, LipschitzTable,
                         contract_to_record, project_to_box)
 from .model import ModelParams
@@ -265,16 +265,15 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     common random numbers keyed by ``seed``. The first evaluation is the
     participation-binding constant seed when the family admits it; then
     Latin-hypercube screening spends about a third of the budget and
-    Nelder-Mead refines from the best point found. Additive-fee
-    invariance makes repeat client solves for constant contracts free:
-    the response policy is independent of the constant, so it is solved
-    once and the value shifted.
+    Nelder-Mead refines from the best point found. Every contract is
+    scored by :func:`principal_objective`. Additive-fee invariance makes
+    repeat evaluations of constant contracts free: the response policy and
+    the rate penalty do not depend on the constant c, so the zero fee is
+    evaluated once and j_p and v_a are shifted by c and -c.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sequence = MaximizingSequence(family)
-    count = mc_count if mc_count is not None else params.n_paths
-    crn_seed = split_seed(seed, "principal-crn")
     cache = {}
 
     def evaluate(theta, stage):
@@ -284,30 +283,17 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                         family.cap)
         contract = project_to_box(family.make(theta))
         if isinstance(contract, Constant):
-            # additive fee: policy and penalty identical across constants
             if "constant" not in cache:
-                resp = best_response(Constant(0.0), params, settings,
-                                     seed=seed)
-                batch = simulate.simulate_controlled(
-                    params, resp.policy, count, crn_seed)
-                dt = batch.times[1] - batch.times[0]
-                pen = params.phi_p * np.sum(batch.rates**2, axis=1) * dt
-                pen_mean, pen_se = simulate._mean_se(pen)
-                cache["constant"] = (resp, pen_mean, pen_se)
-            resp, pen_mean, pen_se = cache["constant"]
-            c = contract.value
+                cache["constant"] = principal_objective(
+                    Constant(0.0), params, settings, mc_count, seed)
+            zero, c = cache["constant"], contract.value
+            v_a = zero.v_a - c
             evaluation = PrincipalEvaluation(
-                c - pen_mean, pen_se, resp.value - c, resp.value_se,
-                resp.value - c >= params.reservation - 3 * resp.value_se)
+                c + zero.j_p, zero.j_p_se, v_a, zero.v_a_se,
+                v_a >= params.reservation - 3 * zero.v_a_se)
         else:
-            resp = best_response(contract, params, settings, seed=seed)
-            batch = simulate.simulate_controlled(params, resp.policy, count,
-                                                 crn_seed)
-            spec = PrincipalUtilitySpec(params, contract)
-            j_p, j_p_se = simulate._mean_se(spec.pathwise_objective(batch))
-            evaluation = PrincipalEvaluation(
-                j_p, j_p_se, resp.value, resp.value_se,
-                resp.value >= params.reservation - 3 * resp.value_se)
+            evaluation = principal_objective(contract, params, settings,
+                                             mc_count, seed)
         sequence.append(family.coefficients(contract), evaluation, stage)
         return (evaluation.j_p if evaluation.participation
                 else INFEASIBLE_OBJECTIVE)

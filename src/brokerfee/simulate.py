@@ -12,23 +12,19 @@ All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
 """
 
-import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import (ConstraintSpec, DiscretizedPath, FeedbackPolicy,
-                    ModelParams, PathWeight)
+from .model import ConstraintSpec, FeedbackPolicy, ModelParams
 from .rng import gaussians
 
 __all__ = [
     "PathBatch", "EtaTest", "eta_family",
     "simulate_reference", "simulate_controlled",
-    "girsanov_weight", "girsanov_weights",
-    "entropy_report", "constraint_moments",
+    "girsanov_weights", "entropy_report", "constraint_moments",
     "reduced_reference", "reduced_weights", "reduced_entropy_report",
-    "save_batch", "load_batch",
 ]
 
 
@@ -66,15 +62,6 @@ class PathBatch:
     @property
     def has_weights(self) -> bool:
         return self.m is not None
-
-    def path(self, i: int) -> DiscretizedPath:
-        return DiscretizedPath(self.times, self.p[i], self.z[i], self.w[i])
-
-    def weight(self, i: int) -> PathWeight:
-        if not self.has_weights:
-            raise ValueError("batch carries no weights")
-        return PathWeight(float(self.log_m[i]), float(self.m[i]),
-                          float(self.int_pi_sq[i]), float(self.int_w_sq[i]))
 
 
 def simulate_reference(params: ModelParams, count: int, seed: int) -> PathBatch:
@@ -155,14 +142,6 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
                    int_pi_sq=np.sum(rates**2, axis=1) * dt,
                    int_w_sq=np.sum(w_left**2, axis=1) * dt,
                    rates=rates)
-
-
-def girsanov_weight(path: DiscretizedPath, policy: FeedbackPolicy,
-                    params: ModelParams) -> PathWeight:
-    """Single-path convenience wrapper around :func:`girsanov_weights`."""
-    batch = PathBatch(path.times, path.p[None, :], path.z[None, :],
-                      path.w[None, :], "reference", 0)
-    return girsanov_weights(batch, policy, params).weight(0)
 
 
 @dataclass(frozen=True)
@@ -275,9 +254,10 @@ def constraint_moments(batch: PathBatch, eta: EtaTest,
                        spec: ConstraintSpec) -> MomentReport:
     """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows.
 
-    Y accumulates b dt + A dX along the path. Rows 1-4 have zero mean under
-    the controlled measure (martingale rows); rows 5-6 have nonpositive
-    mean exactly when the reweighting policy is admissible.
+    Y accumulates b dt + A dX (:meth:`ConstraintSpec.rows`) along the path.
+    Rows 1-4 have zero mean under the controlled measure (martingale rows);
+    rows 5-6 have nonpositive mean exactly when the reweighting policy is
+    admissible.
     """
     if not batch.has_weights:
         raise ValueError("batch carries no weights")
@@ -290,18 +270,8 @@ def constraint_moments(batch: PathBatch, eta: EtaTest,
     lo = np.minimum(i_s, i_tau)
     hi = np.minimum(i_t, i_tau)
 
-    w_left = batch.w[:, :-1]
-    dp = np.diff(batch.p, axis=1)
-    dz = np.diff(batch.z, axis=1)
-    dw = np.diff(batch.w, axis=1)
-    increments = (
-        dp - w_left * dt,              # row 1: -W dt + dP
-        w_left * dt - dp,              # row 2:  W dt - dP
-        dw,                            # row 3:  dW
-        -dw,                           # row 4: -dW
-        dz - spec.rate_upper * dt,     # row 5: -U dt + dZ
-        spec.rate_lower * dt - dz,     # row 6:  L dt - dZ
-    )
+    increments = spec.rows(np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
+                           np.diff(batch.w, axis=1), batch.w[:, :-1], dt)
     eta_vals = eta.values(batch)
     rows = np.arange(batch.count)
     estimates = np.empty(6)
@@ -343,36 +313,3 @@ def reduced_entropy_report(x: np.ndarray, drift: float,
     lhs, lhs_se = _mean_se(m * log_m)
     rhs, rhs_se = _mean_se(0.5 * m * drift**2 * horizon)
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)
-
-
-# ---------------------------------------------------------------------------
-# Binary batch dumps. Layout (little-endian):
-#   magic "BFBATCH1" (8 bytes)
-#   uint64 count, uint64 n_steps, uint64 seed, float64 horizon
-#   then p, z, w as row-major float64 blocks of shape (count, n_steps + 1).
-
-_MAGIC = b"BFBATCH1"
-
-
-def save_batch(filename, batch: PathBatch) -> None:
-    with open(filename, "wb") as fh:
-        n = len(batch.times) - 1
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQd", batch.count, n, batch.seed,
-                             float(batch.times[-1])))
-        for arr in (batch.p, batch.z, batch.w):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_batch(filename) -> PathBatch:
-    with open(filename, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a batch dump")
-        count, n, seed, horizon = struct.unpack("<QQQd", fh.read(32))
-        shape = (count, n + 1)
-        blocks = []
-        for _ in range(3):
-            raw = fh.read(8 * count * (n + 1))
-            blocks.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    times = np.linspace(0.0, horizon, n + 1)
-    return PathBatch(times, blocks[0], blocks[1], blocks[2], "reference", seed)

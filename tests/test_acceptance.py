@@ -271,7 +271,7 @@ def test_criterion_10_determinism(tmp_path):
         cfg = tmp_path / f"run{rep}.cfg"
         out = tmp_path / f"out{rep}"
         cfg.write_text(config + f"run.out = {out}\n")
-        assert cli.run(cfg, threads=1) == 0
+        assert cli.run(cfg) == 0
         outs.append(out)
     a = (outs[0] / "girsanov.csv").read_bytes()
     b = (outs[1] / "girsanov.csv").read_bytes()

@@ -4,9 +4,9 @@ import pytest
 from brokerfee import agent, simulate
 from brokerfee.agent import (AgentUtilitySpec, CflError, HjbSettings,
                              UnsupportedContractError, best_response,
-                             estimate_agent_value, solve_hjb, zeta_integral)
+                             estimate_agent_value, solve_hjb)
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
-from brokerfee.model import FeedbackPolicy, ModelParams
+from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
 
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0)
 
@@ -70,14 +70,18 @@ def test_unsupported_contract_raises():
 
 def test_zeta_quadrature():
     params = ModelParams(n_steps=4)
-    times = params.times
-    from brokerfee.model import DiscretizedPath
     w = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
     z = np.array([0.0, 0.0, 2.0, 2.0, 2.0])
-    path = DiscretizedPath(times, np.zeros(5), z, w)
     coef = params.epsilon**2 * params.phi_a / params.sigma**2
     expected = (coef * np.sum(w[:-1] ** 2) + np.sum(z[:-1] * w[:-1])) * 0.25
-    assert zeta_integral(path, params) == pytest.approx(expected)
+    assert zeta_integral(z, w, params.dt, params) == pytest.approx(expected)
+    # batched over leading axes: one value per path
+    batch = zeta_integral(np.stack([z, -z, z]), np.stack([w, w, 0 * w]),
+                          params.dt, params)
+    assert batch.shape == (3,)
+    assert batch[0] == pytest.approx(expected)
+    assert batch[1] == pytest.approx(expected - 2 * 4.0 * 0.25)
+    assert batch[2] == 0.0
 
 
 def test_objective_forms_agree():

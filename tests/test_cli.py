@@ -116,10 +116,10 @@ def test_oracle_mode_outputs(tmp_path):
 
 def test_deterministic_reruns(tmp_path):
     cfg, out1 = write_config(tmp_path, "verify")
-    assert cli.run(cfg, threads=1) == 0
+    assert cli.run(cfg) == 0
     cfg2, out2 = write_config(tmp_path, "verify", name="run2.cfg")
     cfg2.write_text(cfg.read_text().replace(str(out1), str(out2)))
-    assert cli.run(cfg2, threads=1) == 0
+    assert cli.run(cfg2) == 0
     assert ((out1 / "verify.csv").read_bytes()
             == (out2 / "verify.csv").read_bytes())
 

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokerfee.model import (ConstraintSpec, DiscretizedPath, FeedbackPolicy,
-                             ModelParams, PathWeight, constraint_rows,
-                             params_from_config, params_to_config,
-                             validate_params)
+                             ModelParams, params_from_config,
+                             params_to_config, validate_params)
 
 
 def test_default_params_accepted():
@@ -59,14 +58,6 @@ def test_path_requires_origin_start():
         DiscretizedPath(t, np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
 
 
-def test_path_weight_consistency_check():
-    PathWeight(log_m=0.0, m=1.0, int_pi_sq=0.0, int_w_sq=0.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        PathWeight(log_m=0.5, m=1.0, int_pi_sq=0.0, int_w_sq=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        PathWeight(log_m=0.0, m=0.0, int_pi_sq=0.0, int_w_sq=0.0)
-
-
 def test_constant_policy():
     params = ModelParams(rate_lower=-2.0, rate_upper=2.0)
     policy = FeedbackPolicy.constant(1.5, params)
@@ -97,15 +88,20 @@ def test_policy_always_within_bounds(value, w, z, t):
     assert params.rate_lower <= rate <= params.rate_upper
 
 
+def residuals(spec, w, rate):
+    # b + A nu at nu = (W, pi, 0): the rows of b dt + A dX at dt = 1, dX = nu
+    return np.array(spec.rows(w, rate, 0.0, w, 1.0))
+
+
 def test_constraint_rows_example():
     spec = ConstraintSpec(rate_lower=-10.0, rate_upper=10.0)
-    rows = constraint_rows((0.0, 0.0, 0.3), 2.0, spec)
+    rows = residuals(spec, 0.3, 2.0)
     assert np.allclose(rows, [0.0, 0.0, 0.0, 0.0, -8.0, -12.0])
 
 
 def test_constraint_rows_boundary_rate():
     spec = ConstraintSpec(rate_lower=-1.0, rate_upper=1.0)
-    rows = constraint_rows((0.0, 0.0, 0.5), 1.0, spec)
+    rows = residuals(spec, 0.5, 1.0)
     assert rows[4] == pytest.approx(0.0)
     assert np.all(rows <= 1e-14)
 
@@ -116,13 +112,6 @@ def test_first_four_rows_vanish_for_any_state(w, rate):
     # rows 1-4 cancel identically at nu = (W, pi, 0); admissibility is
     # decided by the rate rows alone
     spec = ConstraintSpec(rate_lower=-1.0, rate_upper=1.0)
-    rows = constraint_rows((0.0, 0.0, w), rate, spec)
+    rows = residuals(spec, w, rate)
     assert np.allclose(rows[:4], 0.0)
     assert np.all(rows <= 0)
-
-
-def test_b_vector_structure():
-    spec = ConstraintSpec(rate_lower=-3.0, rate_upper=4.0)
-    b = spec.b_vector(np.array([0.7]))
-    assert np.allclose(b[0], [-0.7, 0.7, 0.0, 0.0, -4.0, -3.0])
-    assert spec.a_matrix.shape == (6, 3)

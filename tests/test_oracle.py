@@ -205,22 +205,6 @@ def test_atom_utility_from_contract_shape():
     assert np.allclose(u - u0, -0.3)
 
 
-def test_instance_round_trip(tmp_path):
-    tree = oracle.build_tree(2, 2, PARAMS)
-    u = 0.1 * tree.paths[:, -1, 0]
-    cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    sol = oracle.solve_strong_discrete(tree, u, 0.5, cons)
-    fn = tmp_path / "instance.json"
-    oracle.save_instance(fn, tree, u, 0.5, cons, sol)
-    back = oracle.load_instance(fn)
-    assert np.allclose(back["u"], u)
-    assert back["lam"] == 0.5
-    assert np.allclose(back["constraints"].forms, cons.forms)
-    re_sol = oracle.solve_strong_discrete(back["tree"], back["u"],
-                                          back["lam"], back["constraints"])
-    assert re_sol.value == pytest.approx(back["solution"]["value"], abs=1e-10)
-
-
 def test_density_grid_contains_extras():
     grid = oracle.default_density_grid(np.array([0.123, 4.56]))
     assert 0.123 in grid and 4.56 in grid

@@ -81,6 +81,30 @@ def test_optimize_constant_family():
     assert len(seq) <= 20
 
 
+def test_constant_cache_matches_direct_evaluation():
+    # optimize shifts one zero-fee evaluation by c; scoring each constant
+    # from scratch must give the same record
+    family = principal.ContractFamily("constant", cap=1.0)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    settings = HjbSettings(n_w=41, n_z=41)
+    _, seq = principal.optimize(family, params, budget=6, settings=settings,
+                                mc_count=2_000, seed=7)
+    assert {r["participation"] for r in seq.records} == {True, False}
+    for record in seq.records:
+        c = record["coefficients"][0]
+        direct = principal.principal_objective(Constant(c), params, settings,
+                                               mc_count=2_000, seed=7)
+        assert record["j_p"] == pytest.approx(direct.j_p, abs=1e-12)
+        assert record["j_p_se"] == pytest.approx(direct.j_p_se, abs=1e-12)
+        # a solve with fee c equals the zero-fee solve shifted by c only up
+        # to rounding
+        assert record["v_a"] == pytest.approx(direct.v_a, abs=1e-12)
+        assert record["v_a_se"] == direct.v_a_se
+        # the seed record binds participation: there v_a is 0 up to rounding
+        if abs(direct.v_a - params.reservation) > 1e-12:
+            assert record["participation"] == direct.participation
+
+
 def test_optimize_budget_one():
     family = principal.ContractFamily("constant", cap=1.0)
     best, seq = principal.optimize(family, WIDE, budget=1, settings=FAST,

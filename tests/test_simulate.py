@@ -63,12 +63,6 @@ def test_girsanov_zero_rate_isolates_w_channel():
     assert np.all(wb.int_pi_sq == 0.0)
 
 
-def test_single_path_weight_matches_batch(weighted_batch):
-    policy = FeedbackPolicy.constant(0.8, PARAMS)
-    weight = simulate.girsanov_weight(weighted_batch.path(3), policy, PARAMS)
-    assert weight.log_m == pytest.approx(weighted_batch.log_m[3])
-
-
 def test_entropy_identity_full_model(weighted_batch):
     report = simulate.entropy_report(weighted_batch, PARAMS)
     assert abs(report.gap) <= 3 * report.combined_se
@@ -139,14 +133,3 @@ def test_constraint_moments_flag_inadmissible_rate():
 def test_moment_window_ordering(s, t):
     eta = simulate.EtaTest("const", s=s, t=t)
     assert eta.s <= eta.t
-
-
-def test_batch_round_trip(tmp_path):
-    batch = simulate.simulate_reference(PARAMS, 50, 77)
-    fn = tmp_path / "paths.bin"
-    simulate.save_batch(fn, batch)
-    back = simulate.load_batch(fn)
-    assert np.array_equal(back.p, batch.p)
-    assert np.array_equal(back.z, batch.z)
-    assert np.array_equal(back.w, batch.w)
-    assert back.seed == batch.seed
