@@ -40,7 +40,8 @@ print(f"  gap           : {abs(relaxed_value - strong.value):.2e}")
 
 print()
 print("=== randomization never helps (collapse) ===")
-report = oracle.verify_collapse(tree, u, 0.25, trials=200, seed=7)
+report = oracle.verify_collapse(tree, 0.25, trials=200, seed=7,
+                                control=control)
 print(f"  {report.trials} random two-point randomizations, "
       f"{len(report.counterexamples)} counterexamples")
 print(f"  smallest Jensen gap: {report.min_jensen_gap:.2e} (positive)")

@@ -200,9 +200,8 @@ def _mode_oracle(config, out_dir, seed, lines):
     grid = oracle.default_density_grid(strong.density)
     relaxed_value, control = oracle.solve_relaxed_discrete(
         tree, u, lam, grid, constraints)
-    collapse = oracle.verify_collapse(tree, u, lam, trials,
-                                      split_seed(seed, "collapse"),
-                                      constraints)
+    collapse = oracle.verify_collapse(tree, lam, trials,
+                                      split_seed(seed, "collapse"), control)
     extraction = oracle.extract_strong_control(
         tree, control, params.rate_lower, params.rate_upper)
     rows = [

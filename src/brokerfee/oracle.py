@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog, minimize as sp_minimize
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity, kron, vstack
 from scipy.special import logsumexp
 
 from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
@@ -170,8 +170,9 @@ class StrongSolution:
 
 
 def _gibbs(probs, adjusted_u, lam):
-    log_m = adjusted_u / lam - logsumexp(adjusted_u / lam, b=probs)
-    return np.exp(log_m)
+    """Gibbs density e^{u/lam} / sum p e^{u/lam} and its log-normaliser."""
+    log_z = logsumexp(adjusted_u / lam, b=probs)
+    return np.exp(adjusted_u / lam - log_z), log_z
 
 
 def _primal_value(probs, m, u, lam):
@@ -199,46 +200,46 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     probs = tree.probs
     u = np.asarray(u, dtype=float)
     if constraints is None or constraints.n_constraints == 0:
-        m = _gibbs(probs, u, lam)
-        value = float(lam * logsumexp(u / lam, b=probs))
-        return StrongSolution(value, m, None, 0.0, 0)
+        m, log_z = _gibbs(probs, u, lam)
+        return StrongSolution(float(lam * log_z), m, None, 0.0, 0)
 
     c = constraints.forms
 
     def dual(mu):
-        return float(lam * logsumexp((u - c.T @ mu) / lam, b=probs))
+        # the dual value and its gradient, minus the constraint moments
+        # E[m(mu) c_r], from one Gibbs evaluation
+        m, log_z = _gibbs(probs, u - c.T @ mu, lam)
+        return float(lam * log_z), -(c @ (probs * m))
 
-    def dual_grad(mu):
-        # the dual gradient is minus the constraint moments E[m(mu) c_r]
-        return -(c @ (probs * _gibbs(probs, u - c.T @ mu, lam)))
-
-    def kkt(mu):
-        moments = -dual_grad(mu)
+    def kkt(mu, grad):
+        moments = -grad
         return max(float(np.max(moments, initial=0.0)),
                    float(np.max(np.abs(mu * moments), initial=0.0)))
 
     # quasi-Newton dual ascent under the sign constraints, then plain
     # projected-gradient polishing until the KKT residual clears tol
     result = sp_minimize(dual, np.zeros(constraints.n_constraints),
-                         jac=dual_grad, method="L-BFGS-B",
+                         jac=True, method="L-BFGS-B",
                          bounds=[(0.0, None)] * constraints.n_constraints,
                          options={"maxiter": max_iter, "ftol": 1e-16,
                                   "gtol": 1e-14})
     mu = result.x
     iterations = int(result.nit)
-    residual = kkt(mu)
+    grad = dual(mu)[1]
+    residual = kkt(mu, grad)
     lipschitz = max(float(np.linalg.norm(c * np.sqrt(probs), 2)**2) / lam,
                     1e-12)
     step = 0.5 / lipschitz
     while residual > tol and iterations < max_iter:
-        mu = np.maximum(mu - step * dual_grad(mu), 0.0)
-        residual = kkt(mu)
+        mu = np.maximum(mu - step * grad, 0.0)
+        grad = dual(mu)[1]
+        residual = kkt(mu, grad)
         iterations += 1
     if residual > 1e3 * tol:
         raise RuntimeError(
             f"dual ascent did not converge: KKT residual {residual:g} "
             "(instance may be infeasible)")
-    m = _gibbs(probs, u - c.T @ mu, lam)
+    m = _gibbs(probs, u - c.T @ mu, lam)[0]
     return StrongSolution(_primal_value(probs, m, u, lam), m, mu,
                           residual, iterations)
 
@@ -328,75 +329,47 @@ class RelaxedControlDiscrete:
 
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                           density_grid,
+                           density_grid: np.ndarray,
                            constraints: Optional[DiscreteConstraintSet] = None,
                            ) -> tuple:
     """Optimize over randomized-mode relaxed controls on a finite density
-    grid; returns (value, RelaxedControlDiscrete).
+    grid shared by all path-atoms; returns (value, RelaxedControlDiscrete).
 
     With the density values fixed to grid atoms the program is linear in
-    the conditional weights q(x, j): maximize
-    sum_x p(x) sum_j q(x,j) [m_j u(x) - lam m_j log m_j] subject to the
-    per-atom marginals, the normalization, and the constraint moments.
+    the conditional weights q(x, j), stored atom-major at x * n_grid + j:
+    maximize sum_x p(x) sum_j q(x,j) [m_j u(x) - lam m_j log m_j] subject
+    to the per-atom marginals, the normalization, and the constraint
+    moments.
     """
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = np.asarray(tree.probs, dtype=float)
     u = np.asarray(u, dtype=float)
-    n_atoms = tree.n_atoms
-    grids = ([np.asarray(density_grid[x], dtype=float) for x in range(n_atoms)]
-             if isinstance(density_grid, (list, tuple))
-             else [np.asarray(density_grid, dtype=float)] * n_atoms)
-    for g in grids:
-        if np.any(g <= 0):
-            raise ValueError("density atoms must be strictly positive")
-    sizes = [len(g) for g in grids]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n_var = offsets[-1]
+    g = np.asarray(density_grid, dtype=float)
+    if g.ndim != 1 or np.any(g <= 0):
+        raise ValueError("density grid must be one 1-D array of strictly "
+                         "positive atoms")
+    n_atoms, n_grid = tree.n_atoms, len(g)
 
-    cost = np.concatenate([
-        -probs[x] * (g * u[x] - lam * g * np.log(g))
-        for x, g in enumerate(grids)])
-
-    rows, cols, vals = [], [], []
-    for x, g in enumerate(grids):
-        idx = np.arange(offsets[x], offsets[x + 1])
-        rows.extend([x] * len(idx))
-        cols.extend(idx)
-        vals.extend([1.0] * len(idx))
-    mass_row = np.concatenate([probs[x] * g for x, g in enumerate(grids)])
-    rows.extend([n_atoms] * n_var)
-    cols.extend(range(n_var))
-    vals.extend(mass_row)
-    a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
-    b_eq = np.concatenate([np.ones(n_atoms), [1.0]])
+    cost = (-probs[:, None] * (g * u[:, None] - lam * g * np.log(g))).ravel()
+    marginals = kron(identity(n_atoms), np.ones((1, n_grid)))
+    mass_row = csr_matrix((probs[:, None] * g).reshape(1, -1))
+    a_eq = vstack([marginals, mass_row], format="csr")
+    b_eq = np.ones(n_atoms + 1)
 
     a_ub = b_ub = None
     if constraints is not None and constraints.n_constraints > 0:
-        rows, cols, vals = [], [], []
-        for r in range(constraints.n_constraints):
-            coeff = constraints.forms[r]
-            for x, g in enumerate(grids):
-                if coeff[x] == 0.0:
-                    continue
-                idx = np.arange(offsets[x], offsets[x + 1])
-                rows.extend([r] * len(idx))
-                cols.extend(idx)
-                vals.extend(probs[x] * coeff[x] * g)
-        a_ub = csr_matrix((vals, (rows, cols)),
-                          shape=(constraints.n_constraints, n_var))
+        a_ub = kron(csr_matrix(probs * constraints.forms), g[None, :],
+                    format="csr")
         b_ub = np.zeros(constraints.n_constraints)
 
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"relaxed program failed: {result.message}")
-    q = result.x
-    weights = tuple(q[offsets[x]:offsets[x + 1]] / max(
-        np.sum(q[offsets[x]:offsets[x + 1]]), 1e-300)
-        for x in range(n_atoms))
-    control = RelaxedControlDiscrete(probs, tuple(np.array(g) for g in grids),
-                                     weights)
+    q = result.x.reshape(n_atoms, n_grid)
+    weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
+    control = RelaxedControlDiscrete(probs, (g,) * n_atoms, tuple(weights))
     return float(-result.fun), control
 
 
@@ -409,19 +382,17 @@ class CollapseReport:
     max_secondary_weight: float
 
 
-def verify_collapse(tree: ScenarioTree, u: np.ndarray, lam: float,
-                    trials: int, seed: int,
-                    constraints: Optional[DiscreteConstraintSet] = None
-                    ) -> CollapseReport:
+def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
+                    control: RelaxedControlDiscrete) -> CollapseReport:
     """Check that randomization never helps when the entropy weight is
     positive.
 
     For random feasible two-point randomizations, the Dirac control at the
     conditional mean dominates by exactly lam times the Jensen gap of
-    m log m (strictly when the two points differ); and the relaxed
-    optimizer, run on a grid containing the strong optimum, must return a
-    Dirac-mode control. Any violation is reported as a counterexample with
-    the full instance data.
+    m log m (strictly when the two points differ); and ``control``, the
+    relaxed optimum the caller solved for on a grid containing the strong
+    optimum, must be a Dirac-mode control. Any violation of the first is
+    reported as a counterexample with the full instance data.
     """
     probs = tree.probs
     raw = uniforms(seed, (trials, tree.n_atoms, 3))
@@ -445,9 +416,6 @@ def verify_collapse(tree: ScenarioTree, u: np.ndarray, lam: float,
                 "trial": k, "gap": gap, "cond_mean": cond_mean.tolist(),
                 "m1": m1.tolist(), "m2": m2.tolist(), "q": q.tolist()})
 
-    strong = solve_strong_discrete(tree, u, lam, constraints)
-    grid = default_density_grid(strong.density)
-    _, control = solve_relaxed_discrete(tree, u, lam, grid, constraints)
     return CollapseReport(trials, tuple(counterexamples), float(min_gap),
                           control.is_dirac(1e-6),
                           control.max_secondary_weight())

@@ -13,6 +13,7 @@ for, and convergence diagnostics are read off its incumbent trail.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -236,7 +237,14 @@ def feasibility_seed(params: ModelParams, family: ContractFamily,
     up to estimation error.
     """
     response = best_response(Constant(0.0), params, settings, seed=seed)
-    needed = response.value - params.reservation
+    return _binding_constant(response.value, params, family)
+
+
+def _binding_constant(gross_value: float, params: ModelParams,
+                      family: ContractFamily) -> Constant:
+    """The constant fee that leaves a client with zero-fee value
+    ``gross_value`` exactly at reservation; it must fit the family cap."""
+    needed = gross_value - params.reservation
     if abs(needed) > family.cap:
         raise ValueError(
             f"family cap K={family.cap:g} cannot reach the binding constant; "
@@ -269,12 +277,17 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     scored by :func:`principal_objective`. Additive-fee invariance makes
     repeat evaluations of constant contracts free: the response policy and
     the rate penalty do not depend on the constant c, so the zero fee is
-    evaluated once and j_p and v_a are shifted by c and -c.
+    evaluated once and j_p and v_a are shifted by c and -c. For a constant
+    family that evaluation's v_a also gives the binding constant.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sequence = MaximizingSequence(family)
-    cache = {}
+
+    @functools.cache
+    def zero_fee():
+        return principal_objective(Constant(0.0), params, settings, mc_count,
+                                   seed)
 
     def evaluate(theta, stage):
         if len(sequence) >= budget:
@@ -283,10 +296,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                         family.cap)
         contract = project_to_box(family.make(theta))
         if isinstance(contract, Constant):
-            if "constant" not in cache:
-                cache["constant"] = principal_objective(
-                    Constant(0.0), params, settings, mc_count, seed)
-            zero, c = cache["constant"], contract.value
+            zero, c = zero_fee(), contract.value
             v_a = zero.v_a - c
             evaluation = PrincipalEvaluation(
                 c + zero.j_p, zero.j_p_se, v_a, zero.v_a_se,
@@ -305,7 +315,12 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     try:
         if anchored:
             try:
-                anchor = feasibility_seed(params, family, settings, seed=seed)
+                # a constant family reads the client's gross surplus off the
+                # cached zero-fee evaluation instead of solving it again
+                anchor = (_binding_constant(zero_fee().v_a, params, family)
+                          if family.kind == "constant"
+                          else feasibility_seed(params, family, settings,
+                                                seed=seed))
                 evaluate(np.full(family.dimension, anchor.value), "seed")
             except ValueError as exc:
                 seed_error = exc

@@ -187,8 +187,9 @@ def test_criterion_07_strong_relaxed_equality():
         grid = oracle.default_density_grid(sol.density)
         value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid)
         worst_gap = max(worst_gap, abs(value - sol.value))
-        report = oracle.verify_collapse(tree, u, lam, trials=100,
-                                        seed=split_seed(k, "acc7-collapse"))
+        report = oracle.verify_collapse(tree, lam, trials=100,
+                                        seed=split_seed(k, "acc7-collapse"),
+                                        control=control)
         bad_collapse += len(report.counterexamples)
         non_dirac += not report.relaxed_is_dirac
     elapsed = time.time() - start

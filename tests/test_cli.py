@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from brokerfee import cli
+from brokerfee import cli, oracle
 
 BASE_CONFIG = """\
 model.epsilon = 0.5
@@ -112,6 +112,23 @@ def test_oracle_mode_outputs(tmp_path):
                 (out / "oracle.csv").read_text().splitlines()[1:])
     assert float(rows["value_gap"]) <= 1e-8
     assert int(rows["collapse_counterexamples"]) == 0
+
+
+def test_oracle_mode_solves_each_program_once(tmp_path, monkeypatch):
+    # the collapse check reads the relaxed optimum instead of re-solving
+    calls = []
+
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return counted
+
+    for solve in (oracle.solve_strong_discrete, oracle.solve_relaxed_discrete):
+        monkeypatch.setattr(oracle, solve.__name__, counting(solve))
+    cfg, _ = write_config(tmp_path, "oracle")
+    assert cli.run(cfg) == 0
+    assert sorted(calls) == ["solve_relaxed_discrete", "solve_strong_discrete"]
 
 
 def test_deterministic_reruns(tmp_path):

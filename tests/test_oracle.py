@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog, minimize as sp_minimize
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_matrix
+from scipy.special import logsumexp
 
 from brokerfee import oracle
 from brokerfee.contracts import Constant, LinearPolynomial
@@ -157,7 +160,11 @@ def test_dirac_embedding_objective_identity():
 def test_verify_collapse_no_counterexamples():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.sin(3.0 * tree.paths[:, -1, 0])
-    report = oracle.verify_collapse(tree, u, 0.5, trials=50, seed=8)
+    sol = oracle.solve_strong_discrete(tree, u, 0.5)
+    grid = oracle.default_density_grid(sol.density)
+    _, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
+    report = oracle.verify_collapse(tree, 0.5, trials=50, seed=8,
+                                    control=control)
     assert report.counterexamples == ()
     assert report.min_jensen_gap > 0.0
     assert report.relaxed_is_dirac
@@ -218,3 +225,150 @@ def test_lam_must_be_positive():
     with pytest.raises(ValueError, match="entropy weight"):
         oracle.solve_relaxed_discrete(tree, np.array([1.0, -1.0]), -1.0,
                                       np.array([0.5, 1.0, 2.0]))
+
+
+def test_verify_collapse_reads_given_control():
+    # the collapse verdict is about the relaxed optimum the caller passes
+    tree = two_atom_tree()
+    two_point = oracle.RelaxedControlDiscrete(
+        tree.probs, (np.array([0.5, 1.5]), np.array([1.0])),
+        (np.array([0.3, 0.7]), np.array([1.0])))
+    report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
+                                    control=two_point)
+    assert not report.relaxed_is_dirac
+    assert report.max_secondary_weight == 0.3
+    dirac = oracle.RelaxedControlDiscrete.dirac(tree, np.array([0.5, 1.5]))
+    report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
+                                    control=dirac)
+    assert report.relaxed_is_dirac
+    assert report.max_secondary_weight == 0.0
+
+
+# Reference implementations with per-atom loops and a separate dual value
+# and gradient; the solvers must reproduce them bit for bit.
+
+def reference_lp(tree, u, lam, grid, constraints):
+    probs = tree.probs
+    n_atoms, n_grid = tree.n_atoms, len(grid)
+    n_var = n_atoms * n_grid
+    cost = np.concatenate([-probs[x] * (grid * u[x] - lam * grid
+                                        * np.log(grid))
+                           for x in range(n_atoms)])
+    rows, cols, vals = [], [], []
+    for x in range(n_atoms):
+        rows.extend([x] * n_grid)
+        cols.extend(range(x * n_grid, (x + 1) * n_grid))
+        vals.extend([1.0] * n_grid)
+    rows.extend([n_atoms] * n_var)
+    cols.extend(range(n_var))
+    vals.extend(np.concatenate([probs[x] * grid for x in range(n_atoms)]))
+    a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
+    a_ub = None
+    if constraints is not None:
+        rows, cols, vals = [], [], []
+        for r in range(constraints.n_constraints):
+            coeff = constraints.forms[r]
+            for x in range(n_atoms):
+                if coeff[x] == 0.0:
+                    continue
+                rows.extend([r] * n_grid)
+                cols.extend(range(x * n_grid, (x + 1) * n_grid))
+                vals.extend(probs[x] * coeff[x] * grid)
+        a_ub = csr_matrix((vals, (rows, cols)),
+                          shape=(constraints.n_constraints, n_var))
+    return cost, a_eq, a_ub
+
+
+def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
+    probs = tree.probs
+    if constraints is None:
+        m = np.exp(u / lam - logsumexp(u / lam, b=probs))
+        return None, m, 0
+    c = constraints.forms
+
+    def gibbs(adjusted):
+        return np.exp(adjusted / lam - logsumexp(adjusted / lam, b=probs))
+
+    def dual(mu):
+        return float(lam * logsumexp((u - c.T @ mu) / lam, b=probs))
+
+    def dual_grad(mu):
+        return -(c @ (probs * gibbs(u - c.T @ mu)))
+
+    def kkt(mu):
+        moments = -dual_grad(mu)
+        return max(float(np.max(moments, initial=0.0)),
+                   float(np.max(np.abs(mu * moments), initial=0.0)))
+
+    result = sp_minimize(dual, np.zeros(constraints.n_constraints),
+                         jac=dual_grad, method="L-BFGS-B",
+                         bounds=[(0.0, None)] * constraints.n_constraints,
+                         options={"maxiter": max_iter, "ftol": 1e-16,
+                                  "gtol": 1e-14})
+    mu = result.x
+    iterations = int(result.nit)
+    residual = kkt(mu)
+    lipschitz = max(float(np.linalg.norm(c * np.sqrt(probs), 2)**2) / lam,
+                    1e-12)
+    step = 0.5 / lipschitz
+    while residual > tol and iterations < max_iter:
+        mu = np.maximum(mu - step * dual_grad(mu), 0.0)
+        residual = kkt(mu)
+        iterations += 1
+    return mu, gibbs(u - c.T @ mu), iterations
+
+
+def same_sparse(a, b):
+    return (a.shape == b.shape and a.nnz == b.nnz
+            and np.array_equal(a.toarray(), b.toarray()))
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_lp_assembly_matches_loop_reference(monkeypatch, constrained):
+    tree = oracle.build_tree(2, 2, PARAMS)
+    u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
+    cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
+            else None)
+    # lam is not a power of two, so a reassociated product changes bits
+    grid = oracle.default_density_grid(
+        oracle.solve_strong_discrete(tree, u, 0.3, cons).density)
+    seen = {}
+
+    def capture(cost, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kw):
+        seen.update(cost=cost, a_ub=A_ub, a_eq=A_eq, b_ub=b_ub, b_eq=b_eq,
+                    options=kw)
+        return linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                       **kw)
+
+    monkeypatch.setattr(oracle, "linprog", capture)
+    _, control = oracle.solve_relaxed_discrete(tree, u, 0.3, grid, cons)
+    cost, a_eq, a_ub = reference_lp(tree, u, 0.3, grid, cons)
+    assert np.array_equal(seen["cost"], cost)
+    assert same_sparse(seen["a_eq"], a_eq)
+    assert np.array_equal(seen["b_eq"], np.ones(tree.n_atoms + 1))
+    if constrained:
+        assert same_sparse(seen["a_ub"], a_ub)
+        assert np.array_equal(seen["b_ub"], np.zeros(cons.n_constraints))
+    else:
+        assert seen["a_ub"] is None and seen["b_ub"] is None
+    assert seen["options"] == {"bounds": (0, None), "method": "highs"}
+    assert all(np.array_equal(a, grid) for a in control.atoms)
+    assert np.allclose([np.sum(w) for w in control.weights], 1.0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_strong_solver_matches_separate_dual_reference(constrained, tol):
+    tree = oracle.build_tree(2, 2, PARAMS)
+    u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
+    cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
+            else None)
+    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=tol)
+    mu, density, iterations = reference_strong(tree, u, 0.25, cons, tol)
+    assert np.array_equal(sol.density, density)
+    assert sol.iterations == iterations
+    if constrained:
+        assert np.array_equal(sol.multipliers, mu)
+    else:
+        assert sol.multipliers is None and iterations == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from brokerfee import principal, simulate
-from brokerfee.agent import HjbSettings
+from brokerfee.agent import HjbSettings, best_response
 from brokerfee.contracts import Constant
 from brokerfee.model import FeedbackPolicy, ModelParams
 
@@ -103,6 +103,27 @@ def test_constant_cache_matches_direct_evaluation():
         # the seed record binds participation: there v_a is 0 up to rounding
         if abs(direct.v_a - params.reservation) > 1e-12:
             assert record["participation"] == direct.participation
+
+
+def test_constant_family_solves_zero_fee_once(monkeypatch):
+    # the binding constant comes from the cached zero-fee evaluation
+    family = principal.ContractFamily("constant", cap=1.0)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    settings = HjbSettings(n_w=41, n_z=41)
+    expected = principal.feasibility_seed(params, family, settings, seed=7)
+    contracts = []
+
+    def counted(contract, *args, **kwargs):
+        contracts.append(contract)
+        return best_response(contract, *args, **kwargs)
+
+    monkeypatch.setattr(principal, "best_response", counted)
+    _, seq = principal.optimize(family, params, budget=6, settings=settings,
+                                mc_count=2_000, seed=7)
+    assert contracts == [Constant(0.0)]
+    assert len(seq) == 6
+    assert seq.records[0]["stage"] == "seed"
+    assert seq.records[0]["coefficients"].tolist() == [expected.value]
 
 
 def test_optimize_budget_one():
