@@ -9,8 +9,8 @@ and cross-checks the underlying relaxation theory on finite scenario
 trees with brute-force convex oracles.
 """
 
-from .model import (ModelParams, DiscretizedPath, FeedbackPolicy,
-                    ConstraintSpec, validate_params)
+from .model import (ModelParams, FeedbackPolicy, ConstraintSpec,
+                    validate_params)
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .agent import best_response, solve_hjb, estimate_agent_value
 from .principal import (ContractFamily, optimize, principal_objective,

@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .contracts import (Constant, LinearPolynomial, LipschitzTable,
-                        evaluate_on_batch)
-from .model import FeedbackPolicy, ModelParams, locate, zeta_integral
+from .contracts import Constant, LinearPolynomial, LipschitzTable
+from .model import FeedbackPolicy, ModelParams, interpolate, zeta_integral
 from .rng import split_seed
 from . import simulate
 
@@ -89,11 +88,10 @@ class ValueGrid:
 
     @property
     def value_at_origin(self) -> float:
-        v0 = self.values[0]
+        axes = (self.w_nodes, self.z_nodes)
         if self.p_nodes is not None:
-            v0 = _interp_axis(self.p_nodes, v0, 0.0, axis=0)
-        v0 = _interp_axis(self.w_nodes, v0, 0.0, axis=0)
-        return float(_interp_axis(self.z_nodes, v0, 0.0, axis=0))
+            axes = (self.p_nodes,) + axes
+        return float(interpolate(axes, self.values[0], *[0.0] * len(axes)))
 
     def to_csv(self, filename) -> None:
         """Node coordinates + value, one row per node, for plotting."""
@@ -124,13 +122,6 @@ def policy_to_csv(policy: FeedbackPolicy, filename) -> None:
                     fh.write(f"{t!r},{w!r},{z!r},{policy.table[i, j, k]!r}\n")
 
 
-def _interp_axis(nodes, values, x, axis):
-    idx, frac = locate(nodes, x)
-    lo = np.take(values, idx, axis=axis)
-    hi = np.take(values, idx + 1, axis=axis)
-    return (1 - frac) * lo + frac * hi
-
-
 @dataclass(frozen=True)
 class AgentUtilitySpec:
     """The client's objective assembled from the model parameters.
@@ -148,7 +139,7 @@ class AgentUtilitySpec:
         if batch.rates is None:
             raise ValueError("batch carries no per-step rates")
         dt = batch.times[1] - batch.times[0]
-        xi = evaluate_on_batch(self.contract, batch)
+        xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
         w_left = batch.w[:, :-1]
         reward = np.sum(batch.z[:, :-1] * w_left, axis=1) * dt
         cost = self.params.phi_a * np.sum(batch.rates**2, axis=1) * dt
@@ -159,7 +150,7 @@ class AgentUtilitySpec:
         if not batch.has_weights:
             raise ValueError("batch carries no weights")
         dt = batch.times[1] - batch.times[0]
-        xi = evaluate_on_batch(self.contract, batch)
+        xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
         zeta = zeta_integral(batch.z, batch.w, dt, self.params)
         lam = 2 * self.params.epsilon**2 * self.params.phi_a
         return batch.m * (-xi - lam * batch.log_m + zeta)
@@ -448,16 +439,6 @@ class BestResponse:
     trace: tuple = ()
 
 
-def _is_markovian(contract) -> bool:
-    if isinstance(contract, Constant):
-        return True
-    if isinstance(contract, LinearPolynomial):
-        return contract.operator == "terminal"
-    if isinstance(contract, LipschitzTable):
-        return contract.sample_time is None
-    return False
-
-
 def _nearest_markovian(contract):
     """Markovian stand-in used to seed the coordinate-ascent fallback."""
     if isinstance(contract, LinearPolynomial):
@@ -472,14 +453,18 @@ def best_response(contract, params: ModelParams,
                   ) -> BestResponse:
     """Optimal trading policy and value for ``contract``.
 
-    Markovian classes go through the grid solver. Other fees are handled
-    by projected coordinate ascent over a coarse policy table, seeded by
-    the nearest Markovian approximation, with common random numbers across
-    iterates so value comparisons are low-variance. Non-convergence at the
-    iteration cap is reported via the ``converged`` flag, not an error.
+    Markovian fees go through the grid solver. Fees it rejects with
+    :class:`UnsupportedContractError` are handled by projected coordinate
+    ascent over a coarse policy table, seeded by the nearest Markovian
+    approximation, with common random numbers across iterates so value
+    comparisons are low-variance. Non-convergence at the iteration cap is
+    reported via the ``converged`` flag, not an error.
     """
-    if _is_markovian(contract):
+    try:
         policy, grid = solve_hjb(contract, params, settings)
+    except UnsupportedContractError:
+        pass
+    else:
         return BestResponse(policy, grid.value_at_origin, 0.0, grid)
 
     count = mc_count if mc_count is not None else min(params.n_paths, 4000)

@@ -7,6 +7,8 @@ linear operator of each coordinate path (terminal evaluation or time
 average) with coefficients in a compact box [-K, K], and finite-partition
 Lipschitz/Holder tables. Coefficient boxes make every family compact in
 the parameter space, which is what drives existence of an optimizer.
+Every class pays through one entry point, ``evaluate_batch(times, p, z)``,
+on a stack of (P, Z) paths.
 """
 
 import json
@@ -14,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeedbackPolicy, ModelParams, locate
-from .rng import split_seed
-from . import simulate
+from .model import interpolate
 
 __all__ = [
     "Constant", "LinearPolynomial", "LipschitzTable",
-    "evaluate", "project_to_box", "holder_audit", "tail_expectation_audit",
-    "contract_to_record", "contract_from_record",
-    "save_contract", "load_contract",
+    "contract_to_record", "save_contract",
 ]
 
 
@@ -103,8 +101,8 @@ class LipschitzTable:
     holder_const: float
     cap: float
     sample_time: float = None
-    # Constructors emit tables satisfying the bound on nodes; disable only
-    # to build deliberate violations for the audit to flag.
+    # The broker's search set is the value box alone, so its proposals
+    # skip the Holder check on the nodes.
     enforce_holder: bool = True
 
     def __post_init__(self):
@@ -134,18 +132,12 @@ class LipschitzTable:
 
     def terminal_payoff(self, p_s, z_s):
         """Bilinear table lookup at coordinate samples (vectorized)."""
-        p_s = np.asarray(p_s, dtype=float)
-        z_s = np.asarray(z_s, dtype=float)
-        ip, fp = locate(self.p_nodes, p_s)
-        iz, fz = locate(self.z_nodes, z_s)
-        out = ((1 - fp) * (1 - fz) * self.values[ip, iz]
-               + fp * (1 - fz) * self.values[ip + 1, iz]
-               + (1 - fp) * fz * self.values[ip, iz + 1]
-               + fp * fz * self.values[ip + 1, iz + 1])
+        out = interpolate((self.p_nodes, self.z_nodes), self.values,
+                          p_s, z_s)
         return np.clip(out, -self.cap, self.cap)
 
     def evaluate_batch(self, times, p, z):
-        if self.sample_time is None or times is None:
+        if self.sample_time is None:
             i_s = -1
         else:
             n = p.shape[-1] - 1
@@ -153,80 +145,8 @@ class LipschitzTable:
         return self.terminal_payoff(p[..., i_s], z[..., i_s])
 
 
-def evaluate(contract, path) -> float:
-    """Payment of ``contract`` on one discretized path.
-
-    Reads only the (P, Z) coordinates; two paths agreeing on (P, Z) get
-    identical payments regardless of W.
-    """
-    return float(contract.evaluate_batch(path.times, path.p[None, :],
-                                         path.z[None, :])[0])
-
-
-def evaluate_on_batch(contract, batch) -> np.ndarray:
-    return contract.evaluate_batch(batch.times, batch.p, batch.z)
-
-
-def project_to_box(contract):
-    """Componentwise clamp of coefficients/table values to [-K, K].
-
-    Idempotent; the identity on contracts already inside the box.
-    """
-    if isinstance(contract, Constant):
-        return contract
-    if isinstance(contract, LinearPolynomial):
-        clipped = np.clip(contract.coeffs, -contract.cap, contract.cap)
-        return LinearPolynomial(clipped, contract.cap, contract.operator)
-    if isinstance(contract, LipschitzTable):
-        clipped = np.clip(contract.values, -contract.cap, contract.cap)
-        return LipschitzTable(contract.p_nodes, contract.z_nodes, clipped,
-                              contract.gamma, contract.holder_const,
-                              contract.cap, contract.sample_time)
-    raise TypeError(f"unsupported contract type: {type(contract)!r}")
-
-
-def holder_audit(contract, params: ModelParams, count: int, seed: int) -> float:
-    """Max observed ratio |xi(x) - xi(y)| / ||x - y||^gamma over sampled
-    path pairs (sup-norm over the (P, Z) coordinates). Membership in the
-    Holder ball with constant M requires the ratio to stay <= M."""
-    gamma = getattr(contract, "gamma", 1.0)
-    batch_x = simulate.simulate_reference(params, count, split_seed(seed, "hx"))
-    batch_y = simulate.simulate_reference(params, count, split_seed(seed, "hy"))
-    fx = evaluate_on_batch(contract, batch_x)
-    fy = evaluate_on_batch(contract, batch_y)
-    dist = np.maximum(np.max(np.abs(batch_x.p - batch_y.p), axis=1),
-                      np.max(np.abs(batch_x.z - batch_y.z), axis=1))
-    ok = dist > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(np.abs(fx[ok] - fy[ok]) / dist[ok]**gamma))
-
-
-def tail_expectation_audit(contracts, params: ModelParams, levels,
-                           count: int = 10_000, seed: int = 0) -> np.ndarray:
-    """Per-level sup over (contract, extreme policy) of
-    E^{Q^pi}[|xi| 1{|xi| >= level}], by controlled simulation.
-
-    The policies span the extremes {L, 0, U} of the admissible rate set.
-    Estimates are nonincreasing in the level; for the bounded families
-    here they vanish once the level clears the family bound.
-    """
-    levels = np.asarray(levels, dtype=float)
-    sups = np.zeros(len(levels))
-    for p_idx, rate in enumerate((params.rate_lower, 0.0, params.rate_upper)):
-        policy = FeedbackPolicy.constant(rate, params)
-        batch = simulate.simulate_controlled(
-            params, policy, count, split_seed(seed, f"tail{p_idx}"))
-        for contract in contracts:
-            xi = np.abs(evaluate_on_batch(contract, batch))
-            for k, level in enumerate(levels):
-                est = float(np.mean(np.where(xi >= level, xi, 0.0)))
-                sups[k] = max(sups[k], est)
-    return sups
-
-
 # ---------------------------------------------------------------------------
-# Serialization: tagged JSON records; round-trip is lossless.
+# Serialization: tagged JSON records.
 
 def contract_to_record(contract) -> dict:
     if isinstance(contract, Constant):
@@ -245,27 +165,7 @@ def contract_to_record(contract) -> dict:
     raise TypeError(f"unsupported contract type: {type(contract)!r}")
 
 
-def contract_from_record(record: dict):
-    tag = record.get("class")
-    if tag == "constant":
-        return Constant(record["value"])
-    if tag == "linear_polynomial":
-        return LinearPolynomial(np.array(record["coeffs"]), record["cap"],
-                                record["operator"])
-    if tag == "lipschitz_table":
-        return LipschitzTable(np.array(record["p_nodes"]),
-                              np.array(record["z_nodes"]),
-                              np.array(record["values"]),
-                              record["gamma"], record["holder_const"],
-                              record["cap"], record["sample_time"])
-    raise ValueError(f"unknown contract class tag: {tag!r}")
-
-
 def save_contract(filename, contract) -> None:
     with open(filename, "w") as fh:
         json.dump(contract_to_record(contract), fh, indent=1)
 
-
-def load_contract(filename):
-    with open(filename) as fh:
-        return contract_from_record(json.load(fh))

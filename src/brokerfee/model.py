@@ -10,20 +10,24 @@ residuals b + A*nu are nonpositive precisely for admissible drifts.
 
 Each piece of the model that several layers evaluate is defined here once:
 the constraint rows (:meth:`ConstraintSpec.rows`), grid lookup
-(:func:`locate`) and the state-only running utility (:func:`zeta_integral`).
+(:func:`locate`), multilinear grid interpolation (:func:`interpolate`) and
+the state-only running utility (:func:`zeta_integral`).
 """
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
-    "DiscretizedPath",
     "FeedbackPolicy",
     "ConstraintSpec",
     "ROW_NAMES",
     "locate",
+    "interpolate",
     "zeta_integral",
     "validate_params",
     "params_to_config",
@@ -105,39 +109,13 @@ def params_from_config(items: dict, prefix: str = "model") -> ModelParams:
     return validate_params(ModelParams(**kwargs))
 
 
-@dataclass(frozen=True)
-class DiscretizedPath:
-    """One sampled trajectory of X = (P, Z, W) on a uniform time grid.
-
-    All three coordinates start at the origin; the objectives are unchanged
-    by a constant shift of P, so nothing is lost by the canonical start.
-    """
-
-    times: np.ndarray
-    p: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.p) == len(self.z) == len(self.w) == n):
-            raise ValueError("path arrays must share the grid length")
-        if n >= 2:
-            dt = np.diff(self.times)
-            if not (np.all(dt > 0) and np.allclose(dt, dt[0], rtol=1e-9)):
-                raise ValueError("times must be strictly increasing and uniform")
-        for arr in (self.p, self.z, self.w):
-            if arr[0] != 0.0:
-                raise ValueError("paths must start at the origin")
-
-
 class FeedbackPolicy:
     """Trading-rate rule pi(t, w, z) stored on a regular grid.
 
     Values are clamped to [L, U] at construction and again after
     interpolation, so every rate the policy emits is admissible.
-    Evaluation uses trilinear interpolation with constant extrapolation
-    beyond the grid edges.
+    Evaluation uses trilinear interpolation (:func:`interpolate`) with
+    constant extrapolation beyond the grid edges.
     """
 
     def __init__(self, t_nodes, w_nodes, z_nodes, table, bounds):
@@ -168,17 +146,8 @@ class FeedbackPolicy:
 
     def __call__(self, t, w, z):
         """Vectorized rate lookup; broadcasts over w and z."""
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        it, ft = locate(self.t_nodes, t)
-        iw, fw = locate(self.w_nodes, w)
-        iz, fz = locate(self.z_nodes, z)
-        out = np.zeros(np.broadcast_shapes(t.shape, w.shape, z.shape))
-        for dt_, wt_ in ((0, 1 - ft), (1, ft)):
-            for dw_, ww_ in ((0, 1 - fw), (1, fw)):
-                for dz_, wz_ in ((0, 1 - fz), (1, fz)):
-                    out += wt_ * ww_ * wz_ * self.table[it + dt_, iw + dw_, iz + dz_]
+        out = interpolate((self.t_nodes, self.w_nodes, self.z_nodes),
+                          self.table, t, w, z)
         return np.clip(out, self.bounds[0], self.bounds[1])
 
 
@@ -227,6 +196,30 @@ def locate(nodes, x):
     width = nodes[idx + 1] - nodes[idx]
     frac = np.clip((x - nodes[idx]) / width, 0.0, 1.0)
     return idx, frac
+
+
+def interpolate(axes, table, *x):
+    """Multilinear interpolation of ``table`` on the grid ``axes`` at ``x``.
+
+    ``table`` has one axis per sorted node array in ``axes`` and one query
+    coordinate is given per axis; the coordinates broadcast against each
+    other. Beyond an edge the value is extrapolated by a constant (see
+    :func:`locate`). The corners are summed in
+    ``itertools.product((0, 1), repeat=n)`` order, each weighted by the
+    product of its per-axis weights taken from the first axis on.
+    """
+    if not len(axes) == len(x) == np.ndim(table):
+        raise ValueError("need one node array and one coordinate per axis")
+    cells = [locate(nodes, np.asarray(xi, dtype=float))
+             for nodes, xi in zip(axes, x)]
+    weights = [(1 - frac, frac) for _, frac in cells]
+    out = np.zeros(np.broadcast_shapes(*(frac.shape for _, frac in cells)))
+    for corner in itertools.product((0, 1), repeat=len(cells)):
+        weight = functools.reduce(
+            operator.mul, (w[c] for w, c in zip(weights, corner)))
+        out += weight * table[tuple(idx + c for (idx, _), c
+                                    in zip(cells, corner))]
+    return out
 
 
 def zeta_integral(z, w, dt, params: ModelParams):

@@ -167,6 +167,7 @@ class StrongSolution:
     multipliers: Optional[np.ndarray]
     kkt_residual: float
     iterations: int
+    converged: bool            # kkt_residual <= tol when the solve ended
 
 
 def _gibbs(probs, adjusted_u, lam):
@@ -193,7 +194,9 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     Otherwise the strictly concave program is solved by projected-gradient
     ascent on the Lagrange dual (nonnegative multipliers on the linear
     constraints, normalization absorbed into the Gibbs form), with
-    backtracking steps and a KKT-residual stopping rule.
+    backtracking steps and a KKT-residual stopping rule. A solve that
+    reaches ``max_iter`` with the residual above ``tol`` returns with
+    ``converged`` False, or raises when the residual exceeds 1e3 * tol.
     """
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
@@ -201,7 +204,7 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     u = np.asarray(u, dtype=float)
     if constraints is None or constraints.n_constraints == 0:
         m, log_z = _gibbs(probs, u, lam)
-        return StrongSolution(float(lam * log_z), m, None, 0.0, 0)
+        return StrongSolution(float(lam * log_z), m, None, 0.0, 0, True)
 
     c = constraints.forms
 
@@ -241,7 +244,7 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
             "(instance may be infeasible)")
     m = _gibbs(probs, u - c.T @ mu, lam)[0]
     return StrongSolution(_primal_value(probs, m, u, lam), m, mu,
-                          residual, iterations)
+                          residual, iterations, residual <= tol)
 
 
 def default_density_grid(extra_values=None, n: int = 21,

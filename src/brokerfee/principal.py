@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from . import simulate
 from .agent import HjbSettings, best_response
 from .contracts import (Constant, LinearPolynomial, LipschitzTable,
-                        contract_to_record, project_to_box)
+                        contract_to_record)
 from .model import ModelParams
 from .rng import split_seed, uniforms
 
@@ -131,8 +131,8 @@ class ContractFamily:
             coeffs = theta.reshape(self.degree, self.degree)
             return LinearPolynomial(coeffs, self.cap, self.operator)
         values = theta.reshape(len(self.p_nodes), len(self.z_nodes))
-        # the box is the search set; Holder membership is checked by the
-        # audits, not imposed on intermediate proposals
+        # the box is the search set; Holder membership is not imposed on
+        # intermediate proposals
         return LipschitzTable(self.p_nodes, self.z_nodes, values,
                               self.gamma, self.holder_const, self.cap,
                               enforce_holder=False)
@@ -292,9 +292,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     def evaluate(theta, stage):
         if len(sequence) >= budget:
             raise _BudgetExhausted
-        theta = np.clip(np.asarray(theta, dtype=float), -family.cap,
-                        family.cap)
-        contract = project_to_box(family.make(theta))
+        contract = family.make(theta)
         if isinstance(contract, Constant):
             zero, c = zero_fee(), contract.value
             v_a = zero.v_a - c

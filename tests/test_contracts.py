@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,48 +7,48 @@ from hypothesis import strategies as st
 
 from brokerfee import contracts
 from brokerfee.contracts import (Constant, LinearPolynomial, LipschitzTable,
-                                 contract_from_record, contract_to_record,
-                                 evaluate, holder_audit, project_to_box,
-                                 tail_expectation_audit)
-from brokerfee.model import DiscretizedPath, ModelParams
+                                 contract_to_record)
+from brokerfee.model import locate
+from brokerfee.principal import ContractFamily
 
 
 def make_path(n=10, amp=1.0):
+    """Time grid and the (P, Z) coordinates of one path."""
     times = np.linspace(0.0, 1.0, n + 1)
     p = amp * np.sin(np.linspace(0.0, 3.0, n + 1))
     p[0] = 0.0
     z = amp * np.linspace(0.0, 1.0, n + 1) ** 2
-    w = amp * np.cos(np.linspace(0.0, 2.0, n + 1))
-    w[0] = 0.0
-    w = w - w[0]
-    return DiscretizedPath(times, p, z, w)
+    return times, p, z
+
+
+def pay(contract, times, p, z):
+    """Payment on one path: ``evaluate_batch`` on a stack of one."""
+    return float(contract.evaluate_batch(times, p[None, :], z[None, :])[0])
 
 
 def test_constant_contract():
-    path = make_path()
-    assert evaluate(Constant(0.7), path) == pytest.approx(0.7)
+    assert pay(Constant(0.7), *make_path()) == pytest.approx(0.7)
 
 
 def test_linear_polynomial_terminal():
-    path = make_path()
+    times, p, z = make_path()
     c = LinearPolynomial(np.array([[2.0]]), cap=5.0, operator="terminal")
-    assert evaluate(c, path) == pytest.approx(2.0 * path.p[-1] * path.z[-1])
+    assert pay(c, times, p, z) == pytest.approx(2.0 * p[-1] * z[-1])
 
 
 def test_linear_polynomial_time_average():
-    path = make_path()
+    times, p, z = make_path()
     c = LinearPolynomial(np.array([[1.0]]), cap=5.0, operator="time_average")
-    assert evaluate(c, path) == pytest.approx(
-        np.mean(path.p) * np.mean(path.z))
+    assert pay(c, times, p, z) == pytest.approx(np.mean(p) * np.mean(z))
 
 
 def test_polynomial_degree_two_cross_terms():
-    path = make_path()
+    times, p, z = make_path()
     coeffs = np.array([[0.5, -0.25], [1.0, 0.0]])
     c = LinearPolynomial(coeffs, cap=2.0)
-    p_T, z_T = path.p[-1], path.z[-1]
+    p_T, z_T = p[-1], z[-1]
     expected = (0.5 * p_T * z_T - 0.25 * p_T * z_T**2 + 1.0 * p_T**2 * z_T)
-    assert evaluate(c, path) == pytest.approx(expected)
+    assert pay(c, times, p, z) == pytest.approx(expected)
 
 
 def test_polynomial_box_enforced():
@@ -57,18 +59,6 @@ def test_polynomial_box_enforced():
 def test_polynomial_rejects_unknown_operator():
     with pytest.raises(ValueError, match="operator"):
         LinearPolynomial(np.array([[0.1]]), cap=1.0, operator="supremum")
-
-
-def test_contract_ignores_private_signal():
-    # two paths agreeing on (P, Z) must be paid identically whatever W does
-    path_a = make_path()
-    path_b = DiscretizedPath(path_a.times, path_a.p, path_a.z,
-                             np.zeros_like(path_a.w))
-    for c in (Constant(0.3),
-              LinearPolynomial(np.array([[0.5]]), cap=1.0),
-              LipschitzTable(np.linspace(-2, 2, 5), np.linspace(-2, 2, 5),
-                             np.zeros((5, 5)), 1.0, 1.0, 1.0)):
-        assert evaluate(c, path_a) == evaluate(c, path_b)
 
 
 def test_table_interpolation_and_clamp():
@@ -82,6 +72,18 @@ def test_table_interpolation_and_clamp():
     assert table.terminal_payoff(0.5, 0.0) == pytest.approx(1.25)
     # constant extrapolation beyond the node range
     assert table.terminal_payoff(5.0, 5.0) == pytest.approx(2.0)
+    # the unrolled bilinear sum the lookup used before model.interpolate;
+    # the corners are now summed in another order, so allow a few ulps
+    rng = np.random.default_rng(3)
+    p_s, z_s = rng.uniform(-1.5, 1.5, (2, 300))
+    ip, fp = locate(nodes, p_s)
+    iz, fz = locate(nodes, z_s)
+    reference = np.clip((1 - fp) * (1 - fz) * values[ip, iz]
+                        + fp * (1 - fz) * values[ip + 1, iz]
+                        + (1 - fp) * fz * values[ip, iz + 1]
+                        + fp * fz * values[ip + 1, iz + 1], -2.0, 2.0)
+    assert np.allclose(table.terminal_payoff(p_s, z_s), reference,
+                       rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 def test_table_holder_bound_checked_on_nodes():
@@ -92,49 +94,24 @@ def test_table_holder_bound_checked_on_nodes():
                        cap=10.0)
 
 
-def test_holder_audit_flags_violation():
-    params = ModelParams(n_steps=20)
-    nodes = np.array([-0.5, 0.0, 0.5])
-    steep = np.array([[-4.0, 0.0, 4.0]] * 3).T
-    bad = LipschitzTable(nodes, nodes, steep, gamma=1.0, holder_const=1.0,
-                         cap=5.0, enforce_holder=False)
-    ratio = holder_audit(bad, params, count=200, seed=4)
-    assert ratio > 1.0
-    flat = Constant(0.3)
-    assert holder_audit(flat, params, count=100, seed=4) == 0.0
-
-
-def test_tail_audit_monotone_and_vanishing():
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=25)
-    family = [Constant(0.4), LinearPolynomial(np.array([[0.2]]), cap=0.5)]
-    levels = np.array([0.0, 0.5, 2.0, 1e4])
-    sups = tail_expectation_audit(family, params, levels, count=500, seed=1)
-    assert np.all(np.diff(sups) <= 1e-12)
-    # every family member here is bounded well below the last level
-    assert sups[-1] == 0.0
-
-
-def test_project_to_box_clamps():
-    c = LinearPolynomial(np.array([[0.9]]), cap=1.0)
-    shifted = LinearPolynomial(np.array([[1.0]]), cap=1.0)
-    assert project_to_box(shifted).coeffs[0, 0] == 1.0
-    assert project_to_box(c).coeffs[0, 0] == 0.9
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
 def test_projection_idempotent(raw):
-    values = np.array(raw).reshape(2, 2)
-    table = LipschitzTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                           values, gamma=1.0, holder_const=100.0, cap=3.0,
-                           enforce_holder=False)
-    once = project_to_box(table)
-    twice = project_to_box(once)
+    # ContractFamily.make clips proposals into the box [-K, K]; the
+    # coefficients of a made contract are already inside, so remaking
+    # them changes nothing
+    family = ContractFamily("lipschitz_table", cap=1.5,
+                            p_nodes=np.array([0.0, 1.0]),
+                            z_nodes=np.array([0.0, 1.0]))
+    once = family.make(np.array(raw))
+    twice = family.make(family.coefficients(once))
     assert np.array_equal(once.values, twice.values)
-    assert np.all(np.abs(once.values) <= 3.0)
+    assert np.all(np.abs(once.values) <= 1.5)
+    assert np.array_equal(once.values.ravel(), np.clip(raw, -1.5, 1.5))
 
 
 def test_serialization_round_trip(tmp_path):
+    # save_contract writes the tagged record of every class as JSON
     cases = [
         Constant(-0.25),
         LinearPolynomial(np.array([[0.1, 0.2], [-0.3, 0.05]]), cap=0.5,
@@ -143,13 +120,17 @@ def test_serialization_round_trip(tmp_path):
                        np.zeros((3, 4)), gamma=0.5, holder_const=2.0,
                        cap=1.0, sample_time=0.5),
     ]
+    tags = []
     for k, c in enumerate(cases):
         fn = tmp_path / f"contract_{k}.json"
         contracts.save_contract(fn, c)
-        back = contracts.load_contract(fn)
-        assert contract_to_record(back) == contract_to_record(c)
+        with open(fn) as fh:
+            record = json.load(fh)
+        assert record == contract_to_record(c)
+        tags.append(record["class"])
+    assert tags == ["constant", "linear_polynomial", "lipschitz_table"]
 
 
 def test_record_rejects_unknown_class():
-    with pytest.raises(ValueError, match="class"):
-        contract_from_record({"class": "mystery"})
+    with pytest.raises(TypeError, match="unsupported contract type"):
+        contract_to_record(object())

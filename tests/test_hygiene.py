@@ -1,12 +1,19 @@
-"""Package hygiene: every exported name exists and no import is unused."""
+"""Package hygiene: every exported name exists and is used outside the
+tests, and no import is unused."""
 
 import ast
 import importlib
 import pathlib
+import re
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "brokerfee"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "brokerfee"
 # __init__.py imports only to re-export the public API
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# files whose mention of a public name counts as a use: the library
+# modules, the demos and the packaging metadata (the console script)
+USERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + [
+    ROOT / "pyproject.toml"]
 
 
 def test_all_names_resolve():
@@ -17,6 +24,25 @@ def test_all_names_resolve():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_exported_name_is_used():
+    texts = {path: path.read_text() for path in USERS}
+    unused = []
+    for path in MODULES:
+        module = importlib.import_module(f"brokerfee.{path.stem}")
+        # within its own module a name counts only where it is read: its
+        # definition and its __all__ entry are not reads
+        read = {node.id for node in ast.walk(ast.parse(texts[path]))
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for name in getattr(module, "__all__", ()):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if name not in read and not any(
+                    word.search(text) for other, text in texts.items()
+                    if other != path):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 
 def _imported_names(tree):

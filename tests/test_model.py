@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokerfee.model import (ConstraintSpec, DiscretizedPath, FeedbackPolicy,
-                             ModelParams, params_from_config,
+from brokerfee.model import (ConstraintSpec, FeedbackPolicy, ModelParams,
+                             interpolate, locate, params_from_config,
                              params_to_config, validate_params)
 
 
@@ -45,19 +45,6 @@ def test_dt_and_times():
     assert np.allclose(params.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
-def test_path_requires_uniform_grid():
-    t = np.array([0.0, 0.1, 0.3])
-    zeros = np.zeros(3)
-    with pytest.raises(ValueError, match="uniform"):
-        DiscretizedPath(t, zeros, zeros, zeros)
-
-
-def test_path_requires_origin_start():
-    t = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError, match="origin"):
-        DiscretizedPath(t, np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
-
-
 def test_constant_policy():
     params = ModelParams(rate_lower=-2.0, rate_upper=2.0)
     policy = FeedbackPolicy.constant(1.5, params)
@@ -76,6 +63,73 @@ def test_policy_interpolation_matches_linear_function():
         t_nodes, w_nodes, z_nodes, (params.rate_lower, params.rate_upper))
     # trilinear interpolation reproduces multilinear functions exactly
     assert policy(0.35, 1.2, -0.7) == pytest.approx(1.2 * 0.65 - 0.35)
+
+
+def multilinear(coeffs, *x):
+    """sum over corners c of coeffs[c] * prod_k x_k^c_k."""
+    out = 0.0
+    for corner in np.ndindex(coeffs.shape):
+        term = coeffs[corner]
+        for xk, ck in zip(x, corner):
+            term = term * xk**ck
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3, 4])
+def test_interpolate_exact_on_multilinear_functions(n_axes):
+    rng = np.random.default_rng(n_axes)
+    # uneven node spacing, a different node count on every axis
+    axes = [np.sort(rng.uniform(-2.0, 2.0, 3 + k)) for k in range(n_axes)]
+    coeffs = rng.normal(size=(2,) * n_axes)
+    table = multilinear(coeffs, *np.meshgrid(*axes, indexing="ij"))
+    # queries inside and beyond the edges: beyond an edge the value is that
+    # of the nearest edge (constant extrapolation)
+    x = [rng.uniform(a[0] - 1.0, a[-1] + 1.0, 200) for a in axes]
+    clamped = [np.clip(xk, a[0], a[-1]) for xk, a in zip(x, axes)]
+    assert np.any([np.any(xk != ck) for xk, ck in zip(x, clamped)])
+    got = interpolate(axes, table, *x)
+    assert got.shape == (200,)
+    assert np.allclose(got, multilinear(coeffs, *clamped), rtol=1e-12,
+                       atol=1e-12)
+    # the nodes themselves are reproduced and scalars give a scalar
+    corner = [a[1] for a in axes]
+    assert interpolate(axes, table, *corner) == pytest.approx(
+        table[(1,) * n_axes], rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="one coordinate per axis"):
+        interpolate(axes, table, *x[:-1])
+
+
+def trilinear_reference(policy, t, w, z):
+    """The explicit eight-corner loop FeedbackPolicy evaluated before it
+    went through model.interpolate."""
+    t, w, z = (np.asarray(a, dtype=float) for a in (t, w, z))
+    it, ft = locate(policy.t_nodes, t)
+    iw, fw = locate(policy.w_nodes, w)
+    iz, fz = locate(policy.z_nodes, z)
+    out = np.zeros(np.broadcast_shapes(t.shape, w.shape, z.shape))
+    for dt_, wt_ in ((0, 1 - ft), (1, ft)):
+        for dw_, ww_ in ((0, 1 - fw), (1, fw)):
+            for dz_, wz_ in ((0, 1 - fz), (1, fz)):
+                out += (wt_ * ww_ * wz_
+                        * policy.table[it + dt_, iw + dw_, iz + dz_])
+    return np.clip(out, policy.bounds[0], policy.bounds[1])
+
+
+def test_policy_lookup_matches_trilinear_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    t_nodes = np.linspace(0.0, 1.0, 6)
+    w_nodes = np.linspace(-3.0, 3.0, 9)
+    z_nodes = np.linspace(-2.0, 2.0, 7)
+    table = rng.normal(size=(6, 9, 7))
+    policy = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, (-1.5, 1.5))
+    w = rng.uniform(-4.0, 4.0, 500)
+    z = rng.uniform(-3.0, 3.0, 500)
+    for t in (0.0, 0.37, 1.0, 1.2):
+        assert np.array_equal(policy(t, w, z),
+                              trilinear_reference(policy, t, w, z))
+    t = rng.uniform(0.0, 1.0, 500)
+    assert np.array_equal(policy(t, w, z), trilinear_reference(policy, t, w, z))
 
 
 @settings(deadline=None, max_examples=50)

@@ -124,6 +124,23 @@ def test_constrained_strong_solver_kkt():
     assert sol.value <= unconstrained.value + 1e-12
 
 
+def test_strong_solver_flags_a_solve_stopped_short():
+    # the relaxed-oracle demo's instance: at max_iter the KKT residual is
+    # above tol but below 1e3 * tol, so the solve returns, unconverged
+    tree = oracle.build_tree(2, 2, PARAMS)
+    u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
+    cons = oracle.node_constraint_set(tree, PARAMS.rate_lower,
+                                      PARAMS.rate_upper)
+    short = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=1e-11,
+                                         max_iter=1000)
+    assert short.iterations == 1000
+    assert 1e-11 < short.kkt_residual <= 1e-8
+    assert not short.converged
+    full = oracle.solve_strong_discrete(tree, u, 0.25, cons)
+    assert full.converged and full.kkt_residual <= 1e-9
+    assert oracle.solve_strong_discrete(tree, u, 0.25).converged
+
+
 def test_relaxed_matches_strong_on_covering_grid():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.tanh(tree.paths[:, -1, 0] + tree.paths[:, -1, 2])
