@@ -42,8 +42,9 @@ policy = FeedbackPolicy.constant(0.7, params)
 batch = simulate.simulate_reference(params, params.n_paths, params.seed + 2)
 weighted = simulate.girsanov_weights(batch, policy, params)
 spec = ConstraintSpec.from_params(params)
-for eta in simulate.eta_family(params.horizon)[:3]:
-    report = simulate.constraint_moments(weighted, eta, spec)
+family = simulate.eta_family(params.horizon)[:3]
+for eta, report in zip(family,
+                       simulate.constraint_moments(weighted, family, spec)):
     worst = np.max(report.estimates - 3 * report.ses)
     print(f"  eta kind {eta.kind:12s} max (estimate - 3 se) = {worst:+.4f}"
           f"  (nonpositive = consistent)")
@@ -56,6 +57,6 @@ bad = FeedbackPolicy.from_function(
     (-3.0, 3.0))
 weighted = simulate.girsanov_weights(batch, bad, params)
 eta = simulate.EtaTest("const", s=0.5, t=1.0)
-report = simulate.constraint_moments(weighted, eta, spec)
+[report] = simulate.constraint_moments(weighted, [eta], spec)
 print(f"  rate-upper row estimate = {report.estimates[4]:.4f} "
       f"+- {report.ses[4]:.4f}  (positive = violation detected)")

@@ -165,7 +165,10 @@ class ConstraintSpec:
         3:  dW            4: -dW            (signal is driftless)
         5: -U dt + dZ     6:  L dt - dZ     (rate bounds)
 
-    named by :data:`ROW_NAMES`. With dt = 1 and a drift nu = (nu_p, nu_z,
+    named by :data:`ROW_NAMES`. The rows are linear in (dX, W dt, dt), so
+    over a window they sum to the same rows of the summed increments: the
+    endpoint differences of P, Z and W, the integrated drift sum W_k dt
+    and the window length. With dt = 1 and a drift nu = (nu_p, nu_z,
     nu_w) in place of dX they are the residuals b + A nu; admissibility of
     a rate pi means all six are <= 0 at nu = (W, pi, 0).
     """
@@ -177,9 +180,10 @@ class ConstraintSpec:
     def from_params(cls, params: ModelParams) -> "ConstraintSpec":
         return cls(params.rate_lower, params.rate_upper)
 
-    def rows(self, dp, dz, dw, w, dt) -> tuple:
-        """The six rows of b dt + A dX; broadcasts over array arguments."""
-        return (dp - w * dt, w * dt - dp,
+    def rows(self, dp, dz, dw, w_dt, dt) -> tuple:
+        """The six rows of b dt + A dX, given the integrated drift
+        ``w_dt`` = W dt; broadcasts over array arguments."""
+        return (dp - w_dt, w_dt - dp,
                 dw, -dw,
                 dz - self.rate_upper * dt, self.rate_lower * dt - dz)
 
@@ -213,12 +217,17 @@ def interpolate(axes, table, *x):
     cells = [locate(nodes, np.asarray(xi, dtype=float))
              for nodes, xi in zip(axes, x)]
     weights = [(1 - frac, frac) for _, frac in cells]
+    # each corner is one gather from the flat table at base + offset
+    flat = np.ravel(table)
+    shape = np.shape(table)
+    strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+    base = sum(idx * stride for (idx, _), stride in zip(cells, strides))
     out = np.zeros(np.broadcast_shapes(*(frac.shape for _, frac in cells)))
     for corner in itertools.product((0, 1), repeat=len(cells)):
         weight = functools.reduce(
             operator.mul, (w[c] for w, c in zip(weights, corner)))
-        out += weight * table[tuple(idx + c for (idx, _), c
-                                    in zip(cells, corner))]
+        offset = sum(c * stride for c, stride in zip(corner, strides))
+        out += weight * flat.take(base + offset)
     return out
 
 

@@ -147,7 +147,7 @@ def node_constraint_set(tree: ScenarioTree, rate_lower: float,
     inc = tree.combos[tree.choices]           # (n_atoms, depth, channels)
     for d in range(tree.depth):
         row_values = spec.rows(inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
-                               tree.paths[:, d, 2], tree.dt)
+                               tree.paths[:, d, 2] * tree.dt, tree.dt)
         for prefix in range(tree.n_combos**d):
             sl = tree.node_slice(d, prefix)
             for name, values in zip(ROW_NAMES, row_values):
@@ -468,7 +468,8 @@ def extract_strong_control(tree: ScenarioTree,
                 reconstructed[child] *= trans * n_combos
             drift /= tree.dt
             drifts[(d, prefix)] = drift
-            # the rows at dt = 1 with the drift in place of dX are b + A nu
+            # the rows at dt = 1 (so W dt = W) with the drift in place of
+            # dX are b + A nu
             residuals = spec.rows(drift[0], drift[1], drift[2],
                                   float(tree.paths[sl.start, d, 2]), 1.0)
             max_violation = max(max_violation, max(residuals))

@@ -371,7 +371,6 @@ class ConvergenceReport:
     jp_increments: np.ndarray
     limit_point: np.ndarray
     limit_value: float
-    subsequence_exists: bool    # compact box: always true
 
     def summary(self) -> str:
         return (f"{self.n_updates} incumbent updates, cauchy tail "
@@ -402,5 +401,4 @@ def convergence_report(sequence: MaximizingSequence) -> ConvergenceReport:
         cauchy_tail=cauchy,
         jp_increments=np.diff(values),
         limit_point=coeffs[-1],
-        limit_value=float(values[-1]),
-        subsequence_exists=True)
+        limit_value=float(values[-1]))

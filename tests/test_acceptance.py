@@ -233,8 +233,7 @@ def test_criterion_09_condition5_moments():
             simulate.simulate_reference(params, params.n_paths,
                                         split_seed(MC.seed, f"acc9-{k}")),
             policy, params)
-        for eta in family:
-            report = simulate.constraint_moments(batch, eta, spec)
+        for report in simulate.constraint_moments(batch, family, spec):
             ok = ok and bool(np.all(report.estimates <= 3 * report.ses))
         del batch
 
@@ -249,8 +248,7 @@ def test_criterion_09_condition5_moments():
         bad, params)
     detected = False
     margin = -np.inf
-    for eta in family:
-        report = simulate.constraint_moments(batch, eta, spec)
+    for report in simulate.constraint_moments(batch, family, spec):
         margin = max(margin, report.estimates[4] - 3 * report.ses[4])
         if report.estimates[4] > 3 * report.ses[4]:
             detected = True

@@ -92,6 +92,21 @@ def test_mode_writes_manifest(tmp_path, mode, capsys):
     assert (out / "summary.txt").read_text().startswith(f"mode: {mode}")
 
 
+def test_simulate_reports_degenerate_weights_at_default_bounds(tmp_path):
+    # at the default rate bounds +-10 a few paths carry all the weight
+    cfg, out = write_config(tmp_path, "simulate")
+    cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                             if not line.startswith("model.rate_")))
+    assert cli.run(cfg) == 0
+    header, *rows = (out / "girsanov.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "ess"
+    ess = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
+    assert ess["lower"] < 20 and ess["upper"] < 20    # n_paths is 2000
+    assert ess["zero"] > 200
+    summary = (out / "summary.txt").read_text()
+    assert f"ess {ess['upper']:.1f} of 2000" in summary
+
+
 def test_optimize_mode_consistent_with_convergence(tmp_path):
     cfg, out = write_config(tmp_path, "optimize")
     assert cli.run(cfg) == 0

@@ -100,8 +100,8 @@ def test_eta_values_bounded(weighted_batch):
 
 def test_constraint_moments_admissible_policy(weighted_batch):
     spec = ConstraintSpec.from_params(PARAMS)
-    for eta in simulate.eta_family(PARAMS.horizon):
-        report = simulate.constraint_moments(weighted_batch, eta, spec)
+    for report in simulate.constraint_moments(
+            weighted_batch, simulate.eta_family(PARAMS.horizon), spec):
         assert np.all(report.estimates <= 3 * report.ses)
 
 
@@ -109,7 +109,7 @@ def test_constraint_moments_martingale_rows(weighted_batch):
     # rows 1-4 are martingale increments: mean zero, not just nonpositive
     spec = ConstraintSpec.from_params(PARAMS)
     eta = simulate.EtaTest("const", s=0.0, t=1.0)
-    report = simulate.constraint_moments(weighted_batch, eta, spec)
+    [report] = simulate.constraint_moments(weighted_batch, [eta], spec)
     assert np.all(np.abs(report.estimates[:4]) <= 3 * report.ses[:4])
 
 
@@ -124,7 +124,7 @@ def test_constraint_moments_flag_inadmissible_rate():
     wb = simulate.girsanov_weights(batch, bad, params)
     spec = ConstraintSpec.from_params(params)
     eta = simulate.EtaTest("const", s=0.5, t=1.0)
-    report = simulate.constraint_moments(wb, eta, spec)
+    [report] = simulate.constraint_moments(wb, [eta], spec)
     assert report.estimates[4] > 3 * report.ses[4]
 
 
@@ -133,3 +133,75 @@ def test_constraint_moments_flag_inadmissible_rate():
 def test_moment_window_ordering(s, t):
     eta = simulate.EtaTest("const", s=s, t=t)
     assert eta.s <= eta.t
+
+
+def per_step_moments(batch, eta, spec):
+    """Reference estimator: cumulative sums of the rows of every step,
+    read at the stopped window ends (s ^ tau, t ^ tau)."""
+    horizon = batch.times[-1]
+    n = len(batch.times) - 1
+    dt = batch.times[1] - batch.times[0]
+    stop = per_step_stopping_index(batch, eta.truncation_level)
+    lo = np.minimum(int(np.floor(eta.s * n / horizon)), stop)
+    hi = np.minimum(int(np.floor(eta.t * n / horizon)), stop)
+    increments = spec.rows(np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
+                           np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt)
+    weights = batch.m * eta.values(batch)
+    paths = np.arange(batch.count)
+    estimates, ses = [], []
+    for inc in increments:
+        y = np.concatenate([np.zeros((batch.count, 1)),
+                            np.cumsum(inc, axis=1)], axis=1)
+        samples = weights * (y[paths, hi] - y[paths, lo])
+        estimates.append(np.mean(samples))
+        ses.append(np.std(samples, ddof=1) / np.sqrt(batch.count))
+    return np.array(estimates), np.array(ses)
+
+
+def per_step_stopping_index(batch, level):
+    big = np.maximum(np.abs(batch.p),
+                     np.maximum(np.abs(batch.z), np.abs(batch.w))) >= level
+    hit = np.argmax(big, axis=1)
+    hit[~big[np.arange(batch.count), hit]] = len(batch.times) - 1
+    return hit
+
+
+def test_rows_of_summed_increments_are_summed_rows():
+    # the linearity the telescoped estimator rests on
+    spec = ConstraintSpec(rate_lower=-0.7, rate_upper=1.3)
+    dp, dz, dw, w = np.random.default_rng(4).normal(size=(4, 60))
+    dt = 1.0 / 60
+    stepwise = np.sum(spec.rows(dp, dz, dw, w * dt, dt), axis=1)
+    summed = spec.rows(np.sum(dp), np.sum(dz), np.sum(dw), np.sum(w * dt),
+                       60 * dt)
+    np.testing.assert_allclose(stepwise, summed, rtol=1e-12, atol=1e-12)
+
+
+def test_family_moments_match_per_step_reference():
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
+    spec = ConstraintSpec.from_params(params)
+    batch = simulate.girsanov_weights(
+        simulate.simulate_reference(params, 4_000, 41),
+        FeedbackPolicy.constant(0.8, params), params)
+    low = 0.6
+    # tau_N binds before s = T / 2 on most paths at the low level
+    assert np.mean(per_step_stopping_index(batch, low) < 50) > 0.5
+    family = [
+        simulate.EtaTest("const", s=0.3, t=0.8),
+        simulate.EtaTest("w_indicator", threshold=0.0, s=0.5, t=1.0,
+                         truncation_level=low),
+        simulate.EtaTest("z_indicator", threshold=0.1, s=0.5, t=0.5),
+        simulate.EtaTest("z_indicator", threshold=-0.2, s=0.0, t=1.0,
+                         truncation_level=1.5),
+        simulate.EtaTest("w_indicator", threshold=0.5, s=0.0, t=1.0,
+                         truncation_level=low),
+    ]
+    reports = simulate.constraint_moments(batch, family, spec)
+    assert len(reports) == len(family)
+    for eta, report in zip(family, reports):
+        estimates, ses = per_step_moments(batch, eta, spec)
+        np.testing.assert_allclose(report.estimates, estimates,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(report.ses, ses, rtol=1e-12, atol=1e-12)
+    # an empty window (s = t) has no increment at all
+    assert np.all(reports[2].estimates == 0.0)
