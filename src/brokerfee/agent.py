@@ -10,9 +10,13 @@ value function solves
 
 and the maximizing rate is the clamped closed form
 pi* = clamp(V_z / (2 phi_a), L, U): the Hamiltonian is strictly concave
-in pi, so no grid search over rates is needed. The solver uses an
-explicit scheme with a CFL-checked time step, upwind differencing for
-the advection terms, and one-sided differences at the domain boundary.
+in pi, so no grid search over rates is needed. The solver steps back
+in time with the Shu-Osher SSP-RK2 scheme, v <- (v + S(S(v))) / 2,
+where S is one explicit Euler step with upwind differencing for the
+advection terms and one-sided differences at the domain boundary. Being
+a convex combination of Euler steps, it stays monotone under the Euler
+CFL bound (Gottlieb, Shu & Tadmor 2001), which the time step is checked
+against, and its time error is second order, not first.
 The value is held on (p, w, z), with a single p plane when the fee does
 not read the price, and one step kernel serves both cases: it walks the
 p axis in slabs of a few planes sized to stay in cache, writes every
@@ -66,9 +70,9 @@ class HjbSettings:
     n_z: int = 201
     n_p: int = 61
     n_save: int = 81
-    # well below the stability limit: the explicit sweep is first order in
-    # time, so the extra steps buy accuracy, not just stability
-    cfl_safety: float = 0.25
+    # fraction of the Euler monotonicity bound, in (0, 1]; SSP-RK2 keeps
+    # its stages monotone up to 1, and is second order in time there
+    cfl_safety: float = 1.0
     dt: Optional[float] = None  # override; checked against the CFL bound
 
 
@@ -193,7 +197,8 @@ _SLAB_CELLS = 1 << 15
 
 
 class _ExplicitStep:
-    """One backward step of the explicit scheme on V of shape (n_p, n_w, n_z).
+    """One backward explicit Euler step on V of shape (n_p, n_w, n_z): the
+    stage S of the SSP-RK2 step in :func:`solve_hjb`.
 
     ``n_p`` is 1 when the fee does not read the price. The p axis is walked
     in slabs of a few planes, so that a slab's scratch buffers stay in
@@ -335,13 +340,14 @@ class _ExplicitStep:
 
 def solve_hjb(contract, params: ModelParams,
               settings: HjbSettings = HjbSettings()):
-    """Backward explicit sweep; returns (FeedbackPolicy, ValueGrid).
+    """Backward SSP-RK2 sweep; returns (FeedbackPolicy, ValueGrid).
 
     The value is held on (p, w, z) with a single p plane when the fee does
     not read the price, so the 2-D and 3-D solves share one step kernel
     (:class:`_ExplicitStep`), which walks the p axis in cache-sized slabs.
     The reported agent value is the grid value at the origin. Raises
-    :class:`CflError` if an explicit time-step override is too large and
+    :class:`CflError` if an explicit time-step override is too large,
+    ValueError if ``cfl_safety`` lies outside (0, 1] and
     :class:`UnsupportedContractError` for non-Markovian fees.
     """
     T = params.horizon
@@ -369,6 +375,8 @@ def solve_hjb(contract, params: ModelParams,
     dw = w_nodes[1] - w_nodes[0]
     dz = z_nodes[1] - z_nodes[0]
 
+    if not 0.0 < settings.cfl_safety <= 1.0:
+        raise ValueError("cfl_safety must lie in (0, 1]")
     cfl_denom = eps**2 / dz**2 + 1.0 / dw**2 + rate_bound / dz
     if p_dependent:
         dp = p_nodes[1] - p_nodes[0]
@@ -392,7 +400,7 @@ def solve_hjb(contract, params: ModelParams,
     policy_plane = len(p_nodes) // 2 if p_dependent else 0
     step = _ExplicitStep(params, dt, w_nodes, z_nodes, p_nodes)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
-    spare = np.empty_like(v)
+    stage, spare = np.empty_like(v), np.empty_like(v)
     values = np.empty((len(save_idx),) + v.shape)
     rates = np.empty((len(save_idx), n_w, n_z))
 
@@ -404,7 +412,11 @@ def solve_hjb(contract, params: ModelParams,
 
     record(n_t, v)
     for k in range(n_t, 0, -1):
-        step(v, spare)
+        # SSP-RK2: v <- (v + S(S(v))) / 2
+        step(v, stage)
+        step(stage, spare)
+        spare += v
+        spare *= 0.5
         v, spare = spare, v
         record(k - 1, v)
 

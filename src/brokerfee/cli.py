@@ -28,8 +28,8 @@ __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
 MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 
-_FAMILY_KEYS = ("class", "cap", "degree", "operator", "gamma",
-                "holder_const", "p_nodes", "z_nodes", "coefficients")
+_FAMILY_KEYS = ("class", "cap", "degree", "operator", "p_nodes",
+                "z_nodes", "coefficients")
 _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching",
              "lam", "mc_count")
 
@@ -101,10 +101,6 @@ def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
         kwargs["degree"] = int(fam["degree"])
     if "operator" in fam:
         kwargs["operator"] = fam["operator"]
-    if "gamma" in fam:
-        kwargs["gamma"] = float(fam["gamma"])
-    if "holder_const" in fam:
-        kwargs["holder_const"] = float(fam["holder_const"])
     if "p_nodes" in fam:
         kwargs["p_nodes"] = np.array(_parse_list(fam["p_nodes"]))
     if "z_nodes" in fam:
@@ -135,7 +131,8 @@ def _fmt(value):
 
 def _mode_simulate(config, out_dir, seed, lines):
     """Reference-measure batch, density normalization, effective sample
-    size of the weights, entropy identity."""
+    size of the weights, entropy identity. A policy whose weights have
+    degenerated is flagged and gets no E[m] in the summary."""
     params = config.params
     rows = []
     for label, rate in (("lower", params.rate_lower), ("zero", 0.0),
@@ -146,17 +143,23 @@ def _mode_simulate(config, out_dir, seed, lines):
         weighted = simulate.girsanov_weights(batch, policy, params)
         mean, se = simulate._mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
+        degenerate = (ess < simulate.DEGENERATE_ESS_FRACTION
+                      * params.n_paths)
         report = simulate.entropy_report(weighted, params)
         rows.append([label, _fmt(rate), _fmt(mean), _fmt(se),
                      _fmt(report.lhs), _fmt(report.lhs_se),
-                     _fmt(report.rhs), _fmt(report.rhs_se), _fmt(ess)])
-        lines.append(f"policy {label}: E[m] = {mean:.6f} (se {se:.2g}), "
-                     f"ess {ess:.1f} of {params.n_paths}, "
+                     _fmt(report.rhs), _fmt(report.rhs_se), _fmt(ess),
+                     int(degenerate)])
+        density = (f"degenerate (ess {ess:.1f} of {params.n_paths})"
+                   if degenerate else
+                   f"E[m] = {mean:.6f} (se {se:.2g}), "
+                   f"ess {ess:.1f} of {params.n_paths}")
+        lines.append(f"policy {label}: {density}, "
                      f"entropy gap {report.gap:.3g}")
     _write_csv(os.path.join(out_dir, "girsanov.csv"),
                ["policy", "rate", "mean_density", "se",
                 "entropy_lhs", "entropy_lhs_se", "entropy_rhs",
-                "entropy_rhs_se", "ess"], rows)
+                "entropy_rhs_se", "ess", "degenerate"], rows)
     return ["girsanov.csv"]
 
 

@@ -13,6 +13,7 @@ on a stack of (P, Z) paths.
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -91,19 +92,18 @@ class LipschitzTable:
     (a finite-partition member of the Holder ball). ``values`` lives on the
     rectangular grid ``p_nodes`` x ``z_nodes``; evaluation is multilinear
     interpolation with constant extrapolation, clamped to [-cap, cap].
-    The constructor enforces the Holder bound pairwise on the grid nodes.
+    Given ``holder_const``, the constructor enforces the Holder bound
+    pairwise on the grid nodes; without it the table lies only in the
+    value box, which is the broker's search set.
     """
 
     p_nodes: np.ndarray
     z_nodes: np.ndarray
     values: np.ndarray
-    gamma: float
-    holder_const: float
     cap: float
-    sample_time: float = None
-    # The broker's search set is the value box alone, so its proposals
-    # skip the Holder check on the nodes.
-    enforce_holder: bool = True
+    gamma: float = 1.0
+    holder_const: Optional[float] = None
+    sample_time: Optional[float] = None
 
     def __post_init__(self):
         p_nodes = np.asarray(self.p_nodes, dtype=float)
@@ -115,7 +115,7 @@ class LipschitzTable:
             raise ValueError("holder exponent must lie in (0, 1]")
         if np.any(np.abs(values) > self.cap * (1 + 1e-12)):
             raise ValueError("table values exceed the box [-K, K]")
-        if self.enforce_holder:
+        if self.holder_const is not None:
             pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
             pts = np.stack([pp.ravel(), zz.ravel()], axis=1)
             vals = values.ravel()

@@ -93,7 +93,7 @@ class ContractFamily:
 
     ``kind`` selects the contract class; ``cap`` is the coefficient box
     half-width K. Polynomial families need ``degree`` (and an operator
-    tag); table families need the sampling grids plus the Holder data.
+    tag); table families need the sampling grids.
     """
 
     kind: str
@@ -102,8 +102,6 @@ class ContractFamily:
     operator: str = "terminal"
     p_nodes: Optional[np.ndarray] = None
     z_nodes: Optional[np.ndarray] = None
-    gamma: float = 1.0
-    holder_const: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("constant", "linear_polynomial",
@@ -131,11 +129,9 @@ class ContractFamily:
             coeffs = theta.reshape(self.degree, self.degree)
             return LinearPolynomial(coeffs, self.cap, self.operator)
         values = theta.reshape(len(self.p_nodes), len(self.z_nodes))
-        # the box is the search set; Holder membership is not imposed on
-        # intermediate proposals
-        return LipschitzTable(self.p_nodes, self.z_nodes, values,
-                              self.gamma, self.holder_const, self.cap,
-                              enforce_holder=False)
+        # the box is the search set: a finite table in a box is already
+        # compact, so no Holder ball is imposed on proposals
+        return LipschitzTable(self.p_nodes, self.z_nodes, values, self.cap)
 
     def coefficients(self, contract) -> np.ndarray:
         if self.kind == "constant":

@@ -30,7 +30,8 @@ from .rng import gaussians
 __all__ = [
     "PathBatch", "EtaTest", "eta_family",
     "simulate_reference", "simulate_controlled",
-    "girsanov_weights", "effective_sample_size", "entropy_report",
+    "girsanov_weights", "effective_sample_size", "DEGENERATE_ESS_FRACTION",
+    "entropy_report",
     "constraint_moments",
     "reduced_reference", "reduced_weights", "reduced_entropy_report",
 ]
@@ -150,6 +151,11 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
                    int_pi_sq=np.sum(rates**2, axis=1) * dt,
                    int_w_sq=np.sum(w_left**2, axis=1) * dt,
                    rates=rates)
+
+
+# A weighted batch whose Kong ESS is below this fraction of its paths is
+# degenerate: its estimates rest on a handful of paths.
+DEGENERATE_ESS_FRACTION = 0.01
 
 
 def effective_sample_size(batch: PathBatch) -> float:

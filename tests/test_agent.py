@@ -57,9 +57,44 @@ def test_mc_agrees_with_grid(zero_fee_solution):
     assert abs(value - grid.value_at_origin) <= tol
 
 
+def test_default_settings_error(zero_fee_solution):
+    # second order in time at the Euler monotonicity bound: about 3e-6 off
+    _, grid = zero_fee_solution
+    assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-5
+
+
+def test_time_stepping_is_second_order():
+    # the zero-fee value is linear in z and quadratic in w, which the
+    # differences resolve exactly away from the edges: the time error
+    # dominates
+    errors = [abs(solve_hjb(Constant(0.0), WIDE,
+                            HjbSettings(n_w=101, n_z=101, dt=dt))[1]
+                  .value_at_origin - 1.0 / 24.0)
+              for dt in (1.0 / 157, 0.5 / 157)]
+    assert errors[0] >= 3 * errors[1]
+
+
+def test_linear_quadratic_reference_value():
+    # fee a P_T Z_T with non-binding bounds is linear-quadratic in
+    # (p, w, z); its Riccati solution gives V = 1/24 - a/8 + 3 a^2 / 8
+    a = 0.1
+    _, grid = solve_hjb(LinearPolynomial(np.array([[a]]), cap=1.0),
+                        ModelParams())
+    exact = 1.0 / 24.0 - a / 8.0 + 3.0 * a**2 / 8.0
+    assert grid.value_at_origin == pytest.approx(exact, rel=0.01)
+
+
 def test_cfl_override_rejected():
     with pytest.raises(CflError):
         solve_hjb(Constant(0.0), WIDE, HjbSettings(n_w=101, n_z=101, dt=0.5))
+
+
+@pytest.mark.parametrize("safety", [0.0, -0.5, 1.5])
+def test_cfl_safety_outside_unit_interval_rejected(safety):
+    # above 1 the SSP-RK2 stages are no longer monotone
+    with pytest.raises(ValueError, match="cfl_safety"):
+        solve_hjb(Constant(0.0), WIDE,
+                  HjbSettings(n_w=21, n_z=21, cfl_safety=safety))
 
 
 def test_unsupported_contract_raises():
@@ -167,8 +202,9 @@ def _reference_rate(v, params, dz):
 
 
 def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
-    """One backward step of the scheme on (n_w, n_z), or (n_p, n_w, n_z)
-    for a price-dependent fee, one numpy expression per term."""
+    """One explicit Euler step, the stage of the scheme's SSP-RK2 step, on
+    (n_w, n_z), or (n_p, n_w, n_z) for a price-dependent fee, one numpy
+    expression per term."""
     dw = w_nodes[1] - w_nodes[0]
     dz = z_nodes[1] - z_nodes[0]
     w = w_nodes[:, None]
@@ -222,10 +258,15 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
                      zip(grid.values, policy.table)))
     assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
     v = grid.values[-1].copy()
+
+    def euler(u):
+        return _reference_step(u, dt, BOUNDED, grid.w_nodes, grid.z_nodes,
+                               grid.p_nodes)
+
     for k in range(n_t, -1, -1):
         if k < n_t:
-            v = _reference_step(v, dt, BOUNDED, grid.w_nodes, grid.z_nodes,
-                                grid.p_nodes)
+            # Shu-Osher SSP-RK2 built from two Euler steps
+            v = 0.5 * (v + euler(euler(v)))
         if k in saved:
             values, rates = saved[k]
             scale = np.max(np.abs(v))

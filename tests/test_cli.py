@@ -56,6 +56,15 @@ def test_parse_error_names_unknown_key(tmp_path):
         cli.parse_config(cfg)
 
 
+@pytest.mark.parametrize("key", ["gamma", "holder_const"])
+def test_table_holder_keys_are_not_family_keys(tmp_path, key):
+    # the search set of a table family is its value box; no Holder data
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"run.mode = optimize\nfamily.{key} = 1.0\n")
+    with pytest.raises(ValueError, match=f"unknown family key: {key}"):
+        cli.parse_config(cfg)
+
+
 def test_unknown_mode_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("run.mode = frobnicate\n")
@@ -99,12 +108,18 @@ def test_simulate_reports_degenerate_weights_at_default_bounds(tmp_path):
                              if not line.startswith("model.rate_")))
     assert cli.run(cfg) == 0
     header, *rows = (out / "girsanov.csv").read_text().splitlines()
-    assert header.split(",")[-1] == "ess"
-    ess = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
+    assert header.split(",")[-2:] == ["ess", "degenerate"]
+    ess = {row.split(",")[0]: float(row.split(",")[-2]) for row in rows}
+    flag = {row.split(",")[0]: row.split(",")[-1] for row in rows}
     assert ess["lower"] < 20 and ess["upper"] < 20    # n_paths is 2000
     assert ess["zero"] > 200
+    # below 1 % of the paths the weights are flagged as degenerate
+    assert flag == {"lower": "1", "zero": "0", "upper": "1"}
     summary = (out / "summary.txt").read_text()
-    assert f"ess {ess['upper']:.1f} of 2000" in summary
+    assert (f"policy upper: degenerate (ess {ess['upper']:.1f} of 2000)"
+            in summary)
+    assert "policy zero: E[m] = " in summary
+    assert "policy upper: E[m]" not in summary
 
 
 def test_optimize_mode_consistent_with_convergence(tmp_path):
