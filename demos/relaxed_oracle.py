@@ -29,7 +29,7 @@ tree = oracle.build_tree(2, 2, params)
 u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
 cons = oracle.node_constraint_set(tree, params.rate_lower, params.rate_upper)
 print(f"  tree: {tree.n_atoms} atoms, {cons.n_constraints} constraints")
-strong = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=1e-10)
+strong = oracle.solve_strong_discrete(tree, u, 0.25, cons)
 grid = oracle.default_density_grid(strong.density)
 relaxed_value, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid,
                                                        cons)

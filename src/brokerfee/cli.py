@@ -215,6 +215,7 @@ def _mode_oracle(config, out_dir, seed, lines):
         ["relaxed_value", _fmt(relaxed_value)],
         ["value_gap", _fmt(abs(relaxed_value - strong.value))],
         ["kkt_residual", _fmt(strong.kkt_residual)],
+        ["duality_gap", _fmt(strong.duality_gap)],
         ["collapse_counterexamples", len(collapse.counterexamples)],
         ["min_jensen_gap", _fmt(collapse.min_jensen_gap)],
         ["relaxed_is_dirac", int(collapse.relaxed_is_dirac)],

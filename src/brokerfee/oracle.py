@@ -6,18 +6,23 @@ finite measures over (path-atom, density-atom) pairs, the strong problem
 is a finite concave program with a Gibbs closed form, and the claims
 (strong controls embed, the relaxed optimum collapses to a Dirac density,
 values coincide, an admissible drift can be extracted) can be brute-forced
-to solver tolerance. This module is the verification half of the package:
-it never trusts the continuous solvers, only convex duality on the tree.
-"""
+to solver tolerance. The strong program is solved on its Lagrange dual,
+finished by projected Newton steps to a KKT residual at float64
+resolution, and the dual value at the multipliers found is a closed-form
+bound on the relaxed value over every randomized control (the duality
+gap). The relaxed program is one sparse linear program on a density grid
+shared by all path-atoms. This module is the verification half of the
+package: it never trusts the continuous solvers, only convex duality on
+the tree."""
 
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 from scipy.optimize import linprog, minimize as sp_minimize
-from scipy.sparse import csr_matrix, identity, kron, vstack
-from scipy.special import logsumexp
+from scipy.sparse import csr_matrix, hstack, identity, kron, vstack
 
 from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
 from .rng import uniforms
@@ -168,12 +173,18 @@ class StrongSolution:
     kkt_residual: float
     iterations: int
     converged: bool            # kkt_residual <= tol when the solve ended
+    duality_gap: float         # D(mu) - value, D(mu) >= every relaxed value
 
 
 def _gibbs(probs, adjusted_u, lam):
     """Gibbs density e^{u/lam} / sum p e^{u/lam} and its log-normaliser."""
-    log_z = logsumexp(adjusted_u / lam, b=probs)
-    return np.exp(adjusted_u / lam - log_z), log_z
+    # shifted by the largest exponent, so the sum is at least its mass;
+    # spelled out because scipy's general logsumexp costs several times
+    # more per call, and the dual solve makes hundreds of calls
+    exponent = adjusted_u / lam
+    shift = np.max(exponent)
+    log_z = shift + np.log(float(probs @ np.exp(exponent - shift)))
+    return np.exp(exponent - log_z), log_z
 
 
 def _primal_value(probs, m, u, lam):
@@ -182,21 +193,61 @@ def _primal_value(probs, m, u, lam):
     return float(np.sum(probs * (m * u - lam * safe * np.log(safe))))
 
 
+def _kkt_residual(mu, moments):
+    """Worst constraint violation or complementary-slackness product."""
+    return max(float(np.max(moments, initial=0.0)),
+               float(np.max(np.abs(mu * moments), initial=0.0)))
+
+
+def _newton_step(forms, tilted, moments, mu, lam):
+    """Projected Newton direction for the dual at mu (Bertsekas 1982).
+
+    Multipliers within eps of zero whose constraint is slack are sent to
+    the bound, eps being the distance of mu from its projected-gradient
+    step. On the other rows the dual Hessian is (1/lam) A A^T with
+    A = C diag(sqrt(p m)) and C the forms centred by their moments. The
+    node forms are linearly dependent (at every node rows 1+2 and 3+4
+    sum to 0 and rows 5+6 to (L - U) dt on the node's atoms), so the
+    Newton system is solved on a maximal independent subset of those
+    rows, found by pivoted QR of A^T; the dependent rows stay put.
+    """
+    eps = float(np.max(np.abs(mu - np.maximum(mu + moments, 0.0))))
+    active = (mu <= eps) & (moments < 0.0)
+    step = np.where(active, -mu, 0.0)
+    free = np.flatnonzero(~active)
+    a = (forms[free] - moments[free, None]) * np.sqrt(tilted)
+    r, pivots = qr(a.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * np.max(diag, initial=0.0)))
+    r11 = r[:rank, :rank]
+    keep = free[pivots[:rank]]
+    step[keep] = lam * solve_triangular(
+        r11, solve_triangular(r11, moments[keep], trans="T"))
+    return step
+
+
 def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           constraints: Optional[DiscreteConstraintSet] = None,
-                          tol: float = 1e-9, max_iter: int = 10_000
+                          tol: float = 1e-12, max_iter: int = 10_000
                           ) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
     sum p m = 1 and the optional linear constraint set.
 
     With only the normalization the optimum is the Gibbs density
     m = e^{u/lam} / sum p e^{u/lam}, value lam log sum p e^{u/lam}.
-    Otherwise the strictly concave program is solved by projected-gradient
-    ascent on the Lagrange dual (nonnegative multipliers on the linear
-    constraints, normalization absorbed into the Gibbs form), with
-    backtracking steps and a KKT-residual stopping rule. A solve that
-    reaches ``max_iter`` with the residual above ``tol`` returns with
-    ``converged`` False, or raises when the residual exceeds 1e3 * tol.
+    Otherwise the strictly concave program is solved on its Lagrange dual
+    D(mu) = lam log sum p e^{(u - F^T mu)/lam} over multipliers mu >= 0
+    (normalization absorbed into the Gibbs form): L-BFGS-B first, then
+    projected Newton steps (`_newton_step`) backtracked on the KKT
+    residual, since near the optimum D is flat to within its rounding
+    and cannot rank trial points. Newton usually needs one or two steps
+    to reach float64 resolution. ``duality_gap`` is D(mu) minus the value
+    of the returned density; by weak duality D(mu) bounds the relaxed
+    value over every randomized control, so a gap near 0 certifies that
+    randomization cannot beat the returned strong control. A solve that
+    reaches ``max_iter``, or stalls, with the residual above ``tol``
+    returns with ``converged`` False, or raises when the residual
+    exceeds 1e3 * tol.
     """
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
@@ -204,23 +255,21 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     u = np.asarray(u, dtype=float)
     if constraints is None or constraints.n_constraints == 0:
         m, log_z = _gibbs(probs, u, lam)
-        return StrongSolution(float(lam * log_z), m, None, 0.0, 0, True)
+        value = float(lam * log_z)
+        return StrongSolution(value, m, None, 0.0, 0, True,
+                              value - _primal_value(probs, m, u, lam))
 
     c = constraints.forms
 
-    def dual(mu):
-        # the dual value and its gradient, minus the constraint moments
-        # E[m(mu) c_r], from one Gibbs evaluation
+    def at(mu):
+        # the Gibbs density, dual value and constraint moments E[m c_r]
         m, log_z = _gibbs(probs, u - c.T @ mu, lam)
-        return float(lam * log_z), -(c @ (probs * m))
+        return m, float(lam * log_z), c @ (probs * m)
 
-    def kkt(mu, grad):
-        moments = -grad
-        return max(float(np.max(moments, initial=0.0)),
-                   float(np.max(np.abs(mu * moments), initial=0.0)))
+    def dual(mu):
+        _, value, moments = at(mu)
+        return value, -moments
 
-    # quasi-Newton dual ascent under the sign constraints, then plain
-    # projected-gradient polishing until the KKT residual clears tol
     result = sp_minimize(dual, np.zeros(constraints.n_constraints),
                          jac=True, method="L-BFGS-B",
                          bounds=[(0.0, None)] * constraints.n_constraints,
@@ -228,23 +277,29 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                                   "gtol": 1e-14})
     mu = result.x
     iterations = int(result.nit)
-    grad = dual(mu)[1]
-    residual = kkt(mu, grad)
-    lipschitz = max(float(np.linalg.norm(c * np.sqrt(probs), 2)**2) / lam,
-                    1e-12)
-    step = 0.5 / lipschitz
+    m, dual_value, moments = at(mu)
+    residual = _kkt_residual(mu, moments)
     while residual > tol and iterations < max_iter:
-        mu = np.maximum(mu - step * grad, 0.0)
-        grad = dual(mu)[1]
-        residual = kkt(mu, grad)
+        step = _newton_step(c, probs * m, moments, mu, lam)
+        for halvings in range(30):
+            alpha = 0.5**halvings
+            trial = np.maximum(mu + alpha * step, 0.0)
+            state = at(trial)
+            trial_residual = _kkt_residual(trial, state[2])
+            if trial_residual <= (1.0 - 1e-4 * alpha) * residual:
+                break
+        else:
+            break           # no decrease left at float64 resolution
+        mu, residual = trial, trial_residual
+        m, dual_value, moments = state
         iterations += 1
     if residual > 1e3 * tol:
         raise RuntimeError(
             f"dual ascent did not converge: KKT residual {residual:g} "
             "(instance may be infeasible)")
-    m = _gibbs(probs, u - c.T @ mu, lam)[0]
-    return StrongSolution(_primal_value(probs, m, u, lam), m, mu,
-                          residual, iterations, residual <= tol)
+    value = _primal_value(probs, m, u, lam)
+    return StrongSolution(value, m, mu, residual, iterations,
+                          residual <= tol, dual_value - value)
 
 
 def default_density_grid(extra_values=None, n: int = 21,
@@ -339,10 +394,14 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     grid shared by all path-atoms; returns (value, RelaxedControlDiscrete).
 
     With the density values fixed to grid atoms the program is linear in
-    the conditional weights q(x, j), stored atom-major at x * n_grid + j:
-    maximize sum_x p(x) sum_j q(x,j) [m_j u(x) - lam m_j log m_j] subject
-    to the per-atom marginals, the normalization, and the constraint
-    moments.
+    the conditional weights q(x, j), stored atom-major at x * n_grid + j,
+    and in one conditional mean mbar(x) = sum_j g_j q(x, j) per atom,
+    stored after them: maximize sum_x p(x) sum_j q(x,j) [g_j u(x) -
+    lam g_j log g_j] subject to the per-atom marginals, the definition of
+    mbar, the normalization sum_x p(x) mbar(x) = 1 and the constraint
+    moments sum_x p(x) c_r(x) mbar(x) <= 0. Reading the last two off mbar
+    keeps each constraint row one entry per atom instead of one per
+    (atom, grid point).
     """
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
@@ -353,24 +412,31 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise ValueError("density grid must be one 1-D array of strictly "
                          "positive atoms")
     n_atoms, n_grid = tree.n_atoms, len(g)
+    n_weights = n_atoms * n_grid
 
-    cost = (-probs[:, None] * (g * u[:, None] - lam * g * np.log(g))).ravel()
-    marginals = kron(identity(n_atoms), np.ones((1, n_grid)))
-    mass_row = csr_matrix((probs[:, None] * g).reshape(1, -1))
-    a_eq = vstack([marginals, mass_row], format="csr")
-    b_eq = np.ones(n_atoms + 1)
+    cost = np.concatenate([
+        (-probs[:, None] * (g * u[:, None] - lam * g * np.log(g))).ravel(),
+        np.zeros(n_atoms)])
+    eye = identity(n_atoms, format="csr")
+    a_eq = vstack([
+        hstack([kron(eye, np.ones((1, n_grid))),
+                csr_matrix((n_atoms, n_atoms))]),
+        hstack([kron(eye, g[None, :]), -eye]),
+        hstack([csr_matrix((1, n_weights)), csr_matrix(probs[None, :])]),
+    ], format="csr")
+    b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
 
     a_ub = b_ub = None
     if constraints is not None and constraints.n_constraints > 0:
-        a_ub = kron(csr_matrix(probs * constraints.forms), g[None, :],
-                    format="csr")
+        a_ub = hstack([csr_matrix((constraints.n_constraints, n_weights)),
+                       csr_matrix(probs * constraints.forms)], format="csr")
         b_ub = np.zeros(constraints.n_constraints)
 
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"relaxed program failed: {result.message}")
-    q = result.x.reshape(n_atoms, n_grid)
+    q = result.x[:n_weights].reshape(n_atoms, n_grid)
     weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
     control = RelaxedControlDiscrete(probs, (g,) * n_atoms, tuple(weights))
     return float(-result.fun), control

@@ -216,10 +216,26 @@ def test_criterion_08_extraction_admissibility():
         report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
         worst = max(worst, report.max_violation)
         worst_recon = max(worst_recon, report.reconstruction_error)
+    # the brokerfee oracle instance at depth 3: zero fee, the default
+    # entropy weight 2 eps^2 phi_a and the default rate bounds
+    params = ModelParams()
+    tree = oracle.build_tree(3, 2, params)
+    u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+    lam = 2 * params.epsilon**2 * params.phi_a
+    cons = oracle.node_constraint_set(tree, params.rate_lower,
+                                      params.rate_upper)
+    sol = oracle.solve_strong_discrete(tree, u, lam, cons)
+    grid = oracle.default_density_grid(sol.density)
+    _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
+    report = oracle.extract_strong_control(tree, control, params.rate_lower,
+                                           params.rate_upper)
+    worst = max(worst, report.max_violation)
+    worst_recon = max(worst_recon, report.reconstruction_error)
     ok = worst <= 1e-8 and worst_recon <= 1e-10
     assert verdict(8, "extraction admissibility", ok,
                    f"max violation {worst:.2e}, max reconstruction error "
-                   f"{worst_recon:.2e} over 20 constrained instances")
+                   f"{worst_recon:.2e} over 20 constrained depth-2 "
+                   f"instances and the depth-3 tree")
 
 
 def test_criterion_09_condition5_moments():

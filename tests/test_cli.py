@@ -144,6 +144,17 @@ def test_oracle_mode_outputs(tmp_path):
     assert int(rows["collapse_counterexamples"]) == 0
 
 
+def test_oracle_mode_depth_three_collapses(tmp_path):
+    cfg, out = write_config(tmp_path, "oracle")
+    cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 3"))
+    assert cli.run(cfg) == 0
+    rows = dict(line.split(",") for line in
+                (out / "oracle.csv").read_text().splitlines()[1:])
+    assert int(rows["relaxed_is_dirac"]) == 1
+    assert float(rows["max_constraint_violation"]) <= 1e-8
+    assert abs(float(rows["duality_gap"])) <= 1e-12
+
+
 def test_oracle_mode_solves_each_program_once(tmp_path, monkeypatch):
     # the collapse check reads the relaxed optimum instead of re-solving
     calls = []
