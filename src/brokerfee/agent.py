@@ -69,10 +69,6 @@ class HjbSettings:
     n_w: int = 201
     n_z: int = 201
     n_p: int = 61
-    n_save: int = 81
-    # fraction of the Euler monotonicity bound, in (0, 1]; SSP-RK2 keeps
-    # its stages monotone up to 1, and is second order in time there
-    cfl_safety: float = 1.0
     dt: Optional[float] = None  # override; checked against the CFL bound
 
 
@@ -80,8 +76,9 @@ class HjbSettings:
 class ValueGrid:
     """Value samples over saved time slices of the backward sweep.
 
-    ``values`` has shape (n_save, [n_p,] n_w, n_z); the slice at the final
-    saved time equals the terminal reward exactly.
+    ``values`` has shape (n_save, [n_p,] n_w, n_z), with 81 saved time
+    slices in 2-D and 17 in 3-D; the slice at the final saved time equals
+    the terminal reward exactly.
     """
 
     t_nodes: np.ndarray
@@ -96,34 +93,6 @@ class ValueGrid:
         if self.p_nodes is not None:
             axes = (self.p_nodes,) + axes
         return float(interpolate(axes, self.values[0], *[0.0] * len(axes)))
-
-    def to_csv(self, filename) -> None:
-        """Node coordinates + value, one row per node, for plotting."""
-        with open(filename, "w") as fh:
-            if self.p_nodes is None:
-                fh.write("t,w,z,value\n")
-                for i, t in enumerate(self.t_nodes):
-                    for j, w in enumerate(self.w_nodes):
-                        for k, z in enumerate(self.z_nodes):
-                            fh.write(f"{t!r},{w!r},{z!r},"
-                                     f"{self.values[i, j, k]!r}\n")
-            else:
-                fh.write("t,p,w,z,value\n")
-                for i, t in enumerate(self.t_nodes):
-                    for q, p in enumerate(self.p_nodes):
-                        for j, w in enumerate(self.w_nodes):
-                            for k, z in enumerate(self.z_nodes):
-                                fh.write(f"{t!r},{p!r},{w!r},{z!r},"
-                                         f"{self.values[i, q, j, k]!r}\n")
-
-
-def policy_to_csv(policy: FeedbackPolicy, filename) -> None:
-    with open(filename, "w") as fh:
-        fh.write("t,w,z,rate\n")
-        for i, t in enumerate(policy.t_nodes):
-            for j, w in enumerate(policy.w_nodes):
-                for k, z in enumerate(policy.z_nodes):
-                    fh.write(f"{t!r},{w!r},{z!r},{policy.table[i, j, k]!r}\n")
 
 
 @dataclass(frozen=True)
@@ -346,8 +315,7 @@ def solve_hjb(contract, params: ModelParams,
     not read the price, so the 2-D and 3-D solves share one step kernel
     (:class:`_ExplicitStep`), which walks the p axis in cache-sized slabs.
     The reported agent value is the grid value at the origin. Raises
-    :class:`CflError` if an explicit time-step override is too large,
-    ValueError if ``cfl_safety`` lies outside (0, 1] and
+    :class:`CflError` if an explicit time-step override is too large and
     :class:`UnsupportedContractError` for non-Markovian fees.
     """
     T = params.horizon
@@ -359,14 +327,14 @@ def solve_hjb(contract, params: ModelParams,
     z_max = 6.0 * eps * np.sqrt(T) + rate_bound * T
     p_max = 6.0 * np.sqrt(sigma**2 * T + T**3 / 3.0)
 
-    n_w, n_z, n_save = settings.n_w, settings.n_z, settings.n_save
+    n_w, n_z, n_save = settings.n_w, settings.n_z, 81
     p_nodes = np.linspace(-p_max, p_max, settings.n_p)
     z_nodes = np.linspace(-z_max, z_max, n_z)
     payoff, p_dependent = _terminal_payoff(contract, p_nodes, z_nodes)
     if p_dependent:
         # price-dependent fees add a third spatial axis; coarsen the other
         # two so the sweep fits in memory and finishes in reasonable time
-        n_w, n_z, n_save = min(n_w, 101), min(n_z, 101), min(n_save, 17)
+        n_w, n_z, n_save = min(n_w, 101), min(n_z, 101), 17
         z_nodes = np.linspace(-z_max, z_max, n_z)
         payoff, _ = _terminal_payoff(contract, p_nodes, z_nodes)
     else:
@@ -375,16 +343,15 @@ def solve_hjb(contract, params: ModelParams,
     dw = w_nodes[1] - w_nodes[0]
     dz = z_nodes[1] - z_nodes[0]
 
-    if not 0.0 < settings.cfl_safety <= 1.0:
-        raise ValueError("cfl_safety must lie in (0, 1]")
     cfl_denom = eps**2 / dz**2 + 1.0 / dw**2 + rate_bound / dz
     if p_dependent:
         dp = p_nodes[1] - p_nodes[0]
         cfl_denom += 0.5 * sigma**2 * 2 / dp**2 + w_max / dp
-    dt_max = settings.cfl_safety / cfl_denom
+    # the Euler monotonicity bound, which the SSP-RK2 stages keep
+    dt_max = 1.0 / cfl_denom
     if settings.dt is not None:
-        if settings.dt > dt_max / settings.cfl_safety:
-            raise CflError(settings.dt, dt_max / settings.cfl_safety)
+        if settings.dt > dt_max:
+            raise CflError(settings.dt, dt_max)
         dt_max = settings.dt
     n_t = int(np.ceil(T / dt_max))
     dt = T / n_t
@@ -461,8 +428,7 @@ def _nearest_markovian(contract):
 def best_response(contract, params: ModelParams,
                   settings: HjbSettings = HjbSettings(),
                   mc_count: Optional[int] = None, seed: int = 0,
-                  ascent_cap: int = 200, ascent_tol: float = 1e-6
-                  ) -> BestResponse:
+                  ascent_cap: int = 200) -> BestResponse:
     """Optimal trading policy and value for ``contract``.
 
     Markovian fees go through the grid solver. Fees it rejects with
@@ -524,7 +490,7 @@ def best_response(contract, params: ModelParams,
                 else:
                     table[coord] = base
             trace.append(best)
-        if improved_this_sweep < ascent_tol:
+        if improved_this_sweep < 1e-6:
             step *= 0.5
             if step < 1e-4:
                 converged = True

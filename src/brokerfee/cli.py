@@ -6,6 +6,9 @@ each output file with a SHA-256 content hash, the echoed config, and the
 master seed, plus a human-readable summary. All randomness flows from the
 single master seed through the documented splitting function, so a rerun
 with the same config reproduces bit-identical outputs.
+
+This is the only module that writes files: the library modules return
+data, and every output format is chosen here.
 """
 
 import argparse
@@ -125,6 +128,11 @@ def _write_csv(path, header, rows):
                              for v in row])
 
 
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)
+
+
 def _fmt(value):
     return repr(float(value))
 
@@ -164,20 +172,25 @@ def _mode_simulate(config, out_dir, seed, lines):
 
 
 def _mode_agent(config, out_dir, seed, lines):
+    """The client's best response and a Monte Carlo check of its value.
+
+    ``agent.npz`` holds the policy's nodes and rate table and, when the
+    grid solver ran, the value grid on the same nodes (with ``p_nodes``
+    for a price-dependent fee)."""
     params = config.params
     contract = _contract_from_config(config)
     response = agent.best_response(contract, params, seed=seed)
     mc_value, mc_se = agent.estimate_agent_value(
         contract, response.policy, params, params.n_paths,
         split_seed(seed, "agent-mc"))
-    value_path = os.path.join(out_dir, "value.csv")
-    policy_path = os.path.join(out_dir, "policy.csv")
-    outputs = ["agent.csv"]
-    if response.grid is not None:
-        response.grid.to_csv(value_path)
-        outputs.append("value.csv")
-    agent.policy_to_csv(response.policy, policy_path)
-    outputs.append("policy.csv")
+    policy, grid = response.policy, response.grid
+    arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
+              "z_nodes": policy.z_nodes, "rates": policy.table}
+    if grid is not None:
+        arrays["values"] = grid.values
+        if grid.p_nodes is not None:
+            arrays["p_nodes"] = grid.p_nodes
+    np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
                ["quantity", "value"],
                [["value", _fmt(response.value)],
@@ -187,7 +200,7 @@ def _mode_agent(config, out_dir, seed, lines):
                 ["converged", int(response.converged)]])
     lines.append(f"agent value {response.value:.6f}, "
                  f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g})")
-    return outputs
+    return ["agent.csv", "agent.npz"]
 
 
 def _mode_oracle(config, out_dir, seed, lines):
@@ -238,9 +251,23 @@ def _mode_optimize(config, out_dir, seed, lines):
     best, sequence = principal.optimize(
         family, params, budget,
         mc_count=int(mc_count) if mc_count else None, seed=seed)
-    sequence.to_csv(os.path.join(out_dir, "sequence.csv"))
-    sequence.to_json(os.path.join(out_dir, "sequence.json"))
-    contracts.save_contract(os.path.join(out_dir, "best_contract.json"), best)
+    _write_csv(os.path.join(out_dir, "sequence.csv"),
+               ["iteration", "stage"]
+               + [f"coef_{k}" for k in range(family.dimension)]
+               + ["j_p", "j_p_se", "v_a", "v_a_se", "participation",
+                  "best_so_far"],
+               [[r["iteration"], r["stage"]]
+                + [float(c) for c in r["coefficients"]]
+                + [r["j_p"], r["j_p_se"], r["v_a"], r["v_a_se"],
+                   int(r["participation"]), r["best_so_far"]]
+                for r in sequence.records])
+    _write_json(os.path.join(out_dir, "sequence.json"),
+                [{**r, "coefficients": r["coefficients"].tolist(),
+                  "contract": contracts.contract_to_record(
+                      family.make(r["coefficients"]))}
+                 for r in sequence.records])
+    _write_json(os.path.join(out_dir, "best_contract.json"),
+                contracts.contract_to_record(best))
     report = principal.convergence_report(sequence)
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["quantity", "value"],
@@ -388,8 +415,7 @@ def run(config_path, seed=None, out_dir=None, mode=None) -> int:
         "outputs": {name: _sha256(os.path.join(out_dir, name))
                     for name in sorted(outputs)},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     if status != "ok":
         return 1
     print("\n".join(lines))

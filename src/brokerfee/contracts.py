@@ -11,7 +11,6 @@ Every class pays through one entry point, ``evaluate_batch(times, p, z)``,
 on a stack of (P, Z) paths.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .model import interpolate
 
 __all__ = [
     "Constant", "LinearPolynomial", "LipschitzTable",
-    "contract_to_record", "save_contract",
+    "contract_to_record",
 ]
 
 
@@ -146,7 +145,7 @@ class LipschitzTable:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: tagged JSON records.
+# Serialization: tagged records, plain data that the CLI writes as JSON.
 
 def contract_to_record(contract) -> dict:
     if isinstance(contract, Constant):
@@ -163,9 +162,3 @@ def contract_to_record(contract) -> dict:
                 "z_nodes": contract.z_nodes.tolist(),
                 "values": contract.values.tolist()}
     raise TypeError(f"unsupported contract type: {type(contract)!r}")
-
-
-def save_contract(filename, contract) -> None:
-    with open(filename, "w") as fh:
-        json.dump(contract_to_record(contract), fh, indent=1)
-

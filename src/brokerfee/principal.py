@@ -12,9 +12,7 @@ evaluation log is the maximizing sequence the existence argument asks
 for, and convergence diagnostics are read off its incumbent trail.
 """
 
-import csv
 import functools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,8 +21,7 @@ from scipy.optimize import minimize
 
 from . import simulate
 from .agent import HjbSettings, best_response
-from .contracts import (Constant, LinearPolynomial, LipschitzTable,
-                        contract_to_record)
+from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .model import ModelParams
 from .rng import split_seed, uniforms
 
@@ -193,33 +190,6 @@ class MaximizingSequence:
                 best = r["objective"]
                 out.append(r)
         return out
-
-    def to_csv(self, filename) -> None:
-        dim = self.family.dimension
-        with open(filename, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "stage"]
-                            + [f"coef_{k}" for k in range(dim)]
-                            + ["j_p", "j_p_se", "v_a", "v_a_se",
-                               "participation", "best_so_far"])
-            for r in self.records:
-                writer.writerow(
-                    [r["iteration"], r["stage"]]
-                    + [repr(float(c)) for c in r["coefficients"]]
-                    + [repr(r["j_p"]), repr(r["j_p_se"]), repr(r["v_a"]),
-                       repr(r["v_a_se"]), int(r["participation"]),
-                       repr(r["best_so_far"])])
-
-    def to_json(self, filename) -> None:
-        payload = []
-        for r in self.records:
-            entry = dict(r)
-            entry["coefficients"] = r["coefficients"].tolist()
-            entry["contract"] = contract_to_record(
-                self.family.make(r["coefficients"]))
-            payload.append(entry)
-        with open(filename, "w") as fh:
-            json.dump(payload, fh, indent=1)
 
 
 def feasibility_seed(params: ModelParams, family: ContractFamily,

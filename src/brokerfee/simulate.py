@@ -33,7 +33,6 @@ __all__ = [
     "girsanov_weights", "effective_sample_size", "DEGENERATE_ESS_FRACTION",
     "entropy_report",
     "constraint_moments",
-    "reduced_reference", "reduced_weights", "reduced_entropy_report",
 ]
 
 
@@ -320,34 +319,3 @@ def constraint_moments(batch: PathBatch, etas, spec: ConstraintSpec) -> list:
                                for inc in increments))
         reports.append(MomentReport(np.array(estimates), np.array(ses)))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# One-dimensional reduced mode: a single Brownian coordinate with constant
-# drift. Exists purely as a test harness with analytic Girsanov and entropy
-# values; it exercises the same estimator formulas with k = 1.
-
-def reduced_reference(count: int, n_steps: int, horizon: float,
-                      seed: int) -> np.ndarray:
-    """Paths of a single standard Brownian coordinate, shape (count, N+1)."""
-    root_dt = np.sqrt(horizon / n_steps)
-    xi = gaussians(seed, (count, n_steps))
-    x = np.zeros((count, n_steps + 1))
-    np.cumsum(root_dt * xi, axis=1, out=x[:, 1:])
-    return x
-
-
-def reduced_weights(x: np.ndarray, drift: float, horizon: float) -> np.ndarray:
-    """Densities exp(-c^2 T / 2 + c x_T) for constant drift c."""
-    return np.exp(-0.5 * drift**2 * horizon + drift * x[:, -1])
-
-
-def reduced_entropy_report(x: np.ndarray, drift: float,
-                           horizon: float) -> EntropyReport:
-    """Entropy identity estimates in the reduced mode (analytic value
-    c^2 T / 2 on both sides)."""
-    m = reduced_weights(x, drift, horizon)
-    log_m = np.log(m)
-    lhs, lhs_se = _mean_se(m * log_m)
-    rhs, rhs_se = _mean_se(0.5 * m * drift**2 * horizon)
-    return EntropyReport(lhs, rhs, lhs_se, rhs_se)

@@ -25,6 +25,8 @@ from brokerfee.contracts import Constant
 from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
 from brokerfee.rng import split_seed, uniforms
 
+import reduced_mode
+
 MC = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250,
                  n_paths=100_000)
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.25,
@@ -80,9 +82,9 @@ def test_criterion_01_girsanov_normalization(weighted_batches):
 
 
 def test_criterion_02_entropy_identity(weighted_batches):
-    x = simulate.reduced_reference(MC.n_paths, MC.n_steps, MC.horizon,
-                                   split_seed(MC.seed, "acc2"))
-    reduced = simulate.reduced_entropy_report(x, 2.0, MC.horizon)
+    x = reduced_mode.reduced_reference(MC.n_paths, MC.n_steps,
+                                       MC.horizon, split_seed(MC.seed, "acc2"))
+    reduced = reduced_mode.reduced_entropy_report(x, 2.0, MC.horizon)
     ok = (abs(reduced.lhs - 2.0) <= 3 * reduced.lhs_se
           and abs(reduced.rhs - 2.0) <= 3 * reduced.rhs_se)
     details = [f"reduced: lhs={reduced.lhs:.3f} rhs={reduced.rhs:.3f}"]

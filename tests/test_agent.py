@@ -89,14 +89,6 @@ def test_cfl_override_rejected():
         solve_hjb(Constant(0.0), WIDE, HjbSettings(n_w=101, n_z=101, dt=0.5))
 
 
-@pytest.mark.parametrize("safety", [0.0, -0.5, 1.5])
-def test_cfl_safety_outside_unit_interval_rejected(safety):
-    # above 1 the SSP-RK2 stages are no longer monotone
-    with pytest.raises(ValueError, match="cfl_safety"):
-        solve_hjb(Constant(0.0), WIDE,
-                  HjbSettings(n_w=21, n_z=21, cfl_safety=safety))
-
-
 def test_unsupported_contract_raises():
     c = LinearPolynomial(np.array([[0.1]]), cap=1.0, operator="time_average")
     with pytest.raises(UnsupportedContractError):
@@ -163,14 +155,6 @@ def test_table_contract_through_grid_solver():
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0)
     policy, grid = solve_hjb(fee, params, HjbSettings(n_w=61, n_z=61))
     assert np.isfinite(grid.value_at_origin)
-
-
-def test_value_grid_csv(tmp_path, zero_fee_solution):
-    _, grid = zero_fee_solution
-    fn = tmp_path / "value.csv"
-    grid.to_csv(fn)
-    header = fn.read_text().splitlines()[0]
-    assert header.split(",")[:3] == ["t", "w", "z"]
 
 
 # --- the sweep against a plain per-term explicit step -------------------

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from brokerfee import cli, oracle
+from brokerfee.model import interpolate
 
 BASE_CONFIG = """\
 model.epsilon = 0.5
@@ -83,7 +85,7 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["simulate", "verify", "report"])
+@pytest.mark.parametrize("mode", ["simulate", "agent", "verify", "report"])
 def test_mode_writes_manifest(tmp_path, mode, capsys):
     cfg, out = write_config(tmp_path, mode)
     assert cli.run(cfg) == 0
@@ -120,6 +122,28 @@ def test_simulate_reports_degenerate_weights_at_default_bounds(tmp_path):
             in summary)
     assert "policy zero: E[m] = " in summary
     assert "policy upper: E[m]" not in summary
+
+
+def test_agent_mode_arrays(tmp_path):
+    cfg, out = write_config(tmp_path, "agent")
+    assert cli.run(cfg) == 0
+    with np.load(out / "agent.npz") as npz:
+        arrays = dict(npz)
+    # a constant fee: the grid solver ran, on the policy's nodes, in 2-D
+    assert set(arrays) == {"t_nodes", "w_nodes", "z_nodes", "rates",
+                           "values"}
+    shape = tuple(len(arrays[f"{axis}_nodes"]) for axis in "twz")
+    assert arrays["rates"].shape == shape
+    assert arrays["values"].shape == shape
+    rows = dict(line.split(",") for line in
+                (out / "agent.csv").read_text().splitlines()[1:])
+    origin = interpolate((arrays["w_nodes"], arrays["z_nodes"]),
+                         arrays["values"][0], 0.0, 0.0)
+    assert float(origin) == pytest.approx(float(rows["value"]), abs=1e-12)
+    rerun = tmp_path / "rerun"
+    assert cli.run(cfg, out_dir=rerun) == 0
+    for name in ("agent.npz", "agent.csv"):
+        assert (out / name).read_bytes() == (rerun / name).read_bytes()
 
 
 def test_optimize_mode_consistent_with_convergence(tmp_path):

@@ -1,5 +1,5 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, and no import is unused."""
+tests, no import is unused, and only the CLI writes files."""
 
 import ast
 import importlib
@@ -11,9 +11,8 @@ PACKAGE = ROOT / "src" / "brokerfee"
 # __init__.py imports only to re-export the public API
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # files whose mention of a public name counts as a use: the library
-# modules, the demos and the packaging metadata (the console script)
-USERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + [
-    ROOT / "pyproject.toml"]
+# modules and the packaging metadata (the console script)
+USERS = MODULES + [ROOT / "pyproject.toml"]
 
 
 def test_all_names_resolve():
@@ -62,3 +61,53 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.name}:{lineno}: {name}")
     assert unused == []
+
+
+# calls that write a file whatever their arguments
+FILE_WRITERS = ("json.dump", "np.save", "np.savez", "np.savez_compressed",
+                "np.savetxt")
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _file_write(node):
+    """How ``node`` writes a file, or None."""
+    if isinstance(node, ast.Import) and any(
+            alias.name == "csv" for alias in node.names):
+        return "imports csv"
+    if isinstance(node, ast.ImportFrom) and node.module == "csv":
+        return "imports csv"
+    if not isinstance(node, ast.Call):
+        return None
+    name = _dotted(node.func)
+    if name in FILE_WRITERS:
+        return f"calls {name}"
+    if name == "open":
+        mode = (node.args[1] if len(node.args) > 1 else
+                next((k.value for k in node.keywords if k.arg == "mode"),
+                     None))
+        # a mode that is not a literal read mode may write
+        if mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt")):
+            return "opens a file to write"
+    return None
+
+
+def test_only_cli_writes_files():
+    # the library returns data; cli alone chooses formats and writes them
+    writes = []
+    for path in MODULES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            how = _file_write(node)
+            if how:
+                writes.append(f"{path.name}:{node.lineno}: {how}")
+    assert writes == []

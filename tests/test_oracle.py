@@ -39,6 +39,7 @@ def test_gibbs_two_atom_closed_form():
     sol = oracle.solve_strong_discrete(two_atom_tree(), np.array([1.0, -1.0]),
                                        1.0)
     target = np.log(np.cosh(1.0))
+    assert sol.converged
     assert abs(sol.value - target) <= 1e-10
     expected_m = np.array([np.e, 1.0 / np.e]) / (2.0 * np.cosh(1.0)) * 2.0
     assert np.allclose(sol.density, expected_m, atol=1e-12)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from brokerfee import principal, simulate
+from brokerfee import cli, principal, simulate
 from brokerfee.agent import HjbSettings, best_response
 from brokerfee.contracts import Constant
 from brokerfee.model import FeedbackPolicy, ModelParams
@@ -208,19 +210,26 @@ def test_convergence_report_stationary_sequence():
 
 
 def test_sequence_exports(tmp_path):
-    family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, WIDE, budget=5, settings=FAST,
-                                mc_count=2_000, seed=1)
-    csv_path = tmp_path / "seq.csv"
-    json_path = tmp_path / "seq.json"
-    seq.to_csv(csv_path)
-    seq.to_json(json_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("iteration,stage,coef_0,j_p")
-    assert len(lines) == len(seq) + 1
-    import json
-    payload = json.loads(json_path.read_text())
-    assert payload[0]["contract"]["class"] == "constant"
+    # optimize writes the sequence as CSV and as JSON, one row per record
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.rate_lower = -100.0\nmodel.rate_upper = 100.0\n"
+                   "model.phi_p = 0.25\nmodel.reservation = 0.0\n"
+                   "model.n_paths = 2000\nfamily.class = constant\n"
+                   "family.cap = 1.0\nrun.budget = 5\n")
+    out = tmp_path / "out"
+    assert cli.run(cfg, seed=1, out_dir=out, mode="optimize") == 0
+    header, *rows = (out / "sequence.csv").read_text().splitlines()
+    assert header.startswith("iteration,stage,coef_0,j_p")
+    payload = json.loads((out / "sequence.json").read_text())
+    assert len(rows) == len(payload) == 5
+    for row, record in zip(rows, payload):
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert int(fields["iteration"]) == record["iteration"]
+        assert float(fields["coef_0"]) == record["coefficients"][0]
+        assert float(fields["j_p"]) == record["j_p"]
+        assert int(fields["participation"]) == record["participation"]
+        assert record["contract"] == {"class": "constant",
+                                      "value": record["coefficients"][0]}
 
 
 def test_budget_must_be_positive():

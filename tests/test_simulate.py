@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from brokerfee import simulate
 from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
 
+import reduced_mode
+
 # modest rate bounds keep the importance weights light-tailed enough for
 # Monte Carlo certification; see the girsanov notes in the decisions log
 PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
@@ -70,15 +72,15 @@ def test_entropy_identity_full_model(weighted_batch):
 
 def test_entropy_reduced_mode_closed_form():
     # constant drift c: E[M log M] = c^2 T / 2 exactly
-    x = simulate.reduced_reference(50_000, 100, 1.0, 21)
-    report = simulate.reduced_entropy_report(x, 2.0, 1.0)
+    x = reduced_mode.reduced_reference(50_000, 100, 1.0, 21)
+    report = reduced_mode.reduced_entropy_report(x, 2.0, 1.0)
     assert abs(report.lhs - 2.0) <= 3 * report.lhs_se
     assert abs(report.rhs - 2.0) <= 3 * report.rhs_se
 
 
 def test_reduced_weights_normalize():
-    x = simulate.reduced_reference(50_000, 100, 1.0, 22)
-    m = simulate.reduced_weights(x, 1.0, 1.0)
+    x = reduced_mode.reduced_reference(50_000, 100, 1.0, 22)
+    m = reduced_mode.reduced_weights(x, 1.0, 1.0)
     mean, se = simulate._mean_se(m)
     assert abs(mean - 1.0) <= 3 * se
 
