@@ -61,9 +61,9 @@ class UnsupportedContractError(ValueError):
 class HjbSettings:
     """Grid solver knobs.
 
-    The spatial domain is truncated at +-6 sqrt(T) standard deviations for
-    w and at +-(6 eps sqrt(T) + max(|L|,|U|) T) for z; Gaussian tails make
-    the boundary influence negligible at the acceptance tolerances.
+    The spatial domain is truncated at the half-widths of
+    :func:`_half_widths`; Gaussian tails make the boundary influence
+    negligible at the acceptance tolerances.
     """
 
     n_w: int = 201
@@ -125,8 +125,8 @@ class AgentUtilitySpec:
         dt = batch.times[1] - batch.times[0]
         xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
         zeta = zeta_integral(batch.z, batch.w, dt, self.params)
-        lam = 2 * self.params.epsilon**2 * self.params.phi_a
-        return batch.m * (-xi - lam * batch.log_m + zeta)
+        return batch.m * (-xi - self.params.entropy_weight * batch.log_m
+                          + zeta)
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):
@@ -307,6 +307,14 @@ class _ExplicitStep:
         o += scratch
 
 
+def _half_widths(params: ModelParams):
+    """Half-widths of the truncated w and z domains: six standard
+    deviations of W_T, 6 sqrt(T), and 6 eps sqrt(T) + max(|L|,|U|) T."""
+    T = params.horizon
+    rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
+    return 6.0 * np.sqrt(T), 6.0 * params.epsilon * np.sqrt(T) + rate_bound * T
+
+
 def solve_hjb(contract, params: ModelParams,
               settings: HjbSettings = HjbSettings()):
     """Backward SSP-RK2 sweep; returns (FeedbackPolicy, ValueGrid).
@@ -323,8 +331,7 @@ def solve_hjb(contract, params: ModelParams,
     lo, up = params.rate_lower, params.rate_upper
     rate_bound = max(abs(lo), abs(up))
 
-    w_max = 6.0 * np.sqrt(T)
-    z_max = 6.0 * eps * np.sqrt(T) + rate_bound * T
+    w_max, z_max = _half_widths(params)
     p_max = 6.0 * np.sqrt(sigma**2 * T + T**3 / 3.0)
 
     n_w, n_z, n_save = settings.n_w, settings.n_z, 81
@@ -451,9 +458,8 @@ def best_response(contract, params: ModelParams,
 
     T = params.horizon
     t_nodes = np.linspace(0.0, T, 4)
-    w_nodes = np.linspace(-6 * np.sqrt(T), 6 * np.sqrt(T), 5)
-    rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
-    z_half = 6 * params.epsilon * np.sqrt(T) + rate_bound * T
+    w_half, z_half = _half_widths(params)
+    w_nodes = np.linspace(-w_half, w_half, 5)
     z_nodes = np.linspace(-z_half, z_half, 5)
     bounds = (params.rate_lower, params.rate_upper)
     tt, ww, zz = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")

@@ -34,7 +34,7 @@ MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 _FAMILY_KEYS = ("class", "cap", "degree", "operator", "p_nodes",
                 "z_nodes", "coefficients")
 _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching",
-             "lam", "mc_count")
+             "lam")
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,7 @@ def _mode_oracle(config, out_dir, seed, lines):
     params = config.params
     depth = int(config.run.get("depth", 2))
     branching = int(config.run.get("branching", 2))
-    lam = float(config.run.get("lam",
-                               2 * params.epsilon**2 * params.phi_a))
+    lam = float(config.run.get("lam", params.entropy_weight))
     trials = int(config.run.get("trials", 100))
     tree = oracle.build_tree(depth, branching, params)
     contract = _contract_from_config(config)
@@ -247,10 +246,7 @@ def _mode_optimize(config, out_dir, seed, lines):
     params = config.params
     family = _family_from_config(config)
     budget = int(config.run.get("budget", 200))
-    mc_count = config.run.get("mc_count")
-    best, sequence = principal.optimize(
-        family, params, budget,
-        mc_count=int(mc_count) if mc_count else None, seed=seed)
+    best, sequence = principal.optimize(family, params, budget, seed=seed)
     _write_csv(os.path.join(out_dir, "sequence.csv"),
                ["iteration", "stage"]
                + [f"coef_{k}" for k in range(family.dimension)]
@@ -314,7 +310,7 @@ def _mode_verify(config, out_dir, seed, lines):
     tree = oracle.build_tree(2, 2, params)
     contract = _contract_from_config(config)
     u = oracle.atom_utility_from_contract(tree, contract, params)
-    lam = 2 * params.epsilon**2 * params.phi_a
+    lam = params.entropy_weight
     strong = oracle.solve_strong_discrete(tree, u, lam)
     grid = oracle.default_density_grid(strong.density)
     relaxed_value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid)

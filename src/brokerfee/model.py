@@ -59,6 +59,12 @@ class ModelParams:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
+    @property
+    def entropy_weight(self) -> float:
+        """lam = 2 eps^2 phi_a, the weight of M log M in the client's
+        reference-measure utility and of m log m on the scenario tree."""
+        return 2 * self.epsilon**2 * self.phi_a
+
 
 _PARAM_FIELDS = (
     "sigma", "epsilon", "phi_a", "phi_p", "rate_lower", "rate_upper",

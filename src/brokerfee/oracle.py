@@ -13,7 +13,15 @@ bound on the relaxed value over every randomized control (the duality
 gap). The relaxed program is one sparse linear program on a density grid
 shared by all path-atoms. This module is the verification half of the
 package: it never trusts the continuous solvers, only convex duality on
-the tree."""
+the tree.
+
+The atoms of every tree node form one contiguous block (see
+:class:`ScenarioTree`), so at depth d a per-atom array reshaped to
+(n_combos**d, -1) has one row per node: the node constraint forms and the
+drift extraction are built from such reshapes. A relaxed control is two
+(n_atoms, k) arrays of density values and their conditional weights, and
+the collapse trials are one (trials, n_atoms) array each.
+"""
 
 import itertools
 from dataclasses import dataclass
@@ -28,7 +36,7 @@ from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
 from .rng import uniforms
 
 __all__ = [
-    "ScenarioTree", "DiscreteConstraintSet", "RelaxedControlDiscrete",
+    "ScenarioTree", "RelaxedControlDiscrete",
     "StrongSolution", "CollapseReport", "ExtractionReport",
     "build_tree", "node_constraint_set", "atom_utility_from_contract",
     "solve_strong_discrete", "solve_relaxed_discrete",
@@ -43,21 +51,22 @@ MAX_ATOMS = 100_000
 class ScenarioTree:
     """Finite discrete analogue of the canonical path space.
 
-    Atoms are root-to-leaf paths; at each of ``depth`` steps every channel
-    moves by one of ``branching`` increments whose second moment matches
-    dt * scale^2 for the channel. ``choices`` stores, per atom and step,
-    the index of the joint increment combination, enumerated so that the
-    atoms of any tree node form a contiguous block.
+    Atoms are root-to-leaf paths; at each of ``depth`` steps each of the
+    three channels (P, Z, W) moves by one of ``branching`` increments
+    whose second moment matches dt * scale^2 for the channel. ``choices``
+    stores, per atom and step, the index of the joint increment
+    combination, enumerated so that the atoms of any tree node form a
+    contiguous block: the n_combos**d nodes at depth d hold
+    n_combos**(depth - d) atoms each, in prefix order.
     """
 
     depth: int
     branching: int
-    channels: int
     dt: float
     scales: tuple
-    combos: np.ndarray      # (n_combos, channels) per-step increments
+    combos: np.ndarray      # (n_combos, 3) per-step increments
     choices: np.ndarray     # (n_atoms, depth) combo index per step
-    paths: np.ndarray       # (n_atoms, depth + 1, channels) cumulative
+    paths: np.ndarray       # (n_atoms, depth + 1, 3) cumulative
     probs: np.ndarray       # (n_atoms,) uniform base probabilities
 
     @property
@@ -68,27 +77,21 @@ class ScenarioTree:
     def n_combos(self) -> int:
         return self.combos.shape[0]
 
-    def node_slice(self, depth: int, prefix: int) -> slice:
-        """Contiguous atom block of the node given by a length-``depth``
-        choice prefix encoded as a base-n_combos integer."""
-        block = self.n_combos ** (self.depth - depth)
-        return slice(prefix * block, (prefix + 1) * block)
 
-
-def build_tree(depth: int, branching: int, params: ModelParams,
-               channels: int = 3) -> ScenarioTree:
+def build_tree(depth: int, branching: int,
+               params: ModelParams) -> ScenarioTree:
     """Deterministic tree with per-step increments matching the model's
     per-step variances (sigma, eps, 1 channel scales)."""
     if branching not in (2, 3):
         raise ValueError("branching must be 2 (binomial) or 3 (trinomial)")
     if not 1 <= depth <= 4:
         raise ValueError("depth must lie in 1..4")
-    n_combos = branching**channels
+    n_combos = branching**3
     n_atoms = n_combos**depth
     if n_atoms > MAX_ATOMS:
         raise ValueError(f"atom count {n_atoms} exceeds {MAX_ATOMS}")
     dt = params.horizon / depth
-    scales = (params.sigma, params.epsilon, 1.0)[:channels]
+    scales = (params.sigma, params.epsilon, 1.0)
     if branching == 2:
         base = np.array([-1.0, 1.0]) * np.sqrt(dt)
     else:
@@ -98,71 +101,52 @@ def build_tree(depth: int, branching: int, params: ModelParams,
     combos = np.array(list(itertools.product(*per_channel)))
     choices = np.array(list(itertools.product(range(n_combos), repeat=depth)),
                        dtype=int)
-    increments = combos[choices]                  # (n_atoms, depth, channels)
-    paths = np.zeros((n_atoms, depth + 1, channels))
+    increments = combos[choices]                  # (n_atoms, depth, 3)
+    paths = np.zeros((n_atoms, depth + 1, 3))
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    return ScenarioTree(depth, branching, channels, dt, tuple(scales),
-                        combos, choices, paths, probs)
+    return ScenarioTree(depth, branching, dt, scales, combos, choices, paths,
+                        probs)
 
 
 def atom_utility_from_contract(tree: ScenarioTree, contract,
                                params: ModelParams) -> np.ndarray:
-    """Per-atom utility -xi(path) + zeta(path) in model units (3-channel
-    trees only); the entropy part is carried by the solver, not by u."""
-    if tree.channels != 3:
-        raise ValueError("contract utilities require a 3-channel tree")
+    """Per-atom utility -xi(path) + zeta(path) in model units; the entropy
+    part is carried by the solver, not by u."""
     times = np.linspace(0.0, tree.depth * tree.dt, tree.depth + 1)
     p, z, w = tree.paths[:, :, 0], tree.paths[:, :, 1], tree.paths[:, :, 2]
     xi = contract.evaluate_batch(times, p, z)
     return -xi + zeta_integral(z, w, tree.dt, params)
 
 
-@dataclass(frozen=True)
-class DiscreteConstraintSet:
-    """Linear forms c_r(x) implementing the stopped-increment constraints.
-
-    Each form contributes sum_x p(x) E[m|x] c_r(x) <= 0 to the feasible
-    set; adaptedness is recorded via the step index its eta depends on.
-    """
-
-    forms: np.ndarray      # (n_constraints, n_atoms)
-    labels: tuple
-    s_steps: np.ndarray    # (n_constraints,) eta measurability index
-
-    @property
-    def n_constraints(self) -> int:
-        return self.forms.shape[0]
-
-    def moments(self, probs, cond_mean) -> np.ndarray:
-        return self.forms @ (probs * cond_mean)
-
-
 def node_constraint_set(tree: ScenarioTree, rate_lower: float,
-                        rate_upper: float) -> DiscreteConstraintSet:
-    """One constraint per (tree node, row): eta = indicator of the node,
-    window = the node's own step. These etas are the natural finite test
-    family on a tree; feasibility with all six rows pins the tilted drift
-    of P to W, keeps W driftless, and bounds the Z drift to [L, U].
+                        rate_upper: float) -> np.ndarray:
+    """The (n_constraints, n_atoms) linear forms c_r of the node
+    constraints sum_x p(x) E[m|x] c_r(x) <= 0.
+
+    One form per (tree node, row): eta = indicator of the node, window =
+    the node's own step. These etas are the natural finite test family on
+    a tree; feasibility with all six rows pins the tilted drift of P to W,
+    keeps W driftless, and bounds the Z drift to [L, U]. Forms run over
+    the depths in order, node-major within a depth, and in
+    :data:`ROW_NAMES` order within a node; a form is zero off its node's
+    atom block.
     """
-    if tree.channels != 3:
-        raise ValueError("constraint rows require a 3-channel tree")
     spec = ConstraintSpec(rate_lower, rate_upper)
-    forms, labels, s_steps = [], [], []
-    inc = tree.combos[tree.choices]           # (n_atoms, depth, channels)
+    inc = tree.combos[tree.choices]           # (n_atoms, depth, 3)
+    n_rows = len(ROW_NAMES)
+    forms = []
     for d in range(tree.depth):
-        row_values = spec.rows(inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
-                               tree.paths[:, d, 2] * tree.dt, tree.dt)
-        for prefix in range(tree.n_combos**d):
-            sl = tree.node_slice(d, prefix)
-            for name, values in zip(ROW_NAMES, row_values):
-                form = np.zeros(tree.n_atoms)
-                form[sl] = values[sl]
-                forms.append(form)
-                labels.append(f"d{d}/node{prefix}/{name}")
-                s_steps.append(d)
-    return DiscreteConstraintSet(np.array(forms), tuple(labels),
-                                 np.array(s_steps, dtype=int))
+        n_nodes = tree.n_combos**d
+        rows = np.stack(spec.rows(inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
+                                  tree.paths[:, d, 2] * tree.dt, tree.dt))
+        # (node, row, node, atom in block), nonzero where the nodes agree
+        block = np.zeros((n_nodes, n_rows, n_nodes, tree.n_atoms // n_nodes))
+        nodes = np.arange(n_nodes)
+        block[nodes, :, nodes, :] = (rows.reshape(n_rows, n_nodes, -1)
+                                     .transpose(1, 0, 2))
+        forms.append(block.reshape(n_nodes * n_rows, tree.n_atoms))
+    return np.concatenate(forms)
 
 
 @dataclass(frozen=True)
@@ -227,11 +211,12 @@ def _newton_step(forms, tilted, moments, mu, lam):
 
 
 def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                          constraints: Optional[DiscreteConstraintSet] = None,
+                          constraints: Optional[np.ndarray] = None,
                           tol: float = 1e-12, max_iter: int = 10_000
                           ) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
-    sum p m = 1 and the optional linear constraint set.
+    sum p m = 1 and sum p m c_r <= 0 for the optional constraint forms
+    c_r, the rows of ``constraints`` (as from :func:`node_constraint_set`).
 
     With only the normalization the optimum is the Gibbs density
     m = e^{u/lam} / sum p e^{u/lam}, value lam log sum p e^{u/lam}.
@@ -253,13 +238,13 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise ValueError("entropy weight must be positive")
     probs = tree.probs
     u = np.asarray(u, dtype=float)
-    if constraints is None or constraints.n_constraints == 0:
+    if constraints is None or len(constraints) == 0:
         m, log_z = _gibbs(probs, u, lam)
         value = float(lam * log_z)
         return StrongSolution(value, m, None, 0.0, 0, True,
                               value - _primal_value(probs, m, u, lam))
 
-    c = constraints.forms
+    c = constraints
 
     def at(mu):
         # the Gibbs density, dual value and constraint moments E[m c_r]
@@ -270,9 +255,9 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         _, value, moments = at(mu)
         return value, -moments
 
-    result = sp_minimize(dual, np.zeros(constraints.n_constraints),
+    result = sp_minimize(dual, np.zeros(len(c)),
                          jac=True, method="L-BFGS-B",
-                         bounds=[(0.0, None)] * constraints.n_constraints,
+                         bounds=[(0.0, None)] * len(c),
                          options={"maxiter": max_iter, "ftol": 1e-16,
                                   "gtol": 1e-14})
     mu = result.x
@@ -302,93 +287,55 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           residual <= tol, dual_value - value)
 
 
-def default_density_grid(extra_values=None, n: int = 21,
-                         lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    """Log-spaced density atoms spanning [lo, hi], optionally extended by
-    exact values (e.g. a Gibbs solution) so the Dirac optimum is on-grid."""
-    grid = np.geomspace(lo, hi, n)
-    if extra_values is not None:
-        grid = np.concatenate([grid, np.atleast_1d(extra_values)])
-    return np.unique(grid)
+def default_density_grid(extra_values) -> np.ndarray:
+    """21 log-spaced density atoms spanning [1e-3, 1e3], extended by exact
+    values (e.g. a Gibbs solution) so the Dirac optimum is on-grid."""
+    return np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 21),
+                                     np.atleast_1d(extra_values)]))
 
 
 @dataclass(frozen=True)
 class RelaxedControlDiscrete:
     """A finite measure over (path-atom, density-atom) pairs.
 
-    ``atoms[x]`` lists the admissible density values of path-atom x and
-    ``weights[x]`` the conditional distribution over them. Dirac mode is
-    the special case of a single unit weight per atom.
+    Row x of ``atoms`` holds density values of path-atom x and the same
+    row of ``weights`` the conditional distribution over them; a row with
+    fewer values is padded by atoms of zero weight. Dirac mode is the
+    special case of a single unit weight per atom.
     """
 
     probs: np.ndarray
-    atoms: tuple        # tuple of 1-D arrays, one per path-atom
-    weights: tuple      # matching conditional probabilities
+    atoms: np.ndarray       # (n_atoms, k) density values
+    weights: np.ndarray     # (n_atoms, k) conditional probabilities
 
     def __post_init__(self):
-        if not (len(self.atoms) == len(self.weights) == len(self.probs)):
-            raise ValueError("per-atom lists must match the base measure")
+        if not (np.shape(self.atoms) == np.shape(self.weights)
+                and len(self.atoms) == len(self.probs)):
+            raise ValueError("atoms and weights must be (n_atoms, k) arrays "
+                             "matching the base measure")
 
     @classmethod
     def dirac(cls, tree: ScenarioTree, m: np.ndarray):
         """The embedding of a strong control (density a function of the
         path) as a relaxed control."""
-        atoms = tuple(np.array([v]) for v in m)
-        weights = tuple(np.array([1.0]) for _ in m)
-        return cls(tree.probs, atoms, weights)
+        atoms = np.asarray(m, dtype=float)[:, None]
+        return cls(tree.probs, atoms, np.ones_like(atoms))
 
     def conditional_mean(self) -> np.ndarray:
-        return np.array([float(w @ a)
-                         for a, w in zip(self.atoms, self.weights)])
-
-    def mean_density(self) -> float:
-        return float(self.probs @ self.conditional_mean())
-
-    def entropy(self) -> float:
-        return float(sum(p * float(w @ (a * np.log(a)))
-                         for p, a, w in zip(self.probs, self.atoms,
-                                            self.weights)))
-
-    def objective(self, u: np.ndarray, lam: float) -> float:
-        linear = float(self.probs @ (u * self.conditional_mean()))
-        return linear - lam * self.entropy()
+        return np.einsum("xk,xk->x", self.weights, self.atoms)
 
     def max_secondary_weight(self) -> float:
         """0 for exact Dirac mode; small for a collapsed optimum."""
-        worst = 0.0
-        for w in self.weights:
-            if len(w) > 1:
-                worst = max(worst, float(np.sort(w)[-2]))
-        return worst
+        second = np.sort(self.weights, axis=1)[:, -2:-1]
+        return float(np.max(second, initial=0.0))
 
     def is_dirac(self, tol: float = 1e-6) -> bool:
         return self.max_secondary_weight() <= tol
 
-    def check_feasibility(self, constraints=None, tol: float = 1e-9) -> dict:
-        """Conditions of the relaxed-control definition, as diagnostics."""
-        cond_mean = self.conditional_mean()
-        report = {
-            "normalization_gap": abs(float(self.probs @ cond_mean) - 1.0),
-            "min_density_atom": float(min(np.min(a) for a in self.atoms)),
-            "marginal_gap": float(max(abs(np.sum(w) - 1.0)
-                                      for w in self.weights)),
-            "entropy": self.entropy(),
-        }
-        if constraints is not None:
-            moments = constraints.moments(self.probs, cond_mean)
-            report["max_constraint_moment"] = float(np.max(moments,
-                                                           initial=0.0))
-        report["feasible"] = (
-            report["normalization_gap"] <= tol
-            and report["min_density_atom"] > 0
-            and report["marginal_gap"] <= tol
-            and report.get("max_constraint_moment", 0.0) <= tol)
-        return report
-
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                            density_grid: np.ndarray,
-                           constraints: Optional[DiscreteConstraintSet] = None,
+                           constraints: Optional[np.ndarray] = None,
                            ) -> tuple:
     """Optimize over randomized-mode relaxed controls on a finite density
     grid shared by all path-atoms; returns (value, RelaxedControlDiscrete).
@@ -427,10 +374,10 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
 
     a_ub = b_ub = None
-    if constraints is not None and constraints.n_constraints > 0:
-        a_ub = hstack([csr_matrix((constraints.n_constraints, n_weights)),
-                       csr_matrix(probs * constraints.forms)], format="csr")
-        b_ub = np.zeros(constraints.n_constraints)
+    if constraints is not None and len(constraints) > 0:
+        a_ub = hstack([csr_matrix((len(constraints), n_weights)),
+                       csr_matrix(probs * constraints)], format="csr")
+        b_ub = np.zeros(len(constraints))
 
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=(0, None), method="highs")
@@ -438,7 +385,8 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise RuntimeError(f"relaxed program failed: {result.message}")
     q = result.x[:n_weights].reshape(n_atoms, n_grid)
     weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
-    control = RelaxedControlDiscrete(probs, (g,) * n_atoms, tuple(weights))
+    control = RelaxedControlDiscrete(
+        probs, np.broadcast_to(g, (n_atoms, n_grid)), weights)
     return float(-result.fun), control
 
 
@@ -465,34 +413,30 @@ def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
     """
     probs = tree.probs
     raw = uniforms(seed, (trials, tree.n_atoms, 3))
-    counterexamples = []
-    min_gap = np.inf
-    for k in range(trials):
-        g = 2.0 * raw[k, :, 0] - 1.0
-        cond_mean = np.exp(g)
-        cond_mean /= probs @ cond_mean
-        shrink = 0.05 + 0.9 * raw[k, :, 1]       # first point below the mean
-        q = 0.05 + 0.9 * raw[k, :, 2]
-        m1 = cond_mean * shrink
-        m2 = (cond_mean - q * m1) / (1.0 - q)
-        rand_entropy = float(probs @ (q * m1 * np.log(m1)
-                                      + (1 - q) * m2 * np.log(m2)))
-        dirac_entropy = float(probs @ (cond_mean * np.log(cond_mean)))
-        gap = lam * (rand_entropy - dirac_entropy)  # objective(dirac)-obj(rand)
-        min_gap = min(min_gap, gap)
-        if gap <= -1e-12 or (gap <= 0 and np.any(np.abs(m1 - m2) > 1e-12)):
-            counterexamples.append({
-                "trial": k, "gap": gap, "cond_mean": cond_mean.tolist(),
-                "m1": m1.tolist(), "m2": m2.tolist(), "q": q.tolist()})
-
-    return CollapseReport(trials, tuple(counterexamples), float(min_gap),
+    g = 2.0 * raw[:, :, 0] - 1.0
+    cond_mean = np.exp(g)
+    cond_mean /= (cond_mean @ probs)[:, None]
+    shrink = 0.05 + 0.9 * raw[:, :, 1]           # first point below the mean
+    q = 0.05 + 0.9 * raw[:, :, 2]
+    m1 = cond_mean * shrink
+    m2 = (cond_mean - q * m1) / (1.0 - q)
+    rand_entropy = (q * m1 * np.log(m1) + (1 - q) * m2 * np.log(m2)) @ probs
+    dirac_entropy = (cond_mean * np.log(cond_mean)) @ probs
+    gaps = lam * (rand_entropy - dirac_entropy)  # objective(dirac)-obj(rand)
+    bad = (gaps <= -1e-12) | ((gaps <= 0)
+                              & np.any(np.abs(m1 - m2) > 1e-12, axis=1))
+    counterexamples = tuple(
+        {"trial": int(k), "gap": float(gaps[k]),
+         "cond_mean": cond_mean[k].tolist(), "m1": m1[k].tolist(),
+         "m2": m2[k].tolist(), "q": q[k].tolist()}
+        for k in np.flatnonzero(bad))
+    return CollapseReport(trials, counterexamples, float(np.min(gaps)),
                           control.is_dirac(1e-6),
                           control.max_secondary_weight())
 
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    drifts: dict            # (depth, prefix) -> per-channel drift
     max_violation: float
     reconstruction_error: float
 
@@ -507,37 +451,32 @@ def extract_strong_control(tree: ScenarioTree,
     transition ratios of the tilted tree measure determine a one-step
     drift per node; re-accumulating the density from those transitions
     recovers the conditional-mean density exactly. The report evaluates
-    the six constraint rows at every node and records the worst violation.
+    the six constraint rows at every node of positive tilted mass and
+    records the worst violation.
     """
     spec = ConstraintSpec(rate_lower, rate_upper)
     cond_mean = control.conditional_mean()
     tilted = tree.probs * cond_mean
-    inc = tree.combos[tree.choices]
     n_combos = tree.n_combos
-    drifts = {}
     max_violation = 0.0
     reconstructed = np.ones(tree.n_atoms)
     for d in range(tree.depth):
-        for prefix in range(n_combos**d):
-            sl = tree.node_slice(d, prefix)
-            mass = float(np.sum(tilted[sl]))
-            if mass <= 1e-300:
-                continue
-            block = tree.node_slice(d, prefix).start
-            child_len = n_combos ** (tree.depth - d - 1)
-            drift = np.zeros(tree.channels)
-            for combo in range(n_combos):
-                child = slice(block + combo * child_len,
-                              block + (combo + 1) * child_len)
-                trans = float(np.sum(tilted[child])) / mass
-                drift += trans * tree.combos[combo]
-                reconstructed[child] *= trans * n_combos
-            drift /= tree.dt
-            drifts[(d, prefix)] = drift
-            # the rows at dt = 1 (so W dt = W) with the drift in place of
-            # dX are b + A nu
-            residuals = spec.rows(drift[0], drift[1], drift[2],
-                                  float(tree.paths[sl.start, d, 2]), 1.0)
-            max_violation = max(max_violation, max(residuals))
+        n_nodes = n_combos**d
+        # (node, child, atom of the child's block)
+        children = tilted.reshape(n_nodes, n_combos, -1)
+        mass = np.sum(tilted.reshape(n_nodes, -1), axis=1)
+        live = mass > 1e-300
+        trans = np.sum(children, axis=2) / np.where(live, mass, 1.0)[:, None]
+        factor = np.where(live[:, None], trans * n_combos, 1.0)
+        reconstructed = (reconstructed.reshape(children.shape)
+                         * factor[:, :, None]).ravel()
+        drift = (trans[live] @ tree.combos) / tree.dt
+        # the rows at dt = 1 (so W dt = W) with the drift in place of
+        # dX are b + A nu
+        w_node = tree.paths[::tree.n_atoms // n_nodes, d, 2][live]
+        residuals = spec.rows(drift[:, 0], drift[:, 1], drift[:, 2],
+                              w_node, 1.0)
+        max_violation = max(max_violation,
+                            float(np.max(residuals, initial=0.0)))
     recon_err = float(np.max(np.abs(reconstructed - cond_mean)))
-    return ExtractionReport(drifts, float(max_violation), recon_err)
+    return ExtractionReport(max_violation, recon_err)

@@ -358,13 +358,10 @@ def convergence_report(sequence: MaximizingSequence) -> ConvergenceReport:
     values = np.array([r["objective"] for r in updates])
     tail_start = max(len(updates) - max(len(updates) // 4, 1), 0)
     tail = coeffs[tail_start:]
-    cauchy = 0.0
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            cauchy = max(cauchy, float(np.max(np.abs(tail[i] - tail[j]))))
     return ConvergenceReport(
         n_updates=len(updates),
-        cauchy_tail=cauchy,
+        # the largest pairwise L-inf distance is the largest coordinate range
+        cauchy_tail=float(np.max(np.ptp(tail, axis=0))),
         jp_increments=np.diff(values),
         limit_point=coeffs[-1],
         limit_value=float(values[-1]))

@@ -150,8 +150,10 @@ def test_criterion_05_principal_constant_optimum():
 
 
 def test_criterion_06_gibbs_against_brute_force():
-    tree = oracle.build_tree(1, 2, ModelParams(), channels=1)
-    u = np.array([1.0, -1.0])
+    # u = sign of the price step on the depth-1 binomial tree: the
+    # two-atom problem with u = +-1, each value on half of the 8 atoms
+    tree = oracle.build_tree(1, 2, ModelParams())
+    u = np.sign(tree.paths[:, 1, 0])
     sol = oracle.solve_strong_discrete(tree, u, 1.0)
 
     def neg_objective(m1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,21 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
+import relaxed_control
 from brokerfee import oracle
 from brokerfee.contracts import Constant, LinearPolynomial
-from brokerfee.model import ModelParams
+from brokerfee.model import ROW_NAMES, ModelParams
 from brokerfee.rng import split_seed, uniforms
 
 PARAMS = ModelParams(epsilon=0.5)
 
 
-def two_atom_tree():
-    return oracle.build_tree(1, 2, ModelParams(), channels=1)
+def price_step_tree():
+    """The depth-1 binomial tree and u = sign of the price step: half the
+    atoms at u = 1 and half at u = -1, the two-atom problem with u = +-1
+    spread over 8 atoms."""
+    tree = oracle.build_tree(1, 2, ModelParams())
+    return tree, np.sign(tree.paths[:, 1, 0])
 
 
 def brute_force_two_atom(u, lam):
@@ -36,19 +43,19 @@ def brute_force_two_atom(u, lam):
 
 
 def test_gibbs_two_atom_closed_form():
-    sol = oracle.solve_strong_discrete(two_atom_tree(), np.array([1.0, -1.0]),
-                                       1.0)
+    tree, u = price_step_tree()
+    sol = oracle.solve_strong_discrete(tree, u, 1.0)
     target = np.log(np.cosh(1.0))
     assert sol.converged
     assert abs(sol.value - target) <= 1e-10
-    expected_m = np.array([np.e, 1.0 / np.e]) / (2.0 * np.cosh(1.0)) * 2.0
+    expected_m = np.exp(u) / np.cosh(1.0)
     assert np.allclose(sol.density, expected_m, atol=1e-12)
 
 
 def test_gibbs_matches_brute_force_grid():
-    u = np.array([1.0, -1.0])
-    sol = oracle.solve_strong_discrete(two_atom_tree(), u, 1.0)
-    assert abs(sol.value - brute_force_two_atom(u, 1.0)) <= 1e-8
+    tree, u = price_step_tree()
+    sol = oracle.solve_strong_discrete(tree, u, 1.0)
+    assert abs(sol.value - brute_force_two_atom([1.0, -1.0], 1.0)) <= 1e-8
 
 
 def test_constant_utility_gives_uniform_density():
@@ -59,8 +66,7 @@ def test_constant_utility_gives_uniform_density():
 
 
 def test_large_entropy_weight_flattens_density():
-    tree = two_atom_tree()
-    u = np.array([1.0, -1.0])
+    tree, u = price_step_tree()
     sol = oracle.solve_strong_discrete(tree, u, 1e3)
     assert abs(sol.value - float(tree.probs @ u)) <= 1e-2 * np.ptp(u)
 
@@ -80,22 +86,10 @@ def test_tree_atom_cap():
         oracle.build_tree(4, 3, PARAMS)
 
 
-def test_node_slice_partition():
-    tree = oracle.build_tree(2, 2, PARAMS)
-    for d in (0, 1, 2):
-        covered = []
-        for prefix in range(tree.n_combos**d):
-            sl = tree.node_slice(d, prefix)
-            covered.extend(range(sl.start, sl.stop))
-        assert covered == list(range(tree.n_atoms))
-
-
 def test_node_constraints_adapted():
     tree = oracle.build_tree(2, 2, PARAMS)
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    assert cons.n_constraints == 6 * (1 + tree.n_combos)
-    # the eta of every constraint depends only on the path up to its step
-    assert np.all(cons.s_steps < tree.depth)
+    assert cons.shape == (6 * (1 + tree.n_combos), tree.n_atoms)
 
 
 def test_uniform_density_moments_by_row():
@@ -104,11 +98,12 @@ def test_uniform_density_moments_by_row():
     # tilt toward W and are violated at any node where W is nonzero
     tree = oracle.build_tree(2, 2, PARAMS)
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    moments = cons.moments(tree.probs, np.ones(tree.n_atoms))
-    for moment, label in zip(moments, cons.labels):
-        if "drift_w" in label:
+    moments = cons @ tree.probs
+    # node-major, ROW_NAMES order within a node
+    for moment, name in zip(moments, ROW_NAMES * (1 + tree.n_combos)):
+        if "drift_w" in name:
             assert abs(moment) <= 1e-14
-        elif "rate" in label:
+        elif "rate" in name:
             assert moment <= 1e-14
     assert np.max(moments) > 0.0
 
@@ -119,7 +114,7 @@ def test_constrained_strong_solver_kkt():
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     assert sol.kkt_residual <= 1e-9
-    moments = cons.moments(tree.probs, sol.density)
+    moments = cons @ (tree.probs * sol.density)
     assert np.max(moments) <= 1e-9
     unconstrained = oracle.solve_strong_discrete(tree, u, 0.25)
     assert sol.value <= unconstrained.value + 1e-12
@@ -151,7 +146,7 @@ def test_duality_gap_certifies_constrained_optimum():
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     assert sol.multipliers is not None and np.any(sol.multipliers > 0)
     assert abs(sol.duality_gap) <= 1e-12
-    dual = 0.25 * logsumexp((u - cons.forms.T @ sol.multipliers) / 0.25,
+    dual = 0.25 * logsumexp((u - cons.T @ sol.multipliers) / 0.25,
                             b=tree.probs)
     assert dual - sol.value == pytest.approx(sol.duality_gap, abs=1e-15)
 
@@ -175,7 +170,8 @@ def test_relaxed_constrained_matches_dual():
     grid = oracle.default_density_grid(sol.density)
     value, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
     assert abs(value - sol.value) <= 1e-8
-    assert control.check_feasibility(cons, tol=1e-8)["feasible"]
+    assert relaxed_control.check_feasibility(control, cons,
+                                             tol=1e-8)["feasible"]
 
 
 def test_dirac_embedding_objective_identity():
@@ -184,9 +180,11 @@ def test_dirac_embedding_objective_identity():
     u = tree.paths[:, -1, 1]
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
     dirac = oracle.RelaxedControlDiscrete.dirac(tree, sol.density)
-    assert dirac.objective(u, 0.5) == pytest.approx(sol.value, abs=1e-12)
+    assert relaxed_control.objective(dirac, u, 0.5) == pytest.approx(
+        sol.value, abs=1e-12)
     assert dirac.is_dirac(0.0)
-    assert dirac.mean_density() == pytest.approx(1.0, abs=1e-12)
+    assert relaxed_control.mean_density(dirac) == pytest.approx(1.0,
+                                                                abs=1e-12)
 
 
 def test_verify_collapse_no_counterexamples():
@@ -235,6 +233,43 @@ def test_extraction_recovers_density_from_transitions():
     assert report.reconstruction_error <= 1e-10
 
 
+def test_extraction_skips_nodes_without_mass():
+    # a node the density gives no mass has no transition ratios: it is
+    # left out of the drifts, without a division by zero
+    tree = oracle.build_tree(2, 2, PARAMS)
+    m = np.cos(tree.paths[:, -1, 2]) + 1.5
+    m[:tree.n_combos] = 0.0             # the first depth-1 node's block
+    m /= tree.probs @ m
+    control = oracle.RelaxedControlDiscrete.dirac(tree, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = oracle.extract_strong_control(tree, control, -10.0, 10.0)
+    assert np.isfinite(report.max_violation)
+    assert report.reconstruction_error <= 1e-12
+
+
+def test_extraction_at_small_node_mass():
+    # extraction divides node moments by the tilted node mass and dt, so
+    # small node masses amplify the KKT residual: here the smallest
+    # density is 2.6e-4, and the violations read about 6e-11 (relaxed)
+    # and 1e-10 (Dirac embedding)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0)
+    tree = oracle.build_tree(3, 2, params)
+    u = (oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+         + 0.794 * tree.paths[:, -1, 0] - 0.992 * tree.paths[:, -1, 1])
+    cons = oracle.node_constraint_set(tree, -1.0, 1.0)
+    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
+    assert sol.converged and abs(sol.duality_gap) <= 1e-12
+    assert np.min(sol.density) < 1e-3
+    grid = oracle.default_density_grid(sol.density)
+    _, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
+    assert control.is_dirac(1e-6)
+    for relaxed in (control,
+                    oracle.RelaxedControlDiscrete.dirac(tree, sol.density)):
+        report = oracle.extract_strong_control(tree, relaxed, -1.0, 1.0)
+        assert report.max_violation <= 1e-8
+
+
 def test_atom_utility_from_contract_shape():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = oracle.atom_utility_from_contract(tree, Constant(0.3), PARAMS)
@@ -251,25 +286,28 @@ def test_density_grid_contains_extras():
 
 
 def test_lam_must_be_positive():
-    tree = two_atom_tree()
+    tree, u = price_step_tree()
     with pytest.raises(ValueError, match="entropy weight"):
-        oracle.solve_strong_discrete(tree, np.array([1.0, -1.0]), 0.0)
+        oracle.solve_strong_discrete(tree, u, 0.0)
     with pytest.raises(ValueError, match="entropy weight"):
-        oracle.solve_relaxed_discrete(tree, np.array([1.0, -1.0]), -1.0,
+        oracle.solve_relaxed_discrete(tree, u, -1.0,
                                       np.array([0.5, 1.0, 2.0]))
 
 
 def test_verify_collapse_reads_given_control():
-    # the collapse verdict is about the relaxed optimum the caller passes
-    tree = two_atom_tree()
-    two_point = oracle.RelaxedControlDiscrete(
-        tree.probs, (np.array([0.5, 1.5]), np.array([1.0])),
-        (np.array([0.3, 0.7]), np.array([1.0])))
+    # the collapse verdict is about the relaxed optimum the caller passes:
+    # a two-point randomization on the first atom, Dirac elsewhere (rows
+    # padded by an atom of zero weight)
+    tree, _ = price_step_tree()
+    atoms = np.tile([1.0, 1.0], (tree.n_atoms, 1))
+    weights = np.tile([1.0, 0.0], (tree.n_atoms, 1))
+    atoms[0], weights[0] = [0.5, 1.5], [0.3, 0.7]
+    two_point = oracle.RelaxedControlDiscrete(tree.probs, atoms, weights)
     report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
                                     control=two_point)
     assert not report.relaxed_is_dirac
     assert report.max_secondary_weight == 0.3
-    dirac = oracle.RelaxedControlDiscrete.dirac(tree, np.array([0.5, 1.5]))
+    dirac = oracle.RelaxedControlDiscrete.dirac(tree, np.ones(tree.n_atoms))
     report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
                                     control=dirac)
     assert report.relaxed_is_dirac
@@ -300,8 +338,8 @@ def reference_lp(tree, u, lam, grid, constraints):
     a_ub = None
     if constraints is not None:
         rows, cols, vals = [], [], []
-        for r in range(constraints.n_constraints):
-            coeff = constraints.forms[r]
+        for r in range(len(constraints)):
+            coeff = constraints[r]
             for x in range(n_atoms):
                 if coeff[x] == 0.0:
                     continue
@@ -309,7 +347,7 @@ def reference_lp(tree, u, lam, grid, constraints):
                 cols.extend(range(x * n_grid, (x + 1) * n_grid))
                 vals.extend(probs[x] * coeff[x] * grid)
         a_ub = csr_matrix((vals, (rows, cols)),
-                          shape=(constraints.n_constraints, n_var))
+                          shape=(len(constraints), n_var))
     return cost, a_eq, a_ub
 
 
@@ -318,7 +356,7 @@ def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
     if constraints is None:
         m = np.exp(u / lam - logsumexp(u / lam, b=probs))
         return None, m, 0
-    c = constraints.forms
+    c = constraints
 
     def gibbs(adjusted):
         return np.exp(adjusted / lam - logsumexp(adjusted / lam, b=probs))
@@ -334,9 +372,9 @@ def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
         return max(float(np.max(moments, initial=0.0)),
                    float(np.max(np.abs(mu * moments), initial=0.0)))
 
-    result = sp_minimize(dual, np.zeros(constraints.n_constraints),
+    result = sp_minimize(dual, np.zeros(len(c)),
                          jac=dual_grad, method="L-BFGS-B",
-                         bounds=[(0.0, None)] * constraints.n_constraints,
+                         bounds=[(0.0, None)] * len(c),
                          options={"maxiter": max_iter, "ftol": 1e-16,
                                   "gtol": 1e-14})
     mu = result.x
@@ -364,7 +402,7 @@ def test_lp_assembly_matches_loop_reference(constrained):
     cost, a_eq, a_ub = reference_lp(tree, u, 0.3, grid, cons)
     reference = linprog(
         cost, A_ub=a_ub,
-        b_ub=None if a_ub is None else np.zeros(cons.n_constraints),
+        b_ub=None if a_ub is None else np.zeros(len(cons)),
         A_eq=a_eq, b_eq=np.ones(tree.n_atoms + 1), bounds=(0, None),
         method="highs")
     assert reference.success
