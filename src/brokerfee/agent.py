@@ -462,8 +462,8 @@ def best_response(contract, params: ModelParams,
     w_nodes = np.linspace(-w_half, w_half, 5)
     z_nodes = np.linspace(-z_half, z_half, 5)
     bounds = (params.rate_lower, params.rate_upper)
-    tt, ww, zz = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")
-    table = seed_policy(tt.ravel(), ww.ravel(), zz.ravel()).reshape(tt.shape)
+    ww, zz = np.meshgrid(w_nodes, z_nodes, indexing="ij")
+    table = np.array([seed_policy(t, ww, zz) for t in t_nodes])
 
     def objective(tab):
         pol = FeedbackPolicy(t_nodes, w_nodes, z_nodes, tab, bounds)

@@ -278,14 +278,26 @@ def _mode_optimize(config, out_dir, seed, lines):
             "convergence.csv"]
 
 
+def _verify_rate(params):
+    """The constant rate ``verify`` reweights by: the midpoint (L + U) / 2,
+    or, where that is 0, the nonzero rate min(U / 2, eps / sqrt(T)), so
+    that the Z channel is reweighted too. The cap keeps the log-variance
+    (pi / eps)^2 T of the density at most 1; at the default bounds U / 2
+    = 5 would leave an effective sample size of 2 in 10,000 paths."""
+    mid = 0.5 * (params.rate_lower + params.rate_upper)
+    if mid != 0.0:
+        return mid
+    return min(0.5 * params.rate_upper,
+               params.epsilon / np.sqrt(params.horizon))
+
+
 def _mode_verify(config, out_dir, seed, lines):
     """Invariant battery: density normalization, entropy identity,
     constraint moments, and the discrete oracle equalities."""
     params = config.params
     checks = []
 
-    policy = FeedbackPolicy.constant(0.5 * (params.rate_lower
-                                            + params.rate_upper), params)
+    policy = FeedbackPolicy.constant(_verify_rate(params), params)
     batch = simulate.girsanov_weights(
         simulate.simulate_reference(params, params.n_paths,
                                     split_seed(seed, "verify-sim")),

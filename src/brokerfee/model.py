@@ -116,24 +116,32 @@ def params_from_config(items: dict, prefix: str = "model") -> ModelParams:
 
 
 class FeedbackPolicy:
-    """Trading-rate rule pi(t, w, z) stored on a regular grid.
+    """Trading-rate rule pi(t, w, z) stored on a grid.
 
-    Values are clamped to [L, U] at construction and again after
-    interpolation, so every rate the policy emits is admissible.
-    Evaluation uses trilinear interpolation (:func:`interpolate`) with
-    constant extrapolation beyond the grid edges.
+    The t nodes are any sorted array; the w and z nodes must be uniform
+    (as ``np.linspace`` makes them), or the constructor raises
+    ``ValueError``. Values are clamped to [L, U] at construction and again
+    after interpolation, so every rate the policy emits is admissible.
+
+    A call looks up one scalar time ``t``: the two saved time planes around
+    it are blended into one (n_w, n_z) table, which is interpolated
+    bilinearly at (w, z), with each cell found by arithmetic on the uniform
+    nodes. Beyond the grid edges the value is extrapolated by a constant.
+    A policy whose table is constant returns that rate without a lookup.
     """
 
     def __init__(self, t_nodes, w_nodes, z_nodes, table, bounds):
         self.t_nodes = np.asarray(t_nodes, dtype=float)
-        self.w_nodes = np.asarray(w_nodes, dtype=float)
-        self.z_nodes = np.asarray(z_nodes, dtype=float)
+        self.w_nodes = _uniform_nodes(w_nodes, "w")
+        self.z_nodes = _uniform_nodes(z_nodes, "z")
         self.bounds = (float(bounds[0]), float(bounds[1]))
         table = np.asarray(table, dtype=float)
         expected = (len(self.t_nodes), len(self.w_nodes), len(self.z_nodes))
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} != {expected}")
         self.table = np.clip(table, self.bounds[0], self.bounds[1])
+        first = self.table.flat[0]
+        self._rate = first if np.all(self.table == first) else None
 
     @classmethod
     def constant(cls, rate, params: ModelParams):
@@ -144,17 +152,44 @@ class FeedbackPolicy:
         return cls(nodes, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
                    table, bounds)
 
-    @classmethod
-    def from_function(cls, fn, t_nodes, w_nodes, z_nodes, bounds):
-        """Tabulate ``fn(t, w, z)`` on the grid nodes."""
-        tt, ww, zz = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")
-        return cls(t_nodes, w_nodes, z_nodes, fn(tt, ww, zz), bounds)
-
     def __call__(self, t, w, z):
-        """Vectorized rate lookup; broadcasts over w and z."""
-        out = interpolate((self.t_nodes, self.w_nodes, self.z_nodes),
-                          self.table, t, w, z)
-        return np.clip(out, self.bounds[0], self.bounds[1])
+        """Rates at the scalar time ``t``; broadcasts over w and z."""
+        t = float(t)
+        if self._rate is not None:
+            return np.full(np.broadcast_shapes(np.shape(w), np.shape(z)),
+                           self._rate)
+        it, ft = locate(self.t_nodes, t)
+        plane = (1 - ft) * self.table[it] + ft * self.table[it + 1]
+        iw, fw = _uniform_cell(self.w_nodes, w)
+        iz, fz = _uniform_cell(self.z_nodes, z)
+        # each corner is one gather from the flat plane at base + offset
+        flat, n_z = plane.ravel(), len(self.z_nodes)
+        base = iw * n_z + iz
+        gz = 1 - fz
+        low = gz * flat.take(base) + fz * flat.take(base + 1)
+        high = gz * flat.take(base + n_z) + fz * flat.take(base + n_z + 1)
+        return np.clip((1 - fw) * low + fw * high, *self.bounds)
+
+
+def _uniform_nodes(nodes, name):
+    """``nodes`` as floats, if they are increasing and evenly spaced."""
+    nodes = np.asarray(nodes, dtype=float)
+    steps = np.diff(nodes.ravel())
+    if not (nodes.ndim == 1 and len(steps) > 0 and steps[0] > 0
+            and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        raise ValueError(f"{name} nodes must be uniform and increasing")
+    return nodes
+
+
+def _uniform_cell(nodes, x):
+    """:func:`locate` on uniform ``nodes``: the cell is found by
+    arithmetic instead of a search."""
+    x = np.asarray(x, dtype=float)
+    step = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+    idx = np.clip(np.floor((x - nodes[0]) / step), 0, len(nodes) - 2)
+    idx = idx.astype(np.intp)
+    left = nodes.take(idx)
+    return idx, np.clip((x - left) / (nodes.take(idx + 1) - left), 0.0, 1.0)
 
 
 ROW_NAMES = ("drift_p_upper", "drift_p_lower", "drift_w_upper",

@@ -5,14 +5,27 @@ Per-task streams are derived with :func:`split_seed`, and Gaussian variates
 are produced from a counter-based Philox generator through the inverse
 normal CDF, so that results are bit-identical across platforms and
 independent of execution order.
+
+Philox is counter-based: one counter step yields a block of 4 draws, and
+``Philox.advance(k)`` skips k blocks. :func:`gaussians` therefore fills its
+output in place, in contiguous chunks cut at multiples of 4 draws, each
+from its own generator advanced to the chunk's first block, one thread per
+usable CPU (``os.sched_getaffinity``). The threads release the GIL inside
+numpy and scipy, and the output does not depend on the number of chunks:
+it equals the one-shot draw bit for bit.
 """
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
 
 __all__ = ["split_seed", "uniforms", "gaussians"]
+
+# below this many draws per chunk a thread costs more than it saves
+_MIN_CHUNK = 1 << 16
 
 
 def split_seed(master_seed: int, stream: str) -> int:
@@ -25,8 +38,11 @@ def split_seed(master_seed: int, stream: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+def _generator(seed: int, blocks: int = 0) -> np.random.Generator:
+    """Philox stream of ``seed``, advanced by ``blocks`` blocks of 4 draws."""
+    bit_generator = np.random.Philox(key=seed & (2**64 - 1))
+    bit_generator.advance(blocks)
+    return np.random.Generator(bit_generator)
 
 
 def uniforms(seed: int, shape) -> np.ndarray:
@@ -34,13 +50,39 @@ def uniforms(seed: int, shape) -> np.ndarray:
     return _generator(seed).random(shape)
 
 
+def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int) -> None:
+    """Fill the 1-D array ``flat`` with the draws of :func:`gaussians` in
+    ``n_chunks`` contiguous chunks, one thread each when there are several.
+    Every cut is at a multiple of 4 draws, so chunk k starts at a block
+    boundary of the stream."""
+    cuts = [4 * (k * flat.size // (4 * n_chunks)) for k in range(n_chunks)]
+    cuts.append(flat.size)
+
+    def fill(lo, hi):
+        chunk = flat[lo:hi]
+        _generator(seed, lo // 4).random(out=chunk)
+        # random() lands on [0,1) with resolution 2^-53; floor it away from
+        # 0 so ndtri never sees an exact endpoint
+        np.maximum(chunk, 2.0**-54, out=chunk)
+        ndtri(chunk, out=chunk)
+
+    if n_chunks == 1:
+        fill(0, flat.size)
+        return
+    with ThreadPoolExecutor(n_chunks) as pool:
+        list(pool.map(fill, cuts[:-1], cuts[1:]))
+
+
 def gaussians(seed: int, shape) -> np.ndarray:
     """Standard normal array via inverse-CDF of Philox uniforms.
 
     The inverse-CDF map avoids the rejection steps of the ziggurat sampler,
-    keeping the output a fixed function of the counter stream.
+    keeping the output a fixed function of the counter stream. The array is
+    filled in place, one chunk per usable CPU (see the module docstring).
     """
-    u = _generator(seed).random(shape)
-    # random() lands on [0,1) with resolution 2^-53; floor it away from 0 so
-    # ndtri never sees an exact endpoint.
-    return ndtri(np.maximum(u, 2.0**-54))
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    n_chunks = max(1, min(len(os.sched_getaffinity(0)),
+                          flat.size // _MIN_CHUNK))
+    _fill_gaussians(seed, flat, n_chunks)
+    return out

@@ -86,9 +86,12 @@ def simulate_reference(params: ModelParams, count: int, seed: int) -> PathBatch:
     p = np.zeros((count, n + 1))
     z = np.zeros((count, n + 1))
     w = np.zeros((count, n + 1))
-    np.cumsum(params.sigma * root_dt * xi[:, :, 0], axis=1, out=p[:, 1:])
-    np.cumsum(params.epsilon * root_dt * xi[:, :, 1], axis=1, out=z[:, 1:])
-    np.cumsum(root_dt * xi[:, :, 2], axis=1, out=w[:, 1:])
+    # the drivers are scaled in place, then summed into the paths
+    for k, (scale, path) in enumerate(((params.sigma * root_dt, p),
+                                       (params.epsilon * root_dt, z),
+                                       (root_dt, w))):
+        xi[:, :, k] *= scale
+        np.cumsum(xi[:, :, k], axis=1, out=path[:, 1:])
     return PathBatch(params.times, p, z, w, "reference", seed)
 
 
@@ -139,17 +142,27 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
     dt = batch.times[1] - batch.times[0]
     rates = _left_rates(batch, policy)
     w_left = batch.w[:, :-1]
-    dp = np.diff(batch.p, axis=1)
-    dz = np.diff(batch.z, axis=1)
     s2, e2 = params.sigma**2, params.epsilon**2
-    log_m = np.sum(
-        -0.5 * (w_left**2 / s2 + rates**2 / e2) * dt
-        + (w_left / s2) * dp + (rates / e2) * dz,
-        axis=1)
+    # log M summed term by term into three (count, n_steps) buffers:
+    # -(1/2)(W^2/s2 + pi^2/e2) dt + (W/s2) dP + (pi/e2) dZ
+    log_m_terms = np.square(w_left)
+    int_w_sq = np.sum(log_m_terms, axis=1) * dt
+    log_m_terms /= s2
+    term = np.square(rates)
+    int_pi_sq = np.sum(term, axis=1) * dt
+    term /= e2
+    log_m_terms += term
+    log_m_terms *= -0.5
+    log_m_terms *= dt
+    increment = np.empty_like(term)
+    for left, scale, path in ((w_left, s2, batch.p), (rates, e2, batch.z)):
+        np.divide(left, scale, out=term)
+        np.subtract(path[:, 1:], path[:, :-1], out=increment)
+        term *= increment
+        log_m_terms += term
+    log_m = np.sum(log_m_terms, axis=1)
     return replace(batch, log_m=log_m, m=np.exp(log_m),
-                   int_pi_sq=np.sum(rates**2, axis=1) * dt,
-                   int_w_sq=np.sum(w_left**2, axis=1) * dt,
-                   rates=rates)
+                   int_pi_sq=int_pi_sq, int_w_sq=int_w_sq, rates=rates)
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is

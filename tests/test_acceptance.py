@@ -40,12 +40,13 @@ def verdict(number, name, ok, detail):
 
 
 def clamped_closed_form_policy(params):
-    return FeedbackPolicy.from_function(
-        lambda t, w, z: np.clip(w * (params.horizon - t) / (2 * params.phi_a),
-                                params.rate_lower, params.rate_upper),
-        np.linspace(0.0, params.horizon, 9),
-        np.linspace(-6.0, 6.0, 61), np.array([-1.0, 1.0]),
-        (params.rate_lower, params.rate_upper))
+    t_nodes = np.linspace(0.0, params.horizon, 9)
+    w_nodes = np.linspace(-6.0, 6.0, 61)
+    z_nodes = np.array([-1.0, 1.0])
+    tt, ww, _ = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")
+    return FeedbackPolicy(t_nodes, w_nodes, z_nodes,
+                          ww * (params.horizon - tt) / (2 * params.phi_a),
+                          (params.rate_lower, params.rate_upper))
 
 
 def policy_suite(params):
@@ -112,9 +113,8 @@ def test_criterion_03_agent_closed_form(agent_solution):
 
     w = policy.w_nodes
     inner = slice(len(w) // 10, len(w) - len(w) // 10)
-    tt, ww = np.meshgrid(policy.t_nodes, w[inner], indexing="ij")
-    approx = policy(tt, ww, np.zeros_like(ww))
-    exact = ww * (WIDE.horizon - tt)
+    approx = np.array([policy(t, w[inner], 0.0) for t in policy.t_nodes])
+    exact = w[inner] * (WIDE.horizon - policy.t_nodes[:, None])
     policy_err = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
 
     ok = value_err <= 0.01 and policy_err <= 0.02 and elapsed < 60.0
@@ -258,10 +258,9 @@ def test_criterion_09_condition5_moments():
         del batch
 
     bad_rate = params.rate_upper + 1.0
-    bad = FeedbackPolicy.from_function(
-        lambda t, w, z: np.full_like(t + w + z, bad_rate),
-        np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
-        (-2.0, 2.0))
+    bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
+                         np.array([-1.0, 1.0]), np.full((2, 2, 2), bad_rate),
+                         (-2.0, 2.0))
     batch = simulate.girsanov_weights(
         simulate.simulate_reference(params, params.n_paths,
                                     split_seed(MC.seed, "acc9-bad")),

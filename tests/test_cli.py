@@ -197,13 +197,38 @@ def test_oracle_mode_solves_each_program_once(tmp_path, monkeypatch):
 
 
 def test_deterministic_reruns(tmp_path):
-    cfg, out1 = write_config(tmp_path, "verify")
+    # girsanov.csv prints full-precision floats of the threaded draws
+    for mode, output in (("verify", "verify.csv"),
+                         ("simulate", "girsanov.csv")):
+        cfg, out1 = write_config(tmp_path, mode)
+        assert cli.run(cfg) == 0
+        cfg2, out2 = write_config(tmp_path, mode, name="run2.cfg")
+        cfg2.write_text(cfg.read_text().replace(str(out1), str(out2)))
+        assert cli.run(cfg2) == 0
+        assert (out1 / output).read_bytes() == (out2 / output).read_bytes()
+
+
+def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
+                                                          monkeypatch):
+    # the midpoint of the default bounds +-10 is 0, which would leave the Z
+    # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
+    rates = []
+
+    def recording(batch, policy, params):
+        rates.append(float(policy(0.0, 0.0, 0.0)))
+        return weights(batch, policy, params)
+
+    weights = cli.simulate.girsanov_weights
+    monkeypatch.setattr(cli.simulate, "girsanov_weights", recording)
+    cfg, out = write_config(tmp_path, "verify")
+    cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                             if not line.startswith("model.rate_")))
     assert cli.run(cfg) == 0
-    cfg2, out2 = write_config(tmp_path, "verify", name="run2.cfg")
-    cfg2.write_text(cfg.read_text().replace(str(out1), str(out2)))
-    assert cli.run(cfg2) == 0
-    assert ((out1 / "verify.csv").read_bytes()
-            == (out2 / "verify.csv").read_bytes())
+    assert rates == [0.5]
+    assert "FAIL" not in (out / "verify.csv").read_text()
+    # asymmetric bounds keep their nonzero midpoint
+    assert cli._verify_rate(cli.ModelParams(rate_lower=-1.0,
+                                            rate_upper=2.0)) == 0.5
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -53,14 +53,40 @@ def test_constant_policy():
     assert clamped(0.0, 0.0, 0.0) == pytest.approx(2.0)
 
 
+def test_constant_policy_returns_its_clamped_rate_exactly():
+    params = ModelParams(rate_lower=-2.0, rate_upper=0.7)
+    w = np.linspace(-3.0, 3.0, 7)[:, None]
+    z = np.linspace(-0.9, 0.9, 5)
+    for rate, expected in ((0.1, 0.1), (5.0, 0.7), (-3.0, -2.0)):
+        out = FeedbackPolicy.constant(rate, params)(0.3, w, z)
+        assert out.shape == (7, 5)
+        assert np.all(out == expected)
+    # a table of one value away from the default nodes is constant too
+    policy = FeedbackPolicy(np.array([0.0, 0.4, 1.0]), np.linspace(-1, 1, 4),
+                            np.linspace(-2, 2, 3), np.full((3, 4, 3), 0.3),
+                            (-1.0, 1.0))
+    assert np.all(policy(0.5, w, 0.25) == 0.3)
+
+
+@pytest.mark.parametrize("axis", ["w", "z"])
+def test_policy_rejects_non_uniform_nodes(axis):
+    nodes = {"w": np.linspace(-1.0, 1.0, 5), "z": np.linspace(-2.0, 2.0, 4)}
+    table = np.zeros((2, 5, 4))
+    for bad in (nodes[axis] ** 3, nodes[axis][::-1]):
+        with pytest.raises(ValueError, match=f"{axis} nodes must be uniform"):
+            FeedbackPolicy(np.array([0.0, 1.0]), *{**nodes, axis: bad}.values(),
+                           table, (-1.0, 1.0))
+
+
 def test_policy_interpolation_matches_linear_function():
     params = ModelParams(rate_lower=-50.0, rate_upper=50.0)
     t_nodes = np.linspace(0.0, 1.0, 5)
     w_nodes = np.linspace(-3.0, 3.0, 7)
     z_nodes = np.linspace(-2.0, 2.0, 5)
-    policy = FeedbackPolicy.from_function(
-        lambda t, w, z: w * (1.0 - t) + 0.5 * z,
-        t_nodes, w_nodes, z_nodes, (params.rate_lower, params.rate_upper))
+    tt, ww, zz = np.meshgrid(t_nodes, w_nodes, z_nodes, indexing="ij")
+    policy = FeedbackPolicy(t_nodes, w_nodes, z_nodes,
+                            ww * (1.0 - tt) + 0.5 * zz,
+                            (params.rate_lower, params.rate_upper))
     # trilinear interpolation reproduces multilinear functions exactly
     assert policy(0.35, 1.2, -0.7) == pytest.approx(1.2 * 0.65 - 0.35)
 
@@ -102,7 +128,7 @@ def test_interpolate_exact_on_multilinear_functions(n_axes):
 
 def trilinear_reference(policy, t, w, z):
     """The explicit eight-corner loop FeedbackPolicy evaluated before it
-    went through model.interpolate."""
+    blended two time planes and located w and z by arithmetic."""
     t, w, z = (np.asarray(a, dtype=float) for a in (t, w, z))
     it, ft = locate(policy.t_nodes, t)
     iw, fw = locate(policy.w_nodes, w)
@@ -116,20 +142,26 @@ def trilinear_reference(policy, t, w, z):
     return np.clip(out, policy.bounds[0], policy.bounds[1])
 
 
-def test_policy_lookup_matches_trilinear_reference_bit_for_bit():
+def test_policy_lookup_matches_trilinear_reference():
     rng = np.random.default_rng(5)
-    t_nodes = np.linspace(0.0, 1.0, 6)
+    # uneven t nodes, as solve_hjb saves them
+    t_nodes = np.array([0.0, 0.2, 0.45, 0.6, 0.8, 1.0])
     w_nodes = np.linspace(-3.0, 3.0, 9)
     z_nodes = np.linspace(-2.0, 2.0, 7)
     table = rng.normal(size=(6, 9, 7))
     policy = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, (-1.5, 1.5))
-    w = rng.uniform(-4.0, 4.0, 500)
-    z = rng.uniform(-3.0, 3.0, 500)
-    for t in (0.0, 0.37, 1.0, 1.2):
-        assert np.array_equal(policy(t, w, z),
-                              trilinear_reference(policy, t, w, z))
-    t = rng.uniform(0.0, 1.0, 500)
-    assert np.array_equal(policy(t, w, z), trilinear_reference(policy, t, w, z))
+    # inside, on and beyond the edges, and on every node
+    on_w, on_z = np.meshgrid(np.append(w_nodes, [-3.5, 3.5]),
+                             np.append(z_nodes, [-2.5, 2.5]), indexing="ij")
+    w = np.append(rng.uniform(-4.0, 4.0, 500), on_w)
+    z = np.append(rng.uniform(-3.0, 3.0, 500), on_z)
+    for t in (-0.1, 0.0, 0.37, 0.45, 1.0, 1.2):
+        got = policy(t, w, z)
+        assert got.shape == w.shape
+        assert np.allclose(got, trilinear_reference(policy, t, w, z),
+                           rtol=0.0, atol=1e-12)
+    assert np.array_equal(policy(0.45, w_nodes[:, None], z_nodes),
+                          np.clip(table[2], -1.5, 1.5))
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,6 +1,9 @@
-import numpy as np
+import hashlib
 
-from brokerfee.rng import gaussians, split_seed, uniforms
+import numpy as np
+import pytest
+
+from brokerfee.rng import _fill_gaussians, gaussians, split_seed, uniforms
 
 
 def test_uniforms_deterministic():
@@ -19,6 +22,26 @@ def test_frozen_regression_values():
     assert np.allclose(g, [-2.27188415, -0.70132792, -1.21898019], atol=1e-8)
     assert split_seed(12345, "alpha") == 6311399085688075266
     assert split_seed(12345, "beta") == 16487697504233882735
+
+
+def test_frozen_gaussian_stream():
+    # sha256 of the one-shot inverse-CDF draw that gaussians made before it
+    # filled its output in chunks; the chunked fill must reproduce it
+    digest = hashlib.sha256(gaussians(7, (1000, 250, 3)).tobytes())
+    assert digest.hexdigest() == (
+        "13165fcb09f5bf0ca9774f78b4995358f80a2b6dc640bd4ffeed1ffd219c07a2")
+
+
+@pytest.mark.parametrize("size", [1, 5, 4001, 750_003])
+def test_chunked_fill_does_not_depend_on_chunk_count(size):
+    # 3 chunks of 750,003 draws are cut inside rows of 3, as in (n, 3)
+    fills = []
+    for n_chunks in (1, 2, 3):
+        flat = np.empty(size)
+        _fill_gaussians(11, flat, n_chunks)
+        fills.append(flat)
+    assert all(np.array_equal(fills[0], f) for f in fills[1:])
+    assert np.array_equal(fills[0], gaussians(11, size))
 
 
 def test_split_seed_distinct_streams():

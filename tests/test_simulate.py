@@ -119,10 +119,9 @@ def test_constraint_moments_flag_inadmissible_rate():
     params = ModelParams(sigma=2.0, epsilon=1.0, rate_lower=-0.5,
                          rate_upper=0.5, n_steps=100)
     batch = simulate.simulate_reference(params, 20_000, 17)
-    bad = FeedbackPolicy.from_function(
-        lambda t, w, z: np.full_like(t + w + z, 1.5),
-        np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
-        (-2.0, 2.0))
+    bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
+                         np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
+                         (-2.0, 2.0))
     wb = simulate.girsanov_weights(batch, bad, params)
     spec = ConstraintSpec.from_params(params)
     eta = simulate.EtaTest("const", s=0.5, t=1.0)
