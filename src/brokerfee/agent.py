@@ -11,12 +11,17 @@ value function solves
 and the maximizing rate is the clamped closed form
 pi* = clamp(V_z / (2 phi_a), L, U): the Hamiltonian is strictly concave
 in pi, so no grid search over rates is needed. The solver steps back
-in time with the Shu-Osher SSP-RK2 scheme, v <- (v + S(S(v))) / 2,
-where S is one explicit Euler step with upwind differencing for the
-advection terms and one-sided differences at the domain boundary. Being
-a convex combination of Euler steps, it stays monotone under the Euler
-CFL bound (Gottlieb, Shu & Tadmor 2001), which the time step is checked
-against, and its time error is second order, not first.
+in time with Ketcheson's low-storage SSP(9,3) scheme (Ketcheson 2008,
+SIAM J. Sci. Comput. 30(4); Gottlieb, Ketcheson & Shu 2011, "Strong
+Stability Preserving Runge-Kutta and Multistep Time Discretizations").
+Each of its nine stages is one explicit Euler step S of size dt / 6,
+with upwind differencing for the advection terms and one-sided
+differences at the domain boundary, and the only other operation is
+one convex combination of two stage values. Every stage is an Euler
+step within the Euler CFL bound when dt is at most 6 times that bound,
+so the step stays monotone there (its SSP coefficient is 6); the time
+step is checked against 6 times the Euler bound. Per Euler-bound step
+the scheme costs 1.5 stages, and its time error is third order.
 The value is held on (p, w, z), with a single p plane when the fee does
 not read the price, and one step kernel serves both cases: it walks the
 p axis in slabs of a few planes sized to stay in cache, writes every
@@ -69,16 +74,17 @@ class HjbSettings:
     n_w: int = 201
     n_z: int = 201
     n_p: int = 61
-    dt: Optional[float] = None  # override; checked against the CFL bound
+    # override; checked against the SSP bound, 6 times the Euler CFL bound
+    dt: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ValueGrid:
     """Value samples over saved time slices of the backward sweep.
 
-    ``values`` has shape (n_save, [n_p,] n_w, n_z), with 81 saved time
-    slices in 2-D and 17 in 3-D; the slice at the final saved time equals
-    the terminal reward exactly.
+    ``values`` has shape (n_save, [n_p,] n_w, n_z), with at most 81 saved
+    time slices in 2-D and 17 in 3-D, one per step boundary; the slice at
+    the final saved time equals the terminal reward exactly.
     """
 
     t_nodes: np.ndarray
@@ -167,7 +173,8 @@ _SLAB_CELLS = 1 << 15
 
 class _ExplicitStep:
     """One backward explicit Euler step on V of shape (n_p, n_w, n_z): the
-    stage S of the SSP-RK2 step in :func:`solve_hjb`.
+    stage S of the SSP(9,3) step in :func:`solve_hjb`, built with the stage
+    size dt / 6.
 
     ``n_p`` is 1 when the fee does not read the price. The p axis is walked
     in slabs of a few planes, so that a slab's scratch buffers stay in
@@ -315,14 +322,22 @@ def _half_widths(params: ModelParams):
     return 6.0 * np.sqrt(T), 6.0 * params.epsilon * np.sqrt(T) + rate_bound * T
 
 
+# SSP coefficient of SSP(9,3): each of its stages is an Euler step of
+# dt / _SSP_RATIO, so the step may be this many times the Euler bound
+_SSP_RATIO = 6
+
+
 def solve_hjb(contract, params: ModelParams,
               settings: HjbSettings = HjbSettings()):
-    """Backward SSP-RK2 sweep; returns (FeedbackPolicy, ValueGrid).
+    """Backward SSP(9,3) sweep; returns (FeedbackPolicy, ValueGrid).
 
     The value is held on (p, w, z) with a single p plane when the fee does
     not read the price, so the 2-D and 3-D solves share one step kernel
     (:class:`_ExplicitStep`), which walks the p axis in cache-sized slabs.
-    The reported agent value is the grid value at the origin. Raises
+    Values and rates are saved at step boundaries only, at most 81 slices
+    in 2-D and 17 in 3-D. The solve holds three full-size buffers: V and
+    two stage targets. The reported agent value is the grid value at the
+    origin. Raises
     :class:`CflError` if an explicit time-step override is too large and
     :class:`UnsupportedContractError` for non-Markovian fees.
     """
@@ -354,8 +369,9 @@ def solve_hjb(contract, params: ModelParams,
     if p_dependent:
         dp = p_nodes[1] - p_nodes[0]
         cfl_denom += 0.5 * sigma**2 * 2 / dp**2 + w_max / dp
-    # the Euler monotonicity bound, which the SSP-RK2 stages keep
-    dt_max = 1.0 / cfl_denom
+    # every stage is an Euler step of dt / _SSP_RATIO within the Euler
+    # monotonicity bound 1 / cfl_denom
+    dt_max = _SSP_RATIO / cfl_denom
     if settings.dt is not None:
         if settings.dt > dt_max:
             raise CflError(settings.dt, dt_max)
@@ -372,9 +388,9 @@ def solve_hjb(contract, params: ModelParams,
     # rule does not read P through the dynamics, only through the fee's
     # terminal slope, which varies little over the bulk of the domain
     policy_plane = len(p_nodes) // 2 if p_dependent else 0
-    step = _ExplicitStep(params, dt, w_nodes, z_nodes, p_nodes)
+    step = _ExplicitStep(params, dt / _SSP_RATIO, w_nodes, z_nodes, p_nodes)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
-    stage, spare = np.empty_like(v), np.empty_like(v)
+    a, b = np.empty_like(v), np.empty_like(v)
     values = np.empty((len(save_idx),) + v.shape)
     rates = np.empty((len(save_idx), n_w, n_z))
 
@@ -386,12 +402,22 @@ def solve_hjb(contract, params: ModelParams,
 
     record(n_t, v)
     for k in range(n_t, 0, -1):
-        # SSP-RK2: v <- (v + S(S(v))) / 2
-        step(v, stage)
-        step(stage, spare)
-        spare += v
-        spare *= 0.5
-        v, spare = spare, v
+        # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1 (in
+        # b) while q1 takes stages 2-6 (alternating between a and v), then
+        # q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
+        step(v, b)
+        step(b, a)
+        step(a, v)
+        step(v, a)
+        step(a, v)
+        step(v, a)
+        b *= 1.5
+        b += a
+        b *= 0.4
+        step(b, a)
+        step(a, v)
+        step(v, b)
+        v, b = b, v
         record(k - 1, v)
 
     grid = ValueGrid(t_saved, w_nodes, z_nodes,

@@ -172,7 +172,8 @@ def _mode_simulate(config, out_dir, seed, lines):
 
 
 def _mode_agent(config, out_dir, seed, lines):
-    """The client's best response and a Monte Carlo check of its value.
+    """The client's best response and a Monte Carlo check of its value:
+    ``mc_z`` in ``agent.csv`` is (mc_value - value) / mc_se.
 
     ``agent.npz`` holds the policy's nodes and rate table and, when the
     grid solver ran, the value grid on the same nodes (with ``p_nodes``
@@ -183,6 +184,7 @@ def _mode_agent(config, out_dir, seed, lines):
     mc_value, mc_se = agent.estimate_agent_value(
         contract, response.policy, params, params.n_paths,
         split_seed(seed, "agent-mc"))
+    mc_z = (mc_value - response.value) / mc_se
     policy, grid = response.policy, response.grid
     arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
               "z_nodes": policy.z_nodes, "rates": policy.table}
@@ -197,9 +199,11 @@ def _mode_agent(config, out_dir, seed, lines):
                 ["value_se", _fmt(response.value_se)],
                 ["mc_value", _fmt(mc_value)],
                 ["mc_se", _fmt(mc_se)],
+                ["mc_z", _fmt(mc_z)],
                 ["converged", int(response.converged)]])
     lines.append(f"agent value {response.value:.6f}, "
-                 f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g})")
+                 f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g}, "
+                 f"z {mc_z:.2f})")
     return ["agent.csv", "agent.npz"]
 
 

@@ -57,20 +57,22 @@ def test_mc_agrees_with_grid(zero_fee_solution):
 
 
 def test_default_settings_error(zero_fee_solution):
-    # second order in time at the Euler monotonicity bound: about 3e-6 off
+    # third order in time at six times the Euler monotonicity bound:
+    # about 6e-7 off
     _, grid = zero_fee_solution
-    assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-5
+    assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-6
 
 
-def test_time_stepping_is_second_order():
+def test_time_stepping_is_third_order():
     # the zero-fee value is linear in z and quadratic in w, which the
     # differences resolve exactly away from the edges: the time error
-    # dominates
+    # dominates, and each halving of the step cuts it about 8 times
     errors = [abs(solve_hjb(Constant(0.0), WIDE,
                             HjbSettings(n_w=101, n_z=101, dt=dt))[1]
                   .value_at_origin - 1.0 / 24.0)
-              for dt in (1.0 / 157, 0.5 / 157)]
-    assert errors[0] >= 3 * errors[1]
+              for dt in (1.0 / 20, 1.0 / 40, 1.0 / 80)]
+    assert errors[0] >= 6 * errors[1]
+    assert errors[1] >= 6 * errors[2]
 
 
 def test_linear_quadratic_reference_value():
@@ -86,6 +88,19 @@ def test_linear_quadratic_reference_value():
 def test_cfl_override_rejected():
     with pytest.raises(CflError):
         solve_hjb(Constant(0.0), WIDE, HjbSettings(n_w=101, n_z=101, dt=0.5))
+    # the Euler bound of the 101 x 101 grid; every SSP(9,3) stage is an
+    # Euler step of dt / 6, so a step up to six times the bound is allowed
+    w_max, z_max = agent._half_widths(WIDE)
+    dw, dz = 2.0 * w_max / 100, 2.0 * z_max / 100
+    euler = 1.0 / (WIDE.epsilon**2 / dz**2 + 1.0 / dw**2
+                   + WIDE.rate_upper / dz)
+    with pytest.raises(CflError) as info:
+        solve_hjb(Constant(0.0), WIDE,
+                  HjbSettings(n_w=101, n_z=101, dt=6.0 * euler * 1.001))
+    assert info.value.dt_max == pytest.approx(6.0 * euler, rel=1e-12)
+    _, grid = solve_hjb(Constant(0.0), WIDE,
+                        HjbSettings(n_w=101, n_z=101, dt=6.0 * euler * 0.999))
+    assert grid.value_at_origin == pytest.approx(1.0 / 24.0, abs=1e-6)
 
 
 def test_unsupported_contract_raises():
@@ -185,7 +200,7 @@ def _reference_rate(v, params, dz):
 
 
 def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
-    """One explicit Euler step, the stage of the scheme's SSP-RK2 step, on
+    """One explicit Euler step, a stage of the scheme's SSP(9,3) step, on
     (n_w, n_z), or (n_p, n_w, n_z) for a price-dependent fee, one numpy
     expression per term."""
     dw = w_nodes[1] - w_nodes[0]
@@ -205,7 +220,9 @@ def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
 
 
 BOUNDED = ModelParams(rate_lower=-1.0, rate_upper=1.0)
-SWEEP_DT = 0.004  # below the CFL bound of both small grids
+# below the SSP(9,3) bound of both small grids, six times their Euler
+# bounds 0.045 and 0.094: eight steps of nine stages each
+SWEEP_DT = 0.125
 
 
 def _table_fee():
@@ -242,14 +259,18 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
     assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
     v = grid.values[-1].copy()
 
-    def euler(u):
-        return _reference_step(u, dt, BOUNDED, grid.w_nodes, grid.z_nodes,
-                               grid.p_nodes)
+    def euler_stages(u, stages):
+        for _ in range(stages):
+            u = _reference_step(u, dt / 6, BOUNDED, grid.w_nodes,
+                                grid.z_nodes, grid.p_nodes)
+        return u
 
     for k in range(n_t, -1, -1):
         if k < n_t:
-            # Shu-Osher SSP-RK2 built from two Euler steps
-            v = 0.5 * (v + euler(euler(v)))
+            # SSP(9,3) built from nine Euler stages of dt / 6
+            q2 = euler_stages(v, 1)
+            q1 = euler_stages(q2, 5)
+            v = euler_stages((3 * q2 + 2 * q1) / 5, 3)
         if k in saved:
             values, rates = saved[k]
             scale = np.max(np.abs(v))

@@ -140,6 +140,11 @@ def test_agent_mode_arrays(tmp_path):
     origin = interpolate((arrays["w_nodes"], arrays["z_nodes"]),
                          arrays["values"][0], 0.0, 0.0)
     assert float(origin) == pytest.approx(float(rows["value"]), abs=1e-12)
+    value, mc_value, mc_se, mc_z = (float(rows[k]) for k in
+                                    ("value", "mc_value", "mc_se", "mc_z"))
+    assert mc_z == pytest.approx((mc_value - value) / mc_se, rel=1e-12)
+    assert abs(mc_z) <= 3.0
+    assert f"z {mc_z:.2f})" in (out / "summary.txt").read_text()
     rerun = tmp_path / "rerun"
     assert cli.run(cfg, out_dir=rerun) == 0
     for name in ("agent.npz", "agent.csv"):
