@@ -24,21 +24,27 @@ step is checked against 6 times the Euler bound. Per Euler-bound step
 the scheme costs 1.5 stages, and its time error is third order.
 The value is held on (p, w, z), with a single p plane when the fee does
 not read the price, and one step kernel serves both cases: it walks the
-p axis in slabs of a few planes sized to stay in cache, writes every
-intermediate into preallocated buffers, and derives V_z, the rate, both
-upwind differences and V_zz from one difference along z per slab.
+p axis in slabs of a few planes, writes every intermediate into
+preallocated buffers, and derives V_z, the rate, both upwind differences
+and V_zz from one difference along z per slab. The slabs are split into
+at most one contiguous group per usable CPU, and the groups of each
+stage run on a thread pool that lives for one solve; a cell's arithmetic
+does not depend on the thread that computes it, so the values are
+bit-identical for any thread count.
 Fees outside the Markovian classes are handled by projected coordinate
 ascent over a coarse policy table with common random numbers.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .model import FeedbackPolicy, ModelParams, interpolate, zeta_integral
-from .rng import split_seed
+from .rng import _usable_cpus, split_seed
 from . import simulate
 
 __all__ = [
@@ -163,12 +169,32 @@ def _terminal_payoff(contract, p_nodes, z_nodes):
         f"grid solver does not support {type(contract).__name__}")
 
 
-# Grid cells per slab of p planes. A slab step touches about eight float64
-# arrays of this size, 2 MiB in all, the L2 cache of one core of the Xeon
-# the kernel was timed on. There, on 61 planes of 101 x 101, slabs of 3 to
-# 6 planes were fastest; one plane per slab was 20-40 % slower and the
-# whole array at once 1.7-2 times slower.
-_SLAB_CELLS = 1 << 15
+# Grid cells per slab of p planes, 6 planes of 101 x 101. Each worker walks
+# its slabs in its own buffers, about eight float64 arrays of this size. On
+# the 2-core Xeon the kernel was timed on (2 MiB L2 per core), the default
+# 3-D solve took a median 1.83 s on two workers at 6 planes per slab,
+# 2.23 s at 3 planes (1 << 15, whose buffers fit one core's L2) and 1.91 s
+# at 9; fewer slabs make fewer short numpy calls for the workers to take
+# turns on. On one worker 6 and 3 planes took 2.65 s and 2.72 s. Earlier,
+# on one core, one plane per slab was 20-40 % slower and the whole array
+# at once 1.7-2 times slower.
+_SLAB_CELLS = 1 << 16
+
+
+class _Buffers:
+    """One worker's scratch for slabs of up to ``h`` planes of (n_w, n_z);
+    ``dp_diff`` only when the fee reads the price."""
+
+    def __init__(self, h, n_w, n_z, price):
+        size = h * n_w * n_z
+        self.dz_diff = np.empty(size)
+        self.pi = np.empty(size)
+        self.upwind = np.empty(size)
+        self.scratch = np.empty(size)
+        self.negative = np.empty(size, dtype=bool)
+        self.dw_diff = np.empty((h, n_w - 1, n_z))
+        if price:
+            self.dp_diff = np.empty((h + 1, n_w, n_z))
 
 
 class _ExplicitStep:
@@ -177,10 +203,19 @@ class _ExplicitStep:
     size dt / 6.
 
     ``n_p`` is 1 when the fee does not read the price. The p axis is walked
-    in slabs of a few planes, so that a slab's scratch buffers stay in
-    cache, and every intermediate goes into a preallocated buffer. One
-    difference along z per slab yields the central V_z behind the control,
-    both upwind differences and the second difference V_zz.
+    in slabs of a few planes (:data:`_SLAB_CELLS`), and every intermediate
+    goes into a preallocated buffer. One difference along z per slab
+    yields the central V_z behind the control, both upwind differences and
+    the second difference V_zz.
+
+    The planes are cut by count into one contiguous group per worker,
+    min(usable CPUs, number of slabs) groups, and each group walks its own
+    slabs with its own :class:`_Buffers`. A slab reads only the input V,
+    its own planes and one neighbour plane on each side, and writes only
+    its own planes of the output, so the groups run in parallel on a
+    thread pool (numpy releases the GIL) and every cell gets the same
+    arithmetic on any number of threads: the result is bit-identical.
+    With one group, as in every 2-D solve, the group runs inline.
 
     The z-direction work runs on the slab flattened to one contiguous
     vector, which numpy streams far faster than a strided last-axis slice;
@@ -208,15 +243,12 @@ class _ExplicitStep:
         self.c_ww = dt * 0.5 / dw**2
         self.dt_zw = dt * w_nodes[:, None] * z_nodes[None, :]
 
-        plane = n_w * n_z
-        h = min(n_p, max(1, _SLAB_CELLS // plane))
-        self.slabs = [(a, min(a + h, n_p)) for a in range(0, n_p, h)]
-        self.dz_diff = np.empty(h * plane)
-        self.pi = np.empty(h * plane)
-        self.upwind = np.empty(h * plane)
-        self.scratch = np.empty(h * plane)
-        self.negative = np.empty(h * plane, dtype=bool)
-        self.dw_diff = np.empty((h, n_w - 1, n_z))
+        h = min(n_p, max(1, _SLAB_CELLS // (n_w * n_z)))
+        n_groups = min(_usable_cpus(), -(-n_p // h))
+        cuts = [k * n_p // n_groups for k in range(n_groups + 1)]
+        self.groups = [[(a, min(a + h, hi)) for a in range(lo, hi, h)]
+                       for lo, hi in zip(cuts[:-1], cuts[1:])]
+        self.buffers = [_Buffers(h, n_w, n_z, n_p > 1) for _ in self.groups]
         if n_p > 1:
             dp = p_nodes[1] - p_nodes[0]
             self.c_pp = dt * 0.5 * params.sigma**2 / dp**2
@@ -224,7 +256,6 @@ class _ExplicitStep:
             # w_split take the backward difference, the rest the forward one
             self.dt_w_dp = (dt / dp) * w_nodes[:, None]
             self.w_split = int(np.searchsorted(w_nodes, 0.0))
-            self.dp_diff = np.empty((h + 1, n_w, n_z))
 
     def _control(self, v, dz_diff, pi):
         """z differences of the flat slab ``v`` into ``dz_diff`` (the last
@@ -240,28 +271,37 @@ class _ExplicitStep:
 
     def rates(self, plane):
         """The clamped closed-form rate on one C-contiguous (n_w, n_z)
-        plane of V."""
+        plane of V, in the first worker's buffers."""
         out = np.empty(plane.shape)
-        self._control(plane.reshape(-1), self.dz_diff[:plane.size],
+        self._control(plane.reshape(-1), self.buffers[0].dz_diff[:plane.size],
                       out.reshape(-1))
         return out
 
-    def __call__(self, v, out):
+    def __call__(self, v, out, pool):
         """Write V one step earlier in time into ``out``; both are
-        C-contiguous, so that a slab flattens to a view."""
+        C-contiguous, so that a slab flattens to a view. The groups run on
+        ``pool`` when there are several."""
+        if len(self.groups) == 1:
+            self._sweep(v, out, self.groups[0], self.buffers[0])
+        else:
+            list(pool.map(partial(self._sweep, v, out), self.groups,
+                          self.buffers))
+
+    def _sweep(self, v, out, slabs, buf):
+        """Write the planes of ``slabs`` of ``out``, in the buffers ``buf``."""
         n_z = self.shape[2]
-        for a, b in self.slabs:
+        for a, b in slabs:
             vs, o = v[a:b], out[a:b]
             size = vs.size
             flat_o = o.reshape(-1)
-            dz_diff, pi = self.dz_diff[:size], self.pi[:size]
-            upwind, scratch = self.upwind[:size], self.scratch[:size]
+            dz_diff, pi = buf.dz_diff[:size], buf.pi[:size]
+            upwind, scratch = buf.upwind[:size], buf.scratch[:size]
             self._control(vs.reshape(-1), dz_diff, pi)
             rows = dz_diff.reshape(-1, n_z)
             # V_z upwinded by the sign of pi: forward where pi > 0, backward
             # where pi < 0; both are the same one-sided difference at an edge
             upwind[:-1] = dz_diff[:-1]
-            negative = self.negative[:size]
+            negative = buf.negative[:size]
             np.less(pi[1:], 0.0, out=negative[1:])
             np.copyto(upwind[1:], dz_diff[:-1], where=negative[1:])
             up_rows = upwind.reshape(-1, n_z)
@@ -282,23 +322,23 @@ class _ExplicitStep:
             flat_o += scratch
             # (1/2) V_ww, zero on the w edges
             scratch = scratch.reshape(vs.shape)
-            dw_diff = self.dw_diff[:b - a]
+            dw_diff = buf.dw_diff[:b - a]
             np.subtract(vs[:, 1:], vs[:, :-1], out=dw_diff)
             d2 = scratch[:, 1:-1]
             np.subtract(dw_diff[:, 1:], dw_diff[:, :-1], out=d2)
             d2 *= self.c_ww
             o[:, 1:-1] += d2
             if self.shape[0] > 1:
-                self._price_terms(v, a, b, o, scratch)
+                self._price_terms(v, a, b, o, scratch, buf.dp_diff)
             o += vs
 
-    def _price_terms(self, v, a, b, o, scratch):
+    def _price_terms(self, v, a, b, o, scratch, dp_diff):
         """Add dt (w V_p + (1/2) sigma^2 V_pp) for planes a..b-1 to ``o``."""
         n_p, m = self.shape[0], b - a
         # diff[i] lies below plane a + i and diff[i + 1] above it; an edge
         # plane takes the difference to its only neighbour on both sides,
         # which also makes its V_pp exactly zero
-        diff = self.dp_diff[:m + 1]
+        diff = dp_diff[:m + 1]
         lo, hi = max(a - 1, 0), min(b - 1, n_p - 2)
         np.subtract(v[lo + 1], v[lo], out=diff[0])
         np.subtract(v[a + 1:b], v[a:b - 1], out=diff[1:m])
@@ -333,7 +373,10 @@ def solve_hjb(contract, params: ModelParams,
 
     The value is held on (p, w, z) with a single p plane when the fee does
     not read the price, so the 2-D and 3-D solves share one step kernel
-    (:class:`_ExplicitStep`), which walks the p axis in cache-sized slabs.
+    (:class:`_ExplicitStep`), which walks the p axis in slabs. Its worker
+    groups run on one thread pool, opened and closed by this call, so no
+    thread outlives the solve; the 2-D solve has one group and runs on
+    the calling thread. The values do not depend on the thread count.
     Values and rates are saved at step boundaries only, at most 81 slices
     in 2-D and 17 in 3-D. The solve holds three full-size buffers: V and
     two stage targets. The reported agent value is the grid value at the
@@ -400,25 +443,28 @@ def solve_hjb(contract, params: ModelParams,
             values[i] = v
             rates[i] = step.rates(v[policy_plane])
 
-    record(n_t, v)
-    for k in range(n_t, 0, -1):
-        # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1 (in
-        # b) while q1 takes stages 2-6 (alternating between a and v), then
-        # q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
-        step(v, b)
-        step(b, a)
-        step(a, v)
-        step(v, a)
-        step(a, v)
-        step(v, a)
-        b *= 1.5
-        b += a
-        b *= 0.4
-        step(b, a)
-        step(a, v)
-        step(v, b)
-        v, b = b, v
-        record(k - 1, v)
+    # the pool lives for this solve only; with one group it starts no thread
+    with ThreadPoolExecutor(len(step.groups)) as pool:
+        euler = partial(step, pool=pool)
+        record(n_t, v)
+        for k in range(n_t, 0, -1):
+            # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1
+            # (in b) while q1 takes stages 2-6 (alternating between a and
+            # v), then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
+            euler(v, b)
+            euler(b, a)
+            euler(a, v)
+            euler(v, a)
+            euler(a, v)
+            euler(v, a)
+            b *= 1.5
+            b += a
+            b *= 0.4
+            euler(b, a)
+            euler(a, v)
+            euler(v, b)
+            v, b = b, v
+            record(k - 1, v)
 
     grid = ValueGrid(t_saved, w_nodes, z_nodes,
                      values if p_dependent else values[:, 0], p_nodes)

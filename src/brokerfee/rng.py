@@ -10,7 +10,7 @@ Philox is counter-based: one counter step yields a block of 4 draws, and
 ``Philox.advance(k)`` skips k blocks. :func:`gaussians` therefore fills its
 output in place, in contiguous chunks cut at multiples of 4 draws, each
 from its own generator advanced to the chunk's first block, one thread per
-usable CPU (``os.sched_getaffinity``). The threads release the GIL inside
+usable CPU (:func:`_usable_cpus`). The threads release the GIL inside
 numpy and scipy, and the output does not depend on the number of chunks:
 it equals the one-shot draw bit for bit.
 """
@@ -26,6 +26,15 @@ __all__ = ["split_seed", "uniforms", "gaussians"]
 
 # below this many draws per chunk a thread costs more than it saves
 _MIN_CHUNK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (``os.sched_getaffinity``, Linux), else ``os.cpu_count()``, else
+    1. Every thread pool in the package is sized by it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def split_seed(master_seed: int, stream: str) -> int:
@@ -82,7 +91,6 @@ def gaussians(seed: int, shape) -> np.ndarray:
     """
     out = np.empty(shape)
     flat = out.reshape(-1)
-    n_chunks = max(1, min(len(os.sched_getaffinity(0)),
-                          flat.size // _MIN_CHUNK))
+    n_chunks = max(1, min(_usable_cpus(), flat.size // _MIN_CHUNK))
     _fill_gaussians(seed, flat, n_chunks)
     return out

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -309,3 +313,67 @@ def test_sweep_is_bit_reproducible():
     second = solve_hjb(fee, BOUNDED, settings)
     assert first[1].values.tobytes() == second[1].values.tobytes()
     assert first[0].table.tobytes() == second[0].table.tobytes()
+
+
+def _force_groups(monkeypatch, n_groups):
+    """Slabs of 2 p planes of the 3-D sweep case, cut into ``n_groups``
+    worker groups whatever the number of CPUs."""
+    _, settings = SWEEP_CASES["3d"]
+    monkeypatch.setattr(agent, "_SLAB_CELLS", 2 * settings.n_w * settings.n_z)
+    monkeypatch.setattr(agent, "_usable_cpus", lambda: n_groups)
+
+
+def test_sweep_does_not_depend_on_group_count(monkeypatch):
+    # 9 planes in slabs of 2: 3 groups are more than a 2-core machine has,
+    # and every group but the first of 2 ends on a short 1-plane slab
+    fee, settings = SWEEP_CASES["3d"]
+    layouts = {1: [[(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]],
+               2: [[(0, 2), (2, 4)], [(4, 6), (6, 8), (8, 9)]],
+               3: [[(0, 2), (2, 3)], [(3, 5), (5, 6)], [(6, 8), (8, 9)]]}
+    nodes = np.linspace(-1.0, 1.0, settings.n_w)
+    p_nodes = np.linspace(-1.0, 1.0, settings.n_p)
+    solves = []
+    # a short switch interval interleaves the workers as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_groups, layout in layouts.items():
+            _force_groups(monkeypatch, n_groups)
+            step = agent._ExplicitStep(BOUNDED, 0.01, nodes, nodes, p_nodes)
+            assert step.groups == layout
+            solves.append(solve_hjb(fee, BOUNDED, settings))
+    finally:
+        sys.setswitchinterval(interval)
+    policy, grid = solves[0]
+    for other_policy, other_grid in solves[1:]:
+        assert other_grid.values.tobytes() == grid.values.tobytes()
+        assert other_policy.table.tobytes() == policy.table.tobytes()
+
+
+def test_sweep_without_sched_getaffinity(monkeypatch):
+    # the CPU count falls back to os.cpu_count() where the OS has no
+    # affinity mask (macOS, Windows); the values do not change
+    fee, settings = SWEEP_CASES["3d"]
+    monkeypatch.setattr(agent, "_SLAB_CELLS", settings.n_w * settings.n_z)
+    expected = solve_hjb(fee, BOUNDED, settings)[1].values
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    _, grid = solve_hjb(fee, BOUNDED, settings)
+    assert grid.values.tobytes() == expected.tobytes()
+
+
+def test_sweep_leaves_no_thread(monkeypatch):
+    fee, settings = SWEEP_CASES["3d"]
+    _force_groups(monkeypatch, 2)
+    workers = set()
+    sweep = agent._ExplicitStep._sweep
+
+    def spy(self, *args):
+        workers.add(threading.get_ident())
+        sweep(self, *args)
+
+    monkeypatch.setattr(agent._ExplicitStep, "_sweep", spy)
+    before = threading.active_count()
+    solve_hjb(fee, BOUNDED, settings)
+    # the groups ran on pool threads, and the pool is gone with the solve
+    assert workers and threading.get_ident() not in workers
+    assert threading.active_count() == before

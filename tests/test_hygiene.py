@@ -1,5 +1,6 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, no import is unused, and only the CLI writes files."""
+tests, no import is unused, only the CLI writes files, and every thread
+pool is closed by a with statement."""
 
 import ast
 import importlib
@@ -111,3 +112,21 @@ def test_only_cli_writes_files():
             if how:
                 writes.append(f"{path.name}:{node.lineno}: {how}")
     assert writes == []
+
+
+def test_thread_pools_are_scoped_by_with():
+    # a pool opened as the context of a with statement joins its threads
+    # when the block exits, so no call leaves a thread running
+    pools, loose = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        scoped = {id(item.context_expr) for node in ast.walk(tree)
+                  if isinstance(node, ast.With) for item in node.items}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and (_dotted(node.func) or "").split(".")[-1]
+                    == "ThreadPoolExecutor"):
+                pools += 1
+                if id(node) not in scoped:
+                    loose.append(f"{path.name}:{node.lineno}")
+    assert pools > 0 and loose == []

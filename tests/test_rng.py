@@ -1,9 +1,16 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from brokerfee.rng import _fill_gaussians, gaussians, split_seed, uniforms
+from brokerfee.rng import (_fill_gaussians, _usable_cpus, gaussians,
+                           split_seed, uniforms)
+
+# sha256 of the one-shot inverse-CDF draw gaussians(7, (1000, 250, 3)) that
+# gaussians made before it filled its output in chunks
+FROZEN_GAUSSIAN_SHA256 = (
+    "13165fcb09f5bf0ca9774f78b4995358f80a2b6dc640bd4ffeed1ffd219c07a2")
 
 
 def test_uniforms_deterministic():
@@ -24,12 +31,24 @@ def test_frozen_regression_values():
     assert split_seed(12345, "beta") == 16487697504233882735
 
 
+def _frozen_stream_digest():
+    return hashlib.sha256(gaussians(7, (1000, 250, 3)).tobytes()).hexdigest()
+
+
 def test_frozen_gaussian_stream():
-    # sha256 of the one-shot inverse-CDF draw that gaussians made before it
-    # filled its output in chunks; the chunked fill must reproduce it
-    digest = hashlib.sha256(gaussians(7, (1000, 250, 3)).tobytes())
-    assert digest.hexdigest() == (
-        "13165fcb09f5bf0ca9774f78b4995358f80a2b6dc640bd4ffeed1ffd219c07a2")
+    # the chunked fill must reproduce the one-shot draw
+    assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
+
+
+def test_cpu_count_fallback(monkeypatch):
+    # os.sched_getaffinity exists on Linux only; elsewhere the CPU count
+    # falls back to os.cpu_count(), and to 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _usable_cpus() == (os.cpu_count() or 1)
+    assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+    assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
 
 
 @pytest.mark.parametrize("size", [1, 5, 4001, 750_003])
