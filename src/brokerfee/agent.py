@@ -130,15 +130,14 @@ class AgentUtilitySpec:
         cost = self.params.phi_a * np.sum(batch.rates**2, axis=1) * dt
         return -xi + reward - cost
 
-    def reweighted_objective(self, batch) -> np.ndarray:
-        """Per-path M-weighted utility on a reference batch with weights."""
-        if not batch.has_weights:
-            raise ValueError("batch carries no weights")
+    def reweighted_objective(self, batch, weights) -> np.ndarray:
+        """Per-path M-weighted utility on a reference batch, given its
+        :class:`~brokerfee.simulate.WeightedSample` ``weights``."""
         dt = batch.times[1] - batch.times[0]
         xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
         zeta = zeta_integral(batch.z, batch.w, dt, self.params)
-        return batch.m * (-xi - self.params.entropy_weight * batch.log_m
-                          + zeta)
+        return weights.m * (-xi - self.params.entropy_weight * weights.log_m
+                            + zeta)
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import agent, contracts, oracle, principal, simulate
-from .model import (ConstraintSpec, FeedbackPolicy, ModelParams,
-                    params_from_config, params_to_config)
+from .model import (FeedbackPolicy, ModelParams, params_from_config,
+                    params_to_config)
 from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -114,8 +114,11 @@ def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
 def _contract_from_config(config: ExperimentConfig):
     family = _family_from_config(config)
     coeffs = np.array(_parse_list(config.family.get("coefficients", "0")))
+    if len(coeffs) > family.dimension:
+        raise ValueError(f"family.coefficients has {len(coeffs)} entries, "
+                         f"but the family has dimension {family.dimension}")
     theta = np.zeros(family.dimension)
-    theta[:len(coeffs)] = coeffs[:family.dimension]
+    theta[:len(coeffs)] = coeffs
     return family.make(theta)
 
 
@@ -145,10 +148,9 @@ def _mode_simulate(config, out_dir, seed, lines):
     rows = []
     for label, rate in (("lower", params.rate_lower), ("zero", 0.0),
                         ("upper", params.rate_upper)):
-        policy = FeedbackPolicy.constant(rate, params)
-        batch = simulate.simulate_reference(params, params.n_paths,
-                                            split_seed(seed, f"sim-{label}"))
-        weighted = simulate.girsanov_weights(batch, policy, params)
+        weighted = simulate.weighted_reference(
+            params, FeedbackPolicy.constant(rate, params), params.n_paths,
+            split_seed(seed, f"sim-{label}"))
         mean, se = simulate._mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
         degenerate = (ess < simulate.DEGENERATE_ESS_FRACTION
@@ -302,24 +304,21 @@ def _mode_verify(config, out_dir, seed, lines):
     checks = []
 
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
-    batch = simulate.girsanov_weights(
-        simulate.simulate_reference(params, params.n_paths,
-                                    split_seed(seed, "verify-sim")),
-        policy, params)
-    mean, se = simulate._mean_se(batch.m)
+    sample = simulate.weighted_reference(
+        params, policy, params.n_paths, split_seed(seed, "verify-sim"),
+        simulate.eta_family(params.horizon))
+    mean, se = simulate._mean_se(sample.m)
     checks.append(("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                    f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}"))
 
-    report = simulate.entropy_report(batch, params)
+    report = simulate.entropy_report(sample, params)
     checks.append(("entropy_identity",
                    abs(report.gap) <= 3 * report.combined_se,
                    f"gap = {report.gap:.2e}, "
                    f"3se = {3 * report.combined_se:.2e}"))
 
-    spec = ConstraintSpec.from_params(params)
     worst = max(float(np.max(moments.estimates - 3 * moments.ses))
-                for moments in simulate.constraint_moments(
-                    batch, simulate.eta_family(params.horizon), spec))
+                for moments in simulate.constraint_moments(sample))
     checks.append(("constraint_moments", worst <= 0.0,
                    f"max (estimate - 3se) = {worst:.2e}"))
 

@@ -12,7 +12,9 @@ output in place, in contiguous chunks cut at multiples of 4 draws, each
 from its own generator advanced to the chunk's first block, one thread per
 usable CPU (:func:`_usable_cpus`). The threads release the GIL inside
 numpy and scipy, and the output does not depend on the number of chunks:
-it equals the one-shot draw bit for bit.
+it equals the one-shot draw bit for bit. The same holds for a draw that
+starts ``offset`` positions into the stream, at a multiple of 4: it equals
+that stretch of the one-shot draw, so a batch can be drawn in row chunks.
 """
 
 import hashlib
@@ -59,17 +61,19 @@ def uniforms(seed: int, shape) -> np.ndarray:
     return _generator(seed).random(shape)
 
 
-def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int) -> None:
-    """Fill the 1-D array ``flat`` with the draws of :func:`gaussians` in
-    ``n_chunks`` contiguous chunks, one thread each when there are several.
-    Every cut is at a multiple of 4 draws, so chunk k starts at a block
-    boundary of the stream."""
+def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int,
+                    offset: int = 0) -> None:
+    """Fill the 1-D array ``flat`` with the draws of :func:`gaussians` at
+    stream positions ``offset`` on, in ``n_chunks`` contiguous chunks, one
+    thread each when there are several. ``offset`` and every cut are
+    multiples of 4 draws, so chunk k starts at a block boundary of the
+    stream."""
     cuts = [4 * (k * flat.size // (4 * n_chunks)) for k in range(n_chunks)]
     cuts.append(flat.size)
 
     def fill(lo, hi):
         chunk = flat[lo:hi]
-        _generator(seed, lo // 4).random(out=chunk)
+        _generator(seed, (offset + lo) // 4).random(out=chunk)
         # random() lands on [0,1) with resolution 2^-53; floor it away from
         # 0 so ndtri never sees an exact endpoint
         np.maximum(chunk, 2.0**-54, out=chunk)
@@ -82,15 +86,20 @@ def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int) -> None:
         list(pool.map(fill, cuts[:-1], cuts[1:]))
 
 
-def gaussians(seed: int, shape) -> np.ndarray:
+def gaussians(seed: int, shape, offset: int = 0) -> np.ndarray:
     """Standard normal array via inverse-CDF of Philox uniforms.
 
     The inverse-CDF map avoids the rejection steps of the ziggurat sampler,
-    keeping the output a fixed function of the counter stream. The array is
+    keeping the output a fixed function of the counter stream. The array
+    holds stream positions ``offset`` to ``offset + size``; ``offset`` must
+    be a nonnegative multiple of 4, the first draw of a Philox block. It is
     filled in place, one chunk per usable CPU (see the module docstring).
     """
+    if offset < 0 or offset % 4:
+        raise ValueError(f"offset must be a nonnegative multiple of 4, "
+                         f"got {offset}")
     out = np.empty(shape)
     flat = out.reshape(-1)
     n_chunks = max(1, min(_usable_cpus(), flat.size // _MIN_CHUNK))
-    _fill_gaussians(seed, flat, n_chunks)
+    _fill_gaussians(seed, flat, n_chunks, offset)
     return out

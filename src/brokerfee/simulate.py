@@ -2,7 +2,7 @@
 
 Paths are simulated under the scaled reference measure (independent
 Brownian coordinates) or under a controlled measure induced by a feedback
-trading rate. Reweighting a reference batch by the exponential density of
+trading rate. Reweighting reference paths by the exponential density of
 a policy reproduces controlled expectations; the routines here estimate
 the normalization, the effective sample size of the weights, the entropy
 identity relating E[M log M] to half the expected squared drift, and the
@@ -12,14 +12,25 @@ The constraint rows are linear in the state increments, so the stopped
 moments telescope: for a whole family of test functionals one batch needs
 one running integral of W and one stopping index per truncation level,
 and each functional then reads the path values at its two window ends.
-At 20,000 paths x 250 steps the seven built-in functionals cost about
-0.2 s together (2 cores, numpy 2.4).
+
+:func:`weighted_reference` simulates and reweights the reference paths
+one row chunk at a time and keeps only the per-path results: 46 floats
+per path with the seven built-in functionals, while a whole batch of 250
+steps would hold about 1,750. Every estimate is a mean or a standard
+deviation over a per-path vector, so the chunk size changes no bit of
+it. At 20,000 paths x 250 steps the verify mode took 0.83-1.15 s and
+peaked at 108 MB of process memory, against 1.02-1.30 s and 347 MB as
+one batch (2 cores, numpy 2.4). Controlled batches
+(:func:`simulate_controlled`) stay whole: each chunk would repeat the
+Python loop of policy lookups over the steps, and 10,000 paths x 250
+steps took 0.53 s as one batch against 0.61-0.65 s in chunks of 2,048 or
+4,096 rows.
 
 All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -28,9 +39,10 @@ from .model import ConstraintSpec, FeedbackPolicy, ModelParams
 from .rng import gaussians
 
 __all__ = [
-    "PathBatch", "EtaTest", "eta_family",
+    "PathBatch", "WeightedSample", "EtaTest", "eta_family",
     "simulate_reference", "simulate_controlled",
-    "girsanov_weights", "effective_sample_size", "DEGENERATE_ESS_FRACTION",
+    "girsanov_weights", "weighted_reference",
+    "effective_sample_size", "DEGENERATE_ESS_FRACTION",
     "entropy_report",
     "constraint_moments",
 ]
@@ -38,11 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathBatch:
-    """A batch of sampled trajectories with optional matched weights.
+    """A batch of sampled trajectories.
 
-    ``p``, ``z``, ``w`` have shape (count, n_steps + 1). Weight arrays,
-    when present, have shape (count,) and were computed for one fixed
-    policy (reference batches only).
+    ``p``, ``z``, ``w`` have shape (count, n_steps + 1); a controlled batch
+    also carries its left-point ``rates``, of shape (count, n_steps).
     """
 
     times: np.ndarray
@@ -51,41 +62,39 @@ class PathBatch:
     w: np.ndarray
     measure_tag: str
     seed: int
-    log_m: Optional[np.ndarray] = None
-    m: Optional[np.ndarray] = None
-    int_pi_sq: Optional[np.ndarray] = None
-    int_w_sq: Optional[np.ndarray] = None
-    rates: Optional[np.ndarray] = None  # (count, n_steps), left-point rates
+    rates: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.p.shape != self.z.shape or self.p.shape != self.w.shape:
             raise ValueError("coordinate arrays must share a shape")
-        if self.m is not None and len(self.m) != len(self.p):
-            raise ValueError("weights must match the number of paths")
 
     @property
     def count(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def has_weights(self) -> bool:
-        return self.m is not None
 
-
-def simulate_reference(params: ModelParams, count: int, seed: int) -> PathBatch:
-    """Sample ``count`` paths of (P, Z, W) under the reference measure.
+def simulate_reference(params: ModelParams, count: int, seed: int,
+                       lo: int = 0, hi: Optional[int] = None) -> PathBatch:
+    """Sample rows [lo, hi) of a ``count``-path batch of (P, Z, W) under
+    the reference measure; all ``count`` rows by default.
 
     Each coordinate is an independent scaled Brownian motion built from
     Euler increments sqrt(dt) * standard normals; deterministic in seed.
+    Row r reads the draws at stream positions 3 n_steps r on, so rows
+    from an ``lo`` that is a multiple of 4 equal those rows of the whole
+    batch bit for bit.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    hi = count if hi is None else hi
+    if not 0 <= lo < hi <= count:
+        raise ValueError(f"rows [{lo}, {hi}) are not in a batch of {count}")
     n = params.n_steps
     root_dt = np.sqrt(params.dt)
-    xi = gaussians(seed, (count, n, 3))
-    p = np.zeros((count, n + 1))
-    z = np.zeros((count, n + 1))
-    w = np.zeros((count, n + 1))
+    xi = gaussians(seed, (hi - lo, n, 3), offset=3 * n * lo)
+    p = np.zeros((hi - lo, n + 1))
+    z = np.zeros((hi - lo, n + 1))
+    w = np.zeros((hi - lo, n + 1))
     # the drivers are scaled in place, then summed into the paths
     for k, (scale, path) in enumerate(((params.sigma * root_dt, p),
                                        (params.epsilon * root_dt, z),
@@ -121,26 +130,36 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
     return PathBatch(times, p, z, w, "controlled", seed, rates=rates)
 
 
-def _left_rates(batch: PathBatch, policy: FeedbackPolicy) -> np.ndarray:
-    n = len(batch.times) - 1
-    rates = np.empty((batch.count, n))
-    for i in range(n):
-        rates[:, i] = policy(batch.times[i], batch.w[:, i], batch.z[:, i])
-    return rates
+@dataclass(frozen=True)
+class WeightedSample:
+    """Per-path results of reference paths reweighted by one policy.
+
+    ``m`` is the density dQ^pi / dW of each path, ``log_m`` its log, and
+    ``int_pi_sq`` and ``int_w_sq`` are the left-point integrals of pi^2 and
+    W^2, each of shape (count,). ``moments[e, r]`` holds the samples
+    M eta_e (Y_{t ^ tau} - Y_{s ^ tau}) of constraint row r for test
+    functional e (see :func:`constraint_moments`), shape (n_etas, 6, count).
+    """
+
+    m: np.ndarray
+    log_m: np.ndarray
+    int_pi_sq: np.ndarray
+    int_w_sq: np.ndarray
+    moments: np.ndarray
 
 
-def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
-                     params: ModelParams) -> PathBatch:
-    """Attach the density dQ^pi / dW to every path of a reference batch.
+def _log_density(batch: PathBatch, policy: FeedbackPolicy,
+                 params: ModelParams) -> tuple:
+    """(log M, int pi^2 dt, int W^2 dt) per path, left-point sums.
 
     log M = sum_i [ -(1/2)((W_i/sigma)^2 + (pi_i/eps)^2) dt
                     + (W_i/sigma^2) dP_i + (pi_i/eps^2) dZ_i ]
-    with left-point evaluation of W_i and pi_i.
     """
-    if batch.measure_tag != "reference":
-        raise ValueError("weights are defined on reference-measure batches")
+    n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
-    rates = _left_rates(batch, policy)
+    rates = np.empty((batch.count, n))
+    for i in range(n):
+        rates[:, i] = policy(batch.times[i], batch.w[:, i], batch.z[:, i])
     w_left = batch.w[:, :-1]
     s2, e2 = params.sigma**2, params.epsilon**2
     # log M summed term by term into three (count, n_steps) buffers:
@@ -160,9 +179,61 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
         np.subtract(path[:, 1:], path[:, :-1], out=increment)
         term *= increment
         log_m_terms += term
-    log_m = np.sum(log_m_terms, axis=1)
-    return replace(batch, log_m=log_m, m=np.exp(log_m),
-                   int_pi_sq=int_pi_sq, int_w_sq=int_w_sq, rates=rates)
+    return np.sum(log_m_terms, axis=1), int_pi_sq, int_w_sq
+
+
+def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
+                     params: ModelParams, etas=()) -> WeightedSample:
+    """The density dQ^pi / dW of every path of a reference batch, with the
+    integrals of the entropy identity and the constraint-moment samples of
+    the test functionals ``etas``: the per-chunk step of
+    :func:`weighted_reference`. W_i and pi_i are evaluated at the left
+    point of each step.
+    """
+    if batch.measure_tag != "reference":
+        raise ValueError("weights are defined on reference-measure batches")
+    # the buffers of log M are freed before the moment samples are taken
+    log_m, int_pi_sq, int_w_sq = _log_density(batch, policy, params)
+    m = np.exp(log_m)
+    moments = _moment_samples(batch, m, etas,
+                              ConstraintSpec.from_params(params))
+    return WeightedSample(m, log_m, int_pi_sq, int_w_sq, moments)
+
+
+# Draws per row chunk of weighted_reference, 1,396 rows at 250 steps. A
+# chunk in flight holds about 7 floats per path and step (the paths, the
+# rates and three buffers of log M), about 20 MB at this size. The verify
+# mode at 20,000 x 250 peaked at 97, 108 and 130 MB of process memory with
+# 1 << 19, 1 << 20 and 1 << 21 draws per chunk, and ran 0.1 s slower at
+# 1 << 18, where the per-step lookups are short.
+_CHUNK_DRAWS = 1 << 20
+
+
+def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
+                       count: int, seed: int, etas=()) -> WeightedSample:
+    """Reweight the ``count`` reference paths of ``seed`` by ``policy``.
+
+    The paths are simulated and weighted in row chunks of about
+    ``_CHUNK_DRAWS`` draws (:func:`girsanov_weights`), and only the
+    per-path results are kept, so memory grows by 4 + 6 len(etas) floats
+    per path. Each chunk's rows start at a multiple of 4, and every result
+    is computed along one path, so the sample does not depend on the chunk
+    size: it equals the sample of the whole batch taken as one chunk, bit
+    for bit.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    rows = max(4, 4 * (_CHUNK_DRAWS // (12 * params.n_steps)))
+    sample = WeightedSample(np.empty(count), np.empty(count),
+                            np.empty(count), np.empty(count),
+                            np.empty((len(etas), 6, count)))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        part = girsanov_weights(simulate_reference(params, count, seed, lo, hi),
+                                policy, params, etas)
+        for field in fields(WeightedSample):
+            getattr(sample, field.name)[..., lo:hi] = getattr(part, field.name)
+    return sample
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is
@@ -170,16 +241,14 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
 DEGENERATE_ESS_FRACTION = 0.01
 
 
-def effective_sample_size(batch: PathBatch) -> float:
+def effective_sample_size(sample: WeightedSample) -> float:
     """Kong's effective sample size (sum m)^2 / sum m^2 of the weights.
 
     About ``count`` for light weights and near 1 when a few paths carry
     all of the mass, as at wide rate bounds. Computed from log M scaled by
     its maximum, so weights that underflow to 0 still give a value.
     """
-    if not batch.has_weights:
-        raise ValueError("batch carries no weights")
-    ratio = np.exp(batch.log_m - np.max(batch.log_m))
+    ratio = np.exp(sample.log_m - np.max(sample.log_m))
     return float(np.sum(ratio)**2 / np.sum(ratio**2))
 
 
@@ -206,18 +275,18 @@ def _mean_se(samples: np.ndarray) -> tuple:
     return mean, se
 
 
-def entropy_report(batch: PathBatch, params: ModelParams) -> EntropyReport:
+def entropy_report(sample: WeightedSample,
+                   params: ModelParams) -> EntropyReport:
     """Both sides of the relative-entropy identity, with standard errors.
 
     The expected entropy E[M log M] equals half the reweighted expectation
     of the integrated squared (normalized) drift; the report estimates
-    both sides from the same weighted batch.
+    both sides from the same weighted sample.
     """
-    if not batch.has_weights:
-        raise ValueError("batch carries no weights")
-    lhs, lhs_se = _mean_se(batch.m * batch.log_m)
-    drift_sq = batch.int_pi_sq / params.epsilon**2 + batch.int_w_sq / params.sigma**2
-    rhs, rhs_se = _mean_se(0.5 * batch.m * drift_sq)
+    lhs, lhs_se = _mean_se(sample.m * sample.log_m)
+    drift_sq = (sample.int_pi_sq / params.epsilon**2
+                + sample.int_w_sq / params.sigma**2)
+    rhs, rhs_se = _mean_se(0.5 * sample.m * drift_sq)
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)
 
 
@@ -290,9 +359,10 @@ def _truncation_index(batch: PathBatch, level: float) -> np.ndarray:
     return hit
 
 
-def constraint_moments(batch: PathBatch, etas, spec: ConstraintSpec) -> list:
-    """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows,
-    one :class:`MomentReport` per test functional in ``etas``.
+def _moment_samples(batch: PathBatch, m: np.ndarray, etas,
+                    spec: ConstraintSpec) -> np.ndarray:
+    """M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows and each
+    test functional in ``etas``, shape (len(etas), 6, count).
 
     Y accumulates b dt + A dX (:meth:`ConstraintSpec.rows`) along the path.
     The rows are linear in the increments, so Y_{t ^ tau} - Y_{s ^ tau} is
@@ -300,12 +370,10 @@ def constraint_moments(batch: PathBatch, etas, spec: ConstraintSpec) -> list:
     running integral of W, over a window of (hi - lo) steps. The stopping
     index is computed once per truncation level and the running integral
     once per batch; each functional then costs O(count).
-    Rows 1-4 have zero mean under the controlled measure (martingale rows);
-    rows 5-6 have nonpositive mean exactly when the reweighting policy is
-    admissible.
     """
-    if not batch.has_weights:
-        raise ValueError("batch carries no weights")
+    out = np.empty((len(etas), 6, batch.count))
+    if not etas:
+        return out
     horizon = batch.times[-1]
     n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
@@ -314,8 +382,7 @@ def constraint_moments(batch: PathBatch, etas, spec: ConstraintSpec) -> list:
     np.cumsum(batch.w[:, :-1], axis=1, out=int_w[:, 1:])
     int_w *= dt
     stops = {}
-    reports = []
-    for eta in etas:
+    for e, eta in enumerate(etas):
         level = eta.truncation_level
         if level not in stops:
             stops[level] = _truncation_index(batch, level)
@@ -327,8 +394,23 @@ def constraint_moments(batch: PathBatch, etas, spec: ConstraintSpec) -> list:
 
         increments = spec.rows(delta(batch.p), delta(batch.z),
                                delta(batch.w), delta(int_w), (hi - lo) * dt)
-        weights = batch.m * eta.values(batch)
-        estimates, ses = zip(*(_mean_se(weights * inc)
-                               for inc in increments))
+        weights = m * eta.values(batch)
+        for r, inc in enumerate(increments):
+            np.multiply(weights, inc, out=out[e, r])
+    return out
+
+
+def constraint_moments(sample: WeightedSample) -> list:
+    """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows,
+    one :class:`MomentReport` per test functional the sample was weighted
+    with (the ``etas`` of :func:`weighted_reference`).
+
+    Rows 1-4 have zero mean under the controlled measure (martingale rows);
+    rows 5-6 have nonpositive mean exactly when the reweighting policy is
+    admissible.
+    """
+    reports = []
+    for rows in sample.moments:
+        estimates, ses = zip(*(_mean_se(samples) for samples in rows))
         reports.append(MomentReport(np.array(estimates), np.array(ses)))
     return reports

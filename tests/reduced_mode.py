@@ -8,26 +8,32 @@ from brokerfee.rng import gaussians
 from brokerfee.simulate import EntropyReport, _mean_se
 
 
-def reduced_reference(count: int, n_steps: int, horizon: float,
-                      seed: int) -> np.ndarray:
-    """Paths of a single standard Brownian coordinate, shape (count, N+1)."""
+def reduced_terminal(count: int, n_steps: int, horizon: float,
+                     seed: int, rows: int = 4096) -> np.ndarray:
+    """Terminal values x_T of ``count`` paths of a single standard Brownian
+    coordinate, shape (count,). The paths are drawn and summed ``rows`` at
+    a time (a multiple of 4, so each chunk starts on a Philox block)."""
     root_dt = np.sqrt(horizon / n_steps)
-    xi = gaussians(seed, (count, n_steps))
-    x = np.zeros((count, n_steps + 1))
-    np.cumsum(root_dt * xi, axis=1, out=x[:, 1:])
-    return x
+    x_t = np.empty(count)
+    for lo in range(0, count, rows):
+        xi = gaussians(seed, (min(rows, count - lo), n_steps),
+                       offset=lo * n_steps)
+        xi *= root_dt
+        x_t[lo:lo + len(xi)] = np.cumsum(xi, axis=1)[:, -1]
+    return x_t
 
 
-def reduced_weights(x: np.ndarray, drift: float, horizon: float) -> np.ndarray:
+def reduced_weights(x_t: np.ndarray, drift: float,
+                    horizon: float) -> np.ndarray:
     """Densities exp(-c^2 T / 2 + c x_T) for constant drift c."""
-    return np.exp(-0.5 * drift**2 * horizon + drift * x[:, -1])
+    return np.exp(-0.5 * drift**2 * horizon + drift * x_t)
 
 
-def reduced_entropy_report(x: np.ndarray, drift: float,
+def reduced_entropy_report(x_t: np.ndarray, drift: float,
                            horizon: float) -> EntropyReport:
     """Entropy identity estimates in the reduced mode (analytic value
     c^2 T / 2 on both sides)."""
-    m = reduced_weights(x, drift, horizon)
+    m = reduced_weights(x_t, drift, horizon)
     log_m = np.log(m)
     lhs, lhs_se = _mean_se(m * log_m)
     rhs, rhs_se = _mean_se(0.5 * m * drift**2 * horizon)

@@ -22,7 +22,7 @@ from brokerfee import oracle, principal, simulate
 from brokerfee.agent import (HjbSettings, best_response,
                              estimate_agent_value, solve_hjb)
 from brokerfee.contracts import Constant
-from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
+from brokerfee.model import FeedbackPolicy, ModelParams
 from brokerfee.rng import split_seed, uniforms
 
 import reduced_mode
@@ -59,21 +59,18 @@ def policy_suite(params):
 
 
 @pytest.fixture(scope="module")
-def weighted_batches():
-    out = {}
-    for k, (label, policy) in enumerate(policy_suite(MC)):
-        batch = simulate.simulate_reference(MC, MC.n_paths,
-                                            split_seed(MC.seed, f"acc1-{k}"))
-        out[label] = simulate.girsanov_weights(batch, policy, MC)
-    return out
+def weighted_samples():
+    return {label: simulate.weighted_reference(
+                MC, policy, MC.n_paths, split_seed(MC.seed, f"acc1-{k}"))
+            for k, (label, policy) in enumerate(policy_suite(MC))}
 
 
-def test_criterion_01_girsanov_normalization(weighted_batches):
+def test_criterion_01_girsanov_normalization(weighted_samples):
     ok = True
     details = []
-    for label, wb in weighted_batches.items():
+    for label, sample in weighted_samples.items():
         start = time.time()
-        mean, se = simulate._mean_se(wb.m)
+        mean, se = simulate._mean_se(sample.m)
         elapsed = time.time() - start
         good = abs(mean - 1.0) <= 3 * se and elapsed < 30.0
         ok = ok and good
@@ -82,15 +79,15 @@ def test_criterion_01_girsanov_normalization(weighted_batches):
     assert verdict(1, "girsanov normalization", ok, "; ".join(details))
 
 
-def test_criterion_02_entropy_identity(weighted_batches):
-    x = reduced_mode.reduced_reference(MC.n_paths, MC.n_steps,
-                                       MC.horizon, split_seed(MC.seed, "acc2"))
-    reduced = reduced_mode.reduced_entropy_report(x, 2.0, MC.horizon)
+def test_criterion_02_entropy_identity(weighted_samples):
+    x_t = reduced_mode.reduced_terminal(MC.n_paths, MC.n_steps, MC.horizon,
+                                        split_seed(MC.seed, "acc2"))
+    reduced = reduced_mode.reduced_entropy_report(x_t, 2.0, MC.horizon)
     ok = (abs(reduced.lhs - 2.0) <= 3 * reduced.lhs_se
           and abs(reduced.rhs - 2.0) <= 3 * reduced.rhs_se)
     details = [f"reduced: lhs={reduced.lhs:.3f} rhs={reduced.rhs:.3f}"]
-    for label, wb in weighted_batches.items():
-        report = simulate.entropy_report(wb, MC)
+    for label, sample in weighted_samples.items():
+        report = simulate.entropy_report(sample, MC)
         good = abs(report.gap) <= 3 * report.combined_se
         ok = ok and good
         details.append(f"{label}: gap={report.gap:.2e} "
@@ -245,29 +242,24 @@ def test_criterion_08_extraction_admissibility():
 def test_criterion_09_condition5_moments():
     params = ModelParams(sigma=2.0, epsilon=1.0, rate_lower=-0.5,
                          rate_upper=0.5, n_steps=250, n_paths=50_000)
-    spec = ConstraintSpec.from_params(params)
     family = simulate.eta_family(params.horizon)
     ok = True
     for k, (label, policy) in enumerate(policy_suite(params)):
-        batch = simulate.girsanov_weights(
-            simulate.simulate_reference(params, params.n_paths,
-                                        split_seed(MC.seed, f"acc9-{k}")),
-            policy, params)
-        for report in simulate.constraint_moments(batch, family, spec):
+        sample = simulate.weighted_reference(
+            params, policy, params.n_paths, split_seed(MC.seed, f"acc9-{k}"),
+            family)
+        for report in simulate.constraint_moments(sample):
             ok = ok and bool(np.all(report.estimates <= 3 * report.ses))
-        del batch
 
     bad_rate = params.rate_upper + 1.0
     bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), bad_rate),
                          (-2.0, 2.0))
-    batch = simulate.girsanov_weights(
-        simulate.simulate_reference(params, params.n_paths,
-                                    split_seed(MC.seed, "acc9-bad")),
-        bad, params)
+    sample = simulate.weighted_reference(
+        params, bad, params.n_paths, split_seed(MC.seed, "acc9-bad"), family)
     detected = False
     margin = -np.inf
-    for report in simulate.constraint_moments(batch, family, spec):
+    for report in simulate.constraint_moments(sample):
         margin = max(margin, report.estimates[4] - 3 * report.ses[4])
         if report.estimates[4] > 3 * report.ses[4]:
             detected = True

@@ -139,9 +139,11 @@ def test_objective_forms_agree():
     controlled = simulate.simulate_controlled(params, policy, 40_000, 11)
     v_q, se_q = simulate._mean_se(spec.pathwise_objective(controlled))
 
-    reference = simulate.girsanov_weights(
-        simulate.simulate_reference(params, 40_000, 12), policy, params)
-    v_w, se_w = simulate._mean_se(spec.reweighted_objective(reference))
+    # the objective reads the paths, so the batch is weighted as one chunk
+    reference = simulate.simulate_reference(params, 40_000, 12)
+    weights = simulate.girsanov_weights(reference, policy, params)
+    v_w, se_w = simulate._mean_se(spec.reweighted_objective(reference,
+                                                            weights))
     assert abs(v_q - v_w) <= 3 * np.hypot(se_q, se_w)
 
 

@@ -219,9 +219,9 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
     rates = []
 
-    def recording(batch, policy, params):
+    def recording(batch, policy, params, etas=()):
         rates.append(float(policy(0.0, 0.0, 0.0)))
-        return weights(batch, policy, params)
+        return weights(batch, policy, params, etas)
 
     weights = cli.simulate.girsanov_weights
     monkeypatch.setattr(cli.simulate, "girsanov_weights", recording)
@@ -229,11 +229,25 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
                              if not line.startswith("model.rate_")))
     assert cli.run(cfg) == 0
-    assert rates == [0.5]
+    # one call per row chunk of the reference paths
+    assert set(rates) == {0.5}
     assert "FAIL" not in (out / "verify.csv").read_text()
     # asymmetric bounds keep their nonzero midpoint
     assert cli._verify_rate(cli.ModelParams(rate_lower=-1.0,
                                             rate_upper=2.0)) == 0.5
+
+
+def test_extra_coefficients_fail_the_run(tmp_path, capsys):
+    # a constant fee has one coefficient; a second one is an error, not
+    # silently dropped
+    cfg, out = write_config(tmp_path, "agent")
+    cfg.write_text(cfg.read_text().replace("family.coefficients = 0.01",
+                                           "family.coefficients = 0.01, 0.2"))
+    assert cli.run(cfg) == 1
+    assert "has 2 entries, but the family has dimension 1" in \
+        capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -63,6 +63,21 @@ def test_chunked_fill_does_not_depend_on_chunk_count(size):
     assert np.array_equal(fills[0], gaussians(11, size))
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 4), (4, 9), (8, 40), (36, 40)])
+def test_offset_draws_are_rows_of_the_whole_draw(lo, hi):
+    # rows from a multiple of 4 start on a Philox block: 7 steps are 21
+    # draws per row, so row 4 starts mid-stream at draw 84
+    whole = gaussians(13, (40, 7, 3))
+    rows = gaussians(13, (hi - lo, 7, 3), offset=lo * 7 * 3)
+    assert np.array_equal(rows, whole[lo:hi])
+
+
+@pytest.mark.parametrize("offset", [-4, 2, 21])
+def test_offset_off_a_block_raises(offset):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        gaussians(13, (5, 3), offset=offset)
+
+
 def test_split_seed_distinct_streams():
     seeds = {split_seed(7, f"stream-{k}") for k in range(100)}
     assert len(seeds) == 100

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,16 @@ PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
                      n_paths=20_000)
 
 
+# the built-in family, then the whole-horizon constant (martingale rows)
+ETAS = simulate.eta_family(PARAMS.horizon) + [
+    simulate.EtaTest("const", s=0.0, t=1.0)]
+
+
 @pytest.fixture(scope="module")
-def weighted_batch():
-    batch = simulate.simulate_reference(PARAMS, PARAMS.n_paths, 31)
+def weighted_sample():
     policy = FeedbackPolicy.constant(0.8, PARAMS)
-    return simulate.girsanov_weights(batch, policy, PARAMS)
+    return simulate.weighted_reference(PARAMS, policy, PARAMS.n_paths, 31,
+                                       ETAS)
 
 
 def test_reference_batch_statistics():
@@ -50,37 +58,86 @@ def test_controlled_simulation_drift():
     assert np.allclose(batch.rates, 1.0)
 
 
-def test_girsanov_normalization(weighted_batch):
-    mean, se = simulate._mean_se(weighted_batch.m)
+# 10 steps are 30 draws per path: 49 paths run as 8 x 6 + 1 rows in
+# chunks of 8 and as 16 x 3 + 1 in chunks of 16
+@pytest.mark.parametrize("rows", [8, 16])
+def test_chunks_match_the_whole_batch(rows, monkeypatch):
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=10)
+    nodes = np.linspace(-2.0, 2.0, 5)
+    tt, ww, zz = np.meshgrid([0.0, 1.0], nodes, nodes, indexing="ij")
+    policy = FeedbackPolicy(np.array([0.0, 1.0]), nodes, nodes,
+                            np.clip(ww - 0.5 * zz + tt, -1.0, 1.0),
+                            (-1.0, 1.0))
+    whole = simulate.girsanov_weights(
+        simulate.simulate_reference(params, 49, 23), policy, params, ETAS)
+
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", rows * 3 * params.n_steps)
+    chunks = []
+    reference = simulate.simulate_reference
+
+    def recording(params, count, seed, lo=0, hi=None):
+        chunks.append((lo, hi))
+        return reference(params, count, seed, lo, hi)
+
+    monkeypatch.setattr(simulate, "simulate_reference", recording)
+    chunked = simulate.weighted_reference(params, policy, 49, 23, ETAS)
+    assert chunks == [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
+    assert whole.moments.shape == (len(ETAS), 6, 49)
+    for field in fields(simulate.WeightedSample):
+        assert np.array_equal(getattr(chunked, field.name),
+                              getattr(whole, field.name)), field.name
+
+
+def test_weighted_reference_memory_is_per_path():
+    # memory stays bounded as the path count grows: the sample keeps
+    # 4 + 6 x 7 = 46 floats per path for the built-in family, where one
+    # batch of 250 steps holds about 1,750 floats per path in flight
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250)
+    policy = FeedbackPolicy.constant(0.5, params)
+    family = simulate.eta_family(params.horizon)
+
+    def peak_bytes(count):
+        tracemalloc.start()
+        try:
+            simulate.weighted_reference(params, policy, count, 3, family)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(4_000), peak_bytes(16_000)
+    assert large - small < 12_000 * 64 * 8
+
+
+def test_girsanov_normalization(weighted_sample):
+    mean, se = simulate._mean_se(weighted_sample.m)
     assert abs(mean - 1.0) <= 3 * se
     assert se < 0.05
 
 
 def test_girsanov_zero_rate_isolates_w_channel():
-    batch = simulate.simulate_reference(PARAMS, 20_000, 13)
     policy = FeedbackPolicy.constant(0.0, PARAMS)
-    wb = simulate.girsanov_weights(batch, policy, PARAMS)
+    wb = simulate.weighted_reference(PARAMS, policy, 20_000, 13)
     mean, se = simulate._mean_se(wb.m)
     assert abs(mean - 1.0) <= 3 * se
     assert np.all(wb.int_pi_sq == 0.0)
 
 
-def test_entropy_identity_full_model(weighted_batch):
-    report = simulate.entropy_report(weighted_batch, PARAMS)
+def test_entropy_identity_full_model(weighted_sample):
+    report = simulate.entropy_report(weighted_sample, PARAMS)
     assert abs(report.gap) <= 3 * report.combined_se
 
 
 def test_entropy_reduced_mode_closed_form():
     # constant drift c: E[M log M] = c^2 T / 2 exactly
-    x = reduced_mode.reduced_reference(50_000, 100, 1.0, 21)
-    report = reduced_mode.reduced_entropy_report(x, 2.0, 1.0)
+    x_t = reduced_mode.reduced_terminal(50_000, 100, 1.0, 21)
+    report = reduced_mode.reduced_entropy_report(x_t, 2.0, 1.0)
     assert abs(report.lhs - 2.0) <= 3 * report.lhs_se
     assert abs(report.rhs - 2.0) <= 3 * report.rhs_se
 
 
 def test_reduced_weights_normalize():
-    x = reduced_mode.reduced_reference(50_000, 100, 1.0, 22)
-    m = reduced_mode.reduced_weights(x, 1.0, 1.0)
+    x_t = reduced_mode.reduced_terminal(50_000, 100, 1.0, 22)
+    m = reduced_mode.reduced_weights(x_t, 1.0, 1.0)
     mean, se = simulate._mean_se(m)
     assert abs(mean - 1.0) <= 3 * se
 
@@ -94,38 +151,35 @@ def test_eta_family_composition():
     assert kinds.count("z_indicator") == 3
 
 
-def test_eta_values_bounded(weighted_batch):
+def test_eta_values_bounded():
+    batch = simulate.simulate_reference(PARAMS, PARAMS.n_paths, 31)
     for eta in simulate.eta_family(PARAMS.horizon):
-        vals = eta.values(weighted_batch)
+        vals = eta.values(batch)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-def test_constraint_moments_admissible_policy(weighted_batch):
-    spec = ConstraintSpec.from_params(PARAMS)
-    for report in simulate.constraint_moments(
-            weighted_batch, simulate.eta_family(PARAMS.horizon), spec):
+def test_constraint_moments_admissible_policy(weighted_sample):
+    reports = simulate.constraint_moments(weighted_sample)
+    assert len(reports) == len(ETAS)
+    for report in reports:
         assert np.all(report.estimates <= 3 * report.ses)
 
 
-def test_constraint_moments_martingale_rows(weighted_batch):
+def test_constraint_moments_martingale_rows(weighted_sample):
     # rows 1-4 are martingale increments: mean zero, not just nonpositive
-    spec = ConstraintSpec.from_params(PARAMS)
-    eta = simulate.EtaTest("const", s=0.0, t=1.0)
-    [report] = simulate.constraint_moments(weighted_batch, [eta], spec)
+    report = simulate.constraint_moments(weighted_sample)[-1]
     assert np.all(np.abs(report.estimates[:4]) <= 3 * report.ses[:4])
 
 
 def test_constraint_moments_flag_inadmissible_rate():
     params = ModelParams(sigma=2.0, epsilon=1.0, rate_lower=-0.5,
                          rate_upper=0.5, n_steps=100)
-    batch = simulate.simulate_reference(params, 20_000, 17)
     bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
                          (-2.0, 2.0))
-    wb = simulate.girsanov_weights(batch, bad, params)
-    spec = ConstraintSpec.from_params(params)
     eta = simulate.EtaTest("const", s=0.5, t=1.0)
-    [report] = simulate.constraint_moments(wb, [eta], spec)
+    [report] = simulate.constraint_moments(
+        simulate.weighted_reference(params, bad, 20_000, 17, [eta]))
     assert report.estimates[4] > 3 * report.ses[4]
 
 
@@ -136,7 +190,7 @@ def test_moment_window_ordering(s, t):
     assert eta.s <= eta.t
 
 
-def per_step_moments(batch, eta, spec):
+def per_step_moments(batch, m, eta, spec):
     """Reference estimator: cumulative sums of the rows of every step,
     read at the stopped window ends (s ^ tau, t ^ tau)."""
     horizon = batch.times[-1]
@@ -147,7 +201,7 @@ def per_step_moments(batch, eta, spec):
     hi = np.minimum(int(np.floor(eta.t * n / horizon)), stop)
     increments = spec.rows(np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
                            np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt)
-    weights = batch.m * eta.values(batch)
+    weights = m * eta.values(batch)
     paths = np.arange(batch.count)
     estimates, ses = [], []
     for inc in increments:
@@ -181,9 +235,7 @@ def test_rows_of_summed_increments_are_summed_rows():
 def test_family_moments_match_per_step_reference():
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
     spec = ConstraintSpec.from_params(params)
-    batch = simulate.girsanov_weights(
-        simulate.simulate_reference(params, 4_000, 41),
-        FeedbackPolicy.constant(0.8, params), params)
+    batch = simulate.simulate_reference(params, 4_000, 41)
     low = 0.6
     # tau_N binds before s = T / 2 on most paths at the low level
     assert np.mean(per_step_stopping_index(batch, low) < 50) > 0.5
@@ -197,10 +249,12 @@ def test_family_moments_match_per_step_reference():
         simulate.EtaTest("w_indicator", threshold=0.5, s=0.0, t=1.0,
                          truncation_level=low),
     ]
-    reports = simulate.constraint_moments(batch, family, spec)
+    sample = simulate.weighted_reference(
+        params, FeedbackPolicy.constant(0.8, params), 4_000, 41, family)
+    reports = simulate.constraint_moments(sample)
     assert len(reports) == len(family)
     for eta, report in zip(family, reports):
-        estimates, ses = per_step_moments(batch, eta, spec)
+        estimates, ses = per_step_moments(batch, sample.m, eta, spec)
         np.testing.assert_allclose(report.estimates, estimates,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(report.ses, ses, rtol=1e-12, atol=1e-12)
