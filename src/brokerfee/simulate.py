@@ -74,27 +74,24 @@ class PathBatch:
 
 
 def simulate_reference(params: ModelParams, count: int, seed: int,
-                       lo: int = 0, hi: Optional[int] = None) -> PathBatch:
-    """Sample rows [lo, hi) of a ``count``-path batch of (P, Z, W) under
-    the reference measure; all ``count`` rows by default.
+                       first_row: int = 0) -> PathBatch:
+    """Sample ``count`` paths of (P, Z, W) under the reference measure,
+    the rows ``first_row``, ``first_row + 1``, ... of the seed's stream.
 
     Each coordinate is an independent scaled Brownian motion built from
     Euler increments sqrt(dt) * standard normals; deterministic in seed.
-    Row r reads the draws at stream positions 3 n_steps r on, so rows
-    from an ``lo`` that is a multiple of 4 equal those rows of the whole
+    Row r reads the draws at stream positions 3 n_steps r on, so a
+    ``first_row`` that is a multiple of 4 gives those rows of a larger
     batch bit for bit.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    hi = count if hi is None else hi
-    if not 0 <= lo < hi <= count:
-        raise ValueError(f"rows [{lo}, {hi}) are not in a batch of {count}")
     n = params.n_steps
     root_dt = np.sqrt(params.dt)
-    xi = gaussians(seed, (hi - lo, n, 3), offset=3 * n * lo)
-    p = np.zeros((hi - lo, n + 1))
-    z = np.zeros((hi - lo, n + 1))
-    w = np.zeros((hi - lo, n + 1))
+    xi = gaussians(seed, (count, n, 3), offset=3 * n * first_row)
+    p = np.zeros((count, n + 1))
+    z = np.zeros((count, n + 1))
+    w = np.zeros((count, n + 1))
     # the drivers are scaled in place, then summed into the paths
     for k, (scale, path) in enumerate(((params.sigma * root_dt, p),
                                        (params.epsilon * root_dt, z),
@@ -229,7 +226,7 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                             np.empty((len(etas), 6, count)))
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        part = girsanov_weights(simulate_reference(params, count, seed, lo, hi),
+        part = girsanov_weights(simulate_reference(params, hi - lo, seed, lo),
                                 policy, params, etas)
         for field in fields(WeightedSample):
             getattr(sample, field.name)[..., lo:hi] = getattr(part, field.name)

@@ -5,15 +5,17 @@ exercises the package's estimator formulas with k = 1."""
 import numpy as np
 
 from brokerfee.rng import gaussians
-from brokerfee.simulate import EntropyReport, _mean_se
+from brokerfee.simulate import _CHUNK_DRAWS, EntropyReport, _mean_se
 
 
 def reduced_terminal(count: int, n_steps: int, horizon: float,
-                     seed: int, rows: int = 4096) -> np.ndarray:
+                     seed: int) -> np.ndarray:
     """Terminal values x_T of ``count`` paths of a single standard Brownian
-    coordinate, shape (count,). The paths are drawn and summed ``rows`` at
-    a time (a multiple of 4, so each chunk starts on a Philox block)."""
+    coordinate, shape (count,). The paths are drawn and summed in row
+    chunks of about ``_CHUNK_DRAWS`` draws; the rows per chunk are a
+    multiple of 4, so each chunk starts on a Philox block."""
     root_dt = np.sqrt(horizon / n_steps)
+    rows = max(4, 4 * (_CHUNK_DRAWS // (4 * n_steps)))
     x_t = np.empty(count)
     for lo in range(0, count, rows):
         xi = gaussians(seed, (min(rows, count - lo), n_steps),

@@ -75,9 +75,9 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
     chunks = []
     reference = simulate.simulate_reference
 
-    def recording(params, count, seed, lo=0, hi=None):
-        chunks.append((lo, hi))
-        return reference(params, count, seed, lo, hi)
+    def recording(params, count, seed, first_row=0):
+        chunks.append((first_row, first_row + count))
+        return reference(params, count, seed, first_row)
 
     monkeypatch.setattr(simulate, "simulate_reference", recording)
     chunked = simulate.weighted_reference(params, policy, 49, 23, ETAS)
