@@ -1,8 +1,7 @@
 """Agent best response: backward HJB grid solver plus Monte Carlo checks.
 
-For a Markovian fee the client's problem is a degenerate-drift control
-problem in the state (Z, W) (plus P when the fee reads the price). The
-value function solves
+The client's problem is a degenerate-drift control problem in the state
+(Z, W) (plus P when the fee reads the price). The value function solves
 
     V_t + sup_pi [pi V_z - phi_a pi^2] + z w + (1/2) eps^2 V_zz
         + (1/2) V_ww [+ w V_p + (1/2) sigma^2 V_pp] = 0,
@@ -31,8 +30,9 @@ at most one contiguous group per usable CPU, and the groups of each
 stage run on a thread pool that lives for one solve; a cell's arithmetic
 does not depend on the thread that computes it, so the values are
 bit-identical for any thread count.
-Fees outside the Markovian classes are handled by projected coordinate
-ascent over a coarse policy table with common random numbers.
+Every fee is a function of the terminal values (P_T, Z_T), so it enters
+only as the terminal condition, and the grid solve is the whole best
+response.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -42,14 +42,14 @@ from typing import Optional
 
 import numpy as np
 
-from .contracts import Constant, LinearPolynomial, LipschitzTable
-from .model import FeedbackPolicy, ModelParams, interpolate, zeta_integral
-from .rng import _usable_cpus, split_seed
+from .contracts import LinearPolynomial
+from .model import FeedbackPolicy, ModelParams, interpolate
+from .rng import _usable_cpus
 from . import simulate
 
 __all__ = [
     "HjbSettings", "ValueGrid", "AgentUtilitySpec", "BestResponse",
-    "CflError", "UnsupportedContractError",
+    "CflError",
     "solve_hjb", "estimate_agent_value", "best_response",
 ]
 
@@ -62,10 +62,6 @@ class CflError(RuntimeError):
             f"time step {dt:g} violates the CFL bound; maximum stable "
             f"step is {dt_max:g}")
         self.dt_max = dt_max
-
-
-class UnsupportedContractError(ValueError):
-    """Contract outside the classes the grid solver can handle."""
 
 
 @dataclass(frozen=True)
@@ -109,11 +105,9 @@ class ValueGrid:
 
 @dataclass(frozen=True)
 class AgentUtilitySpec:
-    """The client's objective assembled from the model parameters.
-
-    Pathwise (controlled-measure) form: -xi + int Z W dt - phi_a int pi^2 dt.
-    Reference-measure form: M (-xi - 2 eps^2 phi_a log M + zeta), where zeta
-    collects the state-only running terms. The two agree in expectation.
+    """The client's objective assembled from the model parameters, in
+    pathwise (controlled-measure) form:
+    -xi(P_T, Z_T) + int Z W dt - phi_a int pi^2 dt.
     """
 
     params: ModelParams
@@ -124,48 +118,26 @@ class AgentUtilitySpec:
         if batch.rates is None:
             raise ValueError("batch carries no per-step rates")
         dt = batch.times[1] - batch.times[0]
-        xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
+        xi = self.contract.terminal_payoff(batch.p[:, -1], batch.z[:, -1])
         w_left = batch.w[:, :-1]
         reward = np.sum(batch.z[:, :-1] * w_left, axis=1) * dt
         cost = self.params.phi_a * np.sum(batch.rates**2, axis=1) * dt
         return -xi + reward - cost
-
-    def reweighted_objective(self, batch, weights) -> np.ndarray:
-        """Per-path M-weighted utility on a reference batch, given its
-        :class:`~brokerfee.simulate.WeightedSample` ``weights``."""
-        dt = batch.times[1] - batch.times[0]
-        xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
-        zeta = zeta_integral(batch.z, batch.w, dt, self.params)
-        return weights.m * (-xi - self.params.entropy_weight * weights.log_m
-                            + zeta)
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):
     """The fee xi on the (p, z) grid; returns (payoff, p_dependent).
 
     ``payoff`` has shape (n_p, n_z), or (1, n_z) when the fee does not
-    read the price.
+    read the price. Every polynomial reads it, so a polynomial family is
+    solved in 3-D throughout, the zero polynomial included.
     """
-    if isinstance(contract, Constant):
-        return np.full((1, len(z_nodes)), contract.value), False
-    if isinstance(contract, LinearPolynomial):
-        if contract.operator != "terminal":
-            raise UnsupportedContractError(
-                "grid solver handles the terminal operator only")
-        pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
-        return contract.terminal_payoff(pp, zz), True
-    if isinstance(contract, LipschitzTable):
-        horizon_like = contract.sample_time is None
-        if not horizon_like:
-            raise UnsupportedContractError(
-                "grid solver handles terminal-sampled tables only")
-        pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
-        payoff = contract.terminal_payoff(pp, zz)
-        if np.allclose(payoff, payoff[:1, :]):  # constant in p
-            return payoff[:1], False
+    pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
+    payoff = contract.terminal_payoff(pp, zz)
+    if (isinstance(contract, LinearPolynomial)
+            or not np.allclose(payoff, payoff[:1, :])):
         return payoff, True
-    raise UnsupportedContractError(
-        f"grid solver does not support {type(contract).__name__}")
+    return payoff[:1], False
 
 
 # Grid cells per slab of p planes, 6 planes of 101 x 101. Each worker walks
@@ -379,9 +351,8 @@ def solve_hjb(contract, params: ModelParams,
     Values and rates are saved at step boundaries only, at most 81 slices
     in 2-D and 17 in 3-D. The solve holds three full-size buffers: V and
     two stage targets. The reported agent value is the grid value at the
-    origin. Raises
-    :class:`CflError` if an explicit time-step override is too large and
-    :class:`UnsupportedContractError` for non-Markovian fees.
+    origin. Raises :class:`CflError` if an explicit time-step override is
+    too large.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
@@ -490,89 +461,12 @@ def estimate_agent_value(contract, policy: FeedbackPolicy,
 class BestResponse:
     policy: FeedbackPolicy
     value: float
-    value_se: float
-    grid: Optional[ValueGrid]
-    converged: bool = True
-    trace: tuple = ()
-
-
-def _nearest_markovian(contract):
-    """Markovian stand-in used to seed the coordinate-ascent fallback."""
-    if isinstance(contract, LinearPolynomial):
-        return LinearPolynomial(contract.coeffs, contract.cap, "terminal")
-    return Constant(0.0)
+    grid: ValueGrid
 
 
 def best_response(contract, params: ModelParams,
-                  settings: HjbSettings = HjbSettings(),
-                  mc_count: Optional[int] = None, seed: int = 0,
-                  ascent_cap: int = 200) -> BestResponse:
-    """Optimal trading policy and value for ``contract``.
-
-    Markovian fees go through the grid solver. Fees it rejects with
-    :class:`UnsupportedContractError` are handled by projected coordinate
-    ascent over a coarse policy table, seeded by the nearest Markovian
-    approximation, with common random numbers across iterates so value
-    comparisons are low-variance. Non-convergence at the iteration cap is
-    reported via the ``converged`` flag, not an error.
-    """
-    try:
-        policy, grid = solve_hjb(contract, params, settings)
-    except UnsupportedContractError:
-        pass
-    else:
-        return BestResponse(policy, grid.value_at_origin, 0.0, grid)
-
-    count = mc_count if mc_count is not None else min(params.n_paths, 4000)
-    eval_seed = split_seed(seed, "ascent-crn")
-    seed_policy, _ = solve_hjb(_nearest_markovian(contract), params, settings)
-
-    T = params.horizon
-    t_nodes = np.linspace(0.0, T, 4)
-    w_half, z_half = _half_widths(params)
-    w_nodes = np.linspace(-w_half, w_half, 5)
-    z_nodes = np.linspace(-z_half, z_half, 5)
-    bounds = (params.rate_lower, params.rate_upper)
-    ww, zz = np.meshgrid(w_nodes, z_nodes, indexing="ij")
-    table = np.array([seed_policy(t, ww, zz) for t in t_nodes])
-
-    def objective(tab):
-        pol = FeedbackPolicy(t_nodes, w_nodes, z_nodes, tab, bounds)
-        val, _ = estimate_agent_value(contract, pol, params, count, eval_seed)
-        return val
-
-    best = objective(table)
-    trace = [best]
-    coords = list(np.ndindex(table.shape))
-    step = max(0.25 * min(bounds[1] - bounds[0], 8.0), 1e-3)
-    converged = False
-    it = 0
-    while it < ascent_cap:
-        improved_this_sweep = 0.0
-        for coord in coords:
-            if it >= ascent_cap:
-                break
-            it += 1
-            base = table[coord]
-            for cand in (base + step, base - step):
-                cand = np.clip(cand, bounds[0], bounds[1])
-                if cand == base:
-                    continue
-                table[coord] = cand
-                val = objective(table)
-                if val > best + 1e-12:
-                    improved_this_sweep += val - best
-                    best = val
-                    base = cand
-                else:
-                    table[coord] = base
-            trace.append(best)
-        if improved_this_sweep < 1e-6:
-            step *= 0.5
-            if step < 1e-4:
-                converged = True
-                break
-
-    policy = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, bounds)
-    value, se = estimate_agent_value(contract, policy, params, count, eval_seed)
-    return BestResponse(policy, value, se, None, converged, tuple(trace))
+                  settings: HjbSettings = HjbSettings()) -> BestResponse:
+    """Optimal trading policy and value for ``contract``: the grid solve,
+    valued at the origin."""
+    policy, grid = solve_hjb(contract, params, settings)
+    return BestResponse(policy, grid.value_at_origin, grid)

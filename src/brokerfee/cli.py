@@ -31,8 +31,8 @@ __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
 MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 
-_FAMILY_KEYS = ("class", "cap", "degree", "operator", "p_nodes",
-                "z_nodes", "coefficients")
+_FAMILY_KEYS = ("class", "cap", "degree", "p_nodes", "z_nodes",
+                "coefficients")
 _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching",
              "lam")
 
@@ -102,8 +102,6 @@ def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
     kwargs = {"kind": kind, "cap": float(fam.get("cap", 1.0))}
     if "degree" in fam:
         kwargs["degree"] = int(fam["degree"])
-    if "operator" in fam:
-        kwargs["operator"] = fam["operator"]
     if "p_nodes" in fam:
         kwargs["p_nodes"] = np.array(_parse_list(fam["p_nodes"]))
     if "z_nodes" in fam:
@@ -177,32 +175,28 @@ def _mode_agent(config, out_dir, seed, lines):
     """The client's best response and a Monte Carlo check of its value:
     ``mc_z`` in ``agent.csv`` is (mc_value - value) / mc_se.
 
-    ``agent.npz`` holds the policy's nodes and rate table and, when the
-    grid solver ran, the value grid on the same nodes (with ``p_nodes``
-    for a price-dependent fee)."""
+    ``agent.npz`` holds the policy's nodes and rate table and the value
+    grid on the same nodes (with ``p_nodes`` for a price-dependent fee)."""
     params = config.params
     contract = _contract_from_config(config)
-    response = agent.best_response(contract, params, seed=seed)
+    response = agent.best_response(contract, params)
     mc_value, mc_se = agent.estimate_agent_value(
         contract, response.policy, params, params.n_paths,
         split_seed(seed, "agent-mc"))
     mc_z = (mc_value - response.value) / mc_se
     policy, grid = response.policy, response.grid
     arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
-              "z_nodes": policy.z_nodes, "rates": policy.table}
-    if grid is not None:
-        arrays["values"] = grid.values
-        if grid.p_nodes is not None:
-            arrays["p_nodes"] = grid.p_nodes
+              "z_nodes": policy.z_nodes, "rates": policy.table,
+              "values": grid.values}
+    if grid.p_nodes is not None:
+        arrays["p_nodes"] = grid.p_nodes
     np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
                ["quantity", "value"],
                [["value", _fmt(response.value)],
-                ["value_se", _fmt(response.value_se)],
                 ["mc_value", _fmt(mc_value)],
                 ["mc_se", _fmt(mc_se)],
-                ["mc_z", _fmt(mc_z)],
-                ["converged", int(response.converged)]])
+                ["mc_z", _fmt(mc_z)]])
     lines.append(f"agent value {response.value:.6f}, "
                  f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g}, "
                  f"z {mc_z:.2f})")
@@ -256,12 +250,11 @@ def _mode_optimize(config, out_dir, seed, lines):
     _write_csv(os.path.join(out_dir, "sequence.csv"),
                ["iteration", "stage"]
                + [f"coef_{k}" for k in range(family.dimension)]
-               + ["j_p", "j_p_se", "v_a", "v_a_se", "participation",
-                  "best_so_far"],
+               + ["j_p", "j_p_se", "v_a", "participation", "best_so_far"],
                [[r["iteration"], r["stage"]]
                 + [float(c) for c in r["coefficients"]]
-                + [r["j_p"], r["j_p_se"], r["v_a"], r["v_a_se"],
-                   int(r["participation"]), r["best_so_far"]]
+                + [r["j_p"], r["j_p_se"], r["v_a"], int(r["participation"]),
+                   r["best_so_far"]]
                 for r in sequence.records])
     _write_json(os.path.join(out_dir, "sequence.json"),
                 [{**r, "coefficients": r["coefficients"].tolist(),

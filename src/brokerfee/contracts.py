@@ -1,18 +1,18 @@
 """Compact admissible families of brokerage-fee contracts.
 
-A contract is a payment functional of the observable coordinates (P, Z)
-of a path; it never reads the private signal W. Three classes are
-provided: constants, linear-polynomial contracts built from a bounded
-linear operator of each coordinate path (terminal evaluation or time
-average) with coefficients in a compact box [-K, K], and finite-partition
-Lipschitz/Holder tables. Coefficient boxes make every family compact in
-the parameter space, which is what drives existence of an optimizer.
-Every class pays through one entry point, ``evaluate_batch(times, p, z)``,
-on a stack of (P, Z) paths.
+A contract is a payment function of the terminal values (P_T, Z_T) of
+the observable coordinates; it never reads the private signal W. Three
+classes are provided: constants, linear polynomials in P_T and Z_T with
+coefficients in a compact box [-K, K], and Lipschitz tables on a finite
+(P_T, Z_T) grid with values in that box. Coefficient boxes make every
+family compact in the parameter space, which is what drives existence of
+an optimizer. Every class pays through one entry point,
+``terminal_payoff(p_T, z_T)``, vectorized over arrays of terminal values;
+a fee of this form is the terminal condition of the client's HJB, so the
+grid solver gives the best response to every contract.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,34 +24,25 @@ __all__ = [
 ]
 
 
-def _apply_operator(operator: str, samples: np.ndarray) -> np.ndarray:
-    """Bounded linear operator of one coordinate path; samples (..., N+1)."""
-    if operator == "terminal":
-        return samples[..., -1]
-    if operator == "time_average":
-        return np.mean(samples, axis=-1)
-    raise ValueError(f"unknown operator: {operator}")
-
-
 @dataclass(frozen=True)
 class Constant:
     value: float
 
-    def evaluate_batch(self, times, p, z):
-        return np.full(p.shape[:-1], self.value)
+    def terminal_payoff(self, p_T, z_T):
+        return np.full(np.broadcast_shapes(np.shape(p_T), np.shape(z_T)),
+                       self.value)
 
 
 @dataclass(frozen=True)
 class LinearPolynomial:
-    """xi(P, Z) = sum_{i,j=1..degree} a_ij (L P)^i (L Z)^j.
+    """xi(P, Z) = sum_{i,j=1..degree} a_ij P_T^i Z_T^j.
 
     ``coeffs`` has shape (degree, degree) with coeffs[i-1, j-1] = a_ij,
-    every entry in [-cap, cap]. ``operator`` selects L.
+    every entry in [-cap, cap].
     """
 
     coeffs: np.ndarray
     cap: float
-    operator: str = "terminal"
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -59,89 +50,59 @@ class LinearPolynomial:
             raise ValueError("coefficient table must be square")
         if np.any(np.abs(coeffs) > self.cap * (1 + 1e-12)):
             raise ValueError("coefficients exceed the box [-K, K]")
-        _apply_operator(self.operator, np.zeros(2))  # validates the tag
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0]
 
-    def evaluate_batch(self, times, p, z):
-        lp = _apply_operator(self.operator, p)
-        lz = _apply_operator(self.operator, z)
-        out = np.zeros(np.broadcast_shapes(lp.shape, lz.shape))
+    def terminal_payoff(self, p_T, z_T):
+        p_T, z_T = np.asarray(p_T), np.asarray(z_T)
+        out = np.zeros(np.broadcast_shapes(p_T.shape, z_T.shape))
         for i in range(1, self.degree + 1):
             for j in range(1, self.degree + 1):
-                out += self.coeffs[i - 1, j - 1] * lp**i * lz**j
+                out += self.coeffs[i - 1, j - 1] * p_T**i * z_T**j
         return out
-
-    def terminal_payoff(self, p_T, z_T):
-        """The payoff as a function of terminal values (terminal operator)."""
-        if self.operator != "terminal":
-            raise ValueError("terminal payoff requires the terminal operator")
-        return self.evaluate_batch(None, np.asarray(p_T)[..., None],
-                                   np.asarray(z_T)[..., None])
 
 
 @dataclass(frozen=True)
 class LipschitzTable:
-    """Holder-continuous contract read off a finite (P, Z) sampling grid.
+    """Lipschitz contract read off a finite (P_T, Z_T) grid.
 
-    The payment depends on the path only through (P, Z) at ``sample_time``
-    (a finite-partition member of the Holder ball). ``values`` lives on the
-    rectangular grid ``p_nodes`` x ``z_nodes``; evaluation is multilinear
-    interpolation with constant extrapolation, clamped to [-cap, cap].
-    Given ``holder_const``, the constructor enforces the Holder bound
-    pairwise on the grid nodes; without it the table lies only in the
-    value box, which is the broker's search set.
+    ``values`` lives on the rectangular grid ``p_nodes`` x ``z_nodes``,
+    each of at least two strictly increasing nodes; payment is
+    multilinear interpolation with constant extrapolation, clamped to
+    [-cap, cap]. The table lies in the value box, which is the broker's
+    search set.
     """
 
     p_nodes: np.ndarray
     z_nodes: np.ndarray
     values: np.ndarray
     cap: float
-    gamma: float = 1.0
-    holder_const: Optional[float] = None
-    sample_time: Optional[float] = None
 
     def __post_init__(self):
         p_nodes = np.asarray(self.p_nodes, dtype=float)
         z_nodes = np.asarray(self.z_nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        for axis, nodes in (("p_nodes", p_nodes), ("z_nodes", z_nodes)):
+            if (nodes.ndim != 1 or len(nodes) < 2
+                    or not np.all(np.diff(nodes) > 0)):
+                raise ValueError(f"{axis} needs at least two nodes, "
+                                 "strictly increasing")
         if values.shape != (len(p_nodes), len(z_nodes)):
             raise ValueError("table shape must match the node grids")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("holder exponent must lie in (0, 1]")
         if np.any(np.abs(values) > self.cap * (1 + 1e-12)):
             raise ValueError("table values exceed the box [-K, K]")
-        if self.holder_const is not None:
-            pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
-            pts = np.stack([pp.ravel(), zz.ravel()], axis=1)
-            vals = values.ravel()
-            dist = np.maximum(np.abs(pts[:, None, 0] - pts[None, :, 0]),
-                              np.abs(pts[:, None, 1] - pts[None, :, 1]))
-            gap = np.abs(vals[:, None] - vals[None, :])
-            mask = dist > 0
-            if np.any(gap[mask] > self.holder_const * dist[mask]**self.gamma
-                      * (1 + 1e-9)):
-                raise ValueError("table violates the Holder bound on its nodes")
         object.__setattr__(self, "p_nodes", p_nodes)
         object.__setattr__(self, "z_nodes", z_nodes)
         object.__setattr__(self, "values", values)
 
-    def terminal_payoff(self, p_s, z_s):
-        """Bilinear table lookup at coordinate samples (vectorized)."""
+    def terminal_payoff(self, p_T, z_T):
+        """Bilinear table lookup at terminal values (vectorized)."""
         out = interpolate((self.p_nodes, self.z_nodes), self.values,
-                          p_s, z_s)
+                          p_T, z_T)
         return np.clip(out, -self.cap, self.cap)
-
-    def evaluate_batch(self, times, p, z):
-        if self.sample_time is None:
-            i_s = -1
-        else:
-            n = p.shape[-1] - 1
-            i_s = int(round(self.sample_time / times[-1] * n))
-        return self.terminal_payoff(p[..., i_s], z[..., i_s])
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +113,9 @@ def contract_to_record(contract) -> dict:
         return {"class": "constant", "value": contract.value}
     if isinstance(contract, LinearPolynomial):
         return {"class": "linear_polynomial", "cap": contract.cap,
-                "operator": contract.operator,
                 "coeffs": contract.coeffs.tolist()}
     if isinstance(contract, LipschitzTable):
-        return {"class": "lipschitz_table", "gamma": contract.gamma,
-                "holder_const": contract.holder_const, "cap": contract.cap,
-                "sample_time": contract.sample_time,
+        return {"class": "lipschitz_table", "cap": contract.cap,
                 "p_nodes": contract.p_nodes.tolist(),
                 "z_nodes": contract.z_nodes.tolist(),
                 "values": contract.values.tolist()}

@@ -111,11 +111,10 @@ def build_tree(depth: int, branching: int,
 
 def atom_utility_from_contract(tree: ScenarioTree, contract,
                                params: ModelParams) -> np.ndarray:
-    """Per-atom utility -xi(path) + zeta(path) in model units; the entropy
+    """Per-atom utility -xi(P_T, Z_T) + zeta(path) in model units; the entropy
     part is carried by the solver, not by u."""
-    times = np.linspace(0.0, tree.depth * tree.dt, tree.depth + 1)
     p, z, w = tree.paths[:, :, 0], tree.paths[:, :, 1], tree.paths[:, :, 2]
-    xi = contract.evaluate_batch(times, p, z)
+    xi = contract.terminal_payoff(p[:, -1], z[:, -1])
     return -xi + zeta_integral(z, w, tree.dt, params)
 
 

@@ -46,7 +46,7 @@ class PrincipalUtilitySpec:
         """xi(X) - phi_p * int pi^2 dt per path of a controlled batch."""
         if batch.rates is None:
             raise ValueError("batch must carry the controlled rates")
-        xi = self.contract.evaluate_batch(batch.times, batch.p, batch.z)
+        xi = self.contract.terminal_payoff(batch.p[:, -1], batch.z[:, -1])
         dt = batch.times[1] - batch.times[0]
         penalty = np.sum(batch.rates**2, axis=1) * dt
         return xi - self.params.phi_p * penalty
@@ -57,7 +57,6 @@ class PrincipalEvaluation:
     j_p: float
     j_p_se: float
     v_a: float
-    v_a_se: float
     participation: bool
 
 
@@ -70,18 +69,17 @@ def principal_objective(contract, params: ModelParams,
     The client side is solved first; the broker integrand is then averaged
     over a controlled simulation at the responding policy. ``seed`` keys
     the simulation, so calls sharing a seed use common random numbers and
-    their values are directly comparable. The participation flag allows
-    three standard errors of slack below the reservation level.
+    their values are directly comparable. The participation flag compares
+    the client's grid value with the reservation level.
     """
-    response = best_response(contract, params, settings, seed=seed)
+    response = best_response(contract, params, settings)
     count = mc_count if mc_count is not None else params.n_paths
     batch = simulate.simulate_controlled(params, response.policy, count,
                                          split_seed(seed, "principal-crn"))
     spec = PrincipalUtilitySpec(params, contract)
     j_p, j_p_se = simulate._mean_se(spec.pathwise_objective(batch))
-    participation = response.value >= params.reservation - 3 * response.value_se
     return PrincipalEvaluation(j_p, j_p_se, response.value,
-                               response.value_se, participation)
+                               response.value >= params.reservation)
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,14 @@ class ContractFamily:
     """Compact parametric family searched by the broker.
 
     ``kind`` selects the contract class; ``cap`` is the coefficient box
-    half-width K. Polynomial families need ``degree`` (and an operator
-    tag); table families need the sampling grids.
+    half-width K. Polynomial families need ``degree`` (at least 1); table
+    families need the (P_T, Z_T) node grids, checked when the family is
+    built.
     """
 
     kind: str
     cap: float
     degree: int = 1
-    operator: str = "terminal"
     p_nodes: Optional[np.ndarray] = None
     z_nodes: Optional[np.ndarray] = None
 
@@ -106,9 +104,12 @@ class ContractFamily:
             raise ValueError(f"unknown contract family: {self.kind}")
         if self.cap <= 0:
             raise ValueError("coefficient cap must be positive")
-        if self.kind == "lipschitz_table" and (
-                self.p_nodes is None or self.z_nodes is None):
-            raise ValueError("table family needs p_nodes and z_nodes")
+        if self.degree < 1:
+            raise ValueError("polynomial degree must be at least 1")
+        if self.kind == "lipschitz_table":
+            if self.p_nodes is None or self.z_nodes is None:
+                raise ValueError("table family needs p_nodes and z_nodes")
+            self.make(np.zeros(self.dimension))  # checks the node grids
 
     @property
     def dimension(self) -> int:
@@ -124,7 +125,7 @@ class ContractFamily:
             return Constant(float(theta[0]))
         if self.kind == "linear_polynomial":
             coeffs = theta.reshape(self.degree, self.degree)
-            return LinearPolynomial(coeffs, self.cap, self.operator)
+            return LinearPolynomial(coeffs, self.cap)
         values = theta.reshape(len(self.p_nodes), len(self.z_nodes))
         # the box is the search set: a finite table in a box is already
         # compact, so no Holder ball is imposed on proposals
@@ -161,7 +162,7 @@ class MaximizingSequence:
             "stage": stage,
             "coefficients": np.asarray(theta, dtype=float).copy(),
             "j_p": evaluation.j_p, "j_p_se": evaluation.j_p_se,
-            "v_a": evaluation.v_a, "v_a_se": evaluation.v_a_se,
+            "v_a": evaluation.v_a,
             "participation": evaluation.participation,
             "objective": objective,
             "best_so_far": (self.records[self.best_index]["objective"]
@@ -193,8 +194,7 @@ class MaximizingSequence:
 
 
 def feasibility_seed(params: ModelParams, family: ContractFamily,
-                     settings: HjbSettings = HjbSettings(),
-                     seed: int = 0) -> Constant:
+                     settings: HjbSettings = HjbSettings()) -> Constant:
     """Constant contract that binds the participation constraint.
 
     The client's gross surplus (value at zero fee) is estimated once; the
@@ -202,7 +202,7 @@ def feasibility_seed(params: ModelParams, family: ContractFamily,
     client exactly at reservation, so it is the largest feasible constant
     up to estimation error.
     """
-    response = best_response(Constant(0.0), params, settings, seed=seed)
+    response = best_response(Constant(0.0), params, settings)
     return _binding_constant(response.value, params, family)
 
 
@@ -262,9 +262,8 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
         if isinstance(contract, Constant):
             zero, c = zero_fee(), contract.value
             v_a = zero.v_a - c
-            evaluation = PrincipalEvaluation(
-                c + zero.j_p, zero.j_p_se, v_a, zero.v_a_se,
-                v_a >= params.reservation - 3 * zero.v_a_se)
+            evaluation = PrincipalEvaluation(c + zero.j_p, zero.j_p_se, v_a,
+                                             v_a >= params.reservation)
         else:
             evaluation = principal_objective(contract, params, settings,
                                              mc_count, seed)
@@ -283,8 +282,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                 # cached zero-fee evaluation instead of solving it again
                 anchor = (_binding_constant(zero_fee().v_a, params, family)
                           if family.kind == "constant"
-                          else feasibility_seed(params, family, settings,
-                                                seed=seed))
+                          else feasibility_seed(params, family, settings))
                 evaluate(np.full(family.dimension, anchor.value), "seed")
             except ValueError as exc:
                 seed_error = exc

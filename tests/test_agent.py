@@ -7,8 +7,7 @@ import pytest
 
 from brokerfee import agent, simulate
 from brokerfee.agent import (AgentUtilitySpec, CflError, HjbSettings,
-                             UnsupportedContractError, best_response,
-                             estimate_agent_value, solve_hjb)
+                             best_response, estimate_agent_value, solve_hjb)
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
 
@@ -107,12 +106,6 @@ def test_cfl_override_rejected():
     assert grid.value_at_origin == pytest.approx(1.0 / 24.0, abs=1e-6)
 
 
-def test_unsupported_contract_raises():
-    c = LinearPolynomial(np.array([[0.1]]), cap=1.0, operator="time_average")
-    with pytest.raises(UnsupportedContractError):
-        solve_hjb(c, WIDE, FAST)
-
-
 def test_zeta_quadrature():
     params = ModelParams(n_steps=4)
     w = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
@@ -130,7 +123,8 @@ def test_zeta_quadrature():
 
 
 def test_objective_forms_agree():
-    # E^W[reweighted] and E^Q[pathwise] estimate the same value
+    # E^W[M (-xi - lambda log M + zeta)] and E^Q[pathwise] estimate the
+    # same value
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
     contract = Constant(0.1)
     policy = FeedbackPolicy.constant(0.5, params)
@@ -142,36 +136,23 @@ def test_objective_forms_agree():
     # the objective reads the paths, so the batch is weighted as one chunk
     reference = simulate.simulate_reference(params, 40_000, 12)
     weights = simulate.girsanov_weights(reference, policy, params)
-    v_w, se_w = simulate._mean_se(spec.reweighted_objective(reference,
-                                                            weights))
+    xi = contract.terminal_payoff(reference.p[:, -1], reference.z[:, -1])
+    zeta = zeta_integral(reference.z, reference.w, params.dt, params)
+    v_w, se_w = simulate._mean_se(
+        weights.m * (-xi - params.entropy_weight * weights.log_m + zeta))
     assert abs(v_q - v_w) <= 3 * np.hypot(se_q, se_w)
 
 
 def test_best_response_markovian_dispatch(zero_fee_solution):
     response = best_response(Constant(0.0), WIDE, FAST)
-    assert response.value_se == 0.0
-    assert response.grid is not None
+    assert response.value == response.grid.value_at_origin
     assert response.value == pytest.approx(1.0 / 24.0, rel=0.01)
-
-
-def test_best_response_fallback_on_path_dependent_fee():
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
-    fee = LinearPolynomial(np.array([[0.05]]), cap=0.5,
-                           operator="time_average")
-    settings = HjbSettings(n_w=41, n_z=41)
-    response = best_response(fee, params, settings, mc_count=1500, seed=2,
-                             ascent_cap=10)
-    assert response.grid is None
-    assert response.value_se > 0.0
-    # the ascent never moves downhill from its seed policy
-    assert np.all(np.diff(response.trace) >= -1e-12)
 
 
 def test_table_contract_through_grid_solver():
     nodes = np.linspace(-4.0, 4.0, 9)
     values = np.clip(0.25 * nodes[None, :] + 0 * nodes[:, None], -1, 1)
-    fee = LipschitzTable(nodes, nodes, values, gamma=1.0, holder_const=1.0,
-                         cap=1.0)
+    fee = LipschitzTable(nodes, nodes, values, cap=1.0)
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0)
     policy, grid = solve_hjb(fee, params, HjbSettings(n_w=61, n_z=61))
     assert np.isfinite(grid.value_at_origin)
@@ -236,8 +217,7 @@ def _table_fee():
     # the upwind differences on either side of a node differ
     nodes = np.linspace(-4.0, 4.0, 9)
     values = 0.05 * nodes[None, :]**2 + 0 * nodes[:, None]
-    return LipschitzTable(nodes, nodes, values, gamma=1.0, holder_const=1.0,
-                          cap=1.0)
+    return LipschitzTable(nodes, nodes, values, cap=1.0)
 
 
 SWEEP_CASES = {

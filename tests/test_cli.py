@@ -58,13 +58,16 @@ def test_parse_error_names_unknown_key(tmp_path):
         cli.parse_config(cfg)
 
 
-@pytest.mark.parametrize("key", ["gamma", "holder_const"])
-def test_table_holder_keys_are_not_family_keys(tmp_path, key):
-    # the search set of a table family is its value box; no Holder data
+@pytest.mark.parametrize("key", ["gamma", "holder_const", "operator"])
+def test_removed_keys_are_not_family_keys(tmp_path, key, capsys):
+    # the search set of a table family is its value box, with no Holder
+    # data, and every fee pays on (P_T, Z_T), so there is no operator tag
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"run.mode = optimize\nfamily.{key} = 1.0\n")
     with pytest.raises(ValueError, match=f"unknown family key: {key}"):
         cli.parse_config(cfg)
+    assert cli.run(cfg) == 2
+    assert f"unknown family key: {key}" in capsys.readouterr().err
 
 
 def test_unknown_mode_rejected(tmp_path):
@@ -129,7 +132,7 @@ def test_agent_mode_arrays(tmp_path):
     assert cli.run(cfg) == 0
     with np.load(out / "agent.npz") as npz:
         arrays = dict(npz)
-    # a constant fee: the grid solver ran, on the policy's nodes, in 2-D
+    # a constant fee: the value grid is on the policy's nodes, in 2-D
     assert set(arrays) == {"t_nodes", "w_nodes", "z_nodes", "rates",
                            "values"}
     shape = tuple(len(arrays[f"{axis}_nodes"]) for axis in "twz")

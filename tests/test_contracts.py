@@ -11,43 +11,28 @@ from brokerfee.model import locate
 from brokerfee.principal import ContractFamily
 
 
-def make_path(n=10, amp=1.0):
-    """Time grid and the (P, Z) coordinates of one path."""
-    times = np.linspace(0.0, 1.0, n + 1)
-    p = amp * np.sin(np.linspace(0.0, 3.0, n + 1))
-    p[0] = 0.0
-    z = amp * np.linspace(0.0, 1.0, n + 1) ** 2
-    return times, p, z
-
-
-def pay(contract, times, p, z):
-    """Payment on one path: ``evaluate_batch`` on a stack of one."""
-    return float(contract.evaluate_batch(times, p[None, :], z[None, :])[0])
+# terminal values (P_T, Z_T) of three paths
+P_T = np.array([0.14, -1.3, 2.0])
+Z_T = np.array([1.0, 0.25, -0.5])
 
 
 def test_constant_contract():
-    assert pay(Constant(0.7), *make_path()) == pytest.approx(0.7)
+    assert np.array_equal(Constant(0.7).terminal_payoff(P_T, Z_T),
+                          np.full(3, 0.7))
+    # one path: a scalar payment
+    assert Constant(0.7).terminal_payoff(0.0, 1.0) == 0.7
 
 
 def test_linear_polynomial_terminal():
-    times, p, z = make_path()
-    c = LinearPolynomial(np.array([[2.0]]), cap=5.0, operator="terminal")
-    assert pay(c, times, p, z) == pytest.approx(2.0 * p[-1] * z[-1])
-
-
-def test_linear_polynomial_time_average():
-    times, p, z = make_path()
-    c = LinearPolynomial(np.array([[1.0]]), cap=5.0, operator="time_average")
-    assert pay(c, times, p, z) == pytest.approx(np.mean(p) * np.mean(z))
+    c = LinearPolynomial(np.array([[2.0]]), cap=5.0)
+    assert np.allclose(c.terminal_payoff(P_T, Z_T), 2.0 * P_T * Z_T)
 
 
 def test_polynomial_degree_two_cross_terms():
-    times, p, z = make_path()
     coeffs = np.array([[0.5, -0.25], [1.0, 0.0]])
     c = LinearPolynomial(coeffs, cap=2.0)
-    p_T, z_T = p[-1], z[-1]
-    expected = (0.5 * p_T * z_T - 0.25 * p_T * z_T**2 + 1.0 * p_T**2 * z_T)
-    assert pay(c, times, p, z) == pytest.approx(expected)
+    expected = (0.5 * P_T * Z_T - 0.25 * P_T * Z_T**2 + 1.0 * P_T**2 * Z_T)
+    assert np.allclose(c.terminal_payoff(P_T, Z_T), expected)
 
 
 def test_polynomial_box_enforced():
@@ -55,18 +40,12 @@ def test_polynomial_box_enforced():
         LinearPolynomial(np.array([[3.0]]), cap=1.0)
 
 
-def test_polynomial_rejects_unknown_operator():
-    with pytest.raises(ValueError, match="operator"):
-        LinearPolynomial(np.array([[0.1]]), cap=1.0, operator="supremum")
-
-
 def test_table_interpolation_and_clamp():
     nodes = np.array([-1.0, 0.0, 1.0])
     values = np.array([[0.0, 0.5, 1.0],
                        [0.5, 1.0, 1.5],
                        [1.0, 1.5, 2.0]])
-    table = LipschitzTable(nodes, nodes, values, gamma=1.0, holder_const=2.0,
-                           cap=2.0)
+    table = LipschitzTable(nodes, nodes, values, cap=2.0)
     assert table.terminal_payoff(0.0, 0.0) == pytest.approx(1.0)
     assert table.terminal_payoff(0.5, 0.0) == pytest.approx(1.25)
     # constant extrapolation beyond the node range
@@ -85,12 +64,20 @@ def test_table_interpolation_and_clamp():
                        rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
-def test_table_holder_bound_checked_on_nodes():
-    nodes = np.array([0.0, 1.0])
-    jump = np.array([[0.0, 5.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Holder"):
-        LipschitzTable(nodes, nodes, jump, gamma=1.0, holder_const=1.0,
-                       cap=10.0)
+@pytest.mark.parametrize("axis, nodes", [
+    # descending nodes paid 1 at p = 1 and -1 where the table says 0
+    ("p_nodes", [1.0, 0.0, -1.0]),
+    # a repeated node paid NaN
+    ("z_nodes", [0.0, 0.0, 1.0]),
+    # a single node paid NaN at the node itself
+    ("p_nodes", [0.0]),
+])
+def test_table_nodes_must_increase(axis, nodes):
+    grids = {"p_nodes": np.array([-1.0, 0.0, 1.0]),
+             "z_nodes": np.array([-1.0, 0.0, 1.0]), axis: np.array(nodes)}
+    with pytest.raises(ValueError, match=f"{axis} needs at least two nodes, "
+                                         "strictly increasing"):
+        ContractFamily("lipschitz_table", cap=1.0, **grids)
 
 
 @settings(deadline=None, max_examples=30)
@@ -113,11 +100,9 @@ def test_serialization_round_trip():
     # the tagged record of every class survives JSON, as the CLI writes it
     cases = [
         Constant(-0.25),
-        LinearPolynomial(np.array([[0.1, 0.2], [-0.3, 0.05]]), cap=0.5,
-                         operator="time_average"),
+        LinearPolynomial(np.array([[0.1, 0.2], [-0.3, 0.05]]), cap=0.5),
         LipschitzTable(np.linspace(-1, 1, 3), np.linspace(-2, 2, 4),
-                       np.zeros((3, 4)), gamma=0.5, holder_const=2.0,
-                       cap=1.0, sample_time=0.5),
+                       np.zeros((3, 4)), cap=1.0),
     ]
     tags = []
     for c in cases:

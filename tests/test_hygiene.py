@@ -1,6 +1,7 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, no import is unused, only the CLI writes files, and every thread
-pool is closed by a with statement."""
+tests, no import is unused, only the CLI writes files, every config key
+the CLI accepts is read, and every thread pool is closed by a with
+statement."""
 
 import ast
 import importlib
@@ -112,6 +113,33 @@ def test_only_cli_writes_files():
             if how:
                 writes.append(f"{path.name}:{node.lineno}: {how}")
     assert writes == []
+
+
+def _read_keys(tree):
+    """String keys read off a mapping: ``m["k"]``, ``m.get("k")`` and
+    ``"k" in m``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and node.args
+              and (_dotted(node.func) or "").endswith(".get")):
+            key = node.args[0]
+        elif (isinstance(node, ast.Compare)
+              and isinstance(node.ops[0], ast.In)):
+            key = node.left
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield key.value
+
+
+def test_every_config_key_is_read():
+    # a key that parses but that no mode reads would be silently ignored
+    from brokerfee import cli
+    read = set(_read_keys(ast.parse((PACKAGE / "cli.py").read_text())))
+    unread = [f"family.{k}" for k in cli._FAMILY_KEYS if k not in read]
+    unread += [f"run.{k}" for k in cli._RUN_KEYS if k not in read]
+    assert unread == []
 
 
 def test_thread_pools_are_scoped_by_with():
