@@ -48,7 +48,7 @@ from .rng import _usable_cpus
 from . import simulate
 
 __all__ = [
-    "HjbSettings", "ValueGrid", "AgentUtilitySpec", "BestResponse",
+    "HjbSettings", "ValueGrid", "BestResponse",
     "CflError",
     "solve_hjb", "estimate_agent_value", "best_response",
 ]
@@ -101,28 +101,6 @@ class ValueGrid:
         if self.p_nodes is not None:
             axes = (self.p_nodes,) + axes
         return float(interpolate(axes, self.values[0], *[0.0] * len(axes)))
-
-
-@dataclass(frozen=True)
-class AgentUtilitySpec:
-    """The client's objective assembled from the model parameters, in
-    pathwise (controlled-measure) form:
-    -xi(P_T, Z_T) + int Z W dt - phi_a int pi^2 dt.
-    """
-
-    params: ModelParams
-    contract: object
-
-    def pathwise_objective(self, batch) -> np.ndarray:
-        """Per-path objective on a controlled batch carrying rates."""
-        if batch.rates is None:
-            raise ValueError("batch carries no per-step rates")
-        dt = batch.times[1] - batch.times[0]
-        xi = self.contract.terminal_payoff(batch.p[:, -1], batch.z[:, -1])
-        w_left = batch.w[:, :-1]
-        reward = np.sum(batch.z[:, :-1] * w_left, axis=1) * dt
-        cost = self.params.phi_a * np.sum(batch.rates**2, axis=1) * dt
-        return -xi + reward - cost
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):
@@ -446,15 +424,15 @@ def estimate_agent_value(contract, policy: FeedbackPolicy,
                          params: ModelParams, count: int, seed: int):
     """Monte Carlo value of following ``policy`` against ``contract``.
 
-    Simulates under the controlled measure and averages the pathwise
-    objective; the stochastic-integral part of the trading profit has zero
+    Averages the client's per-path objective
+    -xi(P_T, Z_T) + int Z W dt - phi_a int pi^2 dt over a controlled
+    simulation; the stochastic-integral part of the trading profit has zero
     mean and is omitted. Returns (value, standard error).
     """
-    batch = simulate.simulate_controlled(params, policy, count, seed)
-    spec = AgentUtilitySpec(params, contract)
-    samples = spec.pathwise_objective(batch)
-    value, se = simulate._mean_se(samples)
-    return value, se
+    sample = simulate.simulate_controlled(params, policy, count, seed)
+    xi = contract.terminal_payoff(sample.p_T, sample.z_T)
+    return simulate._mean_se(-xi + sample.int_zw
+                             - params.phi_a * sample.int_pi_sq)
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,9 @@ class ModelParams:
         return 2 * self.epsilon**2 * self.phi_a
 
 
-_PARAM_FIELDS = (
-    "sigma", "epsilon", "phi_a", "phi_p", "rate_lower", "rate_upper",
-    "horizon", "reservation", "n_steps", "n_paths", "seed",
-)
+_FLOAT_FIELDS = ("sigma", "epsilon", "phi_a", "phi_p", "rate_lower",
+                 "rate_upper", "horizon", "reservation")
+_PARAM_FIELDS = _FLOAT_FIELDS + ("n_steps", "n_paths", "seed")
 
 
 def validate_params(params: ModelParams) -> ModelParams:
@@ -77,6 +76,9 @@ def validate_params(params: ModelParams) -> ModelParams:
 
     Raises ``ValueError`` naming the first violated invariant.
     """
+    for name in _FLOAT_FIELDS:
+        if not np.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
     if not params.sigma > 0:
         raise ValueError("sigma must be positive")
     if not params.epsilon > 0:
@@ -110,7 +112,7 @@ def params_from_config(items: dict, prefix: str = "model") -> ModelParams:
         name = key[len(prefix) + 1:]
         if name not in _PARAM_FIELDS:
             raise ValueError(f"unknown model parameter: {name}")
-        caster = int if name in ("n_steps", "n_paths", "seed") else float
+        caster = float if name in _FLOAT_FIELDS else int
         kwargs[name] = caster(value)
     return validate_params(ModelParams(**kwargs))
 

@@ -26,30 +26,13 @@ from .model import ModelParams
 from .rng import split_seed, uniforms
 
 __all__ = [
-    "PrincipalUtilitySpec", "PrincipalEvaluation", "MaximizingSequence",
+    "PrincipalEvaluation", "MaximizingSequence",
     "ContractFamily", "ConvergenceReport",
     "principal_objective", "feasibility_seed", "optimize",
     "convergence_report",
 ]
 
 INFEASIBLE_OBJECTIVE = -1e12
-
-
-@dataclass(frozen=True)
-class PrincipalUtilitySpec:
-    """Broker-side integrand: fee received minus quadratic rate penalty."""
-
-    params: ModelParams
-    contract: object
-
-    def pathwise_objective(self, batch) -> np.ndarray:
-        """xi(X) - phi_p * int pi^2 dt per path of a controlled batch."""
-        if batch.rates is None:
-            raise ValueError("batch must carry the controlled rates")
-        xi = self.contract.terminal_payoff(batch.p[:, -1], batch.z[:, -1])
-        dt = batch.times[1] - batch.times[0]
-        penalty = np.sum(batch.rates**2, axis=1) * dt
-        return xi - self.params.phi_p * penalty
 
 
 @dataclass(frozen=True)
@@ -66,18 +49,20 @@ def principal_objective(contract, params: ModelParams,
                         seed: int = 0) -> PrincipalEvaluation:
     """Broker value of one contract against the client's best response.
 
-    The client side is solved first; the broker integrand is then averaged
-    over a controlled simulation at the responding policy. ``seed`` keys
-    the simulation, so calls sharing a seed use common random numbers and
-    their values are directly comparable. The participation flag compares
-    the client's grid value with the reservation level.
+    The client side is solved first; the broker's per-path value
+    xi(P_T, Z_T) - phi_p int pi^2 dt is then averaged over a controlled
+    simulation at the responding policy. ``seed`` keys the simulation, so
+    calls sharing a seed use common random numbers and their values are
+    directly comparable. The participation flag compares the client's grid
+    value with the reservation level.
     """
     response = best_response(contract, params, settings)
     count = mc_count if mc_count is not None else params.n_paths
-    batch = simulate.simulate_controlled(params, response.policy, count,
-                                         split_seed(seed, "principal-crn"))
-    spec = PrincipalUtilitySpec(params, contract)
-    j_p, j_p_se = simulate._mean_se(spec.pathwise_objective(batch))
+    sample = simulate.simulate_controlled(params, response.policy, count,
+                                          split_seed(seed, "principal-crn"))
+    j_p, j_p_se = simulate._mean_se(
+        contract.terminal_payoff(sample.p_T, sample.z_T)
+        - params.phi_p * sample.int_pi_sq)
     return PrincipalEvaluation(j_p, j_p_se, response.value,
                                response.value >= params.reservation)
 
@@ -178,10 +163,6 @@ class MaximizingSequence:
         if self.best_index is None:
             return None
         return self.family.make(self.records[self.best_index]["coefficients"])
-
-    def best_trace(self) -> np.ndarray:
-        """Best-so-far objective per record; nondecreasing by construction."""
-        return np.array([r["best_so_far"] for r in self.records])
 
     def incumbent_updates(self):
         """Records where the incumbent changed, in order."""
@@ -332,7 +313,6 @@ def _initial_simplex(start, cap):
 class ConvergenceReport:
     n_updates: int
     cauchy_tail: float          # max pairwise coefficient distance, last 1/4
-    jp_increments: np.ndarray
     limit_point: np.ndarray
     limit_value: float
 
@@ -346,20 +326,17 @@ def convergence_report(sequence: MaximizingSequence) -> ConvergenceReport:
 
     The coefficient box is compact, so a convergent subsequence always
     exists; the report quantifies how settled the trail actually is via
-    the max pairwise distance over the last quarter of incumbent updates
-    and the increments of the best objective.
+    the max pairwise distance over the last quarter of incumbent updates.
     """
     if len(sequence) < 2:
         raise ValueError("need at least two evaluations")
     updates = sequence.incumbent_updates()
     coeffs = np.array([r["coefficients"] for r in updates])
-    values = np.array([r["objective"] for r in updates])
     tail_start = max(len(updates) - max(len(updates) // 4, 1), 0)
     tail = coeffs[tail_start:]
     return ConvergenceReport(
         n_updates=len(updates),
         # the largest pairwise L-inf distance is the largest coordinate range
         cauchy_tail=float(np.max(np.ptp(tail, axis=0))),
-        jp_increments=np.diff(values),
         limit_point=coeffs[-1],
-        limit_value=float(values[-1]))
+        limit_value=float(updates[-1]["objective"]))

@@ -13,18 +13,15 @@ moments telescope: for a whole family of test functionals one batch needs
 one running integral of W and one stopping index per truncation level,
 and each functional then reads the path values at its two window ends.
 
-:func:`weighted_reference` simulates and reweights the reference paths
-one row chunk at a time and keeps only the per-path results: 46 floats
-per path with the seven built-in functionals, while a whole batch of 250
-steps would hold about 1,750. Every estimate is a mean or a standard
-deviation over a per-path vector, so the chunk size changes no bit of
-it. At 20,000 paths x 250 steps the verify mode took 0.83-1.15 s and
-peaked at 108 MB of process memory, against 1.02-1.30 s and 347 MB as
-one batch (2 cores, numpy 2.4). Controlled batches
-(:func:`simulate_controlled`) stay whole: each chunk would repeat the
-Python loop of policy lookups over the steps, and 10,000 paths x 250
-steps took 0.53 s as one batch against 0.61-0.65 s in chunks of 2,048 or
-4,096 rows.
+Both measures are sampled one row chunk at a time, and only per-path
+results are kept. :func:`weighted_reference` keeps 46 floats per path
+with the seven built-in functionals and :func:`simulate_controlled` keeps
+4 (the terminal P and Z and the integrals of Z W and pi^2), while a whole
+batch of 250 steps would hold about 1,750. Each chunk reads its rows'
+own draws and every result is computed along one path, so the chunk size
+changes no bit of any estimate. At 20,000 paths x 250 steps the verify
+mode took 0.83-1.15 s and peaked at 108 MB of process memory, against
+1.02-1.30 s and 347 MB as one batch (2 cores, numpy 2.4).
 
 All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
@@ -39,7 +36,8 @@ from .model import ConstraintSpec, FeedbackPolicy, ModelParams
 from .rng import gaussians
 
 __all__ = [
-    "PathBatch", "WeightedSample", "EtaTest", "eta_family",
+    "PathBatch", "ControlledSample", "WeightedSample", "EtaTest",
+    "eta_family",
     "simulate_reference", "simulate_controlled",
     "girsanov_weights", "weighted_reference",
     "effective_sample_size", "DEGENERATE_ESS_FRACTION",
@@ -50,19 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathBatch:
-    """A batch of sampled trajectories.
-
-    ``p``, ``z``, ``w`` have shape (count, n_steps + 1); a controlled batch
-    also carries its left-point ``rates``, of shape (count, n_steps).
-    """
+    """A batch of reference-measure trajectories: ``p``, ``z`` and ``w``
+    have shape (count, n_steps + 1)."""
 
     times: np.ndarray
     p: np.ndarray
     z: np.ndarray
     w: np.ndarray
-    measure_tag: str
-    seed: int
-    rates: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.p.shape != self.z.shape or self.p.shape != self.w.shape:
@@ -98,33 +90,60 @@ def simulate_reference(params: ModelParams, count: int, seed: int,
                                        (root_dt, w))):
         xi[:, :, k] *= scale
         np.cumsum(xi[:, :, k], axis=1, out=path[:, 1:])
-    return PathBatch(params.times, p, z, w, "reference", seed)
+    return PathBatch(params.times, p, z, w)
+
+
+@dataclass(frozen=True)
+class ControlledSample:
+    """Per-path results of paths simulated under a feedback policy.
+
+    ``p_T`` and ``z_T`` are the terminal price and inventory, and
+    ``int_zw`` and ``int_pi_sq`` the left-point integrals of Z W and pi^2,
+    each of shape (count,).
+    """
+
+    times: np.ndarray
+    p_T: np.ndarray
+    z_T: np.ndarray
+    int_zw: np.ndarray
+    int_pi_sq: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.p_T.shape[0]
 
 
 def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
-                        count: int, seed: int) -> PathBatch:
-    """Euler scheme under the controlled measure of ``policy``.
+                        count: int, seed: int) -> ControlledSample:
+    """Euler scheme under the controlled measure of ``policy``, run in row
+    chunks (:func:`_in_row_chunks`) that keep only the per-path results.
 
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
-    independent drivers. The left-point rates are recorded per step.
+    independent Brownian motions and pi read at the left point of each step.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
     n = params.n_steps
     dt, root_dt = params.dt, np.sqrt(params.dt)
-    xi = gaussians(seed, (count, n, 3))
+    p_scale, z_scale = params.sigma * root_dt, params.epsilon * root_dt
     times = params.times
-    p = np.zeros((count, n + 1))
-    z = np.zeros((count, n + 1))
-    w = np.zeros((count, n + 1))
-    rates = np.empty((count, n))
-    for i in range(n):
-        pi = policy(times[i], w[:, i], z[:, i])
-        rates[:, i] = pi
-        p[:, i + 1] = p[:, i] + w[:, i] * dt + params.sigma * root_dt * xi[:, i, 0]
-        z[:, i + 1] = z[:, i] + pi * dt + params.epsilon * root_dt * xi[:, i, 1]
-        w[:, i + 1] = w[:, i] + root_dt * xi[:, i, 2]
-    return PathBatch(times, p, z, w, "controlled", seed, rates=rates)
+
+    def chunk(first_row, rows):
+        xi = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
+        p = np.zeros((rows, n + 1))
+        z = np.zeros((rows, n + 1))
+        w = np.zeros((rows, n + 1))
+        rates = np.empty((rows, n))
+        for i in range(n):
+            pi = policy(times[i], w[:, i], z[:, i])
+            rates[:, i] = pi
+            p[:, i + 1] = p[:, i] + w[:, i] * dt + p_scale * xi[:, i, 0]
+            z[:, i + 1] = z[:, i] + pi * dt + z_scale * xi[:, i, 1]
+            w[:, i + 1] = w[:, i] + root_dt * xi[:, i, 2]
+        # copies, so that the chunk's paths can be freed
+        return (p[:, -1].copy(), z[:, -1].copy(),
+                np.sum(z[:, :-1] * w[:, :-1], axis=1) * dt,
+                np.sum(rates**2, axis=1) * dt)
+
+    return ControlledSample(times, *_in_row_chunks(count, n, chunk))
 
 
 @dataclass(frozen=True)
@@ -187,8 +206,6 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
     :func:`weighted_reference`. W_i and pi_i are evaluated at the left
     point of each step.
     """
-    if batch.measure_tag != "reference":
-        raise ValueError("weights are defined on reference-measure batches")
     # the buffers of log M are freed before the moment samples are taken
     log_m, int_pi_sq, int_w_sq = _log_density(batch, policy, params)
     m = np.exp(log_m)
@@ -197,40 +214,45 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
     return WeightedSample(m, log_m, int_pi_sq, int_w_sq, moments)
 
 
-# Draws per row chunk of weighted_reference, 1,396 rows at 250 steps. A
-# chunk in flight holds about 7 floats per path and step (the paths, the
-# rates and three buffers of log M), about 20 MB at this size. The verify
-# mode at 20,000 x 250 peaked at 97, 108 and 130 MB of process memory with
-# 1 << 19, 1 << 20 and 1 << 21 draws per chunk, and ran 0.1 s slower at
-# 1 << 18, where the per-step lookups are short.
+# Draws per row chunk, 1,396 rows at 250 steps. A chunk in flight holds
+# about 7 floats per path and step (the paths, the rates and three buffers
+# of log M, or the paths, the rates and the draws of a controlled chunk),
+# about 20 MB at this size. The verify mode at 20,000 x 250 peaked at 97,
+# 108 and 130 MB of process memory with 1 << 19, 1 << 20 and 1 << 21 draws
+# per chunk, and ran 0.1 s slower at 1 << 18, where the per-step lookups
+# are short.
 _CHUNK_DRAWS = 1 << 20
+
+
+def _in_row_chunks(count: int, n_steps: int, chunk) -> list:
+    """Run ``chunk(first_row, rows)`` over the rows 0, ..., ``count`` - 1
+    in chunks of about ``_CHUNK_DRAWS`` draws, each starting at a multiple
+    of 4, and join the per-path arrays it returns along their last axis.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    rows = max(4, 4 * (_CHUNK_DRAWS // (12 * n_steps)))
+    parts = [chunk(lo, min(rows, count - lo)) for lo in range(0, count, rows)]
+    return [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
 
 
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                        count: int, seed: int, etas=()) -> WeightedSample:
     """Reweight the ``count`` reference paths of ``seed`` by ``policy``.
 
-    The paths are simulated and weighted in row chunks of about
-    ``_CHUNK_DRAWS`` draws (:func:`girsanov_weights`), and only the
+    The paths are simulated and weighted in row chunks
+    (:func:`_in_row_chunks`, :func:`girsanov_weights`), and only the
     per-path results are kept, so memory grows by 4 + 6 len(etas) floats
-    per path. Each chunk's rows start at a multiple of 4, and every result
-    is computed along one path, so the sample does not depend on the chunk
-    size: it equals the sample of the whole batch taken as one chunk, bit
-    for bit.
+    per path. The sample equals that of the whole batch taken as one
+    chunk, bit for bit.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rows = max(4, 4 * (_CHUNK_DRAWS // (12 * params.n_steps)))
-    sample = WeightedSample(np.empty(count), np.empty(count),
-                            np.empty(count), np.empty(count),
-                            np.empty((len(etas), 6, count)))
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        part = girsanov_weights(simulate_reference(params, hi - lo, seed, lo),
-                                policy, params, etas)
-        for field in fields(WeightedSample):
-            getattr(sample, field.name)[..., lo:hi] = getattr(part, field.name)
-    return sample
+    def chunk(first_row, rows):
+        part = girsanov_weights(
+            simulate_reference(params, rows, seed, first_row),
+            policy, params, etas)
+        return [getattr(part, field.name) for field in fields(part)]
+
+    return WeightedSample(*_in_row_chunks(count, params.n_steps, chunk))
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from brokerfee import agent, simulate
-from brokerfee.agent import (AgentUtilitySpec, CflError, HjbSettings,
-                             best_response, estimate_agent_value, solve_hjb)
+from brokerfee.agent import (CflError, HjbSettings, best_response,
+                             estimate_agent_value, solve_hjb)
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
 
@@ -128,10 +128,8 @@ def test_objective_forms_agree():
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
     contract = Constant(0.1)
     policy = FeedbackPolicy.constant(0.5, params)
-    spec = AgentUtilitySpec(params, contract)
 
-    controlled = simulate.simulate_controlled(params, policy, 40_000, 11)
-    v_q, se_q = simulate._mean_se(spec.pathwise_objective(controlled))
+    v_q, se_q = estimate_agent_value(contract, policy, params, 40_000, 11)
 
     # the objective reads the paths, so the batch is weighted as one chunk
     reference = simulate.simulate_reference(params, 40_000, 12)

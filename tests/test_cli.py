@@ -70,6 +70,15 @@ def test_removed_keys_are_not_family_keys(tmp_path, key, capsys):
     assert f"unknown family key: {key}" in capsys.readouterr().err
 
 
+def test_non_finite_parameter_is_exit_2(tmp_path, capsys):
+    # a non-finite value is a config error, caught before any solve
+    cfg, _ = write_config(tmp_path, "agent")
+    cfg.write_text(cfg.read_text().replace("model.rate_lower = -1.0",
+                                           "model.rate_lower = nan"))
+    assert cli.run(cfg) == 2
+    assert "rate_lower must be finite" in capsys.readouterr().err
+
+
 def test_unknown_mode_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("run.mode = frobnicate\n")

@@ -32,6 +32,17 @@ def test_config_round_trip():
     assert params_from_config(params_to_config(params)) == params
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["sigma", "epsilon", "phi_a", "phi_p",
+                                  "rate_lower", "rate_upper", "horizon",
+                                  "reservation"])
+def test_config_rejects_non_finite_values(name, value):
+    items = params_to_config(ModelParams())
+    items[f"model.{name}"] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        params_from_config(items)
+
+
 def test_config_rejects_unknown_key():
     items = params_to_config(ModelParams())
     items["model.volatility"] = 1.0

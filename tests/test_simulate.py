@@ -51,11 +51,14 @@ def test_reference_determinism():
 
 def test_controlled_simulation_drift():
     policy = FeedbackPolicy.constant(1.0, PARAMS)
-    batch = simulate.simulate_controlled(PARAMS, policy, 20_000, 3)
-    # Z gains drift pi = 1; P gains the integrated W drift (mean zero)
-    assert np.mean(batch.z[:, -1]) == pytest.approx(1.0, abs=0.02)
-    assert abs(np.mean(batch.w[:, -1])) < 0.03
-    assert np.allclose(batch.rates, 1.0)
+    sample = simulate.simulate_controlled(PARAMS, policy, 20_000, 3)
+    assert sample.count == 20_000
+    # Z gains drift pi = 1; P gains the integrated W drift (mean zero, with
+    # standard deviation sqrt(sigma^2 T + T^3 / 3))
+    assert np.mean(sample.z_T) == pytest.approx(1.0, abs=0.02)
+    assert abs(np.mean(sample.p_T)) < 0.035
+    assert np.std(sample.p_T) == pytest.approx(np.sqrt(4.0 / 3.0), rel=0.02)
+    assert np.allclose(sample.int_pi_sq, PARAMS.horizon)
 
 
 # 10 steps are 30 draws per path: 49 paths run as 8 x 6 + 1 rows in
@@ -70,22 +73,34 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                             (-1.0, 1.0))
     whole = simulate.girsanov_weights(
         simulate.simulate_reference(params, 49, 23), policy, params, ETAS)
+    # at the default chunk size all 49 rows are one chunk
+    whole_controlled = simulate.simulate_controlled(params, policy, 49, 23)
 
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", rows * 3 * params.n_steps)
     chunks = []
-    reference = simulate.simulate_reference
+    draw = simulate.gaussians
 
-    def recording(params, count, seed, first_row=0):
-        chunks.append((first_row, first_row + count))
-        return reference(params, count, seed, first_row)
+    def recording(seed, shape, offset=0):
+        first_row = offset // (3 * params.n_steps)
+        chunks.append((first_row, first_row + shape[0]))
+        return draw(seed, shape, offset)
 
-    monkeypatch.setattr(simulate, "simulate_reference", recording)
+    monkeypatch.setattr(simulate, "gaussians", recording)
+    expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
     chunked = simulate.weighted_reference(params, policy, 49, 23, ETAS)
-    assert chunks == [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
+    assert chunks == expected
     assert whole.moments.shape == (len(ETAS), 6, 49)
     for field in fields(simulate.WeightedSample):
         assert np.array_equal(getattr(chunked, field.name),
                               getattr(whole, field.name)), field.name
+
+    chunks.clear()
+    controlled = simulate.simulate_controlled(params, policy, 49, 23)
+    assert chunks == expected
+    assert controlled.count == 49
+    for name in ("p_T", "z_T", "int_zw", "int_pi_sq"):
+        assert np.array_equal(getattr(controlled, name),
+                              getattr(whole_controlled, name)), name
 
 
 def test_weighted_reference_memory_is_per_path():
@@ -106,6 +121,24 @@ def test_weighted_reference_memory_is_per_path():
 
     small, large = peak_bytes(4_000), peak_bytes(16_000)
     assert large - small < 12_000 * 64 * 8
+
+
+def test_controlled_memory_is_per_path():
+    # the sample keeps 4 floats per path, where one batch of 250 steps
+    # holds about 1,750 floats per path in flight
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250)
+    policy = FeedbackPolicy.constant(0.5, params)
+
+    def peak_bytes(count):
+        tracemalloc.start()
+        try:
+            simulate.simulate_controlled(params, policy, count, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(4_000), peak_bytes(16_000)
+    assert large - small < 12_000 * 16 * 8
 
 
 def test_girsanov_normalization(weighted_sample):
