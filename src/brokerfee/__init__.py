@@ -14,7 +14,7 @@ from .model import (ModelParams, FeedbackPolicy, ConstraintSpec,
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .agent import best_response, solve_hjb, estimate_agent_value
 from .principal import (ContractFamily, optimize, principal_objective,
-                        feasibility_seed, convergence_report)
+                        convergence_report)
 from .oracle import (build_tree, solve_strong_discrete,
                      solve_relaxed_discrete, verify_collapse,
                      extract_strong_control)

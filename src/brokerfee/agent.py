@@ -342,15 +342,16 @@ def solve_hjb(contract, params: ModelParams,
 
     n_w, n_z, n_save = settings.n_w, settings.n_z, 81
     p_nodes = np.linspace(-p_max, p_max, settings.n_p)
-    z_nodes = np.linspace(-z_max, z_max, n_z)
+    # a fee that reads the price adds a p axis and coarsens w and z to at
+    # most 101 nodes so the 3-D sweep fits in memory; it is read on that z
+    # axis to decide, and only a 2-D fee is read again on the full axis
+    z_nodes = np.linspace(-z_max, z_max, min(n_z, 101))
     payoff, p_dependent = _terminal_payoff(contract, p_nodes, z_nodes)
     if p_dependent:
-        # price-dependent fees add a third spatial axis; coarsen the other
-        # two so the sweep fits in memory and finishes in reasonable time
-        n_w, n_z, n_save = min(n_w, 101), min(n_z, 101), 17
-        z_nodes = np.linspace(-z_max, z_max, n_z)
-        payoff, _ = _terminal_payoff(contract, p_nodes, z_nodes)
+        n_w, n_z, n_save = min(n_w, 101), len(z_nodes), 17
     else:
+        z_nodes = np.linspace(-z_max, z_max, n_z)
+        payoff, _ = _terminal_payoff(contract, p_nodes[:1], z_nodes)
         p_nodes = None
     w_nodes = np.linspace(-w_max, w_max, n_w)
     dw = w_nodes[1] - w_nodes[0]

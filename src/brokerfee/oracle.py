@@ -209,10 +209,13 @@ def _newton_step(forms, tilted, moments, mu, lam):
     return step
 
 
+# iteration cap of one strong solve, L-BFGS-B and Newton steps together
+_MAX_ITER = 10_000
+
+
 def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           constraints: Optional[np.ndarray] = None,
-                          tol: float = 1e-12, max_iter: int = 10_000
-                          ) -> StrongSolution:
+                          tol: float = 1e-12) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
     sum p m = 1 and sum p m c_r <= 0 for the optional constraint forms
     c_r, the rows of ``constraints`` (as from :func:`node_constraint_set`).
@@ -229,8 +232,8 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     of the returned density; by weak duality D(mu) bounds the relaxed
     value over every randomized control, so a gap near 0 certifies that
     randomization cannot beat the returned strong control. A solve that
-    reaches ``max_iter``, or stalls, with the residual above ``tol``
-    returns with ``converged`` False, or raises when the residual
+    reaches ``_MAX_ITER`` iterations, or stalls, with the residual above
+    ``tol`` returns with ``converged`` False, or raises when the residual
     exceeds 1e3 * tol.
     """
     if lam <= 0:
@@ -257,13 +260,13 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     result = sp_minimize(dual, np.zeros(len(c)),
                          jac=True, method="L-BFGS-B",
                          bounds=[(0.0, None)] * len(c),
-                         options={"maxiter": max_iter, "ftol": 1e-16,
+                         options={"maxiter": _MAX_ITER, "ftol": 1e-16,
                                   "gtol": 1e-14})
     mu = result.x
     iterations = int(result.nit)
     m, dual_value, moments = at(mu)
     residual = _kkt_residual(mu, moments)
-    while residual > tol and iterations < max_iter:
+    while residual > tol and iterations < _MAX_ITER:
         step = _newton_step(c, probs * m, moments, mu, lam)
         for halvings in range(30):
             alpha = 0.5**halvings
@@ -312,13 +315,6 @@ class RelaxedControlDiscrete:
                 and len(self.atoms) == len(self.probs)):
             raise ValueError("atoms and weights must be (n_atoms, k) arrays "
                              "matching the base measure")
-
-    @classmethod
-    def dirac(cls, tree: ScenarioTree, m: np.ndarray):
-        """The embedding of a strong control (density a function of the
-        path) as a relaxed control."""
-        atoms = np.asarray(m, dtype=float)[:, None]
-        return cls(tree.probs, atoms, np.ones_like(atoms))
 
     def conditional_mean(self) -> np.ndarray:
         return np.einsum("xk,xk->x", self.weights, self.atoms)

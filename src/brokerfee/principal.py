@@ -5,14 +5,14 @@ candidate the client's best response is computed and the broker's value
 J_p = E[xi - phi_p * int pi^2 dt] is estimated under the responding
 measure. Candidates violating the client's participation constraint are
 rejected outright. The search is derivative-free (the objective is a
-noisy black box in the coefficients): Latin-hypercube screening over the
-coefficient box followed by Nelder-Mead refinement from the best screened
-point, with every proposal projected back into the box. The full
-evaluation log is the maximizing sequence the existence argument asks
-for, and convergence diagnostics are read off its incumbent trail.
+noisy black box in the coefficients): a seed at the constant fee that
+binds participation, Latin-hypercube screening over the coefficient box,
+then Nelder-Mead refinement from the best point so far, with every
+proposal projected back into the box. The full evaluation log is the
+maximizing sequence the existence argument asks for, and convergence
+diagnostics are read off its incumbent trail.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +28,7 @@ from .rng import split_seed, uniforms
 __all__ = [
     "PrincipalEvaluation", "MaximizingSequence",
     "ContractFamily", "ConvergenceReport",
-    "principal_objective", "feasibility_seed", "optimize",
-    "convergence_report",
+    "principal_objective", "optimize", "convergence_report",
 ]
 
 INFEASIBLE_OBJECTIVE = -1e12
@@ -45,20 +44,19 @@ class PrincipalEvaluation:
 
 def principal_objective(contract, params: ModelParams,
                         settings: HjbSettings = HjbSettings(),
-                        mc_count: Optional[int] = None,
                         seed: int = 0) -> PrincipalEvaluation:
     """Broker value of one contract against the client's best response.
 
     The client side is solved first; the broker's per-path value
     xi(P_T, Z_T) - phi_p int pi^2 dt is then averaged over a controlled
-    simulation at the responding policy. ``seed`` keys the simulation, so
-    calls sharing a seed use common random numbers and their values are
-    directly comparable. The participation flag compares the client's grid
-    value with the reservation level.
+    simulation of ``params.n_paths`` paths at the responding policy.
+    ``seed`` keys the simulation, so calls sharing a seed use common random
+    numbers and their values are directly comparable. The participation
+    flag compares the client's grid value with the reservation level.
     """
     response = best_response(contract, params, settings)
-    count = mc_count if mc_count is not None else params.n_paths
-    sample = simulate.simulate_controlled(params, response.policy, count,
+    sample = simulate.simulate_controlled(params, response.policy,
+                                          params.n_paths,
                                           split_seed(seed, "principal-crn"))
     j_p, j_p_se = simulate._mean_se(
         contract.terminal_payoff(sample.p_T, sample.z_T)
@@ -133,7 +131,9 @@ class MaximizingSequence:
         self.best_index = None
 
     def append(self, theta, evaluation: PrincipalEvaluation,
-               stage: str) -> None:
+               stage: str) -> float:
+        """Log one evaluation; returns its objective, the broker value or
+        INFEASIBLE_OBJECTIVE when the client would not participate."""
         objective = (evaluation.j_p if evaluation.participation
                      else INFEASIBLE_OBJECTIVE)
         improved = (evaluation.participation
@@ -154,6 +154,7 @@ class MaximizingSequence:
                             if self.best_index is not None and not improved
                             else objective),
         })
+        return objective
 
     def __len__(self) -> int:
         return len(self.records)
@@ -174,31 +175,6 @@ class MaximizingSequence:
         return out
 
 
-def feasibility_seed(params: ModelParams, family: ContractFamily,
-                     settings: HjbSettings = HjbSettings()) -> Constant:
-    """Constant contract that binds the participation constraint.
-
-    The client's gross surplus (value at zero fee) is estimated once; the
-    constant fee equal to surplus minus the reservation level leaves the
-    client exactly at reservation, so it is the largest feasible constant
-    up to estimation error.
-    """
-    response = best_response(Constant(0.0), params, settings)
-    return _binding_constant(response.value, params, family)
-
-
-def _binding_constant(gross_value: float, params: ModelParams,
-                      family: ContractFamily) -> Constant:
-    """The constant fee that leaves a client with zero-fee value
-    ``gross_value`` exactly at reservation; it must fit the family cap."""
-    needed = gross_value - params.reservation
-    if abs(needed) > family.cap:
-        raise ValueError(
-            f"family cap K={family.cap:g} cannot reach the binding constant; "
-            f"need K >= {abs(needed):.6g}")
-    return Constant(needed)
-
-
 def _latin_hypercube(n: int, dim: int, seed: int) -> np.ndarray:
     """n points in [0, 1]^dim, one per axis stratum in every dimension."""
     u = uniforms(split_seed(seed, "lhs-jitter"), (n, dim))
@@ -212,61 +188,53 @@ class _BudgetExhausted(Exception):
 
 
 def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
-             settings: HjbSettings = HjbSettings(),
-             mc_count: Optional[int] = None, seed: int = 0):
+             settings: HjbSettings = HjbSettings(), seed: int = 0):
     """Search the family for the broker-optimal contract.
 
-    Returns (best contract, MaximizingSequence). All evaluations share
-    common random numbers keyed by ``seed``. The first evaluation is the
-    participation-binding constant seed when the family admits it; then
-    Latin-hypercube screening spends about a third of the budget and
-    Nelder-Mead refines from the best point found. Every contract is
-    scored by :func:`principal_objective`. Additive-fee invariance makes
-    repeat evaluations of constant contracts free: the response policy and
-    the rate penalty do not depend on the constant c, so the zero fee is
-    evaluated once and j_p and v_a are shifted by c and -c. For a constant
-    family that evaluation's v_a also gives the binding constant.
+    Returns (best contract, MaximizingSequence). Every contract is scored
+    by :func:`principal_objective` under common random numbers keyed by
+    ``seed``. The policy and rate penalty of a constant fee c do not
+    depend on c, so the zero fee is evaluated once and shifted: j_p by c,
+    v_a by -c. Every family but the polynomials is seeded with the shifted
+    record at the largest c <= v_a(0) - reservation whose shifted v_a meets
+    reservation, which binds participation. Latin-hypercube screening then
+    spends about a third of the budget and Nelder-Mead refines from the
+    best point found.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sequence = MaximizingSequence(family)
+    # polynomial families have no constant term, so no constant fee is
+    # ever scored and the binding constant cannot anchor them; they start
+    # from the screening points
+    zero = (None if family.kind == "linear_polynomial"
+            else principal_objective(Constant(0.0), params, settings, seed))
 
-    @functools.cache
-    def zero_fee():
-        return principal_objective(Constant(0.0), params, settings, mc_count,
-                                   seed)
+    def shifted(c):
+        v_a = zero.v_a - c
+        return PrincipalEvaluation(c + zero.j_p, zero.j_p_se, v_a,
+                                   v_a >= params.reservation)
 
     def evaluate(theta, stage):
         if len(sequence) >= budget:
             raise _BudgetExhausted
         contract = family.make(theta)
-        if isinstance(contract, Constant):
-            zero, c = zero_fee(), contract.value
-            v_a = zero.v_a - c
-            evaluation = PrincipalEvaluation(c + zero.j_p, zero.j_p_se, v_a,
-                                             v_a >= params.reservation)
-        else:
-            evaluation = principal_objective(contract, params, settings,
-                                             mc_count, seed)
-        sequence.append(family.coefficients(contract), evaluation, stage)
-        return (evaluation.j_p if evaluation.participation
-                else INFEASIBLE_OBJECTIVE)
+        evaluation = (shifted(contract.value)
+                      if isinstance(contract, Constant)
+                      else principal_objective(contract, params, settings,
+                                               seed))
+        return sequence.append(family.coefficients(contract), evaluation,
+                               stage)
 
-    # polynomial families have no constant term, so the binding constant
-    # cannot anchor them; they start from the screening points
-    anchored = family.kind != "linear_polynomial"
-    seed_error = None
     try:
-        if anchored:
-            try:
-                # a constant family reads the client's gross surplus off the
-                # cached zero-fee evaluation instead of solving it again
-                anchor = (_binding_constant(zero_fee().v_a, params, family)
-                          if family.kind == "constant"
-                          else feasibility_seed(params, family, settings))
-                evaluate(np.full(family.dimension, anchor.value), "seed")
-            except ValueError as exc:
-                seed_error = exc
+        if zero is not None:
+            c = zero.v_a - params.reservation
+            # x - (x - r) can round below r; the next float down binds
+            while zero.v_a - c < params.reservation:
+                c = np.nextafter(c, -np.inf)
+            if abs(c) <= family.cap:
+                sequence.append(np.full(family.dimension, c), shifted(c),
+                                "seed")
 
         n_screen = max(min(budget // 3, budget - len(sequence) - 1), 0)
         points = _latin_hypercube(n_screen, family.dimension, seed)
@@ -288,13 +256,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
         pass
 
     if sequence.best_index is None:
-        message = "no feasible contract found within budget"
-        if anchored:
-            message += ("; consider the feasibility_seed constant as a "
-                        "starting point")
-        if seed_error:
-            message += f" (feasibility_seed: {seed_error})"
-        raise RuntimeError(message)
+        raise RuntimeError("no feasible contract found within budget")
     return sequence.incumbent, sequence
 
 

@@ -1,8 +1,18 @@
 """Diagnostics of a discrete relaxed control: its entropy, objective, mean
-density and the conditions of the relaxed-control definition. A test
-harness for :class:`brokerfee.oracle.RelaxedControlDiscrete`."""
+density and the conditions of the relaxed-control definition, and the
+Dirac embedding of a strong control. A test harness for
+:class:`brokerfee.oracle.RelaxedControlDiscrete`."""
 
 import numpy as np
+
+from brokerfee.oracle import RelaxedControlDiscrete
+
+
+def dirac(tree, m: np.ndarray) -> RelaxedControlDiscrete:
+    """The embedding of a strong control (density a function of the
+    path) as a relaxed control."""
+    atoms = np.asarray(m, dtype=float)[:, None]
+    return RelaxedControlDiscrete(tree.probs, atoms, np.ones_like(atoms))
 
 
 def entropy(control) -> float:

@@ -1,7 +1,7 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, no import is unused, only the CLI writes files, every config key
-the CLI accepts is read, and every thread pool is closed by a with
-statement."""
+tests, every public method is read by the library, no import is unused,
+only the CLI writes files, every config key the CLI accepts is read, and
+every thread pool is closed by a with statement."""
 
 import ast
 import importlib
@@ -44,6 +44,21 @@ def test_every_exported_name_is_used():
                     if other != path):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_every_public_method_is_read():
+    # a public method or property of a library class that no library
+    # module reads as an attribute is API that only the tests call
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{item.name}"
+              for path, tree in trees.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for item in cls.body
+              if isinstance(item, ast.FunctionDef)
+              and not item.name.startswith("_") and item.name not in read]
+    assert unread == []
 
 
 def _imported_names(tree):

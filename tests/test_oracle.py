@@ -123,7 +123,7 @@ def test_constrained_strong_solver_kkt():
 def test_strong_solver_flags_a_solve_stopped_short():
     # the relaxed-oracle demo's instance at a tol below float64 resolution:
     # Newton stalls at the rounding floor, which lies within 1e3 * tol, so
-    # the solve returns before max_iter, unconverged
+    # the solve returns before its iteration cap, unconverged
     tree = oracle.build_tree(2, 2, PARAMS)
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, PARAMS.rate_lower,
@@ -179,7 +179,7 @@ def test_dirac_embedding_objective_identity():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = tree.paths[:, -1, 1]
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
-    dirac = oracle.RelaxedControlDiscrete.dirac(tree, sol.density)
+    dirac = relaxed_control.dirac(tree, sol.density)
     assert relaxed_control.objective(dirac, u, 0.5) == pytest.approx(
         sol.value, abs=1e-12)
     assert dirac.is_dirac(0.0)
@@ -216,7 +216,7 @@ def test_extraction_on_feasible_control():
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=1e-12)
-    control = oracle.RelaxedControlDiscrete.dirac(tree, sol.density)
+    control = relaxed_control.dirac(tree, sol.density)
     report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
     assert report.max_violation <= 1e-8
     assert report.reconstruction_error <= 1e-10
@@ -228,7 +228,7 @@ def test_extraction_recovers_density_from_transitions():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.cos(tree.paths[:, -1, 2])
     sol = oracle.solve_strong_discrete(tree, u, 1.0)
-    control = oracle.RelaxedControlDiscrete.dirac(tree, sol.density)
+    control = relaxed_control.dirac(tree, sol.density)
     report = oracle.extract_strong_control(tree, control, -10.0, 10.0)
     assert report.reconstruction_error <= 1e-10
 
@@ -240,7 +240,7 @@ def test_extraction_skips_nodes_without_mass():
     m = np.cos(tree.paths[:, -1, 2]) + 1.5
     m[:tree.n_combos] = 0.0             # the first depth-1 node's block
     m /= tree.probs @ m
-    control = oracle.RelaxedControlDiscrete.dirac(tree, m)
+    control = relaxed_control.dirac(tree, m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = oracle.extract_strong_control(tree, control, -10.0, 10.0)
@@ -264,8 +264,7 @@ def test_extraction_at_small_node_mass():
     grid = oracle.default_density_grid(sol.density)
     _, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
     assert control.is_dirac(1e-6)
-    for relaxed in (control,
-                    oracle.RelaxedControlDiscrete.dirac(tree, sol.density)):
+    for relaxed in (control, relaxed_control.dirac(tree, sol.density)):
         report = oracle.extract_strong_control(tree, relaxed, -1.0, 1.0)
         assert report.max_violation <= 1e-8
 
@@ -307,7 +306,7 @@ def test_verify_collapse_reads_given_control():
                                     control=two_point)
     assert not report.relaxed_is_dirac
     assert report.max_secondary_weight == 0.3
-    dirac = oracle.RelaxedControlDiscrete.dirac(tree, np.ones(tree.n_atoms))
+    dirac = relaxed_control.dirac(tree, np.ones(tree.n_atoms))
     report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
                                     control=dirac)
     assert report.relaxed_is_dirac

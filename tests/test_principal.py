@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from brokerfee import cli, principal
 from brokerfee.agent import HjbSettings, best_response
-from brokerfee.contracts import Constant
+from brokerfee.contracts import Constant, LipschitzTable
 from brokerfee.model import ModelParams
 
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.25,
@@ -35,38 +36,95 @@ def test_zero_penalty_gives_fee_back():
     assert abs(ev.j_p - 0.02) <= 3 * ev.j_p_se
 
 
-def test_feasibility_seed_closed_form():
-    family = principal.ContractFamily("constant", cap=1.0)
-    seed_contract = principal.feasibility_seed(WIDE, family, FAST)
-    assert seed_contract.value == pytest.approx(1.0 / 24.0, rel=0.01)
+@pytest.fixture
+def solved(monkeypatch):
+    """The contracts that optimize passes to best_response, in order."""
+    contracts = []
+
+    def counted(contract, *args, **kwargs):
+        contracts.append(contract)
+        return best_response(contract, *args, **kwargs)
+
+    monkeypatch.setattr(principal, "best_response", counted)
+    return contracts
 
 
-def test_feasibility_seed_absorbing_reservation():
+def seed_record(params, family, settings=FAST):
+    """The seed record of a one-evaluation search, or None."""
+    _, seq = principal.optimize(family, params, budget=1, settings=settings,
+                                seed=3)
+    return next((r for r in seq.records if r["stage"] == "seed"), None)
+
+
+def test_seed_closed_form():
     family = principal.ContractFamily("constant", cap=1.0)
-    base = principal.feasibility_seed(WIDE, family, FAST)
+    record = seed_record(replace(WIDE, n_paths=500), family)
+    assert record["coefficients"][0] == pytest.approx(1.0 / 24.0, rel=0.01)
+    assert record["participation"]
+
+
+def test_seed_absorbing_reservation():
+    family = principal.ContractFamily("constant", cap=1.0)
+    base = seed_record(replace(WIDE, n_paths=500), family)
     params = ModelParams(rate_lower=-100.0, rate_upper=100.0,
-                         reservation=base.value, n_paths=20_000)
-    absorbed = principal.feasibility_seed(params, family, FAST)
-    assert absorbed.value == pytest.approx(0.0, abs=1e-9)
+                         reservation=base["coefficients"][0], n_paths=500)
+    absorbed = seed_record(params, family)
+    assert absorbed["coefficients"][0] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_feasibility_seed_no_trading():
-    params = ModelParams(rate_lower=0.0, rate_upper=0.0, reservation=0.25)
+def test_seed_no_trading():
+    params = ModelParams(rate_lower=0.0, rate_upper=0.0, reservation=0.25,
+                         n_paths=500)
     family = principal.ContractFamily("constant", cap=1.0)
-    seed_contract = principal.feasibility_seed(params, family, FAST)
-    assert seed_contract.value == pytest.approx(-0.25, abs=5e-3)
+    record = seed_record(params, family)
+    assert record["coefficients"][0] == pytest.approx(-0.25, abs=5e-3)
 
 
-def test_feasibility_seed_cap_too_small():
+def test_seed_meets_reservation_after_rounding():
+    # x - (x - r) rounds below r for some r; the seed must still bind
+    family = principal.ContractFamily("constant", cap=1.0)
+    # at reservation 0 the seed is the gross surplus itself
+    gross = seed_record(replace(WIDE, n_paths=500),
+                        family)["coefficients"][0]
+    reservation = next(r for r in np.arange(1, 400) * 1e-4
+                       if gross - (gross - r) < r)
+    record = seed_record(replace(WIDE, n_paths=500,
+                                 reservation=reservation), family)
+    assert record["participation"]
+    assert record["v_a"] == pytest.approx(reservation, abs=1e-15)
+
+
+def test_no_seed_beyond_the_cap():
+    # the binding constant 1/24 does not fit the box [-0.01, 0.01]
     family = principal.ContractFamily("constant", cap=0.01)
-    with pytest.raises(ValueError, match="need K >="):
-        principal.feasibility_seed(WIDE, family, FAST)
+    assert seed_record(replace(WIDE, n_paths=500), family) is None
+
+
+def test_table_seed_binds_without_a_solve(solved):
+    # the seed table is the constant c, so its record is the zero-fee
+    # evaluation shifted by c: no table is solved before the screening
+    family = principal.ContractFamily(
+        "lipschitz_table", cap=1.0, p_nodes=np.array([-1.0, 1.0]),
+        z_nodes=np.array([-1.0, 1.0]))
+    settings = HjbSettings(n_p=9, n_w=41, n_z=41)
+    for reservation in (0.0, 0.01):
+        solved.clear()
+        params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                             n_paths=500, reservation=reservation)
+        _, seq = principal.optimize(family, params, budget=3,
+                                    settings=settings, seed=3)
+        assert [r["stage"] for r in seq.records] == ["seed", "screen",
+                                                     "refine"]
+        assert seq.records[0]["participation"]
+        assert solved[0] == Constant(0.0)
+        assert all(isinstance(c, LipschitzTable) for c in solved[1:])
+        assert len(solved) == len(seq)
 
 
 def test_optimize_constant_family():
     family = principal.ContractFamily("constant", cap=1.0)
     best, seq = principal.optimize(family, WIDE, budget=20, settings=FAST,
-                                   mc_count=20_000, seed=3)
+                                   seed=3)
     assert best.value == pytest.approx(1.0 / 24.0, rel=0.02)
     record = seq.records[seq.best_index]
     assert record["j_p"] == pytest.approx(1.0 / 48.0, rel=0.05)
@@ -77,15 +135,16 @@ def test_constant_cache_matches_direct_evaluation():
     # optimize shifts one zero-fee evaluation by c; scoring each constant
     # from scratch must give the same record
     family = principal.ContractFamily("constant", cap=1.0)
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=2_000)
     settings = HjbSettings(n_w=41, n_z=41)
     _, seq = principal.optimize(family, params, budget=6, settings=settings,
-                                mc_count=2_000, seed=7)
+                                seed=7)
     assert {r["participation"] for r in seq.records} == {True, False}
     for record in seq.records:
         c = record["coefficients"][0]
         direct = principal.principal_objective(Constant(c), params, settings,
-                                               mc_count=2_000, seed=7)
+                                               seed=7)
         assert record["j_p"] == pytest.approx(direct.j_p, abs=1e-12)
         assert record["j_p_se"] == pytest.approx(direct.j_p_se, abs=1e-12)
         # a solve with fee c equals the zero-fee solve shifted by c only up
@@ -96,62 +155,57 @@ def test_constant_cache_matches_direct_evaluation():
             assert record["participation"] == direct.participation
 
 
-def test_constant_family_solves_zero_fee_once(monkeypatch):
-    # the binding constant comes from the cached zero-fee evaluation
+def test_constant_family_solves_zero_fee_once(solved):
+    # the binding constant comes from the one zero-fee evaluation
     family = principal.ContractFamily("constant", cap=1.0)
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=2_000)
     settings = HjbSettings(n_w=41, n_z=41)
-    expected = principal.feasibility_seed(params, family, settings)
-    contracts = []
-
-    def counted(contract, *args, **kwargs):
-        contracts.append(contract)
-        return best_response(contract, *args, **kwargs)
-
-    monkeypatch.setattr(principal, "best_response", counted)
+    expected = (best_response(Constant(0.0), params, settings).value
+                - params.reservation)
     _, seq = principal.optimize(family, params, budget=6, settings=settings,
-                                mc_count=2_000, seed=7)
-    assert contracts == [Constant(0.0)]
+                                seed=7)
+    assert solved == [Constant(0.0)]
     assert len(seq) == 6
     assert seq.records[0]["stage"] == "seed"
-    assert seq.records[0]["coefficients"].tolist() == [expected.value]
+    assert seq.records[0]["coefficients"].tolist() == [expected]
 
 
 def test_optimize_budget_one():
     family = principal.ContractFamily("constant", cap=1.0)
-    best, seq = principal.optimize(family, WIDE, budget=1, settings=FAST,
-                                   mc_count=5_000, seed=3)
+    best, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
+                                   budget=1, settings=FAST, seed=3)
     assert len(seq) == 1
     assert seq.records[0]["participation"]
 
 
-def test_polynomial_family_skips_feasibility_solve(monkeypatch):
-    # the binding constant cannot anchor a family without a constant term
-    def unexpected(*args, **kwargs):
-        raise AssertionError("feasibility_seed called")
-
-    monkeypatch.setattr(principal, "feasibility_seed", unexpected)
+def test_polynomial_family_skips_feasibility_solve(solved):
+    # the binding constant cannot anchor a family without a constant term,
+    # so the zero fee is never solved
     family = principal.ContractFamily("linear_polynomial", cap=1.0)
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=500)
     _, seq = principal.optimize(family, params, budget=2,
                                 settings=HjbSettings(n_p=9, n_w=21, n_z=21),
-                                mc_count=500, seed=3)
+                                seed=3)
     assert [r["stage"] for r in seq.records] == ["refine", "refine"]
     assert seq.records[0]["coefficients"].tolist() == [0.0]
+    assert len(solved) == 2
+    assert not any(isinstance(c, Constant) for c in solved)
 
 
 def test_best_trace_monotone():
     family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, WIDE, budget=15, settings=FAST,
-                                mc_count=5_000, seed=9)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
+                                budget=15, settings=FAST, seed=9)
     trace = [r["best_so_far"] for r in seq.records]
     assert np.all(np.diff(trace) >= -1e-15)
 
 
 def test_incumbents_respect_participation():
     family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, WIDE, budget=15, settings=FAST,
-                                mc_count=5_000, seed=9)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
+                                budget=15, settings=FAST, seed=9)
     for record in seq.incumbent_updates():
         assert record["v_a"] >= WIDE.reservation
 
@@ -162,8 +216,7 @@ def test_fee_shift_identity():
     family = principal.ContractFamily("constant", cap=1.0)
     evaluations = []
     for c in (-0.05, 0.0, 0.03):
-        ev = principal.principal_objective(Constant(c), WIDE, FAST,
-                                           mc_count=20_000, seed=4)
+        ev = principal.principal_objective(Constant(c), WIDE, FAST, seed=4)
         evaluations.append(ev)
     gaps = [ev.j_p - c for ev, c in zip(evaluations, (-0.05, 0.0, 0.03))]
     ses = [ev.j_p_se for ev in evaluations]
@@ -172,8 +225,8 @@ def test_fee_shift_identity():
 
 def test_visited_points_stay_in_box():
     family = principal.ContractFamily("constant", cap=0.05)
-    _, seq = principal.optimize(family, WIDE, budget=15, settings=FAST,
-                                mc_count=5_000, seed=2)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
+                                budget=15, settings=FAST, seed=2)
     for record in seq.records:
         assert np.all(np.abs(record["coefficients"]) <= 0.05 + 1e-12)
 
@@ -181,7 +234,7 @@ def test_visited_points_stay_in_box():
 def test_convergence_report_limit_point():
     family = principal.ContractFamily("constant", cap=1.0)
     _, seq = principal.optimize(family, WIDE, budget=20, settings=FAST,
-                                mc_count=20_000, seed=3)
+                                seed=3)
     report = principal.convergence_report(seq)
     assert report.limit_point[0] == pytest.approx(1.0 / 24.0, rel=0.02)
     objectives = [r["objective"] for r in seq.incumbent_updates()]
