@@ -13,6 +13,7 @@ maximizing sequence the existence argument asks for, and convergence
 diagnostics are read off its incumbent trail.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -231,7 +232,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
             c = zero.v_a - params.reservation
             # x - (x - r) can round below r; the next float down binds
             while zero.v_a - c < params.reservation:
-                c = np.nextafter(c, -np.inf)
+                c = math.nextafter(c, -math.inf)
             if abs(c) <= family.cap:
                 sequence.append(np.full(family.dimension, c), shifted(c),
                                 "seed")

@@ -275,6 +275,32 @@ def test_sequence_exports(tmp_path):
                                       "value": record["coefficients"][0]}
 
 
+def test_sequence_exports_after_rounding(tmp_path):
+    # where x - (x - r) rounds below r the seed's constant steps down one
+    # float; the records must still export as plain numbers and booleans
+    cfg = tmp_path / "run.cfg"
+    text = ("model.rate_lower = -100.0\nmodel.rate_upper = 100.0\n"
+            "model.phi_p = 0.25\nmodel.n_paths = 2000\n"
+            "family.class = constant\nfamily.cap = 1.0\nrun.budget = 5\n"
+            "run.mode = optimize\n")
+    cfg.write_text(text)
+    gross = best_response(Constant(0.0), cli.parse_config(cfg).params).value
+    reservation = next(r for r in np.arange(1, 400) * 1e-4
+                       if gross - (gross - r) < r)
+    cfg.write_text(text + f"model.reservation = {float(reservation)!r}\n")
+    out = tmp_path / "out"
+    assert cli.run(cfg, seed=1, out_dir=out, mode="optimize") == 0
+    seed = json.loads((out / "sequence.json").read_text())[0]
+    assert seed["stage"] == "seed"
+    assert seed["participation"] is True
+    assert seed["v_a"] >= reservation
+    header, *rows = (out / "sequence.csv").read_text().splitlines()
+    for row in rows:
+        for name, field in zip(header.split(","), row.split(",")):
+            if name != "stage":
+                float(field)
+
+
 def test_budget_must_be_positive():
     family = principal.ContractFamily("constant", cap=1.0)
     with pytest.raises(ValueError, match="budget"):
