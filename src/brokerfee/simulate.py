@@ -120,28 +120,39 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
 
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
     independent Brownian motions and pi read at the left point of each step.
+    A chunk runs time-major: its draws are transposed once to
+    (n_steps, 3, rows), and P, Z, W and the running sums of Z W and pi^2
+    are row vectors updated in place, step by step.
     """
     n = params.n_steps
     dt, root_dt = params.dt, np.sqrt(params.dt)
-    p_scale, z_scale = params.sigma * root_dt, params.epsilon * root_dt
+    scales = np.array([params.sigma, params.epsilon, 1.0]) * root_dt
     times = params.times
 
     def chunk(first_row, rows):
-        xi = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
-        p = np.zeros((rows, n + 1))
-        z = np.zeros((rows, n + 1))
-        w = np.zeros((rows, n + 1))
-        rates = np.empty((rows, n))
+        draws = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
+        steps = np.ascontiguousarray(draws.transpose(1, 2, 0))
+        del draws
+        steps *= scales[:, None]
+        p, z, w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+        int_zw, int_pi_sq = np.zeros(rows), np.zeros(rows)
+        term = np.empty(rows)
         for i in range(n):
-            pi = policy(times[i], w[:, i], z[:, i])
-            rates[:, i] = pi
-            p[:, i + 1] = p[:, i] + w[:, i] * dt + p_scale * xi[:, i, 0]
-            z[:, i + 1] = z[:, i] + pi * dt + z_scale * xi[:, i, 1]
-            w[:, i + 1] = w[:, i] + root_dt * xi[:, i, 2]
-        # copies, so that the chunk's paths can be freed
-        return (p[:, -1].copy(), z[:, -1].copy(),
-                np.sum(z[:, :-1] * w[:, :-1], axis=1) * dt,
-                np.sum(rates**2, axis=1) * dt)
+            pi = policy(times[i], w, z)
+            np.multiply(z, w, out=term)
+            int_zw += term
+            np.multiply(pi, pi, out=term)
+            int_pi_sq += term
+            np.multiply(w, dt, out=term)
+            p += term
+            p += steps[i, 0]
+            np.multiply(pi, dt, out=term)
+            z += term
+            z += steps[i, 1]
+            w += steps[i, 2]
+        int_zw *= dt
+        int_pi_sq *= dt
+        return p, z, int_zw, int_pi_sq
 
     return ControlledSample(times, *_in_row_chunks(count, n, chunk))
 
@@ -214,13 +225,15 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
     return WeightedSample(m, log_m, int_pi_sq, int_w_sq, moments)
 
 
-# Draws per row chunk, 1,396 rows at 250 steps. A chunk in flight holds
-# about 7 floats per path and step (the paths, the rates and three buffers
-# of log M, or the paths, the rates and the draws of a controlled chunk),
-# about 20 MB at this size. The verify mode at 20,000 x 250 peaked at 97,
-# 108 and 130 MB of process memory with 1 << 19, 1 << 20 and 1 << 21 draws
-# per chunk, and ran 0.1 s slower at 1 << 18, where the per-step lookups
-# are short.
+# Draws per row chunk, 1,396 rows at 250 steps. A reference chunk in
+# flight holds about 7 floats per path and step (the paths, the rates and
+# three buffers of log M), about 20 MB at this size. The verify mode at
+# 20,000 x 250 peaked at 97, 108 and 130 MB of process memory with 1 << 19,
+# 1 << 20 and 1 << 21 draws per chunk, and ran 0.1 s slower at 1 << 18,
+# where the per-step lookups are short. A controlled chunk holds its draws
+# twice for a moment, as drawn and transposed to time-major order, 6 floats
+# per path and step, and then only the transposed 3; its paths are 6 row
+# vectors.
 _CHUNK_DRAWS = 1 << 20
 
 

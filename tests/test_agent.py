@@ -93,7 +93,7 @@ def test_cfl_override_rejected():
         solve_hjb(Constant(0.0), WIDE, HjbSettings(n_w=101, n_z=101, dt=0.5))
     # the Euler bound of the 101 x 101 grid; every SSP(9,3) stage is an
     # Euler step of dt / 6, so a step up to six times the bound is allowed
-    w_max, z_max = agent._half_widths(WIDE)
+    _, w_max, z_max = agent._half_widths(WIDE, WIDE.horizon)
     dw, dz = 2.0 * w_max / 100, 2.0 * z_max / 100
     euler = 1.0 / (WIDE.epsilon**2 / dz**2 + 1.0 / dw**2
                    + WIDE.rate_upper / dz)
@@ -227,6 +227,26 @@ SWEEP_CASES = {
 }
 
 
+def _cone(params, p_nodes, t):
+    """The p planes within 6 sd(P_t) + dp of the origin, as a slice."""
+    reach = (6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0)
+             + (p_nodes[1] - p_nodes[0]))
+    inside = np.flatnonzero(np.abs(p_nodes) <= reach)
+    return slice(inside[0], inside[-1] + 1)
+
+
+def _extend(v, live):
+    """``v`` with each plane outside ``live`` on the line through the
+    two edge planes of ``live`` on its side."""
+    out = v.copy()
+    lo, hi = live.start, live.stop
+    for j in range(lo):
+        out[j] = v[lo] + (j - lo) * (v[lo + 1] - v[lo])
+    for j in range(hi, len(v)):
+        out[j] = v[hi - 1] + (j - hi + 1) * (v[hi - 1] - v[hi - 2])
+    return out
+
+
 # slabs of 1, 2, 4 (9 = 4 + 4 + 1 leaves a short last slab) and 9 p planes
 @pytest.mark.parametrize("case, planes", [("2d", 1), ("3d", 1), ("3d", 2),
                                           ("3d", 4), ("3d", 9)])
@@ -242,21 +262,33 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
                      zip(grid.values, policy.table)))
     assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
     v = grid.values[-1].copy()
+    price = grid.p_nodes is not None
+    # in 3-D the step from t_(k+1) updates the planes of its price cone,
+    # with the p axis's boundary rule on the edge planes of the cone
+    live = slice(0, len(grid.p_nodes)) if price else slice(None)
+    widths = set()
 
     def euler_stages(u, stages):
+        p_nodes = grid.p_nodes[live] if price else None
         for _ in range(stages):
             u = _reference_step(u, dt / 6, BOUNDED, grid.w_nodes,
-                                grid.z_nodes, grid.p_nodes)
+                                grid.z_nodes, p_nodes)
         return u
 
     for k in range(n_t, -1, -1):
         if k < n_t:
+            if price:
+                live = _cone(BOUNDED, grid.p_nodes, (k + 1) * dt)
+                widths.add(live.stop - live.start)
             # SSP(9,3) built from nine Euler stages of dt / 6
-            q2 = euler_stages(v, 1)
+            q2 = euler_stages(v[live], 1)
             q1 = euler_stages(q2, 5)
-            v = euler_stages((3 * q2 + 2 * q1) / 5, 3)
+            v = v.copy()
+            v[live] = euler_stages((3 * q2 + 2 * q1) / 5, 3)
         if k in saved:
             values, rates = saved[k]
+            if price:
+                v = _extend(v, live)
             scale = np.max(np.abs(v))
             assert np.max(np.abs(values - v)) <= 1e-12 * scale
             ref_rates = _reference_rate(v, BOUNDED, grid.z_nodes[1]
@@ -266,6 +298,9 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
             assert np.max(np.abs(rates - ref_rates)) <= 1e-12
     # the clamp binds and the rate takes both signs somewhere on the grid
     assert policy.table.min() == -1.0 and policy.table.max() == 1.0
+    if price:
+        # the cone narrows from all 9 planes to 5 over the sweep
+        assert widths == {9, 7, 5}
 
 
 def test_price_dependent_terminal_slice_is_the_fee():
@@ -285,6 +320,51 @@ def test_zero_polynomial_keeps_p_planes_identical():
     assert grid.p_nodes is not None
     assert np.all(grid.values == grid.values[:, :1])
     assert grid.value_at_origin == pytest.approx(1.0 / 24.0, rel=0.01)
+
+
+# a 3 x 3 table with nodes inside the cone, curved in both p and z
+CONE_TABLE = LipschitzTable(np.array([-2.0, 0.0, 2.0]),
+                            np.array([-1.0, 0.0, 1.0]),
+                            np.array([[0.5, 0.0, -0.5], [0.0, 0.2, 0.0],
+                                      [-0.5, 0.0, 0.5]]), cap=1.0)
+# the default p axis: the cone's effect grows as dp does, to 2e-5 at 21
+# planes and 3e-6 at 31 for a = 1
+CONE_GRID = HjbSettings(n_p=61, n_w=31, n_z=31)
+
+
+def _full_width(monkeypatch):
+    """Make the cone the whole p axis at every step."""
+    half_widths = agent._half_widths
+    monkeypatch.setattr(agent, "_half_widths",
+                        lambda params, t: half_widths(params, params.horizon))
+
+
+@pytest.mark.parametrize("fee", [
+    LinearPolynomial(np.array([[0.05]]), cap=1.0),
+    LinearPolynomial(np.array([[1.0]]), cap=1.0),
+    LinearPolynomial(np.array([[0.5, 0.05], [0.0, 0.05]]), cap=1.0),
+    CONE_TABLE,
+], ids=["a=0.05", "a=1", "degree-2", "table"])
+def test_cone_keeps_value_at_origin(fee, monkeypatch):
+    # 6.5e-8 relative at most here, and 1.5e-7 on the default grid
+    cone = solve_hjb(fee, ModelParams(), CONE_GRID)[1]
+    _full_width(monkeypatch)
+    full = solve_hjb(fee, ModelParams(), CONE_GRID)[1]
+    assert cone.values.shape == full.values.shape
+    assert np.all(np.isfinite(cone.values))
+    assert (abs(cone.value_at_origin - full.value_at_origin)
+            <= 1e-6 * abs(full.value_at_origin))
+
+
+def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
+    fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
+    policy, cone = solve_hjb(fee, WIDE, CONE_GRID)
+    _full_width(monkeypatch)
+    full_policy, full = solve_hjb(fee, WIDE, CONE_GRID)
+    assert cone.value_at_origin == full.value_at_origin
+    assert cone.values.tobytes() == full.values.tobytes()
+    assert policy.table.tobytes() == full_policy.table.tobytes()
+    assert np.all(cone.values == cone.values[:, :1])
 
 
 def test_sweep_is_bit_reproducible():

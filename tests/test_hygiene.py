@@ -1,12 +1,16 @@
 """Package hygiene: every exported name exists and is used outside the
 tests, every public method is read by the library, no import is unused,
-only the CLI writes files, every config key the CLI accepts is read, and
-every thread pool is closed by a with statement."""
+only the CLI writes files, every config key the CLI accepts is read,
+every thread pool is closed by a with statement, and importing the CLI
+loads no scipy."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "brokerfee"
@@ -173,3 +177,16 @@ def test_thread_pools_are_scoped_by_with():
                 if id(node) not in scoped:
                     loose.append(f"{path.name}:{node.lineno}")
     assert pools > 0 and loose == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that draw, search or solve, so a
+    # run pays for it only when it uses it
+    probe = ("import sys; import brokerfee.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] "
+             "== 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=dict(os.environ,
+                                     PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -175,6 +175,47 @@ def test_policy_lookup_matches_trilinear_reference():
                           np.clip(table[2], -1.5, 1.5))
 
 
+def clipped_formula(policy, t, w, z):
+    """The lookup as it was written with np.clip: the t cell by a search,
+    the w and z cells by arithmetic, then the blended bilinear formula."""
+    def cell(nodes, x):
+        x = np.asarray(x, dtype=float)
+        step = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+        idx = np.clip(np.floor((x - nodes[0]) / step), 0, len(nodes) - 2)
+        idx = idx.astype(np.intp)
+        left = nodes.take(idx)
+        return idx, np.clip((x - left) / (nodes.take(idx + 1) - left),
+                            0.0, 1.0)
+
+    it, ft = locate(policy.t_nodes, float(t))
+    plane = (1 - ft) * policy.table[it] + ft * policy.table[it + 1]
+    iw, fw = cell(policy.w_nodes, w)
+    iz, fz = cell(policy.z_nodes, z)
+    flat, n_z = plane.ravel(), len(policy.z_nodes)
+    base = iw * n_z + iz
+    gz = 1 - fz
+    low = gz * flat.take(base) + fz * flat.take(base + 1)
+    high = gz * flat.take(base + n_z) + fz * flat.take(base + n_z + 1)
+    return np.clip((1 - fw) * low + fw * high, *policy.bounds)
+
+
+def test_policy_lookup_is_bit_identical_to_clipped_formula():
+    rng = np.random.default_rng(11)
+    t_nodes = np.array([0.0, 0.1, 0.35, 0.5, 0.75, 0.9, 1.0])
+    w_nodes = np.linspace(-6.0, 6.0, 101)
+    z_nodes = np.linspace(-7.5, 7.5, 61)
+    table = 3.0 * rng.normal(size=(7, 101, 61))
+    policy = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, (-4.0, 5.0))
+    for t in np.append(rng.uniform(-0.2, 1.2, 40), t_nodes):
+        # within the grid and up to 30 % beyond its edges
+        w = rng.uniform(-8.0, 8.0, 1000)
+        z = rng.uniform(-10.0, 10.0, 1000)
+        got, expected = policy(t, w, z), clipped_formula(policy, t, w, z)
+        assert got.tobytes() == expected.tobytes()
+        assert (policy(t, w[0], z[0]).tobytes()
+                == clipped_formula(policy, t, w[0], z[0]).tobytes())
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.floats(-20, 20), st.floats(-10, 10), st.floats(-10, 10),
        st.floats(0, 1))

@@ -121,6 +121,29 @@ def test_table_seed_binds_without_a_solve(solved):
         assert len(solved) == len(seq)
 
 
+@pytest.mark.parametrize("family", [
+    principal.ContractFamily("lipschitz_table", cap=1.0,
+                             p_nodes=np.array([-1.0, 1.0]),
+                             z_nodes=np.array([-1.0, 1.0])),
+    principal.ContractFamily("linear_polynomial", cap=1.0),
+], ids=["table", "polynomial"])
+def test_no_contract_is_solved_twice(solved, family):
+    # Nelder-Mead's first vertex is the incumbent: it is served from its
+    # record, so no contract is solved again, and the table seed is not
+    # re-read as infeasible by rounding; the budget counts distinct records
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=500, reservation=0.01)
+    _, seq = principal.optimize(family, params, budget=5,
+                                settings=HjbSettings(n_p=9, n_w=21, n_z=21),
+                                seed=3)
+    solved_keys = [family.coefficients(c).tobytes() for c in solved
+                   if not isinstance(c, Constant)]
+    assert len(set(solved_keys)) == len(solved_keys)
+    record_keys = [r["coefficients"].tobytes() for r in seq.records]
+    assert len(set(record_keys)) == len(record_keys) == 5
+    assert seq.records[-1]["stage"] == "refine"
+
+
 def test_optimize_constant_family():
     family = principal.ContractFamily("constant", cap=1.0)
     best, seq = principal.optimize(family, WIDE, budget=20, settings=FAST,

@@ -103,6 +103,39 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                               getattr(whole_controlled, name)), name
 
 
+def test_controlled_sample_matches_path_reference():
+    # the Euler scheme on whole (count, n_steps + 1) path arrays: the
+    # terminal values agree bit for bit, and the integrals, summed in
+    # another order, to rounding
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=40)
+    nodes = np.linspace(-2.0, 2.0, 9)
+    tt, ww, zz = np.meshgrid([0.0, 0.5, 1.0], nodes, nodes, indexing="ij")
+    policy = FeedbackPolicy(np.array([0.0, 0.5, 1.0]), nodes, nodes,
+                            np.clip(2 * ww - zz + tt, -1.0, 1.0),
+                            (-1.0, 1.0))
+    n, dt = params.n_steps, params.dt
+    root_dt = np.sqrt(dt)
+    xi = simulate.gaussians(17, (300, n, 3))
+    p, z, w = (np.zeros((300, n + 1)) for _ in range(3))
+    rates = np.empty((300, n))
+    for i in range(n):
+        rates[:, i] = policy(params.times[i], w[:, i], z[:, i])
+        p[:, i + 1] = (p[:, i] + w[:, i] * dt
+                       + params.sigma * root_dt * xi[:, i, 0])
+        z[:, i + 1] = (z[:, i] + rates[:, i] * dt
+                       + params.epsilon * root_dt * xi[:, i, 1])
+        w[:, i + 1] = w[:, i] + root_dt * xi[:, i, 2]
+    sample = simulate.simulate_controlled(params, policy, 300, 17)
+    assert sample.p_T.tobytes() == p[:, -1].tobytes()
+    assert sample.z_T.tobytes() == z[:, -1].tobytes()
+    assert np.allclose(sample.int_zw,
+                       np.sum(z[:, :-1] * w[:, :-1], axis=1) * dt,
+                       rtol=1e-12, atol=1e-15)
+    assert np.allclose(sample.int_pi_sq, np.sum(rates**2, axis=1) * dt,
+                       rtol=1e-12, atol=0.0)
+    assert 0.0 < np.mean(sample.int_pi_sq) < 1.0
+
+
 def test_weighted_reference_memory_is_per_path():
     # memory stays bounded as the path count grows: the sample keeps
     # 4 + 6 x 7 = 46 floats per path for the built-in family, where one
