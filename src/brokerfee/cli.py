@@ -33,8 +33,7 @@ MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 
 _FAMILY_KEYS = ("class", "cap", "degree", "p_nodes", "z_nodes",
                 "coefficients")
-_RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching",
-             "lam")
+_RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def _mode_oracle(config, out_dir, seed, lines):
     params = config.params
     depth = int(config.run.get("depth", 2))
     branching = int(config.run.get("branching", 2))
-    lam = float(config.run.get("lam", params.entropy_weight))
+    lam = params.entropy_weight
     trials = int(config.run.get("trials", 100))
     tree = oracle.build_tree(depth, branching, params)
     contract = _contract_from_config(config)
@@ -299,7 +298,7 @@ def _mode_verify(config, out_dir, seed, lines):
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
         params, policy, params.n_paths, split_seed(seed, "verify-sim"),
-        simulate.eta_family(params.horizon))
+        moments=True)
     mean, se = simulate._mean_se(sample.m)
     checks.append(("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                    f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}"))
@@ -310,8 +309,8 @@ def _mode_verify(config, out_dir, seed, lines):
                    f"gap = {report.gap:.2e}, "
                    f"3se = {3 * report.combined_se:.2e}"))
 
-    worst = max(float(np.max(moments.estimates - 3 * moments.ses))
-                for moments in simulate.constraint_moments(sample))
+    estimates, ses = simulate.constraint_moments(sample)
+    worst = float(np.max(estimates - 3 * ses))
     checks.append(("constraint_moments", worst <= 0.0,
                    f"max (estimate - 3se) = {worst:.2e}"))
 

@@ -99,18 +99,18 @@ def validate_params(params: ModelParams) -> ModelParams:
     return params
 
 
-def params_to_config(params: ModelParams, prefix: str = "model") -> dict:
+def params_to_config(params: ModelParams) -> dict:
     """Flatten to the dotted key-value form used by text configs."""
-    return {f"{prefix}.{name}": getattr(params, name) for name in _PARAM_FIELDS}
+    return {f"model.{name}": getattr(params, name) for name in _PARAM_FIELDS}
 
 
-def params_from_config(items: dict, prefix: str = "model") -> ModelParams:
+def params_from_config(items: dict) -> ModelParams:
     """Rebuild ModelParams from dotted keys; unknown keys are an error."""
     kwargs = {}
     for key, value in items.items():
-        if not key.startswith(prefix + "."):
+        if not key.startswith("model."):
             raise ValueError(f"unexpected config key: {key}")
-        name = key[len(prefix) + 1:]
+        name = key[len("model."):]
         if name not in _PARAM_FIELDS:
             raise ValueError(f"unknown model parameter: {name}")
         caster = float if name in _FLOAT_FIELDS else int

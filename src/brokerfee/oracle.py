@@ -391,11 +391,9 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
 
 @dataclass(frozen=True)
 class CollapseReport:
-    trials: int
     counterexamples: tuple
     min_jensen_gap: float
     relaxed_is_dirac: bool
-    max_secondary_weight: float
 
 
 def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
@@ -429,9 +427,8 @@ def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
          "cond_mean": cond_mean[k].tolist(), "m1": m1[k].tolist(),
          "m2": m2[k].tolist(), "q": q[k].tolist()}
         for k in np.flatnonzero(bad))
-    return CollapseReport(trials, counterexamples, float(np.min(gaps)),
-                          control.is_dirac(1e-6),
-                          control.max_secondary_weight())
+    return CollapseReport(counterexamples, float(np.min(gaps)),
+                          control.is_dirac(1e-6))
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,6 @@ class ContractFamily:
         # compact, so no Holder ball is imposed on proposals
         return LipschitzTable(self.p_nodes, self.z_nodes, values, self.cap)
 
-    def coefficients(self, contract) -> np.ndarray:
-        if self.kind == "constant":
-            return np.array([contract.value])
-        if self.kind == "linear_polynomial":
-            return contract.coeffs.ravel().copy()
-        return contract.values.ravel().copy()
-
 
 class MaximizingSequence:
     """Append-only log of contract evaluations with an incumbent trail."""
@@ -221,18 +214,19 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                                    v_a >= params.reservation)
 
     def evaluate(theta, stage):
-        contract = family.make(theta)
-        coefficients = family.coefficients(contract)
+        theta = np.clip(np.asarray(theta, dtype=float), -family.cap,
+                        family.cap)
         for record in sequence.records:
-            if np.array_equal(record["coefficients"], coefficients):
+            if np.array_equal(record["coefficients"], theta):
                 return record["objective"]
         if len(sequence) >= budget:
             raise _BudgetExhausted
+        contract = family.make(theta)
         evaluation = (shifted(contract.value)
                       if isinstance(contract, Constant)
                       else principal_objective(contract, params, settings,
                                                seed))
-        return sequence.append(coefficients, evaluation, stage)
+        return sequence.append(theta, evaluation, stage)
 
     try:
         if zero is not None:

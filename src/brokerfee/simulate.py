@@ -9,13 +9,13 @@ identity relating E[M log M] to half the expected squared drift, and the
 constraint moments that characterize admissibility.
 
 The constraint rows are linear in the state increments, so the stopped
-moments telescope: for a whole family of test functionals one batch needs
-one running integral of W and one stopping index per truncation level,
-and each functional then reads the path values at its two window ends.
+moments telescope: one batch needs one running integral of W, one
+stopping index and one window [T/2, T], and the seven built-in test
+functionals scale the same six row increments.
 
 Both measures are sampled one row chunk at a time, and only per-path
 results are kept. :func:`weighted_reference` keeps 46 floats per path
-with the seven built-in functionals and :func:`simulate_controlled` keeps
+with the constraint moments (4 without) and :func:`simulate_controlled`
 4 (the terminal P and Z and the integrals of Z W and pi^2), while a whole
 batch of 250 steps would hold about 1,750. Each chunk reads its rows'
 own draws and every result is computed along one path, so the chunk size
@@ -28,7 +28,6 @@ right-point rules bias the mean of the density away from 1.
 """
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .model import ConstraintSpec, FeedbackPolicy, ModelParams
 from .rng import gaussians
 
 __all__ = [
-    "PathBatch", "ControlledSample", "WeightedSample", "EtaTest",
-    "eta_family",
+    "PathBatch", "ControlledSample", "WeightedSample",
     "simulate_reference", "simulate_controlled",
     "girsanov_weights", "weighted_reference",
     "effective_sample_size", "DEGENERATE_ESS_FRACTION",
@@ -164,8 +162,9 @@ class WeightedSample:
     ``m`` is the density dQ^pi / dW of each path, ``log_m`` its log, and
     ``int_pi_sq`` and ``int_w_sq`` are the left-point integrals of pi^2 and
     W^2, each of shape (count,). ``moments[e, r]`` holds the samples
-    M eta_e (Y_{t ^ tau} - Y_{s ^ tau}) of constraint row r for test
-    functional e (see :func:`constraint_moments`), shape (n_etas, 6, count).
+    M eta_e (Y_{t ^ tau} - Y_{s ^ tau}) of constraint row r for built-in
+    test functional e (see :func:`constraint_moments`), shape (7, 6, count),
+    or (0, 6, count) for a sample weighted without moments.
     """
 
     m: np.ndarray
@@ -210,19 +209,20 @@ def _log_density(batch: PathBatch, policy: FeedbackPolicy,
 
 
 def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
-                     params: ModelParams, etas=()) -> WeightedSample:
+                     params: ModelParams, moments: bool = False
+                     ) -> WeightedSample:
     """The density dQ^pi / dW of every path of a reference batch, with the
-    integrals of the entropy identity and the constraint-moment samples of
-    the test functionals ``etas``: the per-chunk step of
-    :func:`weighted_reference`. W_i and pi_i are evaluated at the left
-    point of each step.
+    integrals of the entropy identity and, if ``moments``, the
+    constraint-moment samples of the built-in test functionals: the
+    per-chunk step of :func:`weighted_reference`. W_i and pi_i are
+    evaluated at the left point of each step.
     """
     # the buffers of log M are freed before the moment samples are taken
     log_m, int_pi_sq, int_w_sq = _log_density(batch, policy, params)
     m = np.exp(log_m)
-    moments = _moment_samples(batch, m, etas,
-                              ConstraintSpec.from_params(params))
-    return WeightedSample(m, log_m, int_pi_sq, int_w_sq, moments)
+    samples = (_moment_samples(batch, m, ConstraintSpec.from_params(params))
+               if moments else np.empty((0, 6, batch.count)))
+    return WeightedSample(m, log_m, int_pi_sq, int_w_sq, samples)
 
 
 # Draws per row chunk, 1,396 rows at 250 steps. A reference chunk in
@@ -250,19 +250,20 @@ def _in_row_chunks(count: int, n_steps: int, chunk) -> list:
 
 
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
-                       count: int, seed: int, etas=()) -> WeightedSample:
+                       count: int, seed: int,
+                       moments: bool = False) -> WeightedSample:
     """Reweight the ``count`` reference paths of ``seed`` by ``policy``.
 
     The paths are simulated and weighted in row chunks
     (:func:`_in_row_chunks`, :func:`girsanov_weights`), and only the
-    per-path results are kept, so memory grows by 4 + 6 len(etas) floats
-    per path. The sample equals that of the whole batch taken as one
-    chunk, bit for bit.
+    per-path results are kept, so memory grows by 46 floats per path with
+    ``moments`` and by 4 without. The sample equals that of the whole batch
+    taken as one chunk, bit for bit.
     """
     def chunk(first_row, rows):
         part = girsanov_weights(
             simulate_reference(params, rows, seed, first_row),
-            policy, params, etas)
+            policy, params, moments)
         return [getattr(part, field.name) for field in fields(part)]
 
     return WeightedSample(*_in_row_chunks(count, params.n_steps, chunk))
@@ -322,90 +323,30 @@ def entropy_report(sample: WeightedSample,
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)
 
 
-@dataclass(frozen=True)
-class EtaTest:
-    """A bounded nonnegative test functional of the path up to time s.
-
-    ``kind`` is one of "const" (identically 1), "w_indicator", or
-    "z_indicator" (piecewise-linear smoothed indicator of the coordinate
-    at time s exceeding ``threshold``; ramp width keeps it continuous).
-    ``truncation_level`` is the cap N defining the exit time tau_N.
-    """
-
-    kind: str = "const"
-    threshold: float = 0.0
-    s: float = 0.0
-    t: float = 1.0
-    truncation_level: float = 10.0
-    ramp_width: float = 0.01
-
-    def __post_init__(self):
-        if self.kind not in ("const", "w_indicator", "z_indicator"):
-            raise ValueError(f"unknown eta kind: {self.kind}")
-        if not 0 <= self.s <= self.t:
-            raise ValueError("window must satisfy 0 <= s <= t")
-
-    def values(self, batch: PathBatch) -> np.ndarray:
-        """Evaluate on every path; uses samples with index <= floor(s N/T)."""
-        if self.kind == "const":
-            return np.ones(batch.count)
-        horizon = batch.times[-1]
-        n = len(batch.times) - 1
-        i_s = int(np.floor(self.s * n / horizon))
-        coord = batch.w if self.kind == "w_indicator" else batch.z
-        x = coord[:, i_s]
-        return np.clip((x - self.threshold) / self.ramp_width + 0.5, 0.0, 1.0)
+# The built-in test functionals eta of the path up to s: the constant 1,
+# then indicators of W_s and of Z_s above each threshold, made continuous
+# by a linear ramp of this width. The window [s, t] = [T / 2, T] is stopped
+# at the exit time tau_N of the truncation level N.
+_THRESHOLDS = (-1.0, 0.0, 1.0)
+_RAMP_WIDTH = 0.01
+_TRUNCATION_LEVEL = 10.0
 
 
-def eta_family(horizon: float, truncation_level: float = 10.0,
-               s: Optional[float] = None, t: Optional[float] = None) -> list:
-    """The built-in finite family: the constant plus smoothed indicators
-    of W_s and Z_s at thresholds {-1, 0, 1}."""
-    if s is None:
-        s = 0.5 * horizon
-    if t is None:
-        t = horizon
-    etas = [EtaTest("const", s=s, t=t, truncation_level=truncation_level)]
-    for kind in ("w_indicator", "z_indicator"):
-        for threshold in (-1.0, 0.0, 1.0):
-            etas.append(EtaTest(kind, threshold=threshold, s=s, t=t,
-                                truncation_level=truncation_level))
-    return etas
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    estimates: np.ndarray  # (6,)
-    ses: np.ndarray        # (6,)
-
-
-def _truncation_index(batch: PathBatch, level: float) -> np.ndarray:
-    """First grid index where the max coordinate magnitude reaches level
-    (grid length if never); sub-grid crossing refinement is omitted."""
-    big = np.abs(batch.p) >= level
-    big |= np.abs(batch.z) >= level
-    big |= np.abs(batch.w) >= level
-    hit = np.argmax(big, axis=1)
-    never = ~big[np.arange(batch.count), hit]
-    hit[never] = len(batch.times) - 1
-    return hit
-
-
-def _moment_samples(batch: PathBatch, m: np.ndarray, etas,
+def _moment_samples(batch: PathBatch, m: np.ndarray,
                     spec: ConstraintSpec) -> np.ndarray:
     """M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows and each
-    test functional in ``etas``, shape (len(etas), 6, count).
+    built-in test functional, shape (7, 6, count).
 
     Y accumulates b dt + A dX (:meth:`ConstraintSpec.rows`) along the path.
     The rows are linear in the increments, so Y_{t ^ tau} - Y_{s ^ tau} is
     the rows of the endpoint differences of P, Z, W and of the left-point
-    running integral of W, over a window of (hi - lo) steps. The stopping
-    index is computed once per truncation level and the running integral
-    once per batch; each functional then costs O(count).
+    running integral of W, over a window of (hi - lo) steps. The six row
+    increments are taken once; each functional then scales them by M eta.
     """
-    out = np.empty((len(etas), 6, batch.count))
-    if not etas:
-        return out
+    # allocated before the temporaries, so that the heap can shrink once
+    # they are freed: allocated after them, it raised the verify mode's
+    # peak memory on perfbench's mc-verify config from 95 to 100 MB
+    out = np.empty((1 + 2 * len(_THRESHOLDS), 6, batch.count))
     horizon = batch.times[-1]
     n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
@@ -413,36 +354,44 @@ def _moment_samples(batch: PathBatch, m: np.ndarray, etas,
     int_w = np.zeros_like(batch.w)          # sum_{k < i} W_k dt at index i
     np.cumsum(batch.w[:, :-1], axis=1, out=int_w[:, 1:])
     int_w *= dt
-    stops = {}
+    # tau_N: the first grid index where a coordinate's magnitude reaches
+    # the level, n if none does; sub-grid crossings are not refined
+    big = np.abs(batch.p) >= _TRUNCATION_LEVEL
+    big |= np.abs(batch.z) >= _TRUNCATION_LEVEL
+    big |= np.abs(batch.w) >= _TRUNCATION_LEVEL
+    stop = np.argmax(big, axis=1)
+    stop[~big[paths, stop]] = n
+    # the window ends s = T / 2 and t = T as grid indices floor(s n / T)
+    i_s = int(np.floor(0.5 * horizon * n / horizon))
+    lo = np.minimum(i_s, stop)
+    hi = np.minimum(int(np.floor(horizon * n / horizon)), stop)
+
+    def delta(x):
+        return x[paths, hi] - x[paths, lo]
+
+    increments = spec.rows(delta(batch.p), delta(batch.z), delta(batch.w),
+                           delta(int_w), (hi - lo) * dt)
+    etas = [np.ones(batch.count)] + [
+        np.clip((coord[:, i_s] - threshold) / _RAMP_WIDTH + 0.5, 0.0, 1.0)
+        for coord in (batch.w, batch.z) for threshold in _THRESHOLDS]
     for e, eta in enumerate(etas):
-        level = eta.truncation_level
-        if level not in stops:
-            stops[level] = _truncation_index(batch, level)
-        lo = np.minimum(int(np.floor(eta.s * n / horizon)), stops[level])
-        hi = np.minimum(int(np.floor(eta.t * n / horizon)), stops[level])
-
-        def delta(x):
-            return x[paths, hi] - x[paths, lo]
-
-        increments = spec.rows(delta(batch.p), delta(batch.z),
-                               delta(batch.w), delta(int_w), (hi - lo) * dt)
-        weights = m * eta.values(batch)
+        weights = m * eta
         for r, inc in enumerate(increments):
             np.multiply(weights, inc, out=out[e, r])
     return out
 
 
-def constraint_moments(sample: WeightedSample) -> list:
-    """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows,
-    one :class:`MomentReport` per test functional the sample was weighted
-    with (the ``etas`` of :func:`weighted_reference`).
+def constraint_moments(sample: WeightedSample) -> tuple:
+    """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows and
+    each built-in test functional: (estimates, standard errors), two arrays
+    of shape (7, 6), from a sample weighted with ``moments=True``.
 
     Rows 1-4 have zero mean under the controlled measure (martingale rows);
     rows 5-6 have nonpositive mean exactly when the reweighting policy is
     admissible.
     """
-    reports = []
-    for rows in sample.moments:
-        estimates, ses = zip(*(_mean_se(samples) for samples in rows))
-        reports.append(MomentReport(np.array(estimates), np.array(ses)))
-    return reports
+    estimates = np.empty(sample.moments.shape[:2])
+    ses = np.empty_like(estimates)
+    for index in np.ndindex(estimates.shape):
+        estimates[index], ses[index] = _mean_se(sample.moments[index])
+    return estimates, ses

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,11 +52,22 @@ def test_parse_error_cites_line(tmp_path):
         cli.parse_config(cfg)
 
 
-def test_parse_error_names_unknown_key(tmp_path):
+# the oracle's entropy weight is the model's 2 eps^2 phi_a, not a run key
+@pytest.mark.parametrize("key", ["colour", "lam"])
+def test_parse_error_names_unknown_key(tmp_path, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("run.mode = simulate\nrun.colour = blue\n")
-    with pytest.raises(ValueError, match="unknown run key: colour"):
+    cfg.write_text(f"run.mode = simulate\nrun.{key} = 1\n")
+    with pytest.raises(ValueError, match=f"unknown run key: {key}"):
         cli.parse_config(cfg)
+
+
+@pytest.mark.parametrize("workload", sorted(
+    (Path(__file__).parent.parent / "perfbench" / "workloads").glob("*.cfg")),
+    ids=lambda path: path.stem)
+def test_benchmark_workloads_parse(workload):
+    # a config key the benchmark sets cannot be removed unnoticed
+    config = cli.parse_config(workload)
+    assert config.run["mode"] in cli.MODES
 
 
 @pytest.mark.parametrize("key", ["gamma", "holder_const", "operator"])
@@ -231,9 +243,9 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
     rates = []
 
-    def recording(batch, policy, params, etas=()):
+    def recording(batch, policy, params, moments=False):
         rates.append(float(policy(0.0, 0.0, 0.0)))
-        return weights(batch, policy, params, etas)
+        return weights(batch, policy, params, moments)
 
     weights = cli.simulate.girsanov_weights
     monkeypatch.setattr(cli.simulate, "girsanov_weights", recording)

@@ -84,13 +84,13 @@ def test_table_nodes_must_increase(axis, nodes):
 @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
 def test_projection_idempotent(raw):
     # ContractFamily.make clips proposals into the box [-K, K]; the
-    # coefficients of a made contract are already inside, so remaking
-    # them changes nothing
+    # values of a made contract are already inside, so remaking them
+    # changes nothing
     family = ContractFamily("lipschitz_table", cap=1.5,
                             p_nodes=np.array([0.0, 1.0]),
                             z_nodes=np.array([0.0, 1.0]))
     once = family.make(np.array(raw))
-    twice = family.make(family.coefficients(once))
+    twice = family.make(once.values.ravel())
     assert np.array_equal(once.values, twice.values)
     assert np.all(np.abs(once.values) <= 1.5)
     assert np.array_equal(once.values.ravel(), np.clip(raw, -1.5, 1.5))

@@ -1,10 +1,8 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from brokerfee import simulate
 from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
@@ -17,16 +15,11 @@ PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
                      n_paths=20_000)
 
 
-# the built-in family, then the whole-horizon constant (martingale rows)
-ETAS = simulate.eta_family(PARAMS.horizon) + [
-    simulate.EtaTest("const", s=0.0, t=1.0)]
-
-
 @pytest.fixture(scope="module")
 def weighted_sample():
     policy = FeedbackPolicy.constant(0.8, PARAMS)
     return simulate.weighted_reference(PARAMS, policy, PARAMS.n_paths, 31,
-                                       ETAS)
+                                       moments=True)
 
 
 def test_reference_batch_statistics():
@@ -72,7 +65,8 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                             np.clip(ww - 0.5 * zz + tt, -1.0, 1.0),
                             (-1.0, 1.0))
     whole = simulate.girsanov_weights(
-        simulate.simulate_reference(params, 49, 23), policy, params, ETAS)
+        simulate.simulate_reference(params, 49, 23), policy, params,
+        moments=True)
     # at the default chunk size all 49 rows are one chunk
     whole_controlled = simulate.simulate_controlled(params, policy, 49, 23)
 
@@ -87,9 +81,10 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
 
     monkeypatch.setattr(simulate, "gaussians", recording)
     expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
-    chunked = simulate.weighted_reference(params, policy, 49, 23, ETAS)
+    chunked = simulate.weighted_reference(params, policy, 49, 23,
+                                          moments=True)
     assert chunks == expected
-    assert whole.moments.shape == (len(ETAS), 6, 49)
+    assert whole.moments.shape == (7, 6, 49)
     for field in fields(simulate.WeightedSample):
         assert np.array_equal(getattr(chunked, field.name),
                               getattr(whole, field.name)), field.name
@@ -138,16 +133,17 @@ def test_controlled_sample_matches_path_reference():
 
 def test_weighted_reference_memory_is_per_path():
     # memory stays bounded as the path count grows: the sample keeps
-    # 4 + 6 x 7 = 46 floats per path for the built-in family, where one
-    # batch of 250 steps holds about 1,750 floats per path in flight
+    # 4 + 6 x 7 = 46 floats per path with the constraint moments, where
+    # one batch of 250 steps holds about 1,750 floats per path in flight
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250)
     policy = FeedbackPolicy.constant(0.5, params)
-    family = simulate.eta_family(params.horizon)
 
     def peak_bytes(count):
         tracemalloc.start()
         try:
-            simulate.weighted_reference(params, policy, count, 3, family)
+            sample = simulate.weighted_reference(params, policy, count, 3,
+                                                 moments=True)
+            assert sample.moments.shape == (7, 6, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,32 +205,74 @@ def test_reduced_weights_normalize():
 
 
 def test_eta_family_composition():
-    family = simulate.eta_family(1.0)
-    assert len(family) == 7
-    kinds = [eta.kind for eta in family]
-    assert kinds.count("const") == 1
-    assert kinds.count("w_indicator") == 3
-    assert kinds.count("z_indicator") == 3
+    # the seven built-in functionals are the constant, three functionals
+    # of W_{T/2} alone and three of Z_{T/2} alone: moving one coordinate
+    # at s = T / 2 moves only its three indicators, and upwards
+    batch = simulate.simulate_reference(PARAMS, 2_000, 31)
+    policy = FeedbackPolicy.constant(0.8, PARAMS)
+    half = PARAMS.n_steps // 2
+
+    def etas(paths):
+        sample = simulate.girsanov_weights(paths, policy, PARAMS,
+                                           moments=True)
+        assert sample.moments.shape == (7, 6, paths.count)
+        return sample.moments[:, 4] / sample.moments[0, 4]
+
+    w, z = batch.w.copy(), batch.z.copy()
+    w[:, half] += 1.0
+    z[:, half] += 1.0
+    base = etas(batch)
+    for moved, own in ((etas(replace(batch, w=w)), slice(1, 4)),
+                       (etas(replace(batch, z=z)), slice(4, 7))):
+        np.testing.assert_array_equal(moved[0], 1.0)
+        other = np.ones(7, dtype=bool)
+        other[own] = False
+        np.testing.assert_allclose(moved[other], base[other],
+                                   rtol=1e-9, atol=1e-12)
+        assert np.all(moved[own] >= base[own] - 1e-12)
+        assert np.all(np.any(moved[own] > base[own] + 0.5, axis=1))
 
 
 def test_eta_values_bounded():
-    batch = simulate.simulate_reference(PARAMS, PARAMS.n_paths, 31)
-    for eta in simulate.eta_family(PARAMS.horizon):
-        vals = eta.values(batch)
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
+    # the seven built-in functionals, read back as the ratio of their
+    # samples to the constant's on row 5 (dZ - U dt, nonzero on every
+    # path): the constant 1, then smoothed indicators of W_s and of Z_s
+    # at s = T / 2 over the thresholds -1, 0 and 1, each in [0, 1], 0 below
+    # its ramp and 1 above it
+    batch = simulate.simulate_reference(PARAMS, 4_000, 31)
+    sample = simulate.girsanov_weights(
+        batch, FeedbackPolicy.constant(0.8, PARAMS), PARAMS, moments=True)
+    assert sample.moments.shape == (7, 6, 4_000)
+    base = sample.moments[0, 4]
+    assert np.all(base != 0.0)
+    etas = sample.moments[:, 4] / base
+    assert np.all((etas >= -1e-12) & (etas <= 1.0 + 1e-12))
+    half = PARAMS.n_steps // 2
+    for first, coord in ((1, batch.w[:, half]), (4, batch.z[:, half])):
+        for k, threshold in enumerate((-1.0, 0.0, 1.0)):
+            eta = etas[first + k]
+            assert np.allclose(eta[coord <= threshold - 0.005], 0.0,
+                               atol=1e-12)
+            assert np.allclose(eta[coord >= threshold + 0.005], 1.0,
+                               rtol=1e-12)
+            # the ramp is linear, through 1/2 at the threshold
+            ramp = np.abs(coord - threshold) < 0.005
+            np.testing.assert_allclose(
+                eta[ramp], (coord[ramp] - threshold) / 0.01 + 0.5,
+                rtol=1e-9, atol=1e-12)
 
 
 def test_constraint_moments_admissible_policy(weighted_sample):
-    reports = simulate.constraint_moments(weighted_sample)
-    assert len(reports) == len(ETAS)
-    for report in reports:
-        assert np.all(report.estimates <= 3 * report.ses)
+    estimates, ses = simulate.constraint_moments(weighted_sample)
+    assert estimates.shape == ses.shape == (7, 6)
+    assert np.all(estimates <= 3 * ses)
 
 
 def test_constraint_moments_martingale_rows(weighted_sample):
-    # rows 1-4 are martingale increments: mean zero, not just nonpositive
-    report = simulate.constraint_moments(weighted_sample)[-1]
-    assert np.all(np.abs(report.estimates[:4]) <= 3 * report.ses[:4])
+    # rows 1-4 are martingale increments: mean zero, not just nonpositive;
+    # the first built-in functional is the constant
+    estimates, ses = simulate.constraint_moments(weighted_sample)
+    assert np.all(np.abs(estimates[0, :4]) <= 3 * ses[0, :4])
 
 
 def test_constraint_moments_flag_inadmissible_rate():
@@ -243,31 +281,31 @@ def test_constraint_moments_flag_inadmissible_rate():
     bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
                          (-2.0, 2.0))
-    eta = simulate.EtaTest("const", s=0.5, t=1.0)
-    [report] = simulate.constraint_moments(
-        simulate.weighted_reference(params, bad, 20_000, 17, [eta]))
-    assert report.estimates[4] > 3 * report.ses[4]
+    estimates, ses = simulate.constraint_moments(
+        simulate.weighted_reference(params, bad, 20_000, 17, moments=True))
+    # the constant functional on [T / 2, T]
+    assert estimates[0, 4] > 3 * ses[0, 4]
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.floats(0.0, 0.5), st.floats(0.5, 1.0))
-def test_moment_window_ordering(s, t):
-    eta = simulate.EtaTest("const", s=s, t=t)
-    assert eta.s <= eta.t
+def reference_etas(batch):
+    """The built-in family spelled out: the constant, then indicators of
+    W_s and Z_s at s = T / 2 over thresholds -1, 0, 1, ramped over 0.01."""
+    half = (len(batch.times) - 1) // 2
+    return [np.ones(batch.count)] + [
+        np.clip((coord[:, half] - threshold) / 0.01 + 0.5, 0.0, 1.0)
+        for coord in (batch.w, batch.z) for threshold in (-1.0, 0.0, 1.0)]
 
 
-def per_step_moments(batch, m, eta, spec):
+def per_step_moments(batch, m, eta, spec, stop):
     """Reference estimator: cumulative sums of the rows of every step,
-    read at the stopped window ends (s ^ tau, t ^ tau)."""
-    horizon = batch.times[-1]
+    read at the stopped window ends (T / 2 ^ tau, T ^ tau)."""
     n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
-    stop = per_step_stopping_index(batch, eta.truncation_level)
-    lo = np.minimum(int(np.floor(eta.s * n / horizon)), stop)
-    hi = np.minimum(int(np.floor(eta.t * n / horizon)), stop)
+    lo = np.minimum(n // 2, stop)
+    hi = np.minimum(n, stop)
     increments = spec.rows(np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
                            np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt)
-    weights = m * eta.values(batch)
+    weights = m * eta
     paths = np.arange(batch.count)
     estimates, ses = [], []
     for inc in increments:
@@ -299,30 +337,29 @@ def test_rows_of_summed_increments_are_summed_rows():
 
 
 def test_family_moments_match_per_step_reference():
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
+    # at sigma = 10 the price reaches the truncation level 10 before
+    # T / 2 on some paths, inside [T / 2, T] on others and never on the
+    # rest; each share is positive
+    params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
+                         n_steps=100)
     spec = ConstraintSpec.from_params(params)
     batch = simulate.simulate_reference(params, 4_000, 41)
-    low = 0.6
-    # tau_N binds before s = T / 2 on most paths at the low level
-    assert np.mean(per_step_stopping_index(batch, low) < 50) > 0.5
-    family = [
-        simulate.EtaTest("const", s=0.3, t=0.8),
-        simulate.EtaTest("w_indicator", threshold=0.0, s=0.5, t=1.0,
-                         truncation_level=low),
-        simulate.EtaTest("z_indicator", threshold=0.1, s=0.5, t=0.5),
-        simulate.EtaTest("z_indicator", threshold=-0.2, s=0.0, t=1.0,
-                         truncation_level=1.5),
-        simulate.EtaTest("w_indicator", threshold=0.5, s=0.0, t=1.0,
-                         truncation_level=low),
-    ]
+    stop = per_step_stopping_index(batch, 10.0)
+    reached = np.max(np.abs([batch.p, batch.z, batch.w]), axis=(0, 2)) >= 10
+    early = stop < 50
+    late = reached & ~early
+    assert np.mean(early) > 0 and np.mean(late) > 0 and np.mean(~reached) > 0
     sample = simulate.weighted_reference(
-        params, FeedbackPolicy.constant(0.8, params), 4_000, 41, family)
-    reports = simulate.constraint_moments(sample)
-    assert len(reports) == len(family)
-    for eta, report in zip(family, reports):
-        estimates, ses = per_step_moments(batch, sample.m, eta, spec)
-        np.testing.assert_allclose(report.estimates, estimates,
+        params, FeedbackPolicy.constant(0.8, params), 4_000, 41,
+        moments=True)
+    estimates, ses = simulate.constraint_moments(sample)
+    assert estimates.shape == (sample.moments.shape[0], 6)
+    for e, eta in enumerate(reference_etas(batch)):
+        expected, expected_ses = per_step_moments(batch, sample.m, eta, spec,
+                                                  stop)
+        np.testing.assert_allclose(estimates[e], expected,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(report.ses, ses, rtol=1e-12, atol=1e-12)
-    # an empty window (s = t) has no increment at all
-    assert np.all(reports[2].estimates == 0.0)
+        np.testing.assert_allclose(ses[e], expected_ses,
+                                   rtol=1e-12, atol=1e-12)
+    # a path stopped before T / 2 has an empty window, so no increment
+    assert np.all(sample.moments[:, :, early] == 0.0)
