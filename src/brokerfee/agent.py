@@ -23,23 +23,26 @@ step is checked against 6 times the Euler bound. Per Euler-bound step
 the scheme costs 1.5 stages, and its time error is third order.
 The value is held on (p, w, z), with a single p plane when the fee does
 not read the price, and one step kernel serves both cases: it walks the
-p axis in slabs of a few planes, writes every intermediate into
-preallocated buffers, and derives V_z, the rate, both upwind differences
-and V_zz from one difference along z per slab. The slabs are split into
-at most one contiguous group per usable CPU, and the groups of each
-stage run on a thread pool that lives for one solve; a cell's arithmetic
-does not depend on the thread that computes it, so the values are
-bit-identical for any thread count.
-Every path starts at the origin, so at time t it reaches only the prices
-within six standard deviations of P_t, the cut the p axis takes at T.
-The 3-D sweep updates only the planes inside that cone: the step from
-t_k back to t_{k-1} takes |p| <= 6 sd(P_{t_k}) + dp, and the edge planes
-of that range take the boundary rule of the p axis. Domain-truncation
-error decays with the distance from the start point to the cut in
-standard deviations (Kangro & Nicolaides 2000, SIAM J. Numer. Anal.
-38(4)). On the default grid the cone keeps 66 % of the plane updates,
-and it moves the value at the origin by at most 1.5e-7 relative to the
-full-width sweep (fee P_T Z_T), and by nothing for a fee constant in p.
+p axis in slabs of planes, copies each slab into a contiguous buffer,
+writes every intermediate into preallocated buffers, and derives V_z,
+the rate, both upwind differences and V_zz from one difference along z
+per slab. The slabs are split into at most one contiguous group per
+usable CPU, and the groups of each stage run on a thread pool that lives
+for one solve; a cell's arithmetic does not depend on the thread that
+computes it, so the values are bit-identical for any thread count.
+Every path starts at the origin, so by time t it reaches only the states
+within six standard deviations on each axis (:func:`_half_widths`; the
+grid's cuts at T). Each step of every solve updates only that box, plus
+one plane on p and three cells on w and z, and its edge slices take the
+boundary rule of their axis. Domain-truncation error decays with the
+distance from the start point to the cut in standard deviations (Kangro
+& Nicolaides 2000, SIAM J. Numer. Anal. 38(4)). On the default 3-D grid
+the box keeps 40 % of the cell updates (the p cut alone, 66 %), and it
+moves the value at the origin by at most 1.5e-7 relative to the
+full-width sweep (fee P_T Z_T), the w and z cuts by at most 2e-9 of
+that; the 2-D zero fee moves by 4e-10. Outside the box a saved slice
+holds the linear extension of the box's edge slices, along z, then w,
+then p, and the saved rates are taken from that slice.
 Every fee is a function of the terminal values (P_T, Z_T), so it enters
 only as the terminal condition, and the grid solve is the whole best
 response.
@@ -96,10 +99,10 @@ class ValueGrid:
 
     ``values`` has shape (n_save, [n_p,] n_w, n_z), with at most 81 saved
     time slices in 2-D and 17 in 3-D, one per step boundary; the slice at
-    the final saved time equals the terminal reward exactly. In 3-D a
-    slice holds the solved value on the planes of the price cone of
-    :func:`solve_hjb`, and beyond it the linear extension in p of the
-    cone's two edge planes on that side (V_pp = 0 there).
+    the final saved time equals the terminal reward exactly. A slice holds
+    the solved value in the box of :func:`solve_hjb`, and beyond it the
+    linear extension of the box's two edge slices on that side, along z,
+    then w, then p (the second difference across the box edge is 0).
     """
 
     t_nodes: np.ndarray
@@ -131,32 +134,34 @@ def _terminal_payoff(contract, p_nodes, z_nodes):
     return payoff[:1], False
 
 
-# Grid cells per slab of p planes, 6 planes of 101 x 101. Each worker walks
-# its slabs in its own buffers, about eight float64 arrays of this size. On
-# the 2-core Xeon the kernel was timed on (2 MiB L2 per core), the default
-# 3-D solve took a median 1.83 s on two workers at 6 planes per slab,
-# 2.23 s at 3 planes (1 << 15, whose buffers fit one core's L2) and 1.91 s
-# at 9; fewer slabs make fewer short numpy calls for the workers to take
-# turns on. On one worker 6 and 3 planes took 2.65 s and 2.72 s. Earlier,
-# on one core, one plane per slab was 20-40 % slower and the whole array
-# at once 1.7-2 times slower.
+# Grid cells per slab of p planes, 6 planes of 101 x 101; a box narrower in
+# w and z fits more of its planes, so small boxes take few numpy calls. Each
+# worker walks its slabs in its own buffers, about eight float64 arrays of
+# this size. On the 2-core Xeon the kernel was timed on (2 MiB L2 per core),
+# the default 3-D solve took a median 1.83 s on two workers at 6 planes
+# per slab, 2.23 s at 3 planes (1 << 15, whose buffers fit one core's L2)
+# and 1.91 s at 9; fewer slabs make fewer short numpy calls for the workers
+# to take turns on. On one worker 6 and 3 planes took 2.65 s and 2.72 s.
+# Earlier, on one core, one plane per slab was 20-40 % slower and the whole
+# array at once 1.7-2 times slower.
 _SLAB_CELLS = 1 << 16
 
 
 class _Buffers:
-    """One worker's scratch for slabs of up to ``h`` planes of (n_w, n_z);
-    ``dp_diff`` only when the fee reads the price."""
+    """One worker's flat scratch for slabs of up to ``size`` cells of any
+    box; ``block`` also holds a neighbour plane of up to ``plane`` cells
+    on each side, and ``dp_diff`` is only there when ``n_p`` > 1."""
 
-    def __init__(self, h, n_w, n_z, price):
-        size = h * n_w * n_z
+    def __init__(self, size, plane, n_p):
+        self.block = np.empty(min(size + 2 * plane, n_p * plane))
+        self.acc = np.empty(size)
         self.dz_diff = np.empty(size)
         self.pi = np.empty(size)
         self.upwind = np.empty(size)
         self.scratch = np.empty(size)
         self.negative = np.empty(size, dtype=bool)
-        self.dw_diff = np.empty((h, n_w - 1, n_z))
-        if price:
-            self.dp_diff = np.empty((h + 1, n_w, n_z))
+        if n_p > 1:
+            self.dp_diff = np.empty(size + plane)
 
 
 class _ExplicitStep:
@@ -164,25 +169,28 @@ class _ExplicitStep:
     stage S of the SSP(9,3) step in :func:`solve_hjb`, built with the stage
     size dt / 6.
 
-    ``n_p`` is 1 when the fee does not read the price. The p axis is walked
-    in slabs of a few planes (:data:`_SLAB_CELLS`), and every intermediate
-    goes into a preallocated buffer. One difference along z per slab
-    yields the central V_z behind the control, both upwind differences and
-    the second difference V_zz.
+    ``n_p`` is 1 when the fee does not read the price. A step updates only
+    the box of cells last given to :meth:`cut`, the whole grid until then:
+    one index range per axis (p, w, z). No cell outside the box is read or
+    written, and the box's edge slices take the boundary rule of their
+    axis. The box's p range is walked in slabs of as many planes as fit in
+    the cells of :data:`_SLAB_CELLS`. A slab copies its box block, plus the
+    neighbouring box plane on each side in p, into a contiguous buffer in
+    one pass, sums the right-hand side into a second buffer, and ends with
+    one add of the block into the box of the output. One difference along
+    z per slab yields the central V_z behind the control, both upwind
+    differences and the second difference V_zz.
 
-    A step updates only the planes lo..hi-1 last given to :meth:`cut`,
-    all of them until then; planes lo and hi - 1 are the edges of the p
-    axis, and no plane outside the range is read or written. The planes
-    are cut by count into one contiguous group per worker,
+    The slabs are cut by count into one contiguous group per worker,
     min(usable CPUs, number of slabs) groups, and each group walks its own
-    slabs with its own :class:`_Buffers`. A slab reads only the input V,
-    its own planes and one neighbour plane on each side, and writes only
-    its own planes of the output, so the groups run in parallel on a
-    thread pool (numpy releases the GIL) and every cell gets the same
-    arithmetic on any number of threads: the result is bit-identical.
-    With one group, as in every 2-D solve, the group runs inline.
+    slabs with its own :class:`_Buffers`. A slab reads only its block of
+    the input V and writes only its own planes of the output, so the
+    groups run in parallel on a thread pool (numpy releases the GIL) and
+    every cell gets the same arithmetic on any number of threads: the
+    result is bit-identical. With one group, as in every 2-D solve, the
+    group runs inline.
 
-    The z-direction work runs on the slab flattened to one contiguous
+    The z-direction work runs on the block flattened to one contiguous
     vector, which numpy streams far faster than a strided last-axis slice;
     the entries that straddle two z rows are then overwritten by the
     boundary rules. Those are: V_z and the upwind differences are one-sided
@@ -197,7 +205,6 @@ class _ExplicitStep:
         dw = w_nodes[1] - w_nodes[0]
         dz = z_nodes[1] - z_nodes[0]
         phi_a = params.phi_a
-        self.shape = (n_p, n_w, n_z)
         self.bounds = (params.rate_lower, params.rate_upper)
         # pi = clamp(V_z / (2 phi_a)): central V_z inside, one-sided at edges
         self.k_centre = 1.0 / (4.0 * phi_a * dz)
@@ -208,33 +215,41 @@ class _ExplicitStep:
         self.c_ww = dt * 0.5 / dw**2
         self.dt_zw = dt * w_nodes[:, None] * z_nodes[None, :]
 
-        self.slab = min(n_p, max(1, _SLAB_CELLS // (n_w * n_z)))
+        # a slab's capacity is the whole grid planes that fit in
+        # _SLAB_CELLS, at least one; cut() fills it with planes of the box
+        plane = n_w * n_z
+        self.slab_cells = min(n_p, max(1, _SLAB_CELLS // plane)) * plane
         self.cpus = _usable_cpus()
-        self.cut(0, n_p)
-        self.buffers = [_Buffers(self.slab, n_w, n_z, n_p > 1)
+        self.cut(((0, n_p), (0, n_w), (0, n_z)))
+        self.buffers = [_Buffers(self.slab_cells, plane, n_p)
                         for _ in self.groups]
-        if n_p > 1:
+        self.price = n_p > 1
+        if self.price:
             dp = p_nodes[1] - p_nodes[0]
-            self.c_pp = dt * 0.5 * params.sigma**2 / dp**2
-            # w V_p is upwinded by the sign of its speed w: rows below
-            # w_split take the backward difference, the rest the forward one
-            self.dt_w_dp = (dt / dp) * w_nodes[:, None]
-            self.w_split = int(np.searchsorted(w_nodes, 0.0))
+            c_pp = dt * 0.5 * params.sigma**2 / dp**2
+            # w V_p is upwinded by the sign of its speed w, and joins
+            # (1/2) sigma^2 V_pp in one coefficient per w row for each of
+            # the differences above and below a plane
+            w = (dt / dp) * w_nodes[:, None]
+            self.c_above = c_pp + np.maximum(w, 0.0)
+            self.c_below = c_pp - np.minimum(w, 0.0)
 
-    def cut(self, lo, hi):
-        """Update only the planes lo..hi-1 from now on, in slab groups
-        cut over that range; no more groups than at construction."""
-        h = self.slab
+    def cut(self, box):
+        """Update only the cells of ``box``, one (start, stop) per axis
+        (p, w, z), from now on, in slab groups cut over its p range; no
+        more groups than at construction."""
+        (lo, hi), (wl, wh), (zl, zh) = box
+        h = self.slab_cells // ((wh - wl) * (zh - zl))
         n_groups = min(self.cpus, -(-(hi - lo) // h))
         cuts = [lo + k * (hi - lo) // n_groups for k in range(n_groups + 1)]
-        self.planes = (lo, hi)
+        self.box = box
         self.groups = [[(a, min(a + h, b)) for a in range(c, b, h)]
                        for c, b in zip(cuts[:-1], cuts[1:])]
 
-    def _control(self, v, dz_diff, pi):
-        """z differences of the flat slab ``v`` into ``dz_diff`` (the last
-        entry of each z row straddles two rows), the rate into ``pi``."""
-        n_z = self.shape[2]
+    def _control(self, v, n_z, dz_diff, pi):
+        """z differences of the flat block ``v`` of rows of ``n_z`` into
+        ``dz_diff`` (the last entry of each row straddles two rows), the
+        rate into ``pi``."""
         np.subtract(v[1:], v[:-1], out=dz_diff[:-1])
         np.add(dz_diff[1:-1], dz_diff[:-2], out=pi[1:-1])
         pi[1:-1] *= self.k_centre
@@ -247,14 +262,14 @@ class _ExplicitStep:
         """The clamped closed-form rate on one C-contiguous (n_w, n_z)
         plane of V, in the first worker's buffers."""
         out = np.empty(plane.shape)
-        self._control(plane.reshape(-1), self.buffers[0].dz_diff[:plane.size],
-                      out.reshape(-1))
+        self._control(plane.reshape(-1), plane.shape[1],
+                      self.buffers[0].dz_diff[:plane.size], out.reshape(-1))
         return out
 
     def __call__(self, v, out, pool):
-        """Write V one step earlier in time into ``out``; both are
-        C-contiguous, so that a slab flattens to a view. The groups run on
-        ``pool`` when there are several."""
+        """Write V one step earlier in time into the box of ``out``; both
+        are C-contiguous. The groups run on ``pool`` when there are
+        several."""
         if len(self.groups) == 1:
             self._sweep(v, out, self.groups[0], self.buffers[0])
         else:
@@ -262,15 +277,23 @@ class _ExplicitStep:
                           self.buffers))
 
     def _sweep(self, v, out, slabs, buf):
-        """Write the planes of ``slabs`` of ``out``, in the buffers ``buf``."""
-        n_z = self.shape[2]
+        """Write the box of the planes of ``slabs`` of ``out``, in the
+        buffers ``buf``."""
+        (first, end), (wl, wh), (zl, zh) = self.box
+        n_w, n_z = wh - wl, zh - zl
         for a, b in slabs:
-            vs, o = v[a:b], out[a:b]
+            # the block holds planes ca..cb-1: a..b-1 and their neighbours
+            ca, cb = max(a - 1, first), min(b + 1, end)
+            block = buf.block[:(cb - ca) * n_w * n_z].reshape(cb - ca, n_w,
+                                                              n_z)
+            np.copyto(block, v[ca:cb, wl:wh, zl:zh])
+            vs = block[a - ca:b - ca]
             size = vs.size
-            flat_o = o.reshape(-1)
+            acc = buf.acc[:size]
+            o = acc.reshape(vs.shape)
             dz_diff, pi = buf.dz_diff[:size], buf.pi[:size]
             upwind, scratch = buf.upwind[:size], buf.scratch[:size]
-            self._control(vs.reshape(-1), dz_diff, pi)
+            self._control(vs.reshape(-1), n_z, dz_diff, pi)
             rows = dz_diff.reshape(-1, n_z)
             # V_z upwinded by the sign of pi: forward where pi > 0, backward
             # where pi < 0; both are the same one-sided difference at an edge
@@ -285,48 +308,46 @@ class _ExplicitStep:
             np.multiply(pi, self.phi_dz, out=scratch)
             np.subtract(upwind, scratch, out=upwind)
             np.multiply(upwind, pi, out=upwind)
-            np.multiply(upwind, self.dt_dz, out=flat_o)
-            o += self.dt_zw
+            np.multiply(upwind, self.dt_dz, out=acc)
+            o += self.dt_zw[wl:wh, zl:zh]
             # (1/2) eps^2 V_zz, zero on the z edges
             np.subtract(dz_diff[1:-1], dz_diff[:-2], out=scratch[1:-1])
             scratch[1:-1] *= self.c_zz
             sc_rows = scratch.reshape(-1, n_z)
             sc_rows[:, 0] = 0.0
             sc_rows[:, -1] = 0.0
-            flat_o += scratch
+            acc += scratch
             # (1/2) V_ww, zero on the w edges
             scratch = scratch.reshape(vs.shape)
-            dw_diff = buf.dw_diff[:b - a]
+            dw_diff = upwind[:(b - a) * (n_w - 1) * n_z].reshape(
+                b - a, n_w - 1, n_z)
             np.subtract(vs[:, 1:], vs[:, :-1], out=dw_diff)
             d2 = scratch[:, 1:-1]
             np.subtract(dw_diff[:, 1:], dw_diff[:, :-1], out=d2)
             d2 *= self.c_ww
             o[:, 1:-1] += d2
-            if self.shape[0] > 1:
-                self._price_terms(v, a, b, o, scratch, buf.dp_diff)
-            o += vs
+            if self.price:
+                self._price_terms(block, a - ca, b - ca, o, scratch,
+                                  buf.dp_diff)
+            np.add(o, vs, out=out[a:b, wl:wh, zl:zh])
 
-    def _price_terms(self, v, a, b, o, scratch, dp_diff):
-        """Add dt (w V_p + (1/2) sigma^2 V_pp) for planes a..b-1 to ``o``."""
-        first, end = self.planes
+    def _price_terms(self, block, a, b, o, scratch, dp_diff):
+        """Add dt (w V_p + (1/2) sigma^2 V_pp) for the planes a..b-1 of
+        ``block`` to ``o``."""
         m = b - a
-        # diff[i] lies below plane a + i and diff[i + 1] above it; an edge
-        # plane takes the difference to its only updated neighbour on both
-        # sides, which also makes its V_pp exactly zero
-        diff = dp_diff[:m + 1]
-        lo, hi = max(a - 1, first), min(b - 1, end - 2)
-        np.subtract(v[lo + 1], v[lo], out=diff[0])
-        np.subtract(v[a + 1:b], v[a:b - 1], out=diff[1:m])
-        np.subtract(v[hi + 1], v[hi], out=diff[m])
-        above, below = diff[1:], diff[:-1]
-        j = self.w_split
-        np.multiply(below[:, :j], self.dt_w_dp[:j], out=scratch[:, :j])
-        np.multiply(above[:, j:], self.dt_w_dp[j:], out=scratch[:, j:])
+        wl, wh = self.box[1]
+        # diff[i] lies below plane a + i and diff[i + 1] above it; a box edge
+        # plane takes the difference to its only neighbour in the box on
+        # both sides, which also makes its V_pp exactly zero
+        diff = dp_diff[:(m + 1) * o[0].size].reshape((m + 1,) + o.shape[1:])
+        lo, hi = max(a - 1, 0), min(b - 1, len(block) - 2)
+        np.subtract(block[lo + 1], block[lo], out=diff[0])
+        np.subtract(block[a + 1:b], block[a:b - 1], out=diff[1:m])
+        np.subtract(block[hi + 1], block[hi], out=diff[m])
+        np.multiply(diff[1:], self.c_above[wl:wh], out=scratch)
         o += scratch
-        # (1/2) sigma^2 V_pp
-        np.subtract(above, below, out=scratch)
-        scratch *= self.c_pp
-        o += scratch
+        np.multiply(diff[:-1], self.c_below[wl:wh], out=scratch)
+        o -= scratch
 
 
 def _half_widths(params: ModelParams, t):
@@ -334,27 +355,28 @@ def _half_widths(params: ModelParams, t):
     time t: six standard deviations of P_t, 6 sqrt(sigma^2 t + t^3 / 3)
     (its drift is the integral of W), of W_t, 6 sqrt(t), and of Z_t plus
     its largest drift, 6 eps sqrt(t) + max(|L|,|U|) t. At t = T they
-    truncate the grid; in between, p's is the cone of :func:`solve_hjb`."""
+    truncate the grid; in between, they bound the box of
+    :func:`solve_hjb`."""
     rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
     return (6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0),
             6.0 * np.sqrt(t),
             6.0 * params.epsilon * np.sqrt(t) + rate_bound * t)
 
 
-def _extend_linearly(v, lo, hi, out):
-    """Copy the planes lo..hi-1 of ``v`` into ``out`` and fill the other
-    planes of ``out`` by extending the two edge planes on each side
-    linearly in p. Planes that are all equal stay so, bit for bit."""
-    out[lo:hi] = v[lo:hi]
-    n_p = len(out)
+def _extend_linearly(v, lo, hi, axis):
+    """Fill the entries of ``v`` outside lo..hi-1 along ``axis`` by
+    extending the two edge entries on each side linearly along it.
+    Entries that are all equal along the axis stay so, bit for bit."""
+    u = np.moveaxis(v, axis, 0)
+    shape = (-1,) + (1,) * (u.ndim - 1)
     if lo > 0:
-        np.multiply(np.arange(-lo, 0.0)[:, None, None], v[lo + 1] - v[lo],
-                    out=out[:lo])
-        out[:lo] += v[lo]
-    if hi < n_p:
-        np.multiply(np.arange(1.0, n_p - hi + 1)[:, None, None],
-                    v[hi - 1] - v[hi - 2], out=out[hi:])
-        out[hi:] += v[hi - 1]
+        np.multiply(np.arange(-lo, 0.0).reshape(shape), u[lo + 1] - u[lo],
+                    out=u[:lo])
+        u[:lo] += u[lo]
+    if hi < len(u):
+        np.multiply(np.arange(1.0, len(u) - hi + 1).reshape(shape),
+                    u[hi - 1] - u[hi - 2], out=u[hi:])
+        u[hi:] += u[hi - 1]
 
 
 # SSP coefficient of SSP(9,3): each of its stages is an Euler step of
@@ -372,14 +394,16 @@ def solve_hjb(contract, params: ModelParams,
     groups run on one thread pool, opened and closed by this call, so no
     thread outlives the solve; the 2-D solve has one group and runs on
     the calling thread. The values do not depend on the thread count.
-    The p axis is cut at the half-width of :func:`_half_widths` at T, and
-    the step from t_k back to t_{k-1} updates only the planes of the cone
-    |p| <= (that half-width at t_k) + dp, which is never wider than the
-    last step's; its edge planes take the boundary rule of the p axis.
+    Each axis is cut at its half-width of :func:`_half_widths` at T, and
+    the step from t_k back to t_{k-1} updates only the box of cells with
+    |x| <= (that half-width at t_k) + margin on every axis, one plane on
+    p and three cells on w and z. The box is never wider than the last
+    step's, and its edge slices take the boundary rule of their axis.
     Values and rates are saved at step boundaries only, at most 81 slices
-    in 2-D and 17 in 3-D; a saved 3-D slice extends the cone's edge pairs
-    linearly in p to the planes outside it (:class:`ValueGrid`). The
-    solve holds three full-size buffers: V and two stage targets. The
+    in 2-D and 17 in 3-D; a saved slice extends the box's edge pairs
+    linearly along z, then w, then p to the cells outside it
+    (:class:`ValueGrid`), and the saved rates are taken from that slice.
+    The solve holds three full-size buffers: V and two stage targets. The
     reported agent value is the grid value at the origin. Raises
     :class:`CflError` if an explicit time-step override is too large.
     """
@@ -392,6 +416,7 @@ def solve_hjb(contract, params: ModelParams,
 
     n_w, n_z, n_save = settings.n_w, settings.n_z, 81
     p_nodes = np.linspace(-p_max, p_max, settings.n_p)
+    dp = p_nodes[1] - p_nodes[0]
     # a fee that reads the price adds a p axis and coarsens w and z to at
     # most 101 nodes so the 3-D sweep fits in memory; it is read on that z
     # axis to decide, and only a 2-D fee is read again on the full axis
@@ -409,7 +434,6 @@ def solve_hjb(contract, params: ModelParams,
 
     cfl_denom = eps**2 / dz**2 + 1.0 / dw**2 + rate_bound / dz
     if p_dependent:
-        dp = p_nodes[1] - p_nodes[0]
         cfl_denom += 0.5 * sigma**2 * 2 / dp**2 + w_max / dp
     # every stage is an Euler step of dt / _SSP_RATIO within the Euler
     # monotonicity bound 1 / cfl_denom
@@ -426,9 +450,7 @@ def solve_hjb(contract, params: ModelParams,
     t_saved = save_idx * dt
     slot = {int(s): i for i, s in enumerate(save_idx)}
 
-    # the policy table is marginalized at the central price slice; the rate
-    # rule does not read P through the dynamics, only through the fee's
-    # terminal slope, which varies little over the bulk of the domain
+    # the central price plane alone gives the policy: ROADMAP item 1
     policy_plane = len(p_nodes) // 2 if p_dependent else 0
     step = _ExplicitStep(params, dt / _SSP_RATIO, w_nodes, z_nodes, p_nodes)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
@@ -436,27 +458,38 @@ def solve_hjb(contract, params: ModelParams,
     values = np.empty((len(save_idx),) + v.shape)
     rates = np.empty((len(save_idx), n_w, n_z))
 
-    def cone(k):
-        """The planes first..end-1 that the step from t_k updates."""
-        if not p_dependent:
-            return 0, 1
-        reach = _half_widths(params, k * dt)[0] + dp
-        inside = np.flatnonzero(np.abs(p_nodes) <= reach)
-        return int(inside[0]), int(inside[-1]) + 1
+    axes = (p_nodes if p_dependent else np.zeros(1), w_nodes, z_nodes)
+    # one plane of margin on p, three cells on w and z
+    margins = (dp, 3.0 * dw, 3.0 * dz)
 
-    def record(step_index, v, first, end):
+    def box(k):
+        """The (start, stop) per axis of the cells the step from t_k
+        updates: |x| <= (half-width at t_k) + margin on each axis."""
+        ranges = []
+        for nodes, reach, margin in zip(axes, _half_widths(params, k * dt),
+                                        margins):
+            inside = np.flatnonzero(np.abs(nodes) <= reach + margin)
+            ranges.append((int(inside[0]), int(inside[-1]) + 1))
+        return tuple(ranges)
+
+    def record(step_index, v):
         i = slot.get(step_index)
         if i is not None:
-            _extend_linearly(v, first, end, values[i])
-            rates[i] = step.rates(v[policy_plane])
+            cells = tuple(slice(*r) for r in step.box)
+            saved = values[i]
+            saved[cells] = v[cells]
+            # extend along z, then w, then p; the rates read the result
+            for axis in (2, 1, 0):
+                _extend_linearly(saved[cells[:axis]], *step.box[axis], axis)
+            rates[i] = step.rates(saved[policy_plane])
 
     # the pool lives for this solve only; with one group it starts no thread
     with ThreadPoolExecutor(len(step.buffers)) as pool:
         euler = partial(step, pool=pool)
-        record(n_t, v, *step.planes)
+        record(n_t, v)
         for k in range(n_t, 0, -1):
-            first, end = cone(k)
-            step.cut(first, end)
+            step.cut(box(k))
+            cells = tuple(slice(*r) for r in step.box)
             # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1
             # (in b) while q1 takes stages 2-6 (alternating between a and
             # v), then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
@@ -466,15 +499,15 @@ def solve_hjb(contract, params: ModelParams,
             euler(v, a)
             euler(a, v)
             euler(v, a)
-            q2 = b[first:end]
+            q2 = b[cells]
             q2 *= 1.5
-            q2 += a[first:end]
+            q2 += a[cells]
             q2 *= 0.4
             euler(b, a)
             euler(a, v)
             euler(v, b)
             v, b = b, v
-            record(k - 1, v, first, end)
+            record(k - 1, v)
 
     grid = ValueGrid(t_saved, w_nodes, z_nodes,
                      values if p_dependent else values[:, 0], p_nodes)

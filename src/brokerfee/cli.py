@@ -277,21 +277,22 @@ def _mode_optimize(config, out_dir, seed, lines):
 
 
 def _verify_rate(params):
-    """The constant rate ``verify`` reweights by: the midpoint (L + U) / 2,
-    or, where that is 0, the nonzero rate min(U / 2, eps / sqrt(T)), so
-    that the Z channel is reweighted too. The cap keeps the log-variance
-    (pi / eps)^2 T of the density at most 1; at the default bounds U / 2
-    = 5 would leave an effective sample size of 2 in 10,000 paths."""
-    mid = 0.5 * (params.rate_lower + params.rate_upper)
-    if mid != 0.0:
-        return mid
-    return min(0.5 * params.rate_upper,
-               params.epsilon / np.sqrt(params.horizon))
+    """The constant rate ``verify`` reweights by: the midpoint (L + U) / 2
+    capped at c = eps / sqrt(T) (c where the midpoint is 0, so that the Z
+    channel is reweighted too), then clamped to [L, U]. The cap keeps the
+    density's log-variance (pi / eps)^2 T at most 1 where [L, U] allows; at
+    the default bounds U / 2 = 5 would leave an ESS of 2 in 10,000 paths."""
+    cap = params.epsilon / params.horizon**0.5
+    rate = min(max(0.5 * (params.rate_lower + params.rate_upper), -cap),
+               cap) or cap
+    return min(max(rate, params.rate_lower), params.rate_upper)
 
 
 def _mode_verify(config, out_dir, seed, lines):
     """Invariant battery: density normalization, entropy identity,
-    constraint moments, and the discrete oracle equalities."""
+    constraint moments, and the discrete oracle equalities. The three Monte
+    Carlo checks read ``degenerate``, not pass or FAIL, when the weights'
+    effective sample size is below DEGENERATE_ESS_FRACTION of the paths."""
     params = config.params
     checks = []
 
@@ -313,6 +314,9 @@ def _mode_verify(config, out_dir, seed, lines):
     worst = float(np.max(estimates - 3 * ses))
     checks.append(("constraint_moments", worst <= 0.0,
                    f"max (estimate - 3se) = {worst:.2e}"))
+    weighted = len(checks)
+    degenerate = (simulate.effective_sample_size(sample)
+                  < simulate.DEGENERATE_ESS_FRACTION * params.n_paths)
 
     tree = oracle.build_tree(2, 2, params)
     contract = _contract_from_config(config)
@@ -329,9 +333,11 @@ def _mode_verify(config, out_dir, seed, lines):
                    f"{control.max_secondary_weight():.2e}"))
 
     rows = []
-    for name, passed, detail in checks:
-        rows.append([name, "pass" if passed else "FAIL", detail])
-        lines.append(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
+    for k, (name, passed, detail) in enumerate(checks):
+        status = ("degenerate" if degenerate and k < weighted
+                  else "pass" if passed else "FAIL")
+        rows.append([name, status, detail])
+        lines.append(f"{name}: {status} ({detail})")
     _write_csv(os.path.join(out_dir, "verify.csv"),
                ["check", "status", "detail"], rows)
     return ["verify.csv"]

@@ -227,23 +227,36 @@ SWEEP_CASES = {
 }
 
 
-def _cone(params, p_nodes, t):
-    """The p planes within 6 sd(P_t) + dp of the origin, as a slice."""
-    reach = (6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0)
-             + (p_nodes[1] - p_nodes[0]))
-    inside = np.flatnonzero(np.abs(p_nodes) <= reach)
-    return slice(inside[0], inside[-1] + 1)
+def _box(params, grid, t):
+    """The cells the step from t updates, one slice per axis of the grid
+    ((p,) w, z): those within 6 sd of the origin's reach plus a margin,
+    one plane on p and three cells on w and z."""
+    rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
+    reach = {"p": 6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0),
+             "w": 6.0 * np.sqrt(t),
+             "z": 6.0 * params.epsilon * np.sqrt(t) + rate_bound * t}
+    box = []
+    for axis, cells in (("p", 1), ("w", 3), ("z", 3)):
+        nodes = getattr(grid, f"{axis}_nodes")
+        if nodes is not None:
+            margin = cells * (nodes[1] - nodes[0])
+            inside = np.flatnonzero(np.abs(nodes) <= reach[axis] + margin)
+            box.append(slice(inside[0], inside[-1] + 1))
+    return tuple(box)
 
 
-def _extend(v, live):
-    """``v`` with each plane outside ``live`` on the line through the
-    two edge planes of ``live`` on its side."""
+def _extend(v, box):
+    """``v`` with each cell outside ``box`` on the line through the two
+    edge cells of the box on its side: along z inside the box's (p and) w
+    ranges, then along w inside its p range, then along p."""
     out = v.copy()
-    lo, hi = live.start, live.stop
-    for j in range(lo):
-        out[j] = v[lo] + (j - lo) * (v[lo + 1] - v[lo])
-    for j in range(hi, len(v)):
-        out[j] = v[hi - 1] + (j - hi + 1) * (v[hi - 1] - v[hi - 2])
+    for axis in reversed(range(v.ndim)):
+        u = np.moveaxis(out[box[:axis]], axis, 0)
+        lo, hi = box[axis].start, box[axis].stop
+        for j in range(lo):
+            u[j] = u[lo] + (j - lo) * (u[lo + 1] - u[lo])
+        for j in range(hi, len(u)):
+            u[j] = u[hi - 1] + (j - hi + 1) * (u[hi - 1] - u[hi - 2])
     return out
 
 
@@ -263,32 +276,31 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
     assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
     v = grid.values[-1].copy()
     price = grid.p_nodes is not None
-    # in 3-D the step from t_(k+1) updates the planes of its price cone,
-    # with the p axis's boundary rule on the edge planes of the cone
-    live = slice(0, len(grid.p_nodes)) if price else slice(None)
-    widths = set()
+    # the step from t_(k+1) updates the box of that time, with each axis's
+    # boundary rule on the edge slices of the box; a saved slice extends
+    # the box linearly beyond it
+    box = tuple(slice(0, n) for n in v.shape)
+    widths = []
 
     def euler_stages(u, stages):
-        p_nodes = grid.p_nodes[live] if price else None
+        w_nodes, z_nodes = grid.w_nodes[box[-2]], grid.z_nodes[box[-1]]
+        p_nodes = grid.p_nodes[box[0]] if price else None
         for _ in range(stages):
-            u = _reference_step(u, dt / 6, BOUNDED, grid.w_nodes,
-                                grid.z_nodes, p_nodes)
+            u = _reference_step(u, dt / 6, BOUNDED, w_nodes, z_nodes, p_nodes)
         return u
 
     for k in range(n_t, -1, -1):
         if k < n_t:
-            if price:
-                live = _cone(BOUNDED, grid.p_nodes, (k + 1) * dt)
-                widths.add(live.stop - live.start)
+            box = _box(BOUNDED, grid, (k + 1) * dt)
+            widths.append([cut.stop - cut.start for cut in box])
             # SSP(9,3) built from nine Euler stages of dt / 6
-            q2 = euler_stages(v[live], 1)
+            q2 = euler_stages(v[box], 1)
             q1 = euler_stages(q2, 5)
             v = v.copy()
-            v[live] = euler_stages((3 * q2 + 2 * q1) / 5, 3)
+            v[box] = euler_stages((3 * q2 + 2 * q1) / 5, 3)
         if k in saved:
             values, rates = saved[k]
-            if price:
-                v = _extend(v, live)
+            v = _extend(v, box)
             scale = np.max(np.abs(v))
             assert np.max(np.abs(values - v)) <= 1e-12 * scale
             ref_rates = _reference_rate(v, BOUNDED, grid.z_nodes[1]
@@ -298,9 +310,12 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
             assert np.max(np.abs(rates - ref_rates)) <= 1e-12
     # the clamp binds and the rate takes both signs somewhere on the grid
     assert policy.table.min() == -1.0 and policy.table.max() == 1.0
+    # the box narrows on every axis; in 3-D from all 9 p planes to 5
+    widths = np.array(widths)
+    assert np.all(widths[0] == v.shape)
+    assert np.all(widths[-1] < v.shape)
     if price:
-        # the cone narrows from all 9 planes to 5 over the sweep
-        assert widths == {9, 7, 5}
+        assert set(widths[:, 0]) == {9, 7, 5}
 
 
 def test_price_dependent_terminal_slice_is_the_fee():
@@ -332,11 +347,17 @@ CONE_TABLE = LipschitzTable(np.array([-2.0, 0.0, 2.0]),
 CONE_GRID = HjbSettings(n_p=61, n_w=31, n_z=31)
 
 
-def _full_width(monkeypatch):
-    """Make the cone the whole p axis at every step."""
+def _full_width(monkeypatch, axes=(0, 1, 2)):
+    """Make the box span the whole grid on ``axes`` (0 p, 1 w, 2 z) at
+    every step."""
     half_widths = agent._half_widths
-    monkeypatch.setattr(agent, "_half_widths",
-                        lambda params, t: half_widths(params, params.horizon))
+
+    def widths(params, t):
+        at_t, at_end = half_widths(params, t), half_widths(params,
+                                                           params.horizon)
+        return tuple(at_end[i] if i in axes else at_t[i] for i in range(3))
+
+    monkeypatch.setattr(agent, "_half_widths", widths)
 
 
 @pytest.mark.parametrize("fee", [
@@ -357,14 +378,25 @@ def test_cone_keeps_value_at_origin(fee, monkeypatch):
 
 
 def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
+    # the p planes stay identical, so cutting p alone changes no bit
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
     policy, cone = solve_hjb(fee, WIDE, CONE_GRID)
-    _full_width(monkeypatch)
+    _full_width(monkeypatch, axes=(0,))
     full_policy, full = solve_hjb(fee, WIDE, CONE_GRID)
     assert cone.value_at_origin == full.value_at_origin
     assert cone.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
     assert np.all(cone.values == cone.values[:, :1])
+
+
+def test_box_keeps_2d_value_at_origin(monkeypatch):
+    # the zero fee on the default 2-D grid, cut on w and z
+    box = solve_hjb(Constant(0.0), ModelParams())[1]
+    _full_width(monkeypatch)
+    full = solve_hjb(Constant(0.0), ModelParams())[1]
+    assert box.values.shape == full.values.shape
+    assert (abs(box.value_at_origin - full.value_at_origin)
+            <= 1e-8 * abs(full.value_at_origin))
 
 
 def test_sweep_is_bit_reproducible():
@@ -434,6 +466,7 @@ def test_sweep_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(agent._ExplicitStep, "_sweep", spy)
     before = threading.active_count()
     solve_hjb(fee, BOUNDED, settings)
-    # the groups ran on pool threads, and the pool is gone with the solve
-    assert workers and threading.get_ident() not in workers
+    # the groups ran on pool threads while the box spanned several slabs
+    # (inline once it fits in one), and the pool is gone with the solve
+    assert workers - {threading.get_ident()}
     assert threading.active_count() == before

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -259,6 +260,31 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # asymmetric bounds keep their nonzero midpoint
     assert cli._verify_rate(cli.ModelParams(rate_lower=-1.0,
                                             rate_upper=2.0)) == 0.5
+
+
+def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
+    # on [5, 6] no rate keeps the density's log-variance (pi / eps)^2 T at
+    # most 1: the rate 5 gives 100, and an effective sample size of a few
+    # paths, so the three Monte Carlo checks neither pass nor fail
+    cfg, out = write_config(tmp_path, "verify")
+    cfg.write_text(cfg.read_text()
+                   .replace("rate_lower = -1.0", "rate_lower = 5.0")
+                   .replace("rate_upper = 1.0", "rate_upper = 6.0")
+                   .replace("n_steps = 50", "n_steps = 100")
+                   .replace("n_paths = 2000", "n_paths = 5000"))
+    assert cli.run(cfg, seed=1) == 0
+    with open(out / "verify.csv") as fh:
+        status = {row["check"]: row["status"] for row in csv.DictReader(fh)}
+    assert [status[name] for name in ("girsanov_normalization",
+                                      "entropy_identity",
+                                      "constraint_moments")] == \
+        ["degenerate"] * 3
+    assert status["oracle_value_equality"] == "pass"
+    # wide bounds with a far midpoint take the capped rate eps / sqrt(T)
+    assert cli._verify_rate(cli.ModelParams(rate_lower=-1.0,
+                                            rate_upper=20.0)) == 0.5
+    assert cli._verify_rate(cli.ModelParams(rate_lower=5.0,
+                                            rate_upper=6.0)) == 5.0
 
 
 def test_extra_coefficients_fail_the_run(tmp_path, capsys):
