@@ -19,8 +19,9 @@ differences at the domain boundary, and the only other operation is
 one convex combination of two stage values. Every stage is an Euler
 step within the Euler CFL bound when dt is at most 6 times that bound,
 so the step stays monotone there (its SSP coefficient is 6); the time
-step is checked against 6 times the Euler bound. Per Euler-bound step
-the scheme costs 1.5 stages, and its time error is third order.
+step is the longest that divides T within 6 times the Euler bound. Per
+Euler-bound step the scheme costs 1.5 stages, and its time error is
+third order.
 The value is held on (p, w, z), with a single p plane when the fee does
 not read the price, and one step kernel serves both cases: it walks the
 p axis in slabs of planes, copies each slab into a contiguous buffer,
@@ -61,36 +62,17 @@ from .rng import _usable_cpus
 from . import simulate
 
 __all__ = [
-    "HjbSettings", "ValueGrid", "BestResponse",
-    "CflError",
+    "ValueGrid", "BestResponse",
     "solve_hjb", "estimate_agent_value", "best_response",
 ]
 
-
-class CflError(RuntimeError):
-    """Raised when a user-supplied time step violates the CFL bound."""
-
-    def __init__(self, dt, dt_max):
-        super().__init__(
-            f"time step {dt:g} violates the CFL bound; maximum stable "
-            f"step is {dt_max:g}")
-        self.dt_max = dt_max
-
-
-@dataclass(frozen=True)
-class HjbSettings:
-    """Grid solver knobs.
-
-    The spatial domain is truncated at the half-widths of
-    :func:`_half_widths`; Gaussian tails make the boundary influence
-    negligible at the acceptance tolerances.
-    """
-
-    n_w: int = 201
-    n_z: int = 201
-    n_p: int = 61
-    # override; checked against the SSP bound, 6 times the Euler CFL bound
-    dt: Optional[float] = None
+# Grid nodes (n_w, n_z) of a fee that does not read the price, and
+# (n_p, n_w, n_z) of one that does; each axis spans its half-width of
+# :func:`_half_widths` at T, where Gaussian tails make the boundary's
+# influence negligible. The 3-D grid is coarser in w and z so that the
+# sweep fits in memory.
+_GRID_2D = (201, 201)
+_GRID_3D = (61, 101, 101)
 
 
 @dataclass(frozen=True)
@@ -384,8 +366,7 @@ def _extend_linearly(v, lo, hi, axis):
 _SSP_RATIO = 6
 
 
-def solve_hjb(contract, params: ModelParams,
-              settings: HjbSettings = HjbSettings()):
+def solve_hjb(contract, params: ModelParams):
     """Backward SSP(9,3) sweep; returns (FeedbackPolicy, ValueGrid).
 
     The value is held on (p, w, z) with a single p plane when the fee does
@@ -399,13 +380,14 @@ def solve_hjb(contract, params: ModelParams,
     |x| <= (that half-width at t_k) + margin on every axis, one plane on
     p and three cells on w and z. The box is never wider than the last
     step's, and its edge slices take the boundary rule of their axis.
-    Values and rates are saved at step boundaries only, at most 81 slices
-    in 2-D and 17 in 3-D; a saved slice extends the box's edge pairs
+    The grid is :data:`_GRID_2D` or :data:`_GRID_3D`, and dt = T / n_t for
+    the fewest steps n_t that keep every stage within the Euler CFL bound.
+    Values and rates are saved at step boundaries only, at most 81
+    slices in 2-D and 17 in 3-D; a saved slice extends the box's edge pairs
     linearly along z, then w, then p to the cells outside it
     (:class:`ValueGrid`), and the saved rates are taken from that slice.
     The solve holds three full-size buffers: V and two stage targets. The
-    reported agent value is the grid value at the origin. Raises
-    :class:`CflError` if an explicit time-step override is too large.
+    reported agent value is the grid value at the origin.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
@@ -414,17 +396,16 @@ def solve_hjb(contract, params: ModelParams,
 
     p_max, w_max, z_max = _half_widths(params, T)
 
-    n_w, n_z, n_save = settings.n_w, settings.n_z, 81
-    p_nodes = np.linspace(-p_max, p_max, settings.n_p)
+    # the fee is read on the 3-D grid to decide, and only a 2-D fee is
+    # read again on its own z axis
+    n_p, n_w, n_z = _GRID_3D
+    p_nodes = np.linspace(-p_max, p_max, n_p)
     dp = p_nodes[1] - p_nodes[0]
-    # a fee that reads the price adds a p axis and coarsens w and z to at
-    # most 101 nodes so the 3-D sweep fits in memory; it is read on that z
-    # axis to decide, and only a 2-D fee is read again on the full axis
-    z_nodes = np.linspace(-z_max, z_max, min(n_z, 101))
+    z_nodes = np.linspace(-z_max, z_max, n_z)
     payoff, p_dependent = _terminal_payoff(contract, p_nodes, z_nodes)
-    if p_dependent:
-        n_w, n_z, n_save = min(n_w, 101), len(z_nodes), 17
-    else:
+    n_save = 17
+    if not p_dependent:
+        (n_w, n_z), n_save = _GRID_2D, 81
         z_nodes = np.linspace(-z_max, z_max, n_z)
         payoff, _ = _terminal_payoff(contract, p_nodes[:1], z_nodes)
         p_nodes = None
@@ -437,12 +418,7 @@ def solve_hjb(contract, params: ModelParams,
         cfl_denom += 0.5 * sigma**2 * 2 / dp**2 + w_max / dp
     # every stage is an Euler step of dt / _SSP_RATIO within the Euler
     # monotonicity bound 1 / cfl_denom
-    dt_max = _SSP_RATIO / cfl_denom
-    if settings.dt is not None:
-        if settings.dt > dt_max:
-            raise CflError(settings.dt, dt_max)
-        dt_max = settings.dt
-    n_t = int(np.ceil(T / dt_max))
+    n_t = int(np.ceil(T / (_SSP_RATIO / cfl_denom)))
     dt = T / n_t
 
     save_idx = np.unique(np.linspace(0, n_t, min(n_save, n_t + 1))
@@ -516,15 +492,16 @@ def solve_hjb(contract, params: ModelParams,
 
 
 def estimate_agent_value(contract, policy: FeedbackPolicy,
-                         params: ModelParams, count: int, seed: int):
+                         params: ModelParams, seed: int):
     """Monte Carlo value of following ``policy`` against ``contract``.
 
     Averages the client's per-path objective
     -xi(P_T, Z_T) + int Z W dt - phi_a int pi^2 dt over a controlled
-    simulation; the stochastic-integral part of the trading profit has zero
-    mean and is omitted. Returns (value, standard error).
+    simulation of ``params.n_paths`` paths; the stochastic-integral part
+    of the trading profit has zero mean and is omitted. Returns (value,
+    standard error).
     """
-    sample = simulate.simulate_controlled(params, policy, count, seed)
+    sample = simulate.simulate_controlled(params, policy, seed)
     xi = contract.terminal_payoff(sample.p_T, sample.z_T)
     return simulate._mean_se(-xi + sample.int_zw
                              - params.phi_a * sample.int_pi_sq)
@@ -537,9 +514,8 @@ class BestResponse:
     grid: ValueGrid
 
 
-def best_response(contract, params: ModelParams,
-                  settings: HjbSettings = HjbSettings()) -> BestResponse:
+def best_response(contract, params: ModelParams) -> BestResponse:
     """Optimal trading policy and value for ``contract``: the grid solve,
     valued at the origin."""
-    policy, grid = solve_hjb(contract, params, settings)
+    policy, grid = solve_hjb(contract, params)
     return BestResponse(policy, grid.value_at_origin, grid)

@@ -33,6 +33,9 @@ MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 
 _FAMILY_KEYS = ("class", "cap", "degree", "p_nodes", "z_nodes",
                 "coefficients")
+# family keys that only one contract class reads
+_CLASS_KEYS = {"degree": "linear_polynomial", "p_nodes": "lipschitz_table",
+               "z_nodes": "lipschitz_table"}
 _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
 
 
@@ -60,9 +63,12 @@ def _parse_list(text):
 def parse_config(path, mode=None) -> ExperimentConfig:
     """Parse a flat dotted key-value config; errors cite line and key.
 
-    ``mode``, when given, replaces the file's ``run.mode``.
+    A key given twice, or a family key that the family's class does not
+    read, is an error. ``mode``, when given, replaces the file's
+    ``run.mode``.
     """
     model_items, family, run = {}, {}, {}
+    line_of = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -72,6 +78,10 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value, "
                                  f"got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in line_of:
+                raise ValueError(f"{path}:{lineno}: {key} is given twice, "
+                                 f"first at line {line_of[key]}")
+            line_of[key] = lineno
             try:
                 if key.startswith("model."):
                     model_items[key] = value
@@ -89,6 +99,11 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                     raise ValueError(f"unknown config section for key: {key}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    kind = family.get("class", "constant")
+    for name, reader in _CLASS_KEYS.items():
+        if name in family and kind != reader:
+            raise ValueError(f"{path}:{line_of['family.' + name]}: family "
+                             f"class {kind} does not read family.{name}")
     if mode is not None:
         run["mode"] = mode
     params = params_from_config(model_items) if model_items else ModelParams()
@@ -97,8 +112,8 @@ def parse_config(path, mode=None) -> ExperimentConfig:
 
 def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
     fam = config.family
-    kind = fam.get("class", "constant")
-    kwargs = {"kind": kind, "cap": float(fam.get("cap", 1.0))}
+    kwargs = {"kind": fam.get("class", "constant"),
+              "cap": float(fam.get("cap", 1.0))}
     if "degree" in fam:
         kwargs["degree"] = int(fam["degree"])
     if "p_nodes" in fam:
@@ -137,7 +152,7 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _mode_simulate(config, out_dir, seed, lines):
+def _mode_simulate(config, out_dir, lines):
     """Reference-measure batch, density normalization, effective sample
     size of the weights, entropy identity. A policy whose weights have
     degenerated is flagged and gets no E[m] in the summary."""
@@ -146,8 +161,8 @@ def _mode_simulate(config, out_dir, seed, lines):
     for label, rate in (("lower", params.rate_lower), ("zero", 0.0),
                         ("upper", params.rate_upper)):
         weighted = simulate.weighted_reference(
-            params, FeedbackPolicy.constant(rate, params), params.n_paths,
-            split_seed(seed, f"sim-{label}"))
+            params, FeedbackPolicy.constant(rate, params),
+            split_seed(params.seed, f"sim-{label}"))
         mean, se = simulate._mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
         degenerate = (ess < simulate.DEGENERATE_ESS_FRACTION
@@ -170,7 +185,7 @@ def _mode_simulate(config, out_dir, seed, lines):
     return ["girsanov.csv"]
 
 
-def _mode_agent(config, out_dir, seed, lines):
+def _mode_agent(config, out_dir, lines):
     """The client's best response and a Monte Carlo check of its value:
     ``mc_z`` in ``agent.csv`` is (mc_value - value) / mc_se.
 
@@ -180,8 +195,7 @@ def _mode_agent(config, out_dir, seed, lines):
     contract = _contract_from_config(config)
     response = agent.best_response(contract, params)
     mc_value, mc_se = agent.estimate_agent_value(
-        contract, response.policy, params, params.n_paths,
-        split_seed(seed, "agent-mc"))
+        contract, response.policy, params, split_seed(params.seed, "agent-mc"))
     mc_z = (mc_value - response.value) / mc_se
     policy, grid = response.policy, response.grid
     arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
@@ -202,7 +216,7 @@ def _mode_agent(config, out_dir, seed, lines):
     return ["agent.csv", "agent.npz"]
 
 
-def _mode_oracle(config, out_dir, seed, lines):
+def _mode_oracle(config, out_dir, lines):
     params = config.params
     depth = int(config.run.get("depth", 2))
     branching = int(config.run.get("branching", 2))
@@ -218,7 +232,8 @@ def _mode_oracle(config, out_dir, seed, lines):
     relaxed_value, control = oracle.solve_relaxed_discrete(
         tree, u, lam, grid, constraints)
     collapse = oracle.verify_collapse(tree, lam, trials,
-                                      split_seed(seed, "collapse"), control)
+                                      split_seed(params.seed, "collapse"),
+                                      control)
     extraction = oracle.extract_strong_control(
         tree, control, params.rate_lower, params.rate_upper)
     rows = [
@@ -241,11 +256,11 @@ def _mode_oracle(config, out_dir, seed, lines):
     return ["oracle.csv"]
 
 
-def _mode_optimize(config, out_dir, seed, lines):
+def _mode_optimize(config, out_dir, lines):
     params = config.params
     family = _family_from_config(config)
     budget = int(config.run.get("budget", 200))
-    best, sequence = principal.optimize(family, params, budget, seed=seed)
+    best, sequence = principal.optimize(family, params, budget)
     _write_csv(os.path.join(out_dir, "sequence.csv"),
                ["iteration", "stage"]
                + [f"coef_{k}" for k in range(family.dimension)]
@@ -288,7 +303,7 @@ def _verify_rate(params):
     return min(max(rate, params.rate_lower), params.rate_upper)
 
 
-def _mode_verify(config, out_dir, seed, lines):
+def _mode_verify(config, out_dir, lines):
     """Invariant battery: density normalization, entropy identity,
     constraint moments, and the discrete oracle equalities. The three Monte
     Carlo checks read ``degenerate``, not pass or FAIL, when the weights'
@@ -298,8 +313,7 @@ def _mode_verify(config, out_dir, seed, lines):
 
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
-        params, policy, params.n_paths, split_seed(seed, "verify-sim"),
-        moments=True)
+        params, policy, split_seed(params.seed, "verify-sim"), moments=True)
     mean, se = simulate._mean_se(sample.m)
     checks.append(("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                    f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}"))
@@ -328,7 +342,7 @@ def _mode_verify(config, out_dir, seed, lines):
     gap = abs(relaxed_value - strong.value)
     checks.append(("oracle_value_equality", gap <= 1e-8,
                    f"|relaxed - strong| = {gap:.2e}"))
-    checks.append(("oracle_collapse", control.is_dirac(1e-6),
+    checks.append(("oracle_collapse", control.is_dirac(),
                    f"max secondary weight = "
                    f"{control.max_secondary_weight():.2e}"))
 
@@ -343,7 +357,7 @@ def _mode_verify(config, out_dir, seed, lines):
     return ["verify.csv"]
 
 
-def _mode_report(config, out_dir, seed, lines):
+def _mode_report(config, out_dir, lines):
     """Closed-form reference table for the configured parameters."""
     params = config.params
     t4 = params.horizon**4
@@ -404,7 +418,7 @@ def run(config_path, seed=None, out_dir=None, mode=None) -> int:
     lines = [f"mode: {mode}", f"seed: {master_seed}"]
     status = "ok"
     try:
-        outputs = _MODE_RUNNERS[mode](config, out_dir, master_seed, lines)
+        outputs = _MODE_RUNNERS[mode](config, out_dir, lines)
     except Exception:
         trace = traceback.format_exc().rstrip("\n")
         print(f"{mode} failed:\n{trace}", file=sys.stderr)

@@ -152,7 +152,7 @@ class StrongSolution:
     multipliers: Optional[np.ndarray]
     kkt_residual: float
     iterations: int
-    converged: bool            # kkt_residual <= tol when the solve ended
+    converged: bool            # kkt_residual <= _TOL when the solve ended
     duality_gap: float         # D(mu) - value, D(mu) >= every relaxed value
 
 
@@ -208,13 +208,15 @@ def _newton_step(forms, tilted, moments, mu, lam):
     return step
 
 
-# iteration cap of one strong solve, L-BFGS-B and Newton steps together
+# iteration cap of one strong solve, L-BFGS-B and Newton steps together,
+# and the KKT residual it stops at, near float64 resolution
 _MAX_ITER = 10_000
+_TOL = 1e-12
 
 
 def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                          constraints: Optional[np.ndarray] = None,
-                          tol: float = 1e-12) -> StrongSolution:
+                          constraints: Optional[np.ndarray] = None
+                          ) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
     sum p m = 1 and sum p m c_r <= 0 for the optional constraint forms
     c_r, the rows of ``constraints`` (as from :func:`node_constraint_set`).
@@ -232,8 +234,8 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     value over every randomized control, so a gap near 0 certifies that
     randomization cannot beat the returned strong control. A solve that
     reaches ``_MAX_ITER`` iterations, or stalls, with the residual above
-    ``tol`` returns with ``converged`` False, or raises when the residual
-    exceeds 1e3 * tol.
+    ``_TOL`` returns with ``converged`` False, or raises when the residual
+    exceeds 1e3 * ``_TOL``.
     """
     from scipy.optimize import minimize
 
@@ -267,7 +269,7 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     iterations = int(result.nit)
     m, dual_value, moments = at(mu)
     residual = _kkt_residual(mu, moments)
-    while residual > tol and iterations < _MAX_ITER:
+    while residual > _TOL and iterations < _MAX_ITER:
         step = _newton_step(c, probs * m, moments, mu, lam)
         for halvings in range(30):
             alpha = 0.5**halvings
@@ -281,13 +283,13 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         mu, residual = trial, trial_residual
         m, dual_value, moments = state
         iterations += 1
-    if residual > 1e3 * tol:
+    if residual > 1e3 * _TOL:
         raise RuntimeError(
             f"dual ascent did not converge: KKT residual {residual:g} "
             "(instance may be infeasible)")
     value = _primal_value(probs, m, u, lam)
     return StrongSolution(value, m, mu, residual, iterations,
-                          residual <= tol, dual_value - value)
+                          residual <= _TOL, dual_value - value)
 
 
 def default_density_grid(extra_values) -> np.ndarray:
@@ -325,8 +327,9 @@ class RelaxedControlDiscrete:
         second = np.sort(self.weights, axis=1)[:, -2:-1]
         return float(np.max(second, initial=0.0))
 
-    def is_dirac(self, tol: float = 1e-6) -> bool:
-        return self.max_secondary_weight() <= tol
+    def is_dirac(self) -> bool:
+        """Every atom's second-largest weight is at most 1e-6."""
+        return self.max_secondary_weight() <= 1e-6
 
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
@@ -428,7 +431,7 @@ def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
          "m2": m2[k].tolist(), "q": q[k].tolist()}
         for k in np.flatnonzero(bad))
     return CollapseReport(counterexamples, float(np.min(gaps)),
-                          control.is_dirac(1e-6))
+                          control.is_dirac())
 
 
 @dataclass(frozen=True)

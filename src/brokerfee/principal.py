@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import simulate
-from .agent import HjbSettings, best_response
+from .agent import best_response
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .model import ModelParams
 from .rng import split_seed, uniforms
@@ -42,22 +42,19 @@ class PrincipalEvaluation:
     participation: bool
 
 
-def principal_objective(contract, params: ModelParams,
-                        settings: HjbSettings = HjbSettings(),
-                        seed: int = 0) -> PrincipalEvaluation:
+def principal_objective(contract, params: ModelParams) -> PrincipalEvaluation:
     """Broker value of one contract against the client's best response.
 
     The client side is solved first; the broker's per-path value
     xi(P_T, Z_T) - phi_p int pi^2 dt is then averaged over a controlled
     simulation of ``params.n_paths`` paths at the responding policy.
-    ``seed`` keys the simulation, so calls sharing a seed use common random
-    numbers and their values are directly comparable. The participation
+    ``params.seed`` keys the simulation, so calls sharing a seed use common
+    random numbers and their values are directly comparable. The participation
     flag compares the client's grid value with the reservation level.
     """
-    response = best_response(contract, params, settings)
-    sample = simulate.simulate_controlled(params, response.policy,
-                                          params.n_paths,
-                                          split_seed(seed, "principal-crn"))
+    response = best_response(contract, params)
+    sample = simulate.simulate_controlled(
+        params, response.policy, split_seed(params.seed, "principal-crn"))
     j_p, j_p_se = simulate._mean_se(
         contract.terminal_payoff(sample.p_T, sample.z_T)
         - params.phi_p * sample.int_pi_sq)
@@ -180,13 +177,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
-             settings: HjbSettings = HjbSettings(), seed: int = 0):
+def optimize(family: ContractFamily, params: ModelParams, budget: int = 200):
     """Search the family for the broker-optimal contract.
 
     Returns (best contract, MaximizingSequence). Every contract is scored
     by :func:`principal_objective` under common random numbers keyed by
-    ``seed``. The policy and rate penalty of a constant fee c do not
+    ``params.seed``. The policy and rate penalty of a constant fee c do not
     depend on c, so the zero fee is evaluated once and shifted: j_p by c,
     v_a by -c. Every family but the polynomials is seeded with the shifted
     record at the largest c <= v_a(0) - reservation whose shifted v_a meets
@@ -206,7 +202,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
     # ever scored and the binding constant cannot anchor them; they start
     # from the screening points
     zero = (None if family.kind == "linear_polynomial"
-            else principal_objective(Constant(0.0), params, settings, seed))
+            else principal_objective(Constant(0.0), params))
 
     def shifted(c):
         v_a = zero.v_a - c
@@ -224,8 +220,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
         contract = family.make(theta)
         evaluation = (shifted(contract.value)
                       if isinstance(contract, Constant)
-                      else principal_objective(contract, params, settings,
-                                               seed))
+                      else principal_objective(contract, params))
         return sequence.append(theta, evaluation, stage)
 
     try:
@@ -239,7 +234,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int = 200,
                                 "seed")
 
         n_screen = max(min(budget // 3, budget - len(sequence) - 1), 0)
-        points = _latin_hypercube(n_screen, family.dimension, seed)
+        points = _latin_hypercube(n_screen, family.dimension, params.seed)
         for k in range(n_screen):
             evaluate(family.cap * (2.0 * points[k] - 1.0), "screen")
 

@@ -20,7 +20,7 @@ with the constraint moments (4 without) and :func:`simulate_controlled`
 batch of 250 steps would hold about 1,750. Each chunk reads its rows'
 own draws and every result is computed along one path, so the chunk size
 changes no bit of any estimate. At 20,000 paths x 250 steps the verify
-mode took 0.83-1.15 s and peaked at 108 MB of process memory, against
+mode took 0.83-1.15 s and peaked at 95 MB of process memory, against
 1.02-1.30 s and 347 MB as one batch (2 cores, numpy 2.4).
 
 All stochastic integrals are discretized with left-point (Ito) evaluation:
@@ -112,9 +112,10 @@ class ControlledSample:
 
 
 def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
-                        count: int, seed: int) -> ControlledSample:
-    """Euler scheme under the controlled measure of ``policy``, run in row
-    chunks (:func:`_in_row_chunks`) that keep only the per-path results.
+                        seed: int) -> ControlledSample:
+    """Euler scheme for ``params.n_paths`` paths under the controlled
+    measure of ``policy``, run in row chunks (:func:`_in_row_chunks`) that
+    keep only the per-path results.
 
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
     independent Brownian motions and pi read at the left point of each step.
@@ -152,7 +153,7 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
         int_pi_sq *= dt
         return p, z, int_zw, int_pi_sq
 
-    return ControlledSample(times, *_in_row_chunks(count, n, chunk))
+    return ControlledSample(times, *_in_row_chunks(params.n_paths, n, chunk))
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
 # Draws per row chunk, 1,396 rows at 250 steps. A reference chunk in
 # flight holds about 7 floats per path and step (the paths, the rates and
 # three buffers of log M), about 20 MB at this size. The verify mode at
-# 20,000 x 250 peaked at 97, 108 and 130 MB of process memory with 1 << 19,
+# 20,000 x 250 peaked at 90, 95 and 103 MB of process memory with 1 << 19,
 # 1 << 20 and 1 << 21 draws per chunk, and ran 0.1 s slower at 1 << 18,
 # where the per-step lookups are short. A controlled chunk holds its draws
 # twice for a moment, as drawn and transposed to time-major order, 6 floats
@@ -250,9 +251,9 @@ def _in_row_chunks(count: int, n_steps: int, chunk) -> list:
 
 
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
-                       count: int, seed: int,
-                       moments: bool = False) -> WeightedSample:
-    """Reweight the ``count`` reference paths of ``seed`` by ``policy``.
+                       seed: int, moments: bool = False) -> WeightedSample:
+    """Reweight the ``params.n_paths`` reference paths of ``seed`` by
+    ``policy``.
 
     The paths are simulated and weighted in row chunks
     (:func:`_in_row_chunks`, :func:`girsanov_weights`), and only the
@@ -266,7 +267,8 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
             policy, params, moments)
         return [getattr(part, field.name) for field in fields(part)]
 
-    return WeightedSample(*_in_row_chunks(count, params.n_steps, chunk))
+    return WeightedSample(*_in_row_chunks(params.n_paths, params.n_steps,
+                                          chunk))
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is

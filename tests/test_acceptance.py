@@ -13,14 +13,14 @@ estimators whose standard errors are meaningful.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from brokerfee import oracle, principal, simulate
-from brokerfee.agent import (HjbSettings, best_response,
-                             estimate_agent_value, solve_hjb)
+from brokerfee.agent import best_response, estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant
 from brokerfee.model import FeedbackPolicy, ModelParams
 from brokerfee.rng import split_seed, uniforms
@@ -61,7 +61,7 @@ def policy_suite(params):
 @pytest.fixture(scope="module")
 def weighted_samples():
     return {label: simulate.weighted_reference(
-                MC, policy, MC.n_paths, split_seed(MC.seed, f"acc1-{k}"))
+                MC, policy, split_seed(MC.seed, f"acc1-{k}"))
             for k, (label, policy) in enumerate(policy_suite(MC))}
 
 
@@ -98,8 +98,7 @@ def test_criterion_02_entropy_identity(weighted_samples):
 @pytest.fixture(scope="module")
 def agent_solution():
     start = time.time()
-    policy, grid = solve_hjb(Constant(0.0), WIDE,
-                             HjbSettings(n_w=201, n_z=201))
+    policy, grid = solve_hjb(Constant(0.0), WIDE)
     return policy, grid, time.time() - start
 
 
@@ -122,7 +121,8 @@ def test_criterion_03_agent_closed_form(agent_solution):
 
 def test_criterion_04_mc_hjb_agreement(agent_solution):
     policy, grid, _ = agent_solution
-    value, se = estimate_agent_value(Constant(0.0), policy, WIDE, 50_000,
+    value, se = estimate_agent_value(Constant(0.0), policy,
+                                     replace(WIDE, n_paths=50_000),
                                      split_seed(MC.seed, "acc4"))
     gap = abs(value - grid.value_at_origin)
     tol = max(0.01 * abs(grid.value_at_origin), 3 * se)
@@ -134,8 +134,8 @@ def test_criterion_05_principal_constant_optimum():
     start = time.time()
     family = principal.ContractFamily("constant", cap=1.0)
     params = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.25,
-                         reservation=0.0, n_paths=65_536)
-    best, seq = principal.optimize(family, params, budget=50, seed=3)
+                         reservation=0.0, n_paths=65_536, seed=3)
+    best, seq = principal.optimize(family, params, budget=50)
     elapsed = time.time() - start
     fee_err = abs(best.value - 1.0 / 24.0) * 24.0
     j_p = seq.records[seq.best_index]["j_p"]
@@ -211,7 +211,7 @@ def test_criterion_08_extraction_admissibility():
         u = amp * (tree.paths[:, -1, 0] - 0.5 * tree.paths[:, -1, 1])
         lam = 0.2 + raw[k, 1]
         cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-        sol = oracle.solve_strong_discrete(tree, u, lam, cons, tol=1e-12)
+        sol = oracle.solve_strong_discrete(tree, u, lam, cons)
         grid = oracle.default_density_grid(sol.density)
         _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
         report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
@@ -245,8 +245,7 @@ def test_criterion_09_condition5_moments():
     ok = True
     for k, (label, policy) in enumerate(policy_suite(params)):
         sample = simulate.weighted_reference(
-            params, policy, params.n_paths, split_seed(MC.seed, f"acc9-{k}"),
-            moments=True)
+            params, policy, split_seed(MC.seed, f"acc9-{k}"), moments=True)
         estimates, ses = simulate.constraint_moments(sample)
         ok = ok and bool(np.all(estimates <= 3 * ses))
 
@@ -255,8 +254,7 @@ def test_criterion_09_condition5_moments():
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), bad_rate),
                          (-2.0, 2.0))
     sample = simulate.weighted_reference(
-        params, bad, params.n_paths, split_seed(MC.seed, "acc9-bad"),
-        moments=True)
+        params, bad, split_seed(MC.seed, "acc9-bad"), moments=True)
     estimates, ses = simulate.constraint_moments(sample)
     margin = float(np.max(estimates[:, 4] - 3 * ses[:, 4]))
     ok = ok and margin > 0

@@ -1,25 +1,28 @@
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from brokerfee import agent, simulate
-from brokerfee.agent import (CflError, HjbSettings, best_response,
-                             estimate_agent_value, solve_hjb)
+from brokerfee.agent import best_response, estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
+
+from solver_constants import hjb_grid
 
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0)
 
 # smaller grid than the acceptance instance; enough for the closed form
-FAST = HjbSettings(n_w=101, n_z=101)
+FAST = dict(n_w=101, n_z=101)
 
 
 @pytest.fixture(scope="module")
 def zero_fee_solution():
-    return solve_hjb(Constant(0.0), WIDE, FAST)
+    with hjb_grid(**FAST):
+        return solve_hjb(Constant(0.0), WIDE)
 
 
 def test_closed_form_value(zero_fee_solution):
@@ -39,14 +42,16 @@ def test_closed_form_policy(zero_fee_solution):
 
 def test_constant_fee_shifts_value(zero_fee_solution):
     _, grid0 = zero_fee_solution
-    _, grid_c = solve_hjb(Constant(0.25), WIDE, FAST)
+    with hjb_grid(**FAST):
+        _, grid_c = solve_hjb(Constant(0.25), WIDE)
     shift = grid0.value_at_origin - grid_c.value_at_origin
     assert shift == pytest.approx(0.25, abs=1e-10)
 
 
 def test_forced_zero_rate():
     params = ModelParams(rate_lower=0.0, rate_upper=0.0)
-    policy, grid = solve_hjb(Constant(0.4), params, FAST)
+    with hjb_grid(**FAST):
+        policy, grid = solve_hjb(Constant(0.4), params)
     assert np.all(policy.table == 0.0)
     # no trading: value reduces to minus the fee
     assert grid.value_at_origin == pytest.approx(-0.4, abs=2e-3)
@@ -54,7 +59,8 @@ def test_forced_zero_rate():
 
 def test_mc_agrees_with_grid(zero_fee_solution):
     policy, grid = zero_fee_solution
-    value, se = estimate_agent_value(Constant(0.0), policy, WIDE, 20_000, 5)
+    value, se = estimate_agent_value(Constant(0.0), policy,
+                                     replace(WIDE, n_paths=20_000), 5)
     tol = max(0.01 * abs(grid.value_at_origin), 3 * se)
     assert abs(value - grid.value_at_origin) <= tol
 
@@ -69,13 +75,15 @@ def test_default_settings_error(zero_fee_solution):
 def test_time_stepping_is_third_order():
     # the zero-fee value is linear in z and quadratic in w, which the
     # differences resolve exactly away from the edges: the time error
-    # dominates, and each halving of the step cuts it about 8 times
-    errors = [abs(solve_hjb(Constant(0.0), WIDE,
-                            HjbSettings(n_w=101, n_z=101, dt=dt))[1]
-                  .value_at_origin - 1.0 / 24.0)
-              for dt in (1.0 / 20, 1.0 / 40, 1.0 / 80)]
-    assert errors[0] >= 6 * errors[1]
-    assert errors[1] >= 6 * errors[2]
+    # dominates, so refining the grid, whose CFL step falls from 1/7 to
+    # 1/20 and 1/63, leaves error / dt^3 unchanged (4.63e-3)
+    ratios = []
+    for n in (51, 101, 201):
+        with hjb_grid(n_w=n, n_z=n):
+            _, grid = solve_hjb(Constant(0.0), WIDE)
+        dt = grid.t_nodes[1] - grid.t_nodes[0]
+        ratios.append(abs(grid.value_at_origin - 1.0 / 24.0) / dt**3)
+    assert max(ratios) <= 1.02 * min(ratios)
 
 
 def test_linear_quadratic_reference_value():
@@ -88,22 +96,20 @@ def test_linear_quadratic_reference_value():
     assert grid.value_at_origin == pytest.approx(exact, rel=0.01)
 
 
-def test_cfl_override_rejected():
-    with pytest.raises(CflError):
-        solve_hjb(Constant(0.0), WIDE, HjbSettings(n_w=101, n_z=101, dt=0.5))
+def test_time_step_is_the_cfl_step(zero_fee_solution):
     # the Euler bound of the 101 x 101 grid; every SSP(9,3) stage is an
-    # Euler step of dt / 6, so a step up to six times the bound is allowed
+    # Euler step of dt / 6, so the step is the longest that divides T
+    # within six times the bound
+    _, grid = zero_fee_solution
     _, w_max, z_max = agent._half_widths(WIDE, WIDE.horizon)
     dw, dz = 2.0 * w_max / 100, 2.0 * z_max / 100
     euler = 1.0 / (WIDE.epsilon**2 / dz**2 + 1.0 / dw**2
                    + WIDE.rate_upper / dz)
-    with pytest.raises(CflError) as info:
-        solve_hjb(Constant(0.0), WIDE,
-                  HjbSettings(n_w=101, n_z=101, dt=6.0 * euler * 1.001))
-    assert info.value.dt_max == pytest.approx(6.0 * euler, rel=1e-12)
-    _, grid = solve_hjb(Constant(0.0), WIDE,
-                        HjbSettings(n_w=101, n_z=101, dt=6.0 * euler * 0.999))
-    assert grid.value_at_origin == pytest.approx(1.0 / 24.0, abs=1e-6)
+    n_t = int(np.ceil(WIDE.horizon / (6.0 * euler)))
+    # every step boundary is saved
+    assert n_t == 20 == len(grid.t_nodes) - 1
+    assert np.allclose(np.diff(grid.t_nodes), WIDE.horizon / n_t, rtol=1e-12,
+                       atol=0.0)
 
 
 def test_zeta_quadrature():
@@ -125,11 +131,12 @@ def test_zeta_quadrature():
 def test_objective_forms_agree():
     # E^W[M (-xi - lambda log M + zeta)] and E^Q[pathwise] estimate the
     # same value
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
+                         n_paths=40_000)
     contract = Constant(0.1)
     policy = FeedbackPolicy.constant(0.5, params)
 
-    v_q, se_q = estimate_agent_value(contract, policy, params, 40_000, 11)
+    v_q, se_q = estimate_agent_value(contract, policy, params, 11)
 
     # the objective reads the paths, so the batch is weighted as one chunk
     reference = simulate.simulate_reference(params, 40_000, 12)
@@ -142,7 +149,8 @@ def test_objective_forms_agree():
 
 
 def test_best_response_markovian_dispatch(zero_fee_solution):
-    response = best_response(Constant(0.0), WIDE, FAST)
+    with hjb_grid(**FAST):
+        response = best_response(Constant(0.0), WIDE)
     assert response.value == response.grid.value_at_origin
     assert response.value == pytest.approx(1.0 / 24.0, rel=0.01)
 
@@ -152,7 +160,8 @@ def test_table_contract_through_grid_solver():
     values = np.clip(0.25 * nodes[None, :] + 0 * nodes[:, None], -1, 1)
     fee = LipschitzTable(nodes, nodes, values, cap=1.0)
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0)
-    policy, grid = solve_hjb(fee, params, HjbSettings(n_w=61, n_z=61))
+    with hjb_grid(n_w=61, n_z=61):
+        policy, grid = solve_hjb(fee, params)
     assert np.isfinite(grid.value_at_origin)
 
 
@@ -205,9 +214,6 @@ def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
 
 
 BOUNDED = ModelParams(rate_lower=-1.0, rate_upper=1.0)
-# below the SSP(9,3) bound of both small grids, six times their Euler
-# bounds 0.045 and 0.094: eight steps of nine stages each
-SWEEP_DT = 0.125
 
 
 def _table_fee():
@@ -218,13 +224,20 @@ def _table_fee():
     return LipschitzTable(nodes, nodes, values, cap=1.0)
 
 
+# each fee with the grid it is solved on: 4 steps in 2-D and 5 in 3-D
 SWEEP_CASES = {
-    "2d": (_table_fee(), HjbSettings(n_w=41, n_z=41, dt=SWEEP_DT)),
+    "2d": (_table_fee(), dict(n_w=41, n_z=41)),
     # xi = 0.5 P Z + 0.05 P Z^2 + 0.05 P^2 Z^2: V_z takes both signs and
     # passes the rate bounds, and V is curved in z and p
     "3d": (LinearPolynomial(np.array([[0.5, 0.05], [0.0, 0.05]]), cap=1.0),
-           HjbSettings(n_p=9, n_w=21, n_z=21, dt=SWEEP_DT)),
+           dict(n_p=9, n_w=41, n_z=41)),
 }
+
+
+def _solve_case(case):
+    fee, shape = SWEEP_CASES[case]
+    with hjb_grid(**shape):
+        return solve_hjb(fee, BOUNDED)
 
 
 def _box(params, grid, t):
@@ -264,16 +277,17 @@ def _extend(v, box):
 @pytest.mark.parametrize("case, planes", [("2d", 1), ("3d", 1), ("3d", 2),
                                           ("3d", 4), ("3d", 9)])
 def test_sweep_matches_reference_step(case, planes, monkeypatch):
-    fee, settings = SWEEP_CASES[case]
+    _, shape = SWEEP_CASES[case]
     monkeypatch.setattr(agent, "_SLAB_CELLS",
-                        planes * settings.n_w * settings.n_z)
-    policy, grid = solve_hjb(fee, BOUNDED, settings)
+                        planes * shape["n_w"] * shape["n_z"])
+    policy, grid = _solve_case(case)
 
-    n_t = int(np.ceil(BOUNDED.horizon / SWEEP_DT))
+    # few enough steps that every step boundary is saved
+    n_t = len(grid.t_nodes) - 1
     dt = BOUNDED.horizon / n_t
     saved = dict(zip(np.rint(grid.t_nodes / dt).astype(int),
                      zip(grid.values, policy.table)))
-    assert len(saved) == len(grid.t_nodes) and max(saved) == n_t
+    assert sorted(saved) == list(range(n_t + 1))
     v = grid.values[-1].copy()
     price = grid.p_nodes is not None
     # the step from t_(k+1) updates the box of that time, with each axis's
@@ -319,19 +333,20 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
 
 
 def test_price_dependent_terminal_slice_is_the_fee():
-    fee, settings = SWEEP_CASES["3d"]
-    _, grid = solve_hjb(fee, BOUNDED, settings)
+    fee, _ = SWEEP_CASES["3d"]
+    _, grid = _solve_case("3d")
     pp, zz = np.meshgrid(grid.p_nodes, grid.z_nodes, indexing="ij")
     expected = -fee.terminal_payoff(pp, zz)[:, None, :]
-    assert grid.values.shape[1:] == (9, 21, 21)
+    assert grid.values.shape[1:] == (9, 41, 41)
     assert np.array_equal(grid.values[-1],
-                          np.broadcast_to(expected, (9, 21, 21)))
+                          np.broadcast_to(expected, (9, 41, 41)))
 
 
 def test_zero_polynomial_keeps_p_planes_identical():
     # the w and z axes of FAST: a 21 x 21 grid is 6 % off the closed form
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
-    _, grid = solve_hjb(fee, WIDE, HjbSettings(n_p=9, n_w=101, n_z=101))
+    with hjb_grid(n_p=9, **FAST):
+        _, grid = solve_hjb(fee, WIDE)
     assert grid.p_nodes is not None
     assert np.all(grid.values == grid.values[:, :1])
     assert grid.value_at_origin == pytest.approx(1.0 / 24.0, rel=0.01)
@@ -344,7 +359,7 @@ CONE_TABLE = LipschitzTable(np.array([-2.0, 0.0, 2.0]),
                                       [-0.5, 0.0, 0.5]]), cap=1.0)
 # the default p axis: the cone's effect grows as dp does, to 2e-5 at 21
 # planes and 3e-6 at 31 for a = 1
-CONE_GRID = HjbSettings(n_p=61, n_w=31, n_z=31)
+CONE_GRID = dict(n_p=61, n_w=31, n_z=31)
 
 
 def _full_width(monkeypatch, axes=(0, 1, 2)):
@@ -368,9 +383,10 @@ def _full_width(monkeypatch, axes=(0, 1, 2)):
 ], ids=["a=0.05", "a=1", "degree-2", "table"])
 def test_cone_keeps_value_at_origin(fee, monkeypatch):
     # 6.5e-8 relative at most here, and 1.5e-7 on the default grid
-    cone = solve_hjb(fee, ModelParams(), CONE_GRID)[1]
-    _full_width(monkeypatch)
-    full = solve_hjb(fee, ModelParams(), CONE_GRID)[1]
+    with hjb_grid(**CONE_GRID):
+        cone = solve_hjb(fee, ModelParams())[1]
+        _full_width(monkeypatch)
+        full = solve_hjb(fee, ModelParams())[1]
     assert cone.values.shape == full.values.shape
     assert np.all(np.isfinite(cone.values))
     assert (abs(cone.value_at_origin - full.value_at_origin)
@@ -380,9 +396,10 @@ def test_cone_keeps_value_at_origin(fee, monkeypatch):
 def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
     # the p planes stay identical, so cutting p alone changes no bit
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
-    policy, cone = solve_hjb(fee, WIDE, CONE_GRID)
-    _full_width(monkeypatch, axes=(0,))
-    full_policy, full = solve_hjb(fee, WIDE, CONE_GRID)
+    with hjb_grid(**CONE_GRID):
+        policy, cone = solve_hjb(fee, WIDE)
+        _full_width(monkeypatch, axes=(0,))
+        full_policy, full = solve_hjb(fee, WIDE)
     assert cone.value_at_origin == full.value_at_origin
     assert cone.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
@@ -400,9 +417,8 @@ def test_box_keeps_2d_value_at_origin(monkeypatch):
 
 
 def test_sweep_is_bit_reproducible():
-    fee, settings = SWEEP_CASES["3d"]
-    first = solve_hjb(fee, BOUNDED, settings)
-    second = solve_hjb(fee, BOUNDED, settings)
+    first = _solve_case("3d")
+    second = _solve_case("3d")
     assert first[1].values.tobytes() == second[1].values.tobytes()
     assert first[0].table.tobytes() == second[0].table.tobytes()
 
@@ -410,20 +426,20 @@ def test_sweep_is_bit_reproducible():
 def _force_groups(monkeypatch, n_groups):
     """Slabs of 2 p planes of the 3-D sweep case, cut into ``n_groups``
     worker groups whatever the number of CPUs."""
-    _, settings = SWEEP_CASES["3d"]
-    monkeypatch.setattr(agent, "_SLAB_CELLS", 2 * settings.n_w * settings.n_z)
+    _, shape = SWEEP_CASES["3d"]
+    monkeypatch.setattr(agent, "_SLAB_CELLS", 2 * shape["n_w"] * shape["n_z"])
     monkeypatch.setattr(agent, "_usable_cpus", lambda: n_groups)
 
 
 def test_sweep_does_not_depend_on_group_count(monkeypatch):
     # 9 planes in slabs of 2: 3 groups are more than a 2-core machine has,
     # and every group but the first of 2 ends on a short 1-plane slab
-    fee, settings = SWEEP_CASES["3d"]
+    _, shape = SWEEP_CASES["3d"]
     layouts = {1: [[(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]],
                2: [[(0, 2), (2, 4)], [(4, 6), (6, 8), (8, 9)]],
                3: [[(0, 2), (2, 3)], [(3, 5), (5, 6)], [(6, 8), (8, 9)]]}
-    nodes = np.linspace(-1.0, 1.0, settings.n_w)
-    p_nodes = np.linspace(-1.0, 1.0, settings.n_p)
+    nodes = np.linspace(-1.0, 1.0, shape["n_w"])
+    p_nodes = np.linspace(-1.0, 1.0, shape["n_p"])
     solves = []
     # a short switch interval interleaves the workers as often as it can
     interval = sys.getswitchinterval()
@@ -433,7 +449,7 @@ def test_sweep_does_not_depend_on_group_count(monkeypatch):
             _force_groups(monkeypatch, n_groups)
             step = agent._ExplicitStep(BOUNDED, 0.01, nodes, nodes, p_nodes)
             assert step.groups == layout
-            solves.append(solve_hjb(fee, BOUNDED, settings))
+            solves.append(_solve_case("3d"))
     finally:
         sys.setswitchinterval(interval)
     policy, grid = solves[0]
@@ -445,16 +461,15 @@ def test_sweep_does_not_depend_on_group_count(monkeypatch):
 def test_sweep_without_sched_getaffinity(monkeypatch):
     # the CPU count falls back to os.cpu_count() where the OS has no
     # affinity mask (macOS, Windows); the values do not change
-    fee, settings = SWEEP_CASES["3d"]
-    monkeypatch.setattr(agent, "_SLAB_CELLS", settings.n_w * settings.n_z)
-    expected = solve_hjb(fee, BOUNDED, settings)[1].values
+    _, shape = SWEEP_CASES["3d"]
+    monkeypatch.setattr(agent, "_SLAB_CELLS", shape["n_w"] * shape["n_z"])
+    expected = _solve_case("3d")[1].values
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    _, grid = solve_hjb(fee, BOUNDED, settings)
+    _, grid = _solve_case("3d")
     assert grid.values.tobytes() == expected.tobytes()
 
 
 def test_sweep_leaves_no_thread(monkeypatch):
-    fee, settings = SWEEP_CASES["3d"]
     _force_groups(monkeypatch, 2)
     workers = set()
     sweep = agent._ExplicitStep._sweep
@@ -465,7 +480,7 @@ def test_sweep_leaves_no_thread(monkeypatch):
 
     monkeypatch.setattr(agent._ExplicitStep, "_sweep", spy)
     before = threading.active_count()
-    solve_hjb(fee, BOUNDED, settings)
+    _solve_case("3d")
     # the groups ran on pool threads while the box spanned several slabs
     # (inline once it fits in one), and the pool is gone with the solve
     assert workers - {threading.get_ident()}

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,63 @@ def test_benchmark_workloads_parse(workload):
     # a config key the benchmark sets cannot be removed unnoticed
     config = cli.parse_config(workload)
     assert config.run["mode"] in cli.MODES
+
+
+def test_traced_benchmark_run(tmp_path):
+    # the benchmark's traced mode wraps the library and names the 3-D
+    # solve from its result; a fee that reads the price takes that solve
+    root = Path(__file__).parent.parent
+    cfg = tmp_path / "agent.cfg"
+    cfg.write_text("model.n_paths = 500\nmodel.n_steps = 50\n"
+                   "family.class = linear_polynomial\n"
+                   "family.coefficients = 0.05\nrun.mode = agent\n")
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(root / "perfbench" / "child.py"),
+                    "--src", str(root / "src"), "--result", str(result),
+                    "--trace", "--", "agent", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")],
+                   cwd=root, capture_output=True, check=True, timeout=300)
+    record = json.loads(result.read_text())
+    assert record["status"] == 0
+    names = {span[1] for span in record["spans"]}
+    assert {"agent.solve_hjb_3d", "simulate.simulate_controlled"} <= names
+
+
+def test_key_given_twice_is_exit_2(tmp_path, capsys):
+    # the second value used to win silently
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("run.mode = report\nmodel.sigma = 1.0\n# comment\n"
+                   "model.sigma = 3.0\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:4: model\.sigma is "
+                       r"given twice, first at line 2"):
+        cli.parse_config(cfg)
+    assert cli.run(cfg) == 2
+    assert "model.sigma is given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("constant", "degree", "4"),
+    ("lipschitz_table", "degree", "2"),
+    ("linear_polynomial", "p_nodes", "-1, 1"),
+    ("constant", "z_nodes", "-1, 1"),
+])
+def test_family_key_the_class_does_not_read_is_exit_2(tmp_path, capsys,
+                                                      kind, key, value):
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(f"run.mode = agent\nfamily.class = {kind}\n"
+                   f"family.{key} = {value}\n")
+    message = f"unread.cfg:3: family class {kind} does not read family.{key}"
+    with pytest.raises(ValueError, match=message):
+        cli.parse_config(cfg)
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_family_keys_of_the_class_parse(tmp_path):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("run.mode = agent\nfamily.p_nodes = -1, 1\n"
+                   "family.z_nodes = -1, 1\nfamily.class = lipschitz_table\n")
+    assert cli.parse_config(cfg).family["class"] == "lipschitz_table"
 
 
 @pytest.mark.parametrize("key", ["gamma", "holder_const", "operator"])

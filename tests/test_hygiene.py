@@ -1,8 +1,9 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, every public method is read by the library, no import is unused,
-only the CLI writes files, every config key the CLI accepts is read,
-every thread pool is closed by a with statement, and importing the CLI
-loads no scipy."""
+tests, every public method is read by the library, every defaulted
+parameter of a public function is passed by the library or the
+benchmark, no import is unused, only the CLI writes files, every config
+key the CLI accepts is read, every thread pool is closed by a with
+statement, and importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -132,6 +133,53 @@ def test_only_cli_writes_files():
             if how:
                 writes.append(f"{path.name}:{node.lineno}: {how}")
     assert writes == []
+
+
+def _public_functions(tree):
+    """(function, index of its first parameter a call passes) for the
+    module's public functions and the public methods of its public
+    classes, whose receiver fills the first parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    static = any(_dotted(d) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield item, 0 if static else 1
+
+
+def test_every_default_is_passed_somewhere():
+    # a defaulted parameter that no call of the library or the benchmark
+    # passes is a setting that only the tests can change
+    callers = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                calls.setdefault(name and name.split(".")[-1], []).append(
+                    node)
+    unpassed = []
+    for path in MODULES:
+        for fn, first in _public_functions(ast.parse(path.read_text())):
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                        fn.args.kw_defaults)
+                          if d is not None]
+            for index, arg in defaulted:
+                if not any(
+                        any(k.arg in (arg, None) for k in call.keywords)
+                        or any(isinstance(a, ast.Starred) for a in call.args)
+                        or (index is not None
+                            and len(call.args) > index - first)
+                        for call in calls.get(fn.name, [])):
+                    unpassed.append(f"{path.stem}.{fn.name}({arg})")
+    assert unpassed == []
 
 
 def _read_keys(tree):

@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.special import logsumexp
 
 import relaxed_control
+from solver_constants import strong_tol
 from brokerfee import oracle
 from brokerfee.contracts import Constant, LinearPolynomial
 from brokerfee.model import ROW_NAMES, ModelParams
@@ -128,7 +129,8 @@ def test_strong_solver_flags_a_solve_stopped_short():
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, PARAMS.rate_lower,
                                       PARAMS.rate_upper)
-    short = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=1e-18)
+    with strong_tol(1e-18):
+        short = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     assert short.iterations < 10_000
     assert 1e-18 < short.kkt_residual <= 1e-15
     assert not short.converged
@@ -158,7 +160,7 @@ def test_relaxed_matches_strong_on_covering_grid():
     grid = oracle.default_density_grid(sol.density)
     value, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
     assert abs(value - sol.value) <= 1e-8
-    assert control.is_dirac(1e-6)
+    assert control.is_dirac()
     assert np.allclose(control.conditional_mean(), sol.density, atol=1e-6)
 
 
@@ -182,7 +184,7 @@ def test_dirac_embedding_objective_identity():
     dirac = relaxed_control.dirac(tree, sol.density)
     assert relaxed_control.objective(dirac, u, 0.5) == pytest.approx(
         sol.value, abs=1e-12)
-    assert dirac.is_dirac(0.0)
+    assert dirac.max_secondary_weight() == 0.0
     assert relaxed_control.mean_density(dirac) == pytest.approx(1.0,
                                                                 abs=1e-12)
 
@@ -215,7 +217,7 @@ def test_extraction_on_feasible_control():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=1e-12)
+    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     control = relaxed_control.dirac(tree, sol.density)
     report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
     assert report.max_violation <= 1e-8
@@ -263,7 +265,7 @@ def test_extraction_at_small_node_mass():
     assert np.min(sol.density) < 1e-3
     grid = oracle.default_density_grid(sol.density)
     _, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
-    assert control.is_dirac(1e-6)
+    assert control.is_dirac()
     for relaxed in (control, relaxed_control.dirac(tree, sol.density)):
         report = oracle.extract_strong_control(tree, relaxed, -1.0, 1.0)
         assert report.max_violation <= 1e-8
@@ -410,7 +412,7 @@ def test_lp_assembly_matches_loop_reference(constrained):
     assert np.allclose(control.conditional_mean(), q @ grid, rtol=0,
                        atol=1e-9)
     reference_secondary = max(float(np.sort(w)[-2]) for w in q)
-    assert control.is_dirac(1e-6) == (reference_secondary <= 1e-6)
+    assert control.is_dirac() == (reference_secondary <= 1e-6)
     assert all(np.array_equal(a, grid) for a in control.atoms)
     assert np.allclose([np.sum(w) for w in control.weights], 1.0,
                        atol=1e-12)
@@ -423,7 +425,8 @@ def test_strong_solver_matches_separate_dual_reference(constrained, tol):
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
             else None)
-    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons, tol=tol)
+    with strong_tol(tol):
+        sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     # the reference at its own floor: at tol 1e-9 its density is only
     # good to about 1e-8
     _, density, iterations = reference_strong(tree, u, 0.25, cons, 1e-12)

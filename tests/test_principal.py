@@ -5,34 +5,46 @@ import numpy as np
 import pytest
 
 from brokerfee import cli, principal
-from brokerfee.agent import HjbSettings, best_response
+from brokerfee.agent import best_response
 from brokerfee.contracts import Constant, LipschitzTable
 from brokerfee.model import ModelParams
 
+from solver_constants import hjb_grid
+
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.25,
                    reservation=0.0, n_paths=20_000)
-FAST = HjbSettings(n_w=101, n_z=101)
+FAST = dict(n_w=101, n_z=101)
 
 
+@pytest.fixture
+def fast():
+    """Every solve of the test on the FAST grid."""
+    with hjb_grid(**FAST):
+        yield
+
+
+@pytest.mark.usefixtures("fast")
 def test_principal_objective_constant_closed_form():
     c = 0.01
-    ev = principal.principal_objective(Constant(c), WIDE, FAST, seed=5)
+    ev = principal.principal_objective(Constant(c), replace(WIDE, seed=5))
     assert ev.v_a == pytest.approx(-c + 1.0 / 24.0, abs=1e-3)
     assert ev.j_p == pytest.approx(c - 1.0 / 48.0,
                                    abs=max(3 * ev.j_p_se, 1e-3))
     assert ev.participation
 
 
+@pytest.mark.usefixtures("fast")
 def test_participation_fails_above_surplus():
-    ev = principal.principal_objective(Constant(0.1), WIDE, FAST, seed=5)
+    ev = principal.principal_objective(Constant(0.1), replace(WIDE, seed=5))
     assert ev.v_a < 0.0
     assert not ev.participation
 
 
+@pytest.mark.usefixtures("fast")
 def test_zero_penalty_gives_fee_back():
     params = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.0,
-                         n_paths=20_000)
-    ev = principal.principal_objective(Constant(0.02), params, FAST, seed=5)
+                         n_paths=20_000, seed=5)
+    ev = principal.principal_objective(Constant(0.02), params)
     assert abs(ev.j_p - 0.02) <= 3 * ev.j_p_se
 
 
@@ -49,10 +61,10 @@ def solved(monkeypatch):
     return contracts
 
 
-def seed_record(params, family, settings=FAST):
+def seed_record(params, family):
     """The seed record of a one-evaluation search, or None."""
-    _, seq = principal.optimize(family, params, budget=1, settings=settings,
-                                seed=3)
+    with hjb_grid(**FAST):
+        _, seq = principal.optimize(family, replace(params, seed=3), budget=1)
     return next((r for r in seq.records if r["stage"] == "seed"), None)
 
 
@@ -106,13 +118,12 @@ def test_table_seed_binds_without_a_solve(solved):
     family = principal.ContractFamily(
         "lipschitz_table", cap=1.0, p_nodes=np.array([-1.0, 1.0]),
         z_nodes=np.array([-1.0, 1.0]))
-    settings = HjbSettings(n_p=9, n_w=41, n_z=41)
     for reservation in (0.0, 0.01):
         solved.clear()
         params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
-                             n_paths=500, reservation=reservation)
-        _, seq = principal.optimize(family, params, budget=3,
-                                    settings=settings, seed=3)
+                             n_paths=500, reservation=reservation, seed=3)
+        with hjb_grid(n_p=9, n_w=41, n_z=41):
+            _, seq = principal.optimize(family, params, budget=3)
         assert [r["stage"] for r in seq.records] == ["seed", "screen",
                                                      "refine"]
         assert seq.records[0]["participation"]
@@ -132,10 +143,9 @@ def test_no_contract_is_solved_twice(solved, family):
     # record, so no contract is solved again, and the table seed is not
     # re-read as infeasible by rounding; the budget counts distinct records
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
-                         n_paths=500, reservation=0.01)
-    _, seq = principal.optimize(family, params, budget=5,
-                                settings=HjbSettings(n_p=9, n_w=21, n_z=21),
-                                seed=3)
+                         n_paths=500, reservation=0.01, seed=3)
+    with hjb_grid(n_p=9, n_w=21, n_z=21):
+        _, seq = principal.optimize(family, params, budget=5)
     solved_keys = [(c.values if family.kind == "lipschitz_table"
                     else c.coeffs).tobytes()
                    for c in solved if not isinstance(c, Constant)]
@@ -145,10 +155,10 @@ def test_no_contract_is_solved_twice(solved, family):
     assert seq.records[-1]["stage"] == "refine"
 
 
+@pytest.mark.usefixtures("fast")
 def test_optimize_constant_family():
     family = principal.ContractFamily("constant", cap=1.0)
-    best, seq = principal.optimize(family, WIDE, budget=20, settings=FAST,
-                                   seed=3)
+    best, seq = principal.optimize(family, replace(WIDE, seed=3), budget=20)
     assert best.value == pytest.approx(1.0 / 24.0, rel=0.02)
     record = seq.records[seq.best_index]
     assert record["j_p"] == pytest.approx(1.0 / 48.0, rel=0.05)
@@ -160,15 +170,13 @@ def test_constant_cache_matches_direct_evaluation():
     # from scratch must give the same record
     family = principal.ContractFamily("constant", cap=1.0)
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
-                         n_paths=2_000)
-    settings = HjbSettings(n_w=41, n_z=41)
-    _, seq = principal.optimize(family, params, budget=6, settings=settings,
-                                seed=7)
+                         n_paths=2_000, seed=7)
+    with hjb_grid(n_w=41, n_z=41):
+        _, seq = principal.optimize(family, params, budget=6)
+        scored = [principal.principal_objective(
+            Constant(r["coefficients"][0]), params) for r in seq.records]
     assert {r["participation"] for r in seq.records} == {True, False}
-    for record in seq.records:
-        c = record["coefficients"][0]
-        direct = principal.principal_objective(Constant(c), params, settings,
-                                               seed=7)
+    for record, direct in zip(seq.records, scored):
         assert record["j_p"] == pytest.approx(direct.j_p, abs=1e-12)
         assert record["j_p_se"] == pytest.approx(direct.j_p_se, abs=1e-12)
         # a solve with fee c equals the zero-fee solve shifted by c only up
@@ -183,22 +191,22 @@ def test_constant_family_solves_zero_fee_once(solved):
     # the binding constant comes from the one zero-fee evaluation
     family = principal.ContractFamily("constant", cap=1.0)
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
-                         n_paths=2_000)
-    settings = HjbSettings(n_w=41, n_z=41)
-    expected = (best_response(Constant(0.0), params, settings).value
-                - params.reservation)
-    _, seq = principal.optimize(family, params, budget=6, settings=settings,
-                                seed=7)
+                         n_paths=2_000, seed=7)
+    with hjb_grid(n_w=41, n_z=41):
+        expected = (best_response(Constant(0.0), params).value
+                    - params.reservation)
+        _, seq = principal.optimize(family, params, budget=6)
     assert solved == [Constant(0.0)]
     assert len(seq) == 6
     assert seq.records[0]["stage"] == "seed"
     assert seq.records[0]["coefficients"].tolist() == [expected]
 
 
+@pytest.mark.usefixtures("fast")
 def test_optimize_budget_one():
     family = principal.ContractFamily("constant", cap=1.0)
-    best, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
-                                   budget=1, settings=FAST, seed=3)
+    best, seq = principal.optimize(
+        family, replace(WIDE, n_paths=5_000, seed=3), budget=1)
     assert len(seq) == 1
     assert seq.records[0]["participation"]
 
@@ -208,57 +216,58 @@ def test_polynomial_family_skips_feasibility_solve(solved):
     # so the zero fee is never solved
     family = principal.ContractFamily("linear_polynomial", cap=1.0)
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
-                         n_paths=500)
-    _, seq = principal.optimize(family, params, budget=2,
-                                settings=HjbSettings(n_p=9, n_w=21, n_z=21),
-                                seed=3)
+                         n_paths=500, seed=3)
+    with hjb_grid(n_p=9, n_w=21, n_z=21):
+        _, seq = principal.optimize(family, params, budget=2)
     assert [r["stage"] for r in seq.records] == ["refine", "refine"]
     assert seq.records[0]["coefficients"].tolist() == [0.0]
     assert len(solved) == 2
     assert not any(isinstance(c, Constant) for c in solved)
 
 
+@pytest.mark.usefixtures("fast")
 def test_best_trace_monotone():
     family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
-                                budget=15, settings=FAST, seed=9)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000, seed=9),
+                                budget=15)
     trace = [r["best_so_far"] for r in seq.records]
     assert np.all(np.diff(trace) >= -1e-15)
 
 
+@pytest.mark.usefixtures("fast")
 def test_incumbents_respect_participation():
     family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
-                                budget=15, settings=FAST, seed=9)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000, seed=9),
+                                budget=15)
     for record in seq.incumbent_updates():
         assert record["v_a"] >= WIDE.reservation
 
 
+@pytest.mark.usefixtures("fast")
 def test_fee_shift_identity():
     # for constants the response policy ignores the fee level, so J_p - c
     # is a single number across the feasible range
-    family = principal.ContractFamily("constant", cap=1.0)
-    evaluations = []
-    for c in (-0.05, 0.0, 0.03):
-        ev = principal.principal_objective(Constant(c), WIDE, FAST, seed=4)
-        evaluations.append(ev)
+    evaluations = [principal.principal_objective(Constant(c),
+                                                 replace(WIDE, seed=4))
+                   for c in (-0.05, 0.0, 0.03)]
     gaps = [ev.j_p - c for ev, c in zip(evaluations, (-0.05, 0.0, 0.03))]
     ses = [ev.j_p_se for ev in evaluations]
     assert max(gaps) - min(gaps) <= 3 * max(ses)
 
 
+@pytest.mark.usefixtures("fast")
 def test_visited_points_stay_in_box():
     family = principal.ContractFamily("constant", cap=0.05)
-    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000),
-                                budget=15, settings=FAST, seed=2)
+    _, seq = principal.optimize(family, replace(WIDE, n_paths=5_000, seed=2),
+                                budget=15)
     for record in seq.records:
         assert np.all(np.abs(record["coefficients"]) <= 0.05 + 1e-12)
 
 
+@pytest.mark.usefixtures("fast")
 def test_convergence_report_limit_point():
     family = principal.ContractFamily("constant", cap=1.0)
-    _, seq = principal.optimize(family, WIDE, budget=20, settings=FAST,
-                                seed=3)
+    _, seq = principal.optimize(family, replace(WIDE, seed=3), budget=20)
     report = principal.convergence_report(seq)
     assert report.limit_point[0] == pytest.approx(1.0 / 24.0, rel=0.02)
     objectives = [r["objective"] for r in seq.incumbent_updates()]

@@ -18,8 +18,7 @@ PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
 @pytest.fixture(scope="module")
 def weighted_sample():
     policy = FeedbackPolicy.constant(0.8, PARAMS)
-    return simulate.weighted_reference(PARAMS, policy, PARAMS.n_paths, 31,
-                                       moments=True)
+    return simulate.weighted_reference(PARAMS, policy, 31, moments=True)
 
 
 def test_reference_batch_statistics():
@@ -44,7 +43,7 @@ def test_reference_determinism():
 
 def test_controlled_simulation_drift():
     policy = FeedbackPolicy.constant(1.0, PARAMS)
-    sample = simulate.simulate_controlled(PARAMS, policy, 20_000, 3)
+    sample = simulate.simulate_controlled(PARAMS, policy, 3)
     assert sample.count == 20_000
     # Z gains drift pi = 1; P gains the integrated W drift (mean zero, with
     # standard deviation sqrt(sigma^2 T + T^3 / 3))
@@ -58,7 +57,8 @@ def test_controlled_simulation_drift():
 # chunks of 8 and as 16 x 3 + 1 in chunks of 16
 @pytest.mark.parametrize("rows", [8, 16])
 def test_chunks_match_the_whole_batch(rows, monkeypatch):
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=10)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=10,
+                         n_paths=49)
     nodes = np.linspace(-2.0, 2.0, 5)
     tt, ww, zz = np.meshgrid([0.0, 1.0], nodes, nodes, indexing="ij")
     policy = FeedbackPolicy(np.array([0.0, 1.0]), nodes, nodes,
@@ -68,7 +68,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
         simulate.simulate_reference(params, 49, 23), policy, params,
         moments=True)
     # at the default chunk size all 49 rows are one chunk
-    whole_controlled = simulate.simulate_controlled(params, policy, 49, 23)
+    whole_controlled = simulate.simulate_controlled(params, policy, 23)
 
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", rows * 3 * params.n_steps)
     chunks = []
@@ -81,8 +81,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
 
     monkeypatch.setattr(simulate, "gaussians", recording)
     expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
-    chunked = simulate.weighted_reference(params, policy, 49, 23,
-                                          moments=True)
+    chunked = simulate.weighted_reference(params, policy, 23, moments=True)
     assert chunks == expected
     assert whole.moments.shape == (7, 6, 49)
     for field in fields(simulate.WeightedSample):
@@ -90,7 +89,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                               getattr(whole, field.name)), field.name
 
     chunks.clear()
-    controlled = simulate.simulate_controlled(params, policy, 49, 23)
+    controlled = simulate.simulate_controlled(params, policy, 23)
     assert chunks == expected
     assert controlled.count == 49
     for name in ("p_T", "z_T", "int_zw", "int_pi_sq"):
@@ -102,7 +101,8 @@ def test_controlled_sample_matches_path_reference():
     # the Euler scheme on whole (count, n_steps + 1) path arrays: the
     # terminal values agree bit for bit, and the integrals, summed in
     # another order, to rounding
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=40)
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=40,
+                         n_paths=300)
     nodes = np.linspace(-2.0, 2.0, 9)
     tt, ww, zz = np.meshgrid([0.0, 0.5, 1.0], nodes, nodes, indexing="ij")
     policy = FeedbackPolicy(np.array([0.0, 0.5, 1.0]), nodes, nodes,
@@ -120,7 +120,7 @@ def test_controlled_sample_matches_path_reference():
         z[:, i + 1] = (z[:, i] + rates[:, i] * dt
                        + params.epsilon * root_dt * xi[:, i, 1])
         w[:, i + 1] = w[:, i] + root_dt * xi[:, i, 2]
-    sample = simulate.simulate_controlled(params, policy, 300, 17)
+    sample = simulate.simulate_controlled(params, policy, 17)
     assert sample.p_T.tobytes() == p[:, -1].tobytes()
     assert sample.z_T.tobytes() == z[:, -1].tobytes()
     assert np.allclose(sample.int_zw,
@@ -141,8 +141,8 @@ def test_weighted_reference_memory_is_per_path():
     def peak_bytes(count):
         tracemalloc.start()
         try:
-            sample = simulate.weighted_reference(params, policy, count, 3,
-                                                 moments=True)
+            sample = simulate.weighted_reference(
+                replace(params, n_paths=count), policy, 3, moments=True)
             assert sample.moments.shape == (7, 6, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -161,7 +161,8 @@ def test_controlled_memory_is_per_path():
     def peak_bytes(count):
         tracemalloc.start()
         try:
-            simulate.simulate_controlled(params, policy, count, 3)
+            simulate.simulate_controlled(replace(params, n_paths=count),
+                                         policy, 3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,7 +179,7 @@ def test_girsanov_normalization(weighted_sample):
 
 def test_girsanov_zero_rate_isolates_w_channel():
     policy = FeedbackPolicy.constant(0.0, PARAMS)
-    wb = simulate.weighted_reference(PARAMS, policy, 20_000, 13)
+    wb = simulate.weighted_reference(PARAMS, policy, 13)
     mean, se = simulate._mean_se(wb.m)
     assert abs(mean - 1.0) <= 3 * se
     assert np.all(wb.int_pi_sq == 0.0)
@@ -277,12 +278,12 @@ def test_constraint_moments_martingale_rows(weighted_sample):
 
 def test_constraint_moments_flag_inadmissible_rate():
     params = ModelParams(sigma=2.0, epsilon=1.0, rate_lower=-0.5,
-                         rate_upper=0.5, n_steps=100)
+                         rate_upper=0.5, n_steps=100, n_paths=20_000)
     bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
                          (-2.0, 2.0))
     estimates, ses = simulate.constraint_moments(
-        simulate.weighted_reference(params, bad, 20_000, 17, moments=True))
+        simulate.weighted_reference(params, bad, 17, moments=True))
     # the constant functional on [T / 2, T]
     assert estimates[0, 4] > 3 * ses[0, 4]
 
@@ -341,17 +342,16 @@ def test_family_moments_match_per_step_reference():
     # T / 2 on some paths, inside [T / 2, T] on others and never on the
     # rest; each share is positive
     params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
-                         n_steps=100)
+                         n_steps=100, n_paths=4_000)
     spec = ConstraintSpec.from_params(params)
-    batch = simulate.simulate_reference(params, 4_000, 41)
+    batch = simulate.simulate_reference(params, params.n_paths, 41)
     stop = per_step_stopping_index(batch, 10.0)
     reached = np.max(np.abs([batch.p, batch.z, batch.w]), axis=(0, 2)) >= 10
     early = stop < 50
     late = reached & ~early
     assert np.mean(early) > 0 and np.mean(late) > 0 and np.mean(~reached) > 0
     sample = simulate.weighted_reference(
-        params, FeedbackPolicy.constant(0.8, params), 4_000, 41,
-        moments=True)
+        params, FeedbackPolicy.constant(0.8, params), 41, moments=True)
     estimates, ses = simulate.constraint_moments(sample)
     assert estimates.shape == (sample.moments.shape[0], 6)
     for e, eta in enumerate(reference_etas(batch)):
