@@ -94,6 +94,11 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                     name = key[len("run."):]
                     if name not in _RUN_KEYS:
                         raise ValueError(f"unknown run key: {name}")
+                    # the convergence report of a search needs two records
+                    if name == "budget" and not (value.isdecimal()
+                                                 and int(value) >= 2):
+                        raise ValueError(f"run.budget must be an integer of "
+                                         f"at least 2, got {value!r}")
                     run[name] = value
                 else:
                     raise ValueError(f"unknown config section for key: {key}")
@@ -165,8 +170,7 @@ def _mode_simulate(config, out_dir, lines):
             split_seed(params.seed, f"sim-{label}"))
         mean, se = simulate._mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
-        degenerate = (ess < simulate.DEGENERATE_ESS_FRACTION
-                      * params.n_paths)
+        degenerate = simulate.is_degenerate(weighted)
         report = simulate.entropy_report(weighted, params)
         rows.append([label, _fmt(rate), _fmt(mean), _fmt(se),
                      _fmt(report.lhs), _fmt(report.lhs_se),
@@ -306,8 +310,8 @@ def _verify_rate(params):
 def _mode_verify(config, out_dir, lines):
     """Invariant battery: density normalization, entropy identity,
     constraint moments, and the discrete oracle equalities. The three Monte
-    Carlo checks read ``degenerate``, not pass or FAIL, when the weights'
-    effective sample size is below DEGENERATE_ESS_FRACTION of the paths."""
+    Carlo checks read ``degenerate``, not pass or FAIL, when the weights
+    are (:func:`simulate.is_degenerate`)."""
     params = config.params
     checks = []
 
@@ -329,8 +333,7 @@ def _mode_verify(config, out_dir, lines):
     checks.append(("constraint_moments", worst <= 0.0,
                    f"max (estimate - 3se) = {worst:.2e}"))
     weighted = len(checks)
-    degenerate = (simulate.effective_sample_size(sample)
-                  < simulate.DEGENERATE_ESS_FRACTION * params.n_paths)
+    degenerate = simulate.is_degenerate(sample)
 
     tree = oracle.build_tree(2, 2, params)
     contract = _contract_from_config(config)

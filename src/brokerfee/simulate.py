@@ -1,33 +1,40 @@
 """Monte Carlo engine: path simulation, Girsanov weights, moment checks.
 
-Paths are simulated under the scaled reference measure (independent
-Brownian coordinates) or under a controlled measure induced by a feedback
-trading rate. Reweighting reference paths by the exponential density of
-a policy reproduces controlled expectations; the routines here estimate
-the normalization, the effective sample size of the weights, the entropy
-identity relating E[M log M] to half the expected squared drift, and the
-constraint moments that characterize admissibility.
+Paths are simulated under a controlled measure induced by a feedback
+trading rate, or under the scaled reference measure (independent
+Brownian coordinates) and reweighted by the exponential density of the
+policy, which reproduces controlled expectations. The client moves only
+the drift, so both are one Euler scheme on the same draws: the controlled
+sampler applies the drift to the path, the weighted sampler prices it
+into log M. The routines here estimate the normalization, the effective
+sample size of the weights, the entropy identity relating E[M log M] to
+half the expected squared drift, and the constraint moments that
+characterize admissibility.
 
 The constraint rows are linear in the state increments, so the stopped
-moments telescope: one batch needs one running integral of W, one
+moments telescope: one path needs one running integral of W, one
 stopping index and one window [T/2, T], and the seven built-in test
 functionals scale the same six row increments.
 
-Both measures are sampled one row chunk at a time, and only per-path
-results are kept. :func:`weighted_reference` keeps 46 floats per path
-with the constraint moments (4 without) and :func:`simulate_controlled`
-4 (the terminal P and Z and the integrals of Z W and pi^2), while a whole
-batch of 250 steps would hold about 1,750. Each chunk reads its rows'
-own draws and every result is computed along one path, so the chunk size
-changes no bit of any estimate. At 20,000 paths x 250 steps the verify
-mode took 0.83-1.15 s and peaked at 95 MB of process memory, against
-1.02-1.30 s and 347 MB as one batch (2 cores, numpy 2.4).
+Both measures are sampled one row chunk at a time, time-major: a chunk's
+draws are transposed once to (n_steps, 3, rows), and the state is a few
+row vectors updated in place, step by step. Only per-path results are
+kept: :func:`weighted_reference` keeps 46 floats per path with the
+constraint moments (4 without) and :func:`simulate_controlled` 4 (the
+terminal P and Z and the integrals of Z W and pi^2). A chunk in flight
+holds 3 floats per path and step, its scaled draws, where a whole batch
+of 250 steps would hold about 1,750 floats per path. Each chunk reads its
+rows' own draws and every result is computed along one path, so the
+chunk size changes no bit of any estimate. At 20,000 paths x 250 steps
+the verify mode took 0.93-1.37 s and peaked at 90 MB of process memory,
+against 1.12-1.56 s and 95 MB when a weighted chunk built whole
+(rows, n_steps + 1) paths (10 runs each, 2 cores, numpy 2.4).
 
 All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,60 +42,31 @@ from .model import ConstraintSpec, FeedbackPolicy, ModelParams
 from .rng import gaussians
 
 __all__ = [
-    "PathBatch", "ControlledSample", "WeightedSample",
-    "simulate_reference", "simulate_controlled",
-    "girsanov_weights", "weighted_reference",
-    "effective_sample_size", "DEGENERATE_ESS_FRACTION",
+    "ControlledSample", "WeightedSample",
+    "simulate_controlled", "weighted_reference",
+    "effective_sample_size", "DEGENERATE_ESS_FRACTION", "is_degenerate",
     "entropy_report",
     "constraint_moments",
 ]
 
 
-@dataclass(frozen=True)
-class PathBatch:
-    """A batch of reference-measure trajectories: ``p``, ``z`` and ``w``
-    have shape (count, n_steps + 1)."""
+def _scaled_steps(params: ModelParams, seed: int, first_row: int,
+                  rows: int) -> np.ndarray:
+    """The Brownian increments (sigma dB1, eps dB2, dB3) of ``rows`` paths,
+    the rows ``first_row``, ``first_row + 1``, ... of the seed's stream,
+    time-major: shape (n_steps, 3, rows).
 
-    times: np.ndarray
-    p: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.p.shape != self.z.shape or self.p.shape != self.w.shape:
-            raise ValueError("coordinate arrays must share a shape")
-
-    @property
-    def count(self) -> int:
-        return self.p.shape[0]
-
-
-def simulate_reference(params: ModelParams, count: int, seed: int,
-                       first_row: int = 0) -> PathBatch:
-    """Sample ``count`` paths of (P, Z, W) under the reference measure,
-    the rows ``first_row``, ``first_row + 1``, ... of the seed's stream.
-
-    Each coordinate is an independent scaled Brownian motion built from
-    Euler increments sqrt(dt) * standard normals; deterministic in seed.
     Row r reads the draws at stream positions 3 n_steps r on, so a
     ``first_row`` that is a multiple of 4 gives those rows of a larger
-    batch bit for bit.
+    batch bit for bit. The draws are transposed once and scaled in place.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
     n = params.n_steps
-    root_dt = np.sqrt(params.dt)
-    xi = gaussians(seed, (count, n, 3), offset=3 * n * first_row)
-    p = np.zeros((count, n + 1))
-    z = np.zeros((count, n + 1))
-    w = np.zeros((count, n + 1))
-    # the drivers are scaled in place, then summed into the paths
-    for k, (scale, path) in enumerate(((params.sigma * root_dt, p),
-                                       (params.epsilon * root_dt, z),
-                                       (root_dt, w))):
-        xi[:, :, k] *= scale
-        np.cumsum(xi[:, :, k], axis=1, out=path[:, 1:])
-    return PathBatch(params.times, p, z, w)
+    draws = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
+    steps = np.ascontiguousarray(draws.transpose(1, 2, 0))
+    del draws
+    steps *= (np.array([params.sigma, params.epsilon, 1.0])
+              * np.sqrt(params.dt))[:, None]
+    return steps
 
 
 @dataclass(frozen=True)
@@ -119,20 +97,15 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
 
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
     independent Brownian motions and pi read at the left point of each step.
-    A chunk runs time-major: its draws are transposed once to
-    (n_steps, 3, rows), and P, Z, W and the running sums of Z W and pi^2
-    are row vectors updated in place, step by step.
+    A chunk runs time-major on :func:`_scaled_steps`: P, Z, W and the
+    running sums of Z W and pi^2 are row vectors updated in place.
     """
     n = params.n_steps
-    dt, root_dt = params.dt, np.sqrt(params.dt)
-    scales = np.array([params.sigma, params.epsilon, 1.0]) * root_dt
+    dt = params.dt
     times = params.times
 
     def chunk(first_row, rows):
-        draws = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
-        steps = np.ascontiguousarray(draws.transpose(1, 2, 0))
-        del draws
-        steps *= scales[:, None]
+        steps = _scaled_steps(params, seed, first_row, rows)
         p, z, w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
         int_zw, int_pi_sq = np.zeros(rows), np.zeros(rows)
         term = np.empty(rows)
@@ -175,66 +148,14 @@ class WeightedSample:
     moments: np.ndarray
 
 
-def _log_density(batch: PathBatch, policy: FeedbackPolicy,
-                 params: ModelParams) -> tuple:
-    """(log M, int pi^2 dt, int W^2 dt) per path, left-point sums.
-
-    log M = sum_i [ -(1/2)((W_i/sigma)^2 + (pi_i/eps)^2) dt
-                    + (W_i/sigma^2) dP_i + (pi_i/eps^2) dZ_i ]
-    """
-    n = len(batch.times) - 1
-    dt = batch.times[1] - batch.times[0]
-    rates = np.empty((batch.count, n))
-    for i in range(n):
-        rates[:, i] = policy(batch.times[i], batch.w[:, i], batch.z[:, i])
-    w_left = batch.w[:, :-1]
-    s2, e2 = params.sigma**2, params.epsilon**2
-    # log M summed term by term into three (count, n_steps) buffers:
-    # -(1/2)(W^2/s2 + pi^2/e2) dt + (W/s2) dP + (pi/e2) dZ
-    log_m_terms = np.square(w_left)
-    int_w_sq = np.sum(log_m_terms, axis=1) * dt
-    log_m_terms /= s2
-    term = np.square(rates)
-    int_pi_sq = np.sum(term, axis=1) * dt
-    term /= e2
-    log_m_terms += term
-    log_m_terms *= -0.5
-    log_m_terms *= dt
-    increment = np.empty_like(term)
-    for left, scale, path in ((w_left, s2, batch.p), (rates, e2, batch.z)):
-        np.divide(left, scale, out=term)
-        np.subtract(path[:, 1:], path[:, :-1], out=increment)
-        term *= increment
-        log_m_terms += term
-    return np.sum(log_m_terms, axis=1), int_pi_sq, int_w_sq
-
-
-def girsanov_weights(batch: PathBatch, policy: FeedbackPolicy,
-                     params: ModelParams, moments: bool = False
-                     ) -> WeightedSample:
-    """The density dQ^pi / dW of every path of a reference batch, with the
-    integrals of the entropy identity and, if ``moments``, the
-    constraint-moment samples of the built-in test functionals: the
-    per-chunk step of :func:`weighted_reference`. W_i and pi_i are
-    evaluated at the left point of each step.
-    """
-    # the buffers of log M are freed before the moment samples are taken
-    log_m, int_pi_sq, int_w_sq = _log_density(batch, policy, params)
-    m = np.exp(log_m)
-    samples = (_moment_samples(batch, m, ConstraintSpec.from_params(params))
-               if moments else np.empty((0, 6, batch.count)))
-    return WeightedSample(m, log_m, int_pi_sq, int_w_sq, samples)
-
-
-# Draws per row chunk, 1,396 rows at 250 steps. A reference chunk in
-# flight holds about 7 floats per path and step (the paths, the rates and
-# three buffers of log M), about 20 MB at this size. The verify mode at
-# 20,000 x 250 peaked at 90, 95 and 103 MB of process memory with 1 << 19,
-# 1 << 20 and 1 << 21 draws per chunk, and ran 0.1 s slower at 1 << 18,
-# where the per-step lookups are short. A controlled chunk holds its draws
+# Draws per row chunk, 1,396 rows at 250 steps. A chunk holds its draws
 # twice for a moment, as drawn and transposed to time-major order, 6 floats
-# per path and step, and then only the transposed 3; its paths are 6 row
-# vectors.
+# per path and step (17 MB at this size), and then only the transposed 3;
+# its state is about 20 row vectors. The verify mode at 20,000 x 250
+# peaked at 89-90, 93, 90 and 93 MB of process memory with 1 << 18,
+# 1 << 19, 1 << 20 and 1 << 21 draws per chunk, and ran slowest at
+# 1 << 18 (1.30-1.42 s against 0.96-1.21 s at 1 << 20), where the per-step
+# lookups are short.
 _CHUNK_DRAWS = 1 << 20
 
 
@@ -253,22 +174,85 @@ def _in_row_chunks(count: int, n_steps: int, chunk) -> list:
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                        seed: int, moments: bool = False) -> WeightedSample:
     """Reweight the ``params.n_paths`` reference paths of ``seed`` by
-    ``policy``.
+    ``policy``: the density dQ^pi / dW of every path, the integrals of the
+    entropy identity and, if ``moments``, the constraint-moment samples of
+    the built-in test functionals.
 
-    The paths are simulated and weighted in row chunks
-    (:func:`_in_row_chunks`, :func:`girsanov_weights`), and only the
-    per-path results are kept, so memory grows by 46 floats per path with
-    ``moments`` and by 4 without. The sample equals that of the whole batch
-    taken as one chunk, bit for bit.
+    Under the reference measure dP = sigma dB1, dZ = eps dB2 and dW = dB3,
+    and with W_i and pi_i read at the left point of each step,
+
+        log M = sum_i [ (W_i / sigma^2) dP_i + (pi_i / eps^2) dZ_i
+                        - (1/2) ((W_i / sigma)^2 + (pi_i / eps)^2) dt ],
+
+    formed after the loop from the running sums of W dP, pi dZ, W^2 and
+    pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the draws
+    of :func:`simulate_controlled` (:func:`_scaled_steps`) and keeps only
+    the per-path results, so memory grows by 46 floats per path with
+    ``moments`` and by 4 without. The sample equals that of the whole
+    batch taken as one chunk, bit for bit.
+
+    With ``moments``, the state (P, Z, W, sum of W) is frozen at tau_N,
+    the first grid index where |P|, |Z| or |W| reaches the truncation
+    level (n_steps if none does; sub-grid crossings are not refined). The
+    window starts at min(n_steps // 2, tau_N), and W and Z at n_steps // 2
+    give the ramps of the test functionals (:func:`_window_moments`).
     """
-    def chunk(first_row, rows):
-        part = girsanov_weights(
-            simulate_reference(params, rows, seed, first_row),
-            policy, params, moments)
-        return [getattr(part, field.name) for field in fields(part)]
+    n = params.n_steps
+    dt, times = params.dt, params.times
+    s2, e2 = params.sigma**2, params.epsilon**2
+    spec = ConstraintSpec.from_params(params)
+    i_s = n // 2
 
-    return WeightedSample(*_in_row_chunks(params.n_paths, params.n_steps,
-                                          chunk))
+    def chunk(first_row, rows):
+        # the per-path results and the state are allocated before the
+        # draws, so that the heap can shrink once the draws are freed:
+        # allocated after them, the verify mode on perfbench's mc-verify
+        # config peaked at 97 MB of process memory, against 90 MB
+        samples = np.empty((1 + 2 * len(_THRESHOLDS) if moments else 0,
+                            6, rows))
+        state = np.zeros((4, rows))         # P, Z, W and sum_{k < i} W_k
+        _, z, w, sum_w = state
+        w_dp, pi_dz, w_sq, pi_sq = (np.zeros(rows) for _ in range(4))
+        term = np.empty(rows)
+        if moments:
+            stop = np.full(rows, n)         # tau_N
+            live = np.ones(rows, dtype=bool)
+            end = np.empty((4, rows))       # the state at tau_N
+            start = np.zeros((4, rows))     # the state at min(i_s, tau_N)
+            at_s = np.zeros((2, rows))      # W and Z at i_s
+        steps = _scaled_steps(params, seed, first_row, rows)
+        for i in range(n):
+            pi = policy(times[i], w, z)
+            np.multiply(w, steps[i, 0], out=term)
+            w_dp += term
+            np.multiply(pi, steps[i, 1], out=term)
+            pi_dz += term
+            np.multiply(w, w, out=term)
+            w_sq += term
+            np.multiply(pi, pi, out=term)
+            pi_sq += term
+            sum_w += w
+            state[:3] += steps[i]
+            if not moments:
+                continue
+            hit = np.any(np.abs(state[:3]) >= _TRUNCATION_LEVEL, axis=0)
+            hit &= live
+            if hit.any():
+                end[:, hit] = state[:, hit]
+                stop[hit] = i + 1
+                live &= ~hit
+            if i + 1 == i_s:
+                start = np.where(live, state, end)
+                at_s = state[[2, 1]]
+        log_m = w_dp / s2 + pi_dz / e2 - 0.5 * dt * (w_sq / s2 + pi_sq / e2)
+        m = np.exp(log_m)
+        if moments:
+            end[:, live] = state[:, live]
+            _window_moments(m, start, end, (stop - np.minimum(i_s, stop)) * dt,
+                            at_s, spec, dt, samples)
+        return m, log_m, pi_sq * dt, w_sq * dt, samples
+
+    return WeightedSample(*_in_row_chunks(params.n_paths, n, chunk))
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is
@@ -285,6 +269,13 @@ def effective_sample_size(sample: WeightedSample) -> float:
     """
     ratio = np.exp(sample.log_m - np.max(sample.log_m))
     return float(np.sum(ratio)**2 / np.sum(ratio**2))
+
+
+def is_degenerate(sample: WeightedSample) -> bool:
+    """Whether the weights are degenerate: an effective sample size below
+    ``DEGENERATE_ESS_FRACTION`` of the paths."""
+    return (effective_sample_size(sample)
+            < DEGENERATE_ESS_FRACTION * len(sample.m))
 
 
 @dataclass(frozen=True)
@@ -334,53 +325,29 @@ _RAMP_WIDTH = 0.01
 _TRUNCATION_LEVEL = 10.0
 
 
-def _moment_samples(batch: PathBatch, m: np.ndarray,
-                    spec: ConstraintSpec) -> np.ndarray:
-    """M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows and each
-    built-in test functional, shape (7, 6, count).
+def _window_moments(m: np.ndarray, start: np.ndarray, end: np.ndarray,
+                    span: np.ndarray, at_s: np.ndarray, spec: ConstraintSpec,
+                    dt: float, out: np.ndarray) -> None:
+    """Write M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows
+    and each built-in test functional into ``out``, shape (7, 6, count).
 
     Y accumulates b dt + A dX (:meth:`ConstraintSpec.rows`) along the path.
     The rows are linear in the increments, so Y_{t ^ tau} - Y_{s ^ tau} is
-    the rows of the endpoint differences of P, Z, W and of the left-point
-    running integral of W, over a window of (hi - lo) steps. The six row
+    the rows of the differences of P, Z, W and of the left-point running
+    integral of W (the state ``start`` and ``end`` at the window ends, with
+    the sum of W times ``dt``), over the stopped window's length ``span``.
+    ``at_s`` holds W_s and Z_s, which the indicators read. The six row
     increments are taken once; each functional then scales them by M eta.
     """
-    # allocated before the temporaries, so that the heap can shrink once
-    # they are freed: allocated after them, it raised the verify mode's
-    # peak memory on perfbench's mc-verify config from 95 to 100 MB
-    out = np.empty((1 + 2 * len(_THRESHOLDS), 6, batch.count))
-    horizon = batch.times[-1]
-    n = len(batch.times) - 1
-    dt = batch.times[1] - batch.times[0]
-    paths = np.arange(batch.count)
-    int_w = np.zeros_like(batch.w)          # sum_{k < i} W_k dt at index i
-    np.cumsum(batch.w[:, :-1], axis=1, out=int_w[:, 1:])
-    int_w *= dt
-    # tau_N: the first grid index where a coordinate's magnitude reaches
-    # the level, n if none does; sub-grid crossings are not refined
-    big = np.abs(batch.p) >= _TRUNCATION_LEVEL
-    big |= np.abs(batch.z) >= _TRUNCATION_LEVEL
-    big |= np.abs(batch.w) >= _TRUNCATION_LEVEL
-    stop = np.argmax(big, axis=1)
-    stop[~big[paths, stop]] = n
-    # the window ends s = T / 2 and t = T as grid indices floor(s n / T)
-    i_s = int(np.floor(0.5 * horizon * n / horizon))
-    lo = np.minimum(i_s, stop)
-    hi = np.minimum(int(np.floor(horizon * n / horizon)), stop)
-
-    def delta(x):
-        return x[paths, hi] - x[paths, lo]
-
-    increments = spec.rows(delta(batch.p), delta(batch.z), delta(batch.w),
-                           delta(int_w), (hi - lo) * dt)
-    etas = [np.ones(batch.count)] + [
-        np.clip((coord[:, i_s] - threshold) / _RAMP_WIDTH + 0.5, 0.0, 1.0)
-        for coord in (batch.w, batch.z) for threshold in _THRESHOLDS]
+    dp, dz, dw = end[:3] - start[:3]
+    increments = spec.rows(dp, dz, dw, end[3] * dt - start[3] * dt, span)
+    etas = [np.ones(len(m))] + [
+        np.clip((coord - threshold) / _RAMP_WIDTH + 0.5, 0.0, 1.0)
+        for coord in at_s for threshold in _THRESHOLDS]
     for e, eta in enumerate(etas):
         weights = m * eta
         for r, inc in enumerate(increments):
             np.multiply(weights, inc, out=out[e, r])
-    return out
 
 
 def constraint_moments(sample: WeightedSample) -> tuple:

@@ -11,6 +11,7 @@ from brokerfee.agent import best_response, estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
 
+import path_reference
 from solver_constants import hjb_grid
 
 WIDE = ModelParams(rate_lower=-100.0, rate_upper=100.0)
@@ -138,9 +139,10 @@ def test_objective_forms_agree():
 
     v_q, se_q = estimate_agent_value(contract, policy, params, 11)
 
-    # the objective reads the paths, so the batch is weighted as one chunk
-    reference = simulate.simulate_reference(params, 40_000, 12)
-    weights = simulate.girsanov_weights(reference, policy, params)
+    # the objective reads the paths: they are built whole from the draws
+    # that the library weights, row for row
+    reference = path_reference.reference_paths(params, 40_000, 12)
+    weights = simulate.weighted_reference(params, policy, 12)
     xi = contract.terminal_payoff(reference.p[:, -1], reference.z[:, -1])
     zeta = zeta_integral(reference.z, reference.w, params.dt, params)
     v_w, se_w = simulate._mean_se(

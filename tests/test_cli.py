@@ -105,6 +105,20 @@ def test_key_given_twice_is_exit_2(tmp_path, capsys):
     assert "model.sigma is given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["1", "0", "2.5", "two"])
+def test_budget_below_two_is_exit_2(tmp_path, capsys, budget):
+    # the convergence report needs two records: a budget of 1 used to run
+    # the whole search and then fail with a traceback
+    cfg, out = write_config(tmp_path, "optimize")
+    cfg.write_text(cfg.read_text().replace("run.budget = 6",
+                                           f"run.budget = {budget}"))
+    message = (f"run.cfg:11: run.budget must be an integer of at least 2, "
+               f"got '{budget}'")
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("constant", "degree", "4"),
     ("lipschitz_table", "degree", "2"),
@@ -303,18 +317,17 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
     rates = []
 
-    def recording(batch, policy, params, moments=False):
+    def recording(params, policy, seed, moments=False):
         rates.append(float(policy(0.0, 0.0, 0.0)))
-        return weights(batch, policy, params, moments)
+        return weighted(params, policy, seed, moments)
 
-    weights = cli.simulate.girsanov_weights
-    monkeypatch.setattr(cli.simulate, "girsanov_weights", recording)
+    weighted = cli.simulate.weighted_reference
+    monkeypatch.setattr(cli.simulate, "weighted_reference", recording)
     cfg, out = write_config(tmp_path, "verify")
     cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
                              if not line.startswith("model.rate_")))
     assert cli.run(cfg) == 0
-    # one call per row chunk of the reference paths
-    assert set(rates) == {0.5}
+    assert rates == [0.5]
     assert "FAIL" not in (out / "verify.csv").read_text()
     # asymmetric bounds keep their nonzero midpoint
     assert cli._verify_rate(cli.ModelParams(rate_lower=-1.0,

@@ -1,6 +1,6 @@
 """Package hygiene: every exported name exists and is used outside the
-tests, every public method is read by the library, every defaulted
-parameter of a public function is passed by the library or the
+tests, every public method is read by the library or the benchmark, every
+defaulted parameter of a public function is passed by the library or the
 benchmark, no import is unused, only the CLI writes files, every config
 key the CLI accepts is read, every thread pool is closed by a with
 statement, and importing the CLI loads no scipy."""
@@ -52,10 +52,14 @@ def test_every_exported_name_is_used():
 
 
 def test_every_public_method_is_read():
-    # a public method or property of a library class that no library
-    # module reads as an attribute is API that only the tests call
+    # a public method or property of a library class that neither a library
+    # module nor the benchmark reads as an attribute is API that only the
+    # tests call
     trees = {path: ast.parse(path.read_text()) for path in MODULES}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+    readers = list(trees.values()) + [
+        ast.parse(path.read_text())
+        for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    read = {node.attr for tree in readers for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     unread = [f"{path.stem}.{cls.name}.{item.name}"

@@ -7,6 +7,7 @@ import pytest
 from brokerfee import simulate
 from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
 
+import path_reference
 import reduced_mode
 
 # modest rate bounds keep the importance weights light-tailed enough for
@@ -22,7 +23,10 @@ def weighted_sample():
 
 
 def test_reference_batch_statistics():
-    batch = simulate.simulate_reference(PARAMS, 50_000, 5)
+    # the test-side reference paths are scaled Brownian motions, and the
+    # library's left-point integral of W^2 over them has its mean
+    # dt^2 n (n - 1) / 2
+    batch = path_reference.reference_paths(PARAMS, 50_000, 5)
     assert batch.p.shape == (50_000, PARAMS.n_steps + 1)
     assert np.all(batch.p[:, 0] == 0.0)
     T = PARAMS.horizon
@@ -31,14 +35,27 @@ def test_reference_batch_statistics():
     assert np.std(batch.z[:, -1]) == pytest.approx(PARAMS.epsilon * np.sqrt(T),
                                                    rel=0.02)
     assert np.std(batch.w[:, -1]) == pytest.approx(np.sqrt(T), rel=0.02)
+    sample = simulate.weighted_reference(
+        replace(PARAMS, n_paths=50_000), FeedbackPolicy.constant(0.0, PARAMS),
+        5)
+    n = PARAMS.n_steps
+    assert np.mean(sample.int_w_sq) == pytest.approx(
+        PARAMS.dt**2 * n * (n - 1) / 2, rel=0.02)
 
 
 def test_reference_determinism():
-    a = simulate.simulate_reference(PARAMS, 100, 9)
-    b = simulate.simulate_reference(PARAMS, 100, 9)
-    assert np.array_equal(a.p, b.p)
-    assert np.array_equal(a.z, b.z)
-    assert np.array_equal(a.w, b.w)
+    params = replace(PARAMS, n_paths=100)
+    policy = FeedbackPolicy.constant(0.8, params)
+    a = simulate.weighted_reference(params, policy, 9, moments=True)
+    b = simulate.weighted_reference(params, policy, 9, moments=True)
+    for field in fields(simulate.WeightedSample):
+        assert np.array_equal(getattr(a, field.name),
+                              getattr(b, field.name)), field.name
+    first = path_reference.reference_paths(params, 100, 9)
+    second = path_reference.reference_paths(params, 100, 9)
+    assert np.array_equal(first.p, second.p)
+    assert np.array_equal(first.z, second.z)
+    assert np.array_equal(first.w, second.w)
 
 
 def test_controlled_simulation_drift():
@@ -64,10 +81,9 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
     policy = FeedbackPolicy(np.array([0.0, 1.0]), nodes, nodes,
                             np.clip(ww - 0.5 * zz + tt, -1.0, 1.0),
                             (-1.0, 1.0))
-    whole = simulate.girsanov_weights(
-        simulate.simulate_reference(params, 49, 23), policy, params,
-        moments=True)
     # at the default chunk size all 49 rows are one chunk
+    whole = simulate.weighted_reference(params, policy, 23, moments=True)
+    assert_matches_path_reference(whole, params, policy, 23)
     whole_controlled = simulate.simulate_controlled(params, policy, 23)
 
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", rows * 3 * params.n_steps)
@@ -205,26 +221,31 @@ def test_reduced_weights_normalize():
     assert abs(mean - 1.0) <= 3 * se
 
 
-def test_eta_family_composition():
+def test_eta_family_composition(monkeypatch):
     # the seven built-in functionals are the constant, three functionals
     # of W_{T/2} alone and three of Z_{T/2} alone: moving one coordinate
-    # at s = T / 2 moves only its three indicators, and upwards
-    batch = simulate.simulate_reference(PARAMS, 2_000, 31)
-    policy = FeedbackPolicy.constant(0.8, PARAMS)
-    half = PARAMS.n_steps // 2
+    # from s = T / 2 on moves only its three indicators, and upwards
+    params = replace(PARAMS, n_paths=2_000)
+    policy = FeedbackPolicy.constant(0.8, params)
+    half = params.n_steps // 2
+    draw = simulate.gaussians
 
-    def etas(paths):
-        sample = simulate.girsanov_weights(paths, policy, PARAMS,
-                                           moments=True)
-        assert sample.moments.shape == (7, 6, paths.count)
+    def etas(coord=None, scale=None):
+        # the draw of the step into s raises the coordinate by 1 from s on
+        def moving(seed, shape, offset=0):
+            xi = draw(seed, shape, offset)
+            if coord is not None:
+                xi[:, half - 1, coord] += 1.0 / (scale * np.sqrt(params.dt))
+            return xi
+
+        monkeypatch.setattr(simulate, "gaussians", moving)
+        sample = simulate.weighted_reference(params, policy, 31, moments=True)
+        assert sample.moments.shape == (7, 6, params.n_paths)
         return sample.moments[:, 4] / sample.moments[0, 4]
 
-    w, z = batch.w.copy(), batch.z.copy()
-    w[:, half] += 1.0
-    z[:, half] += 1.0
-    base = etas(batch)
-    for moved, own in ((etas(replace(batch, w=w)), slice(1, 4)),
-                       (etas(replace(batch, z=z)), slice(4, 7))):
+    base = etas()
+    for moved, own in ((etas(2, 1.0), slice(1, 4)),
+                       (etas(1, params.epsilon), slice(4, 7))):
         np.testing.assert_array_equal(moved[0], 1.0)
         other = np.ones(7, dtype=bool)
         other[own] = False
@@ -240,9 +261,10 @@ def test_eta_values_bounded():
     # path): the constant 1, then smoothed indicators of W_s and of Z_s
     # at s = T / 2 over the thresholds -1, 0 and 1, each in [0, 1], 0 below
     # its ramp and 1 above it
-    batch = simulate.simulate_reference(PARAMS, 4_000, 31)
-    sample = simulate.girsanov_weights(
-        batch, FeedbackPolicy.constant(0.8, PARAMS), PARAMS, moments=True)
+    batch = path_reference.reference_paths(PARAMS, 4_000, 31)
+    sample = simulate.weighted_reference(
+        replace(PARAMS, n_paths=4_000), FeedbackPolicy.constant(0.8, PARAMS),
+        31, moments=True)
     assert sample.moments.shape == (7, 6, 4_000)
     base = sample.moments[0, 4]
     assert np.all(base != 0.0)
@@ -297,9 +319,9 @@ def reference_etas(batch):
         for coord in (batch.w, batch.z) for threshold in (-1.0, 0.0, 1.0)]
 
 
-def per_step_moments(batch, m, eta, spec, stop):
-    """Reference estimator: cumulative sums of the rows of every step,
-    read at the stopped window ends (T / 2 ^ tau, T ^ tau)."""
+def per_step_samples(batch, m, eta, spec, stop):
+    """Reference samples, shape (6, count): cumulative sums of the rows of
+    every step, read at the stopped window ends (T / 2 ^ tau, T ^ tau)."""
     n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
     lo = np.minimum(n // 2, stop)
@@ -308,14 +330,20 @@ def per_step_moments(batch, m, eta, spec, stop):
                            np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt)
     weights = m * eta
     paths = np.arange(batch.count)
-    estimates, ses = [], []
+    samples = []
     for inc in increments:
         y = np.concatenate([np.zeros((batch.count, 1)),
                             np.cumsum(inc, axis=1)], axis=1)
-        samples = weights * (y[paths, hi] - y[paths, lo])
-        estimates.append(np.mean(samples))
-        ses.append(np.std(samples, ddof=1) / np.sqrt(batch.count))
-    return np.array(estimates), np.array(ses)
+        samples.append(weights * (y[paths, hi] - y[paths, lo]))
+    return np.array(samples)
+
+
+def per_step_moments(batch, m, eta, spec, stop):
+    """Reference estimator: the mean and standard error of each row's
+    per-step samples."""
+    samples = per_step_samples(batch, m, eta, spec, stop)
+    return (np.mean(samples, axis=1),
+            np.std(samples, axis=1, ddof=1) / np.sqrt(batch.count))
 
 
 def per_step_stopping_index(batch, level):
@@ -324,6 +352,45 @@ def per_step_stopping_index(batch, level):
     hit = np.argmax(big, axis=1)
     hit[~big[np.arange(batch.count), hit]] = len(batch.times) - 1
     return hit
+
+
+def assert_matches_path_reference(sample, params, policy, seed):
+    """Every per-path result of ``sample`` agrees with the whole-path
+    reference to rounding: the library sums log M, the integrals and the
+    telescoped moments in another order."""
+    batch = path_reference.reference_paths(params, params.n_paths, seed)
+    log_m, int_pi_sq, int_w_sq = path_reference.reference_log_density(
+        batch, policy, params)
+    m = np.exp(log_m)
+    for name, expected in (("m", m), ("log_m", log_m),
+                           ("int_pi_sq", int_pi_sq), ("int_w_sq", int_w_sq)):
+        np.testing.assert_allclose(getattr(sample, name), expected,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+    spec = ConstraintSpec.from_params(params)
+    stop = per_step_stopping_index(batch, 10.0)
+    for e, eta in enumerate(reference_etas(batch)):
+        np.testing.assert_allclose(
+            sample.moments[e], per_step_samples(batch, m, eta, spec, stop),
+            rtol=1e-12, atol=1e-12, err_msg=f"functional {e}")
+
+
+def test_weighted_sample_matches_path_reference():
+    # a grid policy at sigma = 10: the price reaches the truncation level
+    # 10 before T / 2 on some paths, inside [T / 2, T] on others and never
+    # on the rest
+    params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
+                         n_steps=60, n_paths=1_000)
+    nodes = np.linspace(-2.0, 2.0, 9)
+    tt, ww, zz = np.meshgrid([0.0, 0.5, 1.0], nodes, nodes, indexing="ij")
+    policy = FeedbackPolicy(np.array([0.0, 0.5, 1.0]), nodes, nodes,
+                            np.clip(2 * ww - zz + tt, -1.0, 1.0),
+                            (-1.0, 1.0))
+    stop = per_step_stopping_index(
+        path_reference.reference_paths(params, params.n_paths, 43), 10.0)
+    early, full = stop < 30, stop == 60
+    assert np.any(early) and np.any(~early & ~full) and np.any(full)
+    sample = simulate.weighted_reference(params, policy, 43, moments=True)
+    assert_matches_path_reference(sample, params, policy, 43)
 
 
 def test_rows_of_summed_increments_are_summed_rows():
@@ -344,7 +411,7 @@ def test_family_moments_match_per_step_reference():
     params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
                          n_steps=100, n_paths=4_000)
     spec = ConstraintSpec.from_params(params)
-    batch = simulate.simulate_reference(params, params.n_paths, 41)
+    batch = path_reference.reference_paths(params, params.n_paths, 41)
     stop = per_step_stopping_index(batch, 10.0)
     reached = np.max(np.abs([batch.p, batch.z, batch.w]), axis=(0, 2)) >= 10
     early = stop < 50
