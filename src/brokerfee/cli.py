@@ -37,6 +37,9 @@ _FAMILY_KEYS = ("class", "cap", "degree", "p_nodes", "z_nodes",
 _CLASS_KEYS = {"degree": "linear_polynomial", "p_nodes": "lipschitz_table",
                "z_nodes": "lipschitz_table"}
 _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
+# the smallest value of each integer run key; the convergence report of a
+# search needs two records
+_RUN_MINIMUM = {"budget": 2, "trials": 1, "depth": 1, "branching": 1}
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,11 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                     name = key[len("run."):]
                     if name not in _RUN_KEYS:
                         raise ValueError(f"unknown run key: {name}")
-                    # the convergence report of a search needs two records
-                    if name == "budget" and not (value.isdecimal()
-                                                 and int(value) >= 2):
-                        raise ValueError(f"run.budget must be an integer of "
-                                         f"at least 2, got {value!r}")
+                    least = _RUN_MINIMUM.get(name)
+                    if least is not None and not (value.isdecimal()
+                                                  and int(value) >= least):
+                        raise ValueError(f"run.{name} must be an integer of "
+                                         f"at least {least}, got {value!r}")
                     run[name] = value
                 else:
                     raise ValueError(f"unknown config section for key: {key}")

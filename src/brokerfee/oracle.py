@@ -11,9 +11,9 @@ finished by projected Newton steps to a KKT residual at float64
 resolution, and the dual value at the multipliers found is a closed-form
 bound on the relaxed value over every randomized control (the duality
 gap). The relaxed program is one sparse linear program on a density grid
-shared by all path-atoms. This module is the verification half of the
-package: it never trusts the continuous solvers, only convex duality on
-the tree.
+of its own for each path-atom, so its columns grow linearly in the atoms.
+This module is the verification half of the package: it never trusts the
+continuous solvers, only convex duality on the tree.
 
 The atoms of every tree node form one contiguous block (see
 :class:`ScenarioTree`), so at depth d a per-atom array reshaped to
@@ -292,11 +292,16 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           residual <= _TOL, dual_value - value)
 
 
-def default_density_grid(extra_values) -> np.ndarray:
-    """21 log-spaced density atoms spanning [1e-3, 1e3], extended by exact
-    values (e.g. a Gibbs solution) so the Dirac optimum is on-grid."""
-    return np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 21),
-                                     np.atleast_1d(extra_values)]))
+def default_density_grid(density) -> np.ndarray:
+    """Per-atom density grid, (n_atoms, 24): row x holds 21 log-spaced
+    atoms spanning [1e-3, 1e3], then 0.8, 1 and 1.25 times density[x].
+
+    With the strong optimum as ``density`` the Dirac optimum is on-grid,
+    and the two neighbours give the LP room to out-score a density that
+    is not optimal."""
+    density = np.asarray(density, dtype=float)[:, None]
+    base = np.broadcast_to(np.geomspace(1e-3, 1e3, 21), (len(density), 21))
+    return np.hstack([base, 0.8 * density, density, 1.25 * density])
 
 
 @dataclass(frozen=True)
@@ -337,40 +342,51 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                            constraints: Optional[np.ndarray] = None,
                            ) -> tuple:
     """Optimize over randomized-mode relaxed controls on a finite density
-    grid shared by all path-atoms; returns (value, RelaxedControlDiscrete).
+    grid per path-atom; returns (value, RelaxedControlDiscrete).
 
-    With the density values fixed to grid atoms the program is linear in
-    the conditional weights q(x, j), stored atom-major at x * n_grid + j,
-    and in one conditional mean mbar(x) = sum_j g_j q(x, j) per atom,
-    stored after them: maximize sum_x p(x) sum_j q(x,j) [g_j u(x) -
-    lam g_j log g_j] subject to the per-atom marginals, the definition of
-    mbar, the normalization sum_x p(x) mbar(x) = 1 and the constraint
-    moments sum_x p(x) c_r(x) mbar(x) <= 0. Reading the last two off mbar
-    keeps each constraint row one entry per atom instead of one per
-    (atom, grid point).
+    ``density_grid`` is (n_atoms, k), row x the density values offered to
+    path-atom x (as from :func:`default_density_grid`); a 1-D grid of k
+    values is offered to every atom. With the density values fixed the
+    program is linear in the conditional weights q(x, j), stored
+    atom-major at x * k + j, and in one conditional mean
+    mbar(x) = sum_j g(x, j) q(x, j) per atom, stored after them: maximize
+    sum_x p(x) sum_j q(x,j) [g(x,j) u(x) - lam g(x,j) log g(x,j)] subject
+    to the per-atom marginals, the definition of mbar, the normalization
+    sum_x p(x) mbar(x) = 1 and the constraint moments
+    sum_x p(x) c_r(x) mbar(x) <= 0. Reading the last two off mbar keeps
+    each constraint row one entry per atom instead of one per (atom, grid
+    point). Per atom the LP sees the chordal interpolation of the concave
+    objective through its grid values, so any grid that holds each atom's
+    strong optimum has the strong optimal value.
     """
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix, hstack, identity, kron, vstack
+    from scipy.sparse import csr_matrix, hstack, identity, vstack
 
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = np.asarray(tree.probs, dtype=float)
     u = np.asarray(u, dtype=float)
+    n_atoms = tree.n_atoms
     g = np.asarray(density_grid, dtype=float)
-    if g.ndim != 1 or np.any(g <= 0):
-        raise ValueError("density grid must be one 1-D array of strictly "
-                         "positive atoms")
-    n_atoms, n_grid = tree.n_atoms, len(g)
+    if g.ndim not in (1, 2) or np.any(g <= 0):
+        raise ValueError("density grid must be a 1-D or (n_atoms, k) array "
+                         "of strictly positive atoms")
+    g = np.broadcast_to(g, (n_atoms, g.shape[-1]))
+    n_grid = g.shape[1]
     n_weights = n_atoms * n_grid
 
     cost = np.concatenate([
         (-probs[:, None] * (g * u[:, None] - lam * g * np.log(g))).ravel(),
         np.zeros(n_atoms)])
+    # atom x owns the weight columns x * n_grid .. (x + 1) * n_grid - 1
+    block = (np.arange(n_weights), np.arange(0, n_weights + 1, n_grid))
     eye = identity(n_atoms, format="csr")
     a_eq = vstack([
-        hstack([kron(eye, np.ones((1, n_grid))),
+        hstack([csr_matrix((np.ones(n_weights), *block),
+                           shape=(n_atoms, n_weights)),
                 csr_matrix((n_atoms, n_atoms))]),
-        hstack([kron(eye, g[None, :]), -eye]),
+        hstack([csr_matrix((g.ravel(), *block), shape=(n_atoms, n_weights)),
+                -eye]),
         hstack([csr_matrix((1, n_weights)), csr_matrix(probs[None, :])]),
     ], format="csr")
     b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
@@ -387,8 +403,7 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise RuntimeError(f"relaxed program failed: {result.message}")
     q = result.x[:n_weights].reshape(n_atoms, n_grid)
     weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
-    control = RelaxedControlDiscrete(
-        probs, np.broadcast_to(g, (n_atoms, n_grid)), weights)
+    control = RelaxedControlDiscrete(probs, g, weights)
     return float(-result.fun), control
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,22 @@ def test_budget_below_two_is_exit_2(tmp_path, capsys, budget):
                                            f"run.budget = {budget}"))
     message = (f"run.cfg:11: run.budget must be an integer of at least 2, "
                f"got '{budget}'")
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+@pytest.mark.parametrize("line, key", [(12, "depth"), (13, "branching"),
+                                       (14, "trials")])
+def test_tree_key_below_one_is_exit_2(tmp_path, capsys, line, key, value):
+    # trials 0 used to run both solves and then fail in verify_collapse,
+    # and trials -3 or depth 1.5 failed with a traceback
+    cfg, out = write_config(tmp_path, "oracle")
+    cfg.write_text(re.sub(rf"run\.{key} = \d+", f"run.{key} = {value}",
+                          cfg.read_text()))
+    message = (f"run.cfg:{line}: run.{key} must be an integer of at least "
+               f"1, got '{value}'")
     assert cli.run(cfg) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

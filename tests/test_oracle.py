@@ -176,6 +176,66 @@ def test_relaxed_constrained_matches_dual():
                                              tol=1e-8)["feasible"]
 
 
+def shared_density_grid(density):
+    """The grid every atom shared before grids were per atom: 21
+    log-spaced atoms and every distinct strong density of the tree."""
+    return np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 21), density]))
+
+
+def relaxed_instance(name):
+    """(tree, u, lam, constraints) of a relaxed-LP test instance."""
+    if name == "constrained-2":
+        tree = oracle.build_tree(2, 2, PARAMS)
+        u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
+        return tree, u, 0.25, oracle.node_constraint_set(tree, -1.0, 1.0)
+    if name == "unconstrained-2":
+        tree = oracle.build_tree(2, 2, PARAMS)
+        u = np.tanh(tree.paths[:, -1, 0] + tree.paths[:, -1, 2])
+        return tree, u, 0.5, None
+    # the oracle-tree benchmark instance at depth 1 and 3: zero fee,
+    # default parameters
+    params = ModelParams()
+    tree = oracle.build_tree(int(name[-1]), 2, params)
+    u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+    cons = oracle.node_constraint_set(tree, params.rate_lower,
+                                      params.rate_upper)
+    return tree, u, params.entropy_weight, cons
+
+
+@pytest.mark.parametrize("name", ["constrained-2", "unconstrained-2",
+                                  "oracle-tree-1", "oracle-tree-3"])
+def test_per_atom_grid_matches_shared_grid(name):
+    # a grid holding each atom's strong density leaves the LP value as it
+    # was on the grid shared by all atoms, with 24 columns per atom
+    tree, u, lam, cons = relaxed_instance(name)
+    sol = oracle.solve_strong_discrete(tree, u, lam, cons)
+    grid = oracle.default_density_grid(sol.density)
+    value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
+    shared, _ = oracle.solve_relaxed_discrete(
+        tree, u, lam, shared_density_grid(sol.density), cons)
+    assert abs(value - shared) <= 1e-12
+    assert control.atoms.shape == (tree.n_atoms, 24)
+    assert control.is_dirac()
+    assert np.allclose(control.conditional_mean(), sol.density, rtol=0,
+                       atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5])
+def test_per_atom_grid_outscores_a_wrong_density(lam):
+    # a grid built around the strong density at another entropy weight
+    # must let the LP beat that density at weight 0.25: the 0.8 and 1.25
+    # neighbours carry the 0.3 case (without them the margin is 8e-17)
+    tree = oracle.build_tree(3, 2, PARAMS)
+    u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
+    cons = oracle.node_constraint_set(tree, -1.0, 1.0)
+    wrong = oracle.solve_strong_discrete(tree, u, lam, cons).density
+    value, _ = oracle.solve_relaxed_discrete(
+        tree, u, 0.25, oracle.default_density_grid(wrong), cons)
+    primal = relaxed_control.objective(relaxed_control.dirac(tree, wrong),
+                                       u, 0.25)
+    assert value - primal > 1e-8
+
+
 def test_dirac_embedding_objective_identity():
     # a strong control embedded as a Dirac relaxed control scores the same
     tree = oracle.build_tree(2, 2, PARAMS)
@@ -281,9 +341,12 @@ def test_atom_utility_from_contract_shape():
 
 
 def test_density_grid_contains_extras():
-    grid = oracle.default_density_grid(np.array([0.123, 4.56]))
-    assert 0.123 in grid and 4.56 in grid
-    assert np.all(np.diff(grid) > 0)
+    density = np.array([0.123, 4.56])
+    grid = oracle.default_density_grid(density)
+    assert grid.shape == (2, 24)
+    for row, m in zip(grid, density):
+        assert np.array_equal(row, np.concatenate([
+            np.geomspace(1e-3, 1e3, 21), [0.8 * m, m, 1.25 * m]]))
 
 
 def test_lam_must_be_positive():
@@ -322,10 +385,10 @@ def test_verify_collapse_reads_given_control():
 
 def reference_lp(tree, u, lam, grid, constraints):
     probs = tree.probs
-    n_atoms, n_grid = tree.n_atoms, len(grid)
+    n_atoms, n_grid = grid.shape
     n_var = n_atoms * n_grid
-    cost = np.concatenate([-probs[x] * (grid * u[x] - lam * grid
-                                        * np.log(grid))
+    cost = np.concatenate([-probs[x] * (grid[x] * u[x] - lam * grid[x]
+                                        * np.log(grid[x]))
                            for x in range(n_atoms)])
     rows, cols, vals = [], [], []
     for x in range(n_atoms):
@@ -334,7 +397,7 @@ def reference_lp(tree, u, lam, grid, constraints):
         vals.extend([1.0] * n_grid)
     rows.extend([n_atoms] * n_var)
     cols.extend(range(n_var))
-    vals.extend(np.concatenate([probs[x] * grid for x in range(n_atoms)]))
+    vals.extend(np.concatenate([probs[x] * grid[x] for x in range(n_atoms)]))
     a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
     a_ub = None
     if constraints is not None:
@@ -346,7 +409,7 @@ def reference_lp(tree, u, lam, grid, constraints):
                     continue
                 rows.extend([r] * n_grid)
                 cols.extend(range(x * n_grid, (x + 1) * n_grid))
-                vals.extend(probs[x] * coeff[x] * grid)
+                vals.extend(probs[x] * coeff[x] * grid[x])
         a_ub = csr_matrix((vals, (rows, cols)),
                           shape=(len(constraints), n_var))
     return cost, a_eq, a_ub
@@ -408,12 +471,12 @@ def test_lp_assembly_matches_loop_reference(constrained):
         method="highs")
     assert reference.success
     assert abs(value - -reference.fun) <= 1e-12
-    q = reference.x.reshape(tree.n_atoms, len(grid))
-    assert np.allclose(control.conditional_mean(), q @ grid, rtol=0,
-                       atol=1e-9)
+    q = reference.x.reshape(grid.shape)
+    assert np.allclose(control.conditional_mean(), np.sum(q * grid, axis=1),
+                       rtol=0, atol=1e-9)
     reference_secondary = max(float(np.sort(w)[-2]) for w in q)
     assert control.is_dirac() == (reference_secondary <= 1e-6)
-    assert all(np.array_equal(a, grid) for a in control.atoms)
+    assert np.array_equal(control.atoms, grid)
     assert np.allclose([np.sum(w) for w in control.weights], 1.0,
                        atol=1e-12)
 
