@@ -22,12 +22,18 @@ so the step stays monotone there (its SSP coefficient is 6); the time
 step is the longest that divides T within 6 times the Euler bound. Per
 Euler-bound step the scheme costs 1.5 stages, and its time error is
 third order.
-The value is held on (p, w, z), with a single p plane when the fee does
-not read the price, and one step kernel serves both cases: it walks the
-p axis in slabs of planes, copies each slab into a contiguous buffer,
-writes every intermediate into preallocated buffers, and derives V_z,
-the rate, both upwind differences and V_zz from one difference along z
-per slab. The slabs are split into at most one contiguous group per
+The grid follows the contract family and the marched planes follow the
+payoff. A polynomial, or any fee that varies in p, is held on the 3-D
+(p, w, z) grid, so that a polynomial family shares one discretization;
+any other fee is held on a finer 2-D (w, z) grid. The sweep marches a
+single p plane on the 2-D grid, and on the 3-D grid when the fee is
+exactly equal on every p plane, as the zero polynomial is: the p
+differences of identical planes are exactly zero, so the one plane
+stands for all of them bit for bit. One step kernel serves every case:
+it walks the marched p planes in slabs, copies each slab into a
+contiguous buffer, writes every intermediate into preallocated buffers,
+and derives V_z, the rate, both upwind differences and V_zz from one
+difference along z per slab. The slabs are split into at most one contiguous group per
 usable CPU, and the groups of each stage run on a thread pool that lives
 for one solve; a cell's arithmetic does not depend on the thread that
 computes it, so the values are bit-identical for any thread count.
@@ -80,7 +86,9 @@ class ValueGrid:
     """Value samples over saved time slices of the backward sweep.
 
     ``values`` has shape (n_save, [n_p,] n_w, n_z), with at most 81 saved
-    time slices in 2-D and 17 in 3-D, one per step boundary; the slice at
+    time slices in 2-D and 17 in 3-D, one per step boundary; in 3-D it is
+    a read-only broadcast, of a single marched plane when the fee is equal
+    on every p plane. The slice at
     the final saved time equals the terminal reward exactly. A slice holds
     the solved value in the box of :func:`solve_hjb`, and beyond it the
     linear extension of the box's two edge slices on that side, along z,
@@ -102,18 +110,21 @@ class ValueGrid:
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):
-    """The fee xi on the (p, z) grid; returns (payoff, p_dependent).
+    """The fee xi on the (p, z) grid; returns (rows, on_3d_grid).
 
-    ``payoff`` has shape (n_p, n_z), or (1, n_z) when the fee does not
-    read the price. Every polynomial reads it, so a polynomial family is
-    solved in 3-D throughout, the zero polynomial included.
+    ``rows`` are the payoff rows to march: all n_p rows of shape (n_z,),
+    or only the first when every row equals it exactly. ``on_3d_grid``
+    says whether the fee is solved on the 3-D grid: every polynomial is,
+    so that a polynomial family shares one grid, the zero polynomial
+    included, and so is any other fee that varies in p.
     """
     pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
     payoff = contract.terminal_payoff(pp, zz)
-    if (isinstance(contract, LinearPolynomial)
-            or not np.allclose(payoff, payoff[:1, :])):
-        return payoff, True
-    return payoff[:1], False
+    on_3d_grid = (isinstance(contract, LinearPolynomial)
+                  or not np.allclose(payoff, payoff[:1]))
+    if np.all(payoff == payoff[:1]):
+        return payoff[:1], on_3d_grid
+    return payoff, on_3d_grid
 
 
 # Grid cells per slab of p planes, 6 planes of 101 x 101; a box narrower in
@@ -151,7 +162,7 @@ class _ExplicitStep:
     stage S of the SSP(9,3) step in :func:`solve_hjb`, built with the stage
     size dt / 6.
 
-    ``n_p`` is 1 when the fee does not read the price. A step updates only
+    ``n_p`` is 1 when a single p plane is marched. A step updates only
     the box of cells last given to :meth:`cut`, the whole grid until then:
     one index range per axis (p, w, z). No cell outside the box is read or
     written, and the box's edge slices take the boundary rule of their
@@ -369,19 +380,27 @@ _SSP_RATIO = 6
 def solve_hjb(contract, params: ModelParams):
     """Backward SSP(9,3) sweep; returns (FeedbackPolicy, ValueGrid).
 
-    The value is held on (p, w, z) with a single p plane when the fee does
-    not read the price, so the 2-D and 3-D solves share one step kernel
-    (:class:`_ExplicitStep`), which walks the p axis in slabs. Its worker
-    groups run on one thread pool, opened and closed by this call, so no
-    thread outlives the solve; the 2-D solve has one group and runs on
-    the calling thread. The values do not depend on the thread count.
+    The grid follows the family and the marched planes follow the payoff
+    (:func:`_terminal_payoff`). A polynomial, or any fee that varies in p,
+    gets :data:`_GRID_3D`, its dp, its CFL dt and 17 saved slices; any
+    other fee gets :data:`_GRID_2D`. The value is held on (p, w, z) with a
+    single p plane on the 2-D grid, and on the 3-D grid when the payoff is
+    exactly equal on every p plane, as the zero polynomial's is; the
+    values are then broadcast over the 3-D grid's p nodes. Identical
+    planes have p differences of exactly zero, so the full march would
+    give every plane the same bits. All solves share one step kernel
+    (:class:`_ExplicitStep`), which walks the marched p planes in slabs.
+    Its worker groups run on one thread pool, opened and closed by this
+    call, so no thread outlives the solve; a march of one plane has one
+    group and runs on the calling thread. The values do not depend on the
+    thread count.
     Each axis is cut at its half-width of :func:`_half_widths` at T, and
     the step from t_k back to t_{k-1} updates only the box of cells with
     |x| <= (that half-width at t_k) + margin on every axis, one plane on
     p and three cells on w and z. The box is never wider than the last
     step's, and its edge slices take the boundary rule of their axis.
-    The grid is :data:`_GRID_2D` or :data:`_GRID_3D`, and dt = T / n_t for
-    the fewest steps n_t that keep every stage within the Euler CFL bound.
+    On either grid dt = T / n_t for the fewest steps n_t that keep every
+    stage within the Euler CFL bound.
     Values and rates are saved at step boundaries only, at most 81
     slices in 2-D and 17 in 3-D; a saved slice extends the box's edge pairs
     linearly along z, then w, then p to the cells outside it
@@ -402,9 +421,9 @@ def solve_hjb(contract, params: ModelParams):
     p_nodes = np.linspace(-p_max, p_max, n_p)
     dp = p_nodes[1] - p_nodes[0]
     z_nodes = np.linspace(-z_max, z_max, n_z)
-    payoff, p_dependent = _terminal_payoff(contract, p_nodes, z_nodes)
+    payoff, on_3d_grid = _terminal_payoff(contract, p_nodes, z_nodes)
     n_save = 17
-    if not p_dependent:
+    if not on_3d_grid:
         (n_w, n_z), n_save = _GRID_2D, 81
         z_nodes = np.linspace(-z_max, z_max, n_z)
         payoff, _ = _terminal_payoff(contract, p_nodes[:1], z_nodes)
@@ -412,9 +431,11 @@ def solve_hjb(contract, params: ModelParams):
     w_nodes = np.linspace(-w_max, w_max, n_w)
     dw = w_nodes[1] - w_nodes[0]
     dz = z_nodes[1] - z_nodes[0]
+    # the planes marched: one stands for all when the payoff rows are equal
+    marched_p = p_nodes if len(payoff) > 1 else None
 
     cfl_denom = eps**2 / dz**2 + 1.0 / dw**2 + rate_bound / dz
-    if p_dependent:
+    if on_3d_grid:
         cfl_denom += 0.5 * sigma**2 * 2 / dp**2 + w_max / dp
     # every stage is an Euler step of dt / _SSP_RATIO within the Euler
     # monotonicity bound 1 / cfl_denom
@@ -427,14 +448,16 @@ def solve_hjb(contract, params: ModelParams):
     slot = {int(s): i for i, s in enumerate(save_idx)}
 
     # the central price plane alone gives the policy: ROADMAP item 1
-    policy_plane = len(p_nodes) // 2 if p_dependent else 0
-    step = _ExplicitStep(params, dt / _SSP_RATIO, w_nodes, z_nodes, p_nodes)
+    policy_plane = len(payoff) // 2
+    step = _ExplicitStep(params, dt / _SSP_RATIO, w_nodes, z_nodes,
+                         marched_p)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
     a, b = np.empty_like(v), np.empty_like(v)
     values = np.empty((len(save_idx),) + v.shape)
     rates = np.empty((len(save_idx), n_w, n_z))
 
-    axes = (p_nodes if p_dependent else np.zeros(1), w_nodes, z_nodes)
+    axes = (np.zeros(1) if marched_p is None else marched_p, w_nodes,
+            z_nodes)
     # one plane of margin on p, three cells on w and z
     margins = (dp, 3.0 * dw, 3.0 * dz)
 
@@ -485,8 +508,12 @@ def solve_hjb(contract, params: ModelParams):
             v, b = b, v
             record(k - 1, v)
 
-    grid = ValueGrid(t_saved, w_nodes, z_nodes,
-                     values if p_dependent else values[:, 0], p_nodes)
+    if p_nodes is None:
+        values = values[:, 0]
+    else:
+        values = np.broadcast_to(values, values.shape[:1] + (n_p,)
+                                 + values.shape[2:])
+    grid = ValueGrid(t_saved, w_nodes, z_nodes, values, p_nodes)
     policy = FeedbackPolicy(t_saved, w_nodes, z_nodes, rates, (lo, up))
     return policy, grid
 

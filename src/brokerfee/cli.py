@@ -40,6 +40,8 @@ _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
 # the smallest value of each integer run key; the convergence report of a
 # search needs two records
 _RUN_MINIMUM = {"budget": 2, "trials": 1, "depth": 1, "branching": 1}
+# the tree keys' values that oracle.build_tree accepts
+_RUN_CHOICES = {"depth": oracle.DEPTHS, "branching": oracle.BRANCHINGS}
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,11 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                                                   and int(value) >= least):
                         raise ValueError(f"run.{name} must be an integer of "
                                          f"at least {least}, got {value!r}")
+                    choices = _RUN_CHOICES.get(name)
+                    if choices is not None and int(value) not in choices:
+                        raise ValueError(
+                            f"run.{name} must be one of "
+                            f"{', '.join(map(str, choices))}, got {value!r}")
                     run[name] = value
                 else:
                     raise ValueError(f"unknown config section for key: {key}")

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 MAX_ATOMS = 100_000
+# the tree depths and branchings build_tree accepts
+DEPTHS = (1, 2, 3, 4)
+BRANCHINGS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,9 @@ def build_tree(depth: int, branching: int,
                params: ModelParams) -> ScenarioTree:
     """Deterministic tree with per-step increments matching the model's
     per-step variances (sigma, eps, 1 channel scales)."""
-    if branching not in (2, 3):
+    if branching not in BRANCHINGS:
         raise ValueError("branching must be 2 (binomial) or 3 (trinomial)")
-    if not 1 <= depth <= 4:
+    if depth not in DEPTHS:
         raise ValueError("depth must lie in 1..4")
     n_combos = branching**3
     n_atoms = n_combos**depth
@@ -310,8 +313,10 @@ class RelaxedControlDiscrete:
 
     Row x of ``atoms`` holds density values of path-atom x and the same
     row of ``weights`` the conditional distribution over them; a row with
-    fewer values is padded by atoms of zero weight. Dirac mode is the
-    special case of a single unit weight per atom.
+    fewer values is padded by atoms of zero weight. A row may hold a value
+    twice, as :func:`default_density_grid` does where density[x] is one
+    of its log-spaced values. Dirac mode is the special case of a unit
+    weight on a single density value per atom.
     """
 
     probs: np.ndarray
@@ -328,8 +333,21 @@ class RelaxedControlDiscrete:
         return np.einsum("xk,xk->x", self.weights, self.atoms)
 
     def max_secondary_weight(self) -> float:
-        """0 for exact Dirac mode; small for a collapsed optimum."""
-        second = np.sort(self.weights, axis=1)[:, -2:-1]
+        """The largest second-largest weight that an atom puts on one
+        density value, the weights of equal values in a row summed: 0 for
+        exact Dirac mode; small for a collapsed optimum."""
+        order = np.argsort(self.atoms, axis=1)
+        atoms = np.take_along_axis(self.atoms, order, axis=1)
+        weights = np.take_along_axis(self.weights, order, axis=1)
+        # each run of equal values keeps their sum in its first entry; a
+        # row's first entry always starts a run, so no run spans two rows
+        starts = np.ones(atoms.shape, dtype=bool)
+        np.not_equal(atoms[:, 1:], atoms[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        pooled = np.zeros(weights.shape)
+        pooled.reshape(-1)[first] = np.add.reduceat(weights.reshape(-1),
+                                                    first)
+        second = np.sort(pooled, axis=1)[:, -2:-1]
         return float(np.max(second, initial=0.0))
 
     def is_dirac(self) -> bool:

@@ -344,9 +344,24 @@ def test_price_dependent_terminal_slice_is_the_fee():
                           np.broadcast_to(expected, (9, 41, 41)))
 
 
-def test_zero_polynomial_keeps_p_planes_identical():
-    # the w and z axes of FAST: a 21 x 21 grid is 6 % off the closed form
+def _march_every_plane(monkeypatch):
+    """Make the sweep march every p plane of the 3-D grid, also when the
+    payoff is equal on all of them."""
+    terminal_payoff = agent._terminal_payoff
+
+    def every_row(contract, p_nodes, z_nodes):
+        rows, on_3d_grid = terminal_payoff(contract, p_nodes, z_nodes)
+        return (np.broadcast_to(rows, (len(p_nodes), rows.shape[1])),
+                on_3d_grid)
+
+    monkeypatch.setattr(agent, "_terminal_payoff", every_row)
+
+
+def test_zero_polynomial_keeps_p_planes_identical(monkeypatch):
+    # the w and z axes of FAST: a 21 x 21 grid is 6 % off the closed form;
+    # all 9 planes are marched, so their equality is the sweep's
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
+    _march_every_plane(monkeypatch)
     with hjb_grid(n_p=9, **FAST):
         _, grid = solve_hjb(fee, WIDE)
     assert grid.p_nodes is not None
@@ -395,9 +410,37 @@ def test_cone_keeps_value_at_origin(fee, monkeypatch):
             <= 1e-6 * abs(full.value_at_origin))
 
 
-def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
-    # the p planes stay identical, so cutting p alone changes no bit
+def test_one_plane_march_equals_full_march(monkeypatch):
+    # the zero polynomial is equal on every p plane: one marched plane
+    # stands for all 61, bit for bit, signed zeros included
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
+    planes = []
+    build = agent._ExplicitStep.__init__
+
+    def spy(self, params, dt, w_nodes, z_nodes, p_nodes=None):
+        planes.append(1 if p_nodes is None else len(p_nodes))
+        build(self, params, dt, w_nodes, z_nodes, p_nodes)
+
+    monkeypatch.setattr(agent._ExplicitStep, "__init__", spy)
+    with hjb_grid(**CONE_GRID):
+        policy, one = solve_hjb(fee, ModelParams())
+        _march_every_plane(monkeypatch)
+        full_policy, full = solve_hjb(fee, ModelParams())
+    assert planes == [1, 61]
+    assert np.array_equal(one.p_nodes, full.p_nodes)
+    assert np.array_equal(one.t_nodes, full.t_nodes)
+    assert one.values.shape == full.values.shape
+    assert one.values.shape[1:] == (61, 31, 31)
+    assert one.values.tobytes() == full.values.tobytes()
+    assert policy.table.tobytes() == full_policy.table.tobytes()
+    assert one.value_at_origin == full.value_at_origin
+
+
+def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
+    # on the full march the p planes stay identical, so cutting p alone
+    # changes no bit
+    fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
+    _march_every_plane(monkeypatch)
     with hjb_grid(**CONE_GRID):
         policy, cone = solve_hjb(fee, WIDE)
         _full_width(monkeypatch, axes=(0,))

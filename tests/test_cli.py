@@ -136,6 +136,23 @@ def test_tree_key_below_one_is_exit_2(tmp_path, capsys, line, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, key, value, choices", [
+    (12, "depth", "5", "1, 2, 3, 4"), (12, "depth", "9", "1, 2, 3, 4"),
+    (13, "branching", "1", "2, 3"), (13, "branching", "4", "2, 3")])
+def test_tree_the_oracle_cannot_build_is_exit_2(tmp_path, capsys, line, key,
+                                                value, choices):
+    # these used to reach oracle.build_tree after the output directory was
+    # made, and exit 1
+    cfg, out = write_config(tmp_path, "oracle")
+    cfg.write_text(re.sub(rf"run\.{key} = \d+", f"run.{key} = {value}",
+                          cfg.read_text()))
+    message = (f"run.cfg:{line}: run.{key} must be one of {choices}, "
+               f"got '{value}'")
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("constant", "degree", "4"),
     ("lipschitz_table", "degree", "2"),
@@ -421,16 +438,19 @@ def test_positional_mode_overrides_config(tmp_path):
 
 
 def test_failed_mode_keeps_traceback(tmp_path, capsys):
+    # depth 4 and branching 3 both parse, but make 27^4 = 531,441 atoms
     cfg, out = write_config(tmp_path, "oracle")
-    cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 9"))
+    cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 4")
+                   .replace("run.branching = 2", "run.branching = 3"))
     assert cli.run(cfg) == 1
     err = capsys.readouterr().err
+    message = f"atom count 531441 exceeds {oracle.MAX_ATOMS}"
     assert "Traceback (most recent call last)" in err
-    assert "depth must lie in 1..4" in err
+    assert message in err
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("mode: oracle")
     assert "Traceback (most recent call last)" in summary
-    assert "build_tree" in summary and "depth must lie in 1..4" in summary
+    assert "build_tree" in summary and message in summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert set(manifest["outputs"]) == {"summary.txt"}

@@ -378,6 +378,22 @@ def test_verify_collapse_reads_given_control():
     assert dirac.max_secondary_weight() == 0.0
 
 
+def test_dirac_counts_distinct_density_values():
+    # default_density_grid holds 1.0 twice in a row whose density is 1.0:
+    # a weight split over the two copies is still one density value
+    probs = np.full(2, 0.5)
+    grid = oracle.default_density_grid(np.ones(2))
+    assert np.count_nonzero(grid[0] == 1.0) == 2
+    copies = np.where(grid == 1.0, 0.5, 0.0)
+    split = oracle.RelaxedControlDiscrete(probs, grid, copies)
+    assert split.is_dirac() and split.max_secondary_weight() == 0.0
+    atoms = np.array([[1.0, 2.0, 1.0], [3.0, 3.0, 3.0]])
+    weights = np.array([[0.25, 0.5, 0.25], [0.2, 0.3, 0.5]])
+    two_values = oracle.RelaxedControlDiscrete(probs, atoms, weights)
+    assert not two_values.is_dirac()
+    assert two_values.max_secondary_weight() == 0.5
+
+
 # Reference implementations: the relaxed LP with per-atom loops and the
 # constraint moments spelled out on every (atom, grid point) weight, and
 # the strong solve by projected-gradient dual ascent with a separate dual
