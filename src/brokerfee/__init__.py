@@ -12,7 +12,7 @@ trees with brute-force convex oracles.
 from .model import (ModelParams, FeedbackPolicy, ConstraintSpec,
                     validate_params)
 from .contracts import Constant, LinearPolynomial, LipschitzTable
-from .agent import best_response, solve_hjb, estimate_agent_value
+from .agent import solve_hjb, estimate_agent_value
 from .principal import (ContractFamily, optimize, principal_objective,
                         convergence_report)
 from .oracle import (build_tree, solve_strong_discrete,

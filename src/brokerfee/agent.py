@@ -47,9 +47,10 @@ distance from the start point to the cut in standard deviations (Kangro
 the box keeps 40 % of the cell updates (the p cut alone, 66 %), and it
 moves the value at the origin by at most 1.5e-7 relative to the
 full-width sweep (fee P_T Z_T), the w and z cuts by at most 2e-9 of
-that; the 2-D zero fee moves by 4e-10. Outside the box a saved slice
-holds the linear extension of the box's edge slices, along z, then w,
-then p, and the saved rates are taken from that slice.
+that; the 2-D zero fee moves by 4e-10. At each saved time the box's
+edge slices are extended linearly into V itself, along z, then w, then
+p, and the rates are taken from the result: the solve keeps V, which
+ends as the value at t = 0, and the rate table.
 Every fee is a function of the terminal values (P_T, Z_T), so it enters
 only as the terminal condition, and the grid solve is the whole best
 response.
@@ -67,10 +68,7 @@ from .model import FeedbackPolicy, ModelParams, interpolate
 from .rng import _usable_cpus
 from . import simulate
 
-__all__ = [
-    "ValueGrid", "BestResponse",
-    "solve_hjb", "estimate_agent_value", "best_response",
-]
+__all__ = ["ValueGrid", "solve_hjb", "estimate_agent_value"]
 
 # Grid nodes (n_w, n_z) of a fee that does not read the price, and
 # (n_p, n_w, n_z) of one that does; each axis spans its half-width of
@@ -83,19 +81,16 @@ _GRID_3D = (61, 101, 101)
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Value samples over saved time slices of the backward sweep.
+    """The value at t = 0 on the grid of :func:`solve_hjb`.
 
-    ``values`` has shape (n_save, [n_p,] n_w, n_z), with at most 81 saved
-    time slices in 2-D and 17 in 3-D, one per step boundary; in 3-D it is
-    a read-only broadcast, of a single marched plane when the fee is equal
-    on every p plane. The slice at
-    the final saved time equals the terminal reward exactly. A slice holds
-    the solved value in the box of :func:`solve_hjb`, and beyond it the
-    linear extension of the box's two edge slices on that side, along z,
-    then w, then p (the second difference across the box edge is 0).
+    ``values`` has shape ([n_p,] n_w, n_z); in 3-D it is a read-only
+    broadcast, of a single marched plane when the fee is equal on every p
+    plane. It holds the solved value in the box of the last step, and
+    beyond it the linear extension of the box's two edge slices on that
+    side, along z, then w, then p (the second difference across the box
+    edge is 0).
     """
 
-    t_nodes: np.ndarray
     w_nodes: np.ndarray
     z_nodes: np.ndarray
     values: np.ndarray
@@ -106,7 +101,7 @@ class ValueGrid:
         axes = (self.w_nodes, self.z_nodes)
         if self.p_nodes is not None:
             axes = (self.p_nodes,) + axes
-        return float(interpolate(axes, self.values[0], *[0.0] * len(axes)))
+        return float(interpolate(axes, self.values, *[0.0] * len(axes)))
 
 
 def _terminal_payoff(contract, p_nodes, z_nodes):
@@ -116,15 +111,13 @@ def _terminal_payoff(contract, p_nodes, z_nodes):
     or only the first when every row equals it exactly. ``on_3d_grid``
     says whether the fee is solved on the 3-D grid: every polynomial is,
     so that a polynomial family shares one grid, the zero polynomial
-    included, and so is any other fee that varies in p.
+    included, and so is any other fee whose rows are not all equal.
     """
     pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
     payoff = contract.terminal_payoff(pp, zz)
-    on_3d_grid = (isinstance(contract, LinearPolynomial)
-                  or not np.allclose(payoff, payoff[:1]))
     if np.all(payoff == payoff[:1]):
-        return payoff[:1], on_3d_grid
-    return payoff, on_3d_grid
+        return payoff[:1], isinstance(contract, LinearPolynomial)
+    return payoff, True
 
 
 # Grid cells per slab of p planes, 6 planes of 101 x 101; a box narrower in
@@ -382,8 +375,8 @@ def solve_hjb(contract, params: ModelParams):
 
     The grid follows the family and the marched planes follow the payoff
     (:func:`_terminal_payoff`). A polynomial, or any fee that varies in p,
-    gets :data:`_GRID_3D`, its dp, its CFL dt and 17 saved slices; any
-    other fee gets :data:`_GRID_2D`. The value is held on (p, w, z) with a
+    gets :data:`_GRID_3D`, its dp and its CFL dt; any other fee gets
+    :data:`_GRID_2D`. The value is held on (p, w, z) with a
     single p plane on the 2-D grid, and on the 3-D grid when the payoff is
     exactly equal on every p plane, as the zero polynomial's is; the
     values are then broadcast over the 3-D grid's p nodes. Identical
@@ -401,12 +394,13 @@ def solve_hjb(contract, params: ModelParams):
     step's, and its edge slices take the boundary rule of their axis.
     On either grid dt = T / n_t for the fewest steps n_t that keep every
     stage within the Euler CFL bound.
-    Values and rates are saved at step boundaries only, at most 81
-    slices in 2-D and 17 in 3-D; a saved slice extends the box's edge pairs
-    linearly along z, then w, then p to the cells outside it
-    (:class:`ValueGrid`), and the saved rates are taken from that slice.
-    The solve holds three full-size buffers: V and two stage targets. The
-    reported agent value is the grid value at the origin.
+    Rates are saved at step boundaries only, at most 81 slices in 2-D
+    and 17 in 3-D. At a saved step V's box edge pairs are extended
+    linearly along z, then w, then p to the cells outside the box, in V
+    itself, and the rates are taken from the result; no later step reads
+    those cells, as its box is no wider. The solve holds three full-size
+    buffers, V and two stage targets, and V ends as the value at t = 0
+    (:class:`ValueGrid`), whose value at the origin is the client's.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
@@ -444,8 +438,7 @@ def solve_hjb(contract, params: ModelParams):
 
     save_idx = np.unique(np.linspace(0, n_t, min(n_save, n_t + 1))
                          .round().astype(int))
-    t_saved = save_idx * dt
-    slot = {int(s): i for i, s in enumerate(save_idx)}
+    saved = set(save_idx.tolist())
 
     # the central price plane alone gives the policy: ROADMAP item 1
     policy_plane = len(payoff) // 2
@@ -453,8 +446,7 @@ def solve_hjb(contract, params: ModelParams):
                          marched_p)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
     a, b = np.empty_like(v), np.empty_like(v)
-    values = np.empty((len(save_idx),) + v.shape)
-    rates = np.empty((len(save_idx), n_w, n_z))
+    rates = []  # from t = T down
 
     axes = (np.zeros(1) if marched_p is None else marched_p, w_nodes,
             z_nodes)
@@ -471,50 +463,44 @@ def solve_hjb(contract, params: ModelParams):
             ranges.append((int(inside[0]), int(inside[-1]) + 1))
         return tuple(ranges)
 
-    def record(step_index, v):
-        i = slot.get(step_index)
-        if i is not None:
-            cells = tuple(slice(*r) for r in step.box)
-            saved = values[i]
-            saved[cells] = v[cells]
-            # extend along z, then w, then p; the rates read the result
-            for axis in (2, 1, 0):
-                _extend_linearly(saved[cells[:axis]], *step.box[axis], axis)
-            rates[i] = step.rates(saved[policy_plane])
-
     # the pool lives for this solve only; with one group it starts no thread
     with ThreadPoolExecutor(len(step.buffers)) as pool:
         euler = partial(step, pool=pool)
-        record(n_t, v)
-        for k in range(n_t, 0, -1):
-            step.cut(box(k))
-            cells = tuple(slice(*r) for r in step.box)
-            # SSP(9,3) in Ketcheson's two-register form: q2 keeps stage 1
-            # (in b) while q1 takes stages 2-6 (alternating between a and
-            # v), then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
-            euler(v, b)
-            euler(b, a)
-            euler(a, v)
-            euler(v, a)
-            euler(a, v)
-            euler(v, a)
-            q2 = b[cells]
-            q2 *= 1.5
-            q2 += a[cells]
-            q2 *= 0.4
-            euler(b, a)
-            euler(a, v)
-            euler(v, b)
-            v, b = b, v
-            record(k - 1, v)
+        cells = tuple(slice(*r) for r in step.box)
+        for k in range(n_t, -1, -1):
+            if k < n_t:
+                # the step from t_(k+1) back to t_k, in SSP(9,3)'s
+                # two-register form (Ketcheson): q2 keeps stage 1 (in b)
+                # while q1 takes stages 2-6 (alternating between a and v),
+                # then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
+                step.cut(box(k + 1))
+                cells = tuple(slice(*r) for r in step.box)
+                euler(v, b)
+                euler(b, a)
+                euler(a, v)
+                euler(v, a)
+                euler(a, v)
+                euler(v, a)
+                q2 = b[cells]
+                q2 *= 1.5
+                q2 += a[cells]
+                q2 *= 0.4
+                euler(b, a)
+                euler(a, v)
+                euler(v, b)
+                v, b = b, v
+            if k in saved:
+                # extend along z, then w, then p, in place: the later
+                # steps' boxes are no wider, so none reads these cells
+                for axis in (2, 1, 0):
+                    _extend_linearly(v[cells[:axis]], *step.box[axis], axis)
+                rates.append(step.rates(v[policy_plane]))
 
-    if p_nodes is None:
-        values = values[:, 0]
-    else:
-        values = np.broadcast_to(values, values.shape[:1] + (n_p,)
-                                 + values.shape[2:])
-    grid = ValueGrid(t_saved, w_nodes, z_nodes, values, p_nodes)
-    policy = FeedbackPolicy(t_saved, w_nodes, z_nodes, rates, (lo, up))
+    values = (v[0] if p_nodes is None
+              else np.broadcast_to(v, (n_p,) + v.shape[1:]))
+    grid = ValueGrid(w_nodes, z_nodes, values, p_nodes)
+    policy = FeedbackPolicy(save_idx * dt, w_nodes, z_nodes,
+                            np.array(rates[::-1]), (lo, up))
     return policy, grid
 
 
@@ -532,17 +518,3 @@ def estimate_agent_value(contract, policy: FeedbackPolicy,
     xi = contract.terminal_payoff(sample.p_T, sample.z_T)
     return simulate._mean_se(-xi + sample.int_zw
                              - params.phi_a * sample.int_pi_sq)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    policy: FeedbackPolicy
-    value: float
-    grid: ValueGrid
-
-
-def best_response(contract, params: ModelParams) -> BestResponse:
-    """Optimal trading policy and value for ``contract``: the grid solve,
-    valued at the origin."""
-    policy, grid = solve_hjb(contract, params)
-    return BestResponse(policy, grid.value_at_origin, grid)

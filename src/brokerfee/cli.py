@@ -68,9 +68,9 @@ def _parse_list(text):
 def parse_config(path, mode=None) -> ExperimentConfig:
     """Parse a flat dotted key-value config; errors cite line and key.
 
-    A key given twice, or a family key that the family's class does not
-    read, is an error. ``mode``, when given, replaces the file's
-    ``run.mode``.
+    A key given twice, a family key that the family's class does not
+    read, or a tree that :func:`oracle.check_tree` refuses, is an error.
+    ``mode``, when given, replaces the file's ``run.mode``.
     """
     model_items, family, run = {}, {}, {}
     line_of = {}
@@ -119,10 +119,21 @@ def parse_config(path, mode=None) -> ExperimentConfig:
         if name in family and kind != reader:
             raise ValueError(f"{path}:{line_of['family.' + name]}: family "
                              f"class {kind} does not read family.{name}")
+    try:
+        oracle.check_tree(*_tree_shape(run))
+    except ValueError as exc:
+        keys = ("run.depth", "run.branching")
+        line = max(line_of.get(key, 0) for key in keys)
+        raise ValueError(f"{path}:{line}: {exc}") from exc
     if mode is not None:
         run["mode"] = mode
     params = params_from_config(model_items) if model_items else ModelParams()
     return ExperimentConfig(params, family, run)
+
+
+def _tree_shape(run):
+    """The run's scenario tree (depth, branching), 2 and 2 by default."""
+    return int(run.get("depth", 2)), int(run.get("branching", 2))
 
 
 def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
@@ -203,15 +214,16 @@ def _mode_agent(config, out_dir, lines):
     """The client's best response and a Monte Carlo check of its value:
     ``mc_z`` in ``agent.csv`` is (mc_value - value) / mc_se.
 
-    ``agent.npz`` holds the policy's nodes and rate table and the value
-    grid on the same nodes (with ``p_nodes`` for a price-dependent fee)."""
+    ``agent.npz`` holds the policy's nodes and rates (n_t, n_w, n_z) and
+    ``values``, the value at t = 0 ([n_p,] n_w, n_z), with ``p_nodes`` for
+    a fee solved on the 3-D grid."""
     params = config.params
     contract = _contract_from_config(config)
-    response = agent.best_response(contract, params)
+    policy, grid = agent.solve_hjb(contract, params)
+    value = grid.value_at_origin
     mc_value, mc_se = agent.estimate_agent_value(
-        contract, response.policy, params, split_seed(params.seed, "agent-mc"))
-    mc_z = (mc_value - response.value) / mc_se
-    policy, grid = response.policy, response.grid
+        contract, policy, params, split_seed(params.seed, "agent-mc"))
+    mc_z = (mc_value - value) / mc_se
     arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
               "z_nodes": policy.z_nodes, "rates": policy.table,
               "values": grid.values}
@@ -220,11 +232,11 @@ def _mode_agent(config, out_dir, lines):
     np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
                ["quantity", "value"],
-               [["value", _fmt(response.value)],
+               [["value", _fmt(value)],
                 ["mc_value", _fmt(mc_value)],
                 ["mc_se", _fmt(mc_se)],
                 ["mc_z", _fmt(mc_z)]])
-    lines.append(f"agent value {response.value:.6f}, "
+    lines.append(f"agent value {value:.6f}, "
                  f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g}, "
                  f"z {mc_z:.2f})")
     return ["agent.csv", "agent.npz"]
@@ -232,8 +244,7 @@ def _mode_agent(config, out_dir, lines):
 
 def _mode_oracle(config, out_dir, lines):
     params = config.params
-    depth = int(config.run.get("depth", 2))
-    branching = int(config.run.get("branching", 2))
+    depth, branching = _tree_shape(config.run)
     lam = params.entropy_weight
     trials = int(config.run.get("trials", 100))
     tree = oracle.build_tree(depth, branching, params)

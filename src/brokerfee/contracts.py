@@ -99,7 +99,11 @@ class LipschitzTable:
         object.__setattr__(self, "values", values)
 
     def terminal_payoff(self, p_T, z_T):
-        """Bilinear table lookup at terminal values (vectorized)."""
+        """Bilinear table lookup at terminal values (vectorized). A table
+        whose rows are all equal is read at its first p node for every p,
+        so that it gives the same bits at every p."""
+        if np.all(self.values == self.values[:1]):
+            p_T = np.full(np.shape(p_T), self.p_nodes[0])
         out = interpolate((self.p_nodes, self.z_nodes), self.values,
                           p_T, z_T)
         return np.clip(out, -self.cap, self.cap)

@@ -35,7 +35,8 @@ from .rng import uniforms
 __all__ = [
     "ScenarioTree", "RelaxedControlDiscrete",
     "StrongSolution", "CollapseReport", "ExtractionReport",
-    "build_tree", "node_constraint_set", "atom_utility_from_contract",
+    "check_tree", "build_tree", "node_constraint_set",
+    "atom_utility_from_contract",
     "solve_strong_discrete", "solve_relaxed_discrete",
     "verify_collapse", "extract_strong_control",
     "default_density_grid",
@@ -78,18 +79,28 @@ class ScenarioTree:
         return self.combos.shape[0]
 
 
+def check_tree(depth, branching):
+    """Raise ValueError unless :func:`build_tree` builds a tree of this
+    depth and branching: each is one of its choices, and the tree has at
+    most :data:`MAX_ATOMS` atoms, (branching^3)^depth."""
+    for name, value, choices in (("depth", depth, DEPTHS),
+                                 ("branching", branching, BRANCHINGS)):
+        if value not in choices:
+            raise ValueError(f"{name} must be one of "
+                             f"{', '.join(map(str, choices))}, got {value!r}")
+    n_atoms = branching**(3 * depth)
+    if n_atoms > MAX_ATOMS:
+        raise ValueError(f"depth {depth} and branching {branching} make an "
+                         f"atom count {n_atoms} that exceeds {MAX_ATOMS}")
+
+
 def build_tree(depth: int, branching: int,
                params: ModelParams) -> ScenarioTree:
     """Deterministic tree with per-step increments matching the model's
     per-step variances (sigma, eps, 1 channel scales)."""
-    if branching not in BRANCHINGS:
-        raise ValueError("branching must be 2 (binomial) or 3 (trinomial)")
-    if depth not in DEPTHS:
-        raise ValueError("depth must lie in 1..4")
+    check_tree(depth, branching)
     n_combos = branching**3
     n_atoms = n_combos**depth
-    if n_atoms > MAX_ATOMS:
-        raise ValueError(f"atom count {n_atoms} exceeds {MAX_ATOMS}")
     dt = params.horizon / depth
     scales = (params.sigma, params.epsilon, 1.0)
     if branching == 2:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import simulate
-from .agent import best_response
+from .agent import solve_hjb
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .model import ModelParams
 from .rng import split_seed, uniforms
@@ -52,14 +52,14 @@ def principal_objective(contract, params: ModelParams) -> PrincipalEvaluation:
     random numbers and their values are directly comparable. The participation
     flag compares the client's grid value with the reservation level.
     """
-    response = best_response(contract, params)
+    policy, grid = solve_hjb(contract, params)
+    v_a = grid.value_at_origin
     sample = simulate.simulate_controlled(
-        params, response.policy, split_seed(params.seed, "principal-crn"))
+        params, policy, split_seed(params.seed, "principal-crn"))
     j_p, j_p_se = simulate._mean_se(
         contract.terminal_payoff(sample.p_T, sample.z_T)
         - params.phi_p * sample.int_pi_sq)
-    return PrincipalEvaluation(j_p, j_p_se, response.value,
-                               response.value >= params.reservation)
+    return PrincipalEvaluation(j_p, j_p_se, v_a, v_a >= params.reservation)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from brokerfee import oracle, principal, simulate
-from brokerfee.agent import best_response, estimate_agent_value, solve_hjb
+from brokerfee.agent import estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant
 from brokerfee.model import FeedbackPolicy, ModelParams
 from brokerfee.rng import split_seed, uniforms

@@ -1,13 +1,14 @@
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from brokerfee import agent, simulate
-from brokerfee.agent import best_response, estimate_agent_value, solve_hjb
+from brokerfee.agent import estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
 
@@ -81,8 +82,8 @@ def test_time_stepping_is_third_order():
     ratios = []
     for n in (51, 101, 201):
         with hjb_grid(n_w=n, n_z=n):
-            _, grid = solve_hjb(Constant(0.0), WIDE)
-        dt = grid.t_nodes[1] - grid.t_nodes[0]
+            policy, grid = solve_hjb(Constant(0.0), WIDE)
+        dt = policy.t_nodes[1] - policy.t_nodes[0]
         ratios.append(abs(grid.value_at_origin - 1.0 / 24.0) / dt**3)
     assert max(ratios) <= 1.02 * min(ratios)
 
@@ -101,16 +102,16 @@ def test_time_step_is_the_cfl_step(zero_fee_solution):
     # the Euler bound of the 101 x 101 grid; every SSP(9,3) stage is an
     # Euler step of dt / 6, so the step is the longest that divides T
     # within six times the bound
-    _, grid = zero_fee_solution
+    policy, _ = zero_fee_solution
     _, w_max, z_max = agent._half_widths(WIDE, WIDE.horizon)
     dw, dz = 2.0 * w_max / 100, 2.0 * z_max / 100
     euler = 1.0 / (WIDE.epsilon**2 / dz**2 + 1.0 / dw**2
                    + WIDE.rate_upper / dz)
     n_t = int(np.ceil(WIDE.horizon / (6.0 * euler)))
     # every step boundary is saved
-    assert n_t == 20 == len(grid.t_nodes) - 1
-    assert np.allclose(np.diff(grid.t_nodes), WIDE.horizon / n_t, rtol=1e-12,
-                       atol=0.0)
+    assert n_t == 20 == len(policy.t_nodes) - 1
+    assert np.allclose(np.diff(policy.t_nodes), WIDE.horizon / n_t,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_zeta_quadrature():
@@ -150,13 +151,6 @@ def test_objective_forms_agree():
     assert abs(v_q - v_w) <= 3 * np.hypot(se_q, se_w)
 
 
-def test_best_response_markovian_dispatch(zero_fee_solution):
-    with hjb_grid(**FAST):
-        response = best_response(Constant(0.0), WIDE)
-    assert response.value == response.grid.value_at_origin
-    assert response.value == pytest.approx(1.0 / 24.0, rel=0.01)
-
-
 def test_table_contract_through_grid_solver():
     nodes = np.linspace(-4.0, 4.0, 9)
     values = np.clip(0.25 * nodes[None, :] + 0 * nodes[:, None], -1, 1)
@@ -165,6 +159,19 @@ def test_table_contract_through_grid_solver():
     with hjb_grid(n_w=61, n_z=61):
         policy, grid = solve_hjb(fee, params)
     assert np.isfinite(grid.value_at_origin)
+
+
+@pytest.mark.parametrize("step, on_3d_grid", [(0.0, False), (1e-9, True)])
+def test_fee_unequal_in_p_gets_the_3d_grid(step, on_3d_grid):
+    # rows 1e-9 apart used to be solved on the 2-D grid from the row at
+    # p = -p_max, 0.15 at z = 0, where the fee is 0.1500000005 at the origin
+    values = np.array([[0.1, 0.2], [0.1 + step, 0.2 + step]])
+    fee = LipschitzTable(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
+                         values, cap=1.0)
+    with hjb_grid(n_p=9, n_w=21, n_z=21):
+        _, grid = solve_hjb(fee, BOUNDED)
+    assert (grid.p_nodes is not None) == on_3d_grid
+    assert grid.values.shape == (9,) * on_3d_grid + (21, 21)
 
 
 # --- the sweep against a plain per-term explicit step -------------------
@@ -260,6 +267,33 @@ def _box(params, grid, t):
     return tuple(box)
 
 
+def _spy_saved_values(monkeypatch):
+    """A list that gets a copy of all of V at each saved step of the next
+    solves, from t = T down to t = 0: the argument of the extension along
+    p, the last of a saved step, is the whole of V."""
+    saved = []
+    extend = agent._extend_linearly
+
+    def spy(v, lo, hi, axis):
+        extend(v, lo, hi, axis)
+        if axis == 0:
+            saved.append(v.copy())
+
+    monkeypatch.setattr(agent, "_extend_linearly", spy)
+    return saved
+
+
+def _terminal_slice(fee, grid):
+    """-xi on the grid's ((p,) w, z) nodes, read off the fee itself; a fee
+    solved on the 2-D grid is read at p = 0."""
+    n_w = len(grid.w_nodes)
+    if grid.p_nodes is None:
+        xi = fee.terminal_payoff(np.zeros_like(grid.z_nodes), grid.z_nodes)
+        return np.repeat(-xi[None, :], n_w, axis=0)
+    pp, zz = np.meshgrid(grid.p_nodes, grid.z_nodes, indexing="ij")
+    return np.repeat(-fee.terminal_payoff(pp, zz)[:, None, :], n_w, axis=1)
+
+
 def _extend(v, box):
     """``v`` with each cell outside ``box`` on the line through the two
     edge cells of the box on its side: along z inside the box's (p and) w
@@ -279,18 +313,23 @@ def _extend(v, box):
 @pytest.mark.parametrize("case, planes", [("2d", 1), ("3d", 1), ("3d", 2),
                                           ("3d", 4), ("3d", 9)])
 def test_sweep_matches_reference_step(case, planes, monkeypatch):
-    _, shape = SWEEP_CASES[case]
+    fee, shape = SWEEP_CASES[case]
     monkeypatch.setattr(agent, "_SLAB_CELLS",
                         planes * shape["n_w"] * shape["n_z"])
+    saved_values = _spy_saved_values(monkeypatch)
     policy, grid = _solve_case(case)
 
-    # few enough steps that every step boundary is saved
-    n_t = len(grid.t_nodes) - 1
+    # few enough steps that every step boundary is saved; V is saved from
+    # t = T down, and the sweep ends on V at t = 0
+    n_t = len(policy.t_nodes) - 1
     dt = BOUNDED.horizon / n_t
-    saved = dict(zip(np.rint(grid.t_nodes / dt).astype(int),
-                     zip(grid.values, policy.table)))
+    steps = np.rint(policy.t_nodes / dt).astype(int)
+    assert len(saved_values) == len(steps)
+    v = _terminal_slice(fee, grid)
+    saved_values = [s.reshape(v.shape) for s in saved_values]
+    assert grid.values.tobytes() == saved_values[-1].tobytes()
+    saved = dict(zip(steps[::-1], zip(saved_values, policy.table[::-1])))
     assert sorted(saved) == list(range(n_t + 1))
-    v = grid.values[-1].copy()
     price = grid.p_nodes is not None
     # the step from t_(k+1) updates the box of that time, with each axis's
     # boundary rule on the edge slices of the box; a saved slice extends
@@ -334,14 +373,12 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
         assert set(widths[:, 0]) == {9, 7, 5}
 
 
-def test_price_dependent_terminal_slice_is_the_fee():
+def test_price_dependent_terminal_slice_is_the_fee(monkeypatch):
     fee, _ = SWEEP_CASES["3d"]
+    saved = _spy_saved_values(monkeypatch)
     _, grid = _solve_case("3d")
-    pp, zz = np.meshgrid(grid.p_nodes, grid.z_nodes, indexing="ij")
-    expected = -fee.terminal_payoff(pp, zz)[:, None, :]
-    assert grid.values.shape[1:] == (9, 41, 41)
-    assert np.array_equal(grid.values[-1],
-                          np.broadcast_to(expected, (9, 41, 41)))
+    assert grid.values.shape == saved[0].shape == (9, 41, 41)
+    assert np.array_equal(saved[0], _terminal_slice(fee, grid))
 
 
 def _march_every_plane(monkeypatch):
@@ -365,7 +402,7 @@ def test_zero_polynomial_keeps_p_planes_identical(monkeypatch):
     with hjb_grid(n_p=9, **FAST):
         _, grid = solve_hjb(fee, WIDE)
     assert grid.p_nodes is not None
-    assert np.all(grid.values == grid.values[:, :1])
+    assert np.all(grid.values == grid.values[:1])
     assert grid.value_at_origin == pytest.approx(1.0 / 24.0, rel=0.01)
 
 
@@ -410,6 +447,22 @@ def test_cone_keeps_value_at_origin(fee, monkeypatch):
             <= 1e-6 * abs(full.value_at_origin))
 
 
+def test_full_march_memory_is_bounded():
+    # the traced peak of one 61 x 31 x 31 march, in full grids of 469 KB:
+    # 10.84 for V, its two stage targets, the step kernel's buffers (here
+    # one slab holds every plane) and the rate table; a value history of
+    # the 12 saved times added 12 more grids
+    with hjb_grid(**CONE_GRID):
+        solve_hjb(CONE_TABLE, ModelParams())
+        tracemalloc.start()
+        try:
+            solve_hjb(CONE_TABLE, ModelParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 13 * 8 * np.prod(list(CONE_GRID.values()))
+
+
 def test_one_plane_march_equals_full_march(monkeypatch):
     # the zero polynomial is equal on every p plane: one marched plane
     # stands for all 61, bit for bit, signed zeros included
@@ -428,9 +481,8 @@ def test_one_plane_march_equals_full_march(monkeypatch):
         full_policy, full = solve_hjb(fee, ModelParams())
     assert planes == [1, 61]
     assert np.array_equal(one.p_nodes, full.p_nodes)
-    assert np.array_equal(one.t_nodes, full.t_nodes)
-    assert one.values.shape == full.values.shape
-    assert one.values.shape[1:] == (61, 31, 31)
+    assert np.array_equal(policy.t_nodes, full_policy.t_nodes)
+    assert one.values.shape == full.values.shape == (61, 31, 31)
     assert one.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
     assert one.value_at_origin == full.value_at_origin
@@ -448,7 +500,7 @@ def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):
     assert cone.value_at_origin == full.value_at_origin
     assert cone.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
-    assert np.all(cone.values == cone.values[:, :1])
+    assert np.all(cone.values == cone.values[:1])
 
 
 def test_box_keeps_2d_value_at_origin(monkeypatch):

@@ -261,16 +261,16 @@ def test_agent_mode_arrays(tmp_path):
     assert cli.run(cfg) == 0
     with np.load(out / "agent.npz") as npz:
         arrays = dict(npz)
-    # a constant fee: the value grid is on the policy's nodes, in 2-D
+    # a constant fee: the value at t = 0 is on the policy's nodes, in 2-D
     assert set(arrays) == {"t_nodes", "w_nodes", "z_nodes", "rates",
                            "values"}
     shape = tuple(len(arrays[f"{axis}_nodes"]) for axis in "twz")
     assert arrays["rates"].shape == shape
-    assert arrays["values"].shape == shape
+    assert arrays["values"].shape == shape[1:]
     rows = dict(line.split(",") for line in
                 (out / "agent.csv").read_text().splitlines()[1:])
     origin = interpolate((arrays["w_nodes"], arrays["z_nodes"]),
-                         arrays["values"][0], 0.0, 0.0)
+                         arrays["values"], 0.0, 0.0)
     assert float(origin) == pytest.approx(float(rows["value"]), abs=1e-12)
     value, mc_value, mc_se, mc_z = (float(rows[k]) for k in
                                     ("value", "mc_value", "mc_se", "mc_z"))
@@ -437,20 +437,35 @@ def test_positional_mode_overrides_config(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["mode"] == "report"
 
 
-def test_failed_mode_keeps_traceback(tmp_path, capsys):
-    # depth 4 and branching 3 both parse, but make 27^4 = 531,441 atoms
+def test_tree_too_large_to_build_is_exit_2(tmp_path, capsys):
+    # depth 4 and branching 3 are each accepted, but together make
+    # 27^4 = 531,441 atoms; this used to fail in oracle.build_tree after
+    # the output directory was made, and exit 1
     cfg, out = write_config(tmp_path, "oracle")
     cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 4")
                    .replace("run.branching = 2", "run.branching = 3"))
+    message = (f"run.cfg:13: depth 4 and branching 3 make an atom count "
+               f"531441 that exceeds {oracle.MAX_ATOMS}")
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_mode_keeps_traceback(tmp_path, capsys):
+    # a constant fee has one coefficient: the config parses, and the run
+    # fails when it builds the contract
+    cfg, out = write_config(tmp_path, "oracle")
+    cfg.write_text(cfg.read_text().replace("family.coefficients = 0.01",
+                                           "family.coefficients = 0.01, 0.2"))
     assert cli.run(cfg) == 1
     err = capsys.readouterr().err
-    message = f"atom count 531441 exceeds {oracle.MAX_ATOMS}"
+    message = "has 2 entries, but the family has dimension 1"
     assert "Traceback (most recent call last)" in err
     assert message in err
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("mode: oracle")
     assert "Traceback (most recent call last)" in summary
-    assert "build_tree" in summary and message in summary
+    assert "_contract_from_config" in summary and message in summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert set(manifest["outputs"]) == {"summary.txt"}

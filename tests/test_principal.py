@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brokerfee import cli, principal
-from brokerfee.agent import best_response
+from brokerfee.agent import solve_hjb
 from brokerfee.contracts import Constant, LipschitzTable
 from brokerfee.model import ModelParams
 
@@ -50,14 +50,14 @@ def test_zero_penalty_gives_fee_back():
 
 @pytest.fixture
 def solved(monkeypatch):
-    """The contracts that optimize passes to best_response, in order."""
+    """The contracts that optimize passes to solve_hjb, in order."""
     contracts = []
 
     def counted(contract, *args, **kwargs):
         contracts.append(contract)
-        return best_response(contract, *args, **kwargs)
+        return solve_hjb(contract, *args, **kwargs)
 
-    monkeypatch.setattr(principal, "best_response", counted)
+    monkeypatch.setattr(principal, "solve_hjb", counted)
     return contracts
 
 
@@ -193,7 +193,7 @@ def test_constant_family_solves_zero_fee_once(solved):
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
                          n_paths=2_000, seed=7)
     with hjb_grid(n_w=41, n_z=41):
-        expected = (best_response(Constant(0.0), params).value
+        expected = (solve_hjb(Constant(0.0), params)[1].value_at_origin
                     - params.reservation)
         _, seq = principal.optimize(family, params, budget=6)
     assert solved == [Constant(0.0)]
@@ -317,7 +317,8 @@ def test_sequence_exports_after_rounding(tmp_path):
             "family.class = constant\nfamily.cap = 1.0\nrun.budget = 5\n"
             "run.mode = optimize\n")
     cfg.write_text(text)
-    gross = best_response(Constant(0.0), cli.parse_config(cfg).params).value
+    gross = solve_hjb(Constant(0.0),
+                      cli.parse_config(cfg).params)[1].value_at_origin
     reservation = next(r for r in np.arange(1, 400) * 1e-4
                        if gross - (gross - r) < r)
     cfg.write_text(text + f"model.reservation = {float(reservation)!r}\n")
