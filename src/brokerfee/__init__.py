@@ -9,7 +9,7 @@ and cross-checks the underlying relaxation theory on finite scenario
 trees with brute-force convex oracles.
 """
 
-from .model import (ModelParams, FeedbackPolicy, ConstraintSpec,
+from .model import (ModelParams, FeedbackPolicy, constraint_rows,
                     validate_params)
 from .contracts import Constant, LinearPolynomial, LipschitzTable
 from .agent import solve_hjb, estimate_agent_value

@@ -12,13 +12,15 @@ data, and every output format is chosen here.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,8 +33,6 @@ __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
 MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 
-_FAMILY_KEYS = ("class", "cap", "degree", "p_nodes", "z_nodes",
-                "coefficients")
 # family keys that only one contract class reads
 _CLASS_KEYS = {"degree": "linear_polynomial", "p_nodes": "lipschitz_table",
                "z_nodes": "lipschitz_table"}
@@ -40,8 +40,17 @@ _RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
 # the smallest value of each integer run key; the convergence report of a
 # search needs two records
 _RUN_MINIMUM = {"budget": 2, "trials": 1, "depth": 1, "branching": 1}
-# the tree keys' values that oracle.build_tree accepts
-_RUN_CHOICES = {"depth": oracle.DEPTHS, "branching": oracle.BRANCHINGS}
+
+
+def _parse_array(text):
+    return np.array([float(v) for v in str(text).split(",") if v.strip()])
+
+
+# each model and family key, and the type its value is cast to
+_KEYS = {"model": {field.name: field.type for field in fields(ModelParams)},
+         "family": {"class": str, "cap": float, "degree": int,
+                    "p_nodes": _parse_array, "z_nodes": _parse_array,
+                    "coefficients": _parse_array}}
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,8 @@ class ExperimentConfig:
     params: ModelParams
     family: dict
     run: dict
+    contract_family: principal.ContractFamily
+    contract: object
 
     def __post_init__(self):
         if self.run.get("mode") not in MODES:
@@ -61,18 +72,16 @@ class ExperimentConfig:
         return out
 
 
-def _parse_list(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
 def parse_config(path, mode=None) -> ExperimentConfig:
     """Parse a flat dotted key-value config; errors cite line and key.
 
-    A key given twice, a family key that the family's class does not
-    read, or a tree that :func:`oracle.check_tree` refuses, is an error.
-    ``mode``, when given, replaces the file's ``run.mode``.
+    Each model and family value is cast on its line. A key given twice, a
+    family key that the family's class does not read, a tree that
+    :func:`oracle.check_tree` refuses, or model, family or coefficient
+    values that make no valid model or contract, is an error. ``mode``,
+    when given, replaces the file's ``run.mode``.
     """
-    model_items, family, run = {}, {}, {}
+    model_items, family, cast_family, run = {}, {}, {}, {}
     line_of = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -87,16 +96,20 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: {key} is given twice, "
                                  f"first at line {line_of[key]}")
             line_of[key] = lineno
+            section, _, name = key.partition(".")
             try:
-                if key.startswith("model."):
-                    model_items[key] = value
-                elif key.startswith("family."):
-                    name = key[len("family."):]
-                    if name not in _FAMILY_KEYS:
-                        raise ValueError(f"unknown family key: {name}")
-                    family[name] = value
-                elif key.startswith("run."):
-                    name = key[len("run."):]
+                if section in _KEYS:
+                    if name not in _KEYS[section]:
+                        raise ValueError(f"unknown {section} key: {name}")
+                    try:
+                        cast = _KEYS[section][name](value)
+                    except ValueError as exc:
+                        raise ValueError(f"{key}: {exc}") from exc
+                    if section == "model":
+                        model_items[key] = cast
+                    else:
+                        family[name], cast_family[name] = value, cast
+                elif section == "run":
                     if name not in _RUN_KEYS:
                         raise ValueError(f"unknown run key: {name}")
                     least = _RUN_MINIMUM.get(name)
@@ -104,60 +117,55 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                                                   and int(value) >= least):
                         raise ValueError(f"run.{name} must be an integer of "
                                          f"at least {least}, got {value!r}")
-                    choices = _RUN_CHOICES.get(name)
-                    if choices is not None and int(value) not in choices:
-                        raise ValueError(
-                            f"run.{name} must be one of "
-                            f"{', '.join(map(str, choices))}, got {value!r}")
                     run[name] = value
                 else:
                     raise ValueError(f"unknown config section for key: {key}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    kind = family.get("class", "constant")
+    kind = cast_family.get("class", "constant")
     for name, reader in _CLASS_KEYS.items():
         if name in family and kind != reader:
             raise ValueError(f"{path}:{line_of['family.' + name]}: family "
                              f"class {kind} does not read family.{name}")
-    try:
+    with _citing(path, line_of, "run."):
         oracle.check_tree(*_tree_shape(run))
-    except ValueError as exc:
-        keys = ("run.depth", "run.branching")
-        line = max(line_of.get(key, 0) for key in keys)
-        raise ValueError(f"{path}:{line}: {exc}") from exc
+    with _citing(path, line_of, "model."):
+        params = params_from_config(model_items)
+    with _citing(path, line_of, "family."):
+        contract_family = principal.ContractFamily(
+            kind, cast_family.get("cap", 1.0), cast_family.get("degree", 1),
+            cast_family.get("p_nodes"), cast_family.get("z_nodes"))
+        coeffs = cast_family.get("coefficients", np.zeros(1))
+        if len(coeffs) > contract_family.dimension:
+            raise ValueError(f"family.coefficients has {len(coeffs)} "
+                             f"entries, but the family has dimension "
+                             f"{contract_family.dimension}")
+        theta = np.zeros(contract_family.dimension)
+        theta[:len(coeffs)] = coeffs
+        contract = contract_family.make(theta)
     if mode is not None:
         run["mode"] = mode
-    params = params_from_config(model_items) if model_items else ModelParams()
-    return ExperimentConfig(params, family, run)
+    return ExperimentConfig(params, family, run, contract_family, contract)
+
+
+@contextlib.contextmanager
+def _citing(path, line_of, section):
+    """Re-raise a ``ValueError`` citing the last line of the ``section``
+    keys that its message names, or else of all the section's keys."""
+    try:
+        yield
+    except ValueError as exc:
+        lines = {key[len(section):]: line for key, line in line_of.items()
+                 if key.startswith(section)}
+        named = [line for name, line in lines.items()
+                 if re.search(rf"\b{name}\b", str(exc))]
+        line = max(named or lines.values(), default=0)
+        raise ValueError(f"{path}:{line}: {exc}") from exc
 
 
 def _tree_shape(run):
     """The run's scenario tree (depth, branching), 2 and 2 by default."""
     return int(run.get("depth", 2)), int(run.get("branching", 2))
-
-
-def _family_from_config(config: ExperimentConfig) -> principal.ContractFamily:
-    fam = config.family
-    kwargs = {"kind": fam.get("class", "constant"),
-              "cap": float(fam.get("cap", 1.0))}
-    if "degree" in fam:
-        kwargs["degree"] = int(fam["degree"])
-    if "p_nodes" in fam:
-        kwargs["p_nodes"] = np.array(_parse_list(fam["p_nodes"]))
-    if "z_nodes" in fam:
-        kwargs["z_nodes"] = np.array(_parse_list(fam["z_nodes"]))
-    return principal.ContractFamily(**kwargs)
-
-
-def _contract_from_config(config: ExperimentConfig):
-    family = _family_from_config(config)
-    coeffs = np.array(_parse_list(config.family.get("coefficients", "0")))
-    if len(coeffs) > family.dimension:
-        raise ValueError(f"family.coefficients has {len(coeffs)} entries, "
-                         f"but the family has dimension {family.dimension}")
-    theta = np.zeros(family.dimension)
-    theta[:len(coeffs)] = coeffs
-    return family.make(theta)
 
 
 def _write_csv(path, header, rows):
@@ -218,11 +226,10 @@ def _mode_agent(config, out_dir, lines):
     ``values``, the value at t = 0 ([n_p,] n_w, n_z), with ``p_nodes`` for
     a fee solved on the 3-D grid."""
     params = config.params
-    contract = _contract_from_config(config)
-    policy, grid = agent.solve_hjb(contract, params)
+    policy, grid = agent.solve_hjb(config.contract, params)
     value = grid.value_at_origin
     mc_value, mc_se = agent.estimate_agent_value(
-        contract, policy, params, split_seed(params.seed, "agent-mc"))
+        config.contract, policy, params, split_seed(params.seed, "agent-mc"))
     mc_z = (mc_value - value) / mc_se
     arrays = {"t_nodes": policy.t_nodes, "w_nodes": policy.w_nodes,
               "z_nodes": policy.z_nodes, "rates": policy.table,
@@ -248,8 +255,7 @@ def _mode_oracle(config, out_dir, lines):
     lam = params.entropy_weight
     trials = int(config.run.get("trials", 100))
     tree = oracle.build_tree(depth, branching, params)
-    contract = _contract_from_config(config)
-    u = oracle.atom_utility_from_contract(tree, contract, params)
+    u = oracle.atom_utility_from_contract(tree, config.contract, params)
     constraints = oracle.node_constraint_set(tree, params.rate_lower,
                                              params.rate_upper)
     strong = oracle.solve_strong_discrete(tree, u, lam, constraints)
@@ -283,7 +289,7 @@ def _mode_oracle(config, out_dir, lines):
 
 def _mode_optimize(config, out_dir, lines):
     params = config.params
-    family = _family_from_config(config)
+    family = config.contract_family
     budget = int(config.run.get("budget", 200))
     best, sequence = principal.optimize(family, params, budget)
     _write_csv(os.path.join(out_dir, "sequence.csv"),
@@ -357,8 +363,7 @@ def _mode_verify(config, out_dir, lines):
     degenerate = simulate.is_degenerate(sample)
 
     tree = oracle.build_tree(2, 2, params)
-    contract = _contract_from_config(config)
-    u = oracle.atom_utility_from_contract(tree, contract, params)
+    u = oracle.atom_utility_from_contract(tree, config.contract, params)
     lam = params.entropy_weight
     strong = oracle.solve_strong_discrete(tree, u, lam)
     grid = oracle.default_density_grid(strong.density)
@@ -433,8 +438,8 @@ def run(config_path, seed=None, out_dir=None, mode=None) -> int:
         return 2
     mode = config.run["mode"]
     if seed is not None:
-        config = ExperimentConfig(replace(config.params, seed=int(seed)),
-                                  config.family, config.run)
+        config = replace(config, params=replace(config.params,
+                                                seed=int(seed)))
     master_seed = config.params.seed
     out_dir = out_dir or config.run.get("out", "results")
     os.makedirs(out_dir, exist_ok=True)

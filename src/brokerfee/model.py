@@ -9,15 +9,13 @@ constraint system (A, b) encodes exactly that structure: six rows whose
 residuals b + A*nu are nonpositive precisely for admissible drifts.
 
 Each piece of the model that several layers evaluate is defined here once:
-the constraint rows (:meth:`ConstraintSpec.rows`), grid lookup
-(:func:`locate`), multilinear grid interpolation (:func:`interpolate`) and
-the state-only running utility (:func:`zeta_integral`).
+the constraint rows (:func:`constraint_rows`), grid lookup
+(:func:`locate`), the multilinear blend of a cell's corners behind both
+:func:`interpolate` and :class:`FeedbackPolicy`, and the state-only
+running utility (:func:`zeta_integral`).
 """
 
 import bisect
-import functools
-import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +23,8 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "FeedbackPolicy",
-    "ConstraintSpec",
     "ROW_NAMES",
+    "constraint_rows",
     "locate",
     "interpolate",
     "zeta_integral",
@@ -126,9 +124,10 @@ class FeedbackPolicy:
     ``ValueError``. Values are clamped to [L, U] at construction and again
     after interpolation, so every rate the policy emits is admissible.
 
-    A call looks up one scalar time ``t``: the two saved time planes around
-    it are blended into one (n_w, n_z) table, which is interpolated
-    bilinearly at (w, z), with each cell found by arithmetic on the uniform
+    A call looks up one scalar time ``t`` and broadcasts over w and z:
+    each point is blended trilinearly from the eight corners of its
+    (w, z, t) cell by the same code as :func:`interpolate`. The t cell is
+    found once per call and the w and z cells by arithmetic on the uniform
     nodes. Beyond the grid edges the value is extrapolated by a constant.
     A policy whose table is constant returns that rate without a lookup.
     """
@@ -146,6 +145,9 @@ class FeedbackPolicy:
         first = self.table.flat[0]
         self._rate = first if np.all(self.table == first) else None
         self._t_list = self.t_nodes.tolist()
+        self._flat = self.table.ravel()
+        _, n_w, n_z = expected
+        self._offsets = _corner_offsets((n_z, 1, n_w * n_z))
 
     @classmethod
     def constant(cls, rate, params: ModelParams):
@@ -163,29 +165,13 @@ class FeedbackPolicy:
             return np.full(np.broadcast_shapes(np.shape(w), np.shape(z)),
                            self._rate)
         it, ft = self._time_cell(t)
-        plane = (1 - ft) * self.table[it] + ft * self.table[it + 1]
         iw, fw = _uniform_cell(self.w_nodes, w)
         iz, fz = _uniform_cell(self.z_nodes, z)
-        # each corner is one gather from the flat plane at base + offset;
-        # the products and sums are those of the bilinear formula
-        # (1 - fw) (gz v00 + fz v01) + fw (gz v10 + fz v11), in place
-        flat, n_z = plane.ravel(), len(self.z_nodes)
-        base = iw * n_z + iz
-        gz = 1 - fz
-        # a 0-d array where w and z are scalars, so that low is updated in
-        # place and the clamped result is a scalar again
-        low, other = np.asarray(flat.take(base)), flat[1:].take(base)
-        low *= gz
-        other *= fz
-        low += other
-        high, other = flat[n_z:].take(base), flat[n_z + 1:].take(base)
-        high *= gz
-        other *= fz
-        high += other
-        low *= 1 - fw
-        high *= fw
-        low += high
-        return _clamp(low, *self.bounds)[()]
+        n_z = len(self.z_nodes)
+        # from time plane it on, base is the index of the (w, z) cell
+        rate = _blend(self._flat[it * self.table[0].size:], iw * n_z + iz,
+                      self._offsets, (fw, fz, ft))
+        return _clamp(rate, *self.bounds)[()]
 
     def _time_cell(self, t):
         """:func:`locate` of the scalar ``t`` on the t nodes, in Python
@@ -236,9 +222,10 @@ ROW_NAMES = ("drift_p_upper", "drift_p_lower", "drift_w_upper",
              "drift_w_lower", "rate_upper", "rate_lower")
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """The six-row linear constraint system b dt + A dX of the model.
+def constraint_rows(dp, dz, dw, w_dt, dt, lower, upper) -> tuple:
+    """The six-row linear constraint system b dt + A dX of the model, for
+    the rate bounds [L, U] = [``lower``, ``upper``] and the integrated
+    drift ``w_dt`` = W dt; broadcasts over array arguments.
 
     With b = (-W, W, 0, 0, -U, L) and dX = (dP, dZ, dW) the rows are
 
@@ -253,20 +240,7 @@ class ConstraintSpec:
     nu_w) in place of dX they are the residuals b + A nu; admissibility of
     a rate pi means all six are <= 0 at nu = (W, pi, 0).
     """
-
-    rate_lower: float
-    rate_upper: float
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "ConstraintSpec":
-        return cls(params.rate_lower, params.rate_upper)
-
-    def rows(self, dp, dz, dw, w_dt, dt) -> tuple:
-        """The six rows of b dt + A dX, given the integrated drift
-        ``w_dt`` = W dt; broadcasts over array arguments."""
-        return (dp - w_dt, w_dt - dp,
-                dw, -dw,
-                dz - self.rate_upper * dt, self.rate_lower * dt - dz)
+    return (dp - w_dt, w_dt - dp, dw, -dw, dz - upper * dt, lower * dt - dz)
 
 
 def locate(nodes, x):
@@ -289,27 +263,46 @@ def interpolate(axes, table, *x):
     ``table`` has one axis per sorted node array in ``axes`` and one query
     coordinate is given per axis; the coordinates broadcast against each
     other. Beyond an edge the value is extrapolated by a constant (see
-    :func:`locate`). The corners are summed in
-    ``itertools.product((0, 1), repeat=n)`` order, each weighted by the
-    product of its per-axis weights taken from the first axis on.
+    :func:`locate`). The corners of each cell are blended by
+    :func:`_blend`, along the last axis first.
     """
     if not len(axes) == len(x) == np.ndim(table):
         raise ValueError("need one node array and one coordinate per axis")
     cells = [locate(nodes, np.asarray(xi, dtype=float))
              for nodes, xi in zip(axes, x)]
-    weights = [(1 - frac, frac) for _, frac in cells]
-    # each corner is one gather from the flat table at base + offset
-    flat = np.ravel(table)
     shape = np.shape(table)
     strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
     base = sum(idx * stride for (idx, _), stride in zip(cells, strides))
-    out = np.zeros(np.broadcast_shapes(*(frac.shape for _, frac in cells)))
-    for corner in itertools.product((0, 1), repeat=len(cells)):
-        weight = functools.reduce(
-            operator.mul, (w[c] for w, c in zip(weights, corner)))
-        offset = sum(c * stride for c, stride in zip(corner, strides))
-        out += weight * flat.take(base + offset)
-    return out
+    return _blend(np.asarray(table, dtype=float).ravel(), base,
+                  _corner_offsets(strides), [frac for _, frac in cells])
+
+
+def _corner_offsets(strides):
+    """Flat offsets of a cell's 2^n corners for these per-axis strides; the
+    first axis varies fastest, so the two halves differ on the last axis."""
+    offsets = [0]
+    for stride in strides:
+        offsets += [offset + stride for offset in offsets]
+    return offsets
+
+
+def _blend(flat, base, offsets, weights):
+    """Multilinear blend of the cells whose first corner is at ``base`` in
+    the flat table ``flat``, given the cell's corner ``offsets``
+    (:func:`_corner_offsets`) and the n per-axis fractions ``weights``.
+
+    All corners are taken in one gather, of shape (2^n,) + the shape of
+    ``base``, which is the queries' full broadcast shape. The low and high
+    halves are then blended in place, (1 - f) low + f high, along the last
+    axis first. Returns an array, 0-d for a scalar query."""
+    corners = flat.take(np.add.outer(offsets, base))
+    for frac in reversed(weights):
+        half = len(corners) // 2
+        corners, high = corners[:half], corners[half:]
+        corners *= 1 - frac
+        high *= frac
+        corners += high
+    return corners.reshape(np.shape(base))
 
 
 def zeta_integral(z, w, dt, params: ModelParams):

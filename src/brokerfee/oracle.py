@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ROW_NAMES, ConstraintSpec, ModelParams, zeta_integral
+from .model import ROW_NAMES, ModelParams, constraint_rows, zeta_integral
 from .rng import uniforms
 
 __all__ = [
@@ -142,14 +142,14 @@ def node_constraint_set(tree: ScenarioTree, rate_lower: float,
     :data:`ROW_NAMES` order within a node; a form is zero off its node's
     atom block.
     """
-    spec = ConstraintSpec(rate_lower, rate_upper)
     inc = tree.combos[tree.choices]           # (n_atoms, depth, 3)
     n_rows = len(ROW_NAMES)
     forms = []
     for d in range(tree.depth):
         n_nodes = tree.n_combos**d
-        rows = np.stack(spec.rows(inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
-                                  tree.paths[:, d, 2] * tree.dt, tree.dt))
+        rows = np.stack(constraint_rows(
+            inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
+            tree.paths[:, d, 2] * tree.dt, tree.dt, rate_lower, rate_upper))
         # (node, row, node, atom in block), nonzero where the nodes agree
         block = np.zeros((n_nodes, n_rows, n_nodes, tree.n_atoms // n_nodes))
         nodes = np.arange(n_nodes)
@@ -497,7 +497,6 @@ def extract_strong_control(tree: ScenarioTree,
     the six constraint rows at every node of positive tilted mass and
     records the worst violation.
     """
-    spec = ConstraintSpec(rate_lower, rate_upper)
     cond_mean = control.conditional_mean()
     tilted = tree.probs * cond_mean
     n_combos = tree.n_combos
@@ -517,8 +516,8 @@ def extract_strong_control(tree: ScenarioTree,
         # the rows at dt = 1 (so W dt = W) with the drift in place of
         # dX are b + A nu
         w_node = tree.paths[::tree.n_atoms // n_nodes, d, 2][live]
-        residuals = spec.rows(drift[:, 0], drift[:, 1], drift[:, 2],
-                              w_node, 1.0)
+        residuals = constraint_rows(drift[:, 0], drift[:, 1], drift[:, 2],
+                                    w_node, 1.0, rate_lower, rate_upper)
         max_violation = max(max_violation,
                             float(np.max(residuals, initial=0.0)))
     recon_err = float(np.max(np.abs(reconstructed - cond_mean)))

@@ -81,7 +81,7 @@ class ContractFamily:
     def __post_init__(self):
         if self.kind not in ("constant", "linear_polynomial",
                              "lipschitz_table"):
-            raise ValueError(f"unknown contract family: {self.kind}")
+            raise ValueError(f"unknown contract family class: {self.kind}")
         if self.cap <= 0:
             raise ValueError("coefficient cap must be positive")
         if self.degree < 1:

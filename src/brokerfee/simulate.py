@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConstraintSpec, FeedbackPolicy, ModelParams
+from .model import FeedbackPolicy, ModelParams, constraint_rows
 from .rng import gaussians
 
 __all__ = [
@@ -200,7 +200,6 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
     n = params.n_steps
     dt, times = params.dt, params.times
     s2, e2 = params.sigma**2, params.epsilon**2
-    spec = ConstraintSpec.from_params(params)
     i_s = n // 2
 
     def chunk(first_row, rows):
@@ -249,7 +248,7 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
         if moments:
             end[:, live] = state[:, live]
             _window_moments(m, start, end, (stop - np.minimum(i_s, stop)) * dt,
-                            at_s, spec, dt, samples)
+                            at_s, params, samples)
         return m, log_m, pi_sq * dt, w_sq * dt, samples
 
     return WeightedSample(*_in_row_chunks(params.n_paths, n, chunk))
@@ -326,21 +325,24 @@ _TRUNCATION_LEVEL = 10.0
 
 
 def _window_moments(m: np.ndarray, start: np.ndarray, end: np.ndarray,
-                    span: np.ndarray, at_s: np.ndarray, spec: ConstraintSpec,
-                    dt: float, out: np.ndarray) -> None:
+                    span: np.ndarray, at_s: np.ndarray, params: ModelParams,
+                    out: np.ndarray) -> None:
     """Write M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows
     and each built-in test functional into ``out``, shape (7, 6, count).
 
-    Y accumulates b dt + A dX (:meth:`ConstraintSpec.rows`) along the path.
+    Y accumulates b dt + A dX (:func:`constraint_rows`) along the path.
     The rows are linear in the increments, so Y_{t ^ tau} - Y_{s ^ tau} is
     the rows of the differences of P, Z, W and of the left-point running
     integral of W (the state ``start`` and ``end`` at the window ends, with
-    the sum of W times ``dt``), over the stopped window's length ``span``.
-    ``at_s`` holds W_s and Z_s, which the indicators read. The six row
-    increments are taken once; each functional then scales them by M eta.
+    the sum of W times the step of ``params``), over the stopped window's
+    length ``span``, at the rate bounds of ``params``. ``at_s`` holds W_s
+    and Z_s, which the indicators read. The six row increments are taken
+    once; each functional then scales them by M eta.
     """
     dp, dz, dw = end[:3] - start[:3]
-    increments = spec.rows(dp, dz, dw, end[3] * dt - start[3] * dt, span)
+    dt = params.dt
+    increments = constraint_rows(dp, dz, dw, end[3] * dt - start[3] * dt,
+                                 span, params.rate_lower, params.rate_upper)
     etas = [np.ones(len(m))] + [
         np.clip((coord - threshold) / _RAMP_WIDTH + 0.5, 0.0, 1.0)
         for coord in at_s for threshold in _THRESHOLDS]

@@ -146,8 +146,7 @@ def test_tree_the_oracle_cannot_build_is_exit_2(tmp_path, capsys, line, key,
     cfg, out = write_config(tmp_path, "oracle")
     cfg.write_text(re.sub(rf"run\.{key} = \d+", f"run.{key} = {value}",
                           cfg.read_text()))
-    message = (f"run.cfg:{line}: run.{key} must be one of {choices}, "
-               f"got '{value}'")
+    message = f"run.cfg:{line}: {key} must be one of {choices}, got {value}"
     assert cli.run(cfg) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -394,16 +393,57 @@ def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
 
 
 def test_extra_coefficients_fail_the_run(tmp_path, capsys):
-    # a constant fee has one coefficient; a second one is an error, not
-    # silently dropped
+    # a constant fee has one coefficient; a second one is a config error,
+    # not silently dropped, and it used to exit 1 after the output
+    # directory was made
     cfg, out = write_config(tmp_path, "agent")
     cfg.write_text(cfg.read_text().replace("family.coefficients = 0.01",
                                            "family.coefficients = 0.01, 0.2"))
-    assert cli.run(cfg) == 1
-    assert "has 2 entries, but the family has dimension 1" in \
-        capsys.readouterr().err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
+    assert cli.run(cfg) == 2
+    assert ("run.cfg:9: family.coefficients has 2 entries, but the family "
+            "has dimension 1") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, key, value, message", [
+    (1, "model.epsilon", "abc",
+     "model.epsilon: could not convert string to float: 'abc'"),
+    (4, "model.n_steps", "1.5", "model.n_steps: invalid literal for int()"),
+    (3, "model.rate_upper", "-2.0", "rate_lower exceeds rate_upper"),
+    (8, "family.cap", "abc",
+     "family.cap: could not convert string to float: 'abc'"),
+    (8, "family.cap", "0", "coefficient cap must be positive"),
+    (7, "family.class", "bogus", "unknown contract family class: bogus"),
+], ids=["epsilon-abc", "n_steps-1.5", "rate_upper-below", "cap-abc", "cap-0",
+        "class-bogus"])
+def test_bad_value_is_exit_2_citing_its_line(tmp_path, capsys, line, key,
+                                              value, message):
+    # each used to raise with no line, or exit 1 after the output
+    # directory was made
+    cfg, out = write_config(tmp_path, "agent")
+    cfg.write_text(re.sub(rf"{re.escape(key)} = .*", f"{key} = {value}",
+                          cfg.read_text()))
+    assert cli.run(cfg) == 2
+    assert f"run.cfg:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("family.class = linear_polynomial\nfamily.degree = 0\n", 2,
+     "polynomial degree must be at least 1"),
+    ("family.class = lipschitz_table\nfamily.p_nodes = 1, 0\n"
+     "family.z_nodes = -1, 1\n", 2, "p_nodes needs at least two nodes"),
+    ("family.z_nodes = -1, 1\nfamily.class = lipschitz_table\n", 1,
+     "table family needs p_nodes and z_nodes"),
+], ids=["degree-0", "p_nodes-decreasing", "p_nodes-missing"])
+def test_family_that_makes_no_contract_is_exit_2(tmp_path, capsys, text,
+                                                 line, message):
+    cfg = tmp_path / "family.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"{text}run.mode = agent\nrun.out = {out}\n")
+    assert cli.run(cfg) == 2
+    assert f"family.cfg:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -452,20 +492,22 @@ def test_tree_too_large_to_build_is_exit_2(tmp_path, capsys):
 
 
 def test_failed_mode_keeps_traceback(tmp_path, capsys):
-    # a constant fee has one coefficient: the config parses, and the run
-    # fails when it builds the contract
+    # the rate bounds L = U = 5 leave the tree's node constraints no
+    # feasible density: the config parses, and the strong solve fails
     cfg, out = write_config(tmp_path, "oracle")
-    cfg.write_text(cfg.read_text().replace("family.coefficients = 0.01",
-                                           "family.coefficients = 0.01, 0.2"))
+    cfg.write_text(cfg.read_text()
+                   .replace("model.rate_lower = -1.0", "model.rate_lower = 5.0")
+                   .replace("model.rate_upper = 1.0", "model.rate_upper = 5.0")
+                   .replace("run.depth = 2", "run.depth = 1"))
     assert cli.run(cfg) == 1
     err = capsys.readouterr().err
-    message = "has 2 entries, but the family has dimension 1"
+    message = "dual ascent did not converge"
     assert "Traceback (most recent call last)" in err
     assert message in err
     summary = (out / "summary.txt").read_text()
     assert summary.startswith("mode: oracle")
     assert "Traceback (most recent call last)" in summary
-    assert "_contract_from_config" in summary and message in summary
+    assert "solve_strong_discrete" in summary and message in summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert set(manifest["outputs"]) == {"summary.txt"}

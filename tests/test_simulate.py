@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from brokerfee import simulate
-from brokerfee.model import ConstraintSpec, FeedbackPolicy, ModelParams
+from brokerfee.model import FeedbackPolicy, ModelParams, constraint_rows
 
 import path_reference
 import reduced_mode
@@ -319,15 +319,16 @@ def reference_etas(batch):
         for coord in (batch.w, batch.z) for threshold in (-1.0, 0.0, 1.0)]
 
 
-def per_step_samples(batch, m, eta, spec, stop):
+def per_step_samples(batch, m, eta, bounds, stop):
     """Reference samples, shape (6, count): cumulative sums of the rows of
     every step, read at the stopped window ends (T / 2 ^ tau, T ^ tau)."""
     n = len(batch.times) - 1
     dt = batch.times[1] - batch.times[0]
     lo = np.minimum(n // 2, stop)
     hi = np.minimum(n, stop)
-    increments = spec.rows(np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
-                           np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt)
+    increments = constraint_rows(
+        np.diff(batch.p, axis=1), np.diff(batch.z, axis=1),
+        np.diff(batch.w, axis=1), batch.w[:, :-1] * dt, dt, *bounds)
     weights = m * eta
     paths = np.arange(batch.count)
     samples = []
@@ -338,10 +339,10 @@ def per_step_samples(batch, m, eta, spec, stop):
     return np.array(samples)
 
 
-def per_step_moments(batch, m, eta, spec, stop):
+def per_step_moments(batch, m, eta, bounds, stop):
     """Reference estimator: the mean and standard error of each row's
     per-step samples."""
-    samples = per_step_samples(batch, m, eta, spec, stop)
+    samples = per_step_samples(batch, m, eta, bounds, stop)
     return (np.mean(samples, axis=1),
             np.std(samples, axis=1, ddof=1) / np.sqrt(batch.count))
 
@@ -366,11 +367,11 @@ def assert_matches_path_reference(sample, params, policy, seed):
                            ("int_pi_sq", int_pi_sq), ("int_w_sq", int_w_sq)):
         np.testing.assert_allclose(getattr(sample, name), expected,
                                    rtol=1e-12, atol=1e-12, err_msg=name)
-    spec = ConstraintSpec.from_params(params)
+    bounds = (params.rate_lower, params.rate_upper)
     stop = per_step_stopping_index(batch, 10.0)
     for e, eta in enumerate(reference_etas(batch)):
         np.testing.assert_allclose(
-            sample.moments[e], per_step_samples(batch, m, eta, spec, stop),
+            sample.moments[e], per_step_samples(batch, m, eta, bounds, stop),
             rtol=1e-12, atol=1e-12, err_msg=f"functional {e}")
 
 
@@ -395,12 +396,12 @@ def test_weighted_sample_matches_path_reference():
 
 def test_rows_of_summed_increments_are_summed_rows():
     # the linearity the telescoped estimator rests on
-    spec = ConstraintSpec(rate_lower=-0.7, rate_upper=1.3)
     dp, dz, dw, w = np.random.default_rng(4).normal(size=(4, 60))
     dt = 1.0 / 60
-    stepwise = np.sum(spec.rows(dp, dz, dw, w * dt, dt), axis=1)
-    summed = spec.rows(np.sum(dp), np.sum(dz), np.sum(dw), np.sum(w * dt),
-                       60 * dt)
+    stepwise = np.sum(constraint_rows(dp, dz, dw, w * dt, dt, -0.7, 1.3),
+                      axis=1)
+    summed = constraint_rows(np.sum(dp), np.sum(dz), np.sum(dw),
+                             np.sum(w * dt), 60 * dt, -0.7, 1.3)
     np.testing.assert_allclose(stepwise, summed, rtol=1e-12, atol=1e-12)
 
 
@@ -410,7 +411,7 @@ def test_family_moments_match_per_step_reference():
     # rest; each share is positive
     params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
                          n_steps=100, n_paths=4_000)
-    spec = ConstraintSpec.from_params(params)
+    bounds = (params.rate_lower, params.rate_upper)
     batch = path_reference.reference_paths(params, params.n_paths, 41)
     stop = per_step_stopping_index(batch, 10.0)
     reached = np.max(np.abs([batch.p, batch.z, batch.w]), axis=(0, 2)) >= 10
@@ -422,7 +423,7 @@ def test_family_moments_match_per_step_reference():
     estimates, ses = simulate.constraint_moments(sample)
     assert estimates.shape == (sample.moments.shape[0], 6)
     for e, eta in enumerate(reference_etas(batch)):
-        expected, expected_ses = per_step_moments(batch, sample.m, eta, spec,
+        expected, expected_ses = per_step_moments(batch, sample.m, eta, bounds,
                                                   stop)
         np.testing.assert_allclose(estimates[e], expected,
                                    rtol=1e-12, atol=1e-12)
