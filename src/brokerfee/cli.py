@@ -25,8 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import agent, contracts, oracle, principal, simulate
-from .model import (FeedbackPolicy, ModelParams, params_from_config,
-                    params_to_config)
+from .model import FeedbackPolicy, ModelParams, validate_params
 from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -36,52 +35,66 @@ MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
 # family keys that only one contract class reads
 _CLASS_KEYS = {"degree": "linear_polynomial", "p_nodes": "lipschitz_table",
                "z_nodes": "lipschitz_table"}
-_RUN_KEYS = ("mode", "budget", "out", "trials", "depth", "branching")
-# the smallest value of each integer run key; the convergence report of a
-# search needs two records
-_RUN_MINIMUM = {"budget": 2, "trials": 1, "depth": 1, "branching": 1}
 
 
 def _parse_array(text):
     return np.array([float(v) for v in str(text).split(",") if v.strip()])
 
 
-# each model and family key, and the type its value is cast to
-_KEYS = {"model": {field.name: field.type for field in fields(ModelParams)},
-         "family": {"class": str, "cap": float, "degree": int,
-                    "p_nodes": _parse_array, "z_nodes": _parse_array,
-                    "coefficients": _parse_array}}
+def _at_least(least):
+    """The cast to an integer of at least ``least``."""
+    def cast(text):
+        if not (text.isdecimal() and int(text) >= least):
+            raise ValueError(f"must be an integer of at least {least}, "
+                             f"got {text!r}")
+        return int(text)
+    return cast
+
+
+# each model, family and run key: the cast of its value, and the value used
+# when the file leaves the key out. A search's convergence report needs two
+# records; oracle.check_tree bounds the tree's depth and branching.
+_KEYS = {"model": {field.name: (field.type, field.default)
+                   for field in fields(ModelParams)},
+         "family": {"class": (str, "constant"), "cap": (float, 1.0),
+                    "degree": (int, 1), "p_nodes": (_parse_array, None),
+                    "z_nodes": (_parse_array, None),
+                    "coefficients": (_parse_array, np.zeros(1))},
+         "run": {"mode": (str, None), "budget": (_at_least(2), 200),
+                 "trials": (_at_least(1), 100), "depth": (int, 2),
+                 "branching": (int, 2), "out": (str, "results")}}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: ModelParams
-    family: dict
     run: dict
     contract_family: principal.ContractFamily
     contract: object
+    given: dict     # the text of each family and run key the file gives
 
     def __post_init__(self):
-        if self.run.get("mode") not in MODES:
+        if self.run["mode"] not in MODES:
             raise ValueError(f"run.mode must be one of {MODES}")
 
     def echo(self) -> dict:
-        out = params_to_config(self.params)
-        out.update({f"family.{k}": v for k, v in self.family.items()})
-        out.update({f"run.{k}": v for k, v in self.run.items()})
-        return out
+        return {**{f"model.{field.name}": getattr(self.params, field.name)
+                   for field in fields(ModelParams)}, **self.given}
 
 
 def parse_config(path, mode=None) -> ExperimentConfig:
     """Parse a flat dotted key-value config; errors cite line and key.
 
-    Each model and family value is cast on its line. A key given twice, a
+    Each value is cast on its line by its key's cast in ``_KEYS``, and a
+    key the file leaves out takes its default there. A key given twice, a
     family key that the family's class does not read, a tree that
     :func:`oracle.check_tree` refuses, or model, family or coefficient
     values that make no valid model or contract, is an error. ``mode``,
     when given, replaces the file's ``run.mode``.
     """
-    model_items, family, cast_family, run = {}, {}, {}, {}
+    values = {section: {name: default for name, (_, default) in keys.items()}
+              for section, keys in _KEYS.items()}
+    text = {section: {} for section in _KEYS}
     line_of = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -98,44 +111,32 @@ def parse_config(path, mode=None) -> ExperimentConfig:
             line_of[key] = lineno
             section, _, name = key.partition(".")
             try:
-                if section in _KEYS:
-                    if name not in _KEYS[section]:
-                        raise ValueError(f"unknown {section} key: {name}")
-                    try:
-                        cast = _KEYS[section][name](value)
-                    except ValueError as exc:
-                        raise ValueError(f"{key}: {exc}") from exc
-                    if section == "model":
-                        model_items[key] = cast
-                    else:
-                        family[name], cast_family[name] = value, cast
-                elif section == "run":
-                    if name not in _RUN_KEYS:
-                        raise ValueError(f"unknown run key: {name}")
-                    least = _RUN_MINIMUM.get(name)
-                    if least is not None and not (value.isdecimal()
-                                                  and int(value) >= least):
-                        raise ValueError(f"run.{name} must be an integer of "
-                                         f"at least {least}, got {value!r}")
-                    run[name] = value
-                else:
+                if section not in _KEYS:
                     raise ValueError(f"unknown config section for key: {key}")
+                if name not in _KEYS[section]:
+                    raise ValueError(f"unknown {section} key: {name}")
+                try:
+                    values[section][name] = _KEYS[section][name][0](value)
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    kind = cast_family.get("class", "constant")
+            text[section][name] = value
+    family, run = values["family"], values["run"]
     for name, reader in _CLASS_KEYS.items():
-        if name in family and kind != reader:
+        if name in text["family"] and family["class"] != reader:
             raise ValueError(f"{path}:{line_of['family.' + name]}: family "
-                             f"class {kind} does not read family.{name}")
+                             f"class {family['class']} does not read "
+                             f"family.{name}")
     with _citing(path, line_of, "run."):
-        oracle.check_tree(*_tree_shape(run))
+        oracle.check_tree(run["depth"], run["branching"])
     with _citing(path, line_of, "model."):
-        params = params_from_config(model_items)
+        params = validate_params(ModelParams(**values["model"]))
     with _citing(path, line_of, "family."):
         contract_family = principal.ContractFamily(
-            kind, cast_family.get("cap", 1.0), cast_family.get("degree", 1),
-            cast_family.get("p_nodes"), cast_family.get("z_nodes"))
-        coeffs = cast_family.get("coefficients", np.zeros(1))
+            family["class"], family["cap"], family["degree"],
+            family["p_nodes"], family["z_nodes"])
+        coeffs = family["coefficients"]
         if len(coeffs) > contract_family.dimension:
             raise ValueError(f"family.coefficients has {len(coeffs)} "
                              f"entries, but the family has dimension "
@@ -144,8 +145,10 @@ def parse_config(path, mode=None) -> ExperimentConfig:
         theta[:len(coeffs)] = coeffs
         contract = contract_family.make(theta)
     if mode is not None:
-        run["mode"] = mode
-    return ExperimentConfig(params, family, run, contract_family, contract)
+        run["mode"] = text["run"]["mode"] = mode
+    given = {f"{section}.{name}": value for section in ("family", "run")
+             for name, value in text[section].items()}
+    return ExperimentConfig(params, run, contract_family, contract, given)
 
 
 @contextlib.contextmanager
@@ -161,11 +164,6 @@ def _citing(path, line_of, section):
                  if re.search(rf"\b{name}\b", str(exc))]
         line = max(named or lines.values(), default=0)
         raise ValueError(f"{path}:{line}: {exc}") from exc
-
-
-def _tree_shape(run):
-    """The run's scenario tree (depth, branching), 2 and 2 by default."""
-    return int(run.get("depth", 2)), int(run.get("branching", 2))
 
 
 def _write_csv(path, header, rows):
@@ -251,9 +249,8 @@ def _mode_agent(config, out_dir, lines):
 
 def _mode_oracle(config, out_dir, lines):
     params = config.params
-    depth, branching = _tree_shape(config.run)
+    depth, branching = config.run["depth"], config.run["branching"]
     lam = params.entropy_weight
-    trials = int(config.run.get("trials", 100))
     tree = oracle.build_tree(depth, branching, params)
     u = oracle.atom_utility_from_contract(tree, config.contract, params)
     constraints = oracle.node_constraint_set(tree, params.rate_lower,
@@ -262,9 +259,8 @@ def _mode_oracle(config, out_dir, lines):
     grid = oracle.default_density_grid(strong.density)
     relaxed_value, control = oracle.solve_relaxed_discrete(
         tree, u, lam, grid, constraints)
-    collapse = oracle.verify_collapse(tree, lam, trials,
-                                      split_seed(params.seed, "collapse"),
-                                      control)
+    collapse = oracle.verify_collapse(tree, lam, config.run["trials"],
+                                      split_seed(params.seed, "collapse"))
     extraction = oracle.extract_strong_control(
         tree, control, params.rate_lower, params.rate_upper)
     rows = [
@@ -275,7 +271,7 @@ def _mode_oracle(config, out_dir, lines):
         ["duality_gap", _fmt(strong.duality_gap)],
         ["collapse_counterexamples", len(collapse.counterexamples)],
         ["min_jensen_gap", _fmt(collapse.min_jensen_gap)],
-        ["relaxed_is_dirac", int(collapse.relaxed_is_dirac)],
+        ["relaxed_is_dirac", int(control.is_dirac())],
         ["max_constraint_violation", _fmt(extraction.max_violation)],
         ["reconstruction_error", _fmt(extraction.reconstruction_error)],
     ]
@@ -290,8 +286,7 @@ def _mode_oracle(config, out_dir, lines):
 def _mode_optimize(config, out_dir, lines):
     params = config.params
     family = config.contract_family
-    budget = int(config.run.get("budget", 200))
-    best, sequence = principal.optimize(family, params, budget)
+    best, sequence = principal.optimize(family, params, config.run["budget"])
     _write_csv(os.path.join(out_dir, "sequence.csv"),
                ["iteration", "stage"]
                + [f"coef_{k}" for k in range(family.dimension)]
@@ -441,7 +436,7 @@ def run(config_path, seed=None, out_dir=None, mode=None) -> int:
         config = replace(config, params=replace(config.params,
                                                 seed=int(seed)))
     master_seed = config.params.seed
-    out_dir = out_dir or config.run.get("out", "results")
+    out_dir = out_dir or config.run["out"]
     os.makedirs(out_dir, exist_ok=True)
 
     lines = [f"mode: {mode}", f"seed: {master_seed}"]

@@ -16,7 +16,7 @@ running utility (:func:`zeta_integral`).
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "interpolate",
     "zeta_integral",
     "validate_params",
-    "params_to_config",
-    "params_from_config",
 ]
 
 
@@ -65,19 +63,15 @@ class ModelParams:
         return 2 * self.epsilon**2 * self.phi_a
 
 
-_FLOAT_FIELDS = ("sigma", "epsilon", "phi_a", "phi_p", "rate_lower",
-                 "rate_upper", "horizon", "reservation")
-_PARAM_FIELDS = _FLOAT_FIELDS + ("n_steps", "n_paths", "seed")
-
-
 def validate_params(params: ModelParams) -> ModelParams:
     """Return ``params`` unchanged if all invariants hold.
 
     Raises ``ValueError`` naming the first violated invariant.
     """
-    for name in _FLOAT_FIELDS:
-        if not np.isfinite(getattr(params, name)):
-            raise ValueError(f"{name} must be finite")
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if field.type is float and not np.isfinite(value):
+            raise ValueError(f"{field.name} must be finite")
     if not params.sigma > 0:
         raise ValueError("sigma must be positive")
     if not params.epsilon > 0:
@@ -95,25 +89,6 @@ def validate_params(params: ModelParams) -> ModelParams:
     if params.n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     return params
-
-
-def params_to_config(params: ModelParams) -> dict:
-    """Flatten to the dotted key-value form used by text configs."""
-    return {f"model.{name}": getattr(params, name) for name in _PARAM_FIELDS}
-
-
-def params_from_config(items: dict) -> ModelParams:
-    """Rebuild ModelParams from dotted keys; unknown keys are an error."""
-    kwargs = {}
-    for key, value in items.items():
-        if not key.startswith("model."):
-            raise ValueError(f"unexpected config key: {key}")
-        name = key[len("model."):]
-        if name not in _PARAM_FIELDS:
-            raise ValueError(f"unknown model parameter: {name}")
-        caster = float if name in _FLOAT_FIELDS else int
-        kwargs[name] = caster(value)
-    return validate_params(ModelParams(**kwargs))
 
 
 class FeedbackPolicy:

@@ -64,7 +64,6 @@ class ScenarioTree:
     depth: int
     branching: int
     dt: float
-    scales: tuple
     combos: np.ndarray      # (n_combos, 3) per-step increments
     choices: np.ndarray     # (n_atoms, depth) combo index per step
     paths: np.ndarray       # (n_atoms, depth + 1, 3) cumulative
@@ -102,13 +101,12 @@ def build_tree(depth: int, branching: int,
     n_combos = branching**3
     n_atoms = n_combos**depth
     dt = params.horizon / depth
-    scales = (params.sigma, params.epsilon, 1.0)
     if branching == 2:
         base = np.array([-1.0, 1.0]) * np.sqrt(dt)
     else:
         # uniform probabilities; stretch so the second moment is still dt
         base = np.array([-1.0, 0.0, 1.0]) * np.sqrt(1.5 * dt)
-    per_channel = [s * base for s in scales]
+    per_channel = [s * base for s in (params.sigma, params.epsilon, 1.0)]
     combos = np.array(list(itertools.product(*per_channel)))
     choices = np.array(list(itertools.product(range(n_combos), repeat=depth)),
                        dtype=int)
@@ -116,8 +114,7 @@ def build_tree(depth: int, branching: int,
     paths = np.zeros((n_atoms, depth + 1, 3))
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    return ScenarioTree(depth, branching, dt, scales, combos, choices, paths,
-                        probs)
+    return ScenarioTree(depth, branching, dt, combos, choices, paths, probs)
 
 
 def atom_utility_from_contract(tree: ScenarioTree, contract,
@@ -440,19 +437,16 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
 class CollapseReport:
     counterexamples: tuple
     min_jensen_gap: float
-    relaxed_is_dirac: bool
 
 
-def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
-                    control: RelaxedControlDiscrete) -> CollapseReport:
+def verify_collapse(tree: ScenarioTree, lam: float, trials: int,
+                    seed: int) -> CollapseReport:
     """Check that randomization never helps when the entropy weight is
     positive.
 
     For random feasible two-point randomizations, the Dirac control at the
     conditional mean dominates by exactly lam times the Jensen gap of
-    m log m (strictly when the two points differ); and ``control``, the
-    relaxed optimum the caller solved for on a grid containing the strong
-    optimum, must be a Dirac-mode control. Any violation of the first is
+    m log m (strictly when the two points differ). Any violation is
     reported as a counterexample with the full instance data.
     """
     probs = tree.probs
@@ -474,8 +468,7 @@ def verify_collapse(tree: ScenarioTree, lam: float, trials: int, seed: int,
          "cond_mean": cond_mean[k].tolist(), "m1": m1[k].tolist(),
          "m2": m2[k].tolist(), "q": q[k].tolist()}
         for k in np.flatnonzero(bad))
-    return CollapseReport(counterexamples, float(np.min(gaps)),
-                          control.is_dirac())
+    return CollapseReport(counterexamples, float(np.min(gaps)))
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def optimize(family: ContractFamily, params: ModelParams, budget: int = 200):
-    """Search the family for the broker-optimal contract.
+def optimize(family: ContractFamily, params: ModelParams, budget: int):
+    """Search the family for the broker-optimal contract, scoring at most
+    ``budget`` distinct contracts (at least 1).
 
     Returns (best contract, MaximizingSequence). Every contract is scored
     by :func:`principal_objective` under common random numbers keyed by

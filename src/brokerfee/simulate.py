@@ -361,8 +361,8 @@ def constraint_moments(sample: WeightedSample) -> tuple:
     rows 5-6 have nonpositive mean exactly when the reweighting policy is
     admissible.
     """
-    estimates = np.empty(sample.moments.shape[:2])
-    ses = np.empty_like(estimates)
-    for index in np.ndindex(estimates.shape):
-        estimates[index], ses[index] = _mean_se(sample.moments[index])
-    return estimates, ses
+    n = sample.moments.shape[-1]
+    estimates = np.mean(sample.moments, axis=-1)
+    if n == 1:
+        return estimates, np.full_like(estimates, np.inf)
+    return estimates, np.std(sample.moments, axis=-1, ddof=1) / np.sqrt(n)

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from brokerfee import cli, oracle
-from brokerfee.model import interpolate
+from brokerfee.model import ModelParams, interpolate
 
 BASE_CONFIG = """\
 model.epsilon = 0.5
@@ -57,12 +58,32 @@ def test_parse_error_cites_line(tmp_path):
 
 
 # the oracle's entropy weight is the model's 2 eps^2 phi_a, not a run key
-@pytest.mark.parametrize("key", ["colour", "lam"])
-def test_parse_error_names_unknown_key(tmp_path, key):
+@pytest.mark.parametrize("section, key", [
+    pytest.param("run", "colour", id="colour"),
+    pytest.param("run", "lam", id="lam"),
+    ("model", "volatility"), ("family", "colour")])
+def test_parse_error_names_unknown_key(tmp_path, section, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"run.mode = simulate\nrun.{key} = 1\n")
-    with pytest.raises(ValueError, match=f"unknown run key: {key}"):
+    cfg.write_text(f"run.mode = simulate\n{section}.{key} = 1\n")
+    with pytest.raises(ValueError,
+                       match=f"bad.cfg:2: unknown {section} key: {key}"):
         cli.parse_config(cfg)
+
+
+def test_defaults_of_a_config_that_gives_only_the_mode(tmp_path):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("run.mode = optimize\n")
+    config = cli.parse_config(cfg)
+    assert config.run == {"mode": "optimize", "budget": 200, "trials": 100,
+                          "depth": 2, "branching": 2, "out": "results"}
+    assert config.params == ModelParams()
+    assert (config.contract_family.kind, config.contract_family.cap) == \
+        ("constant", 1.0)
+    assert config.contract.value == 0.0
+    echoed = config.echo()
+    assert list(echoed) == [f"model.{field.name}"
+                            for field in fields(ModelParams)] + ["run.mode"]
+    assert echoed["run.mode"] == "optimize"
 
 
 @pytest.mark.parametrize("workload", sorted(
@@ -113,7 +134,7 @@ def test_budget_below_two_is_exit_2(tmp_path, capsys, budget):
     cfg, out = write_config(tmp_path, "optimize")
     cfg.write_text(cfg.read_text().replace("run.budget = 6",
                                            f"run.budget = {budget}"))
-    message = (f"run.cfg:11: run.budget must be an integer of at least 2, "
+    message = (f"run.cfg:11: run.budget: must be an integer of at least 2, "
                f"got '{budget}'")
     assert cli.run(cfg) == 2
     assert message in capsys.readouterr().err
@@ -125,12 +146,20 @@ def test_budget_below_two_is_exit_2(tmp_path, capsys, budget):
                                        (14, "trials")])
 def test_tree_key_below_one_is_exit_2(tmp_path, capsys, line, key, value):
     # trials 0 used to run both solves and then fail in verify_collapse,
-    # and trials -3 or depth 1.5 failed with a traceback
+    # and trials -3 or depth 1.5 failed with a traceback. The depth and
+    # branching are integers that oracle.check_tree bounds.
     cfg, out = write_config(tmp_path, "oracle")
     cfg.write_text(re.sub(rf"run\.{key} = \d+", f"run.{key} = {value}",
                           cfg.read_text()))
-    message = (f"run.cfg:{line}: run.{key} must be an integer of at least "
-               f"1, got '{value}'")
+    if key == "trials":
+        error = f"run.trials: must be an integer of at least 1, got '{value}'"
+    elif value == "1.5":
+        error = f"run.{key}: invalid literal for int() with base 10: '1.5'"
+    else:
+        choices = oracle.DEPTHS if key == "depth" else oracle.BRANCHINGS
+        error = (f"{key} must be one of {', '.join(map(str, choices))}, "
+                 f"got {value}")
+    message = f"run.cfg:{line}: {error}"
     assert cli.run(cfg) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -174,7 +203,7 @@ def test_family_keys_of_the_class_parse(tmp_path):
     cfg = tmp_path / "table.cfg"
     cfg.write_text("run.mode = agent\nfamily.p_nodes = -1, 1\n"
                    "family.z_nodes = -1, 1\nfamily.class = lipschitz_table\n")
-    assert cli.parse_config(cfg).family["class"] == "lipschitz_table"
+    assert cli.parse_config(cfg).contract_family.kind == "lipschitz_table"
 
 
 @pytest.mark.parametrize("key", ["gamma", "holder_const", "operator"])

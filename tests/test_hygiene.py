@@ -2,8 +2,8 @@
 tests, every public method is read by the library or the benchmark, every
 defaulted parameter of a public function is passed by the library or the
 benchmark, no import is unused, only the CLI writes files, every config
-key the CLI accepts is read, every thread pool is closed by a with
-statement, and importing the CLI loads no scipy."""
+key the CLI accepts is read and named in the README, every thread pool is
+closed by a with statement, and importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -209,8 +209,18 @@ def test_every_config_key_is_read():
     from brokerfee import cli
     read = set(_read_keys(ast.parse((PACKAGE / "cli.py").read_text())))
     unread = [f"family.{k}" for k in cli._KEYS["family"] if k not in read]
-    unread += [f"run.{k}" for k in cli._RUN_KEYS if k not in read]
+    unread += [f"run.{k}" for k in cli._KEYS["run"] if k not in read]
     assert unread == []
+
+
+def test_readme_names_every_family_and_run_key():
+    # the README's table of family and run keys cannot drift from the schema
+    from brokerfee import cli
+    readme = (ROOT / "README.md").read_text()
+    unnamed = [f"{section}.{key}" for section in ("family", "run")
+               for key in cli._KEYS[section]
+               if f"`{section}.{key}`" not in readme]
+    assert unnamed == []
 
 
 def test_thread_pools_are_scoped_by_with():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokerfee.model import (FeedbackPolicy, ModelParams, constraint_rows,
-                             interpolate, locate, params_from_config,
-                             params_to_config, validate_params)
+                             interpolate, locate, validate_params)
 
 
 def test_default_params_accepted():
@@ -29,27 +28,13 @@ def test_validation_messages(kwargs, message):
         validate_params(ModelParams(**kwargs))
 
 
-def test_config_round_trip():
-    params = ModelParams(sigma=2.0, epsilon=0.3, n_steps=100, seed=99)
-    assert params_from_config(params_to_config(params)) == params
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["sigma", "epsilon", "phi_a", "phi_p",
                                   "rate_lower", "rate_upper", "horizon",
                                   "reservation"])
 def test_config_rejects_non_finite_values(name, value):
-    items = params_to_config(ModelParams())
-    items[f"model.{name}"] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        params_from_config(items)
-
-
-def test_config_rejects_unknown_key():
-    items = params_to_config(ModelParams())
-    items["model.volatility"] = 1.0
-    with pytest.raises(ValueError, match="unknown model parameter"):
-        params_from_config(items)
+        validate_params(ModelParams(**{name: float(value)}))
 
 
 def test_dt_and_times():

@@ -76,7 +76,7 @@ def test_tree_increment_variance_matching():
     for branching in (2, 3):
         tree = oracle.build_tree(2, branching, PARAMS)
         # per-step second moment of each channel equals scale^2 dt
-        for ch, scale in enumerate(tree.scales):
+        for ch, scale in enumerate((PARAMS.sigma, PARAMS.epsilon, 1.0)):
             inc = tree.combos[tree.choices][:, 0, ch]
             assert np.mean(inc**2) == pytest.approx(scale**2 * tree.dt)
             assert np.mean(inc) == pytest.approx(0.0, abs=1e-15)
@@ -255,11 +255,10 @@ def test_verify_collapse_no_counterexamples():
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
     grid = oracle.default_density_grid(sol.density)
     _, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
-    report = oracle.verify_collapse(tree, 0.5, trials=50, seed=8,
-                                    control=control)
+    report = oracle.verify_collapse(tree, 0.5, trials=50, seed=8)
     assert report.counterexamples == ()
     assert report.min_jensen_gap > 0.0
-    assert report.relaxed_is_dirac
+    assert control.is_dirac()
 
 
 @settings(deadline=None, max_examples=30)
@@ -358,8 +357,7 @@ def test_lam_must_be_positive():
                                       np.array([0.5, 1.0, 2.0]))
 
 
-def test_verify_collapse_reads_given_control():
-    # the collapse verdict is about the relaxed optimum the caller passes:
+def test_relaxed_control_is_dirac():
     # a two-point randomization on the first atom, Dirac elsewhere (rows
     # padded by an atom of zero weight)
     tree, _ = price_step_tree()
@@ -367,14 +365,10 @@ def test_verify_collapse_reads_given_control():
     weights = np.tile([1.0, 0.0], (tree.n_atoms, 1))
     atoms[0], weights[0] = [0.5, 1.5], [0.3, 0.7]
     two_point = oracle.RelaxedControlDiscrete(tree.probs, atoms, weights)
-    report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
-                                    control=two_point)
-    assert not report.relaxed_is_dirac
+    assert not two_point.is_dirac()
     assert two_point.max_secondary_weight() == 0.3
     dirac = relaxed_control.dirac(tree, np.ones(tree.n_atoms))
-    report = oracle.verify_collapse(tree, 1.0, trials=5, seed=3,
-                                    control=dirac)
-    assert report.relaxed_is_dirac
+    assert dirac.is_dirac()
     assert dirac.max_secondary_weight() == 0.0
 
 
