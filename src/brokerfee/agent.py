@@ -65,7 +65,7 @@ import numpy as np
 
 from .contracts import LinearPolynomial
 from .model import FeedbackPolicy, ModelParams, interpolate
-from .rng import _usable_cpus
+from .rng import usable_cpus
 from . import simulate
 
 __all__ = ["ValueGrid", "solve_hjb", "estimate_agent_value"]
@@ -205,7 +205,7 @@ class _ExplicitStep:
         # _SLAB_CELLS, at least one; cut() fills it with planes of the box
         plane = n_w * n_z
         self.slab_cells = min(n_p, max(1, _SLAB_CELLS // plane)) * plane
-        self.cpus = _usable_cpus()
+        self.cpus = usable_cpus()
         self.cut(((0, n_p), (0, n_w), (0, n_z)))
         self.buffers = [_Buffers(self.slab_cells, plane, n_p)
                         for _ in self.groups]
@@ -516,5 +516,5 @@ def estimate_agent_value(contract, policy: FeedbackPolicy,
     """
     sample = simulate.simulate_controlled(params, policy, seed)
     xi = contract.terminal_payoff(sample.p_T, sample.z_T)
-    return simulate._mean_se(-xi + sample.int_zw
-                             - params.phi_a * sample.int_pi_sq)
+    return simulate.mean_se(-xi + sample.int_zw
+                            - params.phi_a * sample.int_pi_sq)

@@ -195,7 +195,7 @@ def _mode_simulate(config, out_dir, lines):
         weighted = simulate.weighted_reference(
             params, FeedbackPolicy.constant(rate, params),
             split_seed(params.seed, f"sim-{label}"))
-        mean, se = simulate._mean_se(weighted.m)
+        mean, se = simulate.mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
         degenerate = simulate.is_degenerate(weighted)
         report = simulate.entropy_report(weighted, params)
@@ -340,7 +340,7 @@ def _mode_verify(config, out_dir, lines):
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
         params, policy, split_seed(params.seed, "verify-sim"), moments=True)
-    mean, se = simulate._mean_se(sample.m)
+    mean, se = simulate.mean_se(sample.m)
     checks.append(("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                    f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}"))
 

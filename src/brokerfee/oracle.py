@@ -6,12 +6,13 @@ finite measures over (path-atom, density-atom) pairs, the strong problem
 is a finite concave program with a Gibbs closed form, and the claims
 (strong controls embed, the relaxed optimum collapses to a Dirac density,
 values coincide, an admissible drift can be extracted) can be brute-forced
-to solver tolerance. The strong program is solved on its Lagrange dual,
-finished by projected Newton steps to a KKT residual at float64
-resolution, and the dual value at the multipliers found is a closed-form
-bound on the relaxed value over every randomized control (the duality
-gap). The relaxed program is one sparse linear program on a density grid
-of its own for each path-atom, so its columns grow linearly in the atoms.
+to solver tolerance. The strong program is solved on its Lagrange dual
+by projected Newton steps from zero multipliers to a KKT residual at
+float64 resolution, and the dual value at the multipliers found is a
+closed-form bound on the relaxed value over every randomized control (the
+duality gap). The relaxed program is one sparse linear program on a
+density grid of its own for each path-atom, so its columns grow linearly
+in the atoms.
 This module is the verification half of the package: it never trusts the
 continuous solvers, only convex duality on the tree.
 
@@ -219,8 +220,8 @@ def _newton_step(forms, tilted, moments, mu, lam):
     return step
 
 
-# iteration cap of one strong solve, L-BFGS-B and Newton steps together,
-# and the KKT residual it stops at, near float64 resolution
+# Newton-step cap of one strong solve and the KKT residual it stops at,
+# near float64 resolution
 _MAX_ITER = 10_000
 _TOL = 1e-12
 
@@ -236,20 +237,20 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     m = e^{u/lam} / sum p e^{u/lam}, value lam log sum p e^{u/lam}.
     Otherwise the strictly concave program is solved on its Lagrange dual
     D(mu) = lam log sum p e^{(u - F^T mu)/lam} over multipliers mu >= 0
-    (normalization absorbed into the Gibbs form): L-BFGS-B first, then
-    projected Newton steps (`_newton_step`) backtracked on the KKT
-    residual, since near the optimum D is flat to within its rounding
-    and cannot rank trial points. Newton usually needs one or two steps
-    to reach float64 resolution. ``duality_gap`` is D(mu) minus the value
-    of the returned density; by weak duality D(mu) bounds the relaxed
-    value over every randomized control, so a gap near 0 certifies that
-    randomization cannot beat the returned strong control. A solve that
-    reaches ``_MAX_ITER`` iterations, or stalls, with the residual above
-    ``_TOL`` returns with ``converged`` False, or raises when the residual
-    exceeds 1e3 * ``_TOL``.
+    (normalization absorbed into the Gibbs form) by projected Newton
+    steps (`_newton_step`) from mu = 0, each halved until D falls by the
+    Armijo amount (at least 1e-14 |D|, so that rounding-level moves do
+    not count) or the KKT residual falls 1e-4 below the least so far: far
+    from the optimum the residual can rise on the way down D, and near it
+    D is flat to within its rounding and cannot rank trial points.
+    Solves on trees of depth 1-3 take from 3 to a few dozen steps.
+    ``duality_gap`` is D(mu) minus the value of the returned density; by
+    weak duality D(mu) bounds the relaxed value over every randomized
+    control, so a gap near 0 certifies that randomization cannot beat the
+    returned strong control. A solve that reaches ``_MAX_ITER`` steps, or
+    stalls, with the residual above ``_TOL`` returns with ``converged``
+    False, or raises when the residual exceeds 1e3 * ``_TOL``.
     """
-    from scipy.optimize import minimize
-
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = tree.probs
@@ -267,31 +268,29 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         m, log_z = _gibbs(probs, u - c.T @ mu, lam)
         return m, float(lam * log_z), c @ (probs * m)
 
-    def dual(mu):
-        _, value, moments = at(mu)
-        return value, -moments
-
-    result = minimize(dual, np.zeros(len(c)),
-                      jac=True, method="L-BFGS-B",
-                      bounds=[(0.0, None)] * len(c),
-                      options={"maxiter": _MAX_ITER, "ftol": 1e-16,
-                               "gtol": 1e-14})
-    mu = result.x
-    iterations = int(result.nit)
+    mu = np.zeros(len(c))
+    iterations = 0
     m, dual_value, moments = at(mu)
-    residual = _kkt_residual(mu, moments)
+    residual = least = _kkt_residual(mu, moments)
     while residual > _TOL and iterations < _MAX_ITER:
         step = _newton_step(c, probs * m, moments, mu, lam)
-        for halvings in range(30):
-            alpha = 0.5**halvings
-            trial = np.maximum(mu + alpha * step, 0.0)
+        # down to 2^-99, about e^{-69}: where the Gibbs masses span a
+        # factor e^{69}, Newton can overshoot by about that factor
+        for halvings in range(100):
+            trial = np.maximum(mu + 0.5**halvings * step, 0.0)
             state = at(trial)
             trial_residual = _kkt_residual(trial, state[2])
-            if trial_residual <= (1.0 - 1e-4 * alpha) * residual:
+            armijo = max(1e-4 * float(moments @ (trial - mu)),
+                         1e-14 * abs(dual_value))
+            # the residual is held to the least so far, so the two tests
+            # cannot hand a pair of points back and forth
+            if (dual_value - state[1] >= armijo
+                    or trial_residual <= (1.0 - 1e-4) * least):
                 break
         else:
             break           # no decrease left at float64 resolution
         mu, residual = trial, trial_residual
+        least = min(least, residual)
         m, dual_value, moments = state
         iterations += 1
     if residual > 1e3 * _TOL:
@@ -371,10 +370,9 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     grid per path-atom; returns (value, RelaxedControlDiscrete).
 
     ``density_grid`` is (n_atoms, k), row x the density values offered to
-    path-atom x (as from :func:`default_density_grid`); a 1-D grid of k
-    values is offered to every atom. With the density values fixed the
-    program is linear in the conditional weights q(x, j), stored
-    atom-major at x * k + j, and in one conditional mean
+    path-atom x (as from :func:`default_density_grid`). With the density
+    values fixed the program is linear in the conditional weights q(x, j),
+    stored atom-major at x * k + j, and in one conditional mean
     mbar(x) = sum_j g(x, j) q(x, j) per atom, stored after them: maximize
     sum_x p(x) sum_j q(x,j) [g(x,j) u(x) - lam g(x,j) log g(x,j)] subject
     to the per-atom marginals, the definition of mbar, the normalization
@@ -394,10 +392,9 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     u = np.asarray(u, dtype=float)
     n_atoms = tree.n_atoms
     g = np.asarray(density_grid, dtype=float)
-    if g.ndim not in (1, 2) or np.any(g <= 0):
-        raise ValueError("density grid must be a 1-D or (n_atoms, k) array "
-                         "of strictly positive atoms")
-    g = np.broadcast_to(g, (n_atoms, g.shape[-1]))
+    if g.ndim != 2 or len(g) != n_atoms or np.any(g <= 0):
+        raise ValueError("density grid must be an (n_atoms, k) array of "
+                         "strictly positive atoms")
     n_grid = g.shape[1]
     n_weights = n_atoms * n_grid
 

@@ -56,7 +56,7 @@ def principal_objective(contract, params: ModelParams) -> PrincipalEvaluation:
     v_a = grid.value_at_origin
     sample = simulate.simulate_controlled(
         params, policy, split_seed(params.seed, "principal-crn"))
-    j_p, j_p_se = simulate._mean_se(
+    j_p, j_p_se = simulate.mean_se(
         contract.terminal_payoff(sample.p_T, sample.z_T)
         - params.phi_p * sample.int_pi_sq)
     return PrincipalEvaluation(j_p, j_p_se, v_a, v_a >= params.reservation)

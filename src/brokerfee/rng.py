@@ -10,7 +10,7 @@ Philox is counter-based: one counter step yields a block of 4 draws, and
 ``Philox.advance(k)`` skips k blocks. :func:`gaussians` therefore fills its
 output in place, in contiguous chunks cut at multiples of 4 draws, each
 from its own generator advanced to the chunk's first block, one thread per
-usable CPU (:func:`_usable_cpus`). The threads release the GIL inside
+usable CPU (:func:`usable_cpus`). The threads release the GIL inside
 numpy and scipy, and the output does not depend on the number of chunks:
 it equals the one-shot draw bit for bit. The same holds for a draw that
 starts ``offset`` positions into the stream, at a multiple of 4: it equals
@@ -23,13 +23,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["split_seed", "uniforms", "gaussians"]
+__all__ = ["split_seed", "uniforms", "gaussians", "usable_cpus"]
 
 # below this many draws per chunk a thread costs more than it saves
 _MIN_CHUNK = 1 << 16
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has
     one (``os.sched_getaffinity``, Linux), else ``os.cpu_count()``, else
     1. Every thread pool in the package is sized by it."""
@@ -103,6 +103,6 @@ def gaussians(seed: int, shape, offset: int = 0) -> np.ndarray:
                          f"got {offset}")
     out = np.empty(shape)
     flat = out.reshape(-1)
-    n_chunks = max(1, min(_usable_cpus(), flat.size // _MIN_CHUNK))
+    n_chunks = max(1, min(usable_cpus(), flat.size // _MIN_CHUNK))
     _fill_gaussians(seed, flat, n_chunks, offset)
     return out

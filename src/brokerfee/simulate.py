@@ -45,7 +45,7 @@ __all__ = [
     "ControlledSample", "WeightedSample",
     "simulate_controlled", "weighted_reference",
     "effective_sample_size", "DEGENERATE_ESS_FRACTION", "is_degenerate",
-    "entropy_report",
+    "entropy_report", "mean_se",
     "constraint_moments",
 ]
 
@@ -293,7 +293,7 @@ class EntropyReport:
         return float(np.hypot(self.lhs_se, self.rhs_se))
 
 
-def _mean_se(samples: np.ndarray) -> tuple:
+def mean_se(samples: np.ndarray) -> tuple:
     n = len(samples)
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
@@ -308,10 +308,10 @@ def entropy_report(sample: WeightedSample,
     of the integrated squared (normalized) drift; the report estimates
     both sides from the same weighted sample.
     """
-    lhs, lhs_se = _mean_se(sample.m * sample.log_m)
+    lhs, lhs_se = mean_se(sample.m * sample.log_m)
     drift_sq = (sample.int_pi_sq / params.epsilon**2
                 + sample.int_w_sq / params.sigma**2)
-    rhs, rhs_se = _mean_se(0.5 * sample.m * drift_sq)
+    rhs, rhs_se = mean_se(0.5 * sample.m * drift_sq)
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)
 
 

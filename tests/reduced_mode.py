@@ -5,7 +5,7 @@ exercises the package's estimator formulas with k = 1."""
 import numpy as np
 
 from brokerfee.rng import gaussians
-from brokerfee.simulate import _CHUNK_DRAWS, EntropyReport, _mean_se
+from brokerfee.simulate import _CHUNK_DRAWS, EntropyReport, mean_se
 
 
 def reduced_terminal(count: int, n_steps: int, horizon: float,
@@ -37,6 +37,6 @@ def reduced_entropy_report(x_t: np.ndarray, drift: float,
     c^2 T / 2 on both sides)."""
     m = reduced_weights(x_t, drift, horizon)
     log_m = np.log(m)
-    lhs, lhs_se = _mean_se(m * log_m)
-    rhs, rhs_se = _mean_se(0.5 * m * drift**2 * horizon)
+    lhs, lhs_se = mean_se(m * log_m)
+    rhs, rhs_se = mean_se(0.5 * m * drift**2 * horizon)
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)

@@ -70,7 +70,7 @@ def test_criterion_01_girsanov_normalization(weighted_samples):
     details = []
     for label, sample in weighted_samples.items():
         start = time.time()
-        mean, se = simulate._mean_se(sample.m)
+        mean, se = simulate.mean_se(sample.m)
         elapsed = time.time() - start
         good = abs(mean - 1.0) <= 3 * se and elapsed < 30.0
         ok = ok and good

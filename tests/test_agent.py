@@ -146,7 +146,7 @@ def test_objective_forms_agree():
     weights = simulate.weighted_reference(params, policy, 12)
     xi = contract.terminal_payoff(reference.p[:, -1], reference.z[:, -1])
     zeta = zeta_integral(reference.z, reference.w, params.dt, params)
-    v_w, se_w = simulate._mean_se(
+    v_w, se_w = simulate.mean_se(
         weights.m * (-xi - params.entropy_weight * weights.log_m + zeta))
     assert abs(v_q - v_w) <= 3 * np.hypot(se_q, se_w)
 
@@ -525,7 +525,7 @@ def _force_groups(monkeypatch, n_groups):
     worker groups whatever the number of CPUs."""
     _, shape = SWEEP_CASES["3d"]
     monkeypatch.setattr(agent, "_SLAB_CELLS", 2 * shape["n_w"] * shape["n_z"])
-    monkeypatch.setattr(agent, "_usable_cpus", lambda: n_groups)
+    monkeypatch.setattr(agent, "usable_cpus", lambda: n_groups)
 
 
 def test_sweep_does_not_depend_on_group_count(monkeypatch):

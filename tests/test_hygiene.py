@@ -3,7 +3,8 @@ tests, every public method is read by the library or the benchmark, every
 defaulted parameter of a public function is passed by the library or the
 benchmark, no import is unused, only the CLI writes files, every config
 key the CLI accepts is read and named in the README, every thread pool is
-closed by a with statement, and importing the CLI loads no scipy."""
+closed by a with statement, no module reads another module's private
+names, and importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -239,6 +240,35 @@ def test_thread_pools_are_scoped_by_with():
                 if id(node) not in scoped:
                     loose.append(f"{path.name}:{node.lineno}")
     assert pools > 0 and loose == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a name another module needs is part of its owner's API: it carries
+    # no underscore and is listed in __all__
+    stems = {path.stem for path in MODULES}
+    reads = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        # the names this module binds to sibling modules
+        siblings = {alias.asname or alias.name
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None
+                    for alias in node.names if alias.name in stems}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                reads += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings):
+                reads.append(f"{path.name}:{node.lineno}: "
+                             f"{node.value.id}.{node.attr}")
+    assert reads == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -178,8 +178,10 @@ def test_relaxed_constrained_matches_dual():
 
 def shared_density_grid(density):
     """The grid every atom shared before grids were per atom: 21
-    log-spaced atoms and every distinct strong density of the tree."""
-    return np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 21), density]))
+    log-spaced atoms and every distinct strong density of the tree, one
+    row per atom."""
+    row = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 21), density]))
+    return np.broadcast_to(row, (len(density), len(row)))
 
 
 def relaxed_instance(name):
@@ -309,21 +311,49 @@ def test_extraction_skips_nodes_without_mass():
     assert report.reconstruction_error <= 1e-12
 
 
+def strong_instance(name):
+    """(tree, u, lam, constraints) of a strong-solve test instance, u the
+    zero-fee utility plus linear terms in P_T and Z_T. On "small-node-mass"
+    the optimum puts density 2.6e-4 on some atoms. On "cycling" a residual
+    test against the current residual, not the least so far, hands a pair
+    of points back and forth until the iteration cap. On "concentrated"
+    the Gibbs density at mu = 0 puts e^{-40} of the mass on half the
+    atoms, and Newton's first step needs 51 halvings."""
+    if name.startswith("oracle-tree"):
+        return relaxed_instance(name)
+    depth, bound, lam, p_coef, z_coef = {
+        "small-node-mass": (3, 1.0, 0.25, 0.794, -0.992),
+        "cycling": (1, 10.0, 0.25, -1.0, 1.0),
+        "concentrated": (1, 1.0, 0.1, 2.0, 0.0)}[name]
+    params = ModelParams(rate_lower=-bound, rate_upper=bound)
+    tree = oracle.build_tree(depth, 2, params)
+    u = (oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+         + p_coef * tree.paths[:, -1, 0] + z_coef * tree.paths[:, -1, 1])
+    return tree, u, lam, oracle.node_constraint_set(tree, -bound, bound)
+
+
+@pytest.mark.parametrize("name", ["oracle-tree-3", "small-node-mass",
+                                  "cycling", "concentrated"])
+def test_strong_solve_converges_in_few_newton_steps(name):
+    # projected Newton from mu = 0 takes 6 and 13 steps on the first two,
+    # where L-BFGS-B took 208 and 866 iterations
+    tree, u, lam, cons = strong_instance(name)
+    sol = oracle.solve_strong_discrete(tree, u, lam, cons)
+    assert sol.converged and sol.iterations <= 20
+    assert abs(sol.duality_gap) <= 1e-12
+
+
 def test_extraction_at_small_node_mass():
     # extraction divides node moments by the tilted node mass and dt, so
     # small node masses amplify the KKT residual: here the smallest
-    # density is 2.6e-4, and the violations read about 6e-11 (relaxed)
-    # and 1e-10 (Dirac embedding)
-    params = ModelParams(rate_lower=-1.0, rate_upper=1.0)
-    tree = oracle.build_tree(3, 2, params)
-    u = (oracle.atom_utility_from_contract(tree, Constant(0.0), params)
-         + 0.794 * tree.paths[:, -1, 0] - 0.992 * tree.paths[:, -1, 1])
-    cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
+    # density is 2.6e-4, and the violations read 8.7e-14 (relaxed) and
+    # 3.3e-14 (Dirac embedding)
+    tree, u, lam, cons = strong_instance("small-node-mass")
+    sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     assert sol.converged and abs(sol.duality_gap) <= 1e-12
     assert np.min(sol.density) < 1e-3
     grid = oracle.default_density_grid(sol.density)
-    _, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
+    _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
     assert control.is_dirac()
     for relaxed in (control, relaxed_control.dirac(tree, sol.density)):
         report = oracle.extract_strong_control(tree, relaxed, -1.0, 1.0)
@@ -353,8 +383,17 @@ def test_lam_must_be_positive():
     with pytest.raises(ValueError, match="entropy weight"):
         oracle.solve_strong_discrete(tree, u, 0.0)
     with pytest.raises(ValueError, match="entropy weight"):
-        oracle.solve_relaxed_discrete(tree, u, -1.0,
-                                      np.array([0.5, 1.0, 2.0]))
+        oracle.solve_relaxed_discrete(
+            tree, u, -1.0,
+            np.broadcast_to([0.5, 1.0, 2.0], (tree.n_atoms, 3)))
+
+
+def test_relaxed_grid_must_have_a_row_per_atom():
+    tree, u = price_step_tree()
+    for grid in (np.array([0.5, 1.0, 2.0]), np.ones((tree.n_atoms - 1, 3)),
+                 np.zeros((tree.n_atoms, 3))):
+        with pytest.raises(ValueError, match="density grid"):
+            oracle.solve_relaxed_discrete(tree, u, 1.0, grid)
 
 
 def test_relaxed_control_is_dirac():

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from brokerfee.rng import (_fill_gaussians, _usable_cpus, gaussians,
-                           split_seed, uniforms)
+from brokerfee.rng import (_fill_gaussians, gaussians, split_seed,
+                           uniforms, usable_cpus)
 
 # sha256 of the one-shot inverse-CDF draw gaussians(7, (1000, 250, 3)) that
 # gaussians made before it filled its output in chunks
@@ -44,10 +44,10 @@ def test_cpu_count_fallback(monkeypatch):
     # os.sched_getaffinity exists on Linux only; elsewhere the CPU count
     # falls back to os.cpu_count(), and to 1 when that is unknown
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _usable_cpus() == (os.cpu_count() or 1)
+    assert usable_cpus() == (os.cpu_count() or 1)
     assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _usable_cpus() == 1
+    assert usable_cpus() == 1
     assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
 
 

@@ -188,7 +188,7 @@ def test_controlled_memory_is_per_path():
 
 
 def test_girsanov_normalization(weighted_sample):
-    mean, se = simulate._mean_se(weighted_sample.m)
+    mean, se = simulate.mean_se(weighted_sample.m)
     assert abs(mean - 1.0) <= 3 * se
     assert se < 0.05
 
@@ -196,7 +196,7 @@ def test_girsanov_normalization(weighted_sample):
 def test_girsanov_zero_rate_isolates_w_channel():
     policy = FeedbackPolicy.constant(0.0, PARAMS)
     wb = simulate.weighted_reference(PARAMS, policy, 13)
-    mean, se = simulate._mean_se(wb.m)
+    mean, se = simulate.mean_se(wb.m)
     assert abs(mean - 1.0) <= 3 * se
     assert np.all(wb.int_pi_sq == 0.0)
 
@@ -217,7 +217,7 @@ def test_entropy_reduced_mode_closed_form():
 def test_reduced_weights_normalize():
     x_t = reduced_mode.reduced_terminal(50_000, 100, 1.0, 22)
     m = reduced_mode.reduced_weights(x_t, 1.0, 1.0)
-    mean, se = simulate._mean_se(m)
+    mean, se = simulate.mean_se(m)
     assert abs(mean - 1.0) <= 3 * se
 
 
