@@ -10,18 +10,24 @@ The client's problem is a degenerate-drift control problem in the state
 and the maximizing rate is the clamped closed form
 pi* = clamp(V_z / (2 phi_a), L, U): the Hamiltonian is strictly concave
 in pi, so no grid search over rates is needed. The solver steps back
-in time with Ketcheson's low-storage SSP(9,3) scheme (Ketcheson 2008,
+in time with Ketcheson's low-storage SSP(10,4) scheme (Ketcheson 2008,
 SIAM J. Sci. Comput. 30(4); Gottlieb, Ketcheson & Shu 2011, "Strong
 Stability Preserving Runge-Kutta and Multistep Time Discretizations").
-Each of its nine stages is one explicit Euler step S of size dt / 6,
-with upwind differencing for the advection terms and one-sided
-differences at the domain boundary, and the only other operation is
-one convex combination of two stage values. Every stage is an Euler
-step within the Euler CFL bound when dt is at most 6 times that bound,
-so the step stays monotone there (its SSP coefficient is 6); the time
-step is the longest that divides T within 6 times the Euler bound. Per
-Euler-bound step the scheme costs 1.5 stages, and its time error is
-third order.
+Each of its ten stages is one explicit Euler step S of size dt / 6,
+with upwind differencing for the rate's advection along z, one-sided
+differences at the domain boundary, and the price advection w V_p
+differenced centrally on every w row where the cell Peclet number
+|w| dp / sigma^2 is at most 1 and upwind on the others (the "maximal
+use of central differencing" of Wang & Forsyth 2008, SIAM J. Numer.
+Anal. 46(3)): both keep every coefficient of the stage non-negative.
+The only other operations are two linear combinations of the two
+registers. Every stage is an Euler step within the Euler CFL bound when
+dt is at most 6 times that bound, so the step stays monotone there (its
+SSP coefficient is 6); the time step is the longest that divides T
+within 6 times the Euler bound. Per Euler-bound step the scheme costs
+10 / 6 (about 1.67) stages, and its time error is fourth order: a value
+that is a polynomial of degree four in t, as the zero fee's is, is
+stepped exactly.
 The grid follows the contract family and the marched planes follow the
 payoff. A polynomial, or any fee that varies in p, is held on the 3-D
 (p, w, z) grid, so that a polynomial family shares one discretization;
@@ -44,10 +50,11 @@ one plane on p and three cells on w and z, and its edge slices take the
 boundary rule of their axis. Domain-truncation error decays with the
 distance from the start point to the cut in standard deviations (Kangro
 & Nicolaides 2000, SIAM J. Numer. Anal. 38(4)). On the default 3-D grid
-the box keeps 40 % of the cell updates (the p cut alone, 66 %), and it
-moves the value at the origin by at most 1.5e-7 relative to the
-full-width sweep (fee P_T Z_T), the w and z cuts by at most 2e-9 of
-that; the 2-D zero fee moves by 4e-10. At each saved time the box's
+the box keeps 41 % of the cell updates (the p cut alone, 68 %), and it
+moves the value at the origin by at most 1.2e-5 relative to the
+full-width sweep (fee P_T Z_T; 2.4e-7 at 0.05 P_T Z_T), the w and z cuts
+by at most 2e-6 of that: the last steps' boxes hold few of the 31 p
+planes. The 2-D zero fee moves by 4e-10. At each saved time the box's
 edge slices are extended linearly into V itself, along z, then w, then
 p, and the rates are taken from the result: the solve keeps V, which
 ends as the value at t = 0, and the rate table.
@@ -74,9 +81,12 @@ __all__ = ["ValueGrid", "solve_hjb", "estimate_agent_value"]
 # (n_p, n_w, n_z) of one that does; each axis spans its half-width of
 # :func:`_half_widths` at T, where Gaussian tails make the boundary's
 # influence negligible. The 3-D grid is coarser in w and z so that the
-# sweep fits in memory.
+# sweep fits in memory. Its 31 p planes suffice because w V_p is central
+# where monotone: the fee a P_T Z_T reads 0.2 % off its closed form at a = 1
+# (upwinding alone was 8 % off on 61 planes), and on a kinked 3 x 3 table
+# the change from 61 to 121 planes is a quarter of that from 31 to 61.
 _GRID_2D = (201, 201)
-_GRID_3D = (61, 101, 101)
+_GRID_3D = (31, 101, 101)
 
 
 @dataclass(frozen=True)
@@ -124,10 +134,11 @@ def _terminal_payoff(contract, p_nodes, z_nodes):
 # w and z fits more of its planes, so small boxes take few numpy calls. Each
 # worker walks its slabs in its own buffers, about eight float64 arrays of
 # this size. On the 2-core Xeon the kernel was timed on (2 MiB L2 per core),
-# the default 3-D solve took a median 1.83 s on two workers at 6 planes
-# per slab, 2.23 s at 3 planes (1 << 15, whose buffers fit one core's L2)
-# and 1.91 s at 9; fewer slabs make fewer short numpy calls for the workers
-# to take turns on. On one worker 6 and 3 planes took 2.65 s and 2.72 s.
+# the 3-D solve of that time (61 p planes) took a median 1.83 s on two
+# workers at 6 planes per slab, 2.23 s at 3 planes (1 << 15, whose buffers
+# fit one core's L2) and 1.91 s at 9; fewer slabs make fewer short numpy
+# calls for the workers to take turns on. On one worker 6 and 3 planes took
+# 2.65 s and 2.72 s.
 # Earlier, on one core, one plane per slab was 20-40 % slower and the whole
 # array at once 1.7-2 times slower.
 _SLAB_CELLS = 1 << 16
@@ -152,8 +163,8 @@ class _Buffers:
 
 class _ExplicitStep:
     """One backward explicit Euler step on V of shape (n_p, n_w, n_z): the
-    stage S of the SSP(9,3) step in :func:`solve_hjb`, built with the stage
-    size dt / 6.
+    stage S of the SSP(10,4) step in :func:`solve_hjb`, built with the
+    stage size dt / 6.
 
     ``n_p`` is 1 when a single p plane is marched. A step updates only
     the box of cells last given to :meth:`cut`, the whole grid until then:
@@ -213,12 +224,16 @@ class _ExplicitStep:
         if self.price:
             dp = p_nodes[1] - p_nodes[0]
             c_pp = dt * 0.5 * params.sigma**2 / dp**2
-            # w V_p is upwinded by the sign of its speed w, and joins
-            # (1/2) sigma^2 V_pp in one coefficient per w row for each of
-            # the differences above and below a plane
+            # w V_p joins (1/2) sigma^2 V_pp in one coefficient per w row
+            # for each of the differences above and below a plane: central
+            # where the cell Peclet number |w| dp / sigma^2 is at most 1,
+            # so both stay non-negative, upwinded by the sign of w elsewhere;
+            # on either rule c_above - c_below is (dt / dp) w
             w = (dt / dp) * w_nodes[:, None]
-            self.c_above = c_pp + np.maximum(w, 0.0)
-            self.c_below = c_pp - np.minimum(w, 0.0)
+            central = np.abs(w_nodes[:, None]) * dp <= params.sigma**2
+            self.c_above = c_pp + np.where(central, 0.5 * w,
+                                           np.maximum(w, 0.0))
+            self.c_below = self.c_above - w
 
     def cut(self, box):
         """Update only the cells of ``box``, one (start, stop) per axis
@@ -319,12 +334,14 @@ class _ExplicitStep:
 
     def _price_terms(self, block, a, b, o, scratch, dp_diff):
         """Add dt (w V_p + (1/2) sigma^2 V_pp) for the planes a..b-1 of
-        ``block`` to ``o``."""
+        ``block`` to ``o``, central or upwind in p by the w row's
+        coefficients ``c_above`` and ``c_below``."""
         m = b - a
         wl, wh = self.box[1]
         # diff[i] lies below plane a + i and diff[i + 1] above it; a box edge
         # plane takes the difference to its only neighbour in the box on
-        # both sides, which also makes its V_pp exactly zero
+        # both sides, which makes its V_pp exactly zero and its w V_p the
+        # one-sided difference on either rule
         diff = dp_diff[:(m + 1) * o[0].size].reshape((m + 1,) + o.shape[1:])
         lo, hi = max(a - 1, 0), min(b - 1, len(block) - 2)
         np.subtract(block[lo + 1], block[lo], out=diff[0])
@@ -365,13 +382,13 @@ def _extend_linearly(v, lo, hi, axis):
         u[hi:] += u[hi - 1]
 
 
-# SSP coefficient of SSP(9,3): each of its stages is an Euler step of
+# SSP coefficient of SSP(10,4): each of its stages is an Euler step of
 # dt / _SSP_RATIO, so the step may be this many times the Euler bound
 _SSP_RATIO = 6
 
 
 def solve_hjb(contract, params: ModelParams):
-    """Backward SSP(9,3) sweep; returns (FeedbackPolicy, ValueGrid).
+    """Backward SSP(10,4) sweep; returns (FeedbackPolicy, ValueGrid).
 
     The grid follows the family and the marched planes follow the payoff
     (:func:`_terminal_payoff`). A polynomial, or any fee that varies in p,
@@ -399,8 +416,9 @@ def solve_hjb(contract, params: ModelParams):
     linearly along z, then w, then p to the cells outside the box, in V
     itself, and the rates are taken from the result; no later step reads
     those cells, as its box is no wider. The solve holds three full-size
-    buffers, V and two stage targets, and V ends as the value at t = 0
-    (:class:`ValueGrid`), whose value at the origin is the client's.
+    buffers, V (which keeps a step's start) and two stage targets, and V
+    ends as the value at t = 0 (:class:`ValueGrid`), whose value at the
+    origin is the client's.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
@@ -469,26 +487,33 @@ def solve_hjb(contract, params: ModelParams):
         cells = tuple(slice(*r) for r in step.box)
         for k in range(n_t, -1, -1):
             if k < n_t:
-                # the step from t_(k+1) back to t_k, in SSP(9,3)'s
-                # two-register form (Ketcheson): q2 keeps stage 1 (in b)
-                # while q1 takes stages 2-6 (alternating between a and v),
-                # then q1 <- (3 q2 + 2 q1) / 5 (in b) takes stages 7-9
+                # the step from t_(k+1) back to t_k, in SSP(10,4)'s
+                # two-register form (Ketcheson): q2 keeps V (in v) while q1
+                # takes stages 1-5 (alternating between a and b), then
+                # q2 <- (q2 + 9 q1) / 25 and q1 <- 15 q2 - 5 q1 (in a, with
+                # b as scratch), q1 takes stages 6-9, and V <- q2 + (3/5)
+                # of stage 10 on q1
                 step.cut(box(k + 1))
                 cells = tuple(slice(*r) for r in step.box)
-                euler(v, b)
-                euler(b, a)
-                euler(a, v)
+                q1, q2, tmp = a[cells], v[cells], b[cells]
                 euler(v, a)
-                euler(a, v)
-                euler(v, a)
-                q2 = b[cells]
-                q2 *= 1.5
-                q2 += a[cells]
-                q2 *= 0.4
+                euler(a, b)
                 euler(b, a)
-                euler(a, v)
-                euler(v, b)
-                v, b = b, v
+                euler(a, b)
+                euler(b, a)
+                np.multiply(q1, 9.0, out=tmp)
+                q2 += tmp
+                q2 /= 25.0
+                q1 *= -5.0
+                np.multiply(q2, 15.0, out=tmp)
+                q1 += tmp
+                euler(a, b)
+                euler(b, a)
+                euler(a, b)
+                euler(b, a)
+                euler(a, b)
+                tmp *= 0.6
+                q2 += tmp
             if k in saved:
                 # extend along z, then w, then p, in place: the later
                 # steps' boxes are no wider, so none reads these cells

@@ -54,6 +54,8 @@ def principal_objective(contract, params: ModelParams) -> PrincipalEvaluation:
     """
     policy, grid = solve_hjb(contract, params)
     v_a = grid.value_at_origin
+    # the simulation needs only the policy: free the value grid first
+    del grid
     sample = simulate.simulate_controlled(
         params, policy, split_seed(params.seed, "principal-crn"))
     j_p, j_p_se = simulate.mean_se(

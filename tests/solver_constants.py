@@ -10,13 +10,18 @@ from brokerfee import agent, oracle
 
 
 @contextmanager
-def hjb_grid(n_w=201, n_z=201, n_p=61):
+def hjb_grid(n_w=None, n_z=None, n_p=None):
     """Solve on n_w x n_z nodes a fee that does not read the price, and on
-    n_p x min(n_w, 101) x min(n_z, 101) nodes one that does; the defaults
-    are the library's grids."""
+    n_p x n_w x n_z nodes, with n_w and n_z capped at the library's 3-D
+    axes, one that does. An axis not given keeps the library's grid, read
+    when the helper is called."""
+    (w_2d, z_2d), (p_3d, w_3d, z_3d) = agent._GRID_2D, agent._GRID_3D
+    n_w = w_2d if n_w is None else n_w
+    n_z = z_2d if n_z is None else n_z
+    n_p = p_3d if n_p is None else n_p
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(agent, "_GRID_2D", (n_w, n_z))
-        patch.setattr(agent, "_GRID_3D", (n_p, min(n_w, 101), min(n_z, 101)))
+        patch.setattr(agent, "_GRID_3D", (n_p, min(n_w, w_3d), min(n_z, z_3d)))
         yield
 
 

@@ -68,38 +68,37 @@ def test_mc_agrees_with_grid(zero_fee_solution):
 
 
 def test_default_settings_error(zero_fee_solution):
-    # third order in time at six times the Euler monotonicity bound:
-    # about 6e-7 off
+    # fourth order in time at six times the Euler monotonicity bound, on
+    # a value that is a quartic in t: exact up to rounding, about 7e-12 off
     _, grid = zero_fee_solution
-    assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-6
+    assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-10
 
 
-def test_time_stepping_is_third_order():
-    # the zero-fee value is linear in z and quadratic in w, which the
-    # differences resolve exactly away from the edges: the time error
-    # dominates, so refining the grid, whose CFL step falls from 1/7 to
-    # 1/20 and 1/63, leaves error / dt^3 unchanged (4.63e-3)
-    ratios = []
+def test_time_stepping_is_exact_on_the_zero_fee():
+    # the zero-fee value is linear in z, quadratic in w and a quartic in
+    # t; the differences resolve the first two exactly away from the
+    # edges and a fourth-order step the third, so at CFL steps of 1/7,
+    # 1/20 and 1/63 every grid reads 1/24 up to rounding
     for n in (51, 101, 201):
         with hjb_grid(n_w=n, n_z=n):
-            policy, grid = solve_hjb(Constant(0.0), WIDE)
-        dt = policy.t_nodes[1] - policy.t_nodes[0]
-        ratios.append(abs(grid.value_at_origin - 1.0 / 24.0) / dt**3)
-    assert max(ratios) <= 1.02 * min(ratios)
+            _, grid = solve_hjb(Constant(0.0), WIDE)
+        assert abs(grid.value_at_origin - 1.0 / 24.0) <= 1e-10
 
 
 def test_linear_quadratic_reference_value():
     # fee a P_T Z_T with non-binding bounds is linear-quadratic in
-    # (p, w, z); its Riccati solution gives V = 1/24 - a/8 + 3 a^2 / 8
-    a = 0.1
-    _, grid = solve_hjb(LinearPolynomial(np.array([[a]]), cap=1.0),
-                        ModelParams())
-    exact = 1.0 / 24.0 - a / 8.0 + 3.0 * a**2 / 8.0
-    assert grid.value_at_origin == pytest.approx(exact, rel=0.01)
+    # (p, w, z); its Riccati solution gives V = 1/24 - a/8 + 3 a^2 / 8.
+    # The p differences set the error: 1.8e-4 relative at a = 0.1 and
+    # 2.0e-3 at a = 1 (upwinding w V_p alone gave 0.74 % and 8.4 %)
+    for a, rel in ((0.1, 5e-4), (1.0, 5e-3)):
+        _, grid = solve_hjb(LinearPolynomial(np.array([[a]]), cap=1.0),
+                            ModelParams())
+        exact = 1.0 / 24.0 - a / 8.0 + 3.0 * a**2 / 8.0
+        assert grid.value_at_origin == pytest.approx(exact, rel=rel)
 
 
 def test_time_step_is_the_cfl_step(zero_fee_solution):
-    # the Euler bound of the 101 x 101 grid; every SSP(9,3) stage is an
+    # the Euler bound of the 101 x 101 grid; every SSP(10,4) stage is an
     # Euler step of dt / 6, so the step is the longest that divides T
     # within six times the bound
     policy, _ = zero_fee_solution
@@ -202,8 +201,19 @@ def _reference_rate(v, params, dz):
                    params.rate_upper)
 
 
+def _price_advection(v, w, dp, sigma):
+    """w dV/dp on (n_p, n_w, n_z): central on the w rows where the cell
+    Peclet number |w| dp / sigma^2 is at most 1, upwind on the others, and
+    the one-sided difference on the edge planes either way."""
+    upwind = _upwind_advection(v, w, dp, axis=0)
+    d = np.diff(v, axis=0) / dp
+    below, above = np.concatenate([d[:1], d]), np.concatenate([d, d[-1:]])
+    central = w * (below + above) / 2
+    return np.where(np.abs(w) * dp <= sigma**2, central, upwind)
+
+
 def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
-    """One explicit Euler step, a stage of the scheme's SSP(9,3) step, on
+    """One explicit Euler step, a stage of the scheme's SSP(10,4) step, on
     (n_w, n_z), or (n_p, n_w, n_z) for a price-dependent fee, one numpy
     expression per term."""
     dw = w_nodes[1] - w_nodes[0]
@@ -217,7 +227,7 @@ def _reference_step(v, dt, params, w_nodes, z_nodes, p_nodes=None):
            + 0.5 * _second_diff(v, dw, axis=-2))
     if p_nodes is not None:
         dp = p_nodes[1] - p_nodes[0]
-        rhs = rhs + (_upwind_advection(v, w[None], dp, axis=0)
+        rhs = rhs + (_price_advection(v, w[None], dp, params.sigma)
                      + 0.5 * params.sigma**2 * _second_diff(v, dp, axis=0))
     return v + dt * rhs
 
@@ -348,11 +358,12 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
         if k < n_t:
             box = _box(BOUNDED, grid, (k + 1) * dt)
             widths.append([cut.stop - cut.start for cut in box])
-            # SSP(9,3) built from nine Euler stages of dt / 6
-            q2 = euler_stages(v[box], 1)
-            q1 = euler_stages(q2, 5)
+            # SSP(10,4) built from ten Euler stages of dt / 6
+            q1 = euler_stages(v[box], 5)
+            q2 = (v[box] + 9 * q1) / 25
+            q1 = euler_stages(15 * q2 - 5 * q1, 4)
             v = v.copy()
-            v[box] = euler_stages((3 * q2 + 2 * q1) / 5, 3)
+            v[box] = q2 + 3 / 5 * euler_stages(q1, 1)
         if k in saved:
             values, rates = saved[k]
             v = _extend(v, box)
@@ -411,9 +422,23 @@ CONE_TABLE = LipschitzTable(np.array([-2.0, 0.0, 2.0]),
                             np.array([-1.0, 0.0, 1.0]),
                             np.array([[0.5, 0.0, -0.5], [0.0, 0.2, 0.0],
                                       [-0.5, 0.0, 0.5]]), cap=1.0)
-# the default p axis: the cone's effect grows as dp does, to 2e-5 at 21
-# planes and 3e-6 at 31 for a = 1
-CONE_GRID = dict(n_p=61, n_w=31, n_z=31)
+# the default p axis: the cone's effect grows as dp does, from 3e-8 at 61
+# planes to 5e-7 at 31 for a = 1
+CONE_GRID = dict(n_p=31, n_w=31, n_z=31)
+
+
+def test_price_axis_self_converges():
+    # the table is kinked at its nodes, so no difference scheme is exact on
+    # it: refining p from 61 to 121 planes moves the value by at most half
+    # of what refining from 31 to 61 does (a quarter with w V_p central
+    # where monotone; 0.82 when it was upwinded everywhere)
+    values = []
+    for n_p in (31, 61, 121):
+        with hjb_grid(n_p=n_p, n_w=51, n_z=51):
+            values.append(solve_hjb(CONE_TABLE, ModelParams())[1]
+                          .value_at_origin)
+    assert (abs(values[2] - values[1])
+            <= 0.5 * abs(values[1] - values[0]))
 
 
 def _full_width(monkeypatch, axes=(0, 1, 2)):
@@ -436,7 +461,9 @@ def _full_width(monkeypatch, axes=(0, 1, 2)):
     CONE_TABLE,
 ], ids=["a=0.05", "a=1", "degree-2", "table"])
 def test_cone_keeps_value_at_origin(fee, monkeypatch):
-    # 6.5e-8 relative at most here, and 1.5e-7 on the default grid
+    # 5.3e-7 relative at most here; on the default grid's finer w and z
+    # axes, whose shorter step leaves fewer p planes in the last boxes,
+    # 1.2e-5 (a = 1)
     with hjb_grid(**CONE_GRID):
         cone = solve_hjb(fee, ModelParams())[1]
         _full_width(monkeypatch)
@@ -448,10 +475,10 @@ def test_cone_keeps_value_at_origin(fee, monkeypatch):
 
 
 def test_full_march_memory_is_bounded():
-    # the traced peak of one 61 x 31 x 31 march, in full grids of 469 KB:
-    # 10.84 for V, its two stage targets, the step kernel's buffers (here
+    # the traced peak of one 31 x 31 x 31 march, in full grids of 238 KB:
+    # 11.23 for V, its two stage targets, the step kernel's buffers (here
     # one slab holds every plane) and the rate table; a value history of
-    # the 12 saved times added 12 more grids
+    # the 7 saved times would add 7 more grids
     with hjb_grid(**CONE_GRID):
         solve_hjb(CONE_TABLE, ModelParams())
         tracemalloc.start()
@@ -465,7 +492,7 @@ def test_full_march_memory_is_bounded():
 
 def test_one_plane_march_equals_full_march(monkeypatch):
     # the zero polynomial is equal on every p plane: one marched plane
-    # stands for all 61, bit for bit, signed zeros included
+    # stands for all 31, bit for bit, signed zeros included
     fee = LinearPolynomial(np.zeros((1, 1)), cap=1.0)
     planes = []
     build = agent._ExplicitStep.__init__
@@ -479,10 +506,10 @@ def test_one_plane_march_equals_full_march(monkeypatch):
         policy, one = solve_hjb(fee, ModelParams())
         _march_every_plane(monkeypatch)
         full_policy, full = solve_hjb(fee, ModelParams())
-    assert planes == [1, 61]
+    assert planes == [1, 31]
     assert np.array_equal(one.p_nodes, full.p_nodes)
     assert np.array_equal(policy.t_nodes, full_policy.t_nodes)
-    assert one.values.shape == full.values.shape == (61, 31, 31)
+    assert one.values.shape == full.values.shape == (31, 31, 31)
     assert one.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
     assert one.value_at_origin == full.value_at_origin
