@@ -88,8 +88,9 @@ def parse_config(path, mode=None) -> ExperimentConfig:
     Each value is cast on its line by its key's cast in ``_KEYS``, and a
     key the file leaves out takes its default there. A key given twice, a
     family key that the family's class does not read, a tree that
-    :func:`oracle.check_tree` refuses, or model, family or coefficient
-    values that make no valid model or contract, is an error. ``mode``,
+    :func:`oracle.check_tree` refuses, a coefficient outside the family's
+    box, or model, family or coefficient values that make no valid model
+    or contract, is an error. ``mode``,
     when given, replaces the file's ``run.mode``.
     """
     values = {section: {name: default for name, (_, default) in keys.items()}
@@ -141,6 +142,11 @@ def parse_config(path, mode=None) -> ExperimentConfig:
             raise ValueError(f"family.coefficients has {len(coeffs)} "
                              f"entries, but the family has dimension "
                              f"{contract_family.dimension}")
+        outside = coeffs[np.abs(coeffs) > contract_family.cap]
+        if len(outside):
+            raise ValueError(f"family.coefficients has {float(outside[0])} "
+                             f"outside [-{contract_family.cap}, "
+                             f"{contract_family.cap}]")
         theta = np.zeros(contract_family.dimension)
         theta[:len(coeffs)] = coeffs
         contract = contract_family.make(theta)
@@ -171,17 +177,14 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(float(v))
+                             if isinstance(v, (float, np.floating)) else v
                              for v in row])
 
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def _mode_simulate(config, out_dir, lines):
@@ -199,10 +202,8 @@ def _mode_simulate(config, out_dir, lines):
         ess = simulate.effective_sample_size(weighted)
         degenerate = simulate.is_degenerate(weighted)
         report = simulate.entropy_report(weighted, params)
-        rows.append([label, _fmt(rate), _fmt(mean), _fmt(se),
-                     _fmt(report.lhs), _fmt(report.lhs_se),
-                     _fmt(report.rhs), _fmt(report.rhs_se), _fmt(ess),
-                     int(degenerate)])
+        rows.append([label, rate, mean, se, report.lhs, report.lhs_se,
+                     report.rhs, report.rhs_se, ess, int(degenerate)])
         density = (f"degenerate (ess {ess:.1f} of {params.n_paths})"
                    if degenerate else
                    f"E[m] = {mean:.6f} (se {se:.2g}), "
@@ -237,10 +238,8 @@ def _mode_agent(config, out_dir, lines):
     np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
                ["quantity", "value"],
-               [["value", _fmt(value)],
-                ["mc_value", _fmt(mc_value)],
-                ["mc_se", _fmt(mc_se)],
-                ["mc_z", _fmt(mc_z)]])
+               [["value", value], ["mc_value", mc_value],
+                ["mc_se", mc_se], ["mc_z", mc_z]])
     lines.append(f"agent value {value:.6f}, "
                  f"Monte Carlo check {mc_value:.6f} (se {mc_se:.2g}, "
                  f"z {mc_z:.2f})")
@@ -264,16 +263,16 @@ def _mode_oracle(config, out_dir, lines):
     extraction = oracle.extract_strong_control(
         tree, control, params.rate_lower, params.rate_upper)
     rows = [
-        ["strong_value", _fmt(strong.value)],
-        ["relaxed_value", _fmt(relaxed_value)],
-        ["value_gap", _fmt(abs(relaxed_value - strong.value))],
-        ["kkt_residual", _fmt(strong.kkt_residual)],
-        ["duality_gap", _fmt(strong.duality_gap)],
+        ["strong_value", strong.value],
+        ["relaxed_value", relaxed_value],
+        ["value_gap", abs(relaxed_value - strong.value)],
+        ["kkt_residual", strong.kkt_residual],
+        ["duality_gap", strong.duality_gap],
         ["collapse_counterexamples", len(collapse.counterexamples)],
-        ["min_jensen_gap", _fmt(collapse.min_jensen_gap)],
+        ["min_jensen_gap", collapse.min_jensen_gap],
         ["relaxed_is_dirac", int(control.is_dirac())],
-        ["max_constraint_violation", _fmt(extraction.max_violation)],
-        ["reconstruction_error", _fmt(extraction.reconstruction_error)],
+        ["max_constraint_violation", extraction.max_violation],
+        ["reconstruction_error", extraction.reconstruction_error],
     ]
     _write_csv(os.path.join(out_dir, "oracle.csv"), ["quantity", "value"],
                rows)
@@ -292,7 +291,7 @@ def _mode_optimize(config, out_dir, lines):
                + [f"coef_{k}" for k in range(family.dimension)]
                + ["j_p", "j_p_se", "v_a", "participation", "best_so_far"],
                [[r["iteration"], r["stage"]]
-                + [float(c) for c in r["coefficients"]]
+                + list(r["coefficients"])
                 + [r["j_p"], r["j_p_se"], r["v_a"], int(r["participation"]),
                    r["best_so_far"]]
                 for r in sequence.records])
@@ -307,9 +306,9 @@ def _mode_optimize(config, out_dir, lines):
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["quantity", "value"],
                [["n_updates", report.n_updates],
-                ["cauchy_tail", _fmt(report.cauchy_tail)],
-                ["limit_value", _fmt(report.limit_value)]]
-               + [[f"limit_coef_{k}", _fmt(v)]
+                ["cauchy_tail", report.cauchy_tail],
+                ["limit_value", report.limit_value]]
+               + [[f"limit_coef_{k}", v]
                   for k, v in enumerate(report.limit_point)])
     lines.append(f"optimize: {len(sequence)} evaluations, "
                  + report.summary())
@@ -386,13 +385,13 @@ def _mode_report(config, out_dir, lines):
     params = config.params
     t4 = params.horizon**4
     rows = [
-        ["agent_value_zero_fee", _fmt(t4 / (48 * params.phi_a))],
-        ["expected_rate_energy", _fmt(t4 / (48 * params.phi_a**2))],
+        ["agent_value_zero_fee", t4 / (48 * params.phi_a)],
+        ["expected_rate_energy", t4 / (48 * params.phi_a**2)],
         ["binding_constant_fee",
-         _fmt(t4 / (48 * params.phi_a) - params.reservation)],
+         t4 / (48 * params.phi_a) - params.reservation],
         ["principal_value",
-         _fmt(t4 / (48 * params.phi_a) - params.reservation
-              - params.phi_p * t4 / (48 * params.phi_a**2))],
+         t4 / (48 * params.phi_a) - params.reservation
+         - params.phi_p * t4 / (48 * params.phi_a**2)],
     ]
     _write_csv(os.path.join(out_dir, "report.csv"), ["quantity", "value"],
                rows)

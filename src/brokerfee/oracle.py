@@ -6,13 +6,14 @@ finite measures over (path-atom, density-atom) pairs, the strong problem
 is a finite concave program with a Gibbs closed form, and the claims
 (strong controls embed, the relaxed optimum collapses to a Dirac density,
 values coincide, an admissible drift can be extracted) can be brute-forced
-to solver tolerance. The strong program is solved on its Lagrange dual
-by projected Newton steps from zero multipliers to a KKT residual at
-float64 resolution, and the dual value at the multipliers found is a
-closed-form bound on the relaxed value over every randomized control (the
-duality gap). The relaxed program is one sparse linear program on a
-density grid of its own for each path-atom, so its columns grow linearly
-in the atoms.
+to solver tolerance. The strong program, with zero or more node
+constraint forms, is solved on its Lagrange dual by projected Newton
+steps from zero multipliers, whose first iterate is the Gibbs closed
+form, to a KKT residual at float64 resolution, and the dual value at the
+multipliers found is a closed-form bound on the relaxed value over every
+randomized control (the duality gap). The relaxed program is one sparse
+linear program on a density grid of its own for each path-atom, so its
+columns grow linearly in the atoms.
 This module is the verification half of the package: it never trusts the
 continuous solvers, only convex duality on the tree.
 
@@ -161,7 +162,7 @@ def node_constraint_set(tree: ScenarioTree, rate_lower: float,
 class StrongSolution:
     value: float
     density: np.ndarray        # optimal m per atom
-    multipliers: Optional[np.ndarray]
+    multipliers: np.ndarray    # one per constraint row, empty for none
     kkt_residual: float
     iterations: int
     converged: bool            # kkt_residual <= _TOL when the solve ended
@@ -230,15 +231,17 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           constraints: Optional[np.ndarray] = None
                           ) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
-    sum p m = 1 and sum p m c_r <= 0 for the optional constraint forms
-    c_r, the rows of ``constraints`` (as from :func:`node_constraint_set`).
+    sum p m = 1 and sum p m c_r <= 0 for the constraint forms c_r, the
+    rows of ``constraints`` (as from :func:`node_constraint_set`); None
+    means no rows.
 
-    With only the normalization the optimum is the Gibbs density
-    m = e^{u/lam} / sum p e^{u/lam}, value lam log sum p e^{u/lam}.
-    Otherwise the strictly concave program is solved on its Lagrange dual
+    The strictly concave program is solved on its Lagrange dual
     D(mu) = lam log sum p e^{(u - F^T mu)/lam} over multipliers mu >= 0
     (normalization absorbed into the Gibbs form) by projected Newton
-    steps (`_newton_step`) from mu = 0, each halved until D falls by the
+    steps (`_newton_step`) from mu = 0. The first iterate is the Gibbs
+    density m = e^{u/lam} / sum p e^{u/lam}, the optimum when no row is
+    violated there, so with no rows the solve takes 0 steps and
+    ``multipliers`` is empty. Each step is halved until D falls by the
     Armijo amount (at least 1e-14 |D|, so that rounding-level moves do
     not count) or the KKT residual falls 1e-4 below the least so far: far
     from the optimum the residual can rise on the way down D, and near it
@@ -255,13 +258,7 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise ValueError("entropy weight must be positive")
     probs = tree.probs
     u = np.asarray(u, dtype=float)
-    if constraints is None or len(constraints) == 0:
-        m, log_z = _gibbs(probs, u, lam)
-        value = float(lam * log_z)
-        return StrongSolution(value, m, None, 0.0, 0, True,
-                              value - _primal_value(probs, m, u, lam))
-
-    c = constraints
+    c = np.empty((0, tree.n_atoms)) if constraints is None else constraints
 
     def at(mu):
         # the Gibbs density, dual value and constraint moments E[m c_r]
@@ -414,14 +411,12 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     ], format="csr")
     b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
 
-    a_ub = b_ub = None
-    if constraints is not None and len(constraints) > 0:
-        a_ub = hstack([csr_matrix((len(constraints), n_weights)),
-                       csr_matrix(probs * constraints)], format="csr")
-        b_ub = np.zeros(len(constraints))
+    c = np.empty((0, n_atoms)) if constraints is None else constraints
+    a_ub = hstack([csr_matrix((len(c), n_weights)), csr_matrix(probs * c)],
+                  format="csr")
 
-    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=(0, None), method="highs")
+    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(c)), A_eq=a_eq,
+                     b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"relaxed program failed: {result.message}")
     q = result.x[:n_weights].reshape(n_atoms, n_grid)

@@ -120,20 +120,21 @@ class MaximizingSequence:
     def __init__(self, family: ContractFamily):
         self.family = family
         self.records = []
-        self.best_index = None
+        self._updates = []      # indices of the records that improved
 
     def append(self, theta, evaluation: PrincipalEvaluation,
                stage: str) -> float:
         """Log one evaluation; returns its objective, the broker value or
-        INFEASIBLE_OBJECTIVE when the client would not participate."""
+        INFEASIBLE_OBJECTIVE when the client would not participate. A
+        participating record improves the incumbent when there is none
+        yet or when its objective is larger."""
         objective = (evaluation.j_p if evaluation.participation
                      else INFEASIBLE_OBJECTIVE)
-        improved = (evaluation.participation
-                    and (self.best_index is None
-                         or objective > self.records[self.best_index]
-                         ["objective"]))
-        if improved:
-            self.best_index = len(self.records)
+        best = (None if self.best_index is None
+                else self.records[self.best_index]["objective"])
+        if evaluation.participation and (best is None or objective > best):
+            self._updates.append(len(self.records))
+            best = objective
         self.records.append({
             "iteration": len(self.records),
             "stage": stage,
@@ -142,14 +143,17 @@ class MaximizingSequence:
             "v_a": evaluation.v_a,
             "participation": evaluation.participation,
             "objective": objective,
-            "best_so_far": (self.records[self.best_index]["objective"]
-                            if self.best_index is not None and not improved
-                            else objective),
+            "best_so_far": objective if best is None else best,
         })
         return objective
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def best_index(self):
+        """Index of the incumbent record, None before a feasible one."""
+        return self._updates[-1] if self._updates else None
 
     @property
     def incumbent(self):
@@ -159,12 +163,7 @@ class MaximizingSequence:
 
     def incumbent_updates(self):
         """Records where the incumbent changed, in order."""
-        out, best = [], -np.inf
-        for r in self.records:
-            if r["participation"] and r["objective"] > best:
-                best = r["objective"]
-                out.append(r)
-        return out
+        return [self.records[k] for k in self._updates]
 
 
 def _latin_hypercube(n: int, dim: int, seed: int) -> np.ndarray:

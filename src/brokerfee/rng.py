@@ -89,7 +89,7 @@ def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int,
         list(pool.map(fill, cuts[:-1], cuts[1:]))
 
 
-def gaussians(seed: int, shape, offset: int = 0) -> np.ndarray:
+def gaussians(seed: int, shape, offset: int) -> np.ndarray:
     """Standard normal array via inverse-CDF of Philox uniforms.
 
     The inverse-CDF map avoids the rejection steps of the ziggurat sampler,

@@ -424,14 +424,20 @@ def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
 def test_extra_coefficients_fail_the_run(tmp_path, capsys):
     # a constant fee has one coefficient; a second one is a config error,
     # not silently dropped, and it used to exit 1 after the output
-    # directory was made
-    cfg, out = write_config(tmp_path, "agent")
-    cfg.write_text(cfg.read_text().replace("family.coefficients = 0.01",
-                                           "family.coefficients = 0.01, 0.2"))
-    assert cli.run(cfg) == 2
-    assert ("run.cfg:9: family.coefficients has 2 entries, but the family "
-            "has dimension 1") in capsys.readouterr().err
-    assert not out.exists()
+    # directory was made. A coefficient outside the box [-cap, cap] is one
+    # too, not silently clipped to the cap while the manifest echoes it
+    for family_class, coefficients, message in [
+            ("constant", "0.01, 0.2", "family.coefficients has 2 entries, "
+             "but the family has dimension 1"),
+            ("linear_polynomial", "5",
+             "family.coefficients has 5.0 outside [-1.0, 1.0]")]:
+        cfg, out = write_config(tmp_path, "agent")
+        cfg.write_text(cfg.read_text()
+                       .replace("= constant", f"= {family_class}")
+                       .replace("= 0.01", f"= {coefficients}"))
+        assert cli.run(cfg) == 2
+        assert f"run.cfg:9: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("line, key, value, message", [

@@ -1,10 +1,11 @@
 """Package hygiene: every exported name exists and is used outside the
 tests, every public method is read by the library or the benchmark, every
-defaulted parameter of a public function is passed by the library or the
-benchmark, no import is unused, only the CLI writes files, every config
-key the CLI accepts is read and named in the README, every thread pool is
-closed by a with statement, no module reads another module's private
-names, and importing the CLI loads no scipy."""
+defaulted parameter of a public function is passed by some call of the
+library or the benchmark and left out by another, no import is unused,
+only the CLI writes files, every config key the CLI accepts is read and
+named in the README, every thread pool is closed by a with statement, no
+module reads another module's private names, and importing the CLI loads
+no scipy."""
 
 import ast
 import importlib
@@ -156,9 +157,19 @@ def _public_functions(tree):
                     yield item, 0 if static else 1
 
 
-def test_every_default_is_passed_somewhere():
-    # a defaulted parameter that no call of the library or the benchmark
-    # passes is a setting that only the tests can change
+def _passes(call, arg, index, first):
+    """Whether ``call`` passes the parameter ``arg``, positional ``index``
+    (None if keyword-only) of a function whose first ``first`` parameters
+    the call does not fill."""
+    return (any(k.arg in (arg, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index - first))
+
+
+def _defaulted_parameters():
+    """(name, passed) for each defaulted parameter of a public function:
+    one flag per library or benchmark call of a function of that name,
+    true where the call passes the parameter."""
     callers = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
     calls = {}
     for path in callers:
@@ -167,7 +178,6 @@ def test_every_default_is_passed_somewhere():
                 name = _dotted(node.func)
                 calls.setdefault(name and name.split(".")[-1], []).append(
                     node)
-    unpassed = []
     for path in MODULES:
         for fn, first in _public_functions(ast.parse(path.read_text())):
             positional = fn.args.posonlyargs + fn.args.args
@@ -177,14 +187,25 @@ def test_every_default_is_passed_somewhere():
                                                         fn.args.kw_defaults)
                           if d is not None]
             for index, arg in defaulted:
-                if not any(
-                        any(k.arg in (arg, None) for k in call.keywords)
-                        or any(isinstance(a, ast.Starred) for a in call.args)
-                        or (index is not None
-                            and len(call.args) > index - first)
-                        for call in calls.get(fn.name, [])):
-                    unpassed.append(f"{path.stem}.{fn.name}({arg})")
+                yield (f"{path.stem}.{fn.name}({arg})",
+                       [_passes(call, arg, index, first)
+                        for call in calls.get(fn.name, [])])
+
+
+def test_every_default_is_passed_somewhere():
+    # a defaulted parameter that no call of the library or the benchmark
+    # passes is a setting that only the tests can change
+    unpassed = [name for name, passed in _defaulted_parameters()
+                if not any(passed)]
     assert unpassed == []
+
+
+def test_every_default_is_left_out_somewhere():
+    # a defaulted parameter that every call of the library or the benchmark
+    # passes has a default that only the tests use
+    always_passed = [name for name, passed in _defaulted_parameters()
+                     if all(passed)]
+    assert always_passed == []
 
 
 def _read_keys(tree):

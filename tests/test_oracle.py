@@ -547,4 +547,5 @@ def test_strong_solver_matches_separate_dual_reference(constrained, tol):
     if not constrained:
         # the Gibbs closed form, up to the rounding of the normaliser
         assert np.allclose(sol.density, density, rtol=1e-13, atol=0)
-        assert sol.multipliers is None and sol.iterations == iterations == 0
+        assert sol.multipliers.shape == (0,)
+        assert sol.iterations == iterations == 0

@@ -90,7 +90,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
     chunks = []
     draw = simulate.gaussians
 
-    def recording(seed, shape, offset=0):
+    def recording(seed, shape, offset):
         first_row = offset // (3 * params.n_steps)
         chunks.append((first_row, first_row + shape[0]))
         return draw(seed, shape, offset)
@@ -126,7 +126,7 @@ def test_controlled_sample_matches_path_reference():
                             (-1.0, 1.0))
     n, dt = params.n_steps, params.dt
     root_dt = np.sqrt(dt)
-    xi = simulate.gaussians(17, (300, n, 3))
+    xi = simulate.gaussians(17, (300, n, 3), offset=0)
     p, z, w = (np.zeros((300, n + 1)) for _ in range(3))
     rates = np.empty((300, n))
     for i in range(n):
