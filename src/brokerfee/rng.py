@@ -7,17 +7,24 @@ normal CDF, so that results are bit-identical across platforms and
 independent of execution order.
 
 Philox is counter-based: one counter step yields a block of 4 draws, and
-``Philox.advance(k)`` skips k blocks. :func:`gaussians` therefore fills its
-output in place, in contiguous chunks cut at multiples of 4 draws, each
-from its own generator advanced to the chunk's first block, one thread per
-usable CPU (:func:`usable_cpus`). The threads release the GIL inside
-numpy and scipy, and the output does not depend on the number of chunks:
-it equals the one-shot draw bit for bit. The same holds for a draw that
-starts ``offset`` positions into the stream, at a multiple of 4: it equals
-that stretch of the one-shot draw, so a batch can be drawn in row chunks.
+``Philox.advance(k)`` skips k blocks, so any stretch of the stream that
+starts on a block can be drawn on its own. :func:`gaussians` therefore
+fills a caller's array in place, of any strides, in row blocks of about
+``_BLOCK_DRAWS`` draws along its first axis, each starting on a multiple
+of 4 draws. One worker thread per usable CPU (:func:`usable_cpus`) draws
+its blocks into a private contiguous scratch, from a generator advanced
+to the block's first draw, and copies each into its place in the output,
+so a transposed view such as the (rows, n_steps, 3) view of a time-major
+(n_steps, 3, rows) buffer is filled without a serial transpose. The
+workers release the GIL inside numpy and scipy, and the output equals
+the one-shot draw bit for bit, whatever the number of workers or blocks.
+A draw that starts ``offset`` positions into the stream, at a multiple
+of 4, equals that stretch of the one-shot draw, so a batch can be drawn
+in row chunks.
 """
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,8 +32,9 @@ import numpy as np
 
 __all__ = ["split_seed", "uniforms", "gaussians", "usable_cpus"]
 
-# below this many draws per chunk a thread costs more than it saves
-_MIN_CHUNK = 1 << 16
+# draws per row block of a fill, at most 512 KB of scratch per worker
+# when a row holds at most 2^14 draws
+_BLOCK_DRAWS = 1 << 16
 
 
 def usable_cpus() -> int:
@@ -60,49 +68,45 @@ def uniforms(seed: int, shape) -> np.ndarray:
     return _generator(seed).random(shape)
 
 
-def _fill_gaussians(seed: int, flat: np.ndarray, n_chunks: int,
-                    offset: int = 0) -> None:
-    """Fill the 1-D array ``flat`` with the draws of :func:`gaussians` at
-    stream positions ``offset`` on, in ``n_chunks`` contiguous chunks, one
-    thread each when there are several. ``offset`` and every cut are
-    multiples of 4 draws, so chunk k starts at a block boundary of the
-    stream."""
-    # imported here, before any worker starts: importing the package
-    # loads no scipy
-    from scipy.special import ndtri
-
-    cuts = [4 * (k * flat.size // (4 * n_chunks)) for k in range(n_chunks)]
-    cuts.append(flat.size)
-
-    def fill(lo, hi):
-        chunk = flat[lo:hi]
-        _generator(seed, (offset + lo) // 4).random(out=chunk)
-        # random() lands on [0,1) with resolution 2^-53; floor it away from
-        # 0 so ndtri never sees an exact endpoint
-        np.maximum(chunk, 2.0**-54, out=chunk)
-        ndtri(chunk, out=chunk)
-
-    if n_chunks == 1:
-        fill(0, flat.size)
-        return
-    with ThreadPoolExecutor(n_chunks) as pool:
-        list(pool.map(fill, cuts[:-1], cuts[1:]))
-
-
-def gaussians(seed: int, shape, offset: int) -> np.ndarray:
-    """Standard normal array via inverse-CDF of Philox uniforms.
+def gaussians(seed: int, out: np.ndarray, offset: int) -> np.ndarray:
+    """Fill the float array ``out`` with standard normals via the inverse
+    CDF of Philox uniforms, in place, and return it.
 
     The inverse-CDF map avoids the rejection steps of the ziggurat sampler,
-    keeping the output a fixed function of the counter stream. The array
-    holds stream positions ``offset`` to ``offset + size``; ``offset`` must
-    be a nonnegative multiple of 4, the first draw of a Philox block. It is
-    filled in place, one chunk per usable CPU (see the module docstring).
+    keeping the output a fixed function of the counter stream. ``out``, in
+    C order of its indices, holds stream positions ``offset`` to
+    ``offset + out.size``, whatever its strides; ``offset`` must be a
+    nonnegative multiple of 4, the first draw of a Philox block. It is
+    filled in row blocks by the workers (see the module docstring).
     """
     if offset < 0 or offset % 4:
         raise ValueError(f"offset must be a nonnegative multiple of 4, "
                          f"got {offset}")
-    out = np.empty(shape)
-    flat = out.reshape(-1)
-    n_chunks = max(1, min(usable_cpus(), flat.size // _MIN_CHUNK))
-    _fill_gaussians(seed, flat, n_chunks, offset)
+    # imported here, before any worker starts: importing the package
+    # loads no scipy
+    from scipy.special import ndtri
+
+    row_draws = math.prod(out.shape[1:])
+    # 4 rows hold a whole number of Philox blocks, so every block of a
+    # multiple of 4 rows starts on one
+    block = 4 * max(1, _BLOCK_DRAWS // (4 * row_draws))
+    starts = range(0, len(out), block)
+    workers = max(1, min(usable_cpus(), len(starts)))
+
+    def fill(first):
+        scratch = np.empty((min(block, len(out)), *out.shape[1:]))
+        for lo in starts[first::workers]:
+            part = scratch[:min(block, len(out) - lo)]
+            _generator(seed, (offset + lo * row_draws) // 4).random(out=part)
+            # random() lands on [0,1) with resolution 2^-53; floor it away
+            # from 0 so ndtri never sees an exact endpoint
+            np.maximum(part, 2.0**-54, out=part)
+            ndtri(part, out=part)
+            out[lo:lo + len(part)] = part
+
+    if workers == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(workers)))
     return out

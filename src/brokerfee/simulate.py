@@ -16,19 +16,22 @@ moments telescope: one path needs one running integral of W, one
 stopping index and one window [T/2, T], and the seven built-in test
 functionals scale the same six row increments.
 
-Both measures are sampled one row chunk at a time, time-major: a chunk's
-draws are transposed once to (n_steps, 3, rows), and the state is a few
-row vectors updated in place, step by step. Only per-path results are
-kept: :func:`weighted_reference` keeps 46 floats per path with the
-constraint moments (4 without) and :func:`simulate_controlled` 4 (the
-terminal P and Z and the integrals of Z W and pi^2). A chunk in flight
-holds 3 floats per path and step, its scaled draws, where a whole batch
-of 250 steps would hold about 1,750 floats per path. Each chunk reads its
-rows' own draws and every result is computed along one path, so the
-chunk size changes no bit of any estimate. At 20,000 paths x 250 steps
-the verify mode took 0.93-1.37 s and peaked at 90 MB of process memory,
-against 1.12-1.56 s and 95 MB when a weighted chunk built whole
-(rows, n_steps + 1) paths (10 runs each, 2 cores, numpy 2.4).
+Both measures are sampled one row chunk at a time, time-major: the draws
+of a chunk fill one (n_steps, 3, rows) buffer, allocated once per sampler
+call, through its transposed view, and the state is a few row vectors
+updated in place, step by step. Only per-path results are kept, in
+arrays allocated once per call: :func:`weighted_reference` keeps 46
+floats per path with the constraint moments (4 without) and
+:func:`simulate_controlled` 4 (the terminal P and Z and the integrals of
+Z W and pi^2). The draw buffer holds 3 floats per path and step of one
+chunk, where a whole batch of 250 steps would hold about 1,750 floats
+per path. Each chunk reads its rows' own draws and every result is
+computed along one path, so the chunk size changes no bit of any
+estimate. At 20,000 paths x 250 steps the verify mode took 0.90-1.42 s
+and peaked at 91 MB of process memory, against 1.04-1.74 s and 91 MB
+when each chunk of half the rows drew its own array and transposed it
+(10 runs each, 2 cores, numpy 2.4); at 100,000 paths it peaked at 126
+MB, against 153-165 MB.
 
 All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
@@ -48,25 +51,6 @@ __all__ = [
     "entropy_report", "mean_se",
     "constraint_moments",
 ]
-
-
-def _scaled_steps(params: ModelParams, seed: int, first_row: int,
-                  rows: int) -> np.ndarray:
-    """The Brownian increments (sigma dB1, eps dB2, dB3) of ``rows`` paths,
-    the rows ``first_row``, ``first_row + 1``, ... of the seed's stream,
-    time-major: shape (n_steps, 3, rows).
-
-    Row r reads the draws at stream positions 3 n_steps r on, so a
-    ``first_row`` that is a multiple of 4 gives those rows of a larger
-    batch bit for bit. The draws are transposed once and scaled in place.
-    """
-    n = params.n_steps
-    draws = gaussians(seed, (rows, n, 3), offset=3 * n * first_row)
-    steps = np.ascontiguousarray(draws.transpose(1, 2, 0))
-    del draws
-    steps *= (np.array([params.sigma, params.epsilon, 1.0])
-              * np.sqrt(params.dt))[:, None]
-    return steps
 
 
 @dataclass(frozen=True)
@@ -97,15 +81,15 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
 
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
     independent Brownian motions and pi read at the left point of each step.
-    A chunk runs time-major on :func:`_scaled_steps`: P, Z, W and the
+    A chunk runs time-major on its scaled increments: P, Z, W and the
     running sums of Z W and pi^2 are row vectors updated in place.
     """
     n = params.n_steps
     dt = params.dt
     times = params.times
 
-    def chunk(first_row, rows):
-        steps = _scaled_steps(params, seed, first_row, rows)
+    def chunk(steps):
+        rows = steps.shape[-1]
         p, z, w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
         int_zw, int_pi_sq = np.zeros(rows), np.zeros(rows)
         term = np.empty(rows)
@@ -126,7 +110,7 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
         int_pi_sq *= dt
         return p, z, int_zw, int_pi_sq
 
-    return ControlledSample(times, *_in_row_chunks(params.n_paths, n, chunk))
+    return ControlledSample(times, *_in_row_chunks(params, seed, chunk))
 
 
 @dataclass(frozen=True)
@@ -148,27 +132,50 @@ class WeightedSample:
     moments: np.ndarray
 
 
-# Draws per row chunk, 1,396 rows at 250 steps. A chunk holds its draws
-# twice for a moment, as drawn and transposed to time-major order, 6 floats
-# per path and step (17 MB at this size), and then only the transposed 3;
-# its state is about 20 row vectors. The verify mode at 20,000 x 250
-# peaked at 89-90, 93, 90 and 93 MB of process memory with 1 << 18,
-# 1 << 19, 1 << 20 and 1 << 21 draws per chunk, and ran slowest at
-# 1 << 18 (1.30-1.42 s against 0.96-1.21 s at 1 << 20), where the per-step
-# lookups are short.
-_CHUNK_DRAWS = 1 << 20
+# Draws per row chunk, 2,796 rows at 250 steps. A chunk holds its draws
+# once, time-major and scaled, 3 floats per path and step (16.8 MB at this
+# size), in one buffer for the whole sampler call; its state is about 20
+# row vectors. The verify mode at 20,000 x 250 peaked at 91, 91 and 99 MB
+# of process memory with 1 << 20, 1 << 21 and 1 << 22 draws per chunk,
+# and took 1.01-1.42 s (median 1.25 s), 0.97-1.33 s (1.10 s) and
+# 0.88-1.44 s (1.04 s) in 8 interleaved runs each: longer chunks make
+# fewer per-step numpy calls, but past 1 << 21 the buffer costs more
+# memory than they save time.
+_CHUNK_DRAWS = 1 << 21
 
 
-def _in_row_chunks(count: int, n_steps: int, chunk) -> list:
-    """Run ``chunk(first_row, rows)`` over the rows 0, ..., ``count`` - 1
-    in chunks of about ``_CHUNK_DRAWS`` draws, each starting at a multiple
-    of 4, and join the per-path arrays it returns along their last axis.
+def _in_row_chunks(params: ModelParams, seed: int, chunk) -> list:
+    """Run ``chunk(steps)`` over the rows 0, ..., ``params.n_paths`` - 1 of
+    the seed's stream in chunks of about ``_CHUNK_DRAWS`` draws, each
+    starting at a multiple of 4 rows, and gather the per-path arrays it
+    returns along their last axis.
+
+    ``steps`` holds a chunk's Brownian increments (sigma dB1, eps dB2,
+    dB3), time-major: shape (n_steps, 3, rows). Row r reads the draws at
+    stream positions 3 n_steps r on. One draw buffer serves every chunk:
+    :func:`gaussians` fills it through its (rows, n_steps, 3) view, it is
+    scaled in place, and each chunk's results are copied into its slice
+    of outputs allocated once, so memory grows only with those results.
     """
+    count, n = params.n_paths, params.n_steps
     if count < 1:
         raise ValueError("count must be at least 1")
-    rows = max(4, 4 * (_CHUNK_DRAWS // (12 * n_steps)))
-    parts = [chunk(lo, min(rows, count - lo)) for lo in range(0, count, rows)]
-    return [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
+    rows = min(count, max(4, 4 * (_CHUNK_DRAWS // (12 * n))))
+    buffer = np.empty(3 * n * rows)
+    scale = (np.array([params.sigma, params.epsilon, 1.0])
+             * np.sqrt(params.dt))[:, None]
+    outputs = None
+    for lo in range(0, count, rows):
+        size = min(rows, count - lo)
+        steps = buffer[:3 * n * size].reshape(n, 3, size)
+        gaussians(seed, steps.transpose(2, 0, 1), 3 * n * lo)
+        steps *= scale
+        parts = chunk(steps)
+        if outputs is None:
+            outputs = [np.empty((*part.shape[:-1], count)) for part in parts]
+        for out, part in zip(outputs, parts):
+            out[..., lo:lo + size] = part
+    return outputs
 
 
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
@@ -185,9 +192,9 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                         - (1/2) ((W_i / sigma)^2 + (pi_i / eps)^2) dt ],
 
     formed after the loop from the running sums of W dP, pi dZ, W^2 and
-    pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the draws
-    of :func:`simulate_controlled` (:func:`_scaled_steps`) and keeps only
-    the per-path results, so memory grows by 46 floats per path with
+    pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the
+    increments of :func:`simulate_controlled` and keeps only the per-path
+    results, so memory grows by 46 floats per path with
     ``moments`` and by 4 without. The sample equals that of the whole
     batch taken as one chunk, bit for bit.
 
@@ -202,11 +209,8 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
     s2, e2 = params.sigma**2, params.epsilon**2
     i_s = n // 2
 
-    def chunk(first_row, rows):
-        # the per-path results and the state are allocated before the
-        # draws, so that the heap can shrink once the draws are freed:
-        # allocated after them, the verify mode on perfbench's mc-verify
-        # config peaked at 97 MB of process memory, against 90 MB
+    def chunk(steps):
+        rows = steps.shape[-1]
         samples = np.empty((1 + 2 * len(_THRESHOLDS) if moments else 0,
                             6, rows))
         state = np.zeros((4, rows))         # P, Z, W and sum_{k < i} W_k
@@ -219,7 +223,6 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
             end = np.empty((4, rows))       # the state at tau_N
             start = np.zeros((4, rows))     # the state at min(i_s, tau_N)
             at_s = np.zeros((2, rows))      # W and Z at i_s
-        steps = _scaled_steps(params, seed, first_row, rows)
         for i in range(n):
             pi = policy(times[i], w, z)
             np.multiply(w, steps[i, 0], out=term)
@@ -251,7 +254,7 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                             at_s, params, samples)
         return m, log_m, pi_sq * dt, w_sq * dt, samples
 
-    return WeightedSample(*_in_row_chunks(params.n_paths, n, chunk))
+    return WeightedSample(*_in_row_chunks(params, seed, chunk))
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is

@@ -30,7 +30,7 @@ def reference_paths(params, count, seed) -> Paths:
     paths: each coordinate is the cumulative sum of its Euler increments,
     scale * sqrt(dt) * standard normal, with scales (sigma, eps, 1)."""
     n = params.n_steps
-    xi = gaussians(seed, (count, n, 3), offset=0)
+    xi = gaussians(seed, np.empty((count, n, 3)), offset=0)
     coords = []
     for k, scale in enumerate((params.sigma, params.epsilon, 1.0)):
         path = np.zeros((count, n + 1))

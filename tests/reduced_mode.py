@@ -18,7 +18,7 @@ def reduced_terminal(count: int, n_steps: int, horizon: float,
     rows = max(4, 4 * (_CHUNK_DRAWS // (4 * n_steps)))
     x_t = np.empty(count)
     for lo in range(0, count, rows):
-        xi = gaussians(seed, (min(rows, count - lo), n_steps),
+        xi = gaussians(seed, np.empty((min(rows, count - lo), n_steps)),
                        offset=lo * n_steps)
         xi *= root_dt
         x_t[lo:lo + len(xi)] = np.cumsum(xi, axis=1)[:, -1]

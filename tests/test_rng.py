@@ -4,11 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from brokerfee.rng import (_fill_gaussians, gaussians, split_seed,
-                           uniforms, usable_cpus)
+from brokerfee import rng
+from brokerfee.rng import gaussians, split_seed, uniforms, usable_cpus
 
-# sha256 of the one-shot inverse-CDF draw gaussians(7, (1000, 250, 3)) that
-# gaussians made before it filled its output in chunks
+# sha256 of the one-shot inverse-CDF draw of shape (1000, 250, 3) at seed 7
+# that gaussians made before it filled its output in blocks
 FROZEN_GAUSSIAN_SHA256 = (
     "13165fcb09f5bf0ca9774f78b4995358f80a2b6dc640bd4ffeed1ffd219c07a2")
 
@@ -25,14 +25,14 @@ def test_frozen_regression_values():
     # no longer reproduce published runs
     u = uniforms(0, (3,))
     assert np.allclose(u, [0.01154675, 0.2415492, 0.11142586], atol=1e-8)
-    g = gaussians(0, (3,), offset=0)
+    g = gaussians(0, np.empty(3), offset=0)
     assert np.allclose(g, [-2.27188415, -0.70132792, -1.21898019], atol=1e-8)
     assert split_seed(12345, "alpha") == 6311399085688075266
     assert split_seed(12345, "beta") == 16487697504233882735
 
 
 def _frozen_stream_digest():
-    draw = gaussians(7, (1000, 250, 3), offset=0)
+    draw = gaussians(7, np.empty((1000, 250, 3)), offset=0)
     return hashlib.sha256(draw.tobytes()).hexdigest()
 
 
@@ -52,31 +52,35 @@ def test_cpu_count_fallback(monkeypatch):
     assert _frozen_stream_digest() == FROZEN_GAUSSIAN_SHA256
 
 
-@pytest.mark.parametrize("size", [1, 5, 4001, 750_003])
-def test_chunked_fill_does_not_depend_on_chunk_count(size):
-    # 3 chunks of 750,003 draws are cut inside rows of 3, as in (n, 3)
-    fills = []
-    for n_chunks in (1, 2, 3):
-        flat = np.empty(size)
-        _fill_gaussians(11, flat, n_chunks)
-        fills.append(flat)
-    assert all(np.array_equal(fills[0], f) for f in fills[1:])
-    assert np.array_equal(fills[0], gaussians(11, size, offset=0))
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_transposed_fill_does_not_depend_on_worker_count(cpus, monkeypatch):
+    # 7 steps are 21 draws per row and 3,120 rows per fill block, so
+    # 6,245 rows are 3 blocks, the last one short; row 8 starts at draw 168
+    monkeypatch.setattr(rng, "usable_cpus", lambda: cpus)
+    rows, n, offset = 6_245, 7, 8 * 21
+    contiguous = gaussians(11, np.empty((rows, n, 3)), offset)
+    time_major = np.empty((n, 3, rows))
+    view = time_major.transpose(2, 0, 1)
+    assert gaussians(11, view, offset) is view
+    assert np.array_equal(time_major, contiguous.transpose(1, 2, 0))
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
+    assert np.array_equal(contiguous,
+                          gaussians(11, np.empty((rows, n, 3)), offset))
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 4), (4, 9), (8, 40), (36, 40)])
 def test_offset_draws_are_rows_of_the_whole_draw(lo, hi):
     # rows from a multiple of 4 start on a Philox block: 7 steps are 21
     # draws per row, so row 4 starts mid-stream at draw 84
-    whole = gaussians(13, (40, 7, 3), offset=0)
-    rows = gaussians(13, (hi - lo, 7, 3), offset=lo * 7 * 3)
+    whole = gaussians(13, np.empty((40, 7, 3)), offset=0)
+    rows = gaussians(13, np.empty((hi - lo, 7, 3)), offset=lo * 7 * 3)
     assert np.array_equal(rows, whole[lo:hi])
 
 
 @pytest.mark.parametrize("offset", [-4, 2, 21])
 def test_offset_off_a_block_raises(offset):
     with pytest.raises(ValueError, match="multiple of 4"):
-        gaussians(13, (5, 3), offset=offset)
+        gaussians(13, np.empty((5, 3)), offset=offset)
 
 
 def test_split_seed_distinct_streams():
@@ -86,17 +90,17 @@ def test_split_seed_distinct_streams():
 
 
 def test_gaussian_moments():
-    x = gaussians(42, (200_000,), offset=0)
+    x = gaussians(42, np.empty(200_000), offset=0)
     assert abs(np.mean(x)) < 0.01
     assert abs(np.std(x) - 1.0) < 0.01
     assert abs(np.mean(x**3)) < 0.03
 
 
 def test_gaussians_finite():
-    x = gaussians(5, (100_000,), offset=0)
+    x = gaussians(5, np.empty(100_000), offset=0)
     assert np.all(np.isfinite(x))
 
 
 def test_shape_handling():
     assert uniforms(1, (4, 5, 6)).shape == (4, 5, 6)
-    assert gaussians(1, 10, offset=0).shape == (10,)
+    assert gaussians(1, np.empty(10), offset=0).shape == (10,)
