@@ -259,13 +259,12 @@ class _ExplicitStep:
         np.multiply(rows[:, -2], self.k_edge, out=pi_rows[:, -1])
         np.clip(pi, *self.bounds, out=pi)
 
-    def rates(self, plane):
-        """The clamped closed-form rate on one C-contiguous (n_w, n_z)
-        plane of V, in the first worker's buffers."""
-        out = np.empty(plane.shape)
+    def rates(self, plane, out):
+        """Write the clamped closed-form rate on one C-contiguous (n_w, n_z)
+        plane of V into the C-contiguous ``out``, in the first worker's
+        buffers."""
         self._control(plane.reshape(-1), plane.shape[1],
                       self.buffers[0].dz_diff[:plane.size], out.reshape(-1))
-        return out
 
     def __call__(self, v, out, pool):
         """Write V one step earlier in time into the box of ``out``; both
@@ -414,11 +413,13 @@ def solve_hjb(contract, params: ModelParams):
     Rates are saved at step boundaries only, at most 81 slices in 2-D
     and 17 in 3-D. At a saved step V's box edge pairs are extended
     linearly along z, then w, then p to the cells outside the box, in V
-    itself, and the rates are taken from the result; no later step reads
-    those cells, as its box is no wider. The solve holds three full-size
-    buffers, V (which keeps a step's start) and two stage targets, and V
-    ends as the value at t = 0 (:class:`ValueGrid`), whose value at the
-    origin is the client's.
+    itself, and the rates are taken from the result, straight into their
+    slice of one rate table allocated before the sweep; no later step
+    reads those cells, as its box is no wider. The solve holds three
+    full-size buffers, V (which keeps a step's start) and two stage
+    targets, and V ends as the value at t = 0 (:class:`ValueGrid`), whose
+    value at the origin is the client's. The policy keeps the rate table
+    itself, without a copy.
     """
     T = params.horizon
     sigma, eps = params.sigma, params.epsilon
@@ -460,11 +461,15 @@ def solve_hjb(contract, params: ModelParams):
 
     # the central price plane alone gives the policy: ROADMAP item 1
     policy_plane = len(payoff) // 2
+    # the rates at the saved times, filled from t = T down; the table
+    # outlives the solve, so it is allocated before the sweep's buffers,
+    # which leaves the memory they free in one piece
+    rates = np.empty((len(save_idx), n_w, n_z))
+    slot = len(save_idx)
     step = _ExplicitStep(params, dt / _SSP_RATIO, w_nodes, z_nodes,
                          marched_p)
     v = np.repeat(-payoff[:, None, :].astype(float), n_w, axis=1)
     a, b = np.empty_like(v), np.empty_like(v)
-    rates = []  # from t = T down
 
     axes = (np.zeros(1) if marched_p is None else marched_p, w_nodes,
             z_nodes)
@@ -519,13 +524,13 @@ def solve_hjb(contract, params: ModelParams):
                 # steps' boxes are no wider, so none reads these cells
                 for axis in (2, 1, 0):
                     _extend_linearly(v[cells[:axis]], *step.box[axis], axis)
-                rates.append(step.rates(v[policy_plane]))
+                slot -= 1
+                step.rates(v[policy_plane], rates[slot])
 
     values = (v[0] if p_nodes is None
               else np.broadcast_to(v, (n_p,) + v.shape[1:]))
     grid = ValueGrid(w_nodes, z_nodes, values, p_nodes)
-    policy = FeedbackPolicy(save_idx * dt, w_nodes, z_nodes,
-                            np.array(rates[::-1]), (lo, up))
+    policy = FeedbackPolicy(save_idx * dt, w_nodes, z_nodes, rates, (lo, up))
     return policy, grid
 
 

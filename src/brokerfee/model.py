@@ -92,12 +92,15 @@ def validate_params(params: ModelParams) -> ModelParams:
 
 
 class FeedbackPolicy:
-    """Trading-rate rule pi(t, w, z) stored on a grid.
+    """Trading-rate rule pi(t, w, z) stored on a grid, or a batch of such
+    rules on one grid.
 
     The t nodes are any sorted array; the w and z nodes must be uniform
     (as ``np.linspace`` makes them), or the constructor raises
     ``ValueError``. Values are clamped to [L, U] at construction and again
-    after interpolation, so every rate the policy emits is admissible.
+    after interpolation, so every rate the policy emits is admissible. A
+    C-contiguous float table already within [L, U] is kept as given,
+    without a copy; the policy never writes to its table.
 
     A call looks up one scalar time ``t`` and broadcasts over w and z:
     each point is blended trilinearly from the eight corners of its
@@ -105,6 +108,14 @@ class FeedbackPolicy:
     found once per call and the w and z cells by arithmetic on the uniform
     nodes. Beyond the grid edges the value is extrapolated by a constant.
     A policy whose table is constant returns that rate without a lookup.
+
+    A table of shape (K, n_t, n_w, n_z) holds a batch of K rules
+    (:meth:`stack`), and ``batch_shape`` is (K,), () for a single rule.
+    A batch's call takes the W of its members' paths once, with shape
+    (rows,), and the Z of each member, with shape (K, rows). The t and w
+    cells are found once for all members, and every member's corners are
+    blended in one gather, so each member's rates equal its own policy's
+    lookup bit for bit; a member whose table is constant returns its rate.
     """
 
     def __init__(self, t_nodes, w_nodes, z_nodes, table, bounds):
@@ -112,16 +123,32 @@ class FeedbackPolicy:
         self.w_nodes = _uniform_nodes(w_nodes, "w")
         self.z_nodes = _uniform_nodes(z_nodes, "z")
         self.bounds = (float(bounds[0]), float(bounds[1]))
-        table = np.asarray(table, dtype=float)
+        table = np.ascontiguousarray(table, dtype=float)
         expected = (len(self.t_nodes), len(self.w_nodes), len(self.z_nodes))
-        if table.shape != expected:
-            raise ValueError(f"table shape {table.shape} != {expected}")
-        self.table = np.clip(table, self.bounds[0], self.bounds[1])
-        first = self.table.flat[0]
-        self._rate = first if np.all(self.table == first) else None
+        if table.shape[-3:] != expected or table.ndim not in (3, 4):
+            raise ValueError(f"table shape {table.shape} != {expected}, "
+                             f"with or without a leading batch axis")
+        # np.clip leaves a value within the bounds as it is, so only a
+        # table that reaches beyond them (or holds NaN) needs its copy
+        if not self.bounds[0] <= table.min() <= table.max() <= self.bounds[1]:
+            table = np.clip(table, *self.bounds)
+        self.table = table
+        self.batch_shape = table.shape[:-3]
+        n_t, n_w, n_z = expected
+        members = table.reshape(-1, n_t * n_w * n_z)
+        first = members[:, 0]
+        fixed = np.all(members == first[:, None], axis=1)
+        self._rate = None
+        if fixed.all():
+            self._rate = first[:, None] if self.batch_shape else first[0]
+        # the members of a batch with a constant table, and their rates
+        self._fixed = np.flatnonzero(fixed)
+        self._fixed_rates = first[self._fixed, None]
         self._t_list = self.t_nodes.tolist()
-        self._flat = self.table.ravel()
-        _, n_w, n_z = expected
+        self._flat = table.ravel()
+        self._plane = n_w * n_z
+        # the flat start of each member's table
+        self._starts = np.arange(len(members))[:, None] * members.shape[1]
         self._offsets = _corner_offsets((n_z, 1, n_w * n_z))
 
     @classmethod
@@ -133,8 +160,32 @@ class FeedbackPolicy:
         return cls(nodes, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
                    table, bounds)
 
+    @classmethod
+    def stack(cls, policies):
+        """The batch of ``policies``, in order, on their common grid and
+        bounds; raises ``ValueError`` if any two differ there. The batch
+        holds a copy of their tables, of shape (K, n_t, n_w, n_z), or a
+        view of the table of a single policy."""
+        first = policies[0]
+        if not all(first.shares_grid(other) for other in policies[1:]):
+            raise ValueError("stacked policies need one grid and one "
+                             "[L, U]")
+        tables = [policy.table for policy in policies]
+        return cls(first.t_nodes, first.w_nodes, first.z_nodes,
+                   tables[0][None] if len(tables) == 1 else np.stack(tables),
+                   first.bounds)
+
+    def shares_grid(self, other) -> bool:
+        """Whether ``other`` has this policy's (t, w, z) nodes and [L, U],
+        so that the two can be stacked."""
+        return (self.bounds == other.bounds and all(
+            np.array_equal(a, b) for a, b in (
+                (self.t_nodes, other.t_nodes), (self.w_nodes, other.w_nodes),
+                (self.z_nodes, other.z_nodes))))
+
     def __call__(self, t, w, z):
-        """Rates at the scalar time ``t``; broadcasts over w and z."""
+        """Rates at the scalar time ``t``; broadcasts over w and z (for a
+        batch, over w and each member's z)."""
         t = float(t)
         if self._rate is not None:
             return np.full(np.broadcast_shapes(np.shape(w), np.shape(z)),
@@ -144,9 +195,15 @@ class FeedbackPolicy:
         iz, fz = _uniform_cell(self.z_nodes, z)
         n_z = len(self.z_nodes)
         # from time plane it on, base is the index of the (w, z) cell
-        rate = _blend(self._flat[it * self.table[0].size:], iw * n_z + iz,
-                      self._offsets, (fw, fz, ft))
-        return _clamp(rate, *self.bounds)[()]
+        base = iw * n_z + iz
+        if self.batch_shape:
+            base += self._starts
+        rate = _blend(self._flat[it * self._plane:], base, self._offsets,
+                      (fw, fz, ft))
+        rate = _clamp(rate, *self.bounds)
+        if len(self._fixed):
+            rate[self._fixed] = self._fixed_rates
+        return rate[()]
 
     def _time_cell(self, t):
         """:func:`locate` of the scalar ``t`` on the t nodes, in Python

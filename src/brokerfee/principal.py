@@ -11,6 +11,14 @@ then Nelder-Mead refinement from the best point so far, with every
 proposal projected back into the box. The full evaluation log is the
 maximizing sequence the existence argument asks for, and convergence
 diagnostics are read off its incumbent trail.
+
+Every contract is scored under common random numbers from one seed, so
+contracts whose scores do not depend on each other (the screening
+points, and the vertices of Nelder-Mead's initial simplex) are scored as
+one list: their controlled simulations share passes over the same draws,
+the standard payoff of common random numbers (Glasserman 2004, Monte
+Carlo Methods in Financial Engineering, 4.2). Each record equals the one
+that scoring its contract alone would give, bit for bit.
 """
 
 import math
@@ -22,7 +30,7 @@ import numpy as np
 from . import simulate
 from .agent import solve_hjb
 from .contracts import Constant, LinearPolynomial, LipschitzTable
-from .model import ModelParams
+from .model import FeedbackPolicy, ModelParams
 from .rng import split_seed, uniforms
 
 __all__ = [
@@ -42,26 +50,59 @@ class PrincipalEvaluation:
     participation: bool
 
 
-def principal_objective(contract, params: ModelParams) -> PrincipalEvaluation:
-    """Broker value of one contract against the client's best response.
+def principal_objective(contracts, params: ModelParams) -> list:
+    """Broker values of ``contracts``, in order, each against the client's
+    best response.
 
-    The client side is solved first; the broker's per-path value
-    xi(P_T, Z_T) - phi_p int pi^2 dt is then averaged over a controlled
-    simulation of ``params.n_paths`` paths at the responding policy.
-    ``params.seed`` keys the simulation, so calls sharing a seed use common
-    random numbers and their values are directly comparable. The participation
-    flag compares the client's grid value with the reservation level.
+    Each client side is solved in turn, and only its policy is kept; the
+    broker's per-path value xi(P_T, Z_T) - phi_p int pi^2 dt is then
+    averaged over a controlled simulation of ``params.n_paths`` paths at
+    the responding policy. ``params.seed`` keys every simulation, so the
+    contracts are scored under common random numbers and their values are
+    directly comparable. Each run of consecutive policies on one grid is
+    simulated as one batch (:meth:`FeedbackPolicy.stack`) on one pass of
+    the draws, as long as their tables fit in the bytes of one draw chunk
+    (:func:`simulate.draw_chunk_bytes`): twelve 3-D tables, or one 2-D
+    table alone. Every evaluation equals that of its contract scored
+    alone, bit for bit. The participation flag compares the client's grid
+    value with the reservation level.
     """
-    policy, grid = solve_hjb(contract, params)
-    v_a = grid.value_at_origin
-    # the simulation needs only the policy: free the value grid first
-    del grid
-    sample = simulate.simulate_controlled(
-        params, policy, split_seed(params.seed, "principal-crn"))
-    j_p, j_p_se = simulate.mean_se(
-        contract.terminal_payoff(sample.p_T, sample.z_T)
-        - params.phi_p * sample.int_pi_sq)
-    return PrincipalEvaluation(j_p, j_p_se, v_a, v_a >= params.reservation)
+    seed = split_seed(params.seed, "principal-crn")
+    evaluations = []
+    batch = []      # (contract, policy, v_a) solved but not yet simulated
+
+    def simulate_batch():
+        scored, policies, values = zip(*batch)
+        batch.clear()
+        policy = FeedbackPolicy.stack(policies)
+        # a batch of several holds its own copy of the tables: free the
+        # members'
+        del policies
+        sample = simulate.simulate_controlled(params, policy, seed)
+        for contract, v_a, z_T, int_pi_sq in zip(
+                scored, values, sample.z_T, sample.int_pi_sq):
+            j_p, j_p_se = simulate.mean_se(
+                contract.terminal_payoff(sample.p_T, z_T)
+                - params.phi_p * int_pi_sq)
+            evaluations.append(PrincipalEvaluation(
+                j_p, j_p_se, v_a, v_a >= params.reservation))
+
+    for contract in contracts:
+        policy, grid = solve_hjb(contract, params)
+        v_a = grid.value_at_origin
+        # the simulation needs only the policy: free the value grid first
+        del grid
+        if batch and not (
+                batch[0][1].shares_grid(policy)
+                and sum(member.table.nbytes for _, member, _ in batch)
+                + policy.table.nbytes <= simulate.draw_chunk_bytes()):
+            simulate_batch()
+        batch.append((contract, policy, v_a))
+        # only the batch holds the policy, so that stacking frees it
+        del policy
+    if batch:
+        simulate_batch()
+    return evaluations
 
 
 @dataclass(frozen=True)
@@ -194,9 +235,15 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
     the sequence, such as the simplex vertex at the incumbent, is served
     from that record with no solve and no new record, so the budget counts
     distinct contracts.
-    """
-    from scipy.optimize import minimize
 
+    No screening point depends on another's score, and neither does a
+    vertex of Nelder-Mead's initial simplex, so the screening points are
+    scored as one list of :func:`principal_objective` and the vertices as
+    another, with their simulations batched on shared passes over the
+    common random numbers. Nelder-Mead then finds every vertex served, and
+    the records equal those of scoring one contract at a time. scipy's
+    optimizer is imported only when budget is left for its iterations.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     sequence = MaximizingSequence(family)
@@ -204,26 +251,47 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
     # ever scored and the binding constant cannot anchor them; they start
     # from the screening points
     zero = (None if family.kind == "linear_polynomial"
-            else principal_objective(Constant(0.0), params))
+            else principal_objective([Constant(0.0)], params)[0])
 
     def shifted(c):
         v_a = zero.v_a - c
         return PrincipalEvaluation(c + zero.j_p, zero.j_p_se, v_a,
                                    v_a >= params.reservation)
 
-    def evaluate(theta, stage):
-        theta = np.clip(np.asarray(theta, dtype=float), -family.cap,
-                        family.cap)
+    def served(theta):
+        """The objective of the record of ``theta``, or None."""
         for record in sequence.records:
             if np.array_equal(record["coefficients"], theta):
                 return record["objective"]
-        if len(sequence) >= budget:
+        return None
+
+    def score(proposals, stage):
+        """Append a record for each clipped proposal that the sequence
+        does not hold yet, once and in order, scoring the contracts in one
+        :func:`principal_objective` call; raises _BudgetExhausted after
+        the records that fit the budget if it cuts the list."""
+        fresh = []
+        for theta in proposals:
+            theta = np.clip(np.asarray(theta, dtype=float), -family.cap,
+                            family.cap)
+            if served(theta) is None and not any(
+                    np.array_equal(theta, other) for other in fresh):
+                fresh.append(theta)
+        kept = fresh[:budget - len(sequence)]
+        contracts = [family.make(theta) for theta in kept]
+        solved = iter(principal_objective(
+            [c for c in contracts if not isinstance(c, Constant)], params))
+        for theta, contract in zip(kept, contracts):
+            sequence.append(theta, shifted(contract.value)
+                            if isinstance(contract, Constant)
+                            else next(solved), stage)
+        if len(fresh) > len(kept):
             raise _BudgetExhausted
-        contract = family.make(theta)
-        evaluation = (shifted(contract.value)
-                      if isinstance(contract, Constant)
-                      else principal_objective(contract, params))
-        return sequence.append(theta, evaluation, stage)
+
+    def evaluate(theta, stage):
+        theta = np.clip(theta, -family.cap, family.cap)
+        score([theta], stage)
+        return served(theta)
 
     try:
         if zero is not None:
@@ -237,8 +305,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
 
         n_screen = max(min(budget // 3, budget - len(sequence) - 1), 0)
         points = _latin_hypercube(n_screen, family.dimension, params.seed)
-        for k in range(n_screen):
-            evaluate(family.cap * (2.0 * points[k] - 1.0), "screen")
+        score(family.cap * (2.0 * points - 1.0), "screen")
 
         if sequence.best_index is not None:
             start = sequence.records[sequence.best_index]["coefficients"]
@@ -246,13 +313,22 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
             start = np.zeros(family.dimension)
         remaining = budget - len(sequence)
         if remaining > 0:
-            # a served proposal costs no solve; Nelder-Mead may make up to
-            # ``budget`` of them on top of the remaining solves
-            minimize(lambda th: -evaluate(th, "refine"), start,
-                     method="Nelder-Mead",
-                     options={"maxfev": remaining + budget, "xatol": 1e-6,
-                              "fatol": 1e-12, "initial_simplex":
-                              _initial_simplex(start, family.cap)})
+            # Nelder-Mead scores its initial simplex first, vertex by
+            # vertex: score the vertices as one list, so that it finds
+            # them all served
+            simplex = _initial_simplex(start, family.cap)
+            score(simplex, "refine")
+            if len(sequence) < budget:
+                from scipy.optimize import minimize
+
+                # a served proposal costs no solve; Nelder-Mead may make
+                # up to ``budget`` of them on top of the solves that were
+                # left before its simplex, whose vertices it calls again
+                minimize(lambda th: -evaluate(th, "refine"), start,
+                         method="Nelder-Mead",
+                         options={"maxfev": remaining + budget,
+                                  "xatol": 1e-6, "fatol": 1e-12,
+                                  "initial_simplex": simplex})
     except _BudgetExhausted:
         pass
 

@@ -33,6 +33,17 @@ when each chunk of half the rows drew its own array and transposed it
 (10 runs each, 2 cores, numpy 2.4); at 100,000 paths it peaked at 126
 MB, against 153-165 MB.
 
+The controlled sampler also takes a batch of K policies on one grid
+(:meth:`FeedbackPolicy.stack`), which the broker search uses to score
+contracts under common random numbers: every member steps on the same
+draws in one pass, so the draws are made and P and W are stepped once
+for all. Its lookup finds the t and w cells once per step and blends
+every member's corners in one gather. The terminal P is shared, with
+shape (count,), and Z_T and the two integrals gain the leading batch
+axis: the pass keeps 1 + 3K floats per path, holds one draw buffer
+whatever K is, and adds the stacked tables. Each member's results
+equal those of its own call bit for bit.
+
 All stochastic integrals are discretized with left-point (Ito) evaluation:
 right-point rules bias the mean of the density away from 1.
 """
@@ -46,7 +57,7 @@ from .rng import gaussians
 
 __all__ = [
     "ControlledSample", "WeightedSample",
-    "simulate_controlled", "weighted_reference",
+    "simulate_controlled", "weighted_reference", "draw_chunk_bytes",
     "effective_sample_size", "DEGENERATE_ESS_FRACTION", "is_degenerate",
     "entropy_report", "mean_se",
     "constraint_moments",
@@ -58,8 +69,9 @@ class ControlledSample:
     """Per-path results of paths simulated under a feedback policy.
 
     ``p_T`` and ``z_T`` are the terminal price and inventory, and
-    ``int_zw`` and ``int_pi_sq`` the left-point integrals of Z W and pi^2,
-    each of shape (count,).
+    ``int_zw`` and ``int_pi_sq`` the left-point integrals of Z W and pi^2.
+    ``p_T`` has shape (count,) and the other three the policy's batch shape
+    plus (count,): a batch's members share P.
     """
 
     times: np.ndarray
@@ -82,7 +94,11 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
     dP = W dt + sigma dB1, dZ = pi(t, W, Z) dt + eps dB2, dW = dB3 with
     independent Brownian motions and pi read at the left point of each step.
     A chunk runs time-major on its scaled increments: P, Z, W and the
-    running sums of Z W and pi^2 are row vectors updated in place.
+    running sums of Z W and pi^2 are row vectors updated in place. For a
+    batch of policies (:meth:`FeedbackPolicy.stack`) every member steps on
+    the same draws: P and W, which no rate moves, are stepped once, and
+    each member's Z and running sums are one row of a (K, rows) array, so
+    every member's results equal those of its own call bit for bit.
     """
     n = params.n_steps
     dt = params.dt
@@ -90,17 +106,17 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
 
     def chunk(steps):
         rows = steps.shape[-1]
-        p, z, w = np.zeros(rows), np.zeros(rows), np.zeros(rows)
-        int_zw, int_pi_sq = np.zeros(rows), np.zeros(rows)
-        term = np.empty(rows)
+        p, w, drift = np.zeros(rows), np.zeros(rows), np.empty(rows)
+        z, int_zw, int_pi_sq, term = (np.zeros(policy.batch_shape + (rows,))
+                                      for _ in range(4))
         for i in range(n):
             pi = policy(times[i], w, z)
             np.multiply(z, w, out=term)
             int_zw += term
             np.multiply(pi, pi, out=term)
             int_pi_sq += term
-            np.multiply(w, dt, out=term)
-            p += term
+            np.multiply(w, dt, out=drift)
+            p += drift
             p += steps[i, 0]
             np.multiply(pi, dt, out=term)
             z += term
@@ -142,6 +158,13 @@ class WeightedSample:
 # fewer per-step numpy calls, but past 1 << 21 the buffer costs more
 # memory than they save time.
 _CHUNK_DRAWS = 1 << 21
+
+
+def draw_chunk_bytes() -> int:
+    """Bytes of one row chunk's draw buffer at full size, which a
+    controlled batch's stacked policy tables may match: a pass then holds
+    at most twice the draws' memory."""
+    return 8 * _CHUNK_DRAWS
 
 
 def _in_row_chunks(params: ModelParams, seed: int, chunk) -> list:

@@ -303,3 +303,23 @@ def test_cli_import_loads_no_scipy():
                                      PYTHONPATH=str(ROOT / "src")),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_budget_two_polynomial_search_loads_no_optimizer(tmp_path):
+    # a degree-1 polynomial at budget 2 spends its budget on the initial
+    # simplex, which is scored before Nelder-Mead would start, so the run
+    # never pays for importing scipy.optimize
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.rate_lower = -1.0\nmodel.rate_upper = 1.0\n"
+                   "model.n_steps = 50\nmodel.n_paths = 500\n"
+                   "family.class = linear_polynomial\nfamily.degree = 1\n"
+                   "run.mode = optimize\nrun.budget = 2\n")
+    probe = ("import sys; from brokerfee import cli; "
+             f"status = cli.main(['optimize', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'out')!r}]); "
+             "print(status, 'scipy.optimize' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=dict(os.environ,
+                                     PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "0 False"

@@ -76,6 +76,42 @@ def test_policy_rejects_non_uniform_nodes(axis):
                            table, (-1.0, 1.0))
 
 
+def test_policy_keeps_a_table_within_bounds_and_never_writes_it():
+    t_nodes, w_nodes, z_nodes = (np.array([0.0, 0.5, 1.0]),
+                                 np.linspace(-1.0, 1.0, 5),
+                                 np.linspace(-2.0, 2.0, 4))
+    table = np.random.default_rng(3).uniform(-2.0, 2.0, (3, 5, 4))
+    before = table.copy()
+    clipped = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, (-1.0, 1.0))
+    assert np.array_equal(table, before)
+    assert np.array_equal(clipped.table, np.clip(table, -1.0, 1.0))
+    within = FeedbackPolicy(t_nodes, w_nodes, z_nodes, table, (-2.0, 2.0))
+    assert np.shares_memory(within.table, table)
+
+
+def test_stack_needs_one_grid_and_bounds():
+    t_nodes, w_nodes, z_nodes = (np.array([0.0, 0.5, 1.0]),
+                                 np.linspace(-1.0, 1.0, 5),
+                                 np.linspace(-2.0, 2.0, 4))
+    first = FeedbackPolicy(t_nodes, w_nodes, z_nodes, np.zeros((3, 5, 4)),
+                           (-1.0, 1.0))
+    others = [
+        FeedbackPolicy(np.array([0.0, 0.4, 1.0]), w_nodes, z_nodes,
+                       np.zeros((3, 5, 4)), (-1.0, 1.0)),
+        FeedbackPolicy(t_nodes, 2.0 * w_nodes, z_nodes, np.zeros((3, 5, 4)),
+                       (-1.0, 1.0)),
+        FeedbackPolicy(t_nodes, w_nodes, np.linspace(-2.0, 2.0, 5),
+                       np.zeros((3, 5, 5)), (-1.0, 1.0)),
+        FeedbackPolicy(t_nodes, w_nodes, z_nodes, np.zeros((3, 5, 4)),
+                       (-1.0, 2.0)),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="one grid"):
+            FeedbackPolicy.stack([first, other])
+    batch = FeedbackPolicy.stack([first, first])
+    assert batch.batch_shape == (2,) and first.batch_shape == ()
+
+
 def test_policy_interpolation_matches_linear_function():
     params = ModelParams(rate_lower=-50.0, rate_upper=50.0)
     t_nodes = np.linspace(0.0, 1.0, 5)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from brokerfee import cli, principal
+from brokerfee import cli, principal, simulate
 from brokerfee.agent import solve_hjb
 from brokerfee.contracts import Constant, LipschitzTable
 from brokerfee.model import ModelParams
@@ -26,7 +26,7 @@ def fast():
 @pytest.mark.usefixtures("fast")
 def test_principal_objective_constant_closed_form():
     c = 0.01
-    ev = principal.principal_objective(Constant(c), replace(WIDE, seed=5))
+    [ev] = principal.principal_objective([Constant(c)], replace(WIDE, seed=5))
     assert ev.v_a == pytest.approx(-c + 1.0 / 24.0, abs=1e-3)
     assert ev.j_p == pytest.approx(c - 1.0 / 48.0,
                                    abs=max(3 * ev.j_p_se, 1e-3))
@@ -35,7 +35,8 @@ def test_principal_objective_constant_closed_form():
 
 @pytest.mark.usefixtures("fast")
 def test_participation_fails_above_surplus():
-    ev = principal.principal_objective(Constant(0.1), replace(WIDE, seed=5))
+    [ev] = principal.principal_objective([Constant(0.1)],
+                                         replace(WIDE, seed=5))
     assert ev.v_a < 0.0
     assert not ev.participation
 
@@ -44,7 +45,7 @@ def test_participation_fails_above_surplus():
 def test_zero_penalty_gives_fee_back():
     params = ModelParams(rate_lower=-100.0, rate_upper=100.0, phi_p=0.0,
                          n_paths=20_000, seed=5)
-    ev = principal.principal_objective(Constant(0.02), params)
+    [ev] = principal.principal_objective([Constant(0.02)], params)
     assert abs(ev.j_p - 0.02) <= 3 * ev.j_p_se
 
 
@@ -155,6 +156,69 @@ def test_no_contract_is_solved_twice(solved, family):
     assert seq.records[-1]["stage"] == "refine"
 
 
+@pytest.mark.parametrize("case", ["simplex", "nelder-mead", "mixed-grids"])
+def test_batched_records_equal_one_at_a_time(case, monkeypatch):
+    # optimize scores the screening points as one list and the initial
+    # simplex as another, with their simulations batched; every record
+    # must equal that of scoring one contract at a time, field for field
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=500, seed=3)
+    family = principal.ContractFamily("linear_polynomial", cap=1.0)
+    budget = {"simplex": 2, "nelder-mead": 8, "mixed-grids": 15}[case]
+    if case == "mixed-grids":
+        family = principal.ContractFamily(
+            "lipschitz_table", cap=1.0, p_nodes=np.array([-1.0, 1.0]),
+            z_nodes=np.array([-1.0, 1.0]))
+        # a table whose rows are equal is solved on the 2-D grid, any
+        # other on the 3-D grid: screened as 3-D, 3-D, 2-D, 2-D, 3-D
+        points = np.array([[0.9, 0.2, 0.7, 0.1], [0.3, 0.6, 0.5, 0.8],
+                           [0.2, 0.7, 0.2, 0.7], [0.6, 0.6, 0.6, 0.6],
+                           [0.1, 0.4, 0.8, 0.3]])
+        monkeypatch.setattr(principal, "_latin_hypercube",
+                            lambda n, dim, seed: points[:n])
+    objective, sampler = (principal.principal_objective,
+                          simulate.simulate_controlled)
+    lists, batches = [], []
+
+    def listed(contracts, params):
+        lists.append(len(contracts))
+        return objective(contracts, params)
+
+    def batched_sampler(params, policy, seed):
+        batches.append(policy.batch_shape)
+        return sampler(params, policy, seed)
+
+    monkeypatch.setattr(simulate, "simulate_controlled", batched_sampler)
+    # on 41 x 41 the 2-D and 3-D solves take 4 and 5 steps, so their
+    # policies differ in their t nodes and are not batched together
+    with hjb_grid(n_p=9, n_w=41, n_z=41):
+        monkeypatch.setattr(principal, "principal_objective", listed)
+        _, batched = principal.optimize(family, params, budget)
+        monkeypatch.setattr(principal, "principal_objective",
+                            lambda contracts, params: [
+                                objective([c], params)[0]
+                                for c in contracts])
+        _, alone = principal.optimize(family, params, budget)
+    assert len(batched) == len(alone) == budget
+    for got, expected in zip(batched.records, alone.records):
+        assert got.keys() == expected.keys()
+        for key, value in got.items():
+            if key == "coefficients":
+                assert value.tobytes() == expected[key].tobytes()
+            else:
+                assert value == expected[key], key
+    refined = [r["stage"] for r in batched.records].count("refine")
+    if case == "simplex":
+        assert lists == [0, 2] and batches[:1] == [(2,)]
+    else:
+        # Nelder-Mead went on past its simplex
+        assert refined > family.dimension + 1
+    if case == "mixed-grids":
+        # the zero fee, the screening list, the simplex less its incumbent
+        assert lists[:3] == [1, 5, 4]
+        assert batches[:4] == [(1,), (2,), (2,), (1,)]
+
+
 @pytest.mark.usefixtures("fast")
 def test_optimize_constant_family():
     family = principal.ContractFamily("constant", cap=1.0)
@@ -173,8 +237,8 @@ def test_constant_cache_matches_direct_evaluation():
                          n_paths=2_000, seed=7)
     with hjb_grid(n_w=41, n_z=41):
         _, seq = principal.optimize(family, params, budget=6)
-        scored = [principal.principal_objective(
-            Constant(r["coefficients"][0]), params) for r in seq.records]
+        scored = principal.principal_objective(
+            [Constant(r["coefficients"][0]) for r in seq.records], params)
     assert {r["participation"] for r in seq.records} == {True, False}
     for record, direct in zip(seq.records, scored):
         assert record["j_p"] == pytest.approx(direct.j_p, abs=1e-12)
@@ -247,9 +311,8 @@ def test_incumbents_respect_participation():
 def test_fee_shift_identity():
     # for constants the response policy ignores the fee level, so J_p - c
     # is a single number across the feasible range
-    evaluations = [principal.principal_objective(Constant(c),
-                                                 replace(WIDE, seed=4))
-                   for c in (-0.05, 0.0, 0.03)]
+    evaluations = principal.principal_objective(
+        [Constant(c) for c in (-0.05, 0.0, 0.03)], replace(WIDE, seed=4))
     gaps = [ev.j_p - c for ev, c in zip(evaluations, (-0.05, 0.0, 0.03))]
     ses = [ev.j_p_se for ev in evaluations]
     assert max(gaps) - min(gaps) <= 3 * max(ses)

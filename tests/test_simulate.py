@@ -197,6 +197,73 @@ def test_controlled_memory_is_per_path():
     assert large - small < 12_000 * 16 * 8
 
 
+def distinct_policies(n_t=3, n_nodes=5):
+    """Four policies on one (t, w, z) grid with bounds [-1, 1]: three
+    tables that vary and clip differently, and a constant one (third),
+    whose rate a blend of its corners would not always reproduce."""
+    t_nodes = np.linspace(0.0, 1.0, n_t)
+    nodes = np.linspace(-2.0, 2.0, n_nodes)
+    tt, ww, zz = np.meshgrid(t_nodes, nodes, nodes, indexing="ij")
+    tables = (ww - 0.5 * zz + tt, 0.3 - ww * zz + 0.5 * tt,
+              np.full(tt.shape, 0.3), np.sin(3.0 * ww) * zz - tt)
+    return [FeedbackPolicy(t_nodes, nodes, nodes, table, (-1.0, 1.0))
+            for table in tables]
+
+
+# members are indices into distinct_policies(): batches of 1, 2 and 3,
+# with the constant table alone, first and last
+@pytest.mark.parametrize("members", [[0], [2], [2, 0], [1, 3, 2]],
+                         ids=["one", "constant", "two", "three"])
+def test_batch_matches_separate_calls(members, monkeypatch):
+    # each member of a batch steps on the same draws as its own call,
+    # bit for bit, also when the batch runs in chunks that cut across
+    # the draw workers' fill blocks
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=10,
+                         n_paths=49)
+    policies = [distinct_policies()[k] for k in members]
+    alone = [simulate.simulate_controlled(params, policy, 23)
+             for policy in policies]
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 16 * 3 * params.n_steps)
+    monkeypatch.setattr(rng, "_BLOCK_DRAWS", 4 * 3 * params.n_steps)
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+    batch = simulate.simulate_controlled(
+        params, FeedbackPolicy.stack(policies), 23)
+    assert batch.p_T.shape == (49,)
+    for name in ("z_T", "int_zw", "int_pi_sq"):
+        assert getattr(batch, name).shape == (len(members), 49)
+    for k, sample in enumerate(alone):
+        assert batch.p_T.tobytes() == sample.p_T.tobytes()
+        for name in ("z_T", "int_zw", "int_pi_sq"):
+            assert (getattr(batch, name)[k].tobytes()
+                    == getattr(sample, name).tobytes()), (k, name)
+
+
+def test_batch_memory_is_one_draw_buffer(monkeypatch):
+    # a batch of K policies draws into one buffer: its peak grows with K
+    # by the stacked tables and the 3 floats per path (Z_T and the two
+    # integrals) of each member; a draw buffer per member would add 150
+    # floats per row of an 872-row chunk for each, 2.4 times as much
+    params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50,
+                         n_paths=16_000)
+    policies = distinct_policies(n_t=17, n_nodes=21)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 1 << 17)
+    # a first call loads the lazily imported scipy outside the trace
+    simulate.simulate_controlled(replace(params, n_paths=4), policies[0], 3)
+
+    def peak_bytes(count):
+        tracemalloc.start()
+        try:
+            batch = FeedbackPolicy.stack(policies[:count])
+            simulate.simulate_controlled(params, batch, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak_bytes(1), peak_bytes(4)
+    per_member = policies[0].table.nbytes + 3 * 8 * params.n_paths
+    assert four - one <= 1.25 * 3 * per_member
+
+
 def test_girsanov_normalization(weighted_sample):
     mean, se = simulate.mean_se(weighted_sample.m)
     assert abs(mean - 1.0) <= 3 * se
