@@ -39,10 +39,11 @@ stands for all of them bit for bit. One step kernel serves every case:
 it walks the marched p planes in slabs, copies each slab into a
 contiguous buffer, writes every intermediate into preallocated buffers,
 and derives V_z, the rate, both upwind differences and V_zz from one
-difference along z per slab. The slabs are split into at most one contiguous group per
-usable CPU, and the groups of each stage run on a thread pool that lives
-for one solve; a cell's arithmetic does not depend on the thread that
-computes it, so the values are bit-identical for any thread count.
+difference along z per slab. The slabs are split into at most one
+contiguous group per usable CPU; the first group runs on the calling
+thread and the others on a thread pool that lives for one solve. A
+cell's arithmetic does not depend on its thread: the values are
+bit-identical for any thread count.
 Every path starts at the origin, so by time t it reaches only the states
 within six standard deviations on each axis (:func:`_half_widths`; the
 grid's cuts at T). Each step of every solve updates only that box, plus
@@ -139,8 +140,6 @@ def _terminal_payoff(contract, p_nodes, z_nodes):
 # fit one core's L2) and 1.91 s at 9; fewer slabs make fewer short numpy
 # calls for the workers to take turns on. On one worker 6 and 3 planes took
 # 2.65 s and 2.72 s.
-# Earlier, on one core, one plane per slab was 20-40 % slower and the whole
-# array at once 1.7-2 times slower.
 _SLAB_CELLS = 1 << 16
 
 
@@ -184,8 +183,8 @@ class _ExplicitStep:
     the input V and writes only its own planes of the output, so the
     groups run in parallel on a thread pool (numpy releases the GIL) and
     every cell gets the same arithmetic on any number of threads: the
-    result is bit-identical. With one group, as in every 2-D solve, the
-    group runs inline.
+    result is bit-identical. The calling thread walks group 0, so one
+    group, as in every 2-D solve, starts no thread.
 
     The z-direction work runs on the block flattened to one contiguous
     vector, which numpy streams far faster than a strided last-axis slice;
@@ -195,8 +194,7 @@ class _ExplicitStep:
     boundary slices of its axis.
     """
 
-    def __init__(self, params: ModelParams, dt, w_nodes, z_nodes,
-                 p_nodes=None):
+    def __init__(self, params: ModelParams, dt, w_nodes, z_nodes, p_nodes):
         n_p = 1 if p_nodes is None else len(p_nodes)
         n_w, n_z = len(w_nodes), len(z_nodes)
         dw = w_nodes[1] - w_nodes[0]
@@ -268,13 +266,13 @@ class _ExplicitStep:
 
     def __call__(self, v, out, pool):
         """Write V one step earlier in time into the box of ``out``; both
-        are C-contiguous. The groups run on ``pool`` when there are
-        several."""
-        if len(self.groups) == 1:
-            self._sweep(v, out, self.groups[0], self.buffers[0])
-        else:
-            list(pool.map(partial(self._sweep, v, out), self.groups,
-                          self.buffers))
+        are C-contiguous. Group 0 runs on the calling thread and the
+        others on ``pool``."""
+        futures = [pool.submit(self._sweep, v, out, slabs, buf)
+                   for slabs, buf in zip(self.groups[1:], self.buffers[1:])]
+        self._sweep(v, out, self.groups[0], self.buffers[0])
+        for future in futures:
+            future.result()
 
     def _sweep(self, v, out, slabs, buf):
         """Write the box of the planes of ``slabs`` of ``out``, in the
@@ -399,10 +397,10 @@ def solve_hjb(contract, params: ModelParams):
     planes have p differences of exactly zero, so the full march would
     give every plane the same bits. All solves share one step kernel
     (:class:`_ExplicitStep`), which walks the marched p planes in slabs.
-    Its worker groups run on one thread pool, opened and closed by this
-    call, so no thread outlives the solve; a march of one plane has one
-    group and runs on the calling thread. The values do not depend on the
-    thread count.
+    Its first worker group runs on the calling thread and the others on
+    one thread pool, opened and closed by this call, so no thread
+    outlives the solve; a march of one plane has one group and starts no
+    thread. The values do not depend on the thread count.
     Each axis is cut at its half-width of :func:`_half_widths` at T, and
     the step from t_k back to t_{k-1} updates only the box of cells with
     |x| <= (that half-width at t_k) + margin on every axis, one plane on

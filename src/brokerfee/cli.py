@@ -30,8 +30,6 @@ from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
 
-MODES = ("simulate", "agent", "oracle", "optimize", "verify", "report")
-
 # family keys that only one contract class reads
 _CLASS_KEYS = {"degree": "linear_polynomial", "p_nodes": "lipschitz_table",
                "z_nodes": "lipschitz_table"}
@@ -111,17 +109,16 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                                  f"first at line {line_of[key]}")
             line_of[key] = lineno
             section, _, name = key.partition(".")
+            if section not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config section "
+                                 f"for key: {key}")
+            if name not in _KEYS[section]:
+                raise ValueError(f"{path}:{lineno}: unknown {section} key: "
+                                 f"{name}")
             try:
-                if section not in _KEYS:
-                    raise ValueError(f"unknown config section for key: {key}")
-                if name not in _KEYS[section]:
-                    raise ValueError(f"unknown {section} key: {name}")
-                try:
-                    values[section][name] = _KEYS[section][name][0](value)
-                except ValueError as exc:
-                    raise ValueError(f"{key}: {exc}") from exc
+                values[section][name] = _KEYS[section][name][0](value)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
             text[section][name] = value
     family, run = values["family"], values["run"]
     for name, reader in _CLASS_KEYS.items():
@@ -408,6 +405,7 @@ _MODE_RUNNERS = {
     "verify": _mode_verify,
     "report": _mode_report,
 }
+MODES = tuple(_MODE_RUNNERS)
 
 
 def _sha256(path) -> str:

@@ -55,7 +55,7 @@ class ScenarioTree:
     """Finite discrete analogue of the canonical path space.
 
     Atoms are root-to-leaf paths; at each of ``depth`` steps each of the
-    three channels (P, Z, W) moves by one of ``branching`` increments
+    three channels (P, Z, W) moves by one of its branching increments,
     whose second moment matches dt * scale^2 for the channel. ``choices``
     stores, per atom and step, the index of the joint increment
     combination, enumerated so that the atoms of any tree node form a
@@ -64,7 +64,6 @@ class ScenarioTree:
     """
 
     depth: int
-    branching: int
     dt: float
     combos: np.ndarray      # (n_combos, 3) per-step increments
     choices: np.ndarray     # (n_atoms, depth) combo index per step
@@ -116,7 +115,7 @@ def build_tree(depth: int, branching: int,
     paths = np.zeros((n_atoms, depth + 1, 3))
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    return ScenarioTree(depth, branching, dt, combos, choices, paths, probs)
+    return ScenarioTree(depth, dt, combos, choices, paths, probs)
 
 
 def atom_utility_from_contract(tree: ScenarioTree, contract,

@@ -155,6 +155,11 @@ class ContractFamily:
         return LipschitzTable(self.p_nodes, self.z_nodes, values, self.cap)
 
 
+def _key(theta) -> bytes:
+    # + 0.0 makes -0.0 into 0.0, which np.array_equal finds equal to it
+    return (np.asarray(theta, dtype=float) + 0.0).tobytes()
+
+
 class MaximizingSequence:
     """Append-only log of contract evaluations with an incumbent trail."""
 
@@ -162,6 +167,7 @@ class MaximizingSequence:
         self.family = family
         self.records = []
         self._updates = []      # indices of the records that improved
+        self._objectives = {}   # _key of coefficients -> first objective
 
     def append(self, theta, evaluation: PrincipalEvaluation,
                stage: str) -> float:
@@ -186,7 +192,13 @@ class MaximizingSequence:
             "objective": objective,
             "best_so_far": objective if best is None else best,
         })
+        self._objectives.setdefault(_key(theta), objective)
         return objective
+
+    def objective(self, theta):
+        """The objective of the first record whose coefficients equal
+        ``theta``, or None."""
+        return self._objectives.get(_key(theta))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -258,26 +270,19 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
         return PrincipalEvaluation(c + zero.j_p, zero.j_p_se, v_a,
                                    v_a >= params.reservation)
 
-    def served(theta):
-        """The objective of the record of ``theta``, or None."""
-        for record in sequence.records:
-            if np.array_equal(record["coefficients"], theta):
-                return record["objective"]
-        return None
-
     def score(proposals, stage):
         """Append a record for each clipped proposal that the sequence
         does not hold yet, once and in order, scoring the contracts in one
-        :func:`principal_objective` call; raises _BudgetExhausted after
-        the records that fit the budget if it cuts the list."""
-        fresh = []
-        for theta in proposals:
-            theta = np.clip(np.asarray(theta, dtype=float), -family.cap,
-                            family.cap)
-            if served(theta) is None and not any(
-                    np.array_equal(theta, other) for other in fresh):
-                fresh.append(theta)
-        kept = fresh[:budget - len(sequence)]
+        :func:`principal_objective` call, and return every proposal's
+        objective; raises _BudgetExhausted after the records that fit the
+        budget if it cuts the list."""
+        thetas = [np.clip(np.asarray(theta, dtype=float), -family.cap,
+                          family.cap) for theta in proposals]
+        fresh = {}
+        for theta in thetas:
+            if sequence.objective(theta) is None:
+                fresh.setdefault(_key(theta), theta)
+        kept = list(fresh.values())[:budget - len(sequence)]
         contracts = [family.make(theta) for theta in kept]
         solved = iter(principal_objective(
             [c for c in contracts if not isinstance(c, Constant)], params))
@@ -287,11 +292,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
                             else next(solved), stage)
         if len(fresh) > len(kept):
             raise _BudgetExhausted
-
-    def evaluate(theta, stage):
-        theta = np.clip(theta, -family.cap, family.cap)
-        score([theta], stage)
-        return served(theta)
+        return [sequence.objective(theta) for theta in thetas]
 
     try:
         if zero is not None:
@@ -324,7 +325,7 @@ def optimize(family: ContractFamily, params: ModelParams, budget: int):
                 # a served proposal costs no solve; Nelder-Mead may make
                 # up to ``budget`` of them on top of the solves that were
                 # left before its simplex, whose vertices it calls again
-                minimize(lambda th: -evaluate(th, "refine"), start,
+                minimize(lambda th: -score([th], "refine")[0], start,
                          method="Nelder-Mead",
                          options={"maxfev": remaining + budget,
                                   "xatol": 1e-6, "fatol": 1e-12,

@@ -11,13 +11,14 @@ Philox is counter-based: one counter step yields a block of 4 draws, and
 starts on a block can be drawn on its own. :func:`gaussians` therefore
 fills a caller's array in place, of any strides, in row blocks of about
 ``_BLOCK_DRAWS`` draws along its first axis, each starting on a multiple
-of 4 draws. One worker thread per usable CPU (:func:`usable_cpus`) draws
-its blocks into a private contiguous scratch, from a generator advanced
-to the block's first draw, and copies each into its place in the output,
+of 4 draws. One share of the blocks per usable CPU (:func:`usable_cpus`)
+is drawn into a private contiguous scratch, each block from a generator
+advanced to its first draw, and copied into its place in the output,
 so a transposed view such as the (rows, n_steps, 3) view of a time-major
-(n_steps, 3, rows) buffer is filled without a serial transpose. The
-workers release the GIL inside numpy and scipy, and the output equals
-the one-shot draw bit for bit, whatever the number of workers or blocks.
+(n_steps, 3, rows) buffer is filled without a serial transpose. Share 0
+runs on the calling thread and each other share on a pool thread, which
+releases the GIL inside numpy and scipy, and the output equals the
+one-shot draw bit for bit, whatever the number of shares or blocks.
 A draw that starts ``offset`` positions into the stream, at a multiple
 of 4, equals that stretch of the one-shot draw, so a batch can be drawn
 in row chunks.
@@ -32,7 +33,7 @@ import numpy as np
 
 __all__ = ["split_seed", "uniforms", "gaussians", "usable_cpus"]
 
-# draws per row block of a fill, at most 512 KB of scratch per worker
+# draws per row block of a fill, at most 512 KB of scratch per share
 # when a row holds at most 2^14 draws
 _BLOCK_DRAWS = 1 << 16
 
@@ -77,12 +78,12 @@ def gaussians(seed: int, out: np.ndarray, offset: int) -> np.ndarray:
     C order of its indices, holds stream positions ``offset`` to
     ``offset + out.size``, whatever its strides; ``offset`` must be a
     nonnegative multiple of 4, the first draw of a Philox block. It is
-    filled in row blocks by the workers (see the module docstring).
+    filled in row blocks (see the module docstring).
     """
     if offset < 0 or offset % 4:
         raise ValueError(f"offset must be a nonnegative multiple of 4, "
                          f"got {offset}")
-    # imported here, before any worker starts: importing the package
+    # imported here, before any thread starts: importing the package
     # loads no scipy
     from scipy.special import ndtri
 
@@ -91,11 +92,11 @@ def gaussians(seed: int, out: np.ndarray, offset: int) -> np.ndarray:
     # multiple of 4 rows starts on one
     block = 4 * max(1, _BLOCK_DRAWS // (4 * row_draws))
     starts = range(0, len(out), block)
-    workers = max(1, min(usable_cpus(), len(starts)))
+    shares = max(1, min(usable_cpus(), len(starts)))
 
     def fill(first):
         scratch = np.empty((min(block, len(out)), *out.shape[1:]))
-        for lo in starts[first::workers]:
+        for lo in starts[first::shares]:
             part = scratch[:min(block, len(out) - lo)]
             _generator(seed, (offset + lo * row_draws) // 4).random(out=part)
             # random() lands on [0,1) with resolution 2^-53; floor it away
@@ -104,9 +105,10 @@ def gaussians(seed: int, out: np.ndarray, offset: int) -> np.ndarray:
             ndtri(part, out=part)
             out[lo:lo + len(part)] = part
 
-    if workers == 1:
+    # a pool starts a thread only on submit, so one share starts none
+    with ThreadPoolExecutor(shares) as pool:
+        futures = [pool.submit(fill, first) for first in range(1, shares)]
         fill(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, range(workers)))
+        for future in futures:
+            future.result()
     return out

@@ -348,6 +348,17 @@ def test_convergence_report_stationary_sequence():
     assert report.limit_point[0] == pytest.approx(0.3)
 
 
+def test_sequence_serves_zero_from_negative_zero():
+    # 0.0 and -0.0 are equal coefficients: a proposal of either is served
+    # from the record of the other
+    family = principal.ContractFamily("constant", cap=1.0)
+    seq = principal.MaximizingSequence(family)
+    ev = principal.PrincipalEvaluation(0.01, 1e-4, 0.02, True)
+    seq.append(np.array([-0.0]), ev, "screen")
+    assert seq.objective(np.array([0.0])) == 0.01
+    assert seq.objective(np.array([0.5])) is None
+
+
 def test_sequence_exports(tmp_path):
     # optimize writes the sequence as CSV and as JSON, one row per record
     cfg = tmp_path / "run.cfg"

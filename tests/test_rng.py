@@ -1,5 +1,6 @@
 import hashlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -66,6 +67,23 @@ def test_transposed_fill_does_not_depend_on_worker_count(cpus, monkeypatch):
     monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
     assert np.array_equal(contiguous,
                           gaussians(11, np.empty((rows, n, 3)), offset))
+
+
+def test_calling_thread_fills_the_first_share(monkeypatch):
+    # 6,245 rows of 21 draws are 3 fill blocks; of 2 shares, the calling
+    # thread draws share 0 and a pool thread share 1
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+    threads = set()
+    generator = rng._generator
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return generator(*args)
+
+    monkeypatch.setattr(rng, "_generator", spy)
+    gaussians(11, np.empty((6_245, 7, 3)), 0)
+    caller = threading.get_ident()
+    assert caller in threads and threads - {caller}
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 4), (4, 9), (8, 40), (36, 40)])
