@@ -71,10 +71,6 @@ class ExperimentConfig:
     contract: object
     given: dict     # the text of each family and run key the file gives
 
-    def __post_init__(self):
-        if self.run["mode"] not in MODES:
-            raise ValueError(f"run.mode must be one of {MODES}")
-
     def echo(self) -> dict:
         return {**{f"model.{field.name}": getattr(self.params, field.name)
                    for field in fields(ModelParams)}, **self.given}
@@ -84,12 +80,12 @@ def parse_config(path, mode=None) -> ExperimentConfig:
     """Parse a flat dotted key-value config; errors cite line and key.
 
     Each value is cast on its line by its key's cast in ``_KEYS``, and a
-    key the file leaves out takes its default there. A key given twice, a
-    family key that the family's class does not read, a tree that
-    :func:`oracle.check_tree` refuses, a coefficient outside the family's
-    box, or model, family or coefficient values that make no valid model
-    or contract, is an error. ``mode``,
-    when given, replaces the file's ``run.mode``.
+    key the file leaves out takes its default there. ``mode``, when given,
+    replaces the file's ``run.mode``. A key given twice, an unknown mode,
+    a family or run key that the mode (``_MODE_KEYS``) or the family's
+    class does not read, a tree that :func:`oracle.check_tree` refuses, a
+    coefficient outside the family's box, or model, family or coefficient
+    values that make no valid model or contract, is an error.
     """
     values = {section: {name: default for name, (_, default) in keys.items()}
               for section, keys in _KEYS.items()}
@@ -121,6 +117,17 @@ def parse_config(path, mode=None) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
             text[section][name] = value
     family, run = values["family"], values["run"]
+    if mode is not None:
+        run["mode"] = text["run"]["mode"] = mode
+    if run["mode"] not in MODES:
+        where = (f"{path}:{line_of['run.mode']}" if "run.mode" in line_of
+                 else path)
+        raise ValueError(f"{where}: run.mode must be one of {MODES}")
+    for key, line in line_of.items():
+        if key.startswith(("family.", "run.")) and not (
+                key in _MODE_KEYS[run["mode"]] or key in _EVERY_MODE_KEYS):
+            raise ValueError(f"{path}:{line}: mode {run['mode']} does not "
+                             f"read {key}")
     for name, reader in _CLASS_KEYS.items():
         if name in text["family"] and family["class"] != reader:
             raise ValueError(f"{path}:{line_of['family.' + name]}: family "
@@ -147,8 +154,6 @@ def parse_config(path, mode=None) -> ExperimentConfig:
         theta = np.zeros(contract_family.dimension)
         theta[:len(coeffs)] = coeffs
         contract = contract_family.make(theta)
-    if mode is not None:
-        run["mode"] = text["run"]["mode"] = mode
     given = {f"{section}.{name}": value for section in ("family", "run")
              for name, value in text[section].items()}
     return ExperimentConfig(params, run, contract_family, contract, given)
@@ -219,8 +224,10 @@ def _mode_agent(config, out_dir, lines):
     ``mc_z`` in ``agent.csv`` is (mc_value - value) / mc_se.
 
     ``agent.npz`` holds the policy's nodes and rates (n_t, n_w, n_z) and
-    ``values``, the value at t = 0 ([n_p,] n_w, n_z), with ``p_nodes`` for
-    a fee solved on the 3-D grid."""
+    ``values``, the value at t = 0 on the planes the solve marched: shape
+    (n_w, n_z) on the 2-D grid, and on the 3-D grid, with ``p_nodes``,
+    (n_p, n_w, n_z), or (1, n_w, n_z) when the fee is equal on every p
+    plane and one marched plane stands for every p node."""
     params = config.params
     policy, grid = agent.solve_hjb(config.contract, params)
     value = grid.value_at_origin
@@ -232,6 +239,9 @@ def _mode_agent(config, out_dir, lines):
               "values": grid.values}
     if grid.p_nodes is not None:
         arrays["p_nodes"] = grid.p_nodes
+        # one marched plane is broadcast over the p nodes with stride 0
+        if grid.values.strides[0] == 0:
+            arrays["values"] = grid.values[:1]
     np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
                ["quantity", "value"],
@@ -325,20 +335,17 @@ def _verify_rate(params):
     return min(max(rate, params.rate_lower), params.rate_upper)
 
 
-def _mode_verify(config, out_dir, lines):
-    """Invariant battery: density normalization, entropy identity,
-    constraint moments, and the discrete oracle equalities. The three Monte
-    Carlo checks read ``degenerate``, not pass or FAIL, when the weights
-    are (:func:`simulate.is_degenerate`)."""
-    params = config.params
-    checks = []
-
+def _weighted_checks(params):
+    """The three Monte Carlo checks of ``verify`` on one weighted sample:
+    density normalization, entropy identity and constraint moments, as
+    (name, passed, detail) rows, and whether the weights are degenerate
+    (:func:`simulate.is_degenerate`). The sample is dropped on return."""
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
         params, policy, split_seed(params.seed, "verify-sim"), moments=True)
     mean, se = simulate.mean_se(sample.m)
-    checks.append(("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
-                   f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}"))
+    checks = [("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
+               f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}")]
 
     report = simulate.entropy_report(sample, params)
     checks.append(("entropy_identity",
@@ -350,8 +357,18 @@ def _mode_verify(config, out_dir, lines):
     worst = float(np.max(estimates - 3 * ses))
     checks.append(("constraint_moments", worst <= 0.0,
                    f"max (estimate - 3se) = {worst:.2e}"))
+    return checks, simulate.is_degenerate(sample)
+
+
+def _mode_verify(config, out_dir, lines):
+    """Invariant battery: density normalization, entropy identity,
+    constraint moments, and the discrete oracle equalities. The three Monte
+    Carlo checks read ``degenerate``, not pass or FAIL, when the weights
+    are (:func:`simulate.is_degenerate`). Their weighted sample, 12 floats
+    per path, is dropped before the oracle checks load their solvers."""
+    params = config.params
+    checks, degenerate = _weighted_checks(params)
     weighted = len(checks)
-    degenerate = simulate.is_degenerate(sample)
 
     tree = oracle.build_tree(2, 2, params)
     u = oracle.atom_utility_from_contract(tree, config.contract, params)
@@ -406,6 +423,17 @@ _MODE_RUNNERS = {
     "report": _mode_report,
 }
 MODES = tuple(_MODE_RUNNERS)
+
+# the family and run keys each mode reads, besides those that every run
+# reads: a mode that solves for the configured fee reads the whole family,
+# and the search reads every family key but the fee's coefficients
+_EVERY_MODE_KEYS = {"run.mode", "run.out"}
+_FAMILY_KEYS = {f"family.{name}" for name in _KEYS["family"]}
+_SEARCH_KEYS = _FAMILY_KEYS - {"family.coefficients"} | {"run.budget"}
+_TREE_KEYS = {"run.depth", "run.branching", "run.trials"}
+_MODE_KEYS = {"simulate": set(), "agent": _FAMILY_KEYS,
+              "oracle": _FAMILY_KEYS | _TREE_KEYS, "optimize": _SEARCH_KEYS,
+              "verify": _FAMILY_KEYS, "report": set()}
 
 
 def _sha256(path) -> str:

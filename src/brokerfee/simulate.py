@@ -14,13 +14,15 @@ characterize admissibility.
 The constraint rows are linear in the state increments, so the stopped
 moments telescope: one path needs one running integral of W, one
 stopping index and one window [T/2, T], and the seven built-in test
-functionals scale the same six row increments.
+functionals scale the same six row increments. A weighted sample keeps
+those increments and the two coordinates the functionals read, and
+forms the products one functional at a time when they are estimated.
 
 Both measures are sampled one row chunk at a time, time-major: the draws
 of a chunk fill one (n_steps, 3, rows) buffer, allocated once per sampler
 call, through its transposed view, and the state is a few row vectors
 updated in place, step by step. Only per-path results are kept, in
-arrays allocated once per call: :func:`weighted_reference` keeps 46
+arrays allocated once per call: :func:`weighted_reference` keeps 12
 floats per path with the constraint moments (4 without) and
 :func:`simulate_controlled` 4 (the terminal P and Z and the integrals of
 Z W and pi^2). The draw buffer holds 3 floats per path and step of one
@@ -131,17 +133,38 @@ class WeightedSample:
 
     ``m`` is the density dQ^pi / dW of each path, ``log_m`` its log, and
     ``int_pi_sq`` and ``int_w_sq`` are the left-point integrals of pi^2 and
-    W^2, each of shape (count,). ``moments[e, r]`` holds the samples
-    M eta_e (Y_{t ^ tau} - Y_{s ^ tau}) of constraint row r for built-in
-    test functional e (see :func:`constraint_moments`), shape (7, 6, count),
-    or (0, 6, count) for a sample weighted without moments.
+    W^2, each of shape (count,). ``increments[r]`` holds the stopped
+    window's increment Y_{t ^ tau} - Y_{s ^ tau} of constraint row r, shape
+    (6, count), and ``at_s`` holds W_s and Z_s, which the test functionals
+    read, shape (2, count); both have no rows, (0, count), for a sample
+    weighted without moments.
     """
 
     m: np.ndarray
     log_m: np.ndarray
     int_pi_sq: np.ndarray
     int_w_sq: np.ndarray
-    moments: np.ndarray
+    increments: np.ndarray
+    at_s: np.ndarray
+
+    def moment_samples(self, e: int, out: np.ndarray) -> np.ndarray:
+        """Write M eta_e (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six
+        rows and built-in test functional ``e`` into ``out``, shape
+        (6, count), and return it.
+
+        The functionals are the constant 1 (e = 0), then the indicators of
+        W_s (e = 1, 2, 3) and of Z_s (e = 4, 5, 6) above each of
+        :data:`_THRESHOLDS`, made continuous by a linear ramp of width
+        :data:`_RAMP_WIDTH`.
+        """
+        if e == 0:
+            weights = self.m
+        else:
+            coord, threshold = divmod(e - 1, len(_THRESHOLDS))
+            weights = self.m * np.clip(
+                (self.at_s[coord] - _THRESHOLDS[threshold]) / _RAMP_WIDTH
+                + 0.5, 0.0, 1.0)
+        return np.multiply(weights, self.increments, out=out)
 
 
 # Draws per row chunk, 2,796 rows at 250 steps. A chunk holds its draws
@@ -201,8 +224,8 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                        seed: int, moments: bool = False) -> WeightedSample:
     """Reweight the ``params.n_paths`` reference paths of ``seed`` by
     ``policy``: the density dQ^pi / dW of every path, the integrals of the
-    entropy identity and, if ``moments``, the constraint-moment samples of
-    the built-in test functionals.
+    entropy identity and, if ``moments``, what the constraint moments of
+    the built-in test functionals are formed from.
 
     Under the reference measure dP = sigma dB1, dZ = eps dB2 and dW = dB3,
     and with W_i and pi_i read at the left point of each step,
@@ -213,15 +236,17 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
     formed after the loop from the running sums of W dP, pi dZ, W^2 and
     pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the
     increments of :func:`simulate_controlled` and keeps only the per-path
-    results, so memory grows by 46 floats per path with
+    results, so memory grows by 12 floats per path with
     ``moments`` and by 4 without. The sample equals that of the whole
     batch taken as one chunk, bit for bit.
 
     With ``moments``, the state (P, Z, W, sum of W) is frozen at tau_N,
     the first grid index where |P|, |Z| or |W| reaches the truncation
     level (n_steps if none does; sub-grid crossings are not refined). The
-    window starts at min(n_steps // 2, tau_N), and W and Z at n_steps // 2
-    give the ramps of the test functionals (:func:`_window_moments`).
+    window starts at min(n_steps // 2, tau_N). The sample keeps the six
+    rows' increments over the window (:func:`_window_increments`) and W
+    and Z at n_steps // 2, which give the ramps of the test functionals
+    (:meth:`WeightedSample.moment_samples`).
     """
     n = params.n_steps
     dt, times = params.dt, params.times
@@ -230,8 +255,6 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
 
     def chunk(steps):
         rows = steps.shape[-1]
-        samples = np.empty((1 + 2 * len(_THRESHOLDS) if moments else 0,
-                            6, rows))
         state = np.zeros((4, rows))         # P, Z, W and sum_{k < i} W_k
         _, z, w, sum_w = state
         w_dp, pi_dz, w_sq, pi_sq = (np.zeros(rows) for _ in range(4))
@@ -266,12 +289,13 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                 start = np.where(live, state, end)
                 at_s = state[[2, 1]]
         log_m = w_dp / s2 + pi_dz / e2 - 0.5 * dt * (w_sq / s2 + pi_sq / e2)
-        m = np.exp(log_m)
         if moments:
             end[:, live] = state[:, live]
-            _window_moments(m, start, end, (stop - np.minimum(i_s, stop)) * dt,
-                            at_s, params, samples)
-        return m, log_m, pi_sq * dt, w_sq * dt, samples
+            increments = _window_increments(
+                start, end, (stop - np.minimum(i_s, stop)) * dt, params)
+        else:
+            increments = at_s = np.empty((0, rows))
+        return np.exp(log_m), log_m, pi_sq * dt, w_sq * dt, increments, at_s
 
     return WeightedSample(*_in_row_chunks(params, seed, chunk))
 
@@ -352,32 +376,28 @@ _RAMP_WIDTH = 0.01
 _TRUNCATION_LEVEL = 10.0
 
 
-def _window_moments(m: np.ndarray, start: np.ndarray, end: np.ndarray,
-                    span: np.ndarray, at_s: np.ndarray, params: ModelParams,
-                    out: np.ndarray) -> None:
-    """Write M eta (Y_{t ^ tau} - Y_{s ^ tau}) per path for all six rows
-    and each built-in test functional into ``out``, shape (7, 6, count).
+# built-in test functionals: the constant and one per coordinate and
+# threshold (:meth:`WeightedSample.moment_samples`)
+_FUNCTIONALS = 1 + 2 * len(_THRESHOLDS)
+
+
+def _window_increments(start: np.ndarray, end: np.ndarray, span: np.ndarray,
+                       params: ModelParams) -> np.ndarray:
+    """Y_{t ^ tau} - Y_{s ^ tau} per path for all six rows, shape
+    (6, count).
 
     Y accumulates b dt + A dX (:func:`constraint_rows`) along the path.
     The rows are linear in the increments, so Y_{t ^ tau} - Y_{s ^ tau} is
     the rows of the differences of P, Z, W and of the left-point running
     integral of W (the state ``start`` and ``end`` at the window ends, with
     the sum of W times the step of ``params``), over the stopped window's
-    length ``span``, at the rate bounds of ``params``. ``at_s`` holds W_s
-    and Z_s, which the indicators read. The six row increments are taken
-    once; each functional then scales them by M eta.
+    length ``span``, at the rate bounds of ``params``.
     """
     dp, dz, dw = end[:3] - start[:3]
     dt = params.dt
-    increments = constraint_rows(dp, dz, dw, end[3] * dt - start[3] * dt,
-                                 span, params.rate_lower, params.rate_upper)
-    etas = [np.ones(len(m))] + [
-        np.clip((coord - threshold) / _RAMP_WIDTH + 0.5, 0.0, 1.0)
-        for coord in at_s for threshold in _THRESHOLDS]
-    for e, eta in enumerate(etas):
-        weights = m * eta
-        for r, inc in enumerate(increments):
-            np.multiply(weights, inc, out=out[e, r])
+    return np.array(constraint_rows(dp, dz, dw, end[3] * dt - start[3] * dt,
+                                    span, params.rate_lower,
+                                    params.rate_upper))
 
 
 def constraint_moments(sample: WeightedSample) -> tuple:
@@ -385,8 +405,15 @@ def constraint_moments(sample: WeightedSample) -> tuple:
     each built-in test functional: (estimates, standard errors), two arrays
     of shape (7, 6), from a sample weighted with ``moments=True``.
 
+    Each functional's samples are formed in one (6, count) scratch, taken
+    once per call (:meth:`WeightedSample.moment_samples`), and reduced
+    before the next functional's overwrite them.
+
     Rows 1-4 have zero mean under the controlled measure (martingale rows);
     rows 5-6 have nonpositive mean exactly when the reweighting policy is
     admissible.
     """
-    return mean_se(sample.moments)
+    scratch = np.empty_like(sample.increments)
+    estimates, ses = zip(*(mean_se(sample.moment_samples(e, scratch))
+                           for e in range(_FUNCTIONALS)))
+    return np.array(estimates), np.array(ses)

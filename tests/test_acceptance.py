@@ -267,8 +267,7 @@ def test_criterion_10_determinism(tmp_path):
     config = (
         "model.rate_lower = -1.0\nmodel.rate_upper = 1.0\n"
         "model.n_steps = 100\nmodel.n_paths = 5000\nmodel.seed = 7\n"
-        "family.class = constant\nfamily.cap = 1.0\n"
-        "family.coefficients = 0.01\nrun.mode = simulate\n")
+        "run.mode = simulate\n")
     outs = []
     for rep in (1, 2):
         cfg = tmp_path / f"run{rep}.cfg"

@@ -11,6 +11,7 @@ from brokerfee import agent, simulate
 from brokerfee.agent import estimate_agent_value, solve_hjb
 from brokerfee.contracts import Constant, LinearPolynomial, LipschitzTable
 from brokerfee.model import FeedbackPolicy, ModelParams, zeta_integral
+from brokerfee.rng import split_seed
 
 import path_reference
 from solver_constants import hjb_grid
@@ -63,6 +64,53 @@ def test_mc_agrees_with_grid(zero_fee_solution):
     policy, grid = zero_fee_solution
     value, se = estimate_agent_value(Constant(0.0), policy,
                                      replace(WIDE, n_paths=20_000), 5)
+    tol = max(0.01 * abs(grid.value_at_origin), 3 * se)
+    assert abs(value - grid.value_at_origin) <= tol
+
+
+def _known_defect(item, detail):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP {item}: {detail}")
+
+
+# one case per fee class the grid solver accepts, on the default grids and
+# model at 20,000 paths. Every case draws the stream that `brokerfee agent`
+# draws at the model's default seed, so each outcome is the same on every
+# run; over random seeds the two cases that pass would raise at least one
+# false alarm with probability 1 - (1 - 0.0027)^2 = 0.54 %. A known defect
+# is a strict xfail that names the ROADMAP item that owns it
+FEE_CLASSES = [
+    pytest.param(Constant(0.0), ModelParams(), id="constant-zero"),
+    pytest.param(LipschitzTable([-1.0, 1.0], [-0.5, 0.0, 0.5],
+                                [[0.3, -0.2, 0.3]] * 2, 1.0),
+                 ModelParams(), id="z-only-table",
+                 marks=_known_defect("items 11 and 18", "first-order upwind "
+                                     "slopes undervalue a kinked fee")),
+    # item 1 puts the grid 0.0036 above this policy's value (200,000
+    # paths at another seed), 2.5 SE at 20,000 paths: too little to show
+    # at this stream, where it reads 1.5 SE
+    pytest.param(LinearPolynomial([[0.1]], 1.0), ModelParams(),
+                 id="degree-1-a=0.1"),
+    pytest.param(LinearPolynomial([[1.0]], 1.0), ModelParams(),
+                 id="degree-1-a=1",
+                 marks=_known_defect("item 1", "the policy keeps the rates "
+                                     "of the central p plane only")),
+    pytest.param(LipschitzTable([-1.0, 1.0], [-1.0, 1.0],
+                                [[0.94, -0.45], [-0.86, 0.57]], 1.0),
+                 ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=50),
+                 id="p-z-table",
+                 marks=_known_defect("item 1", "the policy keeps the rates "
+                                     "of the central p plane only")),
+]
+
+
+@pytest.mark.parametrize("contract, params", FEE_CLASSES)
+def test_grid_value_is_earned_by_the_returned_policy(contract, params):
+    # criterion 4's rule for every fee class: the grid value is within
+    # max(1 %, 3 SE) of the Monte Carlo value of the policy it returns
+    policy, grid = solve_hjb(contract, params)
+    value, se = estimate_agent_value(
+        contract, policy, replace(params, n_paths=20_000),
+        split_seed(params.seed, "agent-mc"))
     tol = max(0.01 * abs(grid.value_at_origin), 3 * se)
     assert abs(value - grid.value_at_origin) <= tol
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,29 +14,40 @@ import pytest
 from brokerfee import cli, oracle
 from brokerfee.model import ModelParams, interpolate
 
-BASE_CONFIG = """\
+import solver_constants
+
+MODEL_CONFIG = """\
 model.epsilon = 0.5
 model.rate_lower = -1.0
 model.rate_upper = 1.0
 model.n_steps = 50
 model.n_paths = 2000
 model.seed = 7
+"""
+FEE_CONFIG = """\
 family.class = constant
 family.cap = 1.0
 family.coefficients = 0.01
-run.mode = {mode}
-run.budget = 6
-run.depth = 2
-run.branching = 2
-run.trials = 10
-run.out = {out}
 """
+# the family keys and the run keys each mode reads, beyond run.mode and
+# run.out, which every mode reads: the family keys from line 7, run.mode
+# and run.out next, and the mode's own run keys last
+MODE_CONFIG = {
+    "simulate": ("", ""), "report": ("", ""), "agent": (FEE_CONFIG, ""),
+    "verify": (FEE_CONFIG, ""),
+    "optimize": ("family.class = constant\nfamily.cap = 1.0\n",
+                 "run.budget = 6\n"),
+    "oracle": (FEE_CONFIG,
+               "run.depth = 2\nrun.branching = 2\nrun.trials = 10\n"),
+}
 
 
 def write_config(tmp_path, mode, name="run.cfg"):
     out = tmp_path / f"out_{mode}"
     cfg = tmp_path / name
-    cfg.write_text(BASE_CONFIG.format(mode=mode, out=out))
+    family, run = MODE_CONFIG[mode]
+    cfg.write_text(f"{MODEL_CONFIG}{family}run.mode = {mode}\n"
+                   f"run.out = {out}\n{run}")
     return cfg, out
 
 
@@ -199,6 +211,42 @@ def test_family_key_the_class_does_not_read_is_exit_2(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("verify", "run.trials", "10"), ("verify", "run.depth", "2"),
+    ("verify", "run.branching", "2"), ("agent", "run.budget", "6"),
+    ("optimize", "family.coefficients", "0.01"),
+    ("simulate", "family.class", "constant"), ("report", "family.cap", "1.0"),
+    ("oracle", "run.budget", "6"), ("optimize", "run.trials", "10"),
+])
+def test_key_the_mode_does_not_read_is_exit_2(tmp_path, capsys, mode, key,
+                                              value):
+    # these used to parse and be ignored, while the manifest echoed them
+    cfg, out = write_config(tmp_path, mode)
+    lines = cfg.read_text().splitlines()
+    lines.insert(6, f"{key} = {value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    message = f"run.cfg:7: mode {mode} does not read {key}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.parse_config(cfg)
+    assert cli.run(cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_override_decides_the_keys_read(tmp_path, capsys):
+    # the positional mode, not the file's run.mode, decides which keys are
+    # read: an oracle config is no verify config, but a verify config is
+    # an oracle config with the tree's defaults
+    cfg, out = write_config(tmp_path, "oracle")
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert "run.cfg:12: mode verify does not read run.depth" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    cfg, _ = write_config(tmp_path, "verify")
+    config = cli.parse_config(cfg, mode="oracle")
+    assert (config.run["mode"], config.run["depth"]) == ("oracle", 2)
+
+
 def test_family_keys_of_the_class_parse(tmp_path):
     cfg = tmp_path / "table.cfg"
     cfg.write_text("run.mode = agent\nfamily.p_nodes = -1, 1\n"
@@ -230,7 +278,7 @@ def test_non_finite_parameter_is_exit_2(tmp_path, capsys):
 def test_unknown_mode_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("run.mode = frobnicate\n")
-    with pytest.raises(ValueError, match="run.mode"):
+    with pytest.raises(ValueError, match=r"bad\.cfg:1: run\.mode must be"):
         cli.parse_config(cfg)
 
 
@@ -309,6 +357,33 @@ def test_agent_mode_arrays(tmp_path):
     assert cli.run(cfg, out_dir=rerun) == 0
     for name in ("agent.npz", "agent.csv"):
         assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+
+@pytest.mark.parametrize("coefficient, planes", [("0", 1), ("0.05", 9)],
+                         ids=["zero-polynomial", "price-dependent"])
+def test_agent_mode_saves_the_marched_planes(tmp_path, coefficient, planes):
+    # the zero polynomial is solved on the 3-D grid but marched on one p
+    # plane, which agent.npz keeps once instead of once per p node
+    cfg, out = write_config(tmp_path, "agent")
+    cfg.write_text(cfg.read_text()
+                   .replace("= constant", "= linear_polynomial")
+                   .replace("= 0.01", f"= {coefficient}"))
+    with solver_constants.hjb_grid(n_w=21, n_z=21, n_p=9):
+        assert cli.run(cfg) == 0
+    with np.load(out / "agent.npz") as npz:
+        arrays = dict(npz)
+    assert arrays["p_nodes"].shape == (9,)
+    assert arrays["values"].shape == (planes, 21, 21)
+    value = float(dict(line.split(",") for line in
+                       (out / "agent.csv").read_text().splitlines()[1:])
+                  ["value"])
+    axes = (arrays["w_nodes"], arrays["z_nodes"])
+    if planes == 1:
+        origin = interpolate(axes, arrays["values"][0], 0.0, 0.0)
+    else:
+        origin = interpolate((arrays["p_nodes"],) + axes, arrays["values"],
+                             0.0, 0.0, 0.0)
+    assert float(origin) == pytest.approx(value, abs=1e-12)
 
 
 def test_optimize_mode_consistent_with_convergence(tmp_path):
@@ -419,6 +494,41 @@ def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
                                             rate_upper=20.0)) == 0.5
     assert cli._verify_rate(cli.ModelParams(rate_lower=5.0,
                                             rate_upper=6.0)) == 5.0
+
+
+def test_verify_drops_the_weighted_sample_before_the_oracle(tmp_path,
+                                                            monkeypatch):
+    # the oracle checks load scipy.optimize and HiGHS, which sets the
+    # run's peak memory: no numpy array of a whole number of floats per
+    # path may still be traced when they start. The same probe, taken
+    # while the weighting flags degenerate weights, sees the sample
+    n_paths = 2011
+    cfg, out = write_config(tmp_path, "verify")
+    cfg.write_text(cfg.read_text().replace("n_paths = 2000",
+                                           f"n_paths = {n_paths}"))
+    seen = {}
+
+    def probing(name, function):
+        def probed(*args):
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            seen[name] = [trace.size for trace in snapshot.traces
+                          if trace.size % (8 * n_paths) == 0]
+            return function(*args)
+        return probed
+
+    monkeypatch.setattr(cli.oracle, "build_tree",
+                        probing("oracle", oracle.build_tree))
+    monkeypatch.setattr(cli.simulate, "is_degenerate",
+                        probing("weighted", cli.simulate.is_degenerate))
+    tracemalloc.start()
+    try:
+        assert cli.run(cfg) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(seen["weighted"]) >= 6
+    assert seen["oracle"] == []
+    assert "FAIL" not in (out / "verify.csv").read_text()
 
 
 def test_extra_coefficients_fail_the_run(tmp_path, capsys):

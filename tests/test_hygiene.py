@@ -2,10 +2,10 @@
 tests, every public method is read by the library or the benchmark, every
 defaulted parameter of a public function is passed by some call of the
 library or the benchmark and left out by another, no import is unused,
-only the CLI writes files, every config key the CLI accepts is read and
-named in the README, every thread pool is closed by a with statement, no
-module reads another module's private names, and importing the CLI loads
-no scipy."""
+only the CLI writes files, every config key a mode accepts is read by
+that mode and named in the README, every thread pool is closed by a with
+statement, no module reads another module's private names, and importing
+the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -208,31 +208,42 @@ def test_every_default_is_left_out_somewhere():
     assert always_passed == []
 
 
-def _read_keys(tree):
-    """String keys read off a mapping: ``m["k"]``, ``m.get("k")`` and
-    ``"k" in m``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            key = node.slice
-        elif (isinstance(node, ast.Call) and node.args
-              and (_dotted(node.func) or "").endswith(".get")):
-            key = node.args[0]
-        elif (isinstance(node, ast.Compare)
-              and isinstance(node.ops[0], ast.In)):
-            key = node.left
-        else:
-            continue
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            yield key.value
+def _config_reads(function):
+    """The family and run keys that ``function`` reads off its ``config``:
+    ``config.run["k"]``, every family key where it reads the configured fee
+    ``config.contract``, and every one but the fee's coefficients where it
+    reads the searched family ``config.contract_family``."""
+    from brokerfee import cli
+    family = {f"family.{key}" for key in cli._KEYS["family"]}
+    keys = set()
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Subscript)
+                and _dotted(node.value) == "config.run"
+                and isinstance(node.slice, ast.Constant)):
+            keys.add(f"run.{node.slice.value}")
+        elif _dotted(node) == "config.contract":
+            keys |= family
+        elif _dotted(node) == "config.contract_family":
+            keys |= family - {"family.coefficients"}
+    return keys
 
 
 def test_every_config_key_is_read():
-    # a key that parses but that no mode reads would be silently ignored
+    # each mode accepts exactly the family and run keys that its runner or
+    # every run reads: a key that parses under a mode that never reads it
+    # would be silently ignored, and every key is read by some mode
     from brokerfee import cli
-    read = set(_read_keys(ast.parse((PACKAGE / "cli.py").read_text())))
-    unread = [f"family.{k}" for k in cli._KEYS["family"] if k not in read]
-    unread += [f"run.{k}" for k in cli._KEYS["run"] if k not in read]
-    assert unread == []
+    functions = {node.name: node
+                 for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    assert _config_reads(functions["run"]) == cli._EVERY_MODE_KEYS
+    for mode, runner in cli._MODE_RUNNERS.items():
+        assert _config_reads(functions[runner.__name__]) == \
+            cli._MODE_KEYS[mode], mode
+    every = {f"{section}.{key}" for section in ("family", "run")
+             for key in cli._KEYS[section]}
+    assert set().union(cli._EVERY_MODE_KEYS, *cli._MODE_KEYS.values()) == \
+        every
 
 
 def test_readme_names_every_family_and_run_key():

@@ -103,7 +103,8 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
     expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
     chunked = simulate.weighted_reference(params, policy, 23, moments=True)
     assert chunks == expected
-    assert whole.moments.shape == (7, 6, 49)
+    assert whole.increments.shape == (6, 49)
+    assert whole.at_s.shape == (2, 49)
     for field in fields(simulate.WeightedSample):
         assert np.array_equal(getattr(chunked, field.name),
                               getattr(whole, field.name)), field.name
@@ -153,8 +154,10 @@ def test_controlled_sample_matches_path_reference():
 
 def test_weighted_reference_memory_is_per_path(monkeypatch):
     # memory stays bounded as the path count grows: the sample keeps
-    # 4 + 6 x 7 = 46 floats per path with the constraint moments, where
-    # one batch of 100 steps holds about 700 floats per path in flight.
+    # 4 + 6 + 2 = 12 floats per path with the constraint moments (the
+    # density, its log, two integrals, six row increments, and W and Z at
+    # T / 2), where one batch of 100 steps holds about 700 floats per path
+    # in flight.
     # With chunks of 216 rows both runs have several, and the peak grows
     # by the sample alone: chunk results gathered by concatenation would
     # double that growth
@@ -169,13 +172,13 @@ def test_weighted_reference_memory_is_per_path(monkeypatch):
         try:
             sample = simulate.weighted_reference(
                 replace(params, n_paths=count), policy, 3, moments=True)
-            assert sample.moments.shape == (7, 6, count)
+            assert sample.increments.shape == (6, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     small, large = peak_bytes(4_000), peak_bytes(8_000)
-    assert large - small <= 1.25 * 46 * 8 * 4_000
+    assert large - small <= 1.25 * 12 * 8 * 4_000
 
 
 def test_controlled_memory_is_per_path():
@@ -317,8 +320,9 @@ def test_eta_family_composition(monkeypatch):
 
         monkeypatch.setattr(simulate, "gaussians", moving)
         sample = simulate.weighted_reference(params, policy, 31, moments=True)
-        assert sample.moments.shape == (7, 6, params.n_paths)
-        return sample.moments[:, 4] / sample.moments[0, 4]
+        samples = moment_samples(sample)
+        assert samples.shape == (7, 6, params.n_paths)
+        return samples[:, 4] / samples[0, 4]
 
     base = etas()
     for moved, own in ((etas(2, 1.0), slice(1, 4)),
@@ -342,10 +346,11 @@ def test_eta_values_bounded():
     sample = simulate.weighted_reference(
         replace(PARAMS, n_paths=4_000), FeedbackPolicy.constant(0.8, PARAMS),
         31, moments=True)
-    assert sample.moments.shape == (7, 6, 4_000)
-    base = sample.moments[0, 4]
+    samples = moment_samples(sample)
+    assert samples.shape == (7, 6, 4_000)
+    base = samples[0, 4]
     assert np.all(base != 0.0)
-    etas = sample.moments[:, 4] / base
+    etas = samples[:, 4] / base
     assert np.all((etas >= -1e-12) & (etas <= 1.0 + 1e-12))
     half = PARAMS.n_steps // 2
     for first, coord in ((1, batch.w[:, half]), (4, batch.z[:, half])):
@@ -385,6 +390,13 @@ def test_constraint_moments_flag_inadmissible_rate():
         simulate.weighted_reference(params, bad, 17, moments=True))
     # the constant functional on [T / 2, T]
     assert estimates[0, 4] > 3 * ses[0, 4]
+
+
+def moment_samples(sample):
+    """Every built-in functional's samples of a sample weighted with
+    moments, shape (7, 6, count), each in an array of its own."""
+    return np.array([sample.moment_samples(e, np.empty_like(sample.increments))
+                     for e in range(7)])
 
 
 def reference_etas(batch):
@@ -448,7 +460,8 @@ def assert_matches_path_reference(sample, params, policy, seed):
     stop = per_step_stopping_index(batch, 10.0)
     for e, eta in enumerate(reference_etas(batch)):
         np.testing.assert_allclose(
-            sample.moments[e], per_step_samples(batch, m, eta, bounds, stop),
+            sample.moment_samples(e, np.empty((6, params.n_paths))),
+            per_step_samples(batch, m, eta, bounds, stop),
             rtol=1e-12, atol=1e-12, err_msg=f"functional {e}")
 
 
@@ -498,7 +511,7 @@ def test_family_moments_match_per_step_reference():
     sample = simulate.weighted_reference(
         params, FeedbackPolicy.constant(0.8, params), 41, moments=True)
     estimates, ses = simulate.constraint_moments(sample)
-    assert estimates.shape == (sample.moments.shape[0], 6)
+    assert estimates.shape == (7, 6)
     for e, eta in enumerate(reference_etas(batch)):
         expected, expected_ses = per_step_moments(batch, sample.m, eta, bounds,
                                                   stop)
@@ -507,4 +520,4 @@ def test_family_moments_match_per_step_reference():
         np.testing.assert_allclose(ses[e], expected_ses,
                                    rtol=1e-12, atol=1e-12)
     # a path stopped before T / 2 has an empty window, so no increment
-    assert np.all(sample.moments[:, :, early] == 0.0)
+    assert np.all(moment_samples(sample)[:, :, early] == 0.0)
