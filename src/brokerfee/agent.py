@@ -29,11 +29,11 @@ within 6 times the Euler bound. Per Euler-bound step the scheme costs
 that is a polynomial of degree four in t, as the zero fee's is, is
 stepped exactly.
 The grid follows the contract family and the marched planes follow the
-payoff. A polynomial, or any fee that varies in p, is held on the 3-D
-(p, w, z) grid, so that a polynomial family shares one discretization;
-any other fee is held on a finer 2-D (w, z) grid. The sweep marches a
-single p plane on the 2-D grid, and on the 3-D grid when the fee is
-exactly equal on every p plane, as the zero polynomial is: the p
+fee's ``reads_price``. A polynomial, or any fee that reads the price, is
+held on the 3-D (p, w, z) grid, so that a polynomial family shares one
+discretization; any other fee is held on a finer 2-D (w, z) grid. The
+sweep marches every p plane for a fee that reads the price, and a single
+plane for any other, as for the zero polynomial on the 3-D grid: the p
 differences of identical planes are exactly zero, so the one plane
 stands for all of them bit for bit. One step kernel serves every case:
 it walks the marched p planes in slabs, copies each slab into a
@@ -47,18 +47,19 @@ bit-identical for any thread count.
 Every path starts at the origin, so by time t it reaches only the states
 within six standard deviations on each axis (:func:`_half_widths`; the
 grid's cuts at T). Each step of every solve updates only that box, plus
-one plane on p and three cells on w and z, and its edge slices take the
+two planes on p and three cells on w and z, and its edge slices take the
 boundary rule of their axis. Domain-truncation error decays with the
 distance from the start point to the cut in standard deviations (Kangro
 & Nicolaides 2000, SIAM J. Numer. Anal. 38(4)). On the default 3-D grid
-the box keeps 41 % of the cell updates (the p cut alone, 68 %), and it
-moves the value at the origin by at most 1.2e-5 relative to the
-full-width sweep (fee P_T Z_T; 2.4e-7 at 0.05 P_T Z_T), the w and z cuts
-by at most 2e-6 of that: the last steps' boxes hold few of the 31 p
-planes. The 2-D zero fee moves by 4e-10. At each saved time the box's
-edge slices are extended linearly into V itself, along z, then w, then
-p, and the rates are taken from the result: the solve keeps V, which
-ends as the value at t = 0, and the rate table.
+the box keeps 44 % of the cell updates (the p cut alone, 74 %), and it
+moves the value at the origin by at most 4.1e-7 relative to the
+full-width sweep (fee P_T Z_T; 8.4e-9 at 0.05 P_T Z_T), the w and z cuts
+by at most 2.1e-10: the last steps' boxes hold few of the 31 p planes,
+and one plane of p margin moved the value by 1.2e-5. The 2-D zero fee
+moves by 4e-10. At each saved time the box's edge slices are extended
+linearly into V itself, along z, then w, then p, and the rates are
+taken from the result: the solve keeps V, which ends as the value at
+t = 0, and the rate table.
 Every fee is a function of the terminal values (P_T, Z_T), so it enters
 only as the terminal condition, and the grid solve is the whole best
 response.
@@ -95,8 +96,8 @@ class ValueGrid:
     """The value at t = 0 on the grid of :func:`solve_hjb`.
 
     ``values`` has shape ([n_p,] n_w, n_z); in 3-D it is a read-only
-    broadcast, of a single marched plane when the fee is equal on every p
-    plane. It holds the solved value in the box of the last step, and
+    broadcast, of a single marched plane when the fee does not read the
+    price. It holds the solved value in the box of the last step, and
     beyond it the linear extension of the box's two edge slices on that
     side, along z, then w, then p (the second difference across the box
     edge is 0).
@@ -113,22 +114,6 @@ class ValueGrid:
         if self.p_nodes is not None:
             axes = (self.p_nodes,) + axes
         return float(interpolate(axes, self.values, *[0.0] * len(axes)))
-
-
-def _terminal_payoff(contract, p_nodes, z_nodes):
-    """The fee xi on the (p, z) grid; returns (rows, on_3d_grid).
-
-    ``rows`` are the payoff rows to march: all n_p rows of shape (n_z,),
-    or only the first when every row equals it exactly. ``on_3d_grid``
-    says whether the fee is solved on the 3-D grid: every polynomial is,
-    so that a polynomial family shares one grid, the zero polynomial
-    included, and so is any other fee whose rows are not all equal.
-    """
-    pp, zz = np.meshgrid(p_nodes, z_nodes, indexing="ij")
-    payoff = contract.terminal_payoff(pp, zz)
-    if np.all(payoff == payoff[:1]):
-        return payoff[:1], isinstance(contract, LinearPolynomial)
-    return payoff, True
 
 
 # Grid cells per slab of p planes, 6 planes of 101 x 101; a box narrower in
@@ -387,13 +372,14 @@ _SSP_RATIO = 6
 def solve_hjb(contract, params: ModelParams):
     """Backward SSP(10,4) sweep; returns (FeedbackPolicy, ValueGrid).
 
-    The grid follows the family and the marched planes follow the payoff
-    (:func:`_terminal_payoff`). A polynomial, or any fee that varies in p,
-    gets :data:`_GRID_3D`, its dp and its CFL dt; any other fee gets
-    :data:`_GRID_2D`. The value is held on (p, w, z) with a
-    single p plane on the 2-D grid, and on the 3-D grid when the payoff is
-    exactly equal on every p plane, as the zero polynomial's is; the
-    values are then broadcast over the 3-D grid's p nodes. Identical
+    The grid follows the family and the marched planes follow the fee's
+    ``reads_price``, read once. A polynomial, or any fee that reads the
+    price, gets :data:`_GRID_3D`, its dp and its CFL dt; any other fee gets
+    :data:`_GRID_2D`. A fee that reads the price marches every p plane of
+    the 3-D grid, also a table whose p nodes all lie beyond the grid's
+    p_max, whose planes then stay equal. Any other fee marches one plane,
+    its payoff read at p = -p_max; on the 3-D grid, as for the zero
+    polynomial, its values are broadcast over the p nodes. Identical
     planes have p differences of exactly zero, so the full march would
     give every plane the same bits. All solves share one step kernel
     (:class:`_ExplicitStep`), which walks the marched p planes in slabs.
@@ -403,7 +389,7 @@ def solve_hjb(contract, params: ModelParams):
     thread. The values do not depend on the thread count.
     Each axis is cut at its half-width of :func:`_half_widths` at T, and
     the step from t_k back to t_{k-1} updates only the box of cells with
-    |x| <= (that half-width at t_k) + margin on every axis, one plane on
+    |x| <= (that half-width at t_k) + margin on every axis, two planes on
     p and three cells on w and z. The box is never wider than the last
     step's, and its edge slices take the boundary rule of their axis.
     On either grid dt = T / n_t for the fewest steps n_t that keep every
@@ -426,24 +412,24 @@ def solve_hjb(contract, params: ModelParams):
 
     p_max, w_max, z_max = _half_widths(params, T)
 
-    # the fee is read on the 3-D grid to decide, and only a 2-D fee is
-    # read again on its own z axis
-    n_p, n_w, n_z = _GRID_3D
-    p_nodes = np.linspace(-p_max, p_max, n_p)
-    dp = p_nodes[1] - p_nodes[0]
-    z_nodes = np.linspace(-z_max, z_max, n_z)
-    payoff, on_3d_grid = _terminal_payoff(contract, p_nodes, z_nodes)
-    n_save = 17
-    if not on_3d_grid:
-        (n_w, n_z), n_save = _GRID_2D, 81
-        z_nodes = np.linspace(-z_max, z_max, n_z)
-        payoff, _ = _terminal_payoff(contract, p_nodes[:1], z_nodes)
-        p_nodes = None
+    reads_price = contract.reads_price
+    on_3d_grid = reads_price or isinstance(contract, LinearPolynomial)
+    if on_3d_grid:
+        (n_p, n_w, n_z), n_save = _GRID_3D, 17
+        p_nodes = np.linspace(-p_max, p_max, n_p)
+        dp = p_nodes[1] - p_nodes[0]
+    else:
+        # the box's one p node, 0, is inside it at any margin
+        (n_w, n_z), n_save, p_nodes, dp = _GRID_2D, 81, None, 0.0
     w_nodes = np.linspace(-w_max, w_max, n_w)
+    z_nodes = np.linspace(-z_max, z_max, n_z)
     dw = w_nodes[1] - w_nodes[0]
     dz = z_nodes[1] - z_nodes[0]
-    # the planes marched: one stands for all when the payoff rows are equal
-    marched_p = p_nodes if len(payoff) > 1 else None
+    # the payoff rows to march: one, read at -p_max, stands for every p
+    # plane of a fee that does not read the price
+    marched_p = p_nodes if reads_price else None
+    rows = p_nodes if reads_price else np.array([-p_max])
+    payoff = contract.terminal_payoff(rows[:, None], z_nodes)
 
     cfl_denom = eps**2 / dz**2 + 1.0 / dw**2 + rate_bound / dz
     if on_3d_grid:
@@ -471,8 +457,8 @@ def solve_hjb(contract, params: ModelParams):
 
     axes = (np.zeros(1) if marched_p is None else marched_p, w_nodes,
             z_nodes)
-    # one plane of margin on p, three cells on w and z
-    margins = (dp, 3.0 * dw, 3.0 * dz)
+    # two planes of margin on p, three cells on w and z
+    margins = (2.0 * dp, 3.0 * dw, 3.0 * dz)
 
     def box(k):
         """The (start, stop) per axis of the cells the step from t_k

@@ -226,8 +226,8 @@ def _mode_agent(config, out_dir, lines):
     ``agent.npz`` holds the policy's nodes and rates (n_t, n_w, n_z) and
     ``values``, the value at t = 0 on the planes the solve marched: shape
     (n_w, n_z) on the 2-D grid, and on the 3-D grid, with ``p_nodes``,
-    (n_p, n_w, n_z), or (1, n_w, n_z) when the fee is equal on every p
-    plane and one marched plane stands for every p node."""
+    (n_p, n_w, n_z), or (1, n_w, n_z) when the fee does not read the
+    price and one marched plane stands for every p node."""
     params = config.params
     policy, grid = agent.solve_hjb(config.contract, params)
     value = grid.value_at_origin
@@ -239,8 +239,7 @@ def _mode_agent(config, out_dir, lines):
               "values": grid.values}
     if grid.p_nodes is not None:
         arrays["p_nodes"] = grid.p_nodes
-        # one marched plane is broadcast over the p nodes with stride 0
-        if grid.values.strides[0] == 0:
+        if not config.contract.reads_price:
             arrays["values"] = grid.values[:1]
     np.savez(os.path.join(out_dir, "agent.npz"), **arrays)
     _write_csv(os.path.join(out_dir, "agent.csv"),
@@ -342,7 +341,7 @@ def _weighted_checks(params):
     (:func:`simulate.is_degenerate`). The sample is dropped on return."""
     policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
-        params, policy, split_seed(params.seed, "verify-sim"), moments=True)
+        params, policy, split_seed(params.seed, "verify-sim"))
     mean, se = simulate.mean_se(sample.m)
     checks = [("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}")]

@@ -9,7 +9,8 @@ family compact in the parameter space, which is what drives existence of
 an optimizer. Every class pays through one entry point,
 ``terminal_payoff(p_T, z_T)``, vectorized over arrays of terminal values;
 a fee of this form is the terminal condition of the client's HJB, so the
-grid solver gives the best response to every contract.
+grid solver gives the best response to every contract. Each class says
+whether its fee reads P_T (``reads_price``), and the solver asks once.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Constant:
     value: float
+    reads_price = False
 
     def terminal_payoff(self, p_T, z_T):
         return np.full(np.broadcast_shapes(np.shape(p_T), np.shape(z_T)),
@@ -55,6 +57,11 @@ class LinearPolynomial:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0]
+
+    @property
+    def reads_price(self) -> bool:
+        """Whether xi varies in P_T: any nonzero term carries a power."""
+        return bool(np.any(self.coeffs))
 
     def terminal_payoff(self, p_T, z_T):
         p_T, z_T = np.asarray(p_T), np.asarray(z_T)
@@ -98,14 +105,21 @@ class LipschitzTable:
         object.__setattr__(self, "z_nodes", z_nodes)
         object.__setattr__(self, "values", values)
 
+    @property
+    def reads_price(self) -> bool:
+        """Whether the fee varies in P_T: its rows are not all equal."""
+        return bool(np.any(self.values != self.values[:1]))
+
     def terminal_payoff(self, p_T, z_T):
         """Bilinear table lookup at terminal values (vectorized). A table
-        whose rows are all equal is read at its first p node for every p,
-        so that it gives the same bits at every p."""
-        if np.all(self.values == self.values[:1]):
-            p_T = np.full(np.shape(p_T), self.p_nodes[0])
-        out = interpolate((self.p_nodes, self.z_nodes), self.values,
-                          p_T, z_T)
+        that does not read the price is read along z alone, so that it
+        gives the same bits at every p."""
+        p_T, z_T = np.broadcast_arrays(p_T, z_T)
+        if self.reads_price:
+            out = interpolate((self.p_nodes, self.z_nodes), self.values,
+                              p_T, z_T)
+        else:
+            out = interpolate((self.z_nodes,), self.values[0], z_T)
         return np.clip(out, -self.cap, self.cap)
 
 

@@ -107,7 +107,8 @@ class FeedbackPolicy:
     (w, z, t) cell by the same code as :func:`interpolate`. The t cell is
     found once per call and the w and z cells by arithmetic on the uniform
     nodes. Beyond the grid edges the value is extrapolated by a constant.
-    A policy whose table is constant returns that rate without a lookup.
+    Only a policy made by :meth:`constant` returns its rate without a
+    lookup; any other table is blended, also one of a single value.
 
     A table of shape (K, n_t, n_w, n_z) holds a batch of K rules
     (:meth:`stack`), and ``batch_shape`` is (K,), () for a single rule.
@@ -115,7 +116,8 @@ class FeedbackPolicy:
     (rows,), and the Z of each member, with shape (K, rows). The t and w
     cells are found once for all members, and every member's corners are
     blended in one gather, so each member's rates equal its own policy's
-    lookup bit for bit; a member whose table is constant returns its rate.
+    lookup bit for bit, but for a member made by :meth:`constant`: the
+    batch blends its table like any other.
     """
 
     def __init__(self, t_nodes, w_nodes, z_nodes, table, bounds):
@@ -135,30 +137,25 @@ class FeedbackPolicy:
         self.table = table
         self.batch_shape = table.shape[:-3]
         n_t, n_w, n_z = expected
-        members = table.reshape(-1, n_t * n_w * n_z)
-        first = members[:, 0]
-        fixed = np.all(members == first[:, None], axis=1)
-        self._rate = None
-        if fixed.all():
-            self._rate = first[:, None] if self.batch_shape else first[0]
-        # the members of a batch with a constant table, and their rates
-        self._fixed = np.flatnonzero(fixed)
-        self._fixed_rates = first[self._fixed, None]
+        self._rate = None       # a :meth:`constant` policy's rate
         self._t_list = self.t_nodes.tolist()
         self._flat = table.ravel()
         self._plane = n_w * n_z
         # the flat start of each member's table
-        self._starts = np.arange(len(members))[:, None] * members.shape[1]
+        self._starts = np.arange(0, table.size, n_t * self._plane)[:, None]
         self._offsets = _corner_offsets((n_z, 1, n_w * n_z))
 
     @classmethod
     def constant(cls, rate, params: ModelParams):
-        """Policy identically equal to ``rate`` (clamped to [L, U])."""
+        """Policy identically equal to ``rate`` (clamped to [L, U]), which
+        it returns without a lookup."""
         bounds = (params.rate_lower, params.rate_upper)
         nodes = np.array([0.0, params.horizon])
         table = np.full((2, 2, 2), float(rate))
-        return cls(nodes, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
-                   table, bounds)
+        policy = cls(nodes, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
+                     table, bounds)
+        policy._rate = policy.table[0, 0, 0]
+        return policy
 
     @classmethod
     def stack(cls, policies):
@@ -200,10 +197,7 @@ class FeedbackPolicy:
             base += self._starts
         rate = _blend(self._flat[it * self._plane:], base, self._offsets,
                       (fw, fz, ft))
-        rate = _clamp(rate, *self.bounds)
-        if len(self._fixed):
-            rate[self._fixed] = self._fixed_rates
-        return rate[()]
+        return _clamp(rate, *self.bounds)[()]
 
     def _time_cell(self, t):
         """:func:`locate` of the scalar ``t`` on the t nodes, in Python

@@ -23,13 +23,13 @@ of a chunk fill one (n_steps, 3, rows) buffer, allocated once per sampler
 call, through its transposed view, and the state is a few row vectors
 updated in place, step by step. Only per-path results are kept, in
 arrays allocated once per call: :func:`weighted_reference` keeps 12
-floats per path with the constraint moments (4 without) and
-:func:`simulate_controlled` 4 (the terminal P and Z and the integrals of
-Z W and pi^2). The draw buffer holds 3 floats per path and step of one
-chunk, where a whole batch of 250 steps would hold about 1,750 floats
-per path. Each chunk reads its rows' own draws and every result is
-computed along one path, so the chunk size changes no bit of any
-estimate.
+floats per path (the density, its log, two integrals, six row
+increments, and W and Z at T / 2) and :func:`simulate_controlled` 4
+(the terminal P and Z and the integrals of Z W and pi^2). The draw
+buffer holds 3 floats per path and step of one chunk, where a whole
+batch of 250 steps would hold about 1,750 floats per path. Each chunk
+reads its rows' own draws and every result is computed along one path,
+so the chunk size changes no bit of any estimate.
 
 The controlled sampler also takes a batch of K policies on one grid
 (:meth:`FeedbackPolicy.stack`), which the broker search uses to score
@@ -136,8 +136,7 @@ class WeightedSample:
     W^2, each of shape (count,). ``increments[r]`` holds the stopped
     window's increment Y_{t ^ tau} - Y_{s ^ tau} of constraint row r, shape
     (6, count), and ``at_s`` holds W_s and Z_s, which the test functionals
-    read, shape (2, count); both have no rows, (0, count), for a sample
-    weighted without moments.
+    read, shape (2, count).
     """
 
     m: np.ndarray
@@ -221,11 +220,11 @@ def _in_row_chunks(params: ModelParams, seed: int, chunk) -> list:
 
 
 def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
-                       seed: int, moments: bool = False) -> WeightedSample:
+                       seed: int) -> WeightedSample:
     """Reweight the ``params.n_paths`` reference paths of ``seed`` by
     ``policy``: the density dQ^pi / dW of every path, the integrals of the
-    entropy identity and, if ``moments``, what the constraint moments of
-    the built-in test functionals are formed from.
+    entropy identity, and what the constraint moments of the built-in test
+    functionals are formed from.
 
     Under the reference measure dP = sigma dB1, dZ = eps dB2 and dW = dB3,
     and with W_i and pi_i read at the left point of each step,
@@ -236,16 +235,15 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
     formed after the loop from the running sums of W dP, pi dZ, W^2 and
     pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the
     increments of :func:`simulate_controlled` and keeps only the per-path
-    results, so memory grows by 12 floats per path with
-    ``moments`` and by 4 without. The sample equals that of the whole
-    batch taken as one chunk, bit for bit.
+    results, so memory grows by 12 floats per path. The sample equals that
+    of the whole batch taken as one chunk, bit for bit.
 
-    With ``moments``, the state (P, Z, W, sum of W) is frozen at tau_N,
-    the first grid index where |P|, |Z| or |W| reaches the truncation
-    level (n_steps if none does; sub-grid crossings are not refined). The
-    window starts at min(n_steps // 2, tau_N). The sample keeps the six
-    rows' increments over the window (:func:`_window_increments`) and W
-    and Z at n_steps // 2, which give the ramps of the test functionals
+    The state (P, Z, W, sum of W) is frozen at tau_N, the first grid index
+    where |P|, |Z| or |W| reaches the truncation level (n_steps if none
+    does; sub-grid crossings are not refined). The window starts at
+    min(n_steps // 2, tau_N). The sample keeps the six rows' increments
+    over the window (:func:`_window_increments`) and W and Z at
+    n_steps // 2, which give the ramps of the test functionals
     (:meth:`WeightedSample.moment_samples`).
     """
     n = params.n_steps
@@ -259,12 +257,11 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
         _, z, w, sum_w = state
         w_dp, pi_dz, w_sq, pi_sq = (np.zeros(rows) for _ in range(4))
         term = np.empty(rows)
-        if moments:
-            stop = np.full(rows, n)         # tau_N
-            live = np.ones(rows, dtype=bool)
-            end = np.empty((4, rows))       # the state at tau_N
-            start = np.zeros((4, rows))     # the state at min(i_s, tau_N)
-            at_s = np.zeros((2, rows))      # W and Z at i_s
+        stop = np.full(rows, n)             # tau_N
+        live = np.ones(rows, dtype=bool)
+        end = np.empty((4, rows))           # the state at tau_N
+        start = np.zeros((4, rows))         # the state at min(i_s, tau_N)
+        at_s = np.zeros((2, rows))          # W and Z at i_s
         for i in range(n):
             pi = policy(times[i], w, z)
             np.multiply(w, steps[i, 0], out=term)
@@ -277,8 +274,6 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
             pi_sq += term
             sum_w += w
             state[:3] += steps[i]
-            if not moments:
-                continue
             hit = np.any(np.abs(state[:3]) >= _TRUNCATION_LEVEL, axis=0)
             hit &= live
             if hit.any():
@@ -289,12 +284,9 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
                 start = np.where(live, state, end)
                 at_s = state[[2, 1]]
         log_m = w_dp / s2 + pi_dz / e2 - 0.5 * dt * (w_sq / s2 + pi_sq / e2)
-        if moments:
-            end[:, live] = state[:, live]
-            increments = _window_increments(
-                start, end, (stop - np.minimum(i_s, stop)) * dt, params)
-        else:
-            increments = at_s = np.empty((0, rows))
+        end[:, live] = state[:, live]
+        increments = _window_increments(
+            start, end, (stop - np.minimum(i_s, stop)) * dt, params)
         return np.exp(log_m), log_m, pi_sq * dt, w_sq * dt, increments, at_s
 
     return WeightedSample(*_in_row_chunks(params, seed, chunk))
@@ -403,7 +395,7 @@ def _window_increments(start: np.ndarray, end: np.ndarray, span: np.ndarray,
 def constraint_moments(sample: WeightedSample) -> tuple:
     """Estimate E^W[M eta (Y_{t ^ tau} - Y_{s ^ tau})] for all six rows and
     each built-in test functional: (estimates, standard errors), two arrays
-    of shape (7, 6), from a sample weighted with ``moments=True``.
+    of shape (7, 6).
 
     Each functional's samples are formed in one (6, count) scratch, taken
     once per call (:meth:`WeightedSample.moment_samples`), and reduced

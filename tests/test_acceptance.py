@@ -244,7 +244,7 @@ def test_criterion_09_condition5_moments():
     ok = True
     for k, (label, policy) in enumerate(policy_suite(params)):
         sample = simulate.weighted_reference(
-            params, policy, split_seed(MC.seed, f"acc9-{k}"), moments=True)
+            params, policy, split_seed(MC.seed, f"acc9-{k}"))
         estimates, ses = simulate.constraint_moments(sample)
         ok = ok and bool(np.all(estimates <= 3 * ses))
 
@@ -253,7 +253,7 @@ def test_criterion_09_condition5_moments():
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), bad_rate),
                          (-2.0, 2.0))
     sample = simulate.weighted_reference(
-        params, bad, split_seed(MC.seed, "acc9-bad"), moments=True)
+        params, bad, split_seed(MC.seed, "acc9-bad"))
     estimates, ses = simulate.constraint_moments(sample)
     margin = float(np.max(estimates[:, 4] - 3 * ses[:, 4]))
     ok = ok and margin > 0

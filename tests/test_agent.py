@@ -310,13 +310,13 @@ def _solve_case(case):
 def _box(params, grid, t):
     """The cells the step from t updates, one slice per axis of the grid
     ((p,) w, z): those within 6 sd of the origin's reach plus a margin,
-    one plane on p and three cells on w and z."""
+    two planes on p and three cells on w and z."""
     rate_bound = max(abs(params.rate_lower), abs(params.rate_upper))
     reach = {"p": 6.0 * np.sqrt(params.sigma**2 * t + t**3 / 3.0),
              "w": 6.0 * np.sqrt(t),
              "z": 6.0 * params.epsilon * np.sqrt(t) + rate_bound * t}
     box = []
-    for axis, cells in (("p", 1), ("w", 3), ("z", 3)):
+    for axis, cells in (("p", 2), ("w", 3), ("z", 3)):
         nodes = getattr(grid, f"{axis}_nodes")
         if nodes is not None:
             margin = cells * (nodes[1] - nodes[0])
@@ -424,12 +424,12 @@ def test_sweep_matches_reference_step(case, planes, monkeypatch):
             assert np.max(np.abs(rates - ref_rates)) <= 1e-12
     # the clamp binds and the rate takes both signs somewhere on the grid
     assert policy.table.min() == -1.0 and policy.table.max() == 1.0
-    # the box narrows on every axis; in 3-D from all 9 p planes to 5
+    # the box narrows on every axis; in 3-D from all 9 p planes to 7
     widths = np.array(widths)
     assert np.all(widths[0] == v.shape)
     assert np.all(widths[-1] < v.shape)
     if price:
-        assert set(widths[:, 0]) == {9, 7, 5}
+        assert set(widths[:, 0]) == {9, 7}
 
 
 def test_price_dependent_terminal_slice_is_the_fee(monkeypatch):
@@ -441,16 +441,9 @@ def test_price_dependent_terminal_slice_is_the_fee(monkeypatch):
 
 
 def _march_every_plane(monkeypatch):
-    """Make the sweep march every p plane of the 3-D grid, also when the
-    payoff is equal on all of them."""
-    terminal_payoff = agent._terminal_payoff
-
-    def every_row(contract, p_nodes, z_nodes):
-        rows, on_3d_grid = terminal_payoff(contract, p_nodes, z_nodes)
-        return (np.broadcast_to(rows, (len(p_nodes), rows.shape[1])),
-                on_3d_grid)
-
-    monkeypatch.setattr(agent, "_terminal_payoff", every_row)
+    """Make the sweep march every p plane of the 3-D grid for every
+    polynomial, the zero polynomial included."""
+    monkeypatch.setattr(LinearPolynomial, "reads_price", True)
 
 
 def test_zero_polynomial_keeps_p_planes_identical(monkeypatch):
@@ -470,8 +463,8 @@ CONE_TABLE = LipschitzTable(np.array([-2.0, 0.0, 2.0]),
                             np.array([-1.0, 0.0, 1.0]),
                             np.array([[0.5, 0.0, -0.5], [0.0, 0.2, 0.0],
                                       [-0.5, 0.0, 0.5]]), cap=1.0)
-# the default p axis: the cone's effect grows as dp does, from 3e-8 at 61
-# planes to 5e-7 at 31 for a = 1
+# the default p axis: the cone's effect grows as dp does; 4.1e-8 at 31
+# planes for a = 1
 CONE_GRID = dict(n_p=31, n_w=31, n_z=31)
 
 
@@ -508,12 +501,13 @@ def _full_width(monkeypatch, axes=(0, 1, 2)):
     (LinearPolynomial(np.array([[0.5, 0.05], [0.0, 0.05]]), cap=1.0),
      CONE_GRID, 1e-6),
     (CONE_TABLE, CONE_GRID, 1e-6),
-    (LinearPolynomial(np.array([[1.0]]), cap=1.0), {}, 2e-5),
+    (LinearPolynomial(np.array([[1.0]]), cap=1.0), {}, 1e-6),
 ], ids=["a=0.05", "a=1", "degree-2", "table", "a=1-default-grid"])
 def test_cone_keeps_value_at_origin(fee, grid, bound, monkeypatch):
-    # 5.3e-7 relative at most on 31^3; on the default grid's finer w and z
-    # axes, whose shorter step leaves fewer p planes in the last boxes,
-    # 1.19e-5 at a = 1 (2.4e-7 at a = 0.05)
+    # with two planes of p margin, 4.4e-8 relative at most on 31^3 (one
+    # plane gave 5.3e-7); on the default grid's finer w and z axes, whose
+    # shorter step leaves fewer p planes in the last boxes, 4.1e-7 at
+    # a = 1 and 8.4e-9 at a = 0.05 (one plane gave 1.19e-5 and 2.4e-7)
     with hjb_grid(**grid):
         cone = solve_hjb(fee, ModelParams())[1]
         _full_width(monkeypatch)
@@ -563,6 +557,27 @@ def test_one_plane_march_equals_full_march(monkeypatch):
     assert one.values.tobytes() == full.values.tobytes()
     assert policy.table.tobytes() == full_policy.table.tobytes()
     assert one.value_at_origin == full.value_at_origin
+
+
+def test_table_beyond_the_p_axis_marches_every_plane(monkeypatch):
+    # a table that reads the price takes every p plane of the 3-D grid,
+    # also when all its p nodes lie beyond the grid's p_max, where every
+    # plane reads its first row and the planes stay equal
+    fee = LipschitzTable(np.array([10.0, 11.0]), np.array([-1.0, 1.0]),
+                         np.array([[0.1, -0.1], [0.2, 0.0]]), cap=1.0)
+    planes = []
+    build = agent._ExplicitStep.__init__
+
+    def spy(self, params, dt, w_nodes, z_nodes, p_nodes=None):
+        planes.append(1 if p_nodes is None else len(p_nodes))
+        build(self, params, dt, w_nodes, z_nodes, p_nodes)
+
+    monkeypatch.setattr(agent._ExplicitStep, "__init__", spy)
+    with hjb_grid(n_p=9, n_w=21, n_z=21):
+        _, grid = solve_hjb(fee, BOUNDED)
+    assert fee.reads_price and planes == [9]
+    assert grid.p_nodes[-1] < fee.p_nodes[0]
+    assert np.all(grid.values == grid.values[:1])
 
 
 def test_cone_keeps_zero_polynomial_bit_identical(monkeypatch):

@@ -454,9 +454,9 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
     rates = []
 
-    def recording(params, policy, seed, moments=False):
+    def recording(params, policy, seed):
         rates.append(float(policy(0.0, 0.0, 0.0)))
-        return weighted(params, policy, seed, moments)
+        return weighted(params, policy, seed)
 
     weighted = cli.simulate.weighted_reference
     monkeypatch.setattr(cli.simulate, "weighted_reference", recording)

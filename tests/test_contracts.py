@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brokerfee.contracts import (Constant, LinearPolynomial, LipschitzTable,
                                  contract_to_record)
-from brokerfee.model import locate
+from brokerfee.model import interpolate, locate
 from brokerfee.principal import ContractFamily
 
 
@@ -78,6 +78,64 @@ def test_table_nodes_must_increase(axis, nodes):
     with pytest.raises(ValueError, match=f"{axis} needs at least two nodes, "
                                          "strictly increasing"):
         ContractFamily("lipschitz_table", cap=1.0, **grids)
+
+
+# a coefficient or table value: zero, or at least 0.01 away from it, so
+# that a price term never rounds away on the grid below
+_ENTRIES = st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                     st.floats(-1.0, -0.01))
+
+
+@st.composite
+def _fees(draw):
+    """A fee of any class: polynomials of degree 1 or 2, and tables of 2
+    or 3 nodes per axis, half of them with every row equal."""
+    kind = draw(st.sampled_from(["constant", "polynomial", "table"]))
+    if kind == "constant":
+        return Constant(draw(st.floats(-1.0, 1.0)))
+    if kind == "polynomial":
+        degree = draw(st.integers(1, 2))
+        coeffs = draw(st.lists(_ENTRIES, min_size=degree**2,
+                               max_size=degree**2))
+        return LinearPolynomial(np.reshape(coeffs, (degree, degree)), 1.0)
+    nodes = [np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=n,
+                                     max_size=n))) - 1.0
+             for n in draw(st.tuples(st.integers(2, 3), st.integers(2, 3)))]
+    rows = 1 if draw(st.booleans()) else len(nodes[0])
+    values = draw(st.lists(_ENTRIES, min_size=rows * len(nodes[1]),
+                           max_size=rows * len(nodes[1])))
+    values = np.broadcast_to(np.reshape(values, (rows, -1)),
+                             (len(nodes[0]), len(nodes[1])))
+    return LipschitzTable(*nodes, values, cap=1.0)
+
+
+def _spanning(nodes):
+    """The nodes, their midpoints, and a point beyond each end."""
+    mid = 0.5 * (nodes[1:] + nodes[:-1])
+    return np.sort(np.concatenate([nodes, mid, [nodes[0] - 1.0,
+                                                nodes[-1] + 1.0]]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_fees())
+@example(LinearPolynomial(np.zeros((2, 2)), cap=1.0))
+@example(LipschitzTable(np.array([-1.0, 1.0]), np.array([-0.5, 0.0, 0.5]),
+                        np.array([[0.3, -0.2, 0.3]] * 2), cap=1.0))
+def test_reads_price_is_rows_that_differ(fee):
+    # reads_price says whether the payoff rows, one per p, differ anywhere
+    # on a (p, z) grid that spans the fee's nodes
+    table = isinstance(fee, LipschitzTable)
+    axes = ((fee.p_nodes, fee.z_nodes) if table
+            else (np.linspace(-3.0, 3.0, 7),) * 2)
+    pp, zz = np.meshgrid(*map(_spanning, axes), indexing="ij")
+    payoff = fee.terminal_payoff(pp, zz)
+    assert payoff.shape == pp.shape
+    assert fee.reads_price == bool(np.any(payoff != payoff[:1]))
+    if table:
+        # a table read along z alone is the bilinear read to rounding
+        np.testing.assert_allclose(
+            payoff, interpolate(axes, fee.values, pp, zz), rtol=0.0,
+            atol=1e-15)
 
 
 @settings(deadline=None, max_examples=30)

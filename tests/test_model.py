@@ -59,10 +59,11 @@ def test_constant_policy_returns_its_clamped_rate_exactly():
         out = FeedbackPolicy.constant(rate, params)(0.3, w, z)
         assert out.shape == (7, 5)
         assert np.all(out == expected)
-    # a table of one value away from the default nodes is constant too
+    # any other table of one value is blended, and the clamp at L = U
+    # makes its every rate exact: the one constant table a solve makes
     policy = FeedbackPolicy(np.array([0.0, 0.4, 1.0]), np.linspace(-1, 1, 4),
                             np.linspace(-2, 2, 3), np.full((3, 4, 3), 0.3),
-                            (-1.0, 1.0))
+                            (0.3, 0.3))
     assert np.all(policy(0.5, w, 0.25) == 0.3)
 
 

@@ -19,7 +19,7 @@ PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
 @pytest.fixture(scope="module")
 def weighted_sample():
     policy = FeedbackPolicy.constant(0.8, PARAMS)
-    return simulate.weighted_reference(PARAMS, policy, 31, moments=True)
+    return simulate.weighted_reference(PARAMS, policy, 31)
 
 
 def test_reference_batch_statistics():
@@ -46,8 +46,8 @@ def test_reference_batch_statistics():
 def test_reference_determinism():
     params = replace(PARAMS, n_paths=100)
     policy = FeedbackPolicy.constant(0.8, params)
-    a = simulate.weighted_reference(params, policy, 9, moments=True)
-    b = simulate.weighted_reference(params, policy, 9, moments=True)
+    a = simulate.weighted_reference(params, policy, 9)
+    b = simulate.weighted_reference(params, policy, 9)
     for field in fields(simulate.WeightedSample):
         assert np.array_equal(getattr(a, field.name),
                               getattr(b, field.name)), field.name
@@ -83,7 +83,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                             np.clip(ww - 0.5 * zz + tt, -1.0, 1.0),
                             (-1.0, 1.0))
     # at the default chunk size all 49 rows are one chunk
-    whole = simulate.weighted_reference(params, policy, 23, moments=True)
+    whole = simulate.weighted_reference(params, policy, 23)
     assert_matches_path_reference(whole, params, policy, 23)
     whole_controlled = simulate.simulate_controlled(params, policy, 23)
 
@@ -101,7 +101,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
 
     monkeypatch.setattr(simulate, "gaussians", recording)
     expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
-    chunked = simulate.weighted_reference(params, policy, 23, moments=True)
+    chunked = simulate.weighted_reference(params, policy, 23)
     assert chunks == expected
     assert whole.increments.shape == (6, 49)
     assert whole.at_s.shape == (2, 49)
@@ -154,10 +154,9 @@ def test_controlled_sample_matches_path_reference():
 
 def test_weighted_reference_memory_is_per_path(monkeypatch):
     # memory stays bounded as the path count grows: the sample keeps
-    # 4 + 6 + 2 = 12 floats per path with the constraint moments (the
-    # density, its log, two integrals, six row increments, and W and Z at
-    # T / 2), where one batch of 100 steps holds about 700 floats per path
-    # in flight.
+    # 4 + 6 + 2 = 12 floats per path (the density, its log, two
+    # integrals, six row increments, and W and Z at T / 2), where one
+    # batch of 100 steps holds about 700 floats per path in flight.
     # With chunks of 216 rows both runs have several, and the peak grows
     # by the sample alone: chunk results gathered by concatenation would
     # double that growth
@@ -171,7 +170,7 @@ def test_weighted_reference_memory_is_per_path(monkeypatch):
         tracemalloc.start()
         try:
             sample = simulate.weighted_reference(
-                replace(params, n_paths=count), policy, 3, moments=True)
+                replace(params, n_paths=count), policy, 3)
             assert sample.increments.shape == (6, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -203,7 +202,7 @@ def test_controlled_memory_is_per_path():
 def distinct_policies(n_t=3, n_nodes=5):
     """Four policies on one (t, w, z) grid with bounds [-1, 1]: three
     tables that vary and clip differently, and a constant one (third),
-    whose rate a blend of its corners would not always reproduce."""
+    which is blended like the others."""
     t_nodes = np.linspace(0.0, 1.0, n_t)
     nodes = np.linspace(-2.0, 2.0, n_nodes)
     tt, ww, zz = np.meshgrid(t_nodes, nodes, nodes, indexing="ij")
@@ -319,7 +318,7 @@ def test_eta_family_composition(monkeypatch):
             return out
 
         monkeypatch.setattr(simulate, "gaussians", moving)
-        sample = simulate.weighted_reference(params, policy, 31, moments=True)
+        sample = simulate.weighted_reference(params, policy, 31)
         samples = moment_samples(sample)
         assert samples.shape == (7, 6, params.n_paths)
         return samples[:, 4] / samples[0, 4]
@@ -345,7 +344,7 @@ def test_eta_values_bounded():
     batch = path_reference.reference_paths(PARAMS, 4_000, 31)
     sample = simulate.weighted_reference(
         replace(PARAMS, n_paths=4_000), FeedbackPolicy.constant(0.8, PARAMS),
-        31, moments=True)
+        31)
     samples = moment_samples(sample)
     assert samples.shape == (7, 6, 4_000)
     base = samples[0, 4]
@@ -387,7 +386,7 @@ def test_constraint_moments_flag_inadmissible_rate():
                          np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
                          (-2.0, 2.0))
     estimates, ses = simulate.constraint_moments(
-        simulate.weighted_reference(params, bad, 17, moments=True))
+        simulate.weighted_reference(params, bad, 17))
     # the constant functional on [T / 2, T]
     assert estimates[0, 4] > 3 * ses[0, 4]
 
@@ -480,7 +479,7 @@ def test_weighted_sample_matches_path_reference():
         path_reference.reference_paths(params, params.n_paths, 43), 10.0)
     early, full = stop < 30, stop == 60
     assert np.any(early) and np.any(~early & ~full) and np.any(full)
-    sample = simulate.weighted_reference(params, policy, 43, moments=True)
+    sample = simulate.weighted_reference(params, policy, 43)
     assert_matches_path_reference(sample, params, policy, 43)
 
 
@@ -509,7 +508,7 @@ def test_family_moments_match_per_step_reference():
     late = reached & ~early
     assert np.mean(early) > 0 and np.mean(late) > 0 and np.mean(~reached) > 0
     sample = simulate.weighted_reference(
-        params, FeedbackPolicy.constant(0.8, params), 41, moments=True)
+        params, FeedbackPolicy.constant(0.8, params), 41)
     estimates, ses = simulate.constraint_moments(sample)
     assert estimates.shape == (7, 6)
     for e, eta in enumerate(reference_etas(batch)):
