@@ -27,7 +27,6 @@ the collapse trials are one (trials, n_atoms) array each.
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -128,33 +127,43 @@ def atom_utility_from_contract(tree: ScenarioTree, contract,
 
 
 def node_constraint_set(tree: ScenarioTree, rate_lower: float,
-                        rate_upper: float) -> np.ndarray:
-    """The (n_constraints, n_atoms) linear forms c_r of the node
-    constraints sum_x p(x) E[m|x] c_r(x) <= 0.
+                        rate_upper: float):
+    """The linear forms c_r of the node constraints
+    sum_x p(x) E[m|x] c_r(x) <= 0, one per row of an
+    (n_constraints, n_atoms) CSR matrix.
 
     One form per (tree node, row): eta = indicator of the node, window =
     the node's own step. These etas are the natural finite test family on
     a tree; feasibility with all six rows pins the tilted drift of P to W,
     keeps W driftless, and bounds the Z drift to [L, U]. Forms run over
     the depths in order, node-major within a depth, and in
-    :data:`ROW_NAMES` order within a node; a form is zero off its node's
-    atom block.
+    :data:`ROW_NAMES` order within a node, so form k is row k % 6 of its
+    node. A form is zero off its node's atom block and stores the nonzero
+    entries of that block only: at most 6 per atom and depth.
     """
+    from scipy.sparse import csr_array
+
     inc = tree.combos[tree.choices]           # (n_atoms, depth, 3)
     n_rows = len(ROW_NAMES)
-    forms = []
+    atoms = np.arange(tree.n_atoms)
+    data, indices, lengths = [], [], []
     for d in range(tree.depth):
         n_nodes = tree.n_combos**d
+        block = tree.n_atoms // n_nodes
         rows = np.stack(constraint_rows(
             inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
             tree.paths[:, d, 2] * tree.dt, tree.dt, rate_lower, rate_upper))
-        # (node, row, node, atom in block), nonzero where the nodes agree
-        block = np.zeros((n_nodes, n_rows, n_nodes, tree.n_atoms // n_nodes))
-        nodes = np.arange(n_nodes)
-        block[nodes, :, nodes, :] = (rows.reshape(n_rows, n_nodes, -1)
-                                     .transpose(1, 0, 2))
-        forms.append(block.reshape(n_nodes * n_rows, tree.n_atoms))
-    return np.concatenate(forms)
+        # (node, row, atom in block): each form holds its node's block
+        data.append(rows.reshape(n_rows, n_nodes, block).transpose(1, 0, 2)
+                    .ravel())
+        indices.append(np.broadcast_to(atoms.reshape(n_nodes, 1, block),
+                                       (n_nodes, n_rows, block)).ravel())
+        lengths.append(np.full(n_nodes * n_rows, block))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    forms = csr_array((np.concatenate(data), np.concatenate(indices),
+                       indptr), shape=(len(indptr) - 1, tree.n_atoms))
+    forms.eliminate_zeros()     # branching 3 has zero increments
+    return forms
 
 
 @dataclass(frozen=True)
@@ -196,43 +205,98 @@ def _newton_step(forms, tilted, moments, mu, lam):
 
     Multipliers within eps of zero whose constraint is slack are sent to
     the bound, eps being the distance of mu from its projected-gradient
-    step. On the other rows the dual Hessian is (1/lam) A A^T with
-    A = C diag(sqrt(p m)) and C the forms centred by their moments. The
-    node forms are linearly dependent (at every node rows 1+2 and 3+4
-    sum to 0 and rows 5+6 to (L - U) dt on the node's atoms), so the
-    Newton system is solved on a maximal independent subset of those
-    rows, found by pivoted QR of A^T; the dependent rows stay put.
+    step. On the other rows the dual Hessian is (1/lam) (F D F^T - g g^T)
+    with D = diag(p m) and g the moments. The rows of a node come in
+    pairs: c2 = -c1, c4 = -c3, and c5 + c6 is constant on the node's
+    atoms, so the two rate rows cannot both bind. Where both rows of a
+    pair are free, the one with the smaller multiplier leaves the system:
+    a price or signal row stays put, a slack rate row goes to the bound.
+    The free rows are then independent by construction, and none is cut
+    for a small curvature: a violated row gets a step however
+    concentrated the density.
+
+    Shifting a row by a constant leaves the Hessian as it is, so each
+    free row is shifted by its value at the heaviest atom, which then
+    carries no weight in S = F D F^T. S is sparse (a row meets only the
+    rows of its node's ancestors and descendants); the rank-one centring
+    enters by Sherman-Morrison, whose denominator is then at least the
+    heaviest atom's mass and cannot cancel. S is scaled to a unit
+    diagonal, since node masses can differ by many orders of magnitude,
+    and factorized once by sparse LU with a ridge of 1e-14, so that the
+    direction still descends where such a density leaves rows dependent
+    at float64 resolution. A step that would move a log-density by more
+    than float64's exponent range, where trial densities underflow, is
+    scaled down to it.
     """
-    from scipy.linalg import qr, solve_triangular
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import splu
 
     eps = float(np.max(np.abs(mu - np.maximum(mu + moments, 0.0))))
     active = (mu <= eps) & (moments < 0.0)
     step = np.where(active, -mu, 0.0)
-    free = np.flatnonzero(~active)
-    a = (forms[free] - moments[free, None]) * np.sqrt(tilted)
-    r, pivots = qr(a.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * np.max(diag, initial=0.0)))
-    r11 = r[:rank, :rank]
-    keep = free[pivots[:rank]]
-    step[keep] = lam * solve_triangular(
-        r11, solve_triangular(r11, moments[keep], trans="T"))
-    return step
+    # (node, pair, row in pair)
+    free = ~active.reshape(-1, 3, 2)
+    pair_mu = mu.reshape(-1, 3, 2)
+    both = free[..., 0] & free[..., 1]
+    second = pair_mu[..., 1] > pair_mu[..., 0]
+    dropped = np.stack([both & second, both & ~second], axis=-1)
+    free &= ~dropped
+    dropped[:, :2] = False
+    slack = dropped.ravel() & (moments < 0.0)
+    step[slack] = -mu[slack]
+    free = np.flatnonzero(free)
+
+    # each free row minus its value at the heaviest atom, entered at
+    # every atom and summed with the row's own entries: the rows through
+    # that atom, at most 3 per depth, become dense
+    rows = forms[free].tocoo()
+    n_free, n_atoms = rows.shape
+    hit = rows.col == np.argmax(tilted)
+    near = rows.row[hit]
+    rows = csr_array(
+        (np.concatenate([rows.data, np.repeat(-rows.data[hit], n_atoms)]),
+         (np.concatenate([rows.row, np.repeat(near, n_atoms)]),
+          np.concatenate([rows.col, np.tile(np.arange(n_atoms), near.size)]))),
+        shape=rows.shape)
+    owner = np.repeat(np.arange(n_free), np.diff(rows.indptr))
+    mass = tilted[rows.indices]
+    g = np.bincount(owner, rows.data * mass, minlength=n_free)
+    # A = F D^{1/2}, its rows scaled so that A A^T has a unit diagonal (a
+    # row with no weight left, its node's mass underflowed, is scaled by
+    # 1), and one more column per row that adds the ridge 1e-14 I
+    weighted = rows.data * np.sqrt(mass)
+    curvature = np.bincount(owner, weighted**2, minlength=n_free)
+    scale = 1.0 / np.sqrt(np.where(curvature > 0.0, curvature, 1.0))
+    a = csr_array(
+        (np.concatenate([weighted * scale[owner], np.full(n_free, 1e-7)]),
+         (np.concatenate([owner, np.arange(n_free)]),
+          np.concatenate([rows.indices, n_atoms + np.arange(n_free)]))),
+        shape=(n_free, n_atoms + n_free))
+    lu = splu((a @ a.T).tocsc())
+    # (S - g g^T)^{-1} of the moments by Sherman-Morrison, g the moments
+    # of the shifted rows
+    y, z = (scale[:, None] * lu.solve(
+        scale[:, None] * np.column_stack([moments[free], g]))).T
+    step[free] = lam * (y + z * (g @ y) / (1.0 - g @ z))
+    nats = float(np.max(np.abs(forms.T @ step), initial=0.0)) / lam
+    return step * min(1.0, _EXP_RANGE / nats) if nats > 0.0 else step
 
 
 # Newton-step cap of one strong solve and the KKT residual it stops at,
 # near float64 resolution
 _MAX_ITER = 10_000
 _TOL = 1e-12
+# the largest change of a log-density that one Newton step may make: the
+# log of the largest float64
+_EXP_RANGE = float(np.log(np.finfo(float).max))
 
 
 def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                          constraints: Optional[np.ndarray] = None
-                          ) -> StrongSolution:
+                          constraints=None) -> StrongSolution:
     """Maximize sum p [m u - lam m log m] over densities m > 0 with
     sum p m = 1 and sum p m c_r <= 0 for the constraint forms c_r, the
-    rows of ``constraints`` (as from :func:`node_constraint_set`); None
-    means no rows.
+    rows of ``constraints``: the sparse node forms of
+    :func:`node_constraint_set`, six to a node; None means no rows.
 
     The strictly concave program is solved on its Lagrange dual
     D(mu) = lam log sum p e^{(u - F^T mu)/lam} over multipliers mu >= 0
@@ -245,30 +309,39 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     not count) or the KKT residual falls 1e-4 below the least so far: far
     from the optimum the residual can rise on the way down D, and near it
     D is flat to within its rounding and cannot rank trial points.
-    Solves on trees of depth 1-3 take from 3 to a few dozen steps.
+    Solves on trees of depth 1-3 take from 3 to a few dozen steps; the
+    zero fee takes 6 at depth 3 (about 10 ms) and 7 at depth 4 (0.08 s).
     ``duality_gap`` is D(mu) minus the value of the returned density; by
     weak duality D(mu) bounds the relaxed value over every randomized
     control, so a gap near 0 certifies that randomization cannot beat the
     returned strong control. A solve that reaches ``_MAX_ITER`` steps, or
     stalls, with the residual above ``_TOL`` returns with ``converged``
-    False, or raises when the residual exceeds 1e3 * ``_TOL``.
+    False, or raises when the residual exceeds 1e3 * ``_TOL``. It raises
+    at once when D falls below min u - lam log(1 / min p), which weak
+    duality rules out while any density meets the rows.
     """
+    from scipy.sparse import csr_array
+
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
     probs = tree.probs
     u = np.asarray(u, dtype=float)
-    c = np.empty((0, tree.n_atoms)) if constraints is None else constraints
+    c = csr_array((0, tree.n_atoms)) if constraints is None else constraints
 
     def at(mu):
         # the Gibbs density, dual value and constraint moments E[m c_r]
         m, log_z = _gibbs(probs, u - c.T @ mu, lam)
         return m, float(lam * log_z), c @ (probs * m)
 
-    mu = np.zeros(len(c))
+    # every density scores at least min u - lam log(1 / min p), so by weak
+    # duality a dual value below that proves that no density meets the rows
+    floor = float(np.min(u)) - lam * float(np.log(1.0 / np.min(probs)))
+    mu = np.zeros(c.shape[0])
     iterations = 0
     m, dual_value, moments = at(mu)
     residual = least = _kkt_residual(mu, moments)
-    while residual > _TOL and iterations < _MAX_ITER:
+    while (residual > _TOL and iterations < _MAX_ITER
+           and dual_value >= floor):
         step = _newton_step(c, probs * m, moments, mu, lam)
         # down to 2^-99, about e^{-69}: where the Gibbs masses span a
         # factor e^{69}, Newton can overshoot by about that factor
@@ -289,6 +362,11 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         least = min(least, residual)
         m, dual_value, moments = state
         iterations += 1
+    if dual_value < floor:
+        raise RuntimeError(
+            f"dual ascent did not converge: the dual value {dual_value:g} "
+            f"is below {floor:g}, the least value of any density, so the "
+            "instance is infeasible")
     if residual > 1e3 * _TOL:
         raise RuntimeError(
             f"dual ascent did not converge: KKT residual {residual:g} "
@@ -360,13 +438,14 @@ class RelaxedControlDiscrete:
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                            density_grid: np.ndarray,
-                           constraints: Optional[np.ndarray] = None,
-                           ) -> tuple:
+                           constraints=None) -> tuple:
     """Optimize over randomized-mode relaxed controls on a finite density
     grid per path-atom; returns (value, RelaxedControlDiscrete).
 
     ``density_grid`` is (n_atoms, k), row x the density values offered to
-    path-atom x (as from :func:`default_density_grid`). With the density
+    path-atom x (as from :func:`default_density_grid`), and
+    ``constraints`` the sparse forms c_r (as from
+    :func:`node_constraint_set`), None for no rows. With the density
     values fixed the program is linear in the conditional weights q(x, j),
     stored atom-major at x * k + j, and in one conditional mean
     mbar(x) = sum_j g(x, j) q(x, j) per atom, stored after them: maximize
@@ -380,7 +459,7 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     strong optimum has the strong optimal value.
     """
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix, hstack, identity, vstack
+    from scipy.sparse import csr_array, eye_array, hstack, vstack
 
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
@@ -399,22 +478,22 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         np.zeros(n_atoms)])
     # atom x owns the weight columns x * n_grid .. (x + 1) * n_grid - 1
     block = (np.arange(n_weights), np.arange(0, n_weights + 1, n_grid))
-    eye = identity(n_atoms, format="csr")
+    eye = eye_array(n_atoms, format="csr")
     a_eq = vstack([
-        hstack([csr_matrix((np.ones(n_weights), *block),
-                           shape=(n_atoms, n_weights)),
-                csr_matrix((n_atoms, n_atoms))]),
-        hstack([csr_matrix((g.ravel(), *block), shape=(n_atoms, n_weights)),
+        hstack([csr_array((np.ones(n_weights), *block),
+                          shape=(n_atoms, n_weights)),
+                csr_array((n_atoms, n_atoms))]),
+        hstack([csr_array((g.ravel(), *block), shape=(n_atoms, n_weights)),
                 -eye]),
-        hstack([csr_matrix((1, n_weights)), csr_matrix(probs[None, :])]),
+        hstack([csr_array((1, n_weights)), csr_array(probs[None, :])]),
     ], format="csr")
     b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
 
-    c = np.empty((0, n_atoms)) if constraints is None else constraints
-    a_ub = hstack([csr_matrix((len(c), n_weights)), csr_matrix(probs * c)],
+    c = csr_array((0, n_atoms)) if constraints is None else constraints
+    a_ub = hstack([csr_array((c.shape[0], n_weights)), c.multiply(probs)],
                   format="csr")
 
-    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(c)), A_eq=a_eq,
+    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(c.shape[0]), A_eq=a_eq,
                      b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"relaxed program failed: {result.message}")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize as sp_minimize
 from scipy.optimize import minimize_scalar
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.special import logsumexp
 
 import relaxed_control
@@ -313,29 +314,46 @@ def test_extraction_skips_nodes_without_mass():
 
 def strong_instance(name):
     """(tree, u, lam, constraints) of a strong-solve test instance, u the
-    zero-fee utility plus linear terms in P_T and Z_T. On "small-node-mass"
-    the optimum puts density 2.6e-4 on some atoms. On "cycling" a residual
-    test against the current residual, not the least so far, hands a pair
-    of points back and forth until the iteration cap. On "concentrated"
-    the Gibbs density at mu = 0 puts e^{-40} of the mass on half the
-    atoms, and Newton's first step needs 51 halvings."""
+    zero-fee utility plus a P_T + b Z_T + c tanh(W_T). On
+    "small-node-mass" the optimum puts density 2.6e-4 on some atoms. On
+    "cycling" a residual test against the current residual, not the least
+    so far, hands a pair of points back and forth until the iteration
+    cap. On "concentrated" the Gibbs density at mu = 0 puts e^{-40} of
+    the mass on half the atoms, and Newton's first step needs 51
+    halvings. On "tiny-curvature" it puts e^{-60} there, so a violated
+    row's curvature is far below that of the others: a step that cuts
+    rows by their pivots' size gives it no step, and the solve raised at
+    once. On "underflow" it puts e^{-1200} there, which is 0 in float64,
+    so some rows have no curvature at all. On "heavy-atom" one atom
+    carries so much of the mass that the centring, applied to the
+    unshifted rows, cancels the rest of the Hessian, and the solve
+    raises. On "slack-rate-row" a rate row whose partner holds the larger
+    multiplier is slack; left where it is, its multiplier stalls the
+    solve."""
     if name.startswith("oracle-tree"):
         return relaxed_instance(name)
-    depth, bound, lam, p_coef, z_coef = {
-        "small-node-mass": (3, 1.0, 0.25, 0.794, -0.992),
-        "cycling": (1, 10.0, 0.25, -1.0, 1.0),
-        "concentrated": (1, 1.0, 0.1, 2.0, 0.0)}[name]
+    depth, branching, bound, lam, a, b, c = {
+        "small-node-mass": (3, 2, 1.0, 0.25, 0.794, -0.992, 0.0),
+        "cycling": (1, 2, 10.0, 0.25, -1.0, 1.0, 0.0),
+        "concentrated": (1, 2, 1.0, 0.1, 2.0, 0.0, 0.0),
+        "tiny-curvature": (1, 2, 0.5, 0.1, -3.0, 0.0, 0.0),
+        "underflow": (1, 2, 0.5, 0.005, -3.0, 0.0, 0.0),
+        "heavy-atom": (2, 2, 1.0, 0.05, -2.33, 1.56, 0.0),
+        "slack-rate-row": (2, 3, 0.5, 0.1, -1.9027, -0.4257, -0.6424)}[name]
     params = ModelParams(rate_lower=-bound, rate_upper=bound)
-    tree = oracle.build_tree(depth, 2, params)
+    tree = oracle.build_tree(depth, branching, params)
+    p, z, w = tree.paths[:, -1].T
     u = (oracle.atom_utility_from_contract(tree, Constant(0.0), params)
-         + p_coef * tree.paths[:, -1, 0] + z_coef * tree.paths[:, -1, 1])
+         + a * p + b * z + c * np.tanh(w))
     return tree, u, lam, oracle.node_constraint_set(tree, -bound, bound)
 
 
 @pytest.mark.parametrize("name", ["oracle-tree-3", "small-node-mass",
-                                  "cycling", "concentrated"])
+                                  "cycling", "concentrated",
+                                  "tiny-curvature", "underflow",
+                                  "heavy-atom", "slack-rate-row"])
 def test_strong_solve_converges_in_few_newton_steps(name):
-    # projected Newton from mu = 0 takes 6 and 13 steps on the first two,
+    # projected Newton from mu = 0 takes 6 and 16 steps on the first two,
     # where L-BFGS-B took 208 and 866 iterations
     tree, u, lam, cons = strong_instance(name)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
@@ -343,11 +361,66 @@ def test_strong_solve_converges_in_few_newton_steps(name):
     assert abs(sol.duality_gap) <= 1e-12
 
 
+def test_infeasible_rows_are_proved_infeasible():
+    # with L = U = 5 no density gives the Z step its mean 5 dt: the dual
+    # value falls below the least value of any density, which weak
+    # duality turns into a proof, where the solve ran its 10,000 steps
+    params = ModelParams(rate_lower=5.0, rate_upper=5.0)
+    tree = oracle.build_tree(1, 2, params)
+    u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+    cons = oracle.node_constraint_set(tree, 5.0, 5.0)
+    with pytest.raises(RuntimeError, match="the instance is infeasible"):
+        oracle.solve_strong_discrete(tree, u, params.entropy_weight, cons)
+
+
+# the zero fee's strong value on the branching-2 tree with node
+# constraints, lam = 2 eps^2 phi_a and the default rate bounds, by depth
+# (ROADMAP item 5)
+ZERO_FEE_LADDER = {2: 0.0285756177543066, 3: 0.0330634855655426,
+                   4: 0.0348835107280312}
+
+
+def test_strong_tree_value_approaches_the_closed_form():
+    # the strong tree value is a binomial approximation of V_a, 1/24 for
+    # the zero fee, and its error shrinks with every step of depth
+    params = ModelParams()
+    errors = []
+    for depth, value in ZERO_FEE_LADDER.items():
+        tree = oracle.build_tree(depth, 2, params)
+        u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+        cons = oracle.node_constraint_set(tree, params.rate_lower,
+                                          params.rate_upper)
+        sol = oracle.solve_strong_discrete(tree, u, params.entropy_weight,
+                                           cons)
+        assert sol.converged and abs(sol.duality_gap) <= 1e-12
+        assert sol.value == pytest.approx(value, rel=1e-6)
+        errors.append(abs(sol.value - 1.0 / 24.0))
+    assert errors[0] > errors[1] > errors[2]
+
+
+def test_node_forms_store_their_blocks_only():
+    # at depth 4 the forms are 3,510 x 4,096; each stores its node's atom
+    # block, 6 entries per atom and depth, where a dense array took 115 MB
+    tree = oracle.build_tree(4, 2, PARAMS)
+    # a first call loads the lazily imported scipy outside the trace
+    oracle.node_constraint_set(tree, -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        forms = oracle.node_constraint_set(tree, -1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert issparse(forms) and forms.format == "csr"
+    assert forms.shape == (6 * (1 + 8 + 64 + 512), tree.n_atoms)
+    assert forms.nnz <= 6 * tree.depth * tree.n_atoms
+    assert peak < 5 * 2**20
+
+
 def test_extraction_at_small_node_mass():
     # extraction divides node moments by the tilted node mass and dt, so
     # small node masses amplify the KKT residual: here the smallest
-    # density is 2.6e-4, and the violations read 8.7e-14 (relaxed) and
-    # 3.3e-14 (Dirac embedding)
+    # density is 2.6e-4, and the violations read 5.5e-13 (relaxed) and
+    # 5.2e-14 (Dirac embedding)
     tree, u, lam, cons = strong_instance("small-node-mass")
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     assert sol.converged and abs(sol.duality_gap) <= 1e-12
@@ -430,7 +503,8 @@ def test_dirac_counts_distinct_density_values():
 # Reference implementations: the relaxed LP with per-atom loops and the
 # constraint moments spelled out on every (atom, grid point) weight, and
 # the strong solve by projected-gradient dual ascent with a separate dual
-# value and gradient. The solvers must reproduce their optima.
+# value and gradient, both on the dense forms. The solvers must reproduce
+# their optima.
 
 def reference_lp(tree, u, lam, grid, constraints):
     probs = tree.probs
@@ -450,6 +524,7 @@ def reference_lp(tree, u, lam, grid, constraints):
     a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
     a_ub = None
     if constraints is not None:
+        constraints = constraints.toarray()
         rows, cols, vals = [], [], []
         for r in range(len(constraints)):
             coeff = constraints[r]
@@ -469,7 +544,7 @@ def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
     if constraints is None:
         m = np.exp(u / lam - logsumexp(u / lam, b=probs))
         return None, m, 0
-    c = constraints
+    c = constraints.toarray()
 
     def gibbs(adjusted):
         return np.exp(adjusted / lam - logsumexp(adjusted / lam, b=probs))
@@ -515,7 +590,7 @@ def test_lp_assembly_matches_loop_reference(constrained):
     cost, a_eq, a_ub = reference_lp(tree, u, 0.3, grid, cons)
     reference = linprog(
         cost, A_ub=a_ub,
-        b_ub=None if a_ub is None else np.zeros(len(cons)),
+        b_ub=None if a_ub is None else np.zeros(cons.shape[0]),
         A_eq=a_eq, b_eq=np.ones(tree.n_atoms + 1), bounds=(0, None),
         method="highs")
     assert reference.success
