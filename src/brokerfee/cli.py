@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import agent, contracts, oracle, principal, simulate
-from .model import FeedbackPolicy, ModelParams, validate_params
+from .model import ModelParams, validate_params
 from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -191,14 +191,15 @@ def _write_json(path, obj):
 
 def _mode_simulate(config, out_dir, lines):
     """Reference-measure batch, density normalization, effective sample
-    size of the weights, entropy identity. A policy whose weights have
-    degenerated is flagged and gets no E[m] in the summary."""
+    size of the weights, entropy identity, each at the constant rates L,
+    0 and U clamped to [L, U]. A policy whose weights have degenerated is
+    flagged and gets no E[m] in the summary."""
     params = config.params
     rows = []
     for label, rate in (("lower", params.rate_lower), ("zero", 0.0),
                         ("upper", params.rate_upper)):
         weighted = simulate.weighted_reference(
-            params, FeedbackPolicy.constant(rate, params),
+            params, min(max(rate, params.rate_lower), params.rate_upper),
             split_seed(params.seed, f"sim-{label}"))
         mean, se = simulate.mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
@@ -339,9 +340,8 @@ def _weighted_checks(params):
     density normalization, entropy identity and constraint moments, as
     (name, passed, detail) rows, and whether the weights are degenerate
     (:func:`simulate.is_degenerate`). The sample is dropped on return."""
-    policy = FeedbackPolicy.constant(_verify_rate(params), params)
     sample = simulate.weighted_reference(
-        params, policy, split_seed(params.seed, "verify-sim"))
+        params, _verify_rate(params), split_seed(params.seed, "verify-sim"))
     mean, se = simulate.mean_se(sample.m)
     checks = [("girsanov_normalization", abs(mean - 1.0) <= 3 * se,
                f"|E[m]-1| = {abs(mean - 1.0):.2e}, 3se = {3 * se:.2e}")]
@@ -363,7 +363,7 @@ def _mode_verify(config, out_dir, lines):
     """Invariant battery: density normalization, entropy identity,
     constraint moments, and the discrete oracle equalities. The three Monte
     Carlo checks read ``degenerate``, not pass or FAIL, when the weights
-    are (:func:`simulate.is_degenerate`). Their weighted sample, 12 floats
+    are (:func:`simulate.is_degenerate`). Their weighted sample, 11 floats
     per path, is dropped before the oracle checks load their solvers."""
     params = config.params
     checks, degenerate = _weighted_checks(params)

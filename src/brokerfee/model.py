@@ -107,8 +107,6 @@ class FeedbackPolicy:
     (w, z, t) cell by the same code as :func:`interpolate`. The t cell is
     found once per call and the w and z cells by arithmetic on the uniform
     nodes. Beyond the grid edges the value is extrapolated by a constant.
-    Only a policy made by :meth:`constant` returns its rate without a
-    lookup; any other table is blended, also one of a single value.
 
     A table of shape (K, n_t, n_w, n_z) holds a batch of K rules
     (:meth:`stack`), and ``batch_shape`` is (K,), () for a single rule.
@@ -116,8 +114,7 @@ class FeedbackPolicy:
     (rows,), and the Z of each member, with shape (K, rows). The t and w
     cells are found once for all members, and every member's corners are
     blended in one gather, so each member's rates equal its own policy's
-    lookup bit for bit, but for a member made by :meth:`constant`: the
-    batch blends its table like any other.
+    lookup bit for bit.
     """
 
     def __init__(self, t_nodes, w_nodes, z_nodes, table, bounds):
@@ -137,25 +134,12 @@ class FeedbackPolicy:
         self.table = table
         self.batch_shape = table.shape[:-3]
         n_t, n_w, n_z = expected
-        self._rate = None       # a :meth:`constant` policy's rate
         self._t_list = self.t_nodes.tolist()
         self._flat = table.ravel()
         self._plane = n_w * n_z
         # the flat start of each member's table
         self._starts = np.arange(0, table.size, n_t * self._plane)[:, None]
         self._offsets = _corner_offsets((n_z, 1, n_w * n_z))
-
-    @classmethod
-    def constant(cls, rate, params: ModelParams):
-        """Policy identically equal to ``rate`` (clamped to [L, U]), which
-        it returns without a lookup."""
-        bounds = (params.rate_lower, params.rate_upper)
-        nodes = np.array([0.0, params.horizon])
-        table = np.full((2, 2, 2), float(rate))
-        policy = cls(nodes, np.array([-1.0, 1.0]), np.array([-1.0, 1.0]),
-                     table, bounds)
-        policy._rate = policy.table[0, 0, 0]
-        return policy
 
     @classmethod
     def stack(cls, policies):
@@ -183,11 +167,7 @@ class FeedbackPolicy:
     def __call__(self, t, w, z):
         """Rates at the scalar time ``t``; broadcasts over w and z (for a
         batch, over w and each member's z)."""
-        t = float(t)
-        if self._rate is not None:
-            return np.full(np.broadcast_shapes(np.shape(w), np.shape(z)),
-                           self._rate)
-        it, ft = self._time_cell(t)
+        it, ft = self._time_cell(float(t))
         iw, fw = _uniform_cell(self.w_nodes, w)
         iz, fz = _uniform_cell(self.z_nodes, z)
         n_z = len(self.z_nodes)

@@ -173,7 +173,7 @@ class StrongSolution:
     multipliers: np.ndarray    # one per constraint row, empty for none
     kkt_residual: float
     iterations: int
-    converged: bool            # kkt_residual <= _TOL when the solve ended
+    converged: bool            # kkt_residual and |duality_gap| <= _TOL
     duality_gap: float         # D(mu) - value, D(mu) >= every relaxed value
 
 
@@ -282,8 +282,8 @@ def _newton_step(forms, tilted, moments, mu, lam):
     return step * min(1.0, _EXP_RANGE / nats) if nats > 0.0 else step
 
 
-# Newton-step cap of one strong solve and the KKT residual it stops at,
-# near float64 resolution
+# Newton-step cap of one strong solve and the KKT residual and duality
+# gap it stops at, near float64 resolution
 _MAX_ITER = 10_000
 _TOL = 1e-12
 # the largest change of a log-density that one Newton step may make: the
@@ -314,9 +314,14 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     ``duality_gap`` is D(mu) minus the value of the returned density; by
     weak duality D(mu) bounds the relaxed value over every randomized
     control, so a gap near 0 certifies that randomization cannot beat the
-    returned strong control. A solve that reaches ``_MAX_ITER`` steps, or
-    stalls, with the residual above ``_TOL`` returns with ``converged``
-    False, or raises when the residual exceeds 1e3 * ``_TOL``. It raises
+    returned strong control. The solve stops, with ``converged`` True,
+    once the residual and |``duality_gap``| are both at most ``_TOL``:
+    the gap is minus the sum of the complementary products that the
+    residual bounds one by one, so it can stay above ``_TOL`` when the
+    residual is below. With no rows it takes no step, and ``converged``
+    reads the gap that rounding leaves. A solve that reaches ``_MAX_ITER``
+    steps, or stalls, returns with ``converged`` False, or raises when
+    the residual exceeds 1e3 * ``_TOL``. It raises
     at once when D falls below min u - lam log(1 / min p), which weak
     duality rules out while any density meets the rows.
     """
@@ -340,8 +345,9 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     iterations = 0
     m, dual_value, moments = at(mu)
     residual = least = _kkt_residual(mu, moments)
-    while (residual > _TOL and iterations < _MAX_ITER
-           and dual_value >= floor):
+    value = _primal_value(probs, m, u, lam)
+    while (mu.size and max(residual, abs(dual_value - value)) > _TOL
+           and iterations < _MAX_ITER and dual_value >= floor):
         step = _newton_step(c, probs * m, moments, mu, lam)
         # down to 2^-99, about e^{-69}: where the Gibbs masses span a
         # factor e^{69}, Newton can overshoot by about that factor
@@ -352,15 +358,17 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
             armijo = max(1e-4 * float(moments @ (trial - mu)),
                          1e-14 * abs(dual_value))
             # the residual is held to the least so far, so the two tests
-            # cannot hand a pair of points back and forth
+            # cannot hand a pair of points back and forth, and a residual
+            # of 0 admits no step on its own
             if (dual_value - state[1] >= armijo
-                    or trial_residual <= (1.0 - 1e-4) * least):
+                    or trial_residual < (1.0 - 1e-4) * least):
                 break
         else:
             break           # no decrease left at float64 resolution
         mu, residual = trial, trial_residual
         least = min(least, residual)
         m, dual_value, moments = state
+        value = _primal_value(probs, m, u, lam)
         iterations += 1
     if dual_value < floor:
         raise RuntimeError(
@@ -371,9 +379,9 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise RuntimeError(
             f"dual ascent did not converge: KKT residual {residual:g} "
             "(instance may be infeasible)")
-    value = _primal_value(probs, m, u, lam)
+    gap = dual_value - value
     return StrongSolution(value, m, mu, residual, iterations,
-                          residual <= _TOL, dual_value - value)
+                          max(residual, abs(gap)) <= _TOL, gap)
 
 
 def default_density_grid(density) -> np.ndarray:

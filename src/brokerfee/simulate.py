@@ -2,14 +2,15 @@
 
 Paths are simulated under a controlled measure induced by a feedback
 trading rate, or under the scaled reference measure (independent
-Brownian coordinates) and reweighted by the exponential density of the
-policy, which reproduces controlled expectations. The client moves only
-the drift, so both are one Euler scheme on the same draws: the controlled
-sampler applies the drift to the path, the weighted sampler prices it
-into log M. The routines here estimate the normalization, the effective
-sample size of the weights, the entropy identity relating E[M log M] to
-half the expected squared drift, and the constraint moments that
-characterize admissibility.
+Brownian coordinates) and reweighted by the exponential density of a
+constant rate, which reproduces controlled expectations. The client
+moves only the drift, so both are one Euler scheme on the same draws:
+the controlled sampler applies the drift to the path, the weighted
+sampler prices it into log M, where a constant rate pi enters only
+through Z_T. The routines here estimate the normalization, the
+effective sample size of the weights, the entropy identity relating
+E[M log M] to half the expected squared drift, and the constraint
+moments that characterize admissibility.
 
 The constraint rows are linear in the state increments, so the stopped
 moments telescope: one path needs one running integral of W, one
@@ -22,8 +23,8 @@ Both measures are sampled one row chunk at a time, time-major: the draws
 of a chunk fill one (n_steps, 3, rows) buffer, allocated once per sampler
 call, through its transposed view, and the state is a few row vectors
 updated in place, step by step. Only per-path results are kept, in
-arrays allocated once per call: :func:`weighted_reference` keeps 12
-floats per path (the density, its log, two integrals, six row
+arrays allocated once per call: :func:`weighted_reference` keeps 11
+floats per path (the density, its log, the integral of W^2, six row
 increments, and W and Z at T / 2) and :func:`simulate_controlled` 4
 (the terminal P and Z and the integrals of Z W and pi^2). The draw
 buffer holds 3 floats per path and step of one chunk, where a whole
@@ -129,19 +130,19 @@ def simulate_controlled(params: ModelParams, policy: FeedbackPolicy,
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Per-path results of reference paths reweighted by one policy.
+    """Per-path results of reference paths reweighted by one constant rate.
 
-    ``m`` is the density dQ^pi / dW of each path, ``log_m`` its log, and
-    ``int_pi_sq`` and ``int_w_sq`` are the left-point integrals of pi^2 and
+    ``rate`` is that rate pi. ``m`` is the density dQ^pi / dW of each
+    path, ``log_m`` its log, and ``int_w_sq`` the left-point integral of
     W^2, each of shape (count,). ``increments[r]`` holds the stopped
-    window's increment Y_{t ^ tau} - Y_{s ^ tau} of constraint row r, shape
-    (6, count), and ``at_s`` holds W_s and Z_s, which the test functionals
-    read, shape (2, count).
+    window's increment Y_{t ^ tau} - Y_{s ^ tau} of constraint row r,
+    shape (6, count), and ``at_s`` holds W_s and Z_s, which the test
+    functionals read, shape (2, count).
     """
 
+    rate: float
     m: np.ndarray
     log_m: np.ndarray
-    int_pi_sq: np.ndarray
     int_w_sq: np.ndarray
     increments: np.ndarray
     at_s: np.ndarray
@@ -219,24 +220,26 @@ def _in_row_chunks(params: ModelParams, seed: int, chunk) -> list:
     return outputs
 
 
-def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
+def weighted_reference(params: ModelParams, rate: float,
                        seed: int) -> WeightedSample:
-    """Reweight the ``params.n_paths`` reference paths of ``seed`` by
-    ``policy``: the density dQ^pi / dW of every path, the integrals of the
-    entropy identity, and what the constraint moments of the built-in test
-    functionals are formed from.
+    """Reweight the ``params.n_paths`` reference paths of ``seed`` by the
+    constant rate ``rate``: the density dQ^pi / dW of every path, the
+    integral of the entropy identity, and what the constraint moments of
+    the built-in test functionals are formed from.
 
     Under the reference measure dP = sigma dB1, dZ = eps dB2 and dW = dB3,
-    and with W_i and pi_i read at the left point of each step,
+    and with W_i read at the left point of each step,
 
-        log M = sum_i [ (W_i / sigma^2) dP_i + (pi_i / eps^2) dZ_i
-                        - (1/2) ((W_i / sigma)^2 + (pi_i / eps)^2) dt ],
+        log M = sum_i [ (W_i / sigma^2) dP_i - (1/2) (W_i / sigma)^2 dt ]
+                + (pi / eps^2) Z_T - (1/2) (pi / eps)^2 T,
 
-    formed after the loop from the running sums of W dP, pi dZ, W^2 and
-    pi^2. A chunk (:func:`_in_row_chunks`) runs time-major on the
-    increments of :func:`simulate_controlled` and keeps only the per-path
-    results, so memory grows by 12 floats per path. The sample equals that
-    of the whole batch taken as one chunk, bit for bit.
+    formed after the loop from the running sums of W dP and W^2 and the
+    terminal Z. The rate is taken as given, not clamped to [L, U], so an
+    inadmissible rate shows in the constraint moments. A chunk
+    (:func:`_in_row_chunks`) runs time-major on the increments of
+    :func:`simulate_controlled` and keeps only the per-path results, so
+    memory grows by 11 floats per path. The sample equals that of the
+    whole batch taken as one chunk, bit for bit.
 
     The state (P, Z, W, sum of W) is frozen at tau_N, the first grid index
     where |P|, |Z| or |W| reaches the truncation level (n_steps if none
@@ -247,7 +250,7 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
     (:meth:`WeightedSample.moment_samples`).
     """
     n = params.n_steps
-    dt, times = params.dt, params.times
+    dt = params.dt
     s2, e2 = params.sigma**2, params.epsilon**2
     i_s = n // 2
 
@@ -255,7 +258,7 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
         rows = steps.shape[-1]
         state = np.zeros((4, rows))         # P, Z, W and sum_{k < i} W_k
         _, z, w, sum_w = state
-        w_dp, pi_dz, w_sq, pi_sq = (np.zeros(rows) for _ in range(4))
+        w_dp, w_sq = np.zeros(rows), np.zeros(rows)
         term = np.empty(rows)
         stop = np.full(rows, n)             # tau_N
         live = np.ones(rows, dtype=bool)
@@ -263,15 +266,10 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
         start = np.zeros((4, rows))         # the state at min(i_s, tau_N)
         at_s = np.zeros((2, rows))          # W and Z at i_s
         for i in range(n):
-            pi = policy(times[i], w, z)
             np.multiply(w, steps[i, 0], out=term)
             w_dp += term
-            np.multiply(pi, steps[i, 1], out=term)
-            pi_dz += term
             np.multiply(w, w, out=term)
             w_sq += term
-            np.multiply(pi, pi, out=term)
-            pi_sq += term
             sum_w += w
             state[:3] += steps[i]
             hit = np.any(np.abs(state[:3]) >= _TRUNCATION_LEVEL, axis=0)
@@ -283,13 +281,15 @@ def weighted_reference(params: ModelParams, policy: FeedbackPolicy,
             if i + 1 == i_s:
                 start = np.where(live, state, end)
                 at_s = state[[2, 1]]
-        log_m = w_dp / s2 + pi_dz / e2 - 0.5 * dt * (w_sq / s2 + pi_sq / e2)
+        # the state runs on past tau_N, so z is the untruncated Z_T
+        log_m = (w_dp / s2 + rate / e2 * z
+                 - 0.5 * (dt * w_sq / s2 + rate**2 * params.horizon / e2))
         end[:, live] = state[:, live]
         increments = _window_increments(
             start, end, (stop - np.minimum(i_s, stop)) * dt, params)
-        return np.exp(log_m), log_m, pi_sq * dt, w_sq * dt, increments, at_s
+        return np.exp(log_m), log_m, w_sq * dt, increments, at_s
 
-    return WeightedSample(*_in_row_chunks(params, seed, chunk))
+    return WeightedSample(rate, *_in_row_chunks(params, seed, chunk))
 
 
 # A weighted batch whose Kong ESS is below this fraction of its paths is
@@ -353,7 +353,7 @@ def entropy_report(sample: WeightedSample,
     both sides from the same weighted sample.
     """
     lhs, lhs_se = mean_se(sample.m * sample.log_m)
-    drift_sq = (sample.int_pi_sq / params.epsilon**2
+    drift_sq = (sample.rate**2 * params.horizon / params.epsilon**2
                 + sample.int_w_sq / params.sigma**2)
     rhs, rhs_se = mean_se(0.5 * sample.m * drift_sq)
     return EntropyReport(lhs, rhs, lhs_se, rhs_se)

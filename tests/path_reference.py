@@ -40,19 +40,17 @@ def reference_paths(params, count, seed) -> Paths:
     return Paths(params.times, *coords)
 
 
-def reference_log_density(paths, policy, params) -> tuple:
-    """(log M, int pi^2 dt, int W^2 dt) per path, left-point sums:
+def reference_log_density(paths, rate, params) -> tuple:
+    """(log M, int W^2 dt) per path for the constant rate ``rate``,
+    left-point sums:
 
-    log M = sum_i [ (W_i / sigma^2) dP_i + (pi_i / eps^2) dZ_i
-                    - (1/2) ((W_i / sigma)^2 + (pi_i / eps)^2) dt ]
+    log M = sum_i [ (W_i / sigma^2) dP_i + (rate / eps^2) dZ_i
+                    - (1/2) ((W_i / sigma)^2 + (rate / eps)^2) dt ]
     """
     dt = params.dt
     w = paths.w[:, :-1]
-    rates = np.stack([policy(t, paths.w[:, i], paths.z[:, i])
-                      for i, t in enumerate(paths.times[:-1])], axis=1)
     terms = (w / params.sigma**2 * np.diff(paths.p, axis=1)
-             + rates / params.epsilon**2 * np.diff(paths.z, axis=1)
+             + rate / params.epsilon**2 * np.diff(paths.z, axis=1)
              - 0.5 * ((w / params.sigma)**2
-                      + (rates / params.epsilon)**2) * dt)
-    return (np.sum(terms, axis=1), np.sum(rates**2, axis=1) * dt,
-            np.sum(w**2, axis=1) * dt)
+                      + (rate / params.epsilon)**2) * dt)
+    return np.sum(terms, axis=1), np.sum(w**2, axis=1) * dt

@@ -183,14 +183,17 @@ def test_objective_forms_agree():
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
                          n_paths=40_000)
     contract = Constant(0.1)
-    policy = FeedbackPolicy.constant(0.5, params)
+    # the controlled side holds the rate 0.5 in a table of one value
+    nodes = np.array([-1.0, 1.0])
+    policy = FeedbackPolicy(np.array([0.0, params.horizon]), nodes, nodes,
+                            np.full((2, 2, 2), 0.5), (-1.0, 1.0))
 
     v_q, se_q = estimate_agent_value(contract, policy, params, 11)
 
     # the objective reads the paths: they are built whole from the draws
     # that the library weights, row for row
     reference = path_reference.reference_paths(params, 40_000, 12)
-    weights = simulate.weighted_reference(params, policy, 12)
+    weights = simulate.weighted_reference(params, 0.5, 12)
     xi = contract.terminal_payoff(reference.p[:, -1], reference.z[:, -1])
     zeta = zeta_integral(reference.z, reference.w, params.dt, params)
     v_w, se_w = simulate.mean_se(

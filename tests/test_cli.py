@@ -332,6 +332,25 @@ def test_simulate_reports_degenerate_weights_at_default_bounds(tmp_path):
     assert "policy upper: E[m]" not in summary
 
 
+def test_simulate_reweights_at_rates_clamped_into_the_bounds(tmp_path,
+                                                            monkeypatch):
+    # 0 lies below L = 0.5, so the zero row is reweighted at L
+    rates = []
+
+    def recording(params, rate, seed):
+        rates.append(rate)
+        return weighted(params, rate, seed)
+
+    weighted = cli.simulate.weighted_reference
+    monkeypatch.setattr(cli.simulate, "weighted_reference", recording)
+    cfg, _ = write_config(tmp_path, "simulate")
+    cfg.write_text(cfg.read_text()
+                   .replace("rate_lower = -1.0", "rate_lower = 0.5")
+                   .replace("rate_upper = 1.0", "rate_upper = 2.0"))
+    assert cli.run(cfg) == 0
+    assert rates == [0.5, 0.5, 2.0]
+
+
 def test_agent_mode_arrays(tmp_path):
     cfg, out = write_config(tmp_path, "agent")
     assert cli.run(cfg) == 0
@@ -454,9 +473,9 @@ def test_verify_reweights_the_z_channel_at_default_bounds(tmp_path,
     # channel unweighted; verify uses min(U / 2, eps / sqrt(T)) = 0.5
     rates = []
 
-    def recording(params, policy, seed):
-        rates.append(float(policy(0.0, 0.0, 0.0)))
-        return weighted(params, policy, seed)
+    def recording(params, rate, seed):
+        rates.append(rate)
+        return weighted(params, rate, seed)
 
     weighted = cli.simulate.weighted_reference
     monkeypatch.setattr(cli.simulate, "weighted_reference", recording)
@@ -501,7 +520,8 @@ def test_verify_drops_the_weighted_sample_before_the_oracle(tmp_path,
     # the oracle checks load scipy.optimize and HiGHS, which sets the
     # run's peak memory: no numpy array of a whole number of floats per
     # path may still be traced when they start. The same probe, taken
-    # while the weighting flags degenerate weights, sees the sample
+    # while the weighting flags degenerate weights, sees the sample's five
+    # arrays (m, log M, the integral of W^2, the increments and W_s, Z_s)
     n_paths = 2011
     cfg, out = write_config(tmp_path, "verify")
     cfg.write_text(cfg.read_text().replace("n_paths = 2000",
@@ -526,7 +546,7 @@ def test_verify_drops_the_weighted_sample_before_the_oracle(tmp_path,
         assert cli.run(cfg) == 0
     finally:
         tracemalloc.stop()
-    assert len(seen["weighted"]) >= 6
+    assert len(seen["weighted"]) >= 5
     assert seen["oracle"] == []
     assert "FAIL" not in (out / "verify.csv").read_text()
 

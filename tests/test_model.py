@@ -43,28 +43,31 @@ def test_dt_and_times():
     assert np.allclose(params.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def one_value_policy(value, bounds):
+    """The policy of a (2, 2, 2) table that holds ``value`` alone."""
+    nodes = np.array([-1.0, 1.0])
+    return FeedbackPolicy(np.array([0.0, 1.0]), nodes, nodes,
+                          np.full((2, 2, 2), value), bounds)
+
+
 def test_constant_policy():
-    params = ModelParams(rate_lower=-2.0, rate_upper=2.0)
-    policy = FeedbackPolicy.constant(1.5, params)
+    # a table of one value returns it, clamped to the bounds
+    policy = one_value_policy(1.5, (-2.0, 2.0))
     assert policy(0.3, 0.7, -0.2) == pytest.approx(1.5)
-    clamped = FeedbackPolicy.constant(5.0, params)
+    clamped = one_value_policy(5.0, (-2.0, 2.0))
     assert clamped(0.0, 0.0, 0.0) == pytest.approx(2.0)
 
 
 def test_constant_policy_returns_its_clamped_rate_exactly():
-    params = ModelParams(rate_lower=-2.0, rate_upper=0.7)
+    # a table of one value is blended, and the clamp at L = U makes its
+    # every rate exact: the one constant table a solve makes
     w = np.linspace(-3.0, 3.0, 7)[:, None]
-    z = np.linspace(-0.9, 0.9, 5)
-    for rate, expected in ((0.1, 0.1), (5.0, 0.7), (-3.0, -2.0)):
-        out = FeedbackPolicy.constant(rate, params)(0.3, w, z)
-        assert out.shape == (7, 5)
-        assert np.all(out == expected)
-    # any other table of one value is blended, and the clamp at L = U
-    # makes its every rate exact: the one constant table a solve makes
     policy = FeedbackPolicy(np.array([0.0, 0.4, 1.0]), np.linspace(-1, 1, 4),
                             np.linspace(-2, 2, 3), np.full((3, 4, 3), 0.3),
                             (0.3, 0.3))
-    assert np.all(policy(0.5, w, 0.25) == 0.3)
+    out = policy(0.5, w, 0.25)
+    assert out.shape == (7, 1)
+    assert np.all(out == 0.3)
 
 
 @pytest.mark.parametrize("axis", ["w", "z"])
@@ -304,10 +307,9 @@ def test_policy_is_interpolate_over_w_z_t():
 @given(st.floats(-20, 20), st.floats(-10, 10), st.floats(-10, 10),
        st.floats(0, 1))
 def test_policy_always_within_bounds(value, w, z, t):
-    params = ModelParams(rate_lower=-1.5, rate_upper=2.5)
-    policy = FeedbackPolicy.constant(value, params)
+    policy = one_value_policy(value, (-1.5, 2.5))
     rate = float(policy(t, w, z))
-    assert params.rate_lower <= rate <= params.rate_upper
+    assert -1.5 <= rate <= 2.5
 
 
 def residuals(bounds, w, rate):

@@ -16,10 +16,18 @@ PARAMS = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100,
                      n_paths=20_000)
 
 
+def one_value_policy(rate, params):
+    """The policy of a table that holds ``rate`` alone, clamped to the
+    rate bounds of ``params``: every call blends its corners."""
+    nodes = np.array([-1.0, 1.0])
+    return FeedbackPolicy(np.array([0.0, params.horizon]), nodes, nodes,
+                          np.full((2, 2, 2), rate),
+                          (params.rate_lower, params.rate_upper))
+
+
 @pytest.fixture(scope="module")
 def weighted_sample():
-    policy = FeedbackPolicy.constant(0.8, PARAMS)
-    return simulate.weighted_reference(PARAMS, policy, 31)
+    return simulate.weighted_reference(PARAMS, 0.8, 31)
 
 
 def test_reference_batch_statistics():
@@ -35,9 +43,8 @@ def test_reference_batch_statistics():
     assert np.std(batch.z[:, -1]) == pytest.approx(PARAMS.epsilon * np.sqrt(T),
                                                    rel=0.02)
     assert np.std(batch.w[:, -1]) == pytest.approx(np.sqrt(T), rel=0.02)
-    sample = simulate.weighted_reference(
-        replace(PARAMS, n_paths=50_000), FeedbackPolicy.constant(0.0, PARAMS),
-        5)
+    sample = simulate.weighted_reference(replace(PARAMS, n_paths=50_000),
+                                         0.0, 5)
     n = PARAMS.n_steps
     assert np.mean(sample.int_w_sq) == pytest.approx(
         PARAMS.dt**2 * n * (n - 1) / 2, rel=0.02)
@@ -45,9 +52,8 @@ def test_reference_batch_statistics():
 
 def test_reference_determinism():
     params = replace(PARAMS, n_paths=100)
-    policy = FeedbackPolicy.constant(0.8, params)
-    a = simulate.weighted_reference(params, policy, 9)
-    b = simulate.weighted_reference(params, policy, 9)
+    a = simulate.weighted_reference(params, 0.8, 9)
+    b = simulate.weighted_reference(params, 0.8, 9)
     for field in fields(simulate.WeightedSample):
         assert np.array_equal(getattr(a, field.name),
                               getattr(b, field.name)), field.name
@@ -59,7 +65,7 @@ def test_reference_determinism():
 
 
 def test_controlled_simulation_drift():
-    policy = FeedbackPolicy.constant(1.0, PARAMS)
+    policy = one_value_policy(1.0, PARAMS)
     sample = simulate.simulate_controlled(PARAMS, policy, 3)
     assert sample.count == 20_000
     # Z gains drift pi = 1; P gains the integrated W drift (mean zero, with
@@ -83,8 +89,8 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
                             np.clip(ww - 0.5 * zz + tt, -1.0, 1.0),
                             (-1.0, 1.0))
     # at the default chunk size all 49 rows are one chunk
-    whole = simulate.weighted_reference(params, policy, 23)
-    assert_matches_path_reference(whole, params, policy, 23)
+    whole = simulate.weighted_reference(params, 0.8, 23)
+    assert_matches_path_reference(whole, params, 0.8, 23)
     whole_controlled = simulate.simulate_controlled(params, policy, 23)
 
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", rows * 3 * params.n_steps)
@@ -101,7 +107,7 @@ def test_chunks_match_the_whole_batch(rows, monkeypatch):
 
     monkeypatch.setattr(simulate, "gaussians", recording)
     expected = [(lo, min(lo + rows, 49)) for lo in range(0, 49, rows)]
-    chunked = simulate.weighted_reference(params, policy, 23)
+    chunked = simulate.weighted_reference(params, 0.8, 23)
     assert chunks == expected
     assert whole.increments.shape == (6, 49)
     assert whole.at_s.shape == (2, 49)
@@ -154,37 +160,36 @@ def test_controlled_sample_matches_path_reference():
 
 def test_weighted_reference_memory_is_per_path(monkeypatch):
     # memory stays bounded as the path count grows: the sample keeps
-    # 4 + 6 + 2 = 12 floats per path (the density, its log, two
-    # integrals, six row increments, and W and Z at T / 2), where one
+    # 3 + 6 + 2 = 11 floats per path (the density, its log, the integral
+    # of W^2, six row increments, and W and Z at T / 2), where one
     # batch of 100 steps holds about 700 floats per path in flight.
     # With chunks of 216 rows both runs have several, and the peak grows
     # by the sample alone: chunk results gathered by concatenation would
     # double that growth
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=100)
-    policy = FeedbackPolicy.constant(0.5, params)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 1 << 16)
     # a first call loads the lazily imported scipy outside the trace
-    simulate.weighted_reference(replace(params, n_paths=4), policy, 3)
+    simulate.weighted_reference(replace(params, n_paths=4), 0.5, 3)
 
     def peak_bytes(count):
         tracemalloc.start()
         try:
             sample = simulate.weighted_reference(
-                replace(params, n_paths=count), policy, 3)
+                replace(params, n_paths=count), 0.5, 3)
             assert sample.increments.shape == (6, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     small, large = peak_bytes(4_000), peak_bytes(8_000)
-    assert large - small <= 1.25 * 12 * 8 * 4_000
+    assert large - small <= 1.25 * 11 * 8 * 4_000
 
 
 def test_controlled_memory_is_per_path():
     # the sample keeps 4 floats per path, where one batch of 250 steps
     # holds about 1,750 floats per path in flight
     params = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250)
-    policy = FeedbackPolicy.constant(0.5, params)
+    policy = one_value_policy(0.5, params)
 
     def peak_bytes(count):
         tracemalloc.start()
@@ -273,11 +278,13 @@ def test_girsanov_normalization(weighted_sample):
 
 
 def test_girsanov_zero_rate_isolates_w_channel():
-    policy = FeedbackPolicy.constant(0.0, PARAMS)
-    wb = simulate.weighted_reference(PARAMS, policy, 13)
+    wb = simulate.weighted_reference(PARAMS, 0.0, 13)
     mean, se = simulate.mean_se(wb.m)
     assert abs(mean - 1.0) <= 3 * se
-    assert np.all(wb.int_pi_sq == 0.0)
+    # the entropy identity's drift is the W channel's alone
+    rhs, _ = simulate.mean_se(0.5 * wb.m * wb.int_w_sq / PARAMS.sigma**2)
+    assert simulate.entropy_report(wb, PARAMS).rhs == pytest.approx(
+        rhs, rel=1e-12)
 
 
 def test_entropy_identity_full_model(weighted_sample):
@@ -305,7 +312,6 @@ def test_eta_family_composition(monkeypatch):
     # of W_{T/2} alone and three of Z_{T/2} alone: moving one coordinate
     # from s = T / 2 on moves only its three indicators, and upwards
     params = replace(PARAMS, n_paths=2_000)
-    policy = FeedbackPolicy.constant(0.8, params)
     half = params.n_steps // 2
     draw = simulate.gaussians
 
@@ -318,7 +324,7 @@ def test_eta_family_composition(monkeypatch):
             return out
 
         monkeypatch.setattr(simulate, "gaussians", moving)
-        sample = simulate.weighted_reference(params, policy, 31)
+        sample = simulate.weighted_reference(params, 0.8, 31)
         samples = moment_samples(sample)
         assert samples.shape == (7, 6, params.n_paths)
         return samples[:, 4] / samples[0, 4]
@@ -342,9 +348,8 @@ def test_eta_values_bounded():
     # at s = T / 2 over the thresholds -1, 0 and 1, each in [0, 1], 0 below
     # its ramp and 1 above it
     batch = path_reference.reference_paths(PARAMS, 4_000, 31)
-    sample = simulate.weighted_reference(
-        replace(PARAMS, n_paths=4_000), FeedbackPolicy.constant(0.8, PARAMS),
-        31)
+    sample = simulate.weighted_reference(replace(PARAMS, n_paths=4_000),
+                                         0.8, 31)
     samples = moment_samples(sample)
     assert samples.shape == (7, 6, 4_000)
     base = samples[0, 4]
@@ -380,13 +385,11 @@ def test_constraint_moments_martingale_rows(weighted_sample):
 
 
 def test_constraint_moments_flag_inadmissible_rate():
+    # the rate 1.5 lies beyond U = 0.5 and is reweighted by as it is
     params = ModelParams(sigma=2.0, epsilon=1.0, rate_lower=-0.5,
                          rate_upper=0.5, n_steps=100, n_paths=20_000)
-    bad = FeedbackPolicy(np.array([0.0, 1.0]), np.array([-1.0, 1.0]),
-                         np.array([-1.0, 1.0]), np.full((2, 2, 2), 1.5),
-                         (-2.0, 2.0))
     estimates, ses = simulate.constraint_moments(
-        simulate.weighted_reference(params, bad, 17))
+        simulate.weighted_reference(params, 1.5, 17))
     # the constant functional on [T / 2, T]
     assert estimates[0, 4] > 3 * ses[0, 4]
 
@@ -443,16 +446,16 @@ def per_step_stopping_index(batch, level):
     return hit
 
 
-def assert_matches_path_reference(sample, params, policy, seed):
+def assert_matches_path_reference(sample, params, rate, seed):
     """Every per-path result of ``sample`` agrees with the whole-path
-    reference to rounding: the library sums log M, the integrals and the
-    telescoped moments in another order."""
+    reference at the constant ``rate`` to rounding: the library sums
+    log M, the integral and the telescoped moments in another order."""
     batch = path_reference.reference_paths(params, params.n_paths, seed)
-    log_m, int_pi_sq, int_w_sq = path_reference.reference_log_density(
-        batch, policy, params)
+    log_m, int_w_sq = path_reference.reference_log_density(batch, rate,
+                                                           params)
     m = np.exp(log_m)
     for name, expected in (("m", m), ("log_m", log_m),
-                           ("int_pi_sq", int_pi_sq), ("int_w_sq", int_w_sq)):
+                           ("int_w_sq", int_w_sq)):
         np.testing.assert_allclose(getattr(sample, name), expected,
                                    rtol=1e-12, atol=1e-12, err_msg=name)
     bounds = (params.rate_lower, params.rate_upper)
@@ -465,22 +468,17 @@ def assert_matches_path_reference(sample, params, policy, seed):
 
 
 def test_weighted_sample_matches_path_reference():
-    # a grid policy at sigma = 10: the price reaches the truncation level
-    # 10 before T / 2 on some paths, inside [T / 2, T] on others and never
-    # on the rest
+    # at sigma = 10 the price reaches the truncation level 10 before
+    # T / 2 on some paths, inside [T / 2, T] on others and never on the
+    # rest; log M reads Z on past the truncation
     params = ModelParams(sigma=10.0, rate_lower=-1.0, rate_upper=1.0,
                          n_steps=60, n_paths=1_000)
-    nodes = np.linspace(-2.0, 2.0, 9)
-    tt, ww, zz = np.meshgrid([0.0, 0.5, 1.0], nodes, nodes, indexing="ij")
-    policy = FeedbackPolicy(np.array([0.0, 0.5, 1.0]), nodes, nodes,
-                            np.clip(2 * ww - zz + tt, -1.0, 1.0),
-                            (-1.0, 1.0))
     stop = per_step_stopping_index(
         path_reference.reference_paths(params, params.n_paths, 43), 10.0)
     early, full = stop < 30, stop == 60
     assert np.any(early) and np.any(~early & ~full) and np.any(full)
-    sample = simulate.weighted_reference(params, policy, 43)
-    assert_matches_path_reference(sample, params, policy, 43)
+    sample = simulate.weighted_reference(params, -0.7, 43)
+    assert_matches_path_reference(sample, params, -0.7, 43)
 
 
 def test_rows_of_summed_increments_are_summed_rows():
@@ -507,8 +505,7 @@ def test_family_moments_match_per_step_reference():
     early = stop < 50
     late = reached & ~early
     assert np.mean(early) > 0 and np.mean(late) > 0 and np.mean(~reached) > 0
-    sample = simulate.weighted_reference(
-        params, FeedbackPolicy.constant(0.8, params), 41)
+    sample = simulate.weighted_reference(params, 0.8, 41)
     estimates, ses = simulate.constraint_moments(sample)
     assert estimates.shape == (7, 6)
     for e, eta in enumerate(reference_etas(batch)):
