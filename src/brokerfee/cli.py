@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import agent, contracts, oracle, principal, simulate
-from .model import ModelParams, validate_params
+from .model import ModelParams
 from .rng import split_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main"]
@@ -136,7 +136,7 @@ def parse_config(path, mode=None) -> ExperimentConfig:
     with _citing(path, line_of, "run."):
         oracle.check_tree(run["depth"], run["branching"])
     with _citing(path, line_of, "model."):
-        params = validate_params(ModelParams(**values["model"]))
+        params = ModelParams(**values["model"])
     with _citing(path, line_of, "family."):
         contract_family = principal.ContractFamily(
             family["class"], family["cap"], family["degree"],
@@ -191,16 +191,16 @@ def _write_json(path, obj):
 
 def _mode_simulate(config, out_dir, lines):
     """Reference-measure batch, density normalization, effective sample
-    size of the weights, entropy identity, each at the constant rates L,
-    0 and U clamped to [L, U]. A policy whose weights have degenerated is
-    flagged and gets no E[m] in the summary."""
+    size of the weights, entropy identity, each at the constant rate (the
+    ``rate`` column) L, 0 clamped to [L, U], or U. A policy whose weights
+    have degenerated is flagged and gets no E[m] in the summary."""
     params = config.params
+    lower, upper = params.rate_lower, params.rate_upper
     rows = []
-    for label, rate in (("lower", params.rate_lower), ("zero", 0.0),
-                        ("upper", params.rate_upper)):
+    zero = min(max(0.0, lower), upper)
+    for label, rate in (("lower", lower), ("zero", zero), ("upper", upper)):
         weighted = simulate.weighted_reference(
-            params, min(max(rate, params.rate_lower), params.rate_upper),
-            split_seed(params.seed, f"sim-{label}"))
+            params, rate, split_seed(params.seed, f"sim-{label}"))
         mean, se = simulate.mean_se(weighted.m)
         ess = simulate.effective_sample_size(weighted)
         degenerate = simulate.is_degenerate(weighted)
@@ -275,7 +275,7 @@ def _mode_oracle(config, out_dir, lines):
         ["value_gap", abs(relaxed_value - strong.value)],
         ["kkt_residual", strong.kkt_residual],
         ["duality_gap", strong.duality_gap],
-        ["collapse_counterexamples", len(collapse.counterexamples)],
+        ["collapse_counterexamples", collapse.counterexamples],
         ["min_jensen_gap", collapse.min_jensen_gap],
         ["relaxed_is_dirac", int(control.is_dirac())],
         ["max_constraint_violation", extraction.max_violation],

@@ -28,13 +28,17 @@ __all__ = [
     "locate",
     "interpolate",
     "zeta_integral",
-    "validate_params",
 ]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All scalar model inputs plus discretization/sampling settings."""
+    """All scalar model inputs plus discretization/sampling settings.
+
+    Valid by construction: building or ``dataclasses.replace``-ing an
+    instance that breaks an invariant raises ``ValueError`` naming the
+    first one broken, so no caller checks them again.
+    """
 
     sigma: float = 1.0
     epsilon: float = 0.5
@@ -47,6 +51,28 @@ class ModelParams:
     n_steps: int = 250
     n_paths: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type is float and not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        if not self.phi_a > 0:
+            raise ValueError("phi_a must be positive")
+        if not self.phi_p >= 0:
+            raise ValueError("phi_p must be nonnegative")
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
+        if self.rate_lower > self.rate_upper:
+            raise ValueError("rate_lower exceeds rate_upper")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
+        if self.n_paths < 1:
+            raise ValueError("n_paths must be at least 1")
 
     @property
     def dt(self) -> float:
@@ -61,34 +87,6 @@ class ModelParams:
         """lam = 2 eps^2 phi_a, the weight of M log M in the client's
         reference-measure utility and of m log m on the scenario tree."""
         return 2 * self.epsilon**2 * self.phi_a
-
-
-def validate_params(params: ModelParams) -> ModelParams:
-    """Return ``params`` unchanged if all invariants hold.
-
-    Raises ``ValueError`` naming the first violated invariant.
-    """
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if field.type is float and not np.isfinite(value):
-            raise ValueError(f"{field.name} must be finite")
-    if not params.sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not params.epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not params.phi_a > 0:
-        raise ValueError("phi_a must be positive")
-    if not params.phi_p >= 0:
-        raise ValueError("phi_p must be nonnegative")
-    if not params.horizon > 0:
-        raise ValueError("horizon must be positive")
-    if params.rate_lower > params.rate_upper:
-        raise ValueError("rate_lower exceeds rate_upper")
-    if params.n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if params.n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    return params
 
 
 class FeedbackPolicy:

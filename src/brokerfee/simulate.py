@@ -200,8 +200,6 @@ def _in_row_chunks(params: ModelParams, seed: int, chunk) -> list:
     of outputs allocated once, so memory grows only with those results.
     """
     count, n = params.n_paths, params.n_steps
-    if count < 1:
-        raise ValueError("count must be at least 1")
     rows = min(count, max(4, 4 * (_CHUNK_DRAWS // (12 * n))))
     buffer = np.empty(3 * n * rows)
     scale = (np.array([params.sigma, params.epsilon, 1.0])

@@ -178,7 +178,7 @@ def test_criterion_07_strong_relaxed_equality():
         worst_gap = max(worst_gap, abs(value - sol.value))
         report = oracle.verify_collapse(tree, lam, trials=100,
                                         seed=split_seed(k, "acc7-collapse"))
-        bad_collapse += len(report.counterexamples)
+        bad_collapse += report.counterexamples
         non_dirac += not control.is_dirac()
     elapsed = time.time() - start
     ok = worst_gap <= 1e-8 and bad_collapse == 0 and non_dirac == 0

@@ -69,7 +69,7 @@ def test_mc_agrees_with_grid(zero_fee_solution):
 
 
 def _known_defect(item, detail):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP {item}: {detail}")
+    return pytest.mark.xfail(reason=f"ROADMAP {item}: {detail}")
 
 
 # one case per fee class the grid solver accepts, on the default grids and

@@ -343,12 +343,15 @@ def test_simulate_reweights_at_rates_clamped_into_the_bounds(tmp_path,
 
     weighted = cli.simulate.weighted_reference
     monkeypatch.setattr(cli.simulate, "weighted_reference", recording)
-    cfg, _ = write_config(tmp_path, "simulate")
+    cfg, out = write_config(tmp_path, "simulate")
     cfg.write_text(cfg.read_text()
                    .replace("rate_lower = -1.0", "rate_lower = 0.5")
                    .replace("rate_upper = 1.0", "rate_upper = 2.0"))
     assert cli.run(cfg) == 0
     assert rates == [0.5, 0.5, 2.0]
+    # and each row prints the rate it was reweighted at
+    with open(out / "girsanov.csv") as f:
+        assert [float(row["rate"]) for row in csv.DictReader(f)] == rates
 
 
 def test_agent_mode_arrays(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brokerfee.agent import solve_hjb
+from brokerfee.contracts import Constant
 from brokerfee.model import (FeedbackPolicy, ModelParams, constraint_rows,
-                             interpolate, locate, validate_params)
+                             interpolate, locate)
 
 
 def test_default_params_accepted():
-    validate_params(ModelParams())
+    ModelParams()
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -25,7 +28,19 @@ def test_default_params_accepted():
 ])
 def test_validation_messages(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        validate_params(ModelParams(**kwargs))
+        ModelParams(**kwargs)
+
+
+def test_replace_is_validated():
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        dataclasses.replace(ModelParams(), n_paths=0)
+
+
+def test_inverted_bounds_never_reach_the_solver():
+    # unchecked, solve_hjb returned -12.5 and the rate -5 everywhere
+    with pytest.raises(ValueError, match="rate_lower exceeds rate_upper"):
+        solve_hjb(Constant(0.0), ModelParams(rate_lower=5.0,
+                                             rate_upper=-5.0))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -34,7 +49,7 @@ def test_validation_messages(kwargs, message):
                                   "reservation"])
 def test_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        validate_params(ModelParams(**{name: float(value)}))
+        ModelParams(**{name: float(value)})
 
 
 def test_dt_and_times():

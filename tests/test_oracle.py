@@ -259,7 +259,7 @@ def test_verify_collapse_no_counterexamples():
     grid = oracle.default_density_grid(sol.density)
     _, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
     report = oracle.verify_collapse(tree, 0.5, trials=50, seed=8)
-    assert report.counterexamples == ()
+    assert report.counterexamples == 0
     assert report.min_jensen_gap > 0.0
     assert control.is_dirac()
 
@@ -364,6 +364,19 @@ def test_strong_solve_converges_in_few_newton_steps(name):
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     assert sol.converged and sol.iterations <= 20
     assert abs(sol.duality_gap) <= 1e-12
+
+
+@pytest.mark.parametrize("depth,scale", [(3, 100.0), (2, 1e3)])
+def test_gap_is_read_relative_to_the_value(depth, scale):
+    # with no rows the first Gibbs density is the optimum, but D and the
+    # value, 144.85 and 1311.96 here, differ by their rounding: gaps of
+    # -1.6e-12 and 2.9e-10 that an absolute 1e-12 read as not converged
+    tree = oracle.build_tree(depth, 2, ModelParams())
+    p, _, w = tree.paths[:, -1].T
+    sol = oracle.solve_strong_discrete(tree, scale * (np.tanh(w) + 0.3 * p),
+                                       0.25)
+    assert sol.converged and sol.iterations == 0
+    assert abs(sol.duality_gap) <= 1e-12 * abs(sol.value)
 
 
 def test_infeasible_rows_are_proved_infeasible():
