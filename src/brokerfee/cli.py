@@ -146,7 +146,7 @@ def parse_config(path, mode=None) -> ExperimentConfig:
             raise ValueError(f"family.coefficients has {len(coeffs)} "
                              f"entries, but the family has dimension "
                              f"{contract_family.dimension}")
-        outside = coeffs[np.abs(coeffs) > contract_family.cap]
+        outside = coeffs[~(np.abs(coeffs) <= contract_family.cap)]
         if len(outside):
             raise ValueError(f"family.coefficients has {float(outside[0])} "
                              f"outside [-{contract_family.cap}, "
@@ -262,13 +262,13 @@ def _mode_oracle(config, out_dir, lines):
     constraints = oracle.node_constraint_set(tree, params.rate_lower,
                                              params.rate_upper)
     strong = oracle.solve_strong_discrete(tree, u, lam, constraints)
-    grid = oracle.default_density_grid(strong.density)
     relaxed_value, control = oracle.solve_relaxed_discrete(
-        tree, u, lam, grid, constraints)
+        tree, u, lam, strong.density, constraints)
     collapse = oracle.verify_collapse(tree, lam, config.run["trials"],
                                       split_seed(params.seed, "collapse"))
     extraction = oracle.extract_strong_control(
-        tree, control, params.rate_lower, params.rate_upper)
+        tree, control.conditional_mean(), params.rate_lower,
+        params.rate_upper)
     rows = [
         ["strong_value", strong.value],
         ["relaxed_value", relaxed_value],
@@ -373,8 +373,8 @@ def _mode_verify(config, out_dir, lines):
     u = oracle.atom_utility_from_contract(tree, config.contract, params)
     lam = params.entropy_weight
     strong = oracle.solve_strong_discrete(tree, u, lam)
-    grid = oracle.default_density_grid(strong.density)
-    relaxed_value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid)
+    relaxed_value, control = oracle.solve_relaxed_discrete(tree, u, lam,
+                                                           strong.density)
     gap = abs(relaxed_value - strong.value)
     checks.append(("oracle_value_equality", gap <= 1e-8,
                    f"|relaxed - strong| = {gap:.2e}"))
@@ -461,7 +461,11 @@ def run(config_path, seed=None, out_dir=None, mode=None) -> int:
                                                 seed=int(seed)))
     master_seed = config.params.seed
     out_dir = out_dir or config.run["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory error: {exc}", file=sys.stderr)
+        return 2
 
     lines = [f"mode: {mode}", f"seed: {master_seed}"]
     status = "ok"

@@ -30,6 +30,10 @@ class Constant:
     value: float
     reads_price = False
 
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise ValueError("the constant fee must be finite")
+
     def terminal_payoff(self, p_T, z_T):
         return np.full(np.broadcast_shapes(np.shape(p_T), np.shape(z_T)),
                        self.value)
@@ -40,7 +44,7 @@ class LinearPolynomial:
     """xi(P, Z) = sum_{i,j=1..degree} a_ij P_T^i Z_T^j.
 
     ``coeffs`` has shape (degree, degree) with coeffs[i-1, j-1] = a_ij,
-    every entry in [-cap, cap].
+    every entry in [-cap, cap], cap finite.
     """
 
     coeffs: np.ndarray
@@ -50,8 +54,10 @@ class LinearPolynomial:
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if coeffs.shape[0] != coeffs.shape[1]:
             raise ValueError("coefficient table must be square")
-        if np.any(np.abs(coeffs) > self.cap * (1 + 1e-12)):
-            raise ValueError("coefficients exceed the box [-K, K]")
+        if not np.isfinite(self.cap):
+            raise ValueError("the cap must be finite")
+        if not np.all(np.abs(coeffs) <= self.cap * (1 + 1e-12)):
+            raise ValueError("coefficients must lie in the box [-K, K]")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -77,10 +83,10 @@ class LipschitzTable:
     """Lipschitz contract read off a finite (P_T, Z_T) grid.
 
     ``values`` lives on the rectangular grid ``p_nodes`` x ``z_nodes``,
-    each of at least two strictly increasing nodes; payment is
+    each of at least two finite, strictly increasing nodes; payment is
     multilinear interpolation with constant extrapolation, clamped to
-    [-cap, cap]. The table lies in the value box, which is the broker's
-    search set.
+    [-cap, cap], cap finite. The table lies in the value box, which is
+    the broker's search set.
     """
 
     p_nodes: np.ndarray
@@ -94,13 +100,16 @@ class LipschitzTable:
         values = np.asarray(self.values, dtype=float)
         for axis, nodes in (("p_nodes", p_nodes), ("z_nodes", z_nodes)):
             if (nodes.ndim != 1 or len(nodes) < 2
+                    or not np.all(np.isfinite(nodes))
                     or not np.all(np.diff(nodes) > 0)):
                 raise ValueError(f"{axis} needs at least two nodes, "
-                                 "strictly increasing")
+                                 "strictly increasing and finite")
         if values.shape != (len(p_nodes), len(z_nodes)):
             raise ValueError("table shape must match the node grids")
-        if np.any(np.abs(values) > self.cap * (1 + 1e-12)):
-            raise ValueError("table values exceed the box [-K, K]")
+        if not np.isfinite(self.cap):
+            raise ValueError("the cap must be finite")
+        if not np.all(np.abs(values) <= self.cap * (1 + 1e-12)):
+            raise ValueError("table values must lie in the box [-K, K]")
         object.__setattr__(self, "p_nodes", p_nodes)
         object.__setattr__(self, "z_nodes", z_nodes)
         object.__setattr__(self, "values", values)

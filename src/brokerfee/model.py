@@ -16,6 +16,7 @@ running utility (:func:`zeta_integral`).
 """
 
 import bisect
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,6 +58,9 @@ class ModelParams:
             value = getattr(self, field.name)
             if field.type is float and not np.isfinite(value):
                 raise ValueError(f"{field.name} must be finite")
+            if field.type is int and (isinstance(value, bool) or not
+                                      isinstance(value, numbers.Integral)):
+                raise ValueError(f"{field.name} must be an integer")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if not self.epsilon > 0:

@@ -40,7 +40,6 @@ __all__ = [
     "atom_utility_from_contract",
     "solve_strong_discrete", "solve_relaxed_discrete",
     "verify_collapse", "extract_strong_control",
-    "default_density_grid",
 ]
 
 MAX_ATOMS = 100_000
@@ -390,18 +389,6 @@ def solve_strong_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
                           _certified(residual, gap, value), gap)
 
 
-def default_density_grid(density) -> np.ndarray:
-    """Per-atom density grid, (n_atoms, 24): row x holds 21 log-spaced
-    atoms spanning [1e-3, 1e3], then 0.8, 1 and 1.25 times density[x].
-
-    With the strong optimum as ``density`` the Dirac optimum is on-grid,
-    and the two neighbours give the LP room to out-score a density that
-    is not optimal."""
-    density = np.asarray(density, dtype=float)[:, None]
-    base = np.broadcast_to(np.geomspace(1e-3, 1e3, 21), (len(density), 21))
-    return np.hstack([base, 0.8 * density, density, 1.25 * density])
-
-
 @dataclass(frozen=True)
 class RelaxedControlDiscrete:
     """A finite measure over (path-atom, density-atom) pairs.
@@ -409,20 +396,17 @@ class RelaxedControlDiscrete:
     Row x of ``atoms`` holds density values of path-atom x and the same
     row of ``weights`` the conditional distribution over them; a row with
     fewer values is padded by atoms of zero weight. A row may hold a value
-    twice, as :func:`default_density_grid` does where density[x] is one
-    of its log-spaced values. Dirac mode is the special case of a unit
-    weight on a single density value per atom.
+    twice, as the grid of :func:`solve_relaxed_discrete` does where a
+    density is one of its log-spaced values. Dirac mode is the special
+    case of a unit weight on a single density value per atom.
     """
 
-    probs: np.ndarray
     atoms: np.ndarray       # (n_atoms, k) density values
     weights: np.ndarray     # (n_atoms, k) conditional probabilities
 
     def __post_init__(self):
-        if not (np.shape(self.atoms) == np.shape(self.weights)
-                and len(self.atoms) == len(self.probs)):
-            raise ValueError("atoms and weights must be (n_atoms, k) arrays "
-                             "matching the base measure")
+        if np.shape(self.atoms) != np.shape(self.weights):
+            raise ValueError("atoms and weights must be arrays of one shape")
 
     def conditional_mean(self) -> np.ndarray:
         return np.einsum("xk,xk->x", self.weights, self.atoms)
@@ -451,14 +435,17 @@ class RelaxedControlDiscrete:
 
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                           density_grid: np.ndarray,
-                           constraints=None) -> tuple:
+                           density: np.ndarray, constraints=None) -> tuple:
     """Optimize over randomized-mode relaxed controls on a finite density
-    grid per path-atom; returns (value, RelaxedControlDiscrete).
+    grid per path-atom, centred on ``density``; returns
+    (value, RelaxedControlDiscrete).
 
-    ``density_grid`` is (n_atoms, k), row x the density values offered to
-    path-atom x (as from :func:`default_density_grid`), and
-    ``constraints`` the sparse forms c_r (as from
+    Row x of the grid holds 21 log-spaced values spanning [1e-3, 1e3],
+    then 0.8, 1 and 1.25 times density[x]; ``density`` must be positive,
+    since the LP's cost holds g log g at every grid value g. With the
+    strong optimum as ``density`` the Dirac optimum is on-grid, and the
+    two neighbours give the LP room to out-score a density that is not
+    optimal. ``constraints`` are the sparse forms c_r (as from
     :func:`node_constraint_set`), None for no rows. With the density
     values fixed the program is linear in the conditional weights q(x, j),
     stored atom-major at x * k + j, and in one conditional mean
@@ -469,8 +456,9 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     sum_x p(x) c_r(x) mbar(x) <= 0. Reading the last two off mbar keeps
     each constraint row one entry per atom instead of one per (atom, grid
     point). Per atom the LP sees the chordal interpolation of the concave
-    objective through its grid values, so any grid that holds each atom's
-    strong optimum has the strong optimal value.
+    objective through its grid values, so a grid that holds each atom's
+    strong optimum, as this one does when ``density`` is the strong
+    optimum, has the strong optimal value.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_array, eye_array, hstack, vstack
@@ -480,10 +468,12 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
     probs = np.asarray(tree.probs, dtype=float)
     u = np.asarray(u, dtype=float)
     n_atoms = tree.n_atoms
-    g = np.asarray(density_grid, dtype=float)
-    if g.ndim != 2 or len(g) != n_atoms or np.any(g <= 0):
-        raise ValueError("density grid must be an (n_atoms, k) array of "
-                         "strictly positive atoms")
+    density = np.asarray(density, dtype=float)[:, None]
+    if not np.all(density > 0):
+        raise ValueError("the density must be positive at every atom")
+    g = np.hstack([np.broadcast_to(np.geomspace(1e-3, 1e3, 21),
+                                   (n_atoms, 21)),
+                   0.8 * density, density, 1.25 * density])
     n_grid = g.shape[1]
     n_weights = n_atoms * n_grid
 
@@ -513,7 +503,7 @@ def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
         raise RuntimeError(f"relaxed program failed: {result.message}")
     q = result.x[:n_weights].reshape(n_atoms, n_grid)
     weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
-    control = RelaxedControlDiscrete(probs, g, weights)
+    control = RelaxedControlDiscrete(g, weights)
     return float(-result.fun), control
 
 
@@ -556,11 +546,11 @@ class ExtractionReport:
     reconstruction_error: float
 
 
-def extract_strong_control(tree: ScenarioTree,
-                           control: RelaxedControlDiscrete,
+def extract_strong_control(tree: ScenarioTree, cond_mean: np.ndarray,
                            rate_lower: float, rate_upper: float
                            ) -> ExtractionReport:
-    """Per-node drifts of the measure reweighted by E[m | path-atom].
+    """Per-node drifts of the measure reweighted by ``cond_mean``, the
+    density E[m | path-atom] of a relaxed control.
 
     This is the discrete martingale-representation analogue: conditional
     transition ratios of the tilted tree measure determine a one-step
@@ -569,7 +559,6 @@ def extract_strong_control(tree: ScenarioTree,
     the six constraint rows at every node of positive tilted mass and
     records the worst violation.
     """
-    cond_mean = control.conditional_mean()
     tilted = tree.probs * cond_mean
     n_combos = tree.n_combos
     max_violation = 0.0

@@ -110,9 +110,9 @@ class ContractFamily:
     """Compact parametric family searched by the broker.
 
     ``kind`` selects the contract class; ``cap`` is the coefficient box
-    half-width K. Polynomial families need ``degree`` (at least 1); table
-    families need the (P_T, Z_T) node grids, checked when the family is
-    built.
+    half-width K, finite and positive. Polynomial families need ``degree``
+    (at least 1); table families need the (P_T, Z_T) node grids, checked
+    when the family is built.
     """
 
     kind: str
@@ -125,8 +125,8 @@ class ContractFamily:
         if self.kind not in ("constant", "linear_polynomial",
                              "lipschitz_table"):
             raise ValueError(f"unknown contract family class: {self.kind}")
-        if self.cap <= 0:
-            raise ValueError("coefficient cap must be positive")
+        if not 0 < self.cap < np.inf:
+            raise ValueError("coefficient cap must be positive and finite")
         if self.degree < 1:
             raise ValueError("polynomial degree must be at least 1")
         if self.kind == "lipschitz_table":

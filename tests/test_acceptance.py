@@ -173,8 +173,8 @@ def test_criterion_07_strong_relaxed_equality():
                           - tree.paths[:, -1, 2])
         lam = 0.2 + 1.8 * raw[k, 2]
         sol = oracle.solve_strong_discrete(tree, u, lam)
-        grid = oracle.default_density_grid(sol.density)
-        value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid)
+        value, control = oracle.solve_relaxed_discrete(tree, u, lam,
+                                                       sol.density)
         worst_gap = max(worst_gap, abs(value - sol.value))
         report = oracle.verify_collapse(tree, lam, trials=100,
                                         seed=split_seed(k, "acc7-collapse"))
@@ -199,9 +199,10 @@ def test_criterion_08_extraction_admissibility():
         lam = 0.2 + raw[k, 1]
         cons = oracle.node_constraint_set(tree, -1.0, 1.0)
         sol = oracle.solve_strong_discrete(tree, u, lam, cons)
-        grid = oracle.default_density_grid(sol.density)
-        _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
-        report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
+        _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
+                                                   cons)
+        report = oracle.extract_strong_control(
+            tree, control.conditional_mean(), -1.0, 1.0)
         worst = max(worst, report.max_violation)
         worst_recon = max(worst_recon, report.reconstruction_error)
     # the brokerfee oracle instance at depth 3: zero fee, the default
@@ -213,9 +214,10 @@ def test_criterion_08_extraction_admissibility():
     cons = oracle.node_constraint_set(tree, params.rate_lower,
                                       params.rate_upper)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
-    grid = oracle.default_density_grid(sol.density)
-    _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
-    report = oracle.extract_strong_control(tree, control, params.rate_lower,
+    _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
+                                               cons)
+    report = oracle.extract_strong_control(tree, control.conditional_mean(),
+                                           params.rate_lower,
                                            params.rate_upper)
     worst = max(worst, report.max_violation)
     worst_recon = max(worst_recon, report.reconstruction_error)

@@ -596,6 +596,59 @@ def test_bad_value_is_exit_2_citing_its_line(tmp_path, capsys, line, key,
     assert not out.exists()
 
 
+def _numeric_values():
+    """(key, value) for each float-valued model and family key of
+    ``cli._KEYS`` at NaN and inf, and each array key at "0, nan"."""
+    for section in ("model", "family"):
+        for name, (cast, _) in cli._KEYS[section].items():
+            key = f"{section}.{name}"
+            if cast is float:
+                yield from ((key, value) for value in ("nan", "inf"))
+            elif cast is cli._parse_array:
+                yield key, "0, nan"
+
+
+@pytest.mark.parametrize("key, value", list(_numeric_values()))
+def test_non_finite_numeric_value_is_exit_2_citing_its_line(
+        tmp_path, capsys, key, value):
+    # the key on line 1 and keys of both sections after it, so that an
+    # error naming no key cites another line; a NaN cap or coefficient used
+    # to end in an IndexError inside the grid solver, and an infinite cap
+    # to run
+    base = {"model.n_steps": "20", "model.n_paths": "200",
+            "family.class": "lipschitz_table", "family.p_nodes": "-1, 1",
+            "family.z_nodes": "-1, 1"}
+    cfg = tmp_path / "numeric.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"{key} = {value}\n"
+                   + "".join(f"{k} = {v}\n" for k, v in base.items()
+                             if k != key)
+                   + f"run.mode = agent\nrun.out = {out}\n")
+    assert cli.run(cfg) == 2
+    assert "numeric.cfg:1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["empty run.out", "--out names a file"])
+def test_unusable_output_directory_is_exit_2(tmp_path, capsys, how):
+    # os.makedirs raised FileNotFoundError or FileExistsError, which ended
+    # in a traceback and exit 1
+    cfg, out = write_config(tmp_path, "report")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    if how == "empty run.out":
+        cfg.write_text(re.sub(r"run\.out = .*", "run.out =", cfg.read_text()))
+        status = cli.main(["report", "--config", str(cfg)])
+    else:
+        status = cli.main(["report", "--config", str(cfg),
+                           "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("output directory error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("text, line, message", [
     ("family.class = linear_polynomial\nfamily.degree = 0\n", 2,
      "polynomial degree must be at least 1"),

@@ -80,6 +80,26 @@ def test_table_nodes_must_increase(axis, nodes):
         ContractFamily("lipschitz_table", cap=1.0, **grids)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fees_must_be_finite(bad):
+    # each of these used to be accepted, and a NaN fee reached the grid
+    # solver
+    with pytest.raises(ValueError, match="constant fee must be finite"):
+        Constant(bad)
+    with pytest.raises(ValueError, match="coefficients must lie in the box"):
+        LinearPolynomial([[bad]], 1.0)
+    with pytest.raises(ValueError, match="cap must be finite"):
+        LinearPolynomial([[0.5]], bad)
+    nodes = np.array([-1.0, 1.0])
+    with pytest.raises(ValueError, match="table values must lie in the box"):
+        LipschitzTable(nodes, nodes, [[0.0, bad], [0.0, 0.0]], 1.0)
+    with pytest.raises(ValueError, match="cap must be finite"):
+        LipschitzTable(nodes, nodes, np.zeros((2, 2)), bad)
+    with pytest.raises(ValueError, match="z_nodes needs at least two nodes, "
+                                         "strictly increasing and finite"):
+        LipschitzTable(nodes, [-1.0, bad], np.zeros((2, 2)), 1.0)
+
+
 # a coefficient or table value: zero, or at least 0.01 away from it, so
 # that a price term never rounds away on the grid below
 _ENTRIES = st.one_of(st.just(0.0), st.floats(0.01, 1.0),

@@ -52,6 +52,19 @@ def test_config_rejects_non_finite_values(name, value):
         ModelParams(**{name: float(value)})
 
 
+@pytest.mark.parametrize("value", [10.5, float("nan"), 1.0, True, "3"])
+@pytest.mark.parametrize("name", ["n_steps", "n_paths", "seed"])
+def test_integer_fields_must_be_integers(name, value):
+    # 10.5 paths and a NaN step count used to be accepted; a bool is not
+    # an integer here either
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ModelParams(**{name: value})
+
+
+def test_integer_fields_accept_numpy_integers():
+    assert ModelParams(n_paths=np.int64(100), seed=np.uint64(3)).seed == 3
+
+
 def test_dt_and_times():
     params = ModelParams(horizon=2.0, n_steps=4)
     assert params.dt == 0.5

@@ -158,8 +158,7 @@ def test_relaxed_matches_strong_on_covering_grid():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.tanh(tree.paths[:, -1, 0] + tree.paths[:, -1, 2])
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
-    grid = oracle.default_density_grid(sol.density)
-    value, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
+    value, control = oracle.solve_relaxed_discrete(tree, u, 0.5, sol.density)
     assert abs(value - sol.value) <= 1e-8
     assert control.is_dirac()
     assert np.allclose(control.conditional_mean(), sol.density, atol=1e-6)
@@ -170,10 +169,10 @@ def test_relaxed_constrained_matches_dual():
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
-    grid = oracle.default_density_grid(sol.density)
-    value, control = oracle.solve_relaxed_discrete(tree, u, 0.25, grid, cons)
+    value, control = oracle.solve_relaxed_discrete(tree, u, 0.25,
+                                                   sol.density, cons)
     assert abs(value - sol.value) <= 1e-8
-    assert relaxed_control.check_feasibility(control, cons,
+    assert relaxed_control.check_feasibility(tree.probs, control, cons,
                                              tol=1e-8)["feasible"]
 
 
@@ -212,11 +211,12 @@ def test_per_atom_grid_matches_shared_grid(name):
     # was on the grid shared by all atoms, with 24 columns per atom
     tree, u, lam, cons = relaxed_instance(name)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
-    grid = oracle.default_density_grid(sol.density)
-    value, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
-    shared, _ = oracle.solve_relaxed_discrete(
-        tree, u, lam, shared_density_grid(sol.density), cons)
-    assert abs(value - shared) <= 1e-12
+    value, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
+                                                   cons)
+    shared = solve_reference_lp(tree, u, lam,
+                                shared_density_grid(sol.density), cons)
+    assert shared.success
+    assert abs(value - -shared.fun) <= 1e-12
     assert control.atoms.shape == (tree.n_atoms, 24)
     assert control.is_dirac()
     assert np.allclose(control.conditional_mean(), sol.density, rtol=0,
@@ -232,10 +232,9 @@ def test_per_atom_grid_outscores_a_wrong_density(lam):
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     wrong = oracle.solve_strong_discrete(tree, u, lam, cons).density
-    value, _ = oracle.solve_relaxed_discrete(
-        tree, u, 0.25, oracle.default_density_grid(wrong), cons)
-    primal = relaxed_control.objective(relaxed_control.dirac(tree, wrong),
-                                       u, 0.25)
+    value, _ = oracle.solve_relaxed_discrete(tree, u, 0.25, wrong, cons)
+    primal = relaxed_control.objective(
+        tree.probs, relaxed_control.dirac(wrong), u, 0.25)
     assert value - primal > 1e-8
 
 
@@ -244,20 +243,19 @@ def test_dirac_embedding_objective_identity():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = tree.paths[:, -1, 1]
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
-    dirac = relaxed_control.dirac(tree, sol.density)
-    assert relaxed_control.objective(dirac, u, 0.5) == pytest.approx(
-        sol.value, abs=1e-12)
+    dirac = relaxed_control.dirac(sol.density)
+    assert relaxed_control.objective(tree.probs, dirac, u, 0.5) == \
+        pytest.approx(sol.value, abs=1e-12)
     assert dirac.max_secondary_weight() == 0.0
-    assert relaxed_control.mean_density(dirac) == pytest.approx(1.0,
-                                                                abs=1e-12)
+    assert relaxed_control.mean_density(tree.probs, dirac) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_verify_collapse_no_counterexamples():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.sin(3.0 * tree.paths[:, -1, 0])
     sol = oracle.solve_strong_discrete(tree, u, 0.5)
-    grid = oracle.default_density_grid(sol.density)
-    _, control = oracle.solve_relaxed_discrete(tree, u, 0.5, grid)
+    _, control = oracle.solve_relaxed_discrete(tree, u, 0.5, sol.density)
     report = oracle.verify_collapse(tree, 0.5, trials=50, seed=8)
     assert report.counterexamples == 0
     assert report.min_jensen_gap > 0.0
@@ -280,8 +278,7 @@ def test_extraction_on_feasible_control():
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
-    control = relaxed_control.dirac(tree, sol.density)
-    report = oracle.extract_strong_control(tree, control, -1.0, 1.0)
+    report = oracle.extract_strong_control(tree, sol.density, -1.0, 1.0)
     assert report.max_violation <= 1e-8
     assert report.reconstruction_error <= 1e-10
 
@@ -292,8 +289,7 @@ def test_extraction_recovers_density_from_transitions():
     tree = oracle.build_tree(2, 2, PARAMS)
     u = np.cos(tree.paths[:, -1, 2])
     sol = oracle.solve_strong_discrete(tree, u, 1.0)
-    control = relaxed_control.dirac(tree, sol.density)
-    report = oracle.extract_strong_control(tree, control, -10.0, 10.0)
+    report = oracle.extract_strong_control(tree, sol.density, -10.0, 10.0)
     assert report.reconstruction_error <= 1e-10
 
 
@@ -304,10 +300,9 @@ def test_extraction_skips_nodes_without_mass():
     m = np.cos(tree.paths[:, -1, 2]) + 1.5
     m[:tree.n_combos] = 0.0             # the first depth-1 node's block
     m /= tree.probs @ m
-    control = relaxed_control.dirac(tree, m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = oracle.extract_strong_control(tree, control, -10.0, 10.0)
+        report = oracle.extract_strong_control(tree, m, -10.0, 10.0)
     assert np.isfinite(report.max_violation)
     assert report.reconstruction_error <= 1e-12
 
@@ -438,16 +433,16 @@ def test_extraction_at_small_node_mass():
     # extraction divides node moments by the tilted node mass and dt, so
     # small node masses amplify the KKT residual: here the smallest
     # density is 2.6e-4, and the violations read 5.5e-13 (relaxed) and
-    # 5.2e-14 (Dirac embedding)
+    # 5.2e-14 (strong density)
     tree, u, lam, cons = strong_instance("small-node-mass")
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     assert sol.converged and abs(sol.duality_gap) <= 1e-12
     assert np.min(sol.density) < 1e-3
-    grid = oracle.default_density_grid(sol.density)
-    _, control = oracle.solve_relaxed_discrete(tree, u, lam, grid, cons)
+    _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
+                                               cons)
     assert control.is_dirac()
-    for relaxed in (control, relaxed_control.dirac(tree, sol.density)):
-        report = oracle.extract_strong_control(tree, relaxed, -1.0, 1.0)
+    for density in (control.conditional_mean(), sol.density):
+        report = oracle.extract_strong_control(tree, density, -1.0, 1.0)
         assert report.max_violation <= 1e-8
 
 
@@ -461,10 +456,12 @@ def test_atom_utility_from_contract_shape():
 
 
 def test_density_grid_contains_extras():
-    density = np.array([0.123, 4.56])
-    grid = oracle.default_density_grid(density)
-    assert grid.shape == (2, 24)
-    for row, m in zip(grid, density):
+    tree, u = price_step_tree()
+    density = np.linspace(0.5, 1.5, tree.n_atoms)
+    density /= tree.probs @ density
+    _, control = oracle.solve_relaxed_discrete(tree, u, 1.0, density)
+    assert control.atoms.shape == (tree.n_atoms, 24)
+    for row, m in zip(control.atoms, density):
         assert np.array_equal(row, np.concatenate([
             np.geomspace(1e-3, 1e3, 21), [0.8 * m, m, 1.25 * m]]))
 
@@ -474,17 +471,17 @@ def test_lam_must_be_positive():
     with pytest.raises(ValueError, match="entropy weight"):
         oracle.solve_strong_discrete(tree, u, 0.0)
     with pytest.raises(ValueError, match="entropy weight"):
-        oracle.solve_relaxed_discrete(
-            tree, u, -1.0,
-            np.broadcast_to([0.5, 1.0, 2.0], (tree.n_atoms, 3)))
+        oracle.solve_relaxed_discrete(tree, u, -1.0, np.ones(tree.n_atoms))
 
 
-def test_relaxed_grid_must_have_a_row_per_atom():
+def test_relaxed_density_must_be_positive():
+    # g log g at a grid value of 0 or below, or NaN, would poison the cost
     tree, u = price_step_tree()
-    for grid in (np.array([0.5, 1.0, 2.0]), np.ones((tree.n_atoms - 1, 3)),
-                 np.zeros((tree.n_atoms, 3))):
-        with pytest.raises(ValueError, match="density grid"):
-            oracle.solve_relaxed_discrete(tree, u, 1.0, grid)
+    for bad in (0.0, -1.0, np.nan):
+        density = np.ones(tree.n_atoms)
+        density[3] = bad
+        with pytest.raises(ValueError, match="density must be positive"):
+            oracle.solve_relaxed_discrete(tree, u, 1.0, density)
 
 
 def test_relaxed_control_is_dirac():
@@ -494,26 +491,28 @@ def test_relaxed_control_is_dirac():
     atoms = np.tile([1.0, 1.0], (tree.n_atoms, 1))
     weights = np.tile([1.0, 0.0], (tree.n_atoms, 1))
     atoms[0], weights[0] = [0.5, 1.5], [0.3, 0.7]
-    two_point = oracle.RelaxedControlDiscrete(tree.probs, atoms, weights)
+    two_point = oracle.RelaxedControlDiscrete(atoms, weights)
     assert not two_point.is_dirac()
     assert two_point.max_secondary_weight() == 0.3
-    dirac = relaxed_control.dirac(tree, np.ones(tree.n_atoms))
+    dirac = relaxed_control.dirac(np.ones(tree.n_atoms))
     assert dirac.is_dirac()
     assert dirac.max_secondary_weight() == 0.0
 
 
 def test_dirac_counts_distinct_density_values():
-    # default_density_grid holds 1.0 twice in a row whose density is 1.0:
+    # the relaxed LP's grid holds 1.0 twice in a row whose density is 1.0:
     # a weight split over the two copies is still one density value
-    probs = np.full(2, 0.5)
-    grid = oracle.default_density_grid(np.ones(2))
+    tree, u = price_step_tree()
+    _, control = oracle.solve_relaxed_discrete(tree, u, 1.0,
+                                               np.ones(tree.n_atoms))
+    grid = control.atoms
     assert np.count_nonzero(grid[0] == 1.0) == 2
     copies = np.where(grid == 1.0, 0.5, 0.0)
-    split = oracle.RelaxedControlDiscrete(probs, grid, copies)
+    split = oracle.RelaxedControlDiscrete(grid, copies)
     assert split.is_dirac() and split.max_secondary_weight() == 0.0
     atoms = np.array([[1.0, 2.0, 1.0], [3.0, 3.0, 3.0]])
     weights = np.array([[0.25, 0.5, 0.25], [0.2, 0.3, 0.5]])
-    two_values = oracle.RelaxedControlDiscrete(probs, atoms, weights)
+    two_values = oracle.RelaxedControlDiscrete(atoms, weights)
     assert not two_values.is_dirac()
     assert two_values.max_secondary_weight() == 0.5
 
@@ -555,6 +554,16 @@ def reference_lp(tree, u, lam, grid, constraints):
         a_ub = csr_matrix((vals, (rows, cols)),
                           shape=(len(constraints), n_var))
     return cost, a_eq, a_ub
+
+
+def solve_reference_lp(tree, u, lam, grid, constraints):
+    """The linprog result of :func:`reference_lp` on ``grid``."""
+    cost, a_eq, a_ub = reference_lp(tree, u, lam, grid, constraints)
+    return linprog(
+        cost, A_ub=a_ub,
+        b_ub=None if a_ub is None else np.zeros(constraints.shape[0]),
+        A_eq=a_eq, b_eq=np.ones(tree.n_atoms + 1), bounds=(0, None),
+        method="highs")
 
 
 def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
@@ -602,15 +611,11 @@ def test_lp_assembly_matches_loop_reference(constrained):
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
             else None)
-    grid = oracle.default_density_grid(
-        oracle.solve_strong_discrete(tree, u, 0.3, cons).density)
-    value, control = oracle.solve_relaxed_discrete(tree, u, 0.3, grid, cons)
-    cost, a_eq, a_ub = reference_lp(tree, u, 0.3, grid, cons)
-    reference = linprog(
-        cost, A_ub=a_ub,
-        b_ub=None if a_ub is None else np.zeros(cons.shape[0]),
-        A_eq=a_eq, b_eq=np.ones(tree.n_atoms + 1), bounds=(0, None),
-        method="highs")
+    density = oracle.solve_strong_discrete(tree, u, 0.3, cons).density
+    value, control = oracle.solve_relaxed_discrete(tree, u, 0.3, density,
+                                                   cons)
+    grid = control.atoms
+    reference = solve_reference_lp(tree, u, 0.3, grid, cons)
     assert reference.success
     assert abs(value - -reference.fun) <= 1e-12
     q = reference.x.reshape(grid.shape)
@@ -618,7 +623,7 @@ def test_lp_assembly_matches_loop_reference(constrained):
                        rtol=0, atol=1e-9)
     reference_secondary = max(float(np.sort(w)[-2]) for w in q)
     assert control.is_dirac() == (reference_secondary <= 1e-6)
-    assert np.array_equal(control.atoms, grid)
+    assert np.array_equal(grid[:, 21:], density[:, None] * [0.8, 1.0, 1.25])
     assert np.allclose([np.sum(w) for w in control.weights], 1.0,
                        atol=1e-12)
 

@@ -418,8 +418,11 @@ def test_budget_must_be_positive():
 def test_family_validation():
     with pytest.raises(ValueError, match="unknown contract family"):
         principal.ContractFamily("spline", cap=1.0)
-    with pytest.raises(ValueError, match="cap"):
-        principal.ContractFamily("constant", cap=0.0)
+    # a cap of NaN or inf used to make a family whose box is not compact
+    for cap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cap must be positive and "
+                                             "finite"):
+            principal.ContractFamily("constant", cap=cap)
     assert principal.ContractFamily("linear_polynomial", cap=1.0,
                                     degree=2).dimension == 4
     # degree 0 made a family of dimension 0, degree -1 failed in numpy
