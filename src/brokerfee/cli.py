@@ -263,12 +263,11 @@ def _mode_oracle(config, out_dir, lines):
                                              params.rate_upper)
     strong = oracle.solve_strong_discrete(tree, u, lam, constraints)
     relaxed_value, control = oracle.solve_relaxed_discrete(
-        tree, u, lam, strong.density, constraints)
+        tree, u, lam, strong, constraints)
     collapse = oracle.verify_collapse(tree, lam, config.run["trials"],
                                       split_seed(params.seed, "collapse"))
     extraction = oracle.extract_strong_control(
-        tree, control.conditional_mean(), params.rate_lower,
-        params.rate_upper)
+        tree, strong.density, params.rate_lower, params.rate_upper)
     rows = [
         ["strong_value", strong.value],
         ["relaxed_value", relaxed_value],
@@ -374,7 +373,7 @@ def _mode_verify(config, out_dir, lines):
     lam = params.entropy_weight
     strong = oracle.solve_strong_discrete(tree, u, lam)
     relaxed_value, control = oracle.solve_relaxed_discrete(tree, u, lam,
-                                                           strong.density)
+                                                           strong)
     gap = abs(relaxed_value - strong.value)
     checks.append(("oracle_value_equality", gap <= 1e-8,
                    f"|relaxed - strong| = {gap:.2e}"))

@@ -11,9 +11,11 @@ constraint forms, is solved on its Lagrange dual by projected Newton
 steps from zero multipliers, whose first iterate is the Gibbs closed
 form, to a KKT residual at float64 resolution, and the dual value at the
 multipliers found is a closed-form bound on the relaxed value over every
-randomized control (the duality gap). The relaxed program is one sparse
-linear program on a density grid of its own for each path-atom, so its
-columns grow linearly in the atoms.
+randomized control (the duality gap). The relaxed program on a density
+grid of its own for each path-atom is a linear program that is certified
+rather than solved: the same multipliers bound its value by weak duality,
+and complementary slackness names the grid values its optima can use, in
+arithmetic linear in the atoms.
 This module is the verification half of the package: it never trusts the
 continuous solvers, only convex duality on the tree.
 
@@ -44,7 +46,7 @@ __all__ = [
 
 MAX_ATOMS = 100_000
 # the tree depths and branchings build_tree accepts
-DEPTHS = (1, 2, 3, 4)
+DEPTHS = (1, 2, 3, 4, 5)
 BRANCHINGS = (2, 3)
 
 
@@ -408,9 +410,6 @@ class RelaxedControlDiscrete:
         if np.shape(self.atoms) != np.shape(self.weights):
             raise ValueError("atoms and weights must be arrays of one shape")
 
-    def conditional_mean(self) -> np.ndarray:
-        return np.einsum("xk,xk->x", self.weights, self.atoms)
-
     def max_secondary_weight(self) -> float:
         """The largest second-largest weight that an atom puts on one
         density value, the weights of equal values in a row summed: 0 for
@@ -435,76 +434,81 @@ class RelaxedControlDiscrete:
 
 
 def solve_relaxed_discrete(tree: ScenarioTree, u: np.ndarray, lam: float,
-                           density: np.ndarray, constraints=None) -> tuple:
-    """Optimize over randomized-mode relaxed controls on a finite density
-    grid per path-atom, centred on ``density``; returns
+                           strong: StrongSolution, constraints=None) -> tuple:
+    """Certify the relaxed program on a finite density grid per path-atom,
+    centred on the strong optimum ``strong``; returns
     (value, RelaxedControlDiscrete).
 
     Row x of the grid holds 21 log-spaced values spanning [1e-3, 1e3],
-    then 0.8, 1 and 1.25 times density[x]; ``density`` must be positive,
-    since the LP's cost holds g log g at every grid value g. With the
-    strong optimum as ``density`` the Dirac optimum is on-grid, and the
-    two neighbours give the LP room to out-score a density that is not
-    optimal. ``constraints`` are the sparse forms c_r (as from
+    then 0.8, 1 and 1.25 times ``strong.density[x]``, which must be
+    positive, since the program's cost holds g log g at every grid value
+    g. ``constraints`` are the sparse forms c_r (as from
     :func:`node_constraint_set`), None for no rows. With the density
-    values fixed the program is linear in the conditional weights q(x, j),
-    stored atom-major at x * k + j, and in one conditional mean
-    mbar(x) = sum_j g(x, j) q(x, j) per atom, stored after them: maximize
-    sum_x p(x) sum_j q(x,j) [g(x,j) u(x) - lam g(x,j) log g(x,j)] subject
-    to the per-atom marginals, the definition of mbar, the normalization
+    values fixed the program is linear in the conditional weights q(x, j)
+    of grid value g(x, j): maximize
+    sum_x p(x) sum_j q(x,j) [g(x,j) u(x) - lam g(x,j) log g(x,j)] over
+    each atom's simplex, subject to the normalization
     sum_x p(x) mbar(x) = 1 and the constraint moments
-    sum_x p(x) c_r(x) mbar(x) <= 0. Reading the last two off mbar keeps
-    each constraint row one entry per atom instead of one per (atom, grid
-    point). Per atom the LP sees the chordal interpolation of the concave
-    objective through its grid values, so a grid that holds each atom's
-    strong optimum, as this one does when ``density`` is the strong
-    optimum, has the strong optimal value.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array, eye_array, hstack, vstack
+    sum_x p(x) c_r(x) mbar(x) <= 0 of the conditional means
+    mbar(x) = sum_j g(x,j) q(x,j).
 
+    The program is certified, not solved. For multipliers mu >= 0 of the
+    rows and any nu of the normalization, the Lagrangian's supremum over
+    the simplices, sum_x p(x) max_j phi(x, j) + nu with
+    phi = g (a - nu) - lam g log g and a = u - F^T mu, bounds the
+    program's value by weak duality, however mu was found. The returned
+    value is this bound at mu = ``strong.multipliers`` (empty for no
+    rows) and nu = lam (log Z - 1), Z the Gibbs normaliser of a: that nu
+    puts the maximum of the concave g -> phi(x, g) at the Gibbs density of
+    a, which is the strong density, a column of the grid. The Dirac at
+    ``strong.density`` is checked to meet the normalization and every row
+    to within 1e3 ``_TOL``, the level at which the strong solve raises,
+    so the bound minus its value, the strong value, is the width of the
+    certificate.
+
+    The control spreads each row's weight evenly over the columns whose
+    phi ties with the row's maximum, within 4 ulps of the column's terms
+    |g (a - nu)| + lam |g log g|. By complementary slackness every optimum
+    of the program puts its weight on these columns once the width is 0,
+    so a control that is Dirac (the density's value is the unique
+    maximizer of its row) is the program's only optimum. The check costs
+    O(atoms x 24) arithmetic.
+    """
     if lam <= 0:
         raise ValueError("entropy weight must be positive")
-    probs = np.asarray(tree.probs, dtype=float)
+    probs = tree.probs
     u = np.asarray(u, dtype=float)
-    n_atoms = tree.n_atoms
-    density = np.asarray(density, dtype=float)[:, None]
+    density = strong.density
     if not np.all(density > 0):
         raise ValueError("the density must be positive at every atom")
+    n_rows = 0 if constraints is None else constraints.shape[0]
+    mu = strong.multipliers
+    if mu.size not in (0, n_rows):
+        raise ValueError(f"{mu.size} multipliers for {n_rows} constraint "
+                         "rows")
+    mass = probs * density
+    violation = abs(float(np.sum(mass)) - 1.0)
+    if n_rows:
+        violation = max(violation, float(np.max(constraints @ mass)))
+    if violation > 1e3 * _TOL:
+        raise ValueError("the density misses the normalization or a "
+                         f"constraint row by {violation:g}")
+
+    a = u - constraints.T @ mu if mu.size else u
+    _, log_z = _gibbs(probs, a, lam)
+    nu = lam * (log_z - 1.0)
     g = np.hstack([np.broadcast_to(np.geomspace(1e-3, 1e3, 21),
-                                   (n_atoms, 21)),
-                   0.8 * density, density, 1.25 * density])
-    n_grid = g.shape[1]
-    n_weights = n_atoms * n_grid
-
-    cost = np.concatenate([
-        (-probs[:, None] * (g * u[:, None] - lam * g * np.log(g))).ravel(),
-        np.zeros(n_atoms)])
-    # atom x owns the weight columns x * n_grid .. (x + 1) * n_grid - 1
-    block = (np.arange(n_weights), np.arange(0, n_weights + 1, n_grid))
-    eye = eye_array(n_atoms, format="csr")
-    a_eq = vstack([
-        hstack([csr_array((np.ones(n_weights), *block),
-                          shape=(n_atoms, n_weights)),
-                csr_array((n_atoms, n_atoms))]),
-        hstack([csr_array((g.ravel(), *block), shape=(n_atoms, n_weights)),
-                -eye]),
-        hstack([csr_array((1, n_weights)), csr_array(probs[None, :])]),
-    ], format="csr")
-    b_eq = np.concatenate([np.ones(n_atoms), np.zeros(n_atoms), [1.0]])
-
-    c = csr_array((0, n_atoms)) if constraints is None else constraints
-    a_ub = hstack([csr_array((c.shape[0], n_weights)), c.multiply(probs)],
-                  format="csr")
-
-    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(c.shape[0]), A_eq=a_eq,
-                     b_eq=b_eq, bounds=(0, None), method="highs")
-    if not result.success:
-        raise RuntimeError(f"relaxed program failed: {result.message}")
-    q = result.x[:n_weights].reshape(n_atoms, n_grid)
-    weights = q / np.maximum(np.sum(q, axis=1, keepdims=True), 1e-300)
-    control = RelaxedControlDiscrete(g, weights)
-    return float(-result.fun), control
+                                   (tree.n_atoms, 21)),
+                   density[:, None] * [0.8, 1.0, 1.25]])
+    gain = g * (a - nu)[:, None]
+    entropy = lam * g * np.log(g)
+    phi = gain - entropy
+    best = np.max(phi, axis=1, keepdims=True)
+    tied = phi >= best - 4.0 * np.finfo(float).eps * (np.abs(gain)
+                                                       + np.abs(entropy))
+    control = RelaxedControlDiscrete(
+        g, tied / np.sum(tied, axis=1, keepdims=True))
+    return float(probs @ best[:, 0]) + nu, control
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 density and the conditions of the relaxed-control definition, and the
 Dirac embedding of a strong control. A test harness for
 :class:`brokerfee.oracle.RelaxedControlDiscrete`; ``probs`` is the base
-measure of its tree, ``tree.probs``."""
+measure of its tree, ``tree.probs``. It also holds the independent
+reference for :func:`brokerfee.oracle.solve_relaxed_discrete`: the
+relaxed grid LP with per-atom loops and the constraint moments spelled out
+on every (atom, grid point) weight on the dense forms, solved by HiGHS."""
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from brokerfee.oracle import RelaxedControlDiscrete
 
@@ -16,6 +21,11 @@ def dirac(m: np.ndarray) -> RelaxedControlDiscrete:
     return RelaxedControlDiscrete(atoms, np.ones_like(atoms))
 
 
+def conditional_mean(control) -> np.ndarray:
+    """E[m | path-atom]: sum_j w(x, j) a(x, j) per row."""
+    return np.einsum("xk,xk->x", control.weights, control.atoms)
+
+
 def entropy(probs, control) -> float:
     """sum_x p(x) sum_j w(x, j) a(x, j) log a(x, j)."""
     atoms = control.atoms
@@ -24,19 +34,19 @@ def entropy(probs, control) -> float:
 
 
 def objective(probs, control, u: np.ndarray, lam: float) -> float:
-    linear = float(probs @ (u * control.conditional_mean()))
+    linear = float(probs @ (u * conditional_mean(control)))
     return linear - lam * entropy(probs, control)
 
 
 def mean_density(probs, control) -> float:
-    return float(probs @ control.conditional_mean())
+    return float(probs @ conditional_mean(control))
 
 
 def check_feasibility(probs, control, constraints=None,
                       tol: float = 1e-9) -> dict:
     """Conditions of the relaxed-control definition, as diagnostics;
     ``constraints`` holds the constraint forms, one per row."""
-    cond_mean = control.conditional_mean()
+    cond_mean = conditional_mean(control)
     report = {
         "normalization_gap": abs(float(probs @ cond_mean) - 1.0),
         "min_density_atom": float(np.min(control.atoms)),
@@ -53,3 +63,49 @@ def check_feasibility(probs, control, constraints=None,
         and report["marginal_gap"] <= tol
         and report.get("max_constraint_moment", 0.0) <= tol)
     return report
+
+
+def reference_lp(tree, u, lam, grid, constraints):
+    """(cost, A_eq, A_ub) of the grid LP over the weights q(x, j) of grid
+    value grid[x, j], stored atom-major, as a minimization: the per-atom
+    marginals and the normalization are equality rows, b_eq all ones."""
+    probs = tree.probs
+    n_atoms, n_grid = grid.shape
+    n_var = n_atoms * n_grid
+    cost = np.concatenate([-probs[x] * (grid[x] * u[x] - lam * grid[x]
+                                        * np.log(grid[x]))
+                           for x in range(n_atoms)])
+    rows, cols, vals = [], [], []
+    for x in range(n_atoms):
+        rows.extend([x] * n_grid)
+        cols.extend(range(x * n_grid, (x + 1) * n_grid))
+        vals.extend([1.0] * n_grid)
+    rows.extend([n_atoms] * n_var)
+    cols.extend(range(n_var))
+    vals.extend(np.concatenate([probs[x] * grid[x] for x in range(n_atoms)]))
+    a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
+    a_ub = None
+    if constraints is not None:
+        constraints = constraints.toarray()
+        rows, cols, vals = [], [], []
+        for r in range(len(constraints)):
+            coeff = constraints[r]
+            for x in range(n_atoms):
+                if coeff[x] == 0.0:
+                    continue
+                rows.extend([r] * n_grid)
+                cols.extend(range(x * n_grid, (x + 1) * n_grid))
+                vals.extend(probs[x] * coeff[x] * grid[x])
+        a_ub = csr_matrix((vals, (rows, cols)),
+                          shape=(len(constraints), n_var))
+    return cost, a_eq, a_ub
+
+
+def solve_reference_lp(tree, u, lam, grid, constraints):
+    """The linprog result of :func:`reference_lp` on ``grid``."""
+    cost, a_eq, a_ub = reference_lp(tree, u, lam, grid, constraints)
+    return linprog(
+        cost, A_ub=a_ub,
+        b_ub=None if a_ub is None else np.zeros(constraints.shape[0]),
+        A_eq=a_eq, b_eq=np.ones(tree.n_atoms + 1), bounds=(0, None),
+        method="highs")

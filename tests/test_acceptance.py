@@ -26,6 +26,7 @@ from brokerfee.model import ModelParams
 from brokerfee.rng import split_seed, uniforms
 
 import reduced_mode
+import relaxed_control
 
 MC = ModelParams(rate_lower=-1.0, rate_upper=1.0, n_steps=250,
                  n_paths=100_000)
@@ -162,7 +163,7 @@ def test_criterion_06_gibbs_against_brute_force():
 def test_criterion_07_strong_relaxed_equality():
     start = time.time()
     raw = uniforms(split_seed(MC.seed, "acc7"), (100, 3))
-    worst_gap = 0.0
+    worst_gap = worst_highs = 0.0
     bad_collapse = 0
     non_dirac = 0
     for k in range(100):
@@ -173,19 +174,28 @@ def test_criterion_07_strong_relaxed_equality():
                           - tree.paths[:, -1, 2])
         lam = 0.2 + 1.8 * raw[k, 2]
         sol = oracle.solve_strong_discrete(tree, u, lam)
-        value, control = oracle.solve_relaxed_discrete(tree, u, lam,
-                                                       sol.density)
+        value, control = oracle.solve_relaxed_discrete(tree, u, lam, sol)
         worst_gap = max(worst_gap, abs(value - sol.value))
+        # the certified grid LP solved by HiGHS, a second solver
+        highs = relaxed_control.solve_reference_lp(tree, u, lam,
+                                                   control.atoms, None)
+        worst_highs = max(worst_highs, abs(value - -highs.fun)
+                          if highs.success else np.inf)
+        non_dirac += highs.success and not oracle.RelaxedControlDiscrete(
+            control.atoms, highs.x.reshape(control.atoms.shape)).is_dirac()
         report = oracle.verify_collapse(tree, lam, trials=100,
                                         seed=split_seed(k, "acc7-collapse"))
         bad_collapse += report.counterexamples
         non_dirac += not control.is_dirac()
     elapsed = time.time() - start
-    ok = worst_gap <= 1e-8 and bad_collapse == 0 and non_dirac == 0
+    ok = (worst_gap <= 1e-8 and worst_highs <= 1e-8 and bad_collapse == 0
+          and non_dirac == 0)
     ok = ok and elapsed < 300.0
     assert verdict(7, "strong/relaxed equality", ok,
-                   f"worst gap {worst_gap:.2e}, {bad_collapse} collapse "
-                   f"counterexamples, {non_dirac} non-Dirac, {elapsed:.0f}s")
+                   f"worst gap {worst_gap:.2e}, certificate against HiGHS "
+                   f"{worst_highs:.2e}, {bad_collapse} collapse "
+                   f"counterexamples, {non_dirac} non-Dirac (certificate "
+                   f"or HiGHS), {elapsed:.0f}s")
 
 
 def test_criterion_08_extraction_admissibility():
@@ -199,10 +209,9 @@ def test_criterion_08_extraction_admissibility():
         lam = 0.2 + raw[k, 1]
         cons = oracle.node_constraint_set(tree, -1.0, 1.0)
         sol = oracle.solve_strong_discrete(tree, u, lam, cons)
-        _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
-                                                   cons)
+        _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol, cons)
         report = oracle.extract_strong_control(
-            tree, control.conditional_mean(), -1.0, 1.0)
+            tree, relaxed_control.conditional_mean(control), -1.0, 1.0)
         worst = max(worst, report.max_violation)
         worst_recon = max(worst_recon, report.reconstruction_error)
     # the brokerfee oracle instance at depth 3: zero fee, the default
@@ -214,11 +223,10 @@ def test_criterion_08_extraction_admissibility():
     cons = oracle.node_constraint_set(tree, params.rate_lower,
                                       params.rate_upper)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
-    _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol.density,
-                                               cons)
-    report = oracle.extract_strong_control(tree, control.conditional_mean(),
-                                           params.rate_lower,
-                                           params.rate_upper)
+    _, control = oracle.solve_relaxed_discrete(tree, u, lam, sol, cons)
+    report = oracle.extract_strong_control(
+        tree, relaxed_control.conditional_mean(control), params.rate_lower,
+        params.rate_upper)
     worst = max(worst, report.max_violation)
     worst_recon = max(worst_recon, report.reconstruction_error)
     ok = worst <= 1e-8 and worst_recon <= 1e-10

@@ -178,7 +178,7 @@ def test_tree_key_below_one_is_exit_2(tmp_path, capsys, line, key, value):
 
 
 @pytest.mark.parametrize("line, key, value, choices", [
-    (12, "depth", "5", "1, 2, 3, 4"), (12, "depth", "9", "1, 2, 3, 4"),
+    (12, "depth", "6", "1, 2, 3, 4, 5"), (12, "depth", "9", "1, 2, 3, 4, 5"),
     (13, "branching", "1", "2, 3"), (13, "branching", "4", "2, 3")])
 def test_tree_the_oracle_cannot_build_is_exit_2(tmp_path, capsys, line, key,
                                                 value, choices):
@@ -458,6 +458,25 @@ def test_oracle_mode_solves_each_program_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["solve_relaxed_discrete", "solve_strong_discrete"]
 
 
+def test_oracle_checks_do_not_load_scipy_optimize(tmp_path):
+    # the relaxed program is certified by duality, not solved by HiGHS:
+    # oracle and verify run without scipy.optimize. The tests import
+    # linprog themselves, so the runs take a fresh interpreter
+    runs = []
+    for mode in ("oracle", "verify"):
+        (tmp_path / mode).mkdir()
+        cfg, _ = write_config(tmp_path / mode, mode)
+        runs.append(f"assert cli.run({str(cfg)!r}) == 0")
+    script = "\n".join(["import sys", "from brokerfee import cli", *runs,
+                        "print('scipy.optimize' in sys.modules)"])
+    src = str(Path(__file__).parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True,
+                            timeout=300)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_deterministic_reruns(tmp_path):
     # girsanov.csv prints full-precision floats of the threaded draws
     for mode, output in (("verify", "verify.csv"),
@@ -520,7 +539,7 @@ def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
 
 def test_verify_drops_the_weighted_sample_before_the_oracle(tmp_path,
                                                             monkeypatch):
-    # the oracle checks load scipy.optimize and HiGHS, which sets the
+    # the oracle checks load scipy.sparse and its LU, which can set the
     # run's peak memory: no numpy array of a whole number of floats per
     # path may still be traced when they start. The same probe, taken
     # while the weighting flags degenerate weights, sees the sample's five
@@ -699,17 +718,19 @@ def test_positional_mode_overrides_config(tmp_path):
 
 
 def test_tree_too_large_to_build_is_exit_2(tmp_path, capsys):
-    # depth 4 and branching 3 are each accepted, but together make
-    # 27^4 = 531,441 atoms; this used to fail in oracle.build_tree after
-    # the output directory was made, and exit 1
-    cfg, out = write_config(tmp_path, "oracle")
-    cfg.write_text(cfg.read_text().replace("run.depth = 2", "run.depth = 4")
-                   .replace("run.branching = 2", "run.branching = 3"))
-    message = (f"run.cfg:13: depth 4 and branching 3 make an atom count "
-               f"531441 that exceeds {oracle.MAX_ATOMS}")
-    assert cli.run(cfg) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    # depth 4 or 5 and branching 3 are each accepted, but together make
+    # 27^4 = 531,441 or 27^5 = 14,348,907 atoms; this used to fail in
+    # oracle.build_tree after the output directory was made, and exit 1
+    for depth, n_atoms in ((4, 531441), (5, 14348907)):
+        cfg, out = write_config(tmp_path, "oracle")
+        cfg.write_text(cfg.read_text()
+                       .replace("run.depth = 2", f"run.depth = {depth}")
+                       .replace("run.branching = 2", "run.branching = 3"))
+        message = (f"run.cfg:13: depth {depth} and branching 3 make an atom "
+                   f"count {n_atoms} that exceeds {oracle.MAX_ATOMS}")
+        assert cli.run(cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_failed_mode_keeps_traceback(tmp_path, capsys):
