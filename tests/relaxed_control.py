@@ -5,12 +5,16 @@ Dirac embedding of a strong control. A test harness for
 measure of its tree, ``tree.probs``. It also holds the independent
 reference for :func:`brokerfee.oracle.solve_relaxed_discrete`: the
 relaxed grid LP with per-atom loops and the constraint moments spelled out
-on every (atom, grid point) weight on the dense forms, solved by HiGHS."""
+on every (atom, grid point) weight on the dense forms, solved by HiGHS.
+The dense forms (:func:`dense_forms`) are built atom by atom from the
+model's rows, not from the library's per-node arrays, so the references
+that read them stay independent of the library's storage."""
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from brokerfee.model import constraint_rows
 from brokerfee.oracle import RelaxedControlDiscrete
 
 
@@ -45,7 +49,7 @@ def mean_density(probs, control) -> float:
 def check_feasibility(probs, control, constraints=None,
                       tol: float = 1e-9) -> dict:
     """Conditions of the relaxed-control definition, as diagnostics;
-    ``constraints`` holds the constraint forms, one per row."""
+    ``constraints`` holds the dense constraint forms, one per row."""
     cond_mean = conditional_mean(control)
     report = {
         "normalization_gap": abs(float(probs @ cond_mean) - 1.0),
@@ -65,10 +69,33 @@ def check_feasibility(probs, control, constraints=None,
     return report
 
 
+def dense_forms(tree, lower, upper) -> np.ndarray:
+    """The node constraint forms as one dense (n_rows, n_atoms) array, in
+    the library's row order: the depths in order, node-major within a
+    depth, six rows to a node. The form of (node, row) at depth d holds,
+    at each atom whose combo prefix (``tree.choices``) names the node, the
+    row at that atom's step-d increment and the node's W, and 0 at every
+    other atom."""
+    n_rows = 6 * sum(tree.n_combos**d for d in range(tree.depth))
+    forms = np.zeros((n_rows, tree.n_atoms))
+    for x in range(tree.n_atoms):
+        start = node = 0
+        for d in range(tree.depth):
+            dp, dz, dw = tree.combos[tree.choices[x, d]]
+            row = start + 6 * node
+            forms[row:row + 6, x] = constraint_rows(
+                dp, dz, dw, tree.paths[x, d, 2] * tree.dt, tree.dt, lower,
+                upper)
+            start += 6 * tree.n_combos**d
+            node = node * tree.n_combos + tree.choices[x, d]
+    return forms
+
+
 def reference_lp(tree, u, lam, grid, constraints):
     """(cost, A_eq, A_ub) of the grid LP over the weights q(x, j) of grid
     value grid[x, j], stored atom-major, as a minimization: the per-atom
-    marginals and the normalization are equality rows, b_eq all ones."""
+    marginals and the normalization are equality rows, b_eq all ones;
+    ``constraints`` are dense forms (:func:`dense_forms`) or None."""
     probs = tree.probs
     n_atoms, n_grid = grid.shape
     n_var = n_atoms * n_grid
@@ -86,7 +113,6 @@ def reference_lp(tree, u, lam, grid, constraints):
     a_eq = csr_matrix((vals, (rows, cols)), shape=(n_atoms + 1, n_var))
     a_ub = None
     if constraints is not None:
-        constraints = constraints.toarray()
         rows, cols, vals = [], [], []
         for r in range(len(constraints)):
             coeff = constraints[r]

@@ -458,23 +458,31 @@ def test_oracle_mode_solves_each_program_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["solve_relaxed_discrete", "solve_strong_discrete"]
 
 
-def test_oracle_checks_do_not_load_scipy_optimize(tmp_path):
-    # the relaxed program is certified by duality, not solved by HiGHS:
-    # oracle and verify run without scipy.optimize. The tests import
-    # linprog themselves, so the runs take a fresh interpreter
-    runs = []
+def test_oracle_loads_no_scipy_and_verify_no_scipy_sparse(tmp_path):
+    # the relaxed program is certified by duality, not solved by HiGHS,
+    # and the strong program is solved node by node on numpy alone: oracle
+    # loads no scipy module, and verify only scipy.special (the Monte
+    # Carlo checks' normal quantiles), neither scipy.sparse nor
+    # scipy.optimize. The tests import linprog themselves, so the runs
+    # take a fresh interpreter
+    lines = ["import sys", "from brokerfee import cli"]
     for mode in ("oracle", "verify"):
         (tmp_path / mode).mkdir()
         cfg, _ = write_config(tmp_path / mode, mode)
-        runs.append(f"assert cli.run({str(cfg)!r}) == 0")
-    script = "\n".join(["import sys", "from brokerfee import cli", *runs,
-                        "print('scipy.optimize' in sys.modules)"])
+        lines += [f"assert cli.run({str(cfg)!r}) == 0",
+                  "print('loaded', sorted({name.split('.')[1] for name in"
+                  " sys.modules if name.startswith('scipy.')}))"]
     src = str(Path(__file__).parent.parent / "src")
-    result = subprocess.run([sys.executable, "-c", script],
+    result = subprocess.run([sys.executable, "-c", "\n".join(lines)],
                             env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True,
                             timeout=300)
-    assert result.stdout.splitlines()[-1] == "False"
+    oracle_loaded, verify_loaded = [
+        line for line in result.stdout.splitlines()
+        if line.startswith("loaded ")]
+    assert oracle_loaded == "loaded []"
+    assert "'sparse'" not in verify_loaded
+    assert "'optimize'" not in verify_loaded
 
 
 def test_deterministic_reruns(tmp_path):
@@ -539,8 +547,9 @@ def test_verify_passes_no_check_on_degenerate_weights(tmp_path):
 
 def test_verify_drops_the_weighted_sample_before_the_oracle(tmp_path,
                                                             monkeypatch):
-    # the oracle checks load scipy.sparse and its LU, which can set the
-    # run's peak memory: no numpy array of a whole number of floats per
+    # the oracle checks run after the Monte Carlo ones, and a sample
+    # still held then would add to the run's peak memory: no numpy array
+    # of a whole number of floats per
     # path may still be traced when they start. The same probe, taken
     # while the weighting flags degenerate weights, sees the sample's five
     # arrays (m, log M, the integral of W^2, the increments and W_s, Z_s)

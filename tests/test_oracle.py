@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as sp_minimize
 from scipy.optimize import minimize_scalar
-from scipy.sparse import issparse
 from scipy.special import logsumexp
 
 import relaxed_control
 from solver_constants import strong_tol
 from brokerfee import oracle
 from brokerfee.contracts import Constant, LinearPolynomial
-from brokerfee.model import ROW_NAMES, ModelParams
+from brokerfee.model import ROW_NAMES, ModelParams, constraint_rows
 from brokerfee.rng import split_seed, uniforms
 
 PARAMS = ModelParams(epsilon=0.5)
@@ -92,7 +91,9 @@ def test_tree_atom_cap():
 def test_node_constraints_adapted():
     tree = oracle.build_tree(2, 2, PARAMS)
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    assert cons.shape == (6 * (1 + tree.n_combos), tree.n_atoms)
+    assert cons.n_rows == 6 * (1 + tree.n_combos)
+    assert [block.shape for block in cons.blocks] == \
+        [(1, 6, tree.n_combos), (tree.n_combos, 6, tree.n_combos)]
 
 
 def test_uniform_density_moments_by_row():
@@ -101,7 +102,7 @@ def test_uniform_density_moments_by_row():
     # tilt toward W and are violated at any node where W is nonzero
     tree = oracle.build_tree(2, 2, PARAMS)
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
-    moments = cons @ tree.probs
+    moments = cons.moments(tree.probs)
     # node-major, ROW_NAMES order within a node
     for moment, name in zip(moments, ROW_NAMES * (1 + tree.n_combos)):
         if "drift_w" in name:
@@ -117,7 +118,7 @@ def test_constrained_strong_solver_kkt():
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     assert sol.kkt_residual <= 1e-9
-    moments = cons @ (tree.probs * sol.density)
+    moments = cons.moments(tree.probs * sol.density)
     assert np.max(moments) <= 1e-9
     unconstrained = oracle.solve_strong_discrete(tree, u, 0.25)
     assert sol.value <= unconstrained.value + 1e-12
@@ -125,8 +126,10 @@ def test_constrained_strong_solver_kkt():
 
 def test_strong_solver_flags_a_solve_stopped_short():
     # the relaxed-oracle demo's instance at a tol below float64 resolution:
-    # Newton stalls at the rounding floor, which lies within 1e3 * tol, so
-    # the solve returns before its iteration cap, unconverged
+    # every node's Newton stalls at the rounding floor, which lies within
+    # 1e3 * tol, so the solve returns before any depth reaches its step
+    # cap (``iterations`` is the most batched steps of any depth),
+    # unconverged
     tree = oracle.build_tree(2, 2, PARAMS)
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, PARAMS.rate_lower,
@@ -143,14 +146,16 @@ def test_strong_solver_flags_a_solve_stopped_short():
 
 def test_duality_gap_certifies_constrained_optimum():
     # D(mu) at the returned multipliers bounds every relaxed value, so a
-    # gap at rounding level certifies the strong optimum
+    # gap at rounding level certifies the strong optimum; D is read here
+    # on the dense forms, built atom by atom
     tree = oracle.build_tree(2, 2, PARAMS)
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = oracle.node_constraint_set(tree, -1.0, 1.0)
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     assert sol.multipliers is not None and np.any(sol.multipliers > 0)
     assert abs(sol.duality_gap) <= 1e-12
-    dual = 0.25 * logsumexp((u - cons.T @ sol.multipliers) / 0.25,
+    dense = relaxed_control.dense_forms(tree, -1.0, 1.0)
+    dual = 0.25 * logsumexp((u - dense.T @ sol.multipliers) / 0.25,
                             b=tree.probs)
     assert dual - sol.value == pytest.approx(sol.duality_gap, abs=1e-15)
 
@@ -173,7 +178,8 @@ def test_relaxed_constrained_matches_dual():
     sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     value, control = oracle.solve_relaxed_discrete(tree, u, 0.25, sol, cons)
     assert abs(value - sol.value) <= 1e-8
-    assert relaxed_control.check_feasibility(tree.probs, control, cons,
+    dense = relaxed_control.dense_forms(tree, -1.0, 1.0)
+    assert relaxed_control.check_feasibility(tree.probs, control, dense,
                                              tol=1e-8)["feasible"]
 
 
@@ -186,23 +192,28 @@ def shared_density_grid(density):
 
 
 def relaxed_instance(name):
-    """(tree, u, lam, constraints) of a relaxed-LP test instance."""
+    """(tree, u, lam, constraints, dense) of a relaxed-LP test instance:
+    the library's node forms and the same forms as a dense array for the
+    references (:func:`relaxed_control.dense_forms`), both None for no
+    rows."""
     if name == "constrained-2":
         tree = oracle.build_tree(2, 2, PARAMS)
         u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
-        return tree, u, 0.25, oracle.node_constraint_set(tree, -1.0, 1.0)
-    if name == "unconstrained-2":
+        lam, bounds = 0.25, (-1.0, 1.0)
+    elif name == "unconstrained-2":
         tree = oracle.build_tree(2, 2, PARAMS)
         u = np.tanh(tree.paths[:, -1, 0] + tree.paths[:, -1, 2])
-        return tree, u, 0.5, None
-    # the oracle-tree benchmark instance at depth 1 and 3: zero fee,
-    # default parameters
-    params = ModelParams()
-    tree = oracle.build_tree(int(name[-1]), 2, params)
-    u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
-    cons = oracle.node_constraint_set(tree, params.rate_lower,
-                                      params.rate_upper)
-    return tree, u, params.entropy_weight, cons
+        return tree, u, 0.5, None, None
+    else:
+        # the oracle-tree benchmark instance at depth 1 and 3: zero fee,
+        # default parameters
+        params = ModelParams()
+        tree = oracle.build_tree(int(name[-1]), 2, params)
+        u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
+        lam, bounds = params.entropy_weight, (params.rate_lower,
+                                              params.rate_upper)
+    return (tree, u, lam, oracle.node_constraint_set(tree, *bounds),
+            relaxed_control.dense_forms(tree, *bounds))
 
 
 @pytest.mark.parametrize("name", ["constrained-2", "unconstrained-2",
@@ -210,11 +221,11 @@ def relaxed_instance(name):
 def test_per_atom_grid_matches_shared_grid(name):
     # a grid holding each atom's strong density leaves the LP value as it
     # was on the grid shared by all atoms, with 24 columns per atom
-    tree, u, lam, cons = relaxed_instance(name)
+    tree, u, lam, cons, dense = relaxed_instance(name)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     value, control = oracle.solve_relaxed_discrete(tree, u, lam, sol, cons)
     shared = relaxed_control.solve_reference_lp(
-        tree, u, lam, shared_density_grid(sol.density), cons)
+        tree, u, lam, shared_density_grid(sol.density), dense)
     assert shared.success
     assert abs(value - -shared.fun) <= 1e-12
     assert control.atoms.shape == (tree.n_atoms, 24)
@@ -241,14 +252,14 @@ def test_per_atom_grid_outscores_a_wrong_density(lam):
 def test_certificate_bounds_the_lp_at_any_multipliers():
     # weak duality: the bound holds for any mu >= 0, however found; the
     # strong solve's mu makes it tight, and others only widen it
-    tree, u, lam, cons = relaxed_instance("constrained-2")
+    tree, u, lam, cons, dense = relaxed_instance("constrained-2")
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     value, control = oracle.solve_relaxed_discrete(tree, u, lam, sol, cons)
     reference = relaxed_control.solve_reference_lp(tree, u, lam,
-                                                   control.atoms, cons)
+                                                   control.atoms, dense)
     assert reference.success
     assert abs(value - -reference.fun) <= 1e-12
-    shifts = uniforms(split_seed(3, "certificate-mu"), (2, cons.shape[0]))
+    shifts = uniforms(split_seed(3, "certificate-mu"), (2, cons.n_rows))
     for mu in (np.zeros_like(sol.multipliers),
                sol.multipliers + 0.1 * shifts[0], sol.multipliers + shifts[1]):
         bound, _ = oracle.solve_relaxed_discrete(
@@ -273,10 +284,10 @@ def test_certificate_splits_a_tie_over_equal_values():
 def test_certificate_checks_the_dirac():
     # the density must meet the normalization and every row, and the
     # multipliers must be none or one per row
-    tree, u, lam, cons = relaxed_instance("constrained-2")
+    tree, u, lam, cons, _ = relaxed_instance("constrained-2")
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     free = oracle.solve_strong_discrete(tree, u, lam)
-    assert np.max(cons @ (tree.probs * free.density)) > 1e-6
+    assert np.max(cons.moments(tree.probs * free.density)) > 1e-6
     for bad in (replace(sol, density=1.01 * sol.density),
                 replace(sol, density=free.density)):
         with pytest.raises(ValueError, match="density misses"):
@@ -380,9 +391,12 @@ def strong_instance(name):
     multiplier is slack; left where it is, its multiplier stalls the
     solve. On "gap-above-tol" every complementary product is at most
     4.5e-13 after 7 steps while their sum, the duality gap, is -1.6e-12:
-    a solve that stopped on the residual alone reported it converged."""
+    a solve that stopped on the residual alone reported it converged. On
+    "point-mass" a node's law leaves its other children a mass so small
+    that a row's curvature is subnormal (7e-323), and the unit-diagonal
+    scale, its inverse square root, overflows the Newton step."""
     if name.startswith("oracle-tree"):
-        return relaxed_instance(name)
+        return relaxed_instance(name)[:4]
     depth, branching, bound, lam, a, b, c = {
         "small-node-mass": (3, 2, 1.0, 0.25, 0.794, -0.992, 0.0),
         "cycling": (1, 2, 10.0, 0.25, -1.0, 1.0, 0.0),
@@ -392,7 +406,8 @@ def strong_instance(name):
         "heavy-atom": (2, 2, 1.0, 0.05, -2.33, 1.56, 0.0),
         "slack-rate-row": (2, 3, 0.5, 0.1, -1.9027, -0.4257, -0.6424),
         "gap-above-tol": (3, 2, 0.5, 1.0, -0.6418158128314762,
-                          0.1527664482092308, 0.9269111764256484)}[name]
+                          0.1527664482092308, 0.9269111764256484),
+        "point-mass": (3, 2, 0.5, 0.004, -4.0, 2.0, -6.0)}[name]
     params = ModelParams(rate_lower=-bound, rate_upper=bound)
     tree = oracle.build_tree(depth, branching, params)
     p, z, w = tree.paths[:, -1].T
@@ -407,12 +422,23 @@ def strong_instance(name):
                                   "heavy-atom", "slack-rate-row",
                                   "gap-above-tol"])
 def test_strong_solve_converges_in_few_newton_steps(name):
-    # projected Newton from mu = 0 takes 6 and 16 steps on the first two,
-    # where L-BFGS-B took 208 and 866 iterations
+    # projected Newton from mu = 0 takes at most 5 and 7 steps at any
+    # depth on the first two (``iterations`` is the most batched steps of
+    # any depth), where L-BFGS-B on the global dual took 208 and 866
+    # iterations
     tree, u, lam, cons = strong_instance(name)
     sol = oracle.solve_strong_discrete(tree, u, lam, cons)
     assert sol.converged and sol.iterations <= 20
     assert abs(sol.duality_gap) <= 1e-12
+
+
+def test_strong_solve_where_a_node_law_is_a_point_mass():
+    # a row whose curvature is below the square root of float64's least
+    # normal number is scaled by 1; scaled by its inverse square root, it
+    # overflows the step. Small lam takes more steps, 24 here
+    tree, u, lam, cons = strong_instance("point-mass")
+    sol = oracle.solve_strong_discrete(tree, u, lam, cons)
+    assert sol.converged and abs(sol.duality_gap) <= 1e-12
 
 
 @pytest.mark.parametrize("depth,scale", [(3, 100.0), (2, 1e3)])
@@ -429,8 +455,9 @@ def test_gap_is_read_relative_to_the_value(depth, scale):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: _newton_step overflows at large utilities, warns "
-    "'overflow encountered in multiply' and raises at KKT residual 2999.78"))
+    "FOUND in CHANGES.md: at large utilities each node's exponents cancel "
+    "from about 5e4 nats, whose rounding sets its moments' floor: the node "
+    "solve stalls and raises at KKT residual 3.68e-09"))
 def test_strong_solve_at_large_utilities():
     # the instance above at scale 1e4, depth 3 and with the node rows at
     # bounds +-1; the certificate of solve_relaxed_discrete inherits this
@@ -446,9 +473,10 @@ def test_strong_solve_at_large_utilities():
 
 
 def test_infeasible_rows_are_proved_infeasible():
-    # with L = U = 5 no density gives the Z step its mean 5 dt: the dual
-    # value falls below the least value of any density, which weak
-    # duality turns into a proof, where the solve ran its 10,000 steps
+    # with L = U = 5 no density gives the Z step its mean 5 dt: a node's
+    # dual value falls below the least value of any law of its children,
+    # which weak duality turns into a proof, where the solve ran its
+    # 10,000 steps
     params = ModelParams(rate_lower=5.0, rate_upper=5.0)
     tree = oracle.build_tree(1, 2, params)
     u = oracle.atom_utility_from_contract(tree, Constant(0.0), params)
@@ -459,9 +487,9 @@ def test_infeasible_rows_are_proved_infeasible():
 
 # the zero fee's strong value on the branching-2 tree with node
 # constraints, lam = 2 eps^2 phi_a and the default rate bounds, by depth
-# (ROADMAP item 5)
+# (ROADMAP item 5); depth 5 has 32,768 atoms
 ZERO_FEE_LADDER = {2: 0.0285756177543066, 3: 0.0330634855655426,
-                   4: 0.0348835107280312}
+                   4: 0.0348835107280312, 5: 0.0360334408129}
 
 
 def test_strong_tree_value_approaches_the_closed_form():
@@ -479,25 +507,45 @@ def test_strong_tree_value_approaches_the_closed_form():
         assert sol.converged and abs(sol.duality_gap) <= 1e-12
         assert sol.value == pytest.approx(value, rel=1e-6)
         errors.append(abs(sol.value - 1.0 / 24.0))
-    assert errors[0] > errors[1] > errors[2]
+    assert errors[0] > errors[1] > errors[2] > errors[3]
 
 
-def test_node_forms_store_their_blocks_only():
-    # at depth 4 the forms are 3,510 x 4,096; each stores its node's atom
-    # block, 6 entries per atom and depth, where a dense array took 115 MB
+def test_node_forms_are_the_rows_at_every_atom():
+    # the node-by-node solve rests on this: form (node, row) takes, at each
+    # atom of the node, the row at the atom's increment of that step, so
+    # it reads the atom only through the child it passes. Branching 3 stops
+    # at depth 3, the largest tree build_tree makes. The two products
+    # agree with the dense forms, built atom by atom.
+    for branching, depth in [(2, 1), (2, 2), (2, 3), (2, 4),
+                             (3, 1), (3, 2), (3, 3)]:
+        tree = oracle.build_tree(depth, branching, PARAMS)
+        forms = oracle.node_constraint_set(tree, -1.0, 2.0)
+        inc = tree.combos[tree.choices]
+        for d, block in enumerate(forms.blocks):
+            assert block.shape == (tree.n_combos**d, 6, tree.n_combos)
+            rows = np.stack(constraint_rows(
+                inc[:, d, 0], inc[:, d, 1], inc[:, d, 2],
+                tree.paths[:, d, 2] * tree.dt, tree.dt, -1.0, 2.0))
+            node = tree.choices[:, :d] @ tree.n_combos**np.arange(d)[::-1]
+            assert np.array_equal(block[node, :, tree.choices[:, d]].T, rows)
+        if tree.n_atoms <= 729:
+            dense = relaxed_control.dense_forms(tree, -1.0, 2.0)
+            mass = uniforms(split_seed(depth, "node-mass"), tree.n_atoms)
+            mu = uniforms(split_seed(depth, "node-mu"), forms.n_rows)
+            assert np.allclose(forms.moments(mass), dense @ mass,
+                               rtol=0, atol=1e-12)
+            assert np.allclose(forms.per_atom(mu), dense.T @ mu,
+                               rtol=0, atol=1e-12)
+    # at depth 4 the forms are 585 x 6 x 8 floats, 225 kB
     tree = oracle.build_tree(4, 2, PARAMS)
-    # a first call loads the lazily imported scipy outside the trace
-    oracle.node_constraint_set(tree, -1.0, 1.0)
     tracemalloc.start()
     try:
         forms = oracle.node_constraint_set(tree, -1.0, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert issparse(forms) and forms.format == "csr"
-    assert forms.shape == (6 * (1 + 8 + 64 + 512), tree.n_atoms)
-    assert forms.nnz <= 6 * tree.depth * tree.n_atoms
-    assert peak < 5 * 2**20
+    assert forms.n_rows == 6 * (1 + 8 + 64 + 512)
+    assert peak < 2 * 585 * 6 * 8 * 8       # twice their size
 
 
 def test_extraction_at_small_node_mass():
@@ -594,16 +642,16 @@ def test_dirac_counts_distinct_density_values():
 
 
 # Reference implementation: the strong solve by projected-gradient dual
-# ascent with a separate dual value and gradient, on the dense forms. The
-# solver must reproduce its optima (the relaxed LP's reference is
+# ascent with a separate dual value and gradient, on the global dual over
+# the dense forms (relaxed_control.dense_forms). The solver must reproduce
+# its optima (the relaxed LP's reference is
 # relaxed_control.solve_reference_lp).
 
-def reference_strong(tree, u, lam, constraints, tol, max_iter=10_000):
+def reference_strong(tree, u, lam, c, tol, max_iter=10_000):
     probs = tree.probs
-    if constraints is None:
+    if c is None:
         m = np.exp(u / lam - logsumexp(u / lam, b=probs))
         return None, m, 0
-    c = constraints.toarray()
 
     def gibbs(adjusted):
         return np.exp(adjusted / lam - logsumexp(adjusted / lam, b=probs))
@@ -643,10 +691,12 @@ def test_lp_assembly_matches_loop_reference(constrained):
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
             else None)
+    dense = (relaxed_control.dense_forms(tree, -1.0, 1.0) if constrained
+             else None)
     sol = oracle.solve_strong_discrete(tree, u, 0.3, cons)
     value, control = oracle.solve_relaxed_discrete(tree, u, 0.3, sol, cons)
     grid = control.atoms
-    reference = relaxed_control.solve_reference_lp(tree, u, 0.3, grid, cons)
+    reference = relaxed_control.solve_reference_lp(tree, u, 0.3, grid, dense)
     assert reference.success
     assert abs(value - -reference.fun) <= 1e-12
     q = reference.x.reshape(grid.shape)
@@ -667,11 +717,13 @@ def test_strong_solver_matches_separate_dual_reference(constrained, tol):
     u = 0.3 * tree.paths[:, -1, 0] - 0.2 * tree.paths[:, -1, 1]
     cons = (oracle.node_constraint_set(tree, -1.0, 1.0) if constrained
             else None)
+    dense = (relaxed_control.dense_forms(tree, -1.0, 1.0) if constrained
+             else None)
     with strong_tol(tol):
         sol = oracle.solve_strong_discrete(tree, u, 0.25, cons)
     # the reference at its own floor: at tol 1e-9 its density is only
     # good to about 1e-8
-    _, density, iterations = reference_strong(tree, u, 0.25, cons, 1e-12)
+    _, density, iterations = reference_strong(tree, u, 0.25, dense, 1e-12)
     assert np.allclose(sol.density, density, rtol=0, atol=1e-9)
     assert sol.kkt_residual <= tol and sol.converged
     if not constrained:
